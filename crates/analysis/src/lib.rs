@@ -63,10 +63,7 @@
 
 use ensemble_lang::ast::{Module, TypeExpr};
 use ensemble_lang::diag::{codes, Diagnostic, Severity};
-use ensemble_lang::{
-    compile_source_gated, CompileOptions, CompiledModule, GateError, KernelProof, ParseError,
-    ProofSet,
-};
+use ensemble_lang::{compile_source_gated, CompileOptions, KernelProof, ParseError, ProofSet};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 mod effects;
@@ -77,6 +74,9 @@ mod model;
 mod shadow;
 mod split;
 
+// What `compile_source` returns, nameable by callers (the serving layer's
+// module cache) that depend on this crate but not on `ensemble-lang`.
+pub use ensemble_lang::{CompiledModule, GateError};
 pub use shadow::{shadow_validate, DispatchConfig, Refutation, ShadowConfig};
 
 use host::{ActorSummary, ChanRef, HostWalk, SettingsCon};

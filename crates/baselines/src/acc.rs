@@ -421,15 +421,15 @@ impl<'r> Hook<'r> {
     }
 
     fn upload(&self, _name: &str, host: &ArrRef) -> Result<DevArray, AccError> {
-        let bytes = match &*host.borrow() {
-            HostArray::F32(v) => oclsim::hostmem::f32_to_bytes(v),
-            HostArray::I32(v) => oclsim::hostmem::i32_to_bytes(v),
-        };
+        let data = host.borrow();
         let buf = self
             .runner
             .context
-            .create_buffer(MemFlags::ReadWrite, bytes.len())?;
-        let ev = self.runner.queue.enqueue_write_buffer(&buf, &bytes)?;
+            .create_buffer(MemFlags::ReadWrite, data.len() * 4)?;
+        let ev = match &*data {
+            HostArray::F32(v) => self.runner.queue.write_f32(&buf, v),
+            HostArray::I32(v) => self.runner.queue.write_i32(&buf, v),
+        }?;
         self.runner
             .profile
             .record_command(&ev, self.runner.queue.device().name());

@@ -351,11 +351,17 @@ fn app_sources(sizes: &Sizes) -> Vec<(&'static str, String)> {
 /// then register, then native, `repeats` runs each. Restores the process
 /// default engine (native) before returning, on success and on error
 /// alike.
+///
+/// Holds the chaos lock ([`crate::chaos::serialise`]) throughout: the
+/// runs dispatch on the process-global matrix queues, where a concurrent
+/// chaos run's injector would otherwise land its seeded kills on these
+/// actors.
 pub fn run_wallclock(
     sizes: &Sizes,
     sizes_label: &str,
     repeats: usize,
 ) -> Result<WallclockReport, String> {
+    let _serial = crate::chaos::serialise();
     let result = run_wallclock_inner(sizes, sizes_label, repeats);
     set_default_engine(Engine::Native);
     result

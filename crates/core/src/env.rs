@@ -203,6 +203,23 @@ impl OpenClEnvironment {
     }
 }
 
+/// A GPU environment over a **private** context and queue, for unit tests
+/// that assert deltas of the queue clock or of `allocated_bytes()`: the
+/// matrix's shared queue is dispatched on by whatever kernel-actor tests
+/// run in parallel, so such deltas are only exact on a lane of one's own.
+#[cfg(test)]
+pub(crate) fn private_gpu_env() -> OpenClEnvironment {
+    let device = Platform::default_device(DeviceType::Gpu).expect("simulated GPU");
+    let context = Context::new(std::slice::from_ref(&device)).expect("private context");
+    let queue = CommandQueue::new(&context, &device).expect("private queue");
+    OpenClEnvironment {
+        platform: "private".to_string(),
+        device,
+        context,
+        queue,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

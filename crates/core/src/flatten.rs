@@ -12,6 +12,7 @@
 //! for making in-kernel updates to scalars visible to the host (§6.1.2
 //! notes "passing a pointer to the host variable is not an option").
 
+use oclsim::{Buffer, ClResult, CommandQueue, Event};
 use std::fmt;
 
 /// Element type of one flattened segment.
@@ -64,6 +65,17 @@ impl FlatSeg {
         match self {
             FlatSeg::F32(v) => oclsim::hostmem::f32_to_bytes(v),
             FlatSeg::I32(v) => oclsim::hostmem::i32_to_bytes(v),
+        }
+    }
+
+    /// Upload the segment into `buf` through `queue`'s typed write: the
+    /// elements are converted straight into the buffer's storage, with no
+    /// intermediate [`FlatSeg::to_bytes`] vector. Every kernel-actor
+    /// upload goes through here.
+    pub fn upload(&self, queue: &CommandQueue, buf: &Buffer) -> ClResult<Event> {
+        match self {
+            FlatSeg::F32(v) => queue.write_f32(buf, v),
+            FlatSeg::I32(v) => queue.write_i32(buf, v),
         }
     }
 
@@ -517,6 +529,22 @@ mod tests {
         let bytes = s.to_bytes();
         assert_eq!(bytes.len(), s.byte_len());
         assert_eq!(FlatSeg::from_bytes(SegTy::I32, &bytes), s);
+    }
+
+    #[test]
+    fn upload_lands_the_to_bytes_layout_on_the_device() {
+        let env = crate::env::private_gpu_env();
+        for seg in [FlatSeg::F32(vec![1.5, -2.0]), FlatSeg::I32(vec![7, -9, 11])] {
+            let buf = env
+                .context
+                .create_buffer(oclsim::MemFlags::ReadWrite, seg.byte_len())
+                .unwrap();
+            let ev = seg.upload(&env.queue, &buf).unwrap();
+            assert_eq!(ev.bytes(), seg.byte_len());
+            let mut raw = vec![0u8; seg.byte_len()];
+            env.queue.enqueue_read_buffer(&buf, &mut raw).unwrap();
+            assert_eq!(raw, seg.to_bytes());
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub(crate) fn upload_flat(
     for seg in &flat.segs {
         let buf = env.context.create_buffer(MemFlags::ReadWrite, seg.byte_len())?;
         guard.add(buf.len());
-        let ev = env.queue.enqueue_write_buffer(&buf, &seg.to_bytes())?;
+        let ev = seg.upload(&env.queue, &buf)?;
         profile.record_command(&ev, env.device.name());
         bufs.push((buf, seg.ty()));
     }

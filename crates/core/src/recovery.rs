@@ -168,12 +168,8 @@ pub fn record_failover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::DeviceSel;
+    use crate::env::private_gpu_env as gpu_env;
     use trace::TraceSink;
-
-    fn gpu_env() -> OpenClEnvironment {
-        OpenClEnvironment::resolve(DeviceSel::gpu()).unwrap()
-    }
 
     #[test]
     fn first_success_needs_no_retries() {

@@ -241,7 +241,7 @@ mod tests {
                 .context
                 .create_buffer(MemFlags::ReadWrite, seg.byte_len())
                 .unwrap();
-            env.queue.enqueue_write_buffer(&b, &seg.to_bytes()).unwrap();
+            seg.upload(&env.queue, &b).unwrap();
             bufs.push((b, seg.ty()));
         }
         ResidentBufs {
@@ -261,7 +261,9 @@ mod tests {
 
     #[test]
     fn resident_value_reads_back_on_host_access() {
-        let env = OpenClEnvironment::resolve(DeviceSel::gpu()).unwrap();
+        // A private lane: the accounting delta below is exact only when
+        // no parallel test allocates in the same context.
+        let env = crate::env::private_gpu_env();
         let flat = vec![5.0f32, 6.0, 7.0].flatten();
         let before = env.context.allocated_bytes();
         let d: DeviceData<Vec<f32>> = DeviceData::resident(upload(&env, &flat));

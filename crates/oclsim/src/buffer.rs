@@ -7,28 +7,29 @@ use std::sync::Arc;
 
 static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
 
-// Test-only accounting of host-visible byte copies made by buffer reads,
-// so the copy-elimination in the read hot path stays eliminated.
-// Thread-local: each test thread observes only its own copies.
+// Test-only accounting of host-visible byte copies made by buffer reads
+// and byte-slice writes, so the copy-elimination in the transfer hot paths
+// stays eliminated. Thread-local: each test thread observes only its own
+// copies.
 #[cfg(test)]
 thread_local! {
     static BYTES_COPIED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Bytes copied out of buffers on this thread since process start
-/// (test-only; used to assert the single-copy property of reads).
+/// Bytes copied out of or into buffers on this thread since process start
+/// (test-only; used to assert the single-copy property of transfers).
 #[cfg(test)]
 pub(crate) fn bytes_copied() -> u64 {
     BYTES_COPIED.with(|c| c.get())
 }
 
 #[cfg(test)]
-fn count_copied(n: usize) {
+pub(crate) fn count_copied(n: usize) {
     BYTES_COPIED.with(|c| c.set(c.get() + n as u64));
 }
 
 #[cfg(not(test))]
-fn count_copied(_n: usize) {}
+pub(crate) fn count_copied(_n: usize) {}
 
 /// FNV-1a 64-bit checksum — the provenance fingerprint recorded for every
 /// guarded upload and verified at readback / dispatch seams. Cheap, seedless,
@@ -203,22 +204,23 @@ impl Buffer {
         Ok(f(&self.inner.data.lock()))
     }
 
-    /// Host-side overwrite (used by queue writes).
-    pub(crate) fn overwrite(&self, offset: usize, bytes: &[u8]) -> ClResult<()> {
+    /// Host-side write of the buffer's first `len` bytes (used by queue
+    /// writes): `fill` runs over them under the data lock, so a typed
+    /// write converts its elements straight into the storage.
+    pub(crate) fn write_with(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> ClResult<()> {
         if self.is_busy() {
             return Err(ClError::InvalidBufferAccess(format!(
                 "write to buffer {} raced a dispatch on another queue",
                 self.inner.id
             )));
         }
-        if offset + bytes.len() > self.inner.len {
+        if len > self.inner.len {
             return Err(ClError::InvalidBufferAccess(format!(
-                "write of {} bytes at offset {offset} exceeds buffer size {}",
-                bytes.len(),
+                "write of {len} bytes at offset 0 exceeds buffer size {}",
                 self.inner.len
             )));
         }
-        self.inner.data.lock()[offset..offset + bytes.len()].copy_from_slice(bytes);
+        fill(&mut self.inner.data.lock()[..len]);
         Ok(())
     }
 
@@ -289,11 +291,13 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_respects_bounds() {
+    fn write_with_respects_bounds() {
         let b = Buffer::new(1, MemFlags::ReadWrite, 4);
-        assert!(b.overwrite(0, &[1, 2, 3, 4]).is_ok());
-        assert!(b.overwrite(2, &[9, 9, 9]).is_err());
-        assert_eq!(b.snapshot().unwrap(), vec![1, 2, 3, 4]);
+        assert!(b.write_with(4, |d| d.copy_from_slice(&[1, 2, 3, 4])).is_ok());
+        assert!(b.write_with(5, |_| panic!("must not run")).is_err());
+        // A shorter write leaves the tail alone.
+        assert!(b.write_with(2, |d| d.copy_from_slice(&[9, 9])).is_ok());
+        assert_eq!(b.snapshot().unwrap(), vec![9, 9, 3, 4]);
     }
 
     #[test]
@@ -310,7 +314,7 @@ mod tests {
     #[test]
     fn provenance_detects_and_restores_a_flipped_bit() {
         let b = Buffer::new(1, MemFlags::ReadWrite, 4);
-        b.overwrite(0, &[1, 2, 3, 4]).unwrap();
+        b.write_with(4, |d| d.copy_from_slice(&[1, 2, 3, 4])).unwrap();
         assert!(b.verify_provenance().is_none(), "no provenance yet");
         b.record_provenance();
         assert!(b.verify_provenance().is_none(), "clean bytes verify");

@@ -375,13 +375,16 @@ impl CommandQueue {
         self.advance(cost_ns)
     }
 
-    /// Copy `data` into `buf` (host → device), mirroring
-    /// `clEnqueueWriteBuffer`.
-    pub fn enqueue_write_buffer(&self, buf: &Buffer, data: &[u8]) -> ClResult<Event> {
+    /// The one upload path behind [`CommandQueue::enqueue_write_buffer`]
+    /// and the typed writes: `fill` produces the payload's `len` bytes
+    /// directly in `buf`'s storage under its lock, so every form of write
+    /// takes the same arbiter slot, draws exactly one `Upload` fault-op,
+    /// and records the same provenance, cost and trace span.
+    fn write_with(&self, buf: &Buffer, len: usize, fill: impl FnOnce(&mut [u8])) -> ClResult<Event> {
         let _slot = self.arbiter_slot();
         let effect = self.fault_check(FaultOp::Upload)?;
         self.check_buffer(buf)?;
-        buf.overwrite(0, data)?;
+        buf.write_with(len, fill)?;
         if self.provenance_armed() {
             // Record the *intended* bytes as the buffer's last known-good
             // checkpoint, then apply any injected flip to the device copy
@@ -391,11 +394,20 @@ impl CommandQueue {
         if let Some(bit) = effect.corrupt_bit {
             buf.flip_bit(bit);
         }
-        let cost = self.inner.device.cost_model().transfer_ns(data.len());
+        let cost = self.inner.device.cost_model().transfer_ns(len);
         let (start, end) = self.advance(cost);
-        let ev = Event::new(CommandKind::WriteBuffer, start, start, end, data.len(), 0);
+        let ev = Event::new(CommandKind::WriteBuffer, start, start, end, len, 0);
         self.trace_command(&ev);
         Ok(ev)
+    }
+
+    /// Copy `data` into `buf` (host → device), mirroring
+    /// `clEnqueueWriteBuffer`.
+    pub fn enqueue_write_buffer(&self, buf: &Buffer, data: &[u8]) -> ClResult<Event> {
+        self.write_with(buf, data.len(), |dst| {
+            dst.copy_from_slice(data);
+            crate::buffer::count_copied(data.len());
+        })
     }
 
     /// Copy `buf` into `out` (device → host), mirroring
@@ -420,8 +432,13 @@ impl CommandQueue {
     }
 
     /// Convenience: write an `f32` slice.
+    ///
+    /// Converts `f32`s → bytes directly into the buffer's storage under
+    /// its data lock, with no intermediate byte vector.
     pub fn write_f32(&self, buf: &Buffer, data: &[f32]) -> ClResult<Event> {
-        self.enqueue_write_buffer(buf, &crate::hostmem::f32_to_bytes(data))
+        self.write_with(buf, data.len() * 4, |dst| {
+            crate::hostmem::pack(data, dst, f32::to_le_bytes)
+        })
     }
 
     /// Convenience: read the whole buffer as `f32`s.
@@ -449,9 +466,12 @@ impl CommandQueue {
         Ok((vals, ev))
     }
 
-    /// Convenience: write an `i32` slice.
+    /// Convenience: write an `i32` slice (converted in place, like
+    /// [`CommandQueue::write_f32`]).
     pub fn write_i32(&self, buf: &Buffer, data: &[i32]) -> ClResult<Event> {
-        self.enqueue_write_buffer(buf, &crate::hostmem::i32_to_bytes(data))
+        self.write_with(buf, data.len() * 4, |dst| {
+            crate::hostmem::pack(data, dst, i32::to_le_bytes)
+        })
     }
 
     /// Convenience: read the whole buffer as `i32`s.
@@ -1089,6 +1109,137 @@ mod tests {
         let (vals, _) = q.read_i32(&buf).unwrap();
         assert_eq!(vals.len(), 256);
         assert_eq!(crate::buffer::bytes_copied() - before, 0);
+    }
+
+    #[test]
+    fn write_paths_copy_each_byte_at_most_once() {
+        let (ctx, q) = setup(DeviceType::Cpu);
+        let buf = ctx.create_buffer(MemFlags::ReadWrite, 1024).unwrap();
+
+        // enqueue_write_buffer: exactly one 1024-byte copy, straight from
+        // the caller's slice into the buffer's storage.
+        let before = crate::buffer::bytes_copied();
+        q.enqueue_write_buffer(&buf, &[7u8; 1024]).unwrap();
+        assert_eq!(crate::buffer::bytes_copied() - before, 1024);
+
+        // write_f32 / write_i32 convert under the lock: no byte vector is
+        // built, so there is nothing to copy.
+        let before = crate::buffer::bytes_copied();
+        q.write_f32(&buf, &[1.5; 256]).unwrap();
+        q.write_i32(&buf, &[-3; 256]).unwrap();
+        assert_eq!(crate::buffer::bytes_copied() - before, 0);
+        assert_eq!(q.read_i32(&buf).unwrap().0, vec![-3; 256]);
+    }
+
+    /// Everything an upload leaves behind that a later command, a trace
+    /// reader or the fault scoreboard could observe.
+    #[derive(Debug, PartialEq)]
+    struct WriteObservation {
+        /// Per write: the event's `(bytes, start, end)` bits or the error text.
+        outcomes: Vec<Result<(usize, u64, u64), String>>,
+        device_bytes: Vec<Vec<u8>>,
+        provenance: Vec<Option<u64>>,
+        fired: Vec<crate::fault::InjectionRecord>,
+        trace: Vec<(SpanKind, String, u64, u64)>,
+        clock_bits: u64,
+    }
+
+    /// Issue `write` three times (Upload fault-ops 0, 1, 2), each into a
+    /// fresh `nbytes` buffer of a fresh GPU queue running under `plan`.
+    fn observe_writes(
+        plan: crate::fault::FaultPlan,
+        nbytes: usize,
+        write: impl Fn(&CommandQueue, &Buffer) -> ClResult<Event>,
+    ) -> WriteObservation {
+        let (ctx, q) = setup(DeviceType::Gpu);
+        let inj = FaultInjector::new(plan);
+        q.attach_faults(inj.clone());
+        let sink = TraceSink::new();
+        q.attach_trace(sink.clone());
+        let bufs: Vec<Buffer> = (0..3)
+            .map(|_| ctx.create_buffer(MemFlags::ReadWrite, nbytes).unwrap())
+            .collect();
+        WriteObservation {
+            outcomes: bufs
+                .iter()
+                .map(|b| {
+                    write(&q, b)
+                        .map(|ev| (ev.bytes(), ev.start_ns().to_bits(), ev.end_ns().to_bits()))
+                        .map_err(|e| e.to_string())
+                })
+                .collect(),
+            device_bytes: bufs.iter().map(|b| b.snapshot().unwrap()).collect(),
+            provenance: bufs.iter().map(|b| b.provenance_checksum()).collect(),
+            fired: inj.records(),
+            trace: sink
+                .events()
+                .iter()
+                .map(|e| (e.kind, e.name.clone(), e.ts_ns.to_bits(), e.dur_ns.to_bits()))
+                .collect(),
+            clock_bits: q.now_ns().to_bits(),
+        }
+    }
+
+    #[test]
+    fn typed_writes_are_indistinguishable_from_the_byte_write() {
+        use crate::fault::{FaultPlan, InjectedFault};
+        let floats: Vec<f32> = (0..64).map(|i| i as f32 * -0.75).collect();
+        let ints: Vec<i32> = (0..64).map(|i| i * 0x0101_0101 - 7).collect();
+        let plans = [
+            FaultPlan::new(),
+            // One fault-op per write: the flip scheduled at Upload index 1
+            // must land on the second write of either path, on the same
+            // bit, under the same recorded provenance.
+            FaultPlan::new().fail(FaultOp::Upload, 1, InjectedFault::Corrupt),
+            // A refused upload consumes its index, charges nothing and
+            // leaves the buffer untouched on both paths.
+            FaultPlan::new()
+                .fail(FaultOp::Upload, 0, InjectedFault::Transient)
+                .fail(FaultOp::Upload, 2, InjectedFault::Corrupt),
+        ];
+        for plan in plans {
+            // An oversize payload fails with the same message too.
+            for nbytes in [256, 512, 128] {
+                let via_bytes = observe_writes(plan.clone(), nbytes, |q, b| {
+                    q.enqueue_write_buffer(b, &crate::hostmem::f32_to_bytes(&floats))
+                });
+                let typed = observe_writes(plan.clone(), nbytes, |q, b| q.write_f32(b, &floats));
+                assert_eq!(typed, via_bytes, "f32, {nbytes}-byte buffers");
+                let via_bytes = observe_writes(plan.clone(), nbytes, |q, b| {
+                    q.enqueue_write_buffer(b, &crate::hostmem::i32_to_bytes(&ints))
+                });
+                let typed = observe_writes(plan.clone(), nbytes, |q, b| q.write_i32(b, &ints));
+                assert_eq!(typed, via_bytes, "i32, {nbytes}-byte buffers");
+            }
+        }
+        // The comparison above is not vacuous: the corrupting plan really
+        // flips one bit of the second upload, under armed provenance.
+        let seen = observe_writes(
+            FaultPlan::new().fail(FaultOp::Upload, 1, InjectedFault::Corrupt),
+            256,
+            |q, b| q.write_f32(b, &floats),
+        );
+        assert!(seen.outcomes.iter().all(|o| o.is_ok()));
+        assert_eq!(seen.fired.len(), 1);
+        assert_eq!(seen.device_bytes[0], crate::hostmem::f32_to_bytes(&floats));
+        assert_ne!(seen.device_bytes[1], seen.device_bytes[0]);
+        assert_eq!(seen.device_bytes[2], seen.device_bytes[0]);
+        assert_eq!(seen.provenance[1], Some(crate::buffer::fnv1a64(&seen.device_bytes[0])));
+        assert_eq!(seen.trace.len(), 3);
+    }
+
+    #[test]
+    fn typed_write_to_a_busy_buffer_fails_like_the_byte_write() {
+        let (ctx, q) = setup(DeviceType::Cpu);
+        let buf = ctx.create_buffer(MemFlags::ReadWrite, 8).unwrap();
+        let held = buf.check_out().unwrap();
+        let via_bytes = q.enqueue_write_buffer(&buf, &[0u8; 8]).unwrap_err();
+        assert!(via_bytes.to_string().contains("raced a dispatch"), "{via_bytes}");
+        assert_eq!(q.write_f32(&buf, &[1.0, 2.0]).unwrap_err().to_string(), via_bytes.to_string());
+        assert_eq!(q.write_i32(&buf, &[1, 2]).unwrap_err().to_string(), via_bytes.to_string());
+        assert_eq!(q.now_ns(), 0.0, "a refused write charges nothing");
+        buf.check_in(held);
+        assert!(q.write_i32(&buf, &[1, 2]).is_ok());
     }
 
     #[test]

@@ -96,6 +96,7 @@
 #![warn(missing_docs)]
 
 pub mod arbiter;
+mod cache;
 pub mod error;
 pub mod loadgen;
 pub mod pool;

@@ -11,6 +11,7 @@
 //! pool from accreting more resident state than eviction can reclaim.
 
 use crate::arbiter::{ArbiterPolicy, FairArbiter};
+use crate::cache::ModuleCache;
 use crate::error::{DeadlinePhase, ServeError};
 use crate::pool::DevicePool;
 use crate::session::TenantSession;
@@ -122,6 +123,9 @@ pub struct Server {
     config: ServeConfig,
     arbiter: Arc<FairArbiter>,
     pool: Arc<DevicePool>,
+    /// Compiled modules by source text, shared by every session this
+    /// server builds: identical tenant programs run the front end once.
+    modules: Arc<ModuleCache>,
     gate: Mutex<Gate>,
     slot_freed: Condvar,
     stats: Mutex<ServeStats>,
@@ -137,8 +141,8 @@ fn relock<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
 const HEDGE_TENANT_BIT: u64 = 1 << 63;
 
 impl Server {
-    /// A server with `config`'s limits, a fresh arbiter, and a fresh
-    /// pool accountant.
+    /// A server with `config`'s limits, a fresh arbiter, a fresh pool
+    /// accountant, and an empty compiled-module cache.
     pub fn new(config: ServeConfig) -> Server {
         let arbiter = Arc::new(FairArbiter::new(config.policy));
         let pool = Arc::new(DevicePool::new(config.mem_watermark_bytes));
@@ -146,6 +150,7 @@ impl Server {
             config,
             arbiter,
             pool,
+            modules: Arc::new(ModuleCache::default()),
             gate: Mutex::new(Gate::default()),
             slot_freed: Condvar::new(),
             stats: Mutex::new(ServeStats::default()),
@@ -219,6 +224,24 @@ impl Server {
         outcome
     }
 
+    /// A session over this server's arbiter, pool and module cache;
+    /// `shifted` builds a hedge secondary on failover-shifted lanes.
+    fn session(
+        &self,
+        tenant: u64,
+        chaos: Option<FaultPlan>,
+        shifted: bool,
+    ) -> Result<TenantSession, ServeError> {
+        TenantSession::build(
+            tenant,
+            Arc::clone(&self.arbiter) as _,
+            Arc::clone(&self.pool),
+            chaos,
+            shifted,
+            Some(Arc::clone(&self.modules)),
+        )
+    }
+
     /// The admission gate: take an active slot, queueing behind the
     /// concurrency watermark up to `max_waiting` deep.
     fn admit(&self, req: &Request, deadline_at: Option<Instant>) -> Result<(), ServeError> {
@@ -283,12 +306,7 @@ impl Server {
         self.instant(SpanKind::Admit, "admit", req.tenant);
         match self.config.hedge_after {
             None => {
-                let session = TenantSession::new(
-                    req.tenant,
-                    Arc::clone(&self.arbiter) as _,
-                    Arc::clone(&self.pool),
-                    req.chaos.clone(),
-                )?;
+                let session = self.session(req.tenant, req.chaos.clone(), false)?;
                 let result = session.run(&req.source, deadline_at, req.restart_budget);
                 session.teardown();
                 result
@@ -311,12 +329,7 @@ impl Server {
         deadline_at: Option<Instant>,
         hedge: Duration,
     ) -> Result<VmReport, ServeError> {
-        let primary = Arc::new(TenantSession::new(
-            req.tenant,
-            Arc::clone(&self.arbiter) as _,
-            Arc::clone(&self.pool),
-            req.chaos.clone(),
-        )?);
+        let primary = Arc::new(self.session(req.tenant, req.chaos.clone(), false)?);
         let (tx, rx) = std::sync::mpsc::channel();
         let worker = {
             let primary = Arc::clone(&primary);
@@ -336,16 +349,13 @@ impl Server {
         // on failover-shifted lanes, under a distinct tenant tag so the
         // two sessions' pool-registry entries stay independent.
         self.instant(SpanKind::Hedge, "hedge", req.tenant);
-        let secondary_outcome = TenantSession::hedge_secondary(
-            req.tenant | HEDGE_TENANT_BIT,
-            Arc::clone(&self.arbiter) as _,
-            Arc::clone(&self.pool),
-        )
-        .map(|session| {
-            let r = session.run(&req.source, deadline_at, req.restart_budget);
-            session.teardown();
-            r
-        });
+        let secondary_outcome = self
+            .session(req.tenant | HEDGE_TENANT_BIT, None, true)
+            .map(|session| {
+                let r = session.run(&req.source, deadline_at, req.restart_budget);
+                session.teardown();
+                r
+            });
         let outcome = match rx.try_recv() {
             // The primary crossed the line while the secondary ran:
             // first result wins, the duplicated work is discarded.
@@ -376,5 +386,91 @@ impl Server {
         let _ = worker.join();
         primary.teardown();
         outcome
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::tests::program;
+
+    #[test]
+    fn identical_programs_compile_once_per_server() {
+        let server = Server::new(ServeConfig::default());
+        let first = server.submit(Request::new(1, program(7))).unwrap();
+        assert_eq!(first.output, vec!["7"]);
+        assert_eq!(server.modules.compiles(), 1);
+        // Another tenant, same source: the front end does not run again,
+        // and the result is the same to the bit.
+        let second = server.submit(Request::new(2, program(7))).unwrap();
+        assert_eq!(server.modules.compiles(), 1);
+        assert_eq!(second.output, first.output);
+        assert_eq!(second.vm_ops, first.vm_ops);
+        assert_eq!(second.total_ns().to_bits(), first.total_ns().to_bits());
+        // A different program is a different entry.
+        assert_eq!(server.submit(Request::new(1, program(8))).unwrap().output, vec!["8"]);
+        assert_eq!((server.modules.compiles(), server.modules.len()), (2, 2));
+        // Another server starts cold: the cache is per server, not global.
+        let other = Server::new(ServeConfig::default());
+        other.submit(Request::new(1, program(7))).unwrap();
+        assert_eq!(other.modules.compiles(), 1);
+    }
+
+    #[test]
+    fn hedged_sessions_share_the_cache_too() {
+        let server = Server::new(ServeConfig {
+            hedge_after: Some(Duration::from_secs(60)),
+            ..ServeConfig::default()
+        });
+        for tenant in 1..=3 {
+            assert_eq!(server.submit(Request::new(tenant, program(3))).unwrap().output, vec!["3"]);
+        }
+        assert_eq!(server.modules.compiles(), 1);
+        // And a secondary built the way `run_hedged` builds it hits as well.
+        let secondary = server.session(1 | HEDGE_TENANT_BIT, None, true).unwrap();
+        let report = secondary.run(&program(3), None, RestartBudget::default()).unwrap();
+        assert_eq!(report.output, vec!["3"]);
+        assert_eq!(server.modules.compiles(), 1);
+    }
+
+    #[test]
+    fn a_rejected_program_fails_identically_every_time_and_is_not_retained() {
+        let server = Server::new(ServeConfig::default());
+        let bad = program(1).replace("printInt(1);", "send 1 on output;");
+        let outcomes: Vec<ServeError> = (0..2)
+            .map(|_| server.submit(Request::new(1, bad.as_str())).unwrap_err())
+            .collect();
+        assert!(
+            matches!(&outcomes[0], ServeError::Failed { detail } if detail.starts_with("compile: ") && detail.contains("E005")),
+            "{:?}",
+            outcomes[0]
+        );
+        assert_eq!(outcomes[0], outcomes[1]);
+        assert_eq!((server.modules.compiles(), server.modules.len()), (2, 0));
+        assert_eq!(server.stats().failed, 2);
+    }
+
+    #[test]
+    fn tenants_racing_a_cold_program_both_succeed() {
+        let server = Server::new(ServeConfig::default());
+        let start = std::sync::Barrier::new(2);
+        let source = program(5);
+        let outputs: Vec<Vec<String>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (1..=2)
+                .map(|tenant| {
+                    let (server, start, source) = (&server, &start, source.as_str());
+                    scope.spawn(move || {
+                        start.wait();
+                        server.submit(Request::new(tenant, source)).unwrap().output
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(outputs, vec![vec!["5"], vec!["5"]]);
+        // Whoever lost the insert race ran the winner's module or its
+        // own equal one; either way exactly one entry is retained.
+        assert!((1..=2).contains(&server.modules.compiles()));
+        assert_eq!(server.modules.len(), 1);
     }
 }

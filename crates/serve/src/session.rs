@@ -21,6 +21,7 @@
 //! [`FairArbiter`]: crate::FairArbiter
 //! [`DevicePool`]: crate::DevicePool
 
+use crate::cache::{self, ModuleCache};
 use crate::error::{DeadlinePhase, ServeError};
 use crate::pool::DevicePool;
 use ensemble_actors::RestartBudget;
@@ -110,6 +111,9 @@ pub struct TenantSession {
     /// thread) but must still be forced home at teardown so the pool's
     /// byte counter returns to zero.
     local_resident: Arc<Mutex<Vec<EvictableMov>>>,
+    /// The owning server's compiled-module cache; `None` for a
+    /// standalone session, which compiles every run itself.
+    modules: Option<Arc<ModuleCache>>,
 }
 
 impl TenantSession {
@@ -123,29 +127,23 @@ impl TenantSession {
         pool: Arc<DevicePool>,
         chaos: Option<FaultPlan>,
     ) -> Result<TenantSession, ServeError> {
-        TenantSession::build(tenant, arbiter, pool, chaos, false)
+        TenantSession::build(tenant, arbiter, pool, chaos, false, None)
     }
 
-    /// A hedge secondary: a chaos-free session whose typed device
-    /// selections resolve onto the *opposite* device class (the failover
-    /// device) when one exists, so the speculative re-issue races the
-    /// straggling primary on different hardware. Use a tenant tag
-    /// distinct from the primary's so the two sessions' pool-registry
-    /// entries stay independent.
-    pub fn hedge_secondary(
-        tenant: u64,
-        arbiter: Arc<dyn QueueArbiter>,
-        pool: Arc<DevicePool>,
-    ) -> Result<TenantSession, ServeError> {
-        TenantSession::build(tenant, arbiter, pool, None, true)
-    }
-
-    fn build(
+    /// The one constructor. `shifted` builds a hedge secondary: a session
+    /// whose typed device selections resolve onto the *opposite* device
+    /// class (the failover device) when one exists, so the speculative
+    /// re-issue races the straggling primary on different hardware — give
+    /// it a tenant tag distinct from the primary's so the two sessions'
+    /// pool-registry entries stay independent. `modules` is the owning
+    /// [`Server`](crate::Server)'s compiled-module cache.
+    pub(crate) fn build(
         tenant: u64,
         arbiter: Arc<dyn QueueArbiter>,
         pool: Arc<DevicePool>,
         chaos: Option<FaultPlan>,
         shifted: bool,
+        modules: Option<Arc<ModuleCache>>,
     ) -> Result<TenantSession, ServeError> {
         let injector = chaos.map(FaultInjector::new);
         let mut entries = Vec::new();
@@ -178,6 +176,7 @@ impl TenantSession {
             chaotic: injector.is_some(),
             injector,
             local_resident: Arc::new(Mutex::new(Vec::new())),
+            modules,
         })
     }
 
@@ -202,7 +201,8 @@ impl TenantSession {
         }
     }
 
-    /// Compile and run `source` inside this session: kernel actors
+    /// Compile (or fetch from the server's module cache) and run `source`
+    /// inside this session: kernel actors
     /// resolve onto the private lanes, every blocking receive honours
     /// `deadline`, and (for chaos-free sessions) resident `mov` values
     /// are registered with the pool's eviction registry.
@@ -213,11 +213,12 @@ impl TenantSession {
         budget: RestartBudget,
     ) -> Result<VmReport, ServeError> {
         // The analysis-gated front-end (deny-by-default static checks +
-        // residency proofs) — the same pipeline every other runner uses.
-        let module = ensemble_analysis::compile_source(
-            source,
-            &ensemble_analysis::Options::default(),
-        )
+        // residency proofs) — the same pipeline every other runner uses,
+        // run once per distinct source when a server's cache is attached.
+        let module = match &self.modules {
+            Some(modules) => modules.get_or_compile(source),
+            None => cache::compile(source).map(Arc::new),
+        }
         .map_err(|e| ServeError::Failed {
             detail: format!("compile: {e}"),
         })?;

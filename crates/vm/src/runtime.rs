@@ -145,7 +145,9 @@ struct VmInFlight {
 }
 
 struct Shared {
-    module: CompiledModule,
+    /// Shared, never mutated: a serving layer hands the same compiled
+    /// module to every request that runs the same source.
+    module: Arc<CompiledModule>,
     ops: Arc<AtomicU64>,
     profile: ProfileSink,
     output: Mutex<Vec<String>>,
@@ -202,16 +204,20 @@ pub struct VmRuntime {
 }
 
 impl VmRuntime {
-    /// Create a VM for `module`.
-    pub fn new(module: CompiledModule) -> VmRuntime {
+    /// Create a VM for `module` — an owned [`CompiledModule`], or an
+    /// `Arc` of one that several runs share.
+    pub fn new(module: impl Into<Arc<CompiledModule>>) -> VmRuntime {
         VmRuntime::with_profile(module, ProfileSink::new())
     }
 
     /// Use an external profile sink (so benchmarks can share one).
-    pub fn with_profile(module: CompiledModule, profile: ProfileSink) -> VmRuntime {
+    pub fn with_profile(
+        module: impl Into<Arc<CompiledModule>>,
+        profile: ProfileSink,
+    ) -> VmRuntime {
         VmRuntime {
             shared: Arc::new(Shared {
-                module,
+                module: module.into(),
                 ops: Arc::new(AtomicU64::new(0)),
                 profile,
                 output: Mutex::new(Vec::new()),
@@ -538,7 +544,7 @@ fn upload(
             env.device.name(),
             profile,
             "upload",
-            || env.queue.enqueue_write_buffer(&buf, &seg.to_bytes()),
+            || seg.upload(&env.queue, &buf),
         )
         .map_err(|e| vm_cl_err("upload failed", e))?;
         profile.record_command(&ev, env.device.name());

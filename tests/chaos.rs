@@ -157,6 +157,10 @@ proptest! {
     /// dispatch) never changes the application's output.
     #[test]
     fn eviction_and_reupload_never_change_outputs(seed in 0u64..1000) {
+        // Both VMs dispatch on the process-global matrix, where the chaos
+        // tests of this binary attach their injectors (one latches the
+        // GPU lost): keep them out while these runs are in flight.
+        let _serial = chaos::serialise();
         let nth = (seed as usize % 3) + 1;
         let src = apps_ens::lud(16, "GPU");
         let opts = ensemble_analysis::Options::default();
