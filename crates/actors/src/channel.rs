@@ -336,10 +336,20 @@ impl<T> Default for In<T> {
 ///
 /// Cloning an `Out` yields another sender into the same connection set
 /// (n-1 composition); connections live as long as any clone does.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Out<T> {
     targets: Arc<Mutex<Targets<T>>>,
     trace: Arc<Mutex<Option<(TraceSink, String)>>>,
+}
+
+// Not derived: a clone shares the connection set, so `T` need not be `Clone`.
+impl<T> Clone for Out<T> {
+    fn clone(&self) -> Self {
+        Out {
+            targets: Arc::clone(&self.targets),
+            trace: Arc::clone(&self.trace),
+        }
+    }
 }
 
 #[derive(Debug)]

@@ -46,8 +46,10 @@ fn check(fixture: &str, code: &str) {
 }
 
 fn check_proofs(fixture: &str, code: &str) {
-    let mut opts = Options::default();
-    opts.proofs = true;
+    let opts = Options {
+        proofs: true,
+        ..Options::default()
+    };
     check_opts(fixture, code, &opts);
 }
 

@@ -21,9 +21,10 @@ fn fixtures() -> PathBuf {
 }
 
 fn proofs_opts() -> Options {
-    let mut opts = Options::default();
-    opts.proofs = true;
-    opts
+    Options {
+        proofs: true,
+        ..Options::default()
+    }
 }
 
 fn app_report(app: &str) -> Report {

@@ -306,8 +306,8 @@ mod tests {
         let got = run_ensemble(docs, tpl, threshold(), DeviceSel::gpu(), ProfileSink::new());
         assert_eq!(got, expected);
         // The threshold actually splits the corpus.
-        assert!(expected.iter().any(|&v| v == 1));
-        assert!(expected.iter().any(|&v| v == 0));
+        assert!(expected.contains(&1));
+        assert!(expected.contains(&0));
     }
 
     #[test]

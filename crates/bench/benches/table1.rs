@@ -4,13 +4,15 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
-    c.bench_function("table1/measure_all_sources", |b| {
+    let mut g = c.benchmark_group("table1");
+    g.bench_function("measure_all_sources", |b| {
         b.iter(|| {
             let rows = bench::table1::rows();
             assert_eq!(rows.len(), 15);
             std::hint::black_box(rows)
         })
     });
+    g.finish();
 }
 
 criterion_group!(benches, bench);

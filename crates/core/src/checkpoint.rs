@@ -1,4 +1,6 @@
-//! Actor checkpoints: resume a killed kernel actor without losing work.
+//! Actor checkpoints: resume a killed kernel actor without losing work —
+//! the restart state machine of the kernel-actor protocol
+//! ([`crate::protocol`]), shared by every front end.
 //!
 //! The fault-injection layer ([`oclsim::fault`]) fires its checks at the
 //! **top** of each instrumented entry point, so when a kill lands the
@@ -6,8 +8,8 @@
 //! upload, dispatch, or read-back simply never happened. That invariant
 //! makes checkpointing cheap — there is no device state to snapshot.
 //! What *is* lost with the actor's thread is the request it was working
-//! on: the settings struct and the flattened input were received from
-//! channels and lived on the dead actor's stack.
+//! on: the settings and the input were received from channels and lived
+//! on the dead actor's stack.
 //!
 //! A [`Checkpoint`] keeps exactly that: each work item is tagged with a
 //! sequence number when it is accepted, parked in the slot while it is
@@ -27,41 +29,42 @@
 //! through a locked section leaves the parked item intact for the next
 //! incarnation.
 
-use crate::settings::Settings;
-use crate::FlatData;
-use oclsim::Context;
-use parking_lot::{Mutex, MutexGuard};
+use crate::protocol::KernelHost;
+use ensemble_actors::Out;
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// The work item a kernel actor is currently responsible for.
-pub(crate) struct InFlight<TIn, TOut> {
+struct InFlight<P, T> {
     /// Sequence number assigned at acceptance.
-    pub(crate) seq: u64,
-    /// The settings struct (worksizes + data channels) of the request.
-    pub(crate) settings: Settings<TIn, TOut>,
-    /// The flattened input data, kept host-side so a restarted actor can
-    /// re-derive device state by re-uploading.
-    pub(crate) flat: FlatData,
+    seq: u64,
+    /// What the front end needs to (re-)process the request: its decoded
+    /// settings and the input data, kept host-side so a restarted actor
+    /// re-derives device state by re-uploading.
+    payload: P,
+    /// Where the result goes.
+    output: Out<T>,
     /// Whether the result has already been sent downstream. Redelivery
     /// consults this to suppress duplicate sends (effectively-once).
-    pub(crate) sent: bool,
+    sent: bool,
     /// Whether any incarnation has started processing this item. A
     /// redelivery (restart observed) is `attempted && !sent`.
-    pub(crate) attempted: bool,
+    attempted: bool,
 }
 
-pub(crate) struct State<TIn, TOut> {
-    pub(crate) next_seq: u64,
-    pub(crate) acked: Option<u64>,
-    pub(crate) in_flight: Option<InFlight<TIn, TOut>>,
+struct Slot<P, T> {
+    next_seq: u64,
+    acked: Option<u64>,
+    in_flight: Option<InFlight<P, T>>,
 }
 
-/// Shared checkpoint slot for one kernel actor. See the module docs.
-pub struct Checkpoint<TIn, TOut> {
-    inner: Arc<Mutex<State<TIn, TOut>>>,
+/// Shared checkpoint slot for one kernel actor, generic over the parked
+/// payload `P` and the result type `T`. See the module docs.
+pub struct Checkpoint<P, T> {
+    inner: Arc<Mutex<Slot<P, T>>>,
 }
 
-impl<TIn, TOut> Clone for Checkpoint<TIn, TOut> {
+impl<P, T> Clone for Checkpoint<P, T> {
     fn clone(&self) -> Self {
         Checkpoint {
             inner: Arc::clone(&self.inner),
@@ -69,13 +72,13 @@ impl<TIn, TOut> Clone for Checkpoint<TIn, TOut> {
     }
 }
 
-impl<TIn, TOut> Default for Checkpoint<TIn, TOut> {
+impl<P, T> Default for Checkpoint<P, T> {
     fn default() -> Self {
         Checkpoint::new()
     }
 }
 
-impl<TIn, TOut> std::fmt::Debug for Checkpoint<TIn, TOut> {
+impl<P, T> std::fmt::Debug for Checkpoint<P, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = self.inner.lock();
         f.debug_struct("Checkpoint")
@@ -86,11 +89,11 @@ impl<TIn, TOut> std::fmt::Debug for Checkpoint<TIn, TOut> {
     }
 }
 
-impl<TIn, TOut> Checkpoint<TIn, TOut> {
+impl<P, T> Checkpoint<P, T> {
     /// An empty slot: no item accepted yet.
-    pub fn new() -> Checkpoint<TIn, TOut> {
+    pub fn new() -> Checkpoint<P, T> {
         Checkpoint {
-            inner: Arc::new(Mutex::new(State {
+            inner: Arc::new(Mutex::new(Slot {
                 next_seq: 0,
                 acked: None,
                 in_flight: None,
@@ -110,58 +113,73 @@ impl<TIn, TOut> Checkpoint<TIn, TOut> {
         self.inner.lock().in_flight.is_some()
     }
 
-    pub(crate) fn lock(&self) -> MutexGuard<'_, State<TIn, TOut>> {
-        self.inner.lock()
-    }
-}
-
-/// RAII guard for simulated device-memory accounting.
-///
-/// [`oclsim::Context`] tracks allocated bytes against a budget; code that
-/// charges the budget and releases it manually leaks the charge if a
-/// kill-panic unwinds between the two points, and the leak eventually
-/// surfaces as spurious `OutOfDeviceMemory` in later (restarted) work.
-/// `MemGuard` releases its accumulated byte count on drop unless
-/// [`MemGuard::disarm`]ed — disarm on success, where ownership of the
-/// accounting passes to the resident buffers.
-#[derive(Debug)]
-pub struct MemGuard {
-    context: Option<Context>,
-    bytes: usize,
-}
-
-impl MemGuard {
-    /// A guard holding no bytes yet.
-    pub fn new(context: Context) -> MemGuard {
-        MemGuard {
-            context: Some(context),
-            bytes: 0,
-        }
+    /// Accept a request: tag it with the next sequence number and park it.
+    /// From here to the acknowledgement the slot owns the request, so a
+    /// kill anywhere in between leaves it intact for the next incarnation.
+    pub fn park(&self, payload: P, output: Out<T>) {
+        let mut slot = self.inner.lock();
+        let seq = slot.next_seq;
+        slot.next_seq += 1;
+        slot.in_flight = Some(InFlight {
+            seq,
+            payload,
+            output,
+            sent: false,
+            attempted: false,
+        });
     }
 
-    /// Record `bytes` of accounting now owed to the context.
-    pub fn add(&mut self, bytes: usize) {
-        self.bytes += bytes;
-    }
-
-    /// Bytes currently guarded.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Success: the accounting now belongs to live buffers; do not
-    /// release it on drop.
-    pub fn disarm(mut self) {
-        self.context = None;
-    }
-}
-
-impl Drop for MemGuard {
-    fn drop(&mut self) {
-        if let Some(ctx) = &self.context {
-            if self.bytes > 0 {
-                ctx.release_bytes(self.bytes);
+    /// Run the parked item through `process`, send the result and
+    /// acknowledge — the single processing path, whether the item was
+    /// just accepted or is being redelivered after a restart (then marked
+    /// by a [`trace::SpanKind::CheckpointRestore`] instant; every attempt
+    /// re-crosses the [`trace::SpanKind::InvokeNative`] boundary). An item whose
+    /// result a dead incarnation already sent is acknowledged without
+    /// re-sending: that duplicate would break byte-identity.
+    ///
+    /// `Ok(true)`: acknowledged, accept the next request. `Ok(false)`: the
+    /// downstream receiver is gone; the item is dropped. `Err`: `process`
+    /// failed and the item **stays parked** — an injected kill exits the
+    /// actor for its supervisor to restart and redeliver; for any other
+    /// error the front end calls [`Checkpoint::abandon`]. The item also
+    /// stays parked if `process` unwinds (the lock does not poison).
+    ///
+    /// # Panics
+    /// If nothing is parked.
+    pub fn drive<E>(
+        &self,
+        host: &mut KernelHost,
+        actor: &str,
+        process: impl FnOnce(&mut KernelHost, &P) -> Result<T, E>,
+    ) -> Result<bool, E> {
+        let mut slot = self.inner.lock();
+        let item = slot
+            .in_flight
+            .as_mut()
+            .expect("drive without a parked item");
+        if !item.sent {
+            if item.attempted {
+                host.checkpoint_restore(actor, item.seq);
             }
+            item.attempted = true;
+            host.invoke_native(actor);
+            let result = process(host, &item.payload)?;
+            if item.output.send_moved(result).is_err() {
+                slot.in_flight = None;
+                return Ok(false);
+            }
+            item.sent = true;
+        }
+        slot.acked = slot.in_flight.take().map(|item| item.seq);
+        Ok(true)
+    }
+
+    /// Give up on the parked item after an unrecoverable error: clear it
+    /// and poison its output, so downstream receivers observe a typed
+    /// failure instead of blocking forever. No-op when nothing is parked.
+    pub fn abandon(&self) {
+        if let Some(item) = self.inner.lock().in_flight.take() {
+            item.output.poison_receivers();
         }
     }
 }
@@ -169,50 +187,192 @@ impl Drop for MemGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::{private_gpu_env, DeviceSel, OpenClEnvironment, ResolveEnv};
+    use crate::protocol::KernelSpec;
+    use crate::ProfileSink;
+    use ensemble_actors::{buffered_channel, ChannelError};
+    use oclsim::ClResult;
+    use trace::{SpanKind, TraceSink};
 
-    #[test]
-    fn checkpoint_starts_empty() {
-        let c: Checkpoint<Vec<f32>, Vec<f32>> = Checkpoint::new();
-        assert_eq!(c.acked(), None);
-        assert!(!c.has_in_flight());
+    struct Lane(OpenClEnvironment);
+
+    impl ResolveEnv for Lane {
+        fn resolve(&self, _sel: DeviceSel) -> ClResult<OpenClEnvironment> {
+            Ok(self.0.clone())
+        }
+    }
+
+    fn host(sink: &TraceSink) -> KernelHost {
+        let spec = KernelSpec {
+            profile: ProfileSink::new().with_trace(sink.clone()),
+            ..KernelSpec::in_place(
+                "__kernel void k(__global float* a) {}",
+                "k",
+                DeviceSel::gpu(),
+            )
+        };
+        KernelHost::open(spec, &Lane(private_gpu_env())).unwrap()
+    }
+
+    /// How the slot was left by whoever held it before this drive.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Before {
+        /// Just parked.
+        Fresh,
+        /// A previous incarnation started the item and was killed.
+        Attempted,
+        /// A previous incarnation sent the result and died before the ack.
+        Sent,
     }
 
     #[test]
-    fn clones_share_state() {
-        let c: Checkpoint<Vec<f32>, Vec<f32>> = Checkpoint::new();
-        let c2 = c.clone();
-        c.lock().acked = Some(7);
-        assert_eq!(c2.acked(), Some(7));
+    fn the_state_machine_in_one_table() {
+        struct Case {
+            name: &'static str,
+            before: Before,
+            /// What `process` returns this time (`None`: it must not run).
+            process: Option<Result<i32, &'static str>>,
+            /// Drop the receiver before driving.
+            downstream_gone: bool,
+            drive: Result<bool, &'static str>,
+            /// (`CheckpointRestore`, `InvokeNative`) instants this drive.
+            instants: (usize, usize),
+            delivered: Option<i32>,
+            acked: bool,
+            still_parked: bool,
+        }
+        let cases = [
+            Case {
+                name: "fresh item is processed, sent and acknowledged",
+                before: Before::Fresh,
+                process: Some(Ok(7)),
+                downstream_gone: false,
+                drive: Ok(true),
+                instants: (0, 1),
+                delivered: Some(7),
+                acked: true,
+                still_parked: false,
+            },
+            Case {
+                name: "redelivered unsent item is marked restored and re-processed",
+                before: Before::Attempted,
+                process: Some(Ok(7)),
+                downstream_gone: false,
+                drive: Ok(true),
+                instants: (1, 1),
+                delivered: Some(7),
+                acked: true,
+                still_parked: false,
+            },
+            Case {
+                name: "sent-but-unacked item is acknowledged without re-sending",
+                before: Before::Sent,
+                process: None,
+                downstream_gone: false,
+                drive: Ok(true),
+                instants: (0, 0),
+                delivered: None,
+                acked: true,
+                still_parked: false,
+            },
+            Case {
+                name: "a failed attempt leaves the item parked for redelivery",
+                before: Before::Fresh,
+                process: Some(Err("killed")),
+                downstream_gone: false,
+                drive: Err("killed"),
+                instants: (0, 1),
+                delivered: None,
+                acked: false,
+                still_parked: true,
+            },
+            Case {
+                name: "a vanished receiver drops the item unacknowledged",
+                before: Before::Fresh,
+                process: Some(Ok(7)),
+                downstream_gone: true,
+                drive: Ok(false),
+                instants: (0, 1),
+                delivered: None,
+                acked: false,
+                still_parked: false,
+            },
+        ];
+        for case in cases {
+            let sink = TraceSink::new();
+            let mut host = host(&sink);
+            let ckpt: Checkpoint<&str, i32> = Checkpoint::new();
+            let (out, downstream) = buffered_channel::<i32>(1);
+            ckpt.park("payload", out);
+            {
+                let mut slot = ckpt.inner.lock();
+                let item = slot.in_flight.as_mut().unwrap();
+                item.attempted = case.before != Before::Fresh;
+                item.sent = case.before == Before::Sent;
+            }
+            let downstream = (!case.downstream_gone).then_some(downstream);
+
+            let drove = ckpt.drive(&mut host, "actor", |_, payload| {
+                assert_eq!(*payload, "payload", "{}", case.name);
+                case.process.expect("process must not run")
+            });
+            assert_eq!(drove, case.drive, "{}", case.name);
+            let count = |kind| sink.events().iter().filter(|e| e.kind == kind).count();
+            assert_eq!(
+                (
+                    count(SpanKind::CheckpointRestore),
+                    count(SpanKind::InvokeNative)
+                ),
+                case.instants,
+                "{}",
+                case.name
+            );
+            if let Some(downstream) = &downstream {
+                // (An empty channel whose sender went with the item reads
+                // as closed rather than empty.)
+                let got = downstream.try_receive().ok().flatten();
+                assert_eq!(got, case.delivered, "{}", case.name);
+            }
+            assert_eq!(ckpt.acked(), case.acked.then_some(0), "{}", case.name);
+            assert_eq!(ckpt.has_in_flight(), case.still_parked, "{}", case.name);
+        }
     }
 
     #[test]
-    fn mem_guard_releases_on_drop_unless_disarmed() {
-        // A private context (not the shared device matrix) so parallel
-        // tests cannot perturb the accounting this test asserts on.
-        let platform = &oclsim::Platform::all()[0];
-        let device = platform.devices(None)[0].clone();
-        let context = Context::new(std::slice::from_ref(&device)).unwrap();
-        // Charge accounting via a buffer, then "unwind": the guard must
-        // give the charge back.
-        let buf = context
-            .create_buffer(oclsim::MemFlags::ReadWrite, 1024)
-            .unwrap();
-        {
-            let mut g = MemGuard::new(context.clone());
-            g.add(buf.len());
-            assert_eq!(g.bytes(), 1024);
+    fn abandon_clears_the_item_and_poisons_its_output() {
+        let mut host = host(&TraceSink::new());
+        let ckpt: Checkpoint<(), i32> = Checkpoint::new();
+        let (out, downstream) = buffered_channel::<i32>(1);
+        ckpt.park((), out);
+        assert_eq!(
+            ckpt.drive(&mut host, "actor", |_, _| Err("fatal")),
+            Err("fatal")
+        );
+        assert!(ckpt.has_in_flight());
+        ckpt.abandon();
+        assert!(!ckpt.has_in_flight());
+        assert_eq!(ckpt.acked(), None);
+        assert_eq!(downstream.receive(), Err(ChannelError::Poisoned));
+        ckpt.abandon(); // nothing parked: no-op
+    }
+
+    #[test]
+    fn sequence_numbers_advance_and_clones_share_the_slot() {
+        let mut host = host(&TraceSink::new());
+        let ckpt: Checkpoint<(), i32> = Checkpoint::new();
+        let probe = ckpt.clone();
+        assert_eq!(probe.acked(), None);
+        assert!(!probe.has_in_flight());
+        let (out, downstream) = buffered_channel::<i32>(2);
+        for seq in 0..2 {
+            ckpt.park((), out.clone());
+            assert!(probe.has_in_flight());
+            assert_eq!(
+                ckpt.drive(&mut host, "actor", |_, _| Ok::<_, ()>(1)),
+                Ok(true)
+            );
+            assert_eq!(probe.acked(), Some(seq));
         }
-        assert_eq!(context.allocated_bytes(), 0);
-        // Disarmed: the charge stays (owned by live buffers).
-        let buf2 = context
-            .create_buffer(oclsim::MemFlags::ReadWrite, 512)
-            .unwrap();
-        {
-            let mut g = MemGuard::new(context.clone());
-            g.add(buf2.len());
-            g.disarm();
-        }
-        assert_eq!(context.allocated_bytes(), 512);
-        drop(buf2);
+        drop(downstream);
     }
 }

@@ -21,10 +21,17 @@
 //!   arrays ([`flatten::Array2`], [`flatten::Array3`]), structs (tuples),
 //!   and primitives (one-element arrays) into typed buffer segments plus
 //!   dimension arguments.
-//! * [`kernel_actor`] (§6.1, Figure 2) — [`kernel_actor::KernelActor`]
-//!   (copying channels) and [`kernel_actor::ResidentKernelActor`] (`mov`
-//!   channels), implementing the receive-settings / receive-data /
-//!   dispatch / send protocol the Ensemble compiler enforces.
+//! * [`protocol`] (§6.1, Figure 2) — the host side of that protocol,
+//!   once: [`protocol::KernelHost`] resolves and builds, uploads, binds
+//!   and enqueues under a [`protocol::DispatchMode`], recovers and reads
+//!   back, over [`protocol::ResidentBufs`] whose memory accounting is
+//!   released on drop; [`checkpoint`] is its restart state machine. The
+//!   Ensemble VM's `opencl` actors drive the same core.
+//! * [`kernel_actor`] — the typed front end:
+//!   [`kernel_actor::KernelActor`] (copying channels) and
+//!   [`kernel_actor::ResidentKernelActor`] (`mov` channels), implementing
+//!   the receive-settings / receive-data / dispatch / send choreography
+//!   the Ensemble compiler enforces for [`flatten::Flatten`] values.
 //! * [`resident`] (§6.2.3) — lazy evaluation: [`resident::DeviceData`]
 //!   keeps values on the device across actor hops within one context, and
 //!   reads them back the moment host code touches them or they cross to a
@@ -110,15 +117,17 @@ pub mod env;
 pub mod flatten;
 pub mod kernel_actor;
 pub mod profile;
+pub mod protocol;
 pub mod recovery;
 pub mod resident;
 pub mod settings;
 
-pub use checkpoint::{Checkpoint, MemGuard};
+pub use checkpoint::Checkpoint;
 pub use env::{device_matrix, DeviceSel, MatrixResolver, OpenClEnvironment, ResolveEnv};
 pub use flatten::{Array2, Array3, FlatData, FlatSeg, Flatten, FlattenError, SegTy};
-pub use kernel_actor::{KernelActor, KernelSpec, ResidentKernelActor};
+pub use kernel_actor::{KernelActor, ResidentKernelActor};
 pub use profile::{Profile, ProfileSink};
+pub use protocol::{DispatchMode, KernelHost, KernelSpec, Launch, ResidentBufs};
 pub use recovery::RecoveryPolicy;
-pub use resident::{DeviceData, Dispatchable, ResidentBufs};
+pub use resident::{DeviceData, Dispatchable};
 pub use settings::{nd_from, Settings};

@@ -16,76 +16,13 @@
 //!    context** — the runtime reads the data back (charging the transfer)
 //!    and the device memory is released.
 
-use crate::flatten::{FlatData, FlatSeg, Flatten, FlattenError, SegTy};
+use crate::flatten::{FlatData, Flatten, FlattenError};
 use crate::profile::ProfileSink;
 use crate::recovery::{with_retry, RecoveryPolicy};
-use oclsim::{Buffer, ClResult, CommandQueue, Context, Event};
+use oclsim::{Buffer, ClResult, Context};
 use std::marker::PhantomData;
 
-/// Read one typed segment back from `buf`: the queue converts device bytes
-/// to elements in a single pass under the buffer lock, so no intermediate
-/// byte vector is allocated or copied.
-pub(crate) fn read_seg(queue: &CommandQueue, buf: &Buffer, ty: SegTy) -> ClResult<(FlatSeg, Event)> {
-    match ty {
-        SegTy::F32 => queue.read_f32(buf).map(|(v, ev)| (FlatSeg::F32(v), ev)),
-        SegTy::I32 => queue.read_i32(buf).map(|(v, ev)| (FlatSeg::I32(v), ev)),
-    }
-}
-
-/// Buffers holding a value's flattened segments on one device.
-#[derive(Debug)]
-pub struct ResidentBufs {
-    /// One buffer per flattened segment, with its element type.
-    pub bufs: Vec<(Buffer, SegTy)>,
-    /// The value's shape metadata.
-    pub dims: Vec<i32>,
-    /// Context the buffers belong to.
-    pub context: Context,
-    /// The device's (single) queue — used for forced read-backs.
-    pub queue: CommandQueue,
-}
-
-impl ResidentBufs {
-    /// Total bytes held on the device.
-    pub fn device_bytes(&self) -> usize {
-        self.bufs.iter().map(|(b, _)| b.len()).sum()
-    }
-
-    /// Read every segment back to the host, charging the transfer to
-    /// `profile`, and release the device memory accounting. Transient
-    /// device faults are retried with the default [`RecoveryPolicy`]
-    /// (read-backs stay available even on a lost device, so this is also
-    /// the rescue path the recovery layer evacuates data through).
-    pub fn read_back(self, profile: Option<&ProfileSink>) -> ClResult<FlatData> {
-        let policy = RecoveryPolicy::default();
-        let quiet = ProfileSink::new();
-        let p = profile.unwrap_or(&quiet);
-        let mut segs = Vec::with_capacity(self.bufs.len());
-        let mut released = 0usize;
-        for (buf, ty) in &self.bufs {
-            // Typed reads convert device bytes to elements in one pass
-            // under the buffer lock — no intermediate byte vector.
-            let (seg, ev) = with_retry(
-                &policy,
-                &self.queue,
-                self.queue.device().name(),
-                p,
-                "readback",
-                || read_seg(&self.queue, buf, *ty),
-            )?;
-            if let Some(p) = profile {
-                p.record_command(&ev, self.queue.device().name());
-            }
-            segs.push(seg);
-            released += buf.len();
-        }
-        self.context.release_bytes(released);
-        Ok(FlatData {
-            segs,
-            dims: self.dims,
-        })
-    }
-}
+pub use crate::protocol::ResidentBufs;
 
 /// A value that is either on the host or resident on a device.
 ///
@@ -232,24 +169,9 @@ pub enum Dispatchable {
 mod tests {
     use super::*;
     use crate::env::{DeviceSel, OpenClEnvironment};
-    use oclsim::MemFlags;
 
     fn upload(env: &OpenClEnvironment, flat: &FlatData) -> ResidentBufs {
-        let mut bufs = Vec::new();
-        for seg in &flat.segs {
-            let b = env
-                .context
-                .create_buffer(MemFlags::ReadWrite, seg.byte_len())
-                .unwrap();
-            seg.upload(&env.queue, &b).unwrap();
-            bufs.push((b, seg.ty()));
-        }
-        ResidentBufs {
-            bufs,
-            dims: flat.dims.clone(),
-            context: env.context.clone(),
-            queue: env.queue.clone(),
-        }
+        ResidentBufs::upload(env, flat, &RecoveryPolicy::default(), &ProfileSink::new()).unwrap()
     }
 
     #[test]

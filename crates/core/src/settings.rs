@@ -74,6 +74,16 @@ impl<TIn, TOut> Settings<TIn, TOut> {
     pub fn nd_range(&self) -> ClResult<NdRange> {
         nd_from(&self.worksize, &self.groupsize)
     }
+
+    /// The launch geometry and scalars, as the protocol takes them.
+    pub(crate) fn launch(&self) -> crate::protocol::Launch<'_> {
+        crate::protocol::Launch {
+            worksize: &self.worksize,
+            groupsize: &self.groupsize,
+            ints: &self.extra_args,
+            floats: &self.extra_f32,
+        }
+    }
 }
 
 #[cfg(test)]

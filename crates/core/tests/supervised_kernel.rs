@@ -44,6 +44,7 @@ fn run_pipeline(injector: &FaultInjector) -> (Vec<Vec<u32>>, u32) {
     let entry = device_matrix().select(DeviceSel::gpu()).expect("gpu entry");
     entry.queue.attach_faults(injector.clone());
     entry.context.attach_faults(injector.clone());
+    let allocated_before = entry.context.allocated_bytes();
 
     let profile = ProfileSink::new();
     let spec = KernelSpec {
@@ -57,7 +58,7 @@ fn run_pipeline(injector: &FaultInjector) -> (Vec<Vec<u32>>, u32) {
     };
     let (req_out, req_in) = buffered_channel::<Settings<MmIn, Array2>>(REQUESTS);
     let req_in = Arc::new(req_in);
-    let ckpt: Checkpoint<MmIn, Array2> = Checkpoint::new();
+    let ckpt = Checkpoint::new();
     let ckpt_probe = ckpt.clone();
 
     let mut sup = Supervisor::new("mm", Strategy::OneForOne, RestartBudget::default());
@@ -97,6 +98,10 @@ fn run_pipeline(injector: &FaultInjector) -> (Vec<Vec<u32>>, u32) {
 
     entry.queue.attach_faults(FaultInjector::disabled());
     entry.context.attach_faults(FaultInjector::disabled());
+
+    // No incarnation — completed, exited or unwound by a kill-panic
+    // between upload and read-back — may leak device-memory accounting.
+    assert_eq!(entry.context.allocated_bytes(), allocated_before);
 
     // After a clean run every accepted request was acknowledged.
     assert_eq!(ckpt_probe.acked(), Some(REQUESTS as u64 - 1));

@@ -155,6 +155,13 @@ impl ClError {
     pub fn is_integrity(&self) -> bool {
         matches!(self, ClError::IntegrityViolation { .. })
     }
+
+    /// Whether this error is an injected kill: the actor that received it
+    /// must exit abruptly for its supervisor to restart — never retry,
+    /// fail over, or tear the pipeline down.
+    pub fn is_kill(&self) -> bool {
+        matches!(self, ClError::ActorKilled { .. })
+    }
 }
 
 impl fmt::Display for ClError {

@@ -410,25 +410,48 @@ impl CommandQueue {
         })
     }
 
+    /// The one read path behind [`CommandQueue::enqueue_read_buffer`] and
+    /// the typed reads, mirror of [`CommandQueue::write_with`]: `fetch`
+    /// copies or converts `buf`'s bytes under its lock, `flip` applies an
+    /// injected wire flip to the delivered payload and `checksum` hashes
+    /// it as little-endian bytes, so every form of read takes the same
+    /// arbiter slot, draws exactly one `Readback` fault-op, and gets the
+    /// same integrity verdict, cost and trace span.
+    fn read_with<T>(
+        &self,
+        buf: &Buffer,
+        fetch: impl FnOnce() -> ClResult<T>,
+        flip: impl FnOnce(&mut T, u64),
+        checksum: impl FnOnce(&T) -> u64,
+    ) -> ClResult<(T, Event)> {
+        let _slot = self.arbiter_slot();
+        let effect = self.fault_check(FaultOp::Readback)?;
+        self.check_buffer(buf)?;
+        let mut payload = fetch()?;
+        if let Some(bit) = effect.corrupt_bit {
+            flip(&mut payload, bit);
+        }
+        self.verify_delivery(buf, || checksum(&payload))?;
+        let cost = self.inner.device.cost_model().transfer_ns(buf.len());
+        let (start, end) = self.advance(cost);
+        let ev = Event::new(CommandKind::ReadBuffer, start, start, end, buf.len(), 0);
+        self.trace_command(&ev);
+        Ok((payload, ev))
+    }
+
     /// Copy `buf` into `out` (device → host), mirroring
     /// `clEnqueueReadBuffer`. `out` must be exactly the buffer's size.
     ///
     /// The copy happens directly into `out` under the buffer's data lock —
     /// one copy, no intermediate snapshot allocation.
     pub fn enqueue_read_buffer(&self, buf: &Buffer, out: &mut [u8]) -> ClResult<Event> {
-        let _slot = self.arbiter_slot();
-        let effect = self.fault_check(FaultOp::Readback)?;
-        self.check_buffer(buf)?;
-        buf.read_into(out)?;
-        if let Some(bit) = effect.corrupt_bit {
-            flip_bit_in(out, bit);
-        }
-        self.verify_delivery(buf, || crate::buffer::fnv1a64(out))?;
-        let cost = self.inner.device.cost_model().transfer_ns(out.len());
-        let (start, end) = self.advance(cost);
-        let ev = Event::new(CommandKind::ReadBuffer, start, start, end, out.len(), 0);
-        self.trace_command(&ev);
-        Ok(ev)
+        self.read_with(
+            buf,
+            || buf.read_into(out).map(|()| out),
+            |out, bit| flip_bit_in(out, bit),
+            |out| crate::buffer::fnv1a64(out),
+        )
+        .map(|(_, ev)| ev)
     }
 
     /// Convenience: write an `f32` slice.
@@ -446,24 +469,12 @@ impl CommandQueue {
     /// Converts bytes → `f32`s directly under the buffer's data lock, with
     /// no intermediate byte vector.
     pub fn read_f32(&self, buf: &Buffer) -> ClResult<(Vec<f32>, Event)> {
-        let _slot = self.arbiter_slot();
-        let effect = self.fault_check(FaultOp::Readback)?;
-        self.check_buffer(buf)?;
-        let mut vals = buf.with_bytes(crate::hostmem::bytes_to_f32)?;
-        if let Some(bit) = effect.corrupt_bit {
-            if !vals.is_empty() {
-                let i = ((bit / 32) % vals.len() as u64) as usize;
-                vals[i] = f32::from_bits(vals[i].to_bits() ^ (1u32 << (bit % 32)));
-            }
-        }
-        self.verify_delivery(buf, || {
-            crate::buffer::fnv1a64(&crate::hostmem::f32_to_bytes(&vals))
-        })?;
-        let cost = self.inner.device.cost_model().transfer_ns(buf.len());
-        let (start, end) = self.advance(cost);
-        let ev = Event::new(CommandKind::ReadBuffer, start, start, end, buf.len(), 0);
-        self.trace_command(&ev);
-        Ok((vals, ev))
+        self.read_with(
+            buf,
+            || buf.with_bytes(crate::hostmem::bytes_to_f32),
+            |vals, bit| flip_word_bit(vals, bit, |v, mask| f32::from_bits(v.to_bits() ^ mask)),
+            |vals| crate::buffer::fnv1a64(&crate::hostmem::f32_to_bytes(vals)),
+        )
     }
 
     /// Convenience: write an `i32` slice (converted in place, like
@@ -479,24 +490,12 @@ impl CommandQueue {
     /// Converts bytes → `i32`s directly under the buffer's data lock, with
     /// no intermediate byte vector.
     pub fn read_i32(&self, buf: &Buffer) -> ClResult<(Vec<i32>, Event)> {
-        let _slot = self.arbiter_slot();
-        let effect = self.fault_check(FaultOp::Readback)?;
-        self.check_buffer(buf)?;
-        let mut vals = buf.with_bytes(crate::hostmem::bytes_to_i32)?;
-        if let Some(bit) = effect.corrupt_bit {
-            if !vals.is_empty() {
-                let i = ((bit / 32) % vals.len() as u64) as usize;
-                vals[i] ^= 1i32 << (bit % 32);
-            }
-        }
-        self.verify_delivery(buf, || {
-            crate::buffer::fnv1a64(&crate::hostmem::i32_to_bytes(&vals))
-        })?;
-        let cost = self.inner.device.cost_model().transfer_ns(buf.len());
-        let (start, end) = self.advance(cost);
-        let ev = Event::new(CommandKind::ReadBuffer, start, start, end, buf.len(), 0);
-        self.trace_command(&ev);
-        Ok((vals, ev))
+        self.read_with(
+            buf,
+            || buf.with_bytes(crate::hostmem::bytes_to_i32),
+            |vals, bit| flip_word_bit(vals, bit, |v, mask| v ^ mask as i32),
+            |vals| crate::buffer::fnv1a64(&crate::hostmem::i32_to_bytes(vals)),
+        )
     }
 
     fn check_buffer(&self, buf: &Buffer) -> ClResult<()> {
@@ -915,6 +914,18 @@ fn flip_bit_in(out: &mut [u8], bit: u64) {
     out[(b / 8) as usize] ^= 1 << (b % 8);
 }
 
+/// [`flip_bit_in`] for a payload already converted to 4-byte words: bit
+/// `b` of the little-endian byte image is bit `b % 32` of word `b / 32`,
+/// so a typed read and the byte read corrupt the same bit.
+fn flip_word_bit<T: Copy>(vals: &mut [T], bit: u64, xor: impl FnOnce(T, u32) -> T) {
+    if vals.is_empty() {
+        return;
+    }
+    let b = bit % (vals.len() as u64 * 32);
+    let i = (b / 32) as usize;
+    vals[i] = xor(vals[i], 1u32 << (b % 32));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1240,6 +1251,120 @@ mod tests {
         assert_eq!(q.now_ns(), 0.0, "a refused write charges nothing");
         buf.check_in(held);
         assert!(q.write_i32(&buf, &[1, 2]).is_ok());
+    }
+
+    /// A successful read: payload bytes, then the event's `(bytes, start, end)`.
+    type Delivery = (Vec<u8>, usize, u64, u64);
+
+    /// Everything a read-back leaves behind that the caller, a trace
+    /// reader or the fault scoreboard could observe.
+    #[derive(Debug, PartialEq)]
+    struct ReadObservation {
+        /// Per read: the delivered payload as little-endian bytes with the
+        /// event's `(bytes, start, end)` bits, or the error text (an
+        /// integrity verdict carries the delivered checksum, so equal
+        /// texts mean the same bit was flipped).
+        outcomes: Vec<Result<Delivery, String>>,
+        fired: Vec<crate::fault::InjectionRecord>,
+        trace: Vec<(SpanKind, String, u64, u64)>,
+        clock_bits: u64,
+        repair_bits: u64,
+    }
+
+    /// Issue `read` three times (Readback fault-ops 0, 1, 2) against one
+    /// uploaded buffer of a fresh GPU queue running under `plan`.
+    fn observe_reads(
+        plan: crate::fault::FaultPlan,
+        image: &[u8],
+        read: impl Fn(&CommandQueue, &Buffer) -> ClResult<(Vec<u8>, Event)>,
+    ) -> ReadObservation {
+        let (ctx, q) = setup(DeviceType::Gpu);
+        let inj = FaultInjector::new(plan);
+        q.attach_faults(inj.clone());
+        let buf = ctx.create_buffer(MemFlags::ReadWrite, image.len()).unwrap();
+        q.enqueue_write_buffer(&buf, image).unwrap();
+        let sink = TraceSink::new();
+        q.attach_trace(sink.clone());
+        ReadObservation {
+            outcomes: (0..3)
+                .map(|_| {
+                    read(&q, &buf)
+                        .map(|(bytes, ev)| {
+                            (bytes, ev.bytes(), ev.start_ns().to_bits(), ev.end_ns().to_bits())
+                        })
+                        // Buffer ids are process-unique; everything else
+                        // in the text must match.
+                        .map_err(|e| e.to_string().replace(&format!("buffer {}", buf.id()), "buffer"))
+                })
+                .collect(),
+            fired: inj.records(),
+            trace: sink
+                .events()
+                .iter()
+                .map(|e| (e.kind, e.name.clone(), e.ts_ns.to_bits(), e.dur_ns.to_bits()))
+                .collect(),
+            clock_bits: q.now_ns().to_bits(),
+            repair_bits: q.repair_ns().to_bits(),
+        }
+    }
+
+    #[test]
+    fn typed_reads_are_indistinguishable_from_the_byte_read() {
+        use crate::fault::{FaultPlan, InjectedFault};
+        let image: Vec<u8> = (0..256u32).map(|i| (i * 37 + 11) as u8).collect();
+        let via_bytes = |q: &CommandQueue, b: &Buffer| {
+            let mut out = vec![0u8; b.len()];
+            q.enqueue_read_buffer(b, &mut out).map(|ev| (out, ev))
+        };
+        let as_f32 = |q: &CommandQueue, b: &Buffer| {
+            q.read_f32(b).map(|(v, ev)| (crate::hostmem::f32_to_bytes(&v), ev))
+        };
+        let as_i32 = |q: &CommandQueue, b: &Buffer| {
+            q.read_i32(b).map(|(v, ev)| (crate::hostmem::i32_to_bytes(&v), ev))
+        };
+        let plans = [
+            FaultPlan::new(),
+            // One fault-op per read: the flip scheduled at Readback index
+            // 1 lands on the second read of every path, on the same bit,
+            // and draws the same integrity verdict.
+            FaultPlan::new().fail(FaultOp::Readback, 1, InjectedFault::Corrupt),
+            // A refused read consumes its index and charges nothing.
+            FaultPlan::new()
+                .fail(FaultOp::Readback, 0, InjectedFault::Transient)
+                .fail(FaultOp::Readback, 2, InjectedFault::Corrupt),
+        ];
+        for plan in plans {
+            let reference = observe_reads(plan.clone(), &image, via_bytes);
+            assert_eq!(observe_reads(plan.clone(), &image, as_f32), reference, "f32");
+            assert_eq!(observe_reads(plan.clone(), &image, as_i32), reference, "i32");
+        }
+        // Not vacuous: the corrupting plan fires once, on the second read
+        // only, and the detection restores a clean third read.
+        let seen = observe_reads(
+            FaultPlan::new().fail(FaultOp::Readback, 1, InjectedFault::Corrupt),
+            &image,
+            as_f32,
+        );
+        assert_eq!(seen.fired.len(), 1);
+        assert_eq!(seen.outcomes[0].as_ref().unwrap().0, image);
+        assert!(seen.outcomes[1].as_ref().unwrap_err().contains("integrity"), "{seen:?}");
+        assert_eq!(seen.outcomes[2].as_ref().unwrap().0, image);
+        let spans = seen.trace.iter().filter(|e| e.0 == SpanKind::FromDevice).count();
+        assert_eq!(spans, 2, "a refused read leaves no span");
+
+        // The flip itself: bit `b` of the little-endian byte image is bit
+        // `b % 32` of word `b / 32`, for every bit a plan can draw.
+        for bit in [0u64, 7, 8, 31, 32, 33, 2047, 2048, 2049, u64::MAX] {
+            let mut bytes = image.clone();
+            flip_bit_in(&mut bytes, bit);
+            assert_eq!(bytes.iter().zip(&image).filter(|(a, b)| a != b).count(), 1);
+            let mut ints = crate::hostmem::bytes_to_i32(&image);
+            flip_word_bit(&mut ints, bit, |v, mask| v ^ mask as i32);
+            assert_eq!(crate::hostmem::i32_to_bytes(&ints), bytes, "i32 bit {bit}");
+            let mut floats = crate::hostmem::bytes_to_f32(&image);
+            flip_word_bit(&mut floats, bit, |v, mask| f32::from_bits(v.to_bits() ^ mask));
+            assert_eq!(crate::hostmem::f32_to_bytes(&floats), bytes, "f32 bit {bit}");
+        }
     }
 
     #[test]

@@ -416,6 +416,78 @@ mod tests {
         assert_eq!(other.modules.compiles(), 1);
     }
 
+    /// A kernel actor that is sent its settings but never its data, and a
+    /// host actor waiting for the result: both are blocked in a receive
+    /// when the deadline passes.
+    const STARVED_KERNEL: &str = "
+        type data_t is struct ( real [] x )
+        type settings_t is opencl struct (
+            integer [] worksize;
+            integer [] groupsize;
+            in data_t input;
+            out real [] output
+        )
+        type dispatchI is interface (
+            out settings_t requests;
+            out data_t dout;
+            in real [] din
+        )
+        type scaleI is interface( in settings_t requests )
+        stage home {
+            opencl <device_index=0, device_type=GPU>
+            actor Scale presents scaleI {
+                constructor() {}
+                behaviour {
+                    receive req from requests;
+                    receive d from req.input;
+                    i = get_global_id(0);
+                    d.x[i] := d.x[i] * 2.0;
+                    send d.x on req.output;
+                }
+            }
+            actor Dispatch presents dispatchI {
+                constructor() {}
+                behaviour {
+                    ws = new integer[1] of 8;
+                    gs = new integer[1] of 4;
+                    i = new in data_t;
+                    o = new out real[];
+                    connect dout to i;
+                    connect o to din;
+                    send new settings_t(ws, gs, i, o) on requests;
+                    receive back from din;
+                    printReal(back[0]);
+                    stop;
+                }
+            }
+            boot {
+                d = new Dispatch();
+                s = new Scale();
+                connect d.requests to s.requests;
+            }
+        }";
+
+    #[test]
+    fn a_deadline_missed_while_running_is_reported_as_such() {
+        let server = Server::new(ServeConfig::default());
+        let mut req = Request::new(1, STARVED_KERNEL);
+        req.deadline = Some(Duration::from_millis(200));
+        // The actor's error reaches the server wrapped in context (which
+        // actor, which receive); the class must survive the wrapping.
+        match server.submit(req) {
+            Err(ServeError::DeadlineExceeded {
+                phase: DeadlinePhase::Running,
+                detail,
+            }) => {
+                assert!(detail.contains("actor `"), "{detail}");
+                assert!(detail.contains("[deadline] "), "{detail}");
+            }
+            other => panic!("expected a running-phase deadline miss, got {other:?}"),
+        }
+        let stats = server.stats();
+        assert_eq!((stats.deadline_exceeded, stats.failed, stats.completed), (1, 0, 0));
+    }
+
     #[test]
     fn hedged_sessions_share_the_cache_too() {
         let server = Server::new(ServeConfig {

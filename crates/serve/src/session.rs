@@ -248,10 +248,12 @@ impl TenantSession {
             if e.is_deadline() {
                 ServeError::DeadlineExceeded {
                     phase: DeadlinePhase::Running,
-                    detail: e.0,
+                    detail: e.message.into(),
                 }
             } else {
-                ServeError::Failed { detail: e.0 }
+                ServeError::Failed {
+                    detail: e.message.into(),
+                }
             }
         })
     }

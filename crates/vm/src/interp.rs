@@ -65,7 +65,7 @@ pub fn run_chunk(
         () => {
             stack
                 .pop()
-                .ok_or_else(|| VmError("operand stack underflow".into()))?
+                .ok_or_else(|| VmError::new("operand stack underflow"))?
         };
     }
 
@@ -88,7 +88,7 @@ pub fn run_chunk(
                 let v = stack
                     .last()
                     .cloned()
-                    .ok_or_else(|| VmError("dup on empty stack".into()))?;
+                    .ok_or_else(|| VmError::new("dup on empty stack"))?;
                 stack.push(v);
             }
             VOp::Ld(slot) => stack.push(slots[*slot as usize].clone()),
@@ -135,7 +135,7 @@ pub fn run_chunk(
                             .lock()
                             .get(*idx as usize)
                             .cloned()
-                            .ok_or_else(|| VmError(format!("no field {idx}")))?;
+                            .ok_or_else(|| VmError::new(format!("no field {idx}")))?;
                         stack.push(f);
                     }
                     VmVal::MovStruct(_, state) => {
@@ -150,11 +150,11 @@ pub fn run_chunk(
                         let f = fields
                             .get(*idx as usize)
                             .cloned()
-                            .ok_or_else(|| VmError(format!("no field {idx}")))?;
+                            .ok_or_else(|| VmError::new(format!("no field {idx}")))?;
                         drop(guard);
                         stack.push(f);
                     }
-                    other => return Err(VmError(format!("GetField on {other:?}"))),
+                    other => return Err(VmError::new(format!("GetField on {other:?}"))),
                 }
             }
             VOp::SetField(idx) => {
@@ -165,7 +165,7 @@ pub fn run_chunk(
                         let mut guard = fields.lock();
                         let slot = guard
                             .get_mut(*idx as usize)
-                            .ok_or_else(|| VmError(format!("no field {idx}")))?;
+                            .ok_or_else(|| VmError::new(format!("no field {idx}")))?;
                         *slot = value;
                     }
                     VmVal::MovStruct(_, state) => {
@@ -175,10 +175,10 @@ pub fn run_chunk(
                         };
                         let slot = fields
                             .get_mut(*idx as usize)
-                            .ok_or_else(|| VmError(format!("no field {idx}")))?;
+                            .ok_or_else(|| VmError::new(format!("no field {idx}")))?;
                         *slot = value;
                     }
-                    other => return Err(VmError(format!("SetField on {other:?}"))),
+                    other => return Err(VmError::new(format!("SetField on {other:?}"))),
                 }
             }
             VOp::IdxLd => {
@@ -202,7 +202,7 @@ pub fn run_chunk(
                 stack.push(match a {
                     VmVal::I(v) => VmVal::I(-v),
                     VmVal::R(v) => VmVal::R(-v),
-                    other => return Err(VmError(format!("cannot negate {other:?}"))),
+                    other => return Err(VmError::new(format!("cannot negate {other:?}"))),
                 });
             }
             VOp::CmpEq | VOp::CmpNe | VOp::CmpLt | VOp::CmpLe | VOp::CmpGt | VOp::CmpGe => {
@@ -242,7 +242,7 @@ pub fn run_chunk(
                 let v = pop!();
                 let len = match &v {
                     VmVal::Arr(a) => a.lock().len(),
-                    other => return Err(VmError(format!("lengthof on {other:?}"))),
+                    other => return Err(VmError::new(format!("lengthof on {other:?}"))),
                 };
                 stack.push(VmVal::I(len as i64));
             }
@@ -262,7 +262,7 @@ pub fn run_chunk(
                 match (from, to) {
                     (VmVal::ChanOut(o), VmVal::ChanIn(i)) => o.connect(&i),
                     (f, t) => {
-                        return Err(VmError(format!(
+                        return Err(VmError::new(format!(
                             "connect expects out → in, found {f:?} → {t:?}"
                         )))
                     }
@@ -272,7 +272,7 @@ pub fn run_chunk(
                 let value = pop!();
                 let chan = pop!();
                 let VmVal::ChanOut(o) = chan else {
-                    return Err(VmError("send on a non-out endpoint".into()));
+                    return Err(VmError::new("send on a non-out endpoint"));
                 };
                 // Shared-nothing: duplicate unless the type is mov.
                 let payload = if *mov {
@@ -301,9 +301,7 @@ pub fn run_chunk(
                 match o.send_moved(payload) {
                     Ok(()) => {}
                     Err(ChannelError::Poisoned) => {
-                        return Err(VmError(
-                            "send on a channel poisoned by a failed peer".into(),
-                        ))
+                        return Err(VmError::cascade("send on a channel"))
                     }
                     Err(_) => break Exit::ChannelClosed,
                 }
@@ -311,7 +309,7 @@ pub fn run_chunk(
             VOp::RecvOp => {
                 let chan = pop!();
                 let VmVal::ChanIn(i) = chan else {
-                    return Err(VmError("receive on a non-in endpoint".into()));
+                    return Err(VmError::new("receive on a non-in endpoint"));
                 };
                 match i.recv_deadline(hooks.deadline()) {
                     Ok(v) => stack.push(v),
@@ -320,9 +318,7 @@ pub fn run_chunk(
                     // propagates out of `run()` instead of looking like a
                     // clean exit.
                     Err(ChannelError::Poisoned) => {
-                        return Err(VmError(
-                            "receive on a channel poisoned by a failed peer".into(),
-                        ))
+                        return Err(VmError::cascade("receive on a channel"))
                     }
                     // The run's deadline passed while blocked: a serving
                     // outcome, not a program error — marked so the layer
@@ -340,13 +336,13 @@ pub fn run_chunk(
             VOp::GetPort(name_id) => {
                 let v = pop!();
                 let VmVal::ActorRef(ports) = v else {
-                    return Err(VmError("port access on a non-actor value".into()));
+                    return Err(VmError::new("port access on a non-actor value"));
                 };
                 let name = &strings[*name_id as usize];
                 let ep = ports
                     .get(name)
                     .cloned()
-                    .ok_or_else(|| VmError(format!("actor has no port `{name}`")))?;
+                    .ok_or_else(|| VmError::new(format!("actor has no port `{name}`")))?;
                 stack.push(ep);
             }
             VOp::CallNative(f, _argc) => {
@@ -386,7 +382,7 @@ fn native_call(f: NativeFn, stack: &mut Vec<VmVal>) -> Result<VmVal, VmError> {
     let mut pop = || -> Result<VmVal, VmError> {
         stack
             .pop()
-            .ok_or_else(|| VmError("native call stack underflow".into()))
+            .ok_or_else(|| VmError::new("native call stack underflow"))
     };
     match f {
         NativeFn::GenerateVector => {
@@ -441,7 +437,7 @@ fn native_call(f: NativeFn, stack: &mut Vec<VmVal>) -> Result<VmVal, VmError> {
                             Ok(t)
                         }
                     },
-                    other => Err(VmError(format!("checksum on non-array {other:?}"))),
+                    other => Err(VmError::new(format!("checksum on non-array {other:?}"))),
                 }
             }
             Ok(VmVal::R(sum(&v)?))
@@ -451,7 +447,7 @@ fn native_call(f: NativeFn, stack: &mut Vec<VmVal>) -> Result<VmVal, VmError> {
 
 fn alloc_array(dims: &[usize], elem: ElemKind, fill: Option<&VmVal>) -> Result<VmVal, VmError> {
     if dims.is_empty() {
-        return Err(VmError("array with no dimensions".into()));
+        return Err(VmError::new("array with no dimensions"));
     }
     if dims.len() == 1 {
         let n = dims[0];
@@ -475,10 +471,10 @@ fn alloc_array(dims: &[usize], elem: ElemKind, fill: Option<&VmVal>) -> Result<V
 
 fn index_load(arr: &VmVal, idx: i64) -> Result<VmVal, VmError> {
     let VmVal::Arr(a) = arr else {
-        return Err(VmError(format!("indexing a non-array {arr:?}")));
+        return Err(VmError::new(format!("indexing a non-array {arr:?}")));
     };
     if idx < 0 {
-        return Err(VmError(format!("negative index {idx}")));
+        return Err(VmError::new(format!("negative index {idx}")));
     }
     let guard = a.lock();
     let i = idx as usize;
@@ -488,21 +484,23 @@ fn index_load(arr: &VmVal, idx: i64) -> Result<VmVal, VmError> {
         VmArr::B(v) => v.get(i).map(|&x| VmVal::B(x)),
         VmArr::Cells(v) => v.get(i).cloned(),
     };
-    out.ok_or_else(|| VmError(format!("index {idx} out of bounds (len {})", guard.len())))
+    out.ok_or_else(|| VmError::new(format!("index {idx} out of bounds (len {})", guard.len())))
 }
 
 fn index_store(arr: &VmVal, idx: i64, value: VmVal) -> Result<(), VmError> {
     let VmVal::Arr(a) = arr else {
-        return Err(VmError(format!("indexing a non-array {arr:?}")));
+        return Err(VmError::new(format!("indexing a non-array {arr:?}")));
     };
     if idx < 0 {
-        return Err(VmError(format!("negative index {idx}")));
+        return Err(VmError::new(format!("negative index {idx}")));
     }
     let mut guard = a.lock();
     let len = guard.len();
     let i = idx as usize;
     if i >= len {
-        return Err(VmError(format!("index {idx} out of bounds (len {len})")));
+        return Err(VmError::new(format!(
+            "index {idx} out of bounds (len {len})"
+        )));
     }
     match &mut *guard {
         VmArr::I(v) => v[i] = value.as_i()?,
@@ -528,7 +526,7 @@ fn arith(op: &VOp, a: &VmVal, b: &VmVal) -> Result<VmVal, VmError> {
     } else {
         let (x, y) = (a.as_i()?, b.as_i()?);
         if matches!(op, VOp::Div | VOp::Rem) && y == 0 {
-            return Err(VmError("integer division by zero".into()));
+            return Err(VmError::new("integer division by zero"));
         }
         Ok(VmVal::I(match op {
             VOp::Add => x.wrapping_add(y),

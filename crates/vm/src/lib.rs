@@ -66,4 +66,4 @@ pub mod value;
 
 pub use interp::{run_chunk, Exit, RuntimeHooks};
 pub use runtime::{ResidentHook, VmReport, VmRuntime, VM_NS_PER_OP};
-pub use value::{EvictableMov, VmArr, VmError, VmVal, DEADLINE_MARK};
+pub use value::{ErrorClass, EvictableMov, VmArr, VmError, VmVal, DEADLINE_MARK};

@@ -24,21 +24,19 @@
 //! tearing every actor down via channel poisoning.
 
 use crate::interp::{run_chunk, Exit, RuntimeHooks};
-use crate::value::{flatten_fields, unflatten_fields, EvictableMov, MovState, VmError, VmVal};
+use crate::value::{
+    flatten_fields, unflatten_fields, ErrorClass, EvictableMov, MovState, VmError, VmVal,
+};
 use ensemble_actors::supervisor::panic_message;
 use ensemble_actors::{
     ActorCtx, ChannelError, ChildSpec, Control, FnActor, RestartBudget, Strategy, Supervisor,
 };
 use ensemble_lang::vmops::*;
-use ensemble_ocl::recovery::with_retry;
 use ensemble_ocl::{
-    nd_from, DeviceSel, FlatData, FlatSeg, MatrixResolver, MemGuard, OpenClEnvironment, Profile,
-    ProfileSink, RecoveryPolicy, ResidentBufs, ResolveEnv,
+    Checkpoint, DeviceSel, DispatchMode, KernelHost, KernelSpec, Launch, MatrixResolver, Profile,
+    ProfileSink, RecoveryPolicy, ResolveEnv,
 };
-use oclsim::{
-    co_enqueue, CoexecConfig, DeviceType, DispatchBatch, Kernel, KillPanic, MemFlags, PolicyKind,
-    Program,
-};
+use oclsim::{CoexecConfig, DeviceType, DispatchBatch, KillPanic};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -83,28 +81,6 @@ impl VmReport {
     }
 }
 
-/// Marker prefix carried by a [`VmError`] produced from an injected kill
-/// ([`oclsim::ClError::ActorKilled`]). The kernel-actor protocol maps
-/// every simulator error into a stringly `VmError`, so the kill class —
-/// which the supervisor must treat differently from a genuine failure —
-/// travels as a recognisable prefix.
-const KILL_MARK: &str = "[killed] ";
-
-/// Wrap a simulator error as a `VmError`, preserving the kill class via
-/// the [`KILL_MARK`] prefix.
-fn vm_cl_err(what: &str, e: oclsim::ClError) -> VmError {
-    if matches!(e, oclsim::ClError::ActorKilled { .. }) {
-        VmError(format!("{KILL_MARK}{what}: {e}"))
-    } else {
-        VmError(format!("{what}: {e}"))
-    }
-}
-
-/// Whether `e` records an injected kill (see [`KILL_MARK`]).
-fn is_kill_err(e: &VmError) -> bool {
-    e.0.contains(KILL_MARK)
-}
-
 /// Build the deadline-miss error for operation `what` in actor `name`,
 /// recording a `DeadlineExceeded` trace instant (wall clock) when tracing
 /// is enabled.
@@ -122,26 +98,16 @@ fn deadline_exceeded(profile: &ProfileSink, name: &str, what: &str) -> VmError {
     ))
 }
 
-/// Per-kernel-actor checkpoint: the accepted-but-unacknowledged request.
-///
-/// The slot outlives any single incarnation (it is shared with the
-/// supervisor's child factory); the item stays parked while it is
-/// processed, so a kill — error or panic — mid-processing leaves it
-/// intact for the restarted incarnation to redeliver. `VmVal`s are
-/// `Arc`-backed, making the parked copies cheap.
-#[derive(Default)]
-struct VmCheckpoint {
-    next_seq: u64,
-    in_flight: Option<VmInFlight>,
-}
-
-struct VmInFlight {
-    seq: u64,
-    settings: VmVal,
+/// What a kernel actor parks in its [`Checkpoint`] for each accepted
+/// request: the decoded settings and the data value. The slot outlives
+/// any single incarnation (it is shared with the supervisor's child
+/// factory), so a restarted incarnation redelivers from here. `VmVal`s
+/// are `Arc`-backed, making the parked data cheap.
+struct VmRequest {
+    worksize: Vec<usize>,
+    groupsize: Vec<usize>,
+    scalars: Vec<i32>,
     data: VmVal,
-    /// Whether any incarnation already started processing this item — a
-    /// redelivery is `attempted == true`.
-    attempted: bool,
 }
 
 struct Shared {
@@ -314,7 +280,7 @@ impl VmRuntime {
             let name = actor.name.clone();
             let shared2 = Arc::clone(&self.shared);
             let err_slot = Arc::clone(&first_error);
-            let ckpt: Arc<Mutex<VmCheckpoint>> = Arc::new(Mutex::new(VmCheckpoint::default()));
+            let ckpt: Checkpoint<VmRequest, VmVal> = Checkpoint::new();
             // The actor's own In endpoints: poisoned by the supervisor's
             // escalation teardown so a blocked receive wakes, un-poisoned
             // if the child is ever revived.
@@ -331,7 +297,7 @@ impl VmRuntime {
                     let shared2 = Arc::clone(&shared2);
                     let actor = actor.clone();
                     let port_slots = port_slots.clone();
-                    let ckpt = Arc::clone(&ckpt);
+                    let ckpt = ckpt.clone();
                     let err_slot = Arc::clone(&err_slot);
                     FnActor(move |_ctx: &mut ActorCtx| {
                         let r = std::panic::catch_unwind(AssertUnwindSafe(|| match &actor.code {
@@ -346,12 +312,12 @@ impl VmRuntime {
                             Ok(Ok(())) => Control::Stop,
                             // Injected kill (error form): abrupt exit, the
                             // supervisor restarts from the checkpoint.
-                            Ok(Err(e)) if is_kill_err(&e) => Control::Fail,
+                            Ok(Err(e)) if e.class == ErrorClass::Killed => Control::Fail,
                             Ok(Err(e)) => {
                                 eprintln!("[vm] actor `{}` failed: {e}", actor.name);
                                 record_first(
                                     &err_slot,
-                                    VmError(format!("actor `{}`: {e}", actor.name)),
+                                    e.within(&format!("actor `{}`", actor.name)),
                                 );
                                 Control::Stop
                             }
@@ -360,7 +326,7 @@ impl VmRuntime {
                             Err(p) => {
                                 record_first(
                                     &err_slot,
-                                    VmError(format!(
+                                    VmError::new(format!(
                                         "actor `{}` panicked: {}",
                                         actor.name,
                                         panic_message(p.as_ref())
@@ -386,7 +352,7 @@ impl VmRuntime {
         if let Err(e) = sup.run() {
             record_first(
                 &first_error,
-                VmError(format!(
+                VmError::new(format!(
                     "restart budget exhausted: child `{}`: {}",
                     e.child, e.reason
                 )),
@@ -409,10 +375,14 @@ impl VmRuntime {
 }
 
 /// Record `e` into the run's first-error slot unless one is already there
-/// (the first failure is the one reported; later ones are cascade).
+/// (the first failure is the one reported; later ones are cascade). An
+/// error that *says* it is cascade — an actor woken by a failed peer's
+/// poison can reach here before the peer does — gives way to the cause.
 fn record_first(slot: &Arc<Mutex<Option<VmError>>>, e: VmError) {
     let mut guard = slot.lock();
-    if guard.is_none() {
+    let displaces =
+        |held: &VmError| held.class == ErrorClass::Cascade && e.class != ErrorClass::Cascade;
+    if guard.as_ref().is_none_or(displaces) {
         *guard = Some(e);
     }
 }
@@ -422,7 +392,7 @@ fn spawn(shared: &Arc<Shared>, idx: u16) -> Result<VmVal, VmError> {
         .module
         .actors
         .get(idx as usize)
-        .ok_or_else(|| VmError(format!("no actor #{idx}")))?
+        .ok_or_else(|| VmError::new(format!("no actor #{idx}")))?
         .clone();
     let trace = shared.profile.trace();
     if trace.is_enabled() {
@@ -521,175 +491,131 @@ fn parse_device(plan: &KernelPlan) -> DeviceSel {
     }
 }
 
-fn upload(
-    env: &OpenClEnvironment,
-    policy: &RecoveryPolicy,
-    flat: &FlatData,
-    profile: &ProfileSink,
-) -> Result<ResidentBufs, VmError> {
-    let mut bufs = Vec::with_capacity(flat.segs.len());
-    // The guard gives every charged byte back if any step fails — or if a
-    // kill-panic unwinds out of the write below. On success, ownership of
-    // the accounting passes to the returned `ResidentBufs`.
-    let mut guard = MemGuard::new(env.context.clone());
-    for seg in &flat.segs {
-        let buf = env
-            .context
-            .create_buffer(MemFlags::ReadWrite, seg.byte_len())
-            .map_err(|e| vm_cl_err("buffer allocation failed", e))?;
-        guard.add(buf.len());
-        let ev = with_retry(
-            policy,
-            &env.queue,
-            env.device.name(),
-            profile,
-            "upload",
-            || seg.upload(&env.queue, &buf),
-        )
-        .map_err(|e| vm_cl_err("upload failed", e))?;
-        profile.record_command(&ev, env.device.name());
-        bufs.push((buf, seg.ty()));
-    }
-    guard.disarm();
-    Ok(ResidentBufs {
-        bufs,
-        dims: flat.dims.clone(),
-        context: env.context.clone(),
-        queue: env.queue.clone(),
-    })
-}
-
-/// How a kernel actor's dispatch reaches the device, decided per request
-/// from the kernel's compile-time proofs and the VM's [`CoexecConfig`].
-enum DispatchMode<'a> {
-    /// Plain single-device enqueue (no proof, no policy, or too small).
-    Single,
-    /// Proof-gated co-execution: split the NDRange along `dim` (proven
-    /// `Splittable`) across this queue and a secondary device lane.
-    Coexec {
-        secondary: &'a OpenClEnvironment,
-        dim: usize,
-        kind: PolicyKind,
-        cfg: &'a CoexecConfig,
-    },
-    /// Append to an open batched-dispatch session of the kernel's proven
-    /// fusion chain (launch overhead charged once per batch).
-    Batched(&'a mut DispatchBatch),
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    env: &OpenClEnvironment,
-    policy: &RecoveryPolicy,
-    kernel: &Kernel,
-    bufs: &ResidentBufs,
-    ws: &[usize],
-    gs: &[usize],
-    scalars: &[VmVal],
-    profile: &ProfileSink,
-    mode: DispatchMode<'_>,
-) -> Result<(), VmError> {
-    let mut arg = 0usize;
-    for (b, _) in &bufs.bufs {
-        kernel
-            .set_arg_buffer(arg, b)
-            .map_err(|e| VmError(format!("set buffer arg: {e}")))?;
-        arg += 1;
-    }
-    for d in &bufs.dims {
-        kernel
-            .set_arg_i32(arg, *d)
-            .map_err(|e| VmError(format!("set dim arg: {e}")))?;
-        arg += 1;
-    }
-    for s in scalars {
-        kernel
-            .set_arg_i32(arg, s.as_i()? as i32)
-            .map_err(|e| VmError(format!("set scalar arg: {e}")))?;
-        arg += 1;
-    }
-    let nd = nd_from(ws, gs).map_err(|e| VmError(format!("bad worksizes: {e}")))?;
-    let name = env.device.name();
-    let ev = match mode {
-        DispatchMode::Single => with_retry(policy, &env.queue, name, profile, "dispatch", || {
-            env.queue.enqueue_nd_range(kernel, &nd)
-        }),
-        DispatchMode::Coexec {
-            secondary,
-            dim,
-            kind,
-            cfg,
-        } => {
-            let items: usize = ws.iter().product();
-            let groups = nd.global[dim] / nd.local[dim].max(1);
-            if items < cfg.min_items || groups < 2 {
-                // Under the minimum the secondary's transfer latency
-                // dominates any split: stay on one device.
-                with_retry(policy, &env.queue, name, profile, "dispatch", || {
-                    env.queue.enqueue_nd_range(kernel, &nd)
-                })
-            } else {
-                with_retry(policy, &env.queue, name, profile, "dispatch", || {
-                    // A fresh policy per attempt: retries must not see a
-                    // half-consumed chunk schedule.
-                    let mut p = kind.make(cfg);
-                    co_enqueue(&env.queue, &secondary.queue, kernel, &nd, dim, p.as_mut())
-                })
-            }
+/// The protocol-level description of `plan`'s kernel actor.
+fn kernel_spec(plan: &KernelPlan, profile: ProfileSink) -> KernelSpec {
+    // What a copy-channel request reads back: every field, or one field
+    // alone with its own slice of the flattened dims.
+    let ndims = |fields: &[DataField]| fields.iter().map(|f| f.ndims).sum::<usize>();
+    let (out_segs, out_dims) = match plan.out {
+        KernelOut::Whole => (
+            (0..plan.data_fields.len()).collect(),
+            (0..ndims(&plan.data_fields)).collect(),
+        ),
+        KernelOut::Field(fidx) => {
+            let offset = ndims(&plan.data_fields[..fidx]);
+            (
+                vec![fidx],
+                (offset..offset + plan.data_fields[fidx].ndims).collect(),
+            )
         }
-        DispatchMode::Batched(batch) => {
-            with_retry(policy, &env.queue, name, profile, "dispatch", || {
-                batch.enqueue_nd_range(kernel, &nd)
-            })
-        }
+    };
+    KernelSpec {
+        source: plan.source.clone(),
+        kernel_name: plan.kernel_name.clone(),
+        device: parse_device(plan),
+        out_segs,
+        out_dims,
+        profile,
+        // No failover on the `.ens` path: the protocol's failover walks
+        // the process-wide device matrix, and a serving session's private
+        // lanes must never migrate onto it. A permanent device error is a
+        // typed failure of the run.
+        recovery: RecoveryPolicy {
+            failover: false,
+            ..RecoveryPolicy::default()
+        },
     }
-    .map_err(|e| vm_cl_err("dispatch failed", e))?;
-    profile.record_command(&ev, env.device.name());
-    Ok(())
 }
 
 fn usize_array(v: &VmVal) -> Result<Vec<usize>, VmError> {
     let VmVal::Arr(a) = v else {
-        return Err(VmError("worksize is not an array".into()));
+        return Err(VmError::new("worksize is not an array"));
     };
     let guard = a.lock();
     match &*guard {
         crate::value::VmArr::I(vals) => Ok(vals.iter().map(|&x| x as usize).collect()),
-        other => Err(VmError(format!(
+        other => Err(VmError::new(format!(
             "worksize must be integer[], got {other:?}"
         ))),
     }
 }
 
+/// Compile-time partition/fusion proofs surface as instants so a trace
+/// shows, per dispatch, what a co-execution scheduler would be allowed to
+/// do with it (split across devices / batch with its chain neighbours).
+fn trace_proofs(host: &KernelHost, name: &str, plan: &KernelPlan) {
+    let trace = host.spec().profile.trace();
+    let Some(proofs) = plan.proofs.as_ref().filter(|_| trace.is_enabled()) else {
+        return;
+    };
+    let env = host.env();
+    let dims = proofs.split.splittable_dims();
+    if !dims.is_empty() {
+        let dims_csv = dims
+            .iter()
+            .map(usize::to_string)
+            .collect::<Vec<_>>()
+            .join(",");
+        trace.record(
+            TraceEvent::instant(
+                SpanKind::ProofSplittable,
+                &format!("{} dims={dims_csv}", plan.kernel_name),
+                env.device.name(),
+                env.queue.now_ns(),
+            )
+            .with_arg("actor", name)
+            .with_arg("dims", dims_csv),
+        );
+    }
+    if let Some(chain) = &proofs.chain {
+        trace.record(
+            TraceEvent::instant(
+                SpanKind::ProofFusable,
+                &plan.kernel_name,
+                env.device.name(),
+                env.queue.now_ns(),
+            )
+            .with_arg("actor", name)
+            .with_arg("host", chain.host.clone())
+            .with_arg("chain_len", chain.len as i64)
+            .with_arg("index", chain.index as i64),
+        );
+    }
+}
+
+/// The `.ens` front end of the kernel-actor protocol
+/// ([`ensemble_ocl::protocol`]): decodes `VmVal` settings and data,
+/// keeps `mov` values resident, honours the run deadline and decides the
+/// dispatch mode from the kernel's proofs; uploads, dispatches, recovery
+/// and read-backs are the protocol's.
 fn kernel_actor(
     shared: &Arc<Shared>,
     name: &str,
     plan: &KernelPlan,
     port_slots: Vec<VmVal>,
-    ckpt: &Arc<Mutex<VmCheckpoint>>,
+    ckpt: &Checkpoint<VmRequest, VmVal>,
 ) -> Result<(), VmError> {
     let VmVal::ChanIn(requests) = &port_slots[plan.requests_port] else {
-        return Err(VmError("kernel actor port is not an in channel".into()));
+        return Err(VmError::new("kernel actor port is not an in channel"));
     };
     // Rebuilt per incarnation: the program/kernel hold no request state,
     // so a restarted actor re-deriving them is free of the kill's effects.
     let resolver = Arc::clone(&*shared.env.lock());
-    let env = resolver
-        .resolve(parse_device(plan))
-        .map_err(|e| VmError(format!("device selection failed: {e}")))?;
-    let program = Program::build(&env.context, &plan.source)
-        .map_err(|e| VmError(format!("kernel build failed: {e}\n{}", plan.source)))?;
-    let kernel = program
-        .create_kernel(&plan.kernel_name)
-        .map_err(|e| VmError(format!("{e}")))?;
     let profile = shared.profile.clone();
-    let policy = RecoveryPolicy::default();
+    let mut host =
+        KernelHost::open(kernel_spec(plan, profile.clone()), &*resolver).map_err(|e| match e {
+            oclsim::ClError::BuildFailure { .. } => {
+                VmError::new(format!("kernel build failed: {e}\n{}", plan.source))
+            }
+            e => VmError::device("kernel build failed", &e),
+        })?;
+    let trace = profile.trace();
     // Mirror the queue's instant markers (co-execution splits, fused
     // batches, integrity checks) into this run's trace. Only instants:
     // the profile layer already records the command spans, so mirroring
     // the full queue trace would double-count every segment.
-    if profile.trace().is_enabled() {
-        env.queue.attach_instants(profile.trace().clone());
+    if trace.is_enabled() {
+        host.env().queue.attach_instants(trace.clone());
     }
 
     // The scheduler seam: decide once per incarnation how this actor's
@@ -699,22 +625,22 @@ fn kernel_actor(
     // device of the opposite type that actually resolves — anything
     // missing falls back to plain single-device dispatch.
     let coexec_cfg = shared.coexec.lock().clone();
-    let split_dim = if coexec_cfg.policy.is_some() && !plan.mov {
-        plan.proofs
-            .as_ref()
-            .and_then(|p| p.split.splittable_dims().into_iter().next())
-    } else {
-        None
-    };
-    let secondary = split_dim
-        .and_then(|_| {
-            let other = match env.device.device_type() {
+    let split = coexec_cfg
+        .policy
+        .filter(|_| !plan.mov)
+        .zip(
+            plan.proofs
+                .as_ref()
+                .and_then(|p| p.split.splittable_dims().into_iter().next()),
+        )
+        .and_then(|(kind, dim)| {
+            let other = match host.env().device.device_type() {
                 DeviceType::Gpu => DeviceType::Cpu,
                 _ => DeviceType::Gpu,
             };
-            resolver.resolve(DeviceSel::new(other, 0)).ok()
-        })
-        .filter(|s| s.device.id() != env.device.id());
+            let secondary = resolver.resolve(DeviceSel::new(other, 0)).ok()?;
+            (secondary.device.id() != host.env().device.id()).then_some((kind, dim, secondary))
+        });
     // Dispatch batching rides on the fusion proof: membership in a
     // proven chain means no host-side barrier separates this dispatch
     // from its neighbours, so consecutive launches may coalesce into one
@@ -724,7 +650,7 @@ fn kernel_actor(
         plan.proofs
             .as_ref()
             .and_then(|p| p.chain.as_ref())
-            .map(|c| (format!("{}@{}", c.host, env.device.id()), c.clone()))
+            .map(|c| (format!("{}@{}", c.host, host.env().device.id()), c.clone()))
     } else {
         None
     };
@@ -734,372 +660,218 @@ fn kernel_actor(
         // previous incarnation was killed before acknowledging it —
         // process it again instead of receiving (the channels already
         // delivered it once and will not again).
-        let parked = {
-            let mut c = ckpt.lock();
-            c.in_flight.as_mut().map(|item| {
-                let redelivered = item.attempted;
-                item.attempted = true;
-                (item.seq, item.settings.clone(), item.data.clone(), redelivered)
-            })
-        };
-        let (seq, settings, parked_data, redelivered) = match parked {
-            Some((seq, s, d, r)) => (seq, s, Some(d), r),
-            None => {
-                // 1. receive the settings struct (bounded by the run's
-                // deadline, if one is set — the serving path must never
-                // block indefinitely). Copy the deadline out first: the
-                // lock must not be held across the blocking receive (the
-                // interpreter reads it on every `RecvOp`).
-                let deadline = *shared.deadline.lock();
-                let settings = match requests.recv_deadline(deadline) {
-                    Ok(v) => v,
-                    Err(ChannelError::Poisoned) => {
-                        return Err(VmError(format!(
-                            "kernel actor `{name}`: requests channel poisoned by a failed peer"
-                        )))
-                    }
-                    Err(ChannelError::TimedOut) => {
-                        return Err(deadline_exceeded(&profile, name, "settings receive"))
-                    }
-                    Err(_) => return Ok(()),
-                };
-                (0, settings, None, false)
-            }
-        };
-        let VmVal::Struct(_, sfields) = &settings else {
-            return Err(VmError("settings must be an opencl struct value".into()));
-        };
-        let (ws, gs, input, output, scalars) = {
-            let f = sfields.lock();
-            let ws = usize_array(&f[0])?;
-            let gs = usize_array(&f[1])?;
-            let VmVal::ChanIn(input) = f[2].clone() else {
-                return Err(VmError("settings input is not an in channel".into()));
+        if !ckpt.has_in_flight() {
+            // 1. receive the settings struct, 2. receive the data — both
+            // bounded by the run's deadline, if one is set (the serving
+            // path must never block indefinitely). Copy the deadline out
+            // first: the lock must not be held across a blocking receive
+            // (the interpreter reads it on every `RecvOp`).
+            let deadline = *shared.deadline.lock();
+            let settings = match requests.recv_deadline(deadline) {
+                Ok(v) => v,
+                Err(ChannelError::Poisoned) => {
+                    return Err(VmError::cascade(&format!(
+                        "kernel actor `{name}`: requests channel"
+                    )))
+                }
+                Err(ChannelError::TimedOut) => {
+                    return Err(deadline_exceeded(&profile, name, "settings receive"))
+                }
+                Err(_) => return Ok(()),
             };
-            let VmVal::ChanOut(output) = f[3].clone() else {
-                return Err(VmError("settings output is not an out channel".into()));
+            let VmVal::Struct(_, sfields) = &settings else {
+                return Err(VmError::new("settings must be an opencl struct value"));
             };
-            (ws, gs, input, output, f[4..].to_vec())
-        };
-
-        // 2. receive the data (fresh items only). A poisoned input means
-        // the upstream stage died mid-pipeline: propagate the poison
-        // downstream so the whole pipeline tears down instead of
-        // deadlocking on a rendezvous. Once both values are in hand, park
-        // them: from here to the acknowledgement the checkpoint owns the
-        // request, and a kill anywhere in between leaves it intact for
-        // the next incarnation.
-        let data = match parked_data {
-            Some(d) => d,
-            None => {
-                let deadline = *shared.deadline.lock();
-                let data = match input.recv_deadline(deadline) {
-                    Ok(v) => v,
-                    Err(ChannelError::Poisoned) => {
-                        output.poison_receivers();
-                        return Err(VmError(format!(
-                            "kernel actor `{name}`: input channel poisoned by a failed peer"
-                        )));
-                    }
-                    // Poison downstream so the rest of the pipeline tears
-                    // down promptly instead of each stage waiting out its
-                    // own deadline in sequence.
-                    Err(ChannelError::TimedOut) => {
-                        output.poison_receivers();
-                        return Err(deadline_exceeded(&profile, name, "data receive"));
-                    }
-                    Err(_) => return Ok(()),
+            let (worksize, groupsize, input, output, scalars) = {
+                let f = sfields.lock();
+                let VmVal::ChanIn(input) = f[2].clone() else {
+                    return Err(VmError::new("settings input is not an in channel"));
                 };
-                let mut c = ckpt.lock();
-                let seq = c.next_seq;
-                c.next_seq += 1;
-                c.in_flight = Some(VmInFlight {
-                    seq,
-                    settings: settings.clone(),
-                    data: data.clone(),
-                    attempted: true,
-                });
-                data
-            }
-        };
-        let trace = profile.trace();
-        if redelivered && trace.is_enabled() {
-            trace.record(
-                TraceEvent::instant(
-                    SpanKind::CheckpointRestore,
-                    &plan.kernel_name,
-                    env.device.name(),
-                    env.queue.now_ns(),
+                let VmVal::ChanOut(output) = f[3].clone() else {
+                    return Err(VmError::new("settings output is not an out channel"));
+                };
+                let scalars = f[4..]
+                    .iter()
+                    .map(|s| s.as_i().map(|v| v as i32))
+                    .collect::<Result<Vec<i32>, _>>()?;
+                (
+                    usize_array(&f[0])?,
+                    usize_array(&f[1])?,
+                    input,
+                    output,
+                    scalars,
                 )
-                .with_arg("actor", name)
-                .with_arg("seq", seq),
+            };
+            // A poisoned input means the upstream stage died
+            // mid-pipeline: propagate the poison downstream so the whole
+            // pipeline tears down instead of deadlocking on a rendezvous.
+            let data = match input.recv_deadline(deadline) {
+                Ok(v) => v,
+                Err(ChannelError::Poisoned) => {
+                    output.poison_receivers();
+                    return Err(VmError::cascade(&format!(
+                        "kernel actor `{name}`: input channel"
+                    )));
+                }
+                // Poison downstream so the rest of the pipeline tears
+                // down promptly instead of each stage waiting out its
+                // own deadline in sequence.
+                Err(ChannelError::TimedOut) => {
+                    output.poison_receivers();
+                    return Err(deadline_exceeded(&profile, name, "data receive"));
+                }
+                Err(_) => return Ok(()),
+            };
+            ckpt.park(
+                VmRequest {
+                    worksize,
+                    groupsize,
+                    scalars,
+                    data,
+                },
+                output,
             );
         }
-        // The `invokenative` boundary: the actor leaves interpreted code
-        // and enters the native OpenCL host protocol for this request
-        // (once per attempt — a redelivery re-crosses it).
-        if trace.is_enabled() {
-            trace.record(
-                TraceEvent::instant(
-                    SpanKind::InvokeNative,
-                    &plan.kernel_name,
-                    env.device.name(),
-                    env.queue.now_ns(),
-                )
-                .with_arg("actor", name),
-            );
-        }
-        // Compile-time partition/fusion proofs surface as instants so a
-        // trace shows, per dispatch, what a co-execution scheduler would
-        // be allowed to do with it (split across devices / batch with
-        // its chain neighbours).
-        if trace.is_enabled() {
-            if let Some(proofs) = &plan.proofs {
-                let dims = proofs.split.splittable_dims();
-                if !dims.is_empty() {
-                    let dims_csv = dims
-                        .iter()
-                        .map(usize::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    trace.record(
-                        TraceEvent::instant(
-                            SpanKind::ProofSplittable,
-                            &format!("{} dims={dims_csv}", plan.kernel_name),
-                            env.device.name(),
-                            env.queue.now_ns(),
-                        )
-                        .with_arg("actor", name)
-                        .with_arg("dims", dims_csv),
-                    );
-                }
-                if let Some(chain) = &proofs.chain {
-                    trace.record(
-                        TraceEvent::instant(
-                            SpanKind::ProofFusable,
-                            &plan.kernel_name,
-                            env.device.name(),
-                            env.queue.now_ns(),
-                        )
-                        .with_arg("actor", name)
-                        .with_arg("host", chain.host.clone())
-                        .with_arg("chain_len", chain.len as i64)
-                        .with_arg("index", chain.index as i64),
-                    );
-                }
-            }
-        }
 
-        // 3. prepare buffers (§6.2.3 residency rules), 4. dispatch. Any
-        // device error that survives the retry layer poisons the output
-        // channel before this actor exits, so downstream receivers observe
-        // a typed failure instead of blocking forever.
-        let attempt: Result<VmVal, VmError> = (|| {
-            if plan.mov {
-                let VmVal::MovStruct(type_id, state) = &data else {
-                    return Err(VmError(
-                        "kernel data of a mov type must be a mov struct value".into(),
-                    ));
-                };
-                {
-                    let mut guard = state.lock();
-                    // Cross-context residency: read back first (the paper's
-                    // "different context" rule). When static analysis proved
-                    // every consumer of this data type lives on one device
-                    // (`residency_proven`), the comparison is skipped
-                    // entirely — the proof is the bookkeeping.
-                    let cross = if plan.residency_proven {
-                        if trace.is_enabled() && matches!(&*guard, MovState::Device { .. }) {
-                            trace.record(
-                                TraceEvent::instant(
-                                    SpanKind::ResidencyProven,
-                                    &plan.kernel_name,
-                                    env.device.name(),
-                                    env.queue.now_ns(),
-                                )
-                                .with_arg("actor", name),
-                            );
-                        }
-                        false
-                    } else {
-                        matches!(&*guard, MovState::Device { bufs, .. }
-                        if bufs.context.id() != env.context.id())
-                    };
-                    if cross {
-                        drop(guard);
-                        crate::value::force_host(state, Some(&profile))?;
-                        guard = state.lock();
-                    }
-                    if let MovState::Host(fields) = &*guard {
-                        let flat = flatten_fields(fields, &plan.data_fields)?;
-                        let bufs = upload(&env, &policy, &flat, &profile)?;
-                        *guard = MovState::Device {
-                            bufs,
-                            fields: plan.data_fields.clone(),
-                        };
-                    }
-                    let MovState::Device { bufs, .. } = &*guard else {
-                        unreachable!("uploaded above");
-                    };
-                    match &chain_key {
-                        Some((key, role)) => {
-                            let mut batches = shared.batches.lock();
-                            // A batch closes (recording its BatchFused
-                            // instant) at the cap, or when a fresh
-                            // traversal starts and the chain does not
-                            // loop — a looping chain's site 0 continues
-                            // the previous iteration's batch.
-                            let stale = batches.get(key).is_some_and(|b| {
-                                b.launches() as usize >= coexec_cfg.batch_cap
-                                    || (role.index == 0 && !role.loops)
-                            });
-                            if stale {
-                                batches.remove(key);
-                            }
-                            let batch = batches
-                                .entry(key.clone())
-                                .or_insert_with(|| env.queue.open_batch());
-                            dispatch(
-                                &env,
-                                &policy,
-                                &kernel,
-                                bufs,
-                                &ws,
-                                &gs,
-                                &scalars,
-                                &profile,
-                                DispatchMode::Batched(batch),
-                            )?;
-                        }
-                        None => dispatch(
-                            &env,
-                            &policy,
-                            &kernel,
-                            bufs,
-                            &ws,
-                            &gs,
-                            &scalars,
-                            &profile,
-                            DispatchMode::Single,
-                        )?,
-                    }
-                }
-                // The value is device-resident now: hand the accountant an
-                // eviction handle (after releasing the state lock — the
-                // hook may inspect residency, which uses `try_lock`).
-                if let Some(hook) = shared.resident_hook.lock().clone() {
-                    hook(EvictableMov::new(Arc::clone(state)));
-                }
-                Ok(VmVal::MovStruct(*type_id, Arc::clone(state)))
-            } else {
+        // 3. prepare buffers (§6.2.3 residency rules), 4. dispatch,
+        // 5. send onward and acknowledge.
+        let done = ckpt.drive(&mut host, name, |host, req| {
+            trace_proofs(host, name, plan);
+            let launch = Launch {
+                worksize: &req.worksize,
+                groupsize: &req.groupsize,
+                ints: &req.scalars,
+                floats: &[],
+            };
+            if !plan.mov {
                 // Plain channels: copy up, dispatch, copy the output back.
-                let field_vals: Vec<VmVal> = match (&plan.data_shape, &data) {
+                let field_vals: Vec<VmVal> = match (&plan.data_shape, &req.data) {
                     (DataShape::Struct { .. }, VmVal::Struct(_, fields)) => fields.lock().clone(),
                     (DataShape::Array { .. }, v @ VmVal::Arr(_)) => vec![v.clone()],
                     (shape, got) => {
-                        return Err(VmError(format!(
+                        return Err(VmError::new(format!(
                             "kernel data mismatch: expected {shape:?}, got {got:?}"
                         )))
                     }
                 };
                 let flat = flatten_fields(&field_vals, &plan.data_fields)?;
-                let bufs = upload(&env, &policy, &flat, &profile)?;
-                // The buffers do not outlive this request: the guard gives
-                // the accounting back on every exit — success, error, or a
-                // kill-panic unwinding out of the dispatch/read-back.
-                let mut release = MemGuard::new(env.context.clone());
-                release.add(bufs.bufs.iter().map(|(b, _)| b.len()).sum());
-                let mode = match (&secondary, split_dim) {
-                    (Some(sec), Some(dim)) => DispatchMode::Coexec {
-                        secondary: sec,
-                        dim,
-                        kind: coexec_cfg.policy.expect("split_dim implies policy"),
+                let mode = match &split {
+                    Some((kind, dim, secondary)) => DispatchMode::Coexec {
+                        secondary,
+                        dim: *dim,
+                        kind: *kind,
                         cfg: &coexec_cfg,
                     },
-                    _ => DispatchMode::Single,
+                    None => DispatchMode::Single,
                 };
-                dispatch(
-                    &env, &policy, &kernel, &bufs, &ws, &gs, &scalars, &profile, mode,
-                )?;
-                let result = match plan.out {
-                    KernelOut::Whole => {
-                        let mut segs = Vec::new();
-                        for (b, ty) in &bufs.bufs {
-                            let mut bytes = vec![0u8; b.len()];
-                            let ev = with_retry(
-                                &policy,
-                                &env.queue,
-                                env.device.name(),
-                                &profile,
-                                "readback",
-                                || env.queue.enqueue_read_buffer(b, &mut bytes),
-                            )
-                            .map_err(|e| vm_cl_err("read failed", e))?;
-                            profile.record_command(&ev, env.device.name());
-                            segs.push(FlatSeg::from_bytes(*ty, &bytes));
-                        }
-                        let flat = FlatData {
-                            segs,
-                            dims: bufs.dims.clone(),
-                        };
-                        let vals = unflatten_fields(&flat, &plan.data_fields)?;
-                        match (&plan.data_shape, &data) {
-                            (DataShape::Struct { type_id }, _) => {
-                                VmVal::Struct(*type_id, Arc::new(Mutex::new(vals)))
-                            }
-                            (DataShape::Array { .. }, _) => vals.into_iter().next().unwrap(),
-                        }
-                    }
-                    KernelOut::Field(fidx) => {
-                        let (b, ty) = &bufs.bufs[fidx];
-                        let mut bytes = vec![0u8; b.len()];
-                        let ev = with_retry(
-                            &policy,
-                            &env.queue,
-                            env.device.name(),
-                            &profile,
-                            "readback",
-                            || env.queue.enqueue_read_buffer(b, &mut bytes),
-                        )
-                        .map_err(|e| vm_cl_err("read failed", e))?;
-                        profile.record_command(&ev, env.device.name());
-                        let seg = FlatSeg::from_bytes(*ty, &bytes);
-                        // The field's dims within the overall dims vector.
-                        let offset: usize =
-                            plan.data_fields[..fidx].iter().map(|f| f.ndims).sum();
-                        let field = &plan.data_fields[fidx];
-                        let dims: Vec<usize> = bufs.dims[offset..offset + field.ndims]
-                            .iter()
-                            .map(|&d| d as usize)
-                            .collect();
-                        crate::value::build_array(&seg, &dims, field)?
-                    }
+                let out = host
+                    .request(&flat, &launch, mode)
+                    .map_err(|e| VmError::device("kernel request failed", &e))?;
+                let fields = match plan.out {
+                    KernelOut::Whole => &plan.data_fields[..],
+                    KernelOut::Field(fidx) => std::slice::from_ref(&plan.data_fields[fidx]),
                 };
-                Ok(result)
+                let mut vals = unflatten_fields(&out, fields)?;
+                return Ok(match (&plan.data_shape, &plan.out) {
+                    (DataShape::Struct { type_id }, KernelOut::Whole) => {
+                        VmVal::Struct(*type_id, Arc::new(Mutex::new(vals)))
+                    }
+                    _ => vals.swap_remove(0),
+                });
             }
-        })();
-        let result = match attempt {
-            Ok(v) => v,
+            let VmVal::MovStruct(type_id, state) = &req.data else {
+                return Err(VmError::new(
+                    "kernel data of a mov type must be a mov struct value",
+                ));
+            };
+            {
+                let mut guard = state.lock();
+                // Cross-context residency: read back first (the paper's
+                // "different context" rule). When static analysis proved
+                // every consumer of this data type lives on one device
+                // (`residency_proven`), the comparison is skipped
+                // entirely — the proof is the bookkeeping.
+                let cross = if plan.residency_proven {
+                    if trace.is_enabled() && matches!(&*guard, MovState::Device { .. }) {
+                        trace.record(
+                            TraceEvent::instant(
+                                SpanKind::ResidencyProven,
+                                &plan.kernel_name,
+                                host.env().device.name(),
+                                host.env().queue.now_ns(),
+                            )
+                            .with_arg("actor", name),
+                        );
+                    }
+                    false
+                } else {
+                    matches!(&*guard, MovState::Device { bufs, .. }
+                        if bufs.context_id() != host.env().context.id())
+                };
+                if cross {
+                    crate::value::bring_home(&mut guard, Some(&profile), "device")?;
+                }
+                if let MovState::Host(fields) = &*guard {
+                    let flat = flatten_fields(fields, &plan.data_fields)?;
+                    let bufs = host
+                        .upload(&flat)
+                        .map_err(|e| VmError::device("upload failed", &e))?;
+                    *guard = MovState::Device {
+                        bufs,
+                        fields: plan.data_fields.clone(),
+                    };
+                }
+                let MovState::Device { bufs, .. } = &mut *guard else {
+                    unreachable!("uploaded above");
+                };
+                let dispatched = match &chain_key {
+                    Some((key, role)) => {
+                        let mut batches = shared.batches.lock();
+                        // A batch closes (recording its BatchFused
+                        // instant) at the cap, or when a fresh
+                        // traversal starts and the chain does not
+                        // loop — a looping chain's site 0 continues
+                        // the previous iteration's batch.
+                        let stale = batches.get(key).is_some_and(|b| {
+                            b.launches() as usize >= coexec_cfg.batch_cap
+                                || (role.index == 0 && !role.loops)
+                        });
+                        if stale {
+                            batches.remove(key);
+                        }
+                        let batch = batches
+                            .entry(key.clone())
+                            .or_insert_with(|| host.env().queue.open_batch());
+                        host.dispatch(bufs, &launch, DispatchMode::Batched(batch))
+                    }
+                    None => host.dispatch(bufs, &launch, DispatchMode::Single),
+                };
+                dispatched.map_err(|e| VmError::device("dispatch failed", &e))?;
+            }
+            // The value is device-resident now: hand the accountant an
+            // eviction handle (after releasing the state lock — the
+            // hook may inspect residency, which uses `try_lock`).
+            if let Some(hook) = shared.resident_hook.lock().clone() {
+                hook(EvictableMov::new(Arc::clone(state)));
+            }
+            Ok(VmVal::MovStruct(*type_id, Arc::clone(state)))
+        });
+        match done {
+            Ok(true) => {}
+            Ok(false) => return Ok(()),
             // An injected kill: exit abruptly with the item still parked —
             // the supervisor restarts this actor and the next incarnation
             // redelivers. No poison: downstream just waits out the gap.
-            Err(e) if is_kill_err(&e) => return Err(e),
+            Err(e) if e.class == ErrorClass::Killed => return Err(e),
+            // Any other error that survived the retry layer poisons the
+            // output channel before this actor exits, so downstream
+            // receivers observe a typed failure instead of blocking
+            // forever.
             Err(e) => {
                 eprintln!("[vm/{name}] unrecoverable error: {e}; tearing down pipeline");
-                output.poison_receivers();
-                ckpt.lock().in_flight = None;
+                ckpt.abandon();
                 return Err(e);
             }
-        };
-
-        // 5. send onward, then acknowledge: the request is done, nothing
-        // to redeliver. (No oclsim call separates the send from the ack,
-        // so a kill cannot land between them — downstream never sees a
-        // duplicate.)
-        let sent = output.send_moved(result).is_ok();
-        ckpt.lock().in_flight = None;
-        if !sent {
-            return Ok(());
         }
     }
 }

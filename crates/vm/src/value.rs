@@ -13,34 +13,99 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// What kind of failure a [`VmError`] records. Carried as data so that
+/// wrapping an error with context can never lose it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorClass {
+    /// A genuine failure: the program, its data or a device is wrong.
+    Other,
+    /// A blocking receive gave up because the run's absolute deadline
+    /// passed. The serving layer maps these to `DeadlineExceeded`.
+    Deadline,
+    /// An injected kill ([`oclsim::ClError::is_kill`]): the actor exits
+    /// abruptly and its supervisor restarts it from the checkpoint.
+    Killed,
+    /// The actor found a channel poisoned by a failed peer: a consequence
+    /// of that peer's failure, never the cause. A run reports the cause.
+    Cascade,
+}
+
 /// A VM runtime error.
+///
+/// Three words, like the bare `String` it once was: every interpreter
+/// step returns a `Result<_, VmError>`, and a wider error widens them all.
 #[derive(Debug, Clone, PartialEq)]
-pub struct VmError(pub String);
+pub struct VmError {
+    /// Human-readable description.
+    pub message: Box<str>,
+    /// The failure's class.
+    pub class: ErrorClass,
+}
 
 impl std::fmt::Display for VmError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "vm error: {}", self.0)
+        write!(f, "vm error: {}", self.message)
     }
 }
 
 impl std::error::Error for VmError {}
 
-/// Error-class prefix marking a deadline miss, mirroring the supervisor's
-/// `[killed] ` convention: a [`VmError`] whose message starts with this
-/// prefix means a blocking receive gave up because the run's absolute
-/// deadline passed, not that the program is wrong. The serving layer maps
-/// such failures to its `DeadlineExceeded` outcome.
+/// Prefix of a deadline miss's message (its class is
+/// [`ErrorClass::Deadline`]; the prefix is only how it reads).
 pub const DEADLINE_MARK: &str = "[deadline] ";
 
 impl VmError {
+    /// An [`ErrorClass::Other`] error. Cold: the interpreter loop is full
+    /// of `ok_or_else(|| VmError::new(..))`, and building the message must
+    /// stay out of line there.
+    #[cold]
+    pub fn new(message: impl Into<String>) -> VmError {
+        VmError {
+            message: message.into().into(),
+            class: ErrorClass::Other,
+        }
+    }
+
     /// Build a deadline-miss error for the operation `what`.
     pub fn deadline(what: &str) -> VmError {
-        VmError(format!("{DEADLINE_MARK}{what}"))
+        VmError {
+            message: format!("{DEADLINE_MARK}{what}").into(),
+            class: ErrorClass::Deadline,
+        }
+    }
+
+    /// The actor met a channel `what` poisoned by a failed peer.
+    pub fn cascade(what: &str) -> VmError {
+        VmError {
+            message: format!("{what} poisoned by a failed peer").into(),
+            class: ErrorClass::Cascade,
+        }
+    }
+
+    /// A simulator error met while doing `what`, keeping the kill class.
+    pub fn device(what: &str, e: &oclsim::ClError) -> VmError {
+        VmError {
+            message: format!("{what}: {e}").into(),
+            class: if e.is_kill() {
+                ErrorClass::Killed
+            } else {
+                ErrorClass::Other
+            },
+        }
+    }
+
+    /// This error reported from `context` (e.g. the failing actor): same
+    /// class, message prefixed.
+    pub fn within(self, context: &str) -> VmError {
+        VmError {
+            message: format!("{context}: {self}").into(),
+            class: self.class,
+        }
     }
 
     /// True when this error records a deadline miss.
     pub fn is_deadline(&self) -> bool {
-        self.0.starts_with(DEADLINE_MARK)
+        self.class == ErrorClass::Deadline
     }
 }
 
@@ -140,7 +205,7 @@ impl VmVal {
         match self {
             VmVal::I(v) => Ok(*v as f64),
             VmVal::R(v) => Ok(*v),
-            other => Err(VmError(format!("expected a number, found {other:?}"))),
+            other => Err(VmError::new(format!("expected a number, found {other:?}"))),
         }
     }
 
@@ -150,7 +215,9 @@ impl VmVal {
             VmVal::I(v) => Ok(*v),
             VmVal::R(v) => Ok(*v as i64),
             VmVal::B(b) => Ok(*b as i64),
-            other => Err(VmError(format!("expected an integer, found {other:?}"))),
+            other => Err(VmError::new(format!(
+                "expected an integer, found {other:?}"
+            ))),
         }
     }
 
@@ -159,7 +226,7 @@ impl VmVal {
         match self {
             VmVal::B(b) => Ok(*b),
             VmVal::I(v) => Ok(*v != 0),
-            other => Err(VmError(format!("expected a boolean, found {other:?}"))),
+            other => Err(VmError::new(format!("expected a boolean, found {other:?}"))),
         }
     }
 
@@ -197,8 +264,7 @@ impl VmVal {
                 VmVal::Struct(*id, Arc::new(Mutex::new(copied)))
             }
             VmVal::MovStruct(id, state) => {
-                force_host(state, profile)?;
-                let inner = state.lock();
+                let inner = force_host_locked(state, profile)?;
                 let MovState::Host(fields) = &*inner else {
                     unreachable!("forced to host above");
                 };
@@ -215,6 +281,27 @@ impl VmVal {
     }
 }
 
+/// Bring a device-resident state home under its (held) lock: read the
+/// buffers back, rebuild the field values, and only then replace the
+/// state — dropping the buffers, which releases their device memory — so
+/// a failed read leaves the value as it was. Returns the bytes freed (0
+/// when already on the host); `what` names the read in its error.
+pub(crate) fn bring_home(
+    state: &mut MovState,
+    profile: Option<&ProfileSink>,
+    what: &str,
+) -> Result<usize, VmError> {
+    let MovState::Device { bufs, fields } = &*state else {
+        return Ok(0);
+    };
+    let bytes = bufs.device_bytes();
+    let flat = bufs
+        .read_back(profile)
+        .map_err(|e| VmError::new(format!("{what} read-back failed: {e}")))?;
+    *state = MovState::Host(unflatten_fields(&flat, fields)?);
+    Ok(bytes)
+}
+
 /// Force a `mov` struct's data back to the host (the §6.2.3 rule for host
 /// access), charging the transfer to `profile`.
 ///
@@ -226,23 +313,8 @@ pub fn force_host_locked<'m>(
     profile: Option<&ProfileSink>,
 ) -> Result<parking_lot::MutexGuard<'m, MovState>, VmError> {
     let mut guard = state.lock();
-    if let MovState::Device { .. } = &*guard {
-        let old = std::mem::replace(&mut *guard, MovState::Host(Vec::new()));
-        let MovState::Device { bufs, fields } = old else {
-            unreachable!("matched above");
-        };
-        let flat = bufs
-            .read_back(profile)
-            .map_err(|e| VmError(format!("device read-back failed: {e}")))?;
-        let vals = unflatten_fields(&flat, &fields)?;
-        *guard = MovState::Host(vals);
-    }
+    bring_home(&mut guard, profile, "device")?;
     Ok(guard)
-}
-
-/// [`force_host_locked`] for callers that do not need the guard.
-pub fn force_host(state: &Mutex<MovState>, profile: Option<&ProfileSink>) -> Result<(), VmError> {
-    force_host_locked(state, profile).map(|_| ())
 }
 
 /// A weak-ish handle to a `mov` struct's state that a device-memory
@@ -285,7 +357,7 @@ impl EvictableMov {
     pub fn device_id(&self) -> Option<usize> {
         match self.state.try_lock() {
             Some(guard) => match &*guard {
-                MovState::Device { bufs, .. } => Some(bufs.queue.device().id()),
+                MovState::Device { bufs, .. } => Some(bufs.device_id()),
                 MovState::Host(_) => None,
             },
             None => None,
@@ -311,20 +383,8 @@ impl EvictableMov {
         let Some(mut guard) = self.state.try_lock() else {
             return Ok(None);
         };
-        if !matches!(&*guard, MovState::Device { .. }) {
-            return Ok(None);
-        }
-        let old = std::mem::replace(&mut *guard, MovState::Host(Vec::new()));
-        let MovState::Device { bufs, fields } = old else {
-            unreachable!("matched above");
-        };
-        let bytes = bufs.device_bytes();
-        let flat = bufs
-            .read_back(None)
-            .map_err(|e| VmError(format!("eviction read-back failed: {e}")))?;
-        let vals = unflatten_fields(&flat, &fields)?;
-        *guard = MovState::Host(vals);
-        Ok(Some(bytes))
+        let bytes = bring_home(&mut guard, None, "eviction")?;
+        Ok(Some(bytes).filter(|&b| b > 0))
     }
 }
 
@@ -355,7 +415,7 @@ fn flatten_array(val: &VmVal, field: &DataField) -> Result<(FlatSeg, Vec<i32>), 
         i32s: &mut Vec<i32>,
     ) -> Result<(), VmError> {
         let VmVal::Arr(a) = v else {
-            return Err(VmError(format!(
+            return Err(VmError::new(format!(
                 "field `{}` is not an array at depth {depth}",
                 field.name
             )));
@@ -364,7 +424,7 @@ fn flatten_array(val: &VmVal, field: &DataField) -> Result<(FlatSeg, Vec<i32>), 
         if dims.len() <= depth {
             dims.push(inner.len() as i32);
         } else if dims[depth] != inner.len() as i32 {
-            return Err(VmError(format!(
+            return Err(VmError::new(format!(
                 "field `{}` is ragged at depth {depth}",
                 field.name
             )));
@@ -382,7 +442,7 @@ fn flatten_array(val: &VmVal, field: &DataField) -> Result<(FlatSeg, Vec<i32>), 
         Ok(())
     }
     if dims.len() != field.ndims {
-        return Err(VmError(format!(
+        return Err(VmError::new(format!(
             "field `{}` has {} dims, declared {}",
             field.name,
             dims.len(),
@@ -439,14 +499,17 @@ pub fn build_array(seg: &FlatSeg, dims: &[usize], field: &DataField) -> Result<V
     }
     let total: usize = dims.iter().product();
     if seg.len() != total {
-        return Err(VmError(format!(
+        return Err(VmError::new(format!(
             "field `{}`: segment of {} elements does not match dims {dims:?}",
             field.name,
             seg.len()
         )));
     }
     if dims.is_empty() {
-        return Err(VmError(format!("field `{}` has no dimensions", field.name)));
+        return Err(VmError::new(format!(
+            "field `{}` has no dimensions",
+            field.name
+        )));
     }
     Ok(build(seg, dims, 0, field.elem))
 }
@@ -461,6 +524,49 @@ mod tests {
             elem,
             ndims,
         }
+    }
+
+    #[test]
+    fn the_error_class_costs_the_interpreter_nothing() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<VmError>(), size_of::<String>());
+        assert_eq!(
+            size_of::<Result<f64, VmError>>(),
+            size_of::<Result<f64, String>>()
+        );
+        assert_eq!(
+            size_of::<Result<VmVal, VmError>>(),
+            size_of::<Result<VmVal, String>>()
+        );
+    }
+
+    #[test]
+    fn wrapping_keeps_the_class_and_reads_as_before() {
+        let e = VmError::deadline("receive passed the run deadline").within("actor `A`");
+        assert!(e.is_deadline());
+        assert_eq!(
+            e.to_string(),
+            "vm error: actor `A`: vm error: [deadline] receive passed the run deadline"
+        );
+        let killed = oclsim::ClError::ActorKilled {
+            device: "GPU".into(),
+        };
+        assert_eq!(
+            VmError::device("dispatch failed", &killed).class,
+            ErrorClass::Killed
+        );
+        let lost = oclsim::ClError::DeviceLost {
+            device: "GPU".into(),
+        };
+        assert_eq!(
+            VmError::device("dispatch failed", &lost).class,
+            ErrorClass::Other
+        );
+        assert_eq!(
+            VmError::cascade("receive on a channel").class,
+            ErrorClass::Cascade
+        );
+        assert!(!VmError::new("plain").is_deadline());
     }
 
     #[test]
