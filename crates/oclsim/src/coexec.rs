@@ -30,6 +30,7 @@
 use crate::device::Device;
 use crate::error::ClResult;
 use crate::event::Event;
+use crate::minicl::interp::num_groups;
 use crate::ndrange::NdRange;
 use crate::program::Kernel;
 use crate::queue::CommandQueue;
@@ -427,11 +428,7 @@ pub fn co_enqueue(
             groups: 0,
         },
     ];
-    let num_groups = [
-        nd.global[0] / nd.local[0].max(1),
-        nd.global[1] / nd.local[1].max(1),
-        nd.global[2] / nd.local[2].max(1),
-    ];
+    let num_groups = num_groups(nd.global, nd.local);
 
     // Deterministic micro-profile: run the first group-slice along `dim`
     // on the primary (its results are needed regardless) and observe the
@@ -450,6 +447,7 @@ pub fn co_enqueue(
     };
     let shares = model_shares(&devs[0], &devs[1], items_per_group, probe_ops);
     let mut total_items = probe.items;
+    let mut strip = probe.strip;
     let mut engine = Some(probe_engine);
     // One unit along the split dimension is one *slice* — every group
     // whose `dim`-coordinate matches. The probe ran slice 0, so its
@@ -642,6 +640,7 @@ pub fn co_enqueue(
         lanes[lane].group_ops.extend(stats.group_ops);
         lanes[lane].groups += take;
         total_items += stats.items;
+        strip.absorb(&stats.strip);
         if lane == 1 {
             hi -= take;
         } else {
@@ -690,6 +689,7 @@ pub fn co_enqueue(
         ops,
         makespan,
         engine,
+        strip,
     )?;
     primary.record_instant(
         SpanKind::CoexecSplit,

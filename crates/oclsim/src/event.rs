@@ -5,7 +5,9 @@
 //! [`crate::timing`]); they are deterministic and machine-independent, which
 //! is what lets the figure harness reproduce the paper's stacked bars.
 
+use crate::minicl::native::StripStats;
 use std::sync::Arc;
+use trace::TraceEvent;
 
 /// What kind of command an event describes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,6 +33,7 @@ struct EventInner {
     items: u64,
     ops: u64,
     engine: Option<&'static str>,
+    strip: StripStats,
 }
 
 /// A completed command. The simulator executes commands eagerly, so events
@@ -60,12 +63,15 @@ impl Event {
                 items,
                 ops: 0,
                 engine: None,
+                strip: StripStats::default(),
             }),
         }
     }
 
     /// A kernel-launch event carrying execution statistics: retired
-    /// abstract ops and the engine that ran the dispatch.
+    /// abstract ops, the engine that ran the dispatch and, for the native
+    /// engine, its strip-mode tallies.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new_kernel(
         name: String,
         queued_ns: f64,
@@ -74,6 +80,7 @@ impl Event {
         items: u64,
         ops: u64,
         engine: &'static str,
+        strip: StripStats,
     ) -> Event {
         Event {
             inner: Arc::new(EventInner {
@@ -86,6 +93,7 @@ impl Event {
                 items,
                 ops,
                 engine: Some(engine),
+                strip,
             }),
         }
     }
@@ -140,6 +148,23 @@ impl Event {
     /// `"register"` / `"native"`), or `None` for non-kernel commands.
     pub fn engine(&self) -> Option<&'static str> {
         self.inner.engine
+    }
+
+    /// Add to a kernel span why the dispatch ran the way it did on the
+    /// native engine: how many items ran in strips, how many strips
+    /// unzipped, and the rule that kept a barrier-free dispatch scalar.
+    /// Adds nothing for other commands and engines.
+    pub(crate) fn with_strip_args(&self, mut te: TraceEvent) -> TraceEvent {
+        let strip = &self.inner.strip;
+        if strip.items > 0 {
+            te = te
+                .with_arg("strip_items", strip.items)
+                .with_arg("strip_unzips", strip.unzips);
+        }
+        if let Some(why) = strip.scalar_why {
+            te = te.with_arg("scalar_why", why);
+        }
+        te
     }
 
     /// Block until the command completes. Commands execute eagerly in the

@@ -78,6 +78,14 @@ pub struct NdStats {
     pub group_ops: Vec<u64>,
     /// Number of work-items executed.
     pub items: u64,
+    /// The native engine's strip-mode tallies; untouched by the others.
+    pub strip: super::native::StripStats,
+}
+
+/// Work-groups per dimension of an ND-range — the one place the division
+/// is written (a zero local size divides as one).
+pub fn num_groups(global: [usize; 3], local: [usize; 3]) -> [usize; 3] {
+    std::array::from_fn(|d| global[d] / local[d].max(1))
 }
 
 /// Abort threshold: a single work-item retiring this many ops is assumed to
@@ -129,12 +137,7 @@ pub fn run_ndrange(
     global: [usize; 3],
     local: [usize; 3],
 ) -> Result<NdStats, Trap> {
-    let num_groups = [
-        global[0] / local[0].max(1),
-        global[1] / local[1].max(1),
-        global[2] / local[2].max(1),
-    ];
-    let window = [0..num_groups[0], 0..num_groups[1], 0..num_groups[2]];
+    let window = num_groups(global, local).map(|n| 0..n);
     run_ndrange_window(unit, kernel, args, pool, global, local, window)
 }
 
@@ -152,11 +155,7 @@ pub fn run_ndrange_window(
     local: [usize; 3],
     window: [std::ops::Range<usize>; 3],
 ) -> Result<NdStats, Trap> {
-    let num_groups = [
-        global[0] / local[0].max(1),
-        global[1] / local[1].max(1),
-        global[2] / local[2].max(1),
-    ];
+    let num_groups = num_groups(global, local);
     let region_bytes = local_region_sizes(kernel, args)?;
 
     let mut stats = NdStats::default();

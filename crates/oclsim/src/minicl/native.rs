@@ -33,26 +33,86 @@
 //!   multiply-add, store + increment, …) collapse into one handler, and
 //!   the code is compacted — fused slots disappear and jump targets are
 //!   remapped — roughly halving dispatches on the benchmark hot loops.
-//! * **Work-group specialisation.** Barrier-free kernels run each
-//!   work-item straight through one reused register arena (pocl's
-//!   work-group function transformation, specialised to the no-barrier
-//!   case): per-item set-up is one `memcpy` of the locals/stack region and
-//!   a `fill(0)` of private memory. Kernels with barriers run the same
-//!   lockstep sweep as the register engine, resuming each item at its
-//!   saved instruction pointer.
+//! * **Pointer copy propagation.** A register whose only write is a
+//!   `Mov` from the constant pool on the straight-line path from the entry
+//!   (how the stack compiler binds a private array) is dereferenced
+//!   through the constant instead, so those accesses become sites too.
+//! * **Work-group specialisation.** The execution state is split in two:
+//!   `NCtx`, built once per dispatch (buffers, sites, sizes, group id),
+//!   and `NItem`, the per-work-item rest (register file, private memory,
+//!   ids, op counter, resume point). Barrier-free kernels run their items
+//!   through a few reused `NItem` arenas (pocl's work-group function
+//!   transformation, specialised to the no-barrier case): per-item set-up
+//!   is one `memcpy` of the locals/stack region and a `fill(0)` of private
+//!   memory. Kernels with barriers run the same lockstep sweep as the
+//!   register engine over one `NItem` per item of the group, resuming each
+//!   at its saved instruction pointer.
+//! * **Strip mode.** On an eligible barrier-free dispatch, up to `STRIP`
+//!   (16) consecutive dim-0 work-items of a group — fewer when
+//!   `local_size[0]` is smaller or leaves a remainder — advance together:
+//!   one indirect call runs the *scalar* handler body on each lane's own
+//!   `NItem` in item order, for as long as every lane returns the same
+//!   successor. This is pocl's work-item loop inside an interpreter: the
+//!   indirect call, operand decode and charge test are paid once per 16
+//!   items, and the lanes' independent dependency chains overlap. Every
+//!   handler's strip twin is the one generic wrapper `strip`
+//!   monomorphised on it (the `hp!` macro pairs them where the lowering
+//!   picks a handler); there is no second handler set.
+//!
+//!   *Unzip.* The first lane that returns a different successor, or traps
+//!   (bounds, division by zero, op budget), stops the strip: the lanes
+//!   below it have executed the instruction and agree on where to go, it
+//!   has executed it with its own outcome, the lanes above have not
+//!   executed it. The strip then splits around that lane, in item order:
+//!   the lower lanes continue as a strip of their own, the stopping lane
+//!   finishes on the scalar loop, the upper lanes continue as a strip.
+//!   Strips only ever split — nothing re-converges and nothing is masked
+//!   — down to single lanes on the scalar loop, and each part runs to
+//!   completion before the next starts.
+//!
+//!   *Eligibility.* The engine alone decides, with no option to set.
+//!   Statically (`compile_native`): no barrier, no `__local` region, no
+//!   dynamic-pointer load/store, and no store to non-private memory on a
+//!   control-flow cycle. Per dispatch (one pass over the resolved sites):
+//!   no buffer slot is both loaded and stored, and each stored slot is
+//!   reached through exactly one store instruction. Anything else — LUD's
+//!   in-place `Col`/`Sub`, aliased arguments — stays on the scalar path,
+//!   and the kernel span's `scalar_why` names the rule.
+//!
+//!   *Why that is sound.* The reference semantics is the sequential sweep:
+//!   item 0 to completion, then item 1, … A strip interleaves items at
+//!   instruction granularity, so it must leave the same bytes, the same
+//!   per-item op counts and the same first trap. (1) No lane can observe
+//!   another's write: registers and private memory are per lane, there is
+//!   no local memory, and no slot that is stored is ever loaded — so every
+//!   lane computes exactly what it would alone, including its op count
+//!   and whether and where it traps. (2) The final bytes agree: a stored
+//!   slot has one store instruction, off every cycle, so each item
+//!   executes it at most once; within a dispatch of that instruction the
+//!   lanes store in item order, a split finishes lower lanes before
+//!   higher ones, and strips run one after another — so all stores to a
+//!   slot land in item order, and the last writer of every byte is the
+//!   one the sequential sweep has. (3) The first trap agrees: a trapping
+//!   lane only *stops* the strip; every lower lane then runs to
+//!   completion, and may report its own trap, before the stopping lane's
+//!   trap is taken. After a trap the buffers hold partial results, as on
+//!   every engine — with strips these may include stores of items above
+//!   the trapping one, which nothing observes (the dispatch failed).
 //!
 //! The engine is observationally identical to the stack and register
 //! engines: byte-identical buffers, identical `group_ops` (the `Ops`
-//! block-entry charges are kept as-is, fused but never re-associated),
-//! and identical trap messages/global-ids in the same order. The
-//! differential triangle in `tests/engine_diff.rs` pins all three engines
-//! together on every generated app kernel and the proptest corpus.
+//! block-entry charges are kept as-is, fused but never re-associated,
+//! and applied per lane by the unchanged handler bodies), and identical
+//! trap messages/global-ids in the same order. The differential triangle
+//! in `tests/engine_diff.rs` pins all three engines together on every
+//! generated app kernel and the proptest corpus, including kernels built
+//! to conflict across items.
 
-use super::ast::Space;
+use super::ast::{Space, Type};
 use super::bytecode::{Builtin, Cmp, ElemTy, KernelInfo};
 use super::interp::{
-    checked_offset, local_region_sizes, locals_template, oob, MemPool, NdStats, PtrV, RtArg, Trap,
-    Val, MAX_ITEM_OPS,
+    checked_offset, local_region_sizes, locals_template, num_groups, oob, MemPool, NdStats, PtrV,
+    RtArg, Trap, Val, MAX_ITEM_OPS,
 };
 use super::regir::{read_reg, write_reg, RFunc, ROp, RVal, RegProgram};
 use std::collections::HashMap;
@@ -61,15 +121,28 @@ use std::collections::HashMap;
 // Instruction format
 // ---------------------------------------------------------------------------
 
-/// Handler function: executes one (possibly fused) instruction and returns
-/// the next instruction index, or a halt sentinel (`>= IP_HALT_MIN`).
-type H = for<'a, 'b, 'c> fn(&'a mut NState<'b>, &'c NInstr, u32) -> u32;
+/// Handler function: executes one (possibly fused) instruction for one
+/// work-item and returns the next instruction index, or a halt sentinel
+/// (`>= IP_HALT_MIN`).
+type H = for<'a> fn(&mut NItem, &mut NCtx<'a>, &NInstr, u32) -> u32;
+
+/// Strip twin of a handler: the same body applied to every lane of a
+/// strip under one dispatch (see [`strip`]).
+type SH = for<'a> fn(&mut [NItem], &mut NCtx<'a>, &NInstr, u32) -> u32;
+
+/// A scalar handler paired with its strip twin; built only by [`hp!`].
+type HP = (H, SH);
 
 /// Halt sentinels returned in place of a next-instruction index.
 const IP_DONE: u32 = u32::MAX;
 const IP_BARRIER: u32 = u32::MAX - 1;
 const IP_TRAP: u32 = u32::MAX - 2;
-const IP_HALT_MIN: u32 = IP_TRAP;
+/// Strip mode only: the lanes stopped agreeing (see [`Unzip`]).
+const IP_UNZIP: u32 = u32::MAX - 3;
+const IP_HALT_MIN: u32 = IP_UNZIP;
+
+/// Work-items that advance together under one handler dispatch.
+const STRIP: usize = 16;
 
 /// One pre-decoded native instruction: a handler pointer plus flat operand
 /// fields. Register fields (`a`..`g`) are *absolute* indices into the
@@ -81,6 +154,7 @@ const IP_HALT_MIN: u32 = IP_TRAP;
 #[derive(Clone, Copy)]
 struct NInstr {
     f: H,
+    sf: SH,
     imm: u64,
     t: u32,
     a: u16,
@@ -127,24 +201,47 @@ enum SiteKind {
     BadLocal,
 }
 
-/// Per-item execution state handed to every handler.
-struct NState<'a> {
-    regs: &'a mut [RVal],
-    priv_mem: &'a mut [u8],
-    bufs: &'a mut [Vec<u8>],
-    read_only: &'a [bool],
-    local_regions: &'a mut [Vec<u8>],
-    sites: &'a [Site],
+/// Per-work-item half of the execution state: what differs between the
+/// items of a group. The lockstep path keeps one per item of the group,
+/// strip mode one per lane, the scalar path reuses a single one.
+struct NItem {
+    regs: Vec<RVal>,
+    priv_mem: Vec<u8>,
+    /// Where to resume after a barrier.
+    ip: u32,
     gid: [usize; 3],
     lid: [usize; 3],
+    ops: u64,
+    done: bool,
+    trap: Option<Trap>,
+}
+
+/// Dispatch-wide half of the execution state, built once per ND-range;
+/// only `group_id` (and the contents of `local_regions`) change between
+/// groups.
+struct NCtx<'a> {
+    bufs: &'a mut [Vec<u8>],
+    read_only: &'a [bool],
+    local_regions: Vec<Vec<u8>>,
+    sites: Vec<Site>,
     group_id: [usize; 3],
     global_size: [usize; 3],
     local_size: [usize; 3],
     num_groups: [usize; 3],
-    ops: u64,
-    /// Instruction index to resume at after a barrier.
-    resume: u32,
-    trap: Option<Trap>,
+    /// Set by [`strip`] when it returns [`IP_UNZIP`].
+    unzip: Unzip,
+}
+
+/// Where and how a strip stopped advancing together, at instruction `at`:
+/// lanes below `lane` executed it and all continue at `below_ip`; `lane`
+/// executed it and got `lane_next` (another successor, or a trap); lanes
+/// above it have not executed it.
+#[derive(Clone, Copy, Default)]
+struct Unzip {
+    at: u32,
+    lane: usize,
+    below_ip: u32,
+    lane_next: u32,
 }
 
 /// A kernel lowered to the native engine, ready to dispatch any number of
@@ -197,9 +294,74 @@ pub struct NativeProgram {
     /// the main constant pool followed by every window's zeroed locals and
     /// constant pool.
     template_static: Vec<RVal>,
-    /// Pointer register feeding each pre-resolved memory [`Site`]; decoded
-    /// per dispatch from the template.
-    site_specs: Vec<u16>,
+    /// One entry per pre-resolved memory [`Site`]: the pointer register it
+    /// is decoded from (per dispatch, from the template) and which
+    /// instructions go through it.
+    site_uses: Vec<SiteUse>,
+    /// Static half of the strip-mode eligibility rule: why a barrier-free
+    /// dispatch of this kernel can never run in strips, if it cannot.
+    strip_reject: Option<StripReject>,
+}
+
+/// How the code uses one memory site.
+#[derive(Debug, Clone, Copy)]
+struct SiteUse {
+    ptr: u16,
+    loaded: bool,
+    /// Store *instructions* through the site (a fused store counts once).
+    stores: u32,
+}
+
+/// The rule that kept a barrier-free dispatch on the scalar path (see the
+/// module documentation for why each one is needed).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StripReject {
+    /// The code contains a barrier instruction.
+    Barrier,
+    /// The kernel has a `__local` parameter or declaration.
+    LocalMemory,
+    /// A load or store goes through a pointer register that is written.
+    DynamicPointer,
+    /// A store to non-private memory sits on a control-flow cycle.
+    StoreInLoop,
+    /// This binding loads and stores the same buffer slot.
+    LoadStore(u32),
+    /// This binding reaches one buffer slot through two store instructions.
+    TwoStores(u32),
+}
+
+impl std::fmt::Display for StripReject {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StripReject::Barrier => f.write_str("barrier"),
+            StripReject::LocalMemory => f.write_str("local memory"),
+            StripReject::DynamicPointer => f.write_str("dynamic pointer"),
+            StripReject::StoreInLoop => f.write_str("store in loop"),
+            StripReject::LoadStore(slot) => write!(f, "load+store slot {slot}"),
+            StripReject::TwoStores(slot) => write!(f, "two store sites slot {slot}"),
+        }
+    }
+}
+
+/// Strip-mode tallies of a dispatch (all zero on the other engines).
+#[derive(Debug, Clone, Default)]
+pub struct StripStats {
+    /// Work-items that started in a strip of two or more lanes.
+    pub items: u64,
+    /// Times the lanes of a strip stopped agreeing and it split.
+    pub unzips: u64,
+    /// For a barrier-free dispatch that stayed scalar: the rule that
+    /// rejected it.
+    pub scalar_why: Option<StripReject>,
+}
+
+impl StripStats {
+    /// Fold in the tallies of another window of the same dispatch.
+    pub fn absorb(&mut self, other: &StripStats) {
+        self.items += other.items;
+        self.unzips += other.unzips;
+        self.scalar_why = self.scalar_why.or(other.scalar_why);
+    }
 }
 
 impl NativeProgram {
@@ -222,20 +384,29 @@ impl NativeProgram {
 
 // SAFETY argument for the unchecked register accesses in the handlers:
 // `compile_native` checks every register field of every emitted instruction
-// against `total_regs`, and both dispatch paths hand each handler a `regs`
-// slice of exactly `total_regs` elements. Instruction fetch is unchecked
-// too: every jump target is checked against the code length at lowering
-// time, and a fall-through `ip + 1` successor is checked to exist for
-// every non-terminal instruction.
+// against `total_regs`, and every dispatch path (scalar, lockstep, strip)
+// hands each handler items whose `regs` hold exactly `total_regs` elements.
+// Instruction fetch is unchecked too: every jump target is checked against
+// the code length at lowering time, and a fall-through `ip + 1` successor
+// is checked to exist for every non-terminal instruction. Debug builds
+// (the default test profile) re-check each of these on every access.
 macro_rules! rg {
-    ($st:expr, $r:expr) => {
+    ($st:expr, $r:expr) => {{
+        debug_assert!(
+            ($r as usize) < $st.regs.len(),
+            "register operand out of range"
+        );
         // SAFETY: see the module invariant above.
         unsafe { *$st.regs.get_unchecked($r as usize) }
-    };
+    }};
 }
 macro_rules! sw {
     ($st:expr, $r:expr, $v:expr) => {{
         let v = $v;
+        debug_assert!(
+            ($r as usize) < $st.regs.len(),
+            "register operand out of range"
+        );
         // SAFETY: see the module invariant above.
         unsafe { *$st.regs.get_unchecked_mut($r as usize) = v };
     }};
@@ -270,7 +441,7 @@ macro_rules! chgi {
 
 #[cold]
 #[inline(never)]
-fn trap(st: &mut NState, message: String) -> u32 {
+fn trap(st: &mut NItem, message: String) -> u32 {
     st.trap = Some(Trap {
         message,
         global_id: st.gid,
@@ -280,90 +451,127 @@ fn trap(st: &mut NState, message: String) -> u32 {
 
 #[cold]
 #[inline(never)]
-fn trap_budget(st: &mut NState) -> u32 {
+fn trap_budget(st: &mut NItem) -> u32 {
     trap(
         st,
         "work-item exceeded the op budget (infinite loop?)".to_string(),
     )
 }
 
+/// The invariant `load_site` / `store_site` index on, for debug builds.
+fn slot_in_range(cx: &NCtx, s: &Site) -> bool {
+    match s.kind {
+        SiteKind::Global => (s.slot as usize) < cx.bufs.len(),
+        SiteKind::Local => (s.slot as usize) < cx.local_regions.len(),
+        _ => true,
+    }
+}
+
+/// Fetch a pre-resolved site.
+#[inline(always)]
+fn site_at(sites: &[Site], site: usize) -> &Site {
+    debug_assert!(site < sites.len(), "site index out of range");
+    // SAFETY: site indices are assigned densely at lowering time and the
+    // dispatch builds `sites` with exactly that many entries; the
+    // collection does not change during a dispatch.
+    unsafe { sites.get_unchecked(site) }
+}
+
+#[cold]
+#[inline(never)]
+fn trap_bad_site(st: &mut NItem, s: &Site) -> u32 {
+    let what = if s.kind == SiteKind::BadGlobal {
+        "buffer slot"
+    } else {
+        "local region"
+    };
+    trap(st, format!("pointer to unknown {what} {}", s.slot))
+}
+
+/// Byte offset of element `idx` (of `size` bytes) from `base`, or the
+/// trap [`checked_offset`] reports — kept out of line so the handlers'
+/// hot path carries no message formatting.
+#[inline(always)]
+fn site_offset(st: &mut NItem, base: u32, idx: i64, size: usize) -> Result<usize, u32> {
+    #[cold]
+    #[inline(never)]
+    fn bad_index(st: &mut NItem, base: u32, idx: i64, size: usize) -> u32 {
+        st.trap = checked_offset(st.gid, base, idx, size).err();
+        debug_assert!(st.trap.is_some());
+        IP_TRAP
+    }
+    match usize::try_from(idx)
+        .ok()
+        .and_then(|i| i.checked_mul(size))
+        .and_then(|b| b.checked_add(base as usize))
+    {
+        Some(byte) => Ok(byte),
+        None => Err(bad_index(st, base, idx, size)),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn trap_oob(st: &mut NItem, byte: usize, size: usize, len: usize) -> u32 {
+    st.trap = Some(oob(st.gid, byte, size, len));
+    IP_TRAP
+}
+
 /// Load through a pre-resolved site. Trap order mirrors the register
 /// engine's `load`: `checked_offset` first, then the unknown-slot cases,
 /// then the bounds check against the region.
 #[inline(always)]
-fn load_site(st: &mut NState, site: usize, idx: i64, ty: ElemTy) -> Result<RVal, u32> {
-    // SAFETY: site indices are assigned densely at lowering time and the
-    // dispatch builds `sites` with exactly that many entries; `Global` /
-    // `Local` sites are only resolved when the slot was in range (see
-    // `resolve_site`), and neither collection changes during a dispatch.
-    let s = unsafe { *st.sites.get_unchecked(site) };
+fn load_site(st: &mut NItem, cx: &NCtx, site: usize, idx: i64, ty: ElemTy) -> Result<RVal, u32> {
+    let s = site_at(&cx.sites, site);
     let size = ty.byte_size();
-    let byte = match checked_offset(st.gid, s.base, idx, size) {
-        Ok(b) => b,
-        Err(t) => {
-            st.trap = Some(t);
-            return Err(IP_TRAP);
-        }
-    };
-    let bytes: &[u8] = match s.kind {
-        // SAFETY: see above — slot range was proven at site resolution.
-        SiteKind::Global => unsafe { st.bufs.get_unchecked(s.slot as usize) },
-        SiteKind::Local => unsafe { st.local_regions.get_unchecked(s.slot as usize) },
-        SiteKind::Priv => st.priv_mem,
-        SiteKind::BadGlobal => {
-            return Err(trap(
-                st,
-                format!("pointer to unknown buffer slot {}", s.slot),
-            ))
-        }
-        SiteKind::BadLocal => {
-            return Err(trap(
-                st,
-                format!("pointer to unknown local region {}", s.slot),
-            ))
-        }
+    let byte = site_offset(st, s.base, idx, size)?;
+    debug_assert!(slot_in_range(cx, s), "site slot out of range");
+    // An `if` chain in frequency order, not a `match`: two predictable
+    // branches instead of an indirect jump per access.
+    let bytes: &[u8] = if s.kind == SiteKind::Global {
+        // SAFETY: `Global` / `Local` sites are only resolved when the slot
+        // was in range (see `resolve_site`), and neither collection
+        // changes length during a dispatch.
+        unsafe { cx.bufs.get_unchecked(s.slot as usize) }
+    } else if s.kind == SiteKind::Priv {
+        &st.priv_mem
+    } else if s.kind == SiteKind::Local {
+        // SAFETY: as for `Global`.
+        unsafe { cx.local_regions.get_unchecked(s.slot as usize) }
+    } else {
+        return Err(trap_bad_site(st, s));
     };
     match read_reg(bytes, byte, ty) {
         Some(v) => Ok(v),
-        None => {
-            let len = bytes.len();
-            st.trap = Some(oob(st.gid, byte, size, len));
-            Err(IP_TRAP)
-        }
+        None => Err(trap_oob(st, byte, size, bytes.len())),
     }
 }
 
 /// Store through a pre-resolved site; trap order mirrors the register
 /// engine's `store` (`checked_offset`, unknown slot, read-only, bounds).
 #[inline(always)]
-fn store_site(st: &mut NState, site: usize, idx: i64, ty: ElemTy, v: RVal) -> Result<(), u32> {
-    // SAFETY: same invariants as `load_site`.
-    let s = unsafe { *st.sites.get_unchecked(site) };
+fn store_site(
+    st: &mut NItem,
+    cx: &mut NCtx,
+    site: usize,
+    idx: i64,
+    ty: ElemTy,
+    v: RVal,
+) -> Result<(), u32> {
+    let s = site_at(&cx.sites, site);
     let size = ty.byte_size();
-    let byte = match checked_offset(st.gid, s.base, idx, size) {
-        Ok(b) => b,
-        Err(t) => {
-            st.trap = Some(t);
-            return Err(IP_TRAP);
-        }
-    };
-    let bytes: &mut [u8] = match s.kind {
+    let byte = site_offset(st, s.base, idx, size)?;
+    debug_assert!(slot_in_range(cx, s), "site slot out of range");
+    let bytes: &mut [u8] = if s.kind == SiteKind::Global {
         // SAFETY: see `load_site` — slot range proven at site resolution.
-        SiteKind::Global => unsafe { st.bufs.get_unchecked_mut(s.slot as usize) },
-        SiteKind::Local => unsafe { st.local_regions.get_unchecked_mut(s.slot as usize) },
-        SiteKind::Priv => st.priv_mem,
-        SiteKind::BadGlobal => {
-            return Err(trap(
-                st,
-                format!("pointer to unknown buffer slot {}", s.slot),
-            ))
-        }
-        SiteKind::BadLocal => {
-            return Err(trap(
-                st,
-                format!("pointer to unknown local region {}", s.slot),
-            ))
-        }
+        unsafe { cx.bufs.get_unchecked_mut(s.slot as usize) }
+    } else if s.kind == SiteKind::Priv {
+        &mut st.priv_mem
+    } else if s.kind == SiteKind::Local {
+        // SAFETY: as for `Global`.
+        unsafe { cx.local_regions.get_unchecked_mut(s.slot as usize) }
+    } else {
+        return Err(trap_bad_site(st, s));
     };
     if s.ro {
         return Err(trap(
@@ -374,17 +582,14 @@ fn store_site(st: &mut NState, site: usize, idx: i64, ty: ElemTy, v: RVal) -> Re
     let len = bytes.len();
     match write_reg(bytes, byte, ty, v) {
         Some(()) => Ok(()),
-        None => {
-            st.trap = Some(oob(st.gid, byte, size, len));
-            Err(IP_TRAP)
-        }
+        None => Err(trap_oob(st, byte, size, len)),
     }
 }
 
 /// Dynamic load: decode the pointer register at run time (only used when
 /// the pointer register is written somewhere, e.g. a pointer passed into
 /// an inlined device function). Mirrors the register engine's `load`.
-fn dyn_load(st: &mut NState, p: PtrV, idx: i64, ty: ElemTy) -> Result<RVal, u32> {
+fn dyn_load(st: &mut NItem, cx: &NCtx, p: PtrV, idx: i64, ty: ElemTy) -> Result<RVal, u32> {
     let size = ty.byte_size();
     let byte = match checked_offset(st.gid, p.base, idx, size) {
         Ok(b) => b,
@@ -393,22 +598,17 @@ fn dyn_load(st: &mut NState, p: PtrV, idx: i64, ty: ElemTy) -> Result<RVal, u32>
             return Err(IP_TRAP);
         }
     };
+    let slot = p.slot as usize;
     let bytes: &[u8] = match p.space {
-        Space::Private => st.priv_mem,
-        Space::Global | Space::Constant => {
-            let slot = p.slot as usize;
-            if slot >= st.bufs.len() {
-                return Err(trap(st, format!("pointer to unknown buffer slot {slot}")));
-            }
-            &st.bufs[slot]
-        }
-        Space::Local => {
-            let slot = p.slot as usize;
-            if slot >= st.local_regions.len() {
-                return Err(trap(st, format!("pointer to unknown local region {slot}")));
-            }
-            &st.local_regions[slot]
-        }
+        Space::Private => &st.priv_mem,
+        Space::Global | Space::Constant => match cx.bufs.get(slot) {
+            Some(b) => b,
+            None => return Err(trap(st, format!("pointer to unknown buffer slot {slot}"))),
+        },
+        Space::Local => match cx.local_regions.get(slot) {
+            Some(r) => r,
+            None => return Err(trap(st, format!("pointer to unknown local region {slot}"))),
+        },
     };
     match read_reg(bytes, byte, ty) {
         Some(v) => Ok(v),
@@ -421,7 +621,14 @@ fn dyn_load(st: &mut NState, p: PtrV, idx: i64, ty: ElemTy) -> Result<RVal, u32>
 }
 
 /// Dynamic store; mirrors the register engine's `store`.
-fn dyn_store(st: &mut NState, p: PtrV, idx: i64, ty: ElemTy, v: RVal) -> Result<(), u32> {
+fn dyn_store(
+    st: &mut NItem,
+    cx: &mut NCtx,
+    p: PtrV,
+    idx: i64,
+    ty: ElemTy,
+    v: RVal,
+) -> Result<(), u32> {
     let size = ty.byte_size();
     let byte = match checked_offset(st.gid, p.base, idx, size) {
         Ok(b) => b,
@@ -430,28 +637,25 @@ fn dyn_store(st: &mut NState, p: PtrV, idx: i64, ty: ElemTy, v: RVal) -> Result<
             return Err(IP_TRAP);
         }
     };
+    let slot = p.slot as usize;
     let bytes: &mut [u8] = match p.space {
-        Space::Private => st.priv_mem,
+        Space::Private => &mut st.priv_mem,
         Space::Global | Space::Constant => {
-            let slot = p.slot as usize;
-            if slot >= st.bufs.len() {
+            if slot >= cx.bufs.len() {
                 return Err(trap(st, format!("pointer to unknown buffer slot {slot}")));
             }
-            if st.read_only[slot] || p.space == Space::Constant {
+            if cx.read_only[slot] || p.space == Space::Constant {
                 return Err(trap(
                     st,
                     "write through const/__constant pointer".to_string(),
                 ));
             }
-            &mut st.bufs[slot]
+            &mut cx.bufs[slot]
         }
-        Space::Local => {
-            let slot = p.slot as usize;
-            if slot >= st.local_regions.len() {
-                return Err(trap(st, format!("pointer to unknown local region {slot}")));
-            }
-            &mut st.local_regions[slot]
-        }
+        Space::Local => match cx.local_regions.get_mut(slot) {
+            Some(r) => r,
+            None => return Err(trap(st, format!("pointer to unknown local region {slot}"))),
+        },
     };
     let len = bytes.len();
     match write_reg(bytes, byte, ty, v) {
@@ -463,20 +667,85 @@ fn dyn_store(st: &mut NState, p: PtrV, idx: i64, ty: ElemTy, v: RVal) -> Result<
     }
 }
 
+/// Fetch an instruction.
+#[inline(always)]
+fn instr_at(code: &[NInstr], ip: u32) -> &NInstr {
+    debug_assert!((ip as usize) < code.len(), "instruction index out of range");
+    // SAFETY: jump targets and fall-through successors were checked
+    // against the code length at lowering time.
+    unsafe { code.get_unchecked(ip as usize) }
+}
+
 /// The direct-threaded dispatch loop: fetch, call handler, follow the
 /// returned instruction index until a halt sentinel comes back.
 #[inline(always)]
-fn exec(code: &[NInstr], mut ip: u32, st: &mut NState) -> u32 {
+fn exec(code: &[NInstr], mut ip: u32, st: &mut NItem, cx: &mut NCtx) -> u32 {
     loop {
-        // SAFETY: jump targets and fall-through successors were checked
-        // against the code length at lowering time.
-        let i = unsafe { code.get_unchecked(ip as usize) };
-        let next = (i.f)(st, i, ip);
+        let i = instr_at(code, ip);
+        let next = (i.f)(st, cx, i, ip);
         if next >= IP_HALT_MIN {
             return next;
         }
         ip = next;
     }
+}
+
+/// The strip dispatch loop: one indirect call advances every lane. Ends
+/// with `IP_DONE` (every lane finished together) or `IP_UNZIP` (`cx.unzip`
+/// says where and how).
+#[inline(always)]
+fn exec_strip(code: &[NInstr], mut ip: u32, lanes: &mut [NItem], cx: &mut NCtx) -> u32 {
+    loop {
+        let i = instr_at(code, ip);
+        let next = (i.sf)(lanes, cx, i, ip);
+        if next >= IP_HALT_MIN {
+            return next;
+        }
+        ip = next;
+    }
+}
+
+/// The one strip wrapper: apply scalar handler `f` to each lane in item
+/// order for as long as the lanes agree on the successor. The first lane
+/// that traps or disagrees stops the strip (see [`Unzip`]); the lanes
+/// above it are left untouched at `ip`. Handlers are `#[inline(always)]`
+/// so that their body, not a call to it, sits in this lane loop (measured:
+/// a called body gives back most of the gain).
+#[inline(always)]
+fn strip(
+    f: impl Fn(&mut NItem, &mut NCtx, &NInstr, u32) -> u32,
+    lanes: &mut [NItem],
+    cx: &mut NCtx,
+    i: &NInstr,
+    ip: u32,
+) -> u32 {
+    let mut below_ip = 0;
+    for (lane, st) in lanes.iter_mut().enumerate() {
+        let next = f(st, cx, i, ip);
+        if lane == 0 {
+            below_ip = next;
+        }
+        if next != below_ip || next == IP_TRAP {
+            cx.unzip = Unzip {
+                at: ip,
+                lane,
+                below_ip,
+                lane_next: next,
+            };
+            return IP_UNZIP;
+        }
+    }
+    below_ip
+}
+
+/// Pair scalar handler `$h` with its strip twin: [`strip`] monomorphised
+/// on `$h`. Every handler the lowering emits goes through here, so there
+/// is no second handler set to keep in step.
+macro_rules! hp {
+    ($h:expr) => {{
+        let sf: SH = |lanes, cx, i, ip| strip($h, lanes, cx, i, ip);
+        ($h as H, sf)
+    }};
 }
 
 // ---------------------------------------------------------------------------
@@ -534,7 +803,8 @@ fn cmp_inv(c: Cmp) -> Cmp {
     }
 }
 
-fn h_ops(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_ops(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     st.ops += i.imm;
     if st.ops > MAX_ITEM_OPS {
@@ -543,13 +813,15 @@ fn h_ops(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
     ip + 1
 }
 
-fn h_mov(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_mov(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(st, i.a, rg!(st, i.b));
     ip + 1
 }
 
-fn h_swap(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_swap(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     st.regs.swap(i.a as usize, i.b as usize);
     ip + 1
@@ -558,7 +830,8 @@ fn h_swap(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 /// Integer binary op: `a = expr(b, c)`.
 macro_rules! hbi {
     ($name:ident, $x:ident, $y:ident, $e:expr) => {
-        fn $name(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+        #[inline(always)]
+        fn $name(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
             chgt!(st, i);
             let ($x, $y) = (rg!(st, i.b).i(), rg!(st, i.c).i());
             sw!(st, i.a, RVal::from_i($e));
@@ -577,7 +850,8 @@ hbi!(h_bxor, x, y, x ^ y);
 hbi!(h_mini, x, y, x.min(y));
 hbi!(h_maxi, x, y, x.max(y));
 
-fn h_divi(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_divi(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let (x, y) = (rg!(st, i.b).i(), rg!(st, i.c).i());
     if y == 0 {
@@ -587,7 +861,8 @@ fn h_divi(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
     ip + 1
 }
 
-fn h_remi(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_remi(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let (x, y) = (rg!(st, i.b).i(), rg!(st, i.c).i());
     if y == 0 {
@@ -600,7 +875,8 @@ fn h_remi(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 /// Float binary op: `a = expr(b, c)`.
 macro_rules! hbf {
     ($name:ident, $x:ident, $y:ident, $e:expr) => {
-        fn $name(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+        #[inline(always)]
+        fn $name(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
             chgt!(st, i);
             let ($x, $y) = (rg!(st, i.b).f(), rg!(st, i.c).f());
             sw!(st, i.a, RVal::from_f($e));
@@ -620,7 +896,8 @@ hbf!(h_m2f_other, x, _y, x);
 /// Unary int op: `a = expr(b)`.
 macro_rules! hui {
     ($name:ident, $x:ident, $e:expr) => {
-        fn $name(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+        #[inline(always)]
+        fn $name(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
             chgt!(st, i);
             let $x = rg!(st, i.b).i();
             sw!(st, i.a, RVal::from_i($e));
@@ -636,7 +913,8 @@ hui!(h_absi, x, x.abs());
 /// Unary float op: `a = expr(b)`.
 macro_rules! huf {
     ($name:ident, $x:ident, $e:expr) => {
-        fn $name(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+        #[inline(always)]
+        fn $name(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
             chgt!(st, i);
             let $x = rg!(st, i.b).f();
             sw!(st, i.a, RVal::from_f($e));
@@ -656,13 +934,15 @@ huf!(h_sin, x, x.sin());
 huf!(h_cos, x, x.cos());
 huf!(h_m1_other, x, x);
 
-fn h_i2f(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_i2f(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(st, i.a, RVal::from_f(rg!(st, i.b).i() as f64));
     ip + 1
 }
 
-fn h_f2i(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_f2i(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let x = rg!(st, i.b).f();
     sw!(st, i.a, RVal::from_i(if x.is_nan() { 0 } else { x as i64 }));
@@ -672,7 +952,8 @@ fn h_f2i(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 /// Float4 binary op: `a = expr(b, c)` lane-wise.
 macro_rules! hbf4 {
     ($name:ident, $x:ident, $y:ident, $e:expr) => {
-        fn $name(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+        #[inline(always)]
+        fn $name(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
             chgt!(st, i);
             let ($x, $y) = (rg!(st, i.b).f4(), rg!(st, i.c).f4());
             sw!(st, i.a, RVal::from_f4($e));
@@ -685,14 +966,16 @@ hbf4!(h_subf4, x, y, [x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]]);
 hbf4!(h_mulf4, x, y, [x[0] * y[0], x[1] * y[1], x[2] * y[2], x[3] * y[3]]);
 hbf4!(h_divf4, x, y, [x[0] / y[0], x[1] / y[1], x[2] / y[2], x[3] / y[3]]);
 
-fn h_splatf4(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_splatf4(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let x = rg!(st, i.b).f() as f32;
     sw!(st, i.a, RVal::from_f4([x; 4]));
     ip + 1
 }
 
-fn h_makef4(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_makef4(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let v = [
         rg!(st, i.b).f() as f32,
@@ -704,13 +987,15 @@ fn h_makef4(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
     ip + 1
 }
 
-fn h_getcomp(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_getcomp(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(st, i.a, RVal::from_f(rg!(st, i.b).f4()[i.g as usize] as f64));
     ip + 1
 }
 
-fn h_setcomp(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_setcomp(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let mut v = rg!(st, i.b).f4();
     v[i.g as usize] = rg!(st, i.c).f() as f32;
@@ -718,7 +1003,8 @@ fn h_setcomp(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
     ip + 1
 }
 
-fn h_dot(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_dot(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let (x, y) = (rg!(st, i.b).f4(), rg!(st, i.c).f4());
     let mut acc = 0f64;
@@ -729,14 +1015,16 @@ fn h_dot(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
     ip + 1
 }
 
-fn h_clamp(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_clamp(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let (x, l, h) = (rg!(st, i.b).f(), rg!(st, i.c).f(), rg!(st, i.d).f());
     sw!(st, i.a, RVal::from_f(x.max(l).min(h)));
     ip + 1
 }
 
-fn h_mad(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_mad(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(
         st,
@@ -747,7 +1035,8 @@ fn h_mad(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 }
 
 /// `dst = c + a * b` — operand order preserved for float identity.
-fn h_madrf(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_madrf(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(
         st,
@@ -757,7 +1046,8 @@ fn h_madrf(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
     ip + 1
 }
 
-fn h_madi(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_madi(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(
         st,
@@ -772,7 +1062,8 @@ fn h_madi(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
     ip + 1
 }
 
-fn h_cmpi_c<const C: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_cmpi_c<const C: u8>(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(
         st,
@@ -782,7 +1073,8 @@ fn h_cmpi_c<const C: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
     ip + 1
 }
 
-fn h_cmpf_c<const C: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_cmpf_c<const C: u8>(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(
         st,
@@ -792,12 +1084,14 @@ fn h_cmpf_c<const C: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
     ip + 1
 }
 
-fn h_jmp(st: &mut NState, i: &NInstr, _ip: u32) -> u32 {
+#[inline(always)]
+fn h_jmp(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, _ip: u32) -> u32 {
     chgi!(st, i);
     i.t
 }
 
-fn h_jz(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_jz(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgi!(st, i);
     if rg!(st, i.a).i() == 0 {
         i.t
@@ -806,7 +1100,8 @@ fn h_jz(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
     }
 }
 
-fn h_jnz(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_jnz(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgi!(st, i);
     if rg!(st, i.a).i() != 0 {
         i.t
@@ -817,7 +1112,8 @@ fn h_jnz(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 
 /// Integer compare-and-branch, canonicalised to `when == true` (the
 /// lowering inverts the comparison instead — exact for integers).
-fn h_jci_c<const C: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_jci_c<const C: u8>(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgi!(st, i);
     if cmpi_c::<C>(rg!(st, i.a).i(), rg!(st, i.b).i()) {
         i.t
@@ -828,7 +1124,8 @@ fn h_jci_c<const C: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 
 /// Float compare-and-branch: both polarities kept (NaN makes inversion
 /// inexact for floats).
-fn h_jcf_c<const C: u8, const W: bool>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_jcf_c<const C: u8, const W: bool>(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgi!(st, i);
     if cmpf_c::<C>(rg!(st, i.a).f(), rg!(st, i.b).f()) == W {
         i.t
@@ -837,62 +1134,63 @@ fn h_jcf_c<const C: u8, const W: bool>(st: &mut NState, i: &NInstr, ip: u32) -> 
     }
 }
 
-fn jci_h(c: Cmp) -> H {
+fn jci_h(c: Cmp) -> HP {
     match cmp_code(c) {
-        0 => h_jci_c::<0>,
-        1 => h_jci_c::<1>,
-        2 => h_jci_c::<2>,
-        3 => h_jci_c::<3>,
-        4 => h_jci_c::<4>,
-        _ => h_jci_c::<5>,
+        0 => hp!(h_jci_c::<0>),
+        1 => hp!(h_jci_c::<1>),
+        2 => hp!(h_jci_c::<2>),
+        3 => hp!(h_jci_c::<3>),
+        4 => hp!(h_jci_c::<4>),
+        _ => hp!(h_jci_c::<5>),
     }
 }
 
-fn jcf_h(c: Cmp, when: bool) -> H {
+fn jcf_h(c: Cmp, when: bool) -> HP {
     match (cmp_code(c), when) {
-        (0, true) => h_jcf_c::<0, true>,
-        (1, true) => h_jcf_c::<1, true>,
-        (2, true) => h_jcf_c::<2, true>,
-        (3, true) => h_jcf_c::<3, true>,
-        (4, true) => h_jcf_c::<4, true>,
-        (5, true) => h_jcf_c::<5, true>,
-        (0, false) => h_jcf_c::<0, false>,
-        (1, false) => h_jcf_c::<1, false>,
-        (2, false) => h_jcf_c::<2, false>,
-        (3, false) => h_jcf_c::<3, false>,
-        (4, false) => h_jcf_c::<4, false>,
-        _ => h_jcf_c::<5, false>,
+        (0, true) => hp!(h_jcf_c::<0, true>),
+        (1, true) => hp!(h_jcf_c::<1, true>),
+        (2, true) => hp!(h_jcf_c::<2, true>),
+        (3, true) => hp!(h_jcf_c::<3, true>),
+        (4, true) => hp!(h_jcf_c::<4, true>),
+        (5, true) => hp!(h_jcf_c::<5, true>),
+        (0, false) => hp!(h_jcf_c::<0, false>),
+        (1, false) => hp!(h_jcf_c::<1, false>),
+        (2, false) => hp!(h_jcf_c::<2, false>),
+        (3, false) => hp!(h_jcf_c::<3, false>),
+        (4, false) => hp!(h_jcf_c::<4, false>),
+        _ => hp!(h_jcf_c::<5, false>),
     }
 }
 
-fn cmpi_h(c: Cmp) -> H {
+fn cmpi_h(c: Cmp) -> HP {
     match cmp_code(c) {
-        0 => h_cmpi_c::<0>,
-        1 => h_cmpi_c::<1>,
-        2 => h_cmpi_c::<2>,
-        3 => h_cmpi_c::<3>,
-        4 => h_cmpi_c::<4>,
-        _ => h_cmpi_c::<5>,
+        0 => hp!(h_cmpi_c::<0>),
+        1 => hp!(h_cmpi_c::<1>),
+        2 => hp!(h_cmpi_c::<2>),
+        3 => hp!(h_cmpi_c::<3>),
+        4 => hp!(h_cmpi_c::<4>),
+        _ => hp!(h_cmpi_c::<5>),
     }
 }
 
-fn cmpf_h(c: Cmp) -> H {
+fn cmpf_h(c: Cmp) -> HP {
     match cmp_code(c) {
-        0 => h_cmpf_c::<0>,
-        1 => h_cmpf_c::<1>,
-        2 => h_cmpf_c::<2>,
-        3 => h_cmpf_c::<3>,
-        4 => h_cmpf_c::<4>,
-        _ => h_cmpf_c::<5>,
+        0 => hp!(h_cmpf_c::<0>),
+        1 => hp!(h_cmpf_c::<1>),
+        2 => hp!(h_cmpf_c::<2>),
+        3 => hp!(h_cmpf_c::<3>),
+        4 => hp!(h_cmpf_c::<4>),
+        _ => hp!(h_cmpf_c::<5>),
     }
 }
 
 /// Sited load, element type selected at monomorphisation time
 /// (0=I32 1=I64 2=F32 3=F4). `a`=dst, `b`=idx, `imm`=site.
-fn h_ld_c<const T: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let idx = rg!(st, i.b).i();
-    match load_site(st, i.imm as usize, idx, ty_of::<T>()) {
+    match load_site(st, cx, i.imm as usize, idx, ty_of::<T>()) {
         Ok(v) => {
             sw!(st, i.a, v);
             ip + 1
@@ -902,10 +1200,11 @@ fn h_ld_c<const T: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 }
 
 /// Sited store. `b`=idx, `c`=val, `imm`=site.
-fn h_st_c<const T: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_st_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let (idx, v) = (rg!(st, i.b).i(), rg!(st, i.c));
-    match store_site(st, i.imm as usize, idx, ty_of::<T>(), v) {
+    match store_site(st, cx, i.imm as usize, idx, ty_of::<T>(), v) {
         Ok(()) => ip + 1,
         Err(h) => h,
     }
@@ -929,26 +1228,27 @@ const fn ty_code(ty: ElemTy) -> u8 {
     }
 }
 
-fn ld_h(ty: ElemTy) -> H {
+fn ld_h(ty: ElemTy) -> HP {
     match ty_code(ty) {
-        0 => h_ld_c::<0>,
-        1 => h_ld_c::<1>,
-        2 => h_ld_c::<2>,
-        _ => h_ld_c::<3>,
+        0 => hp!(h_ld_c::<0>),
+        1 => hp!(h_ld_c::<1>),
+        2 => hp!(h_ld_c::<2>),
+        _ => hp!(h_ld_c::<3>),
     }
 }
 
-fn st_h(ty: ElemTy) -> H {
+fn st_h(ty: ElemTy) -> HP {
     match ty_code(ty) {
-        0 => h_st_c::<0>,
-        1 => h_st_c::<1>,
-        2 => h_st_c::<2>,
-        _ => h_st_c::<3>,
+        0 => hp!(h_st_c::<0>),
+        1 => hp!(h_st_c::<1>),
+        2 => hp!(h_st_c::<2>),
+        _ => hp!(h_st_c::<3>),
     }
 }
 
 /// Dynamic load: `a`=dst, `b`=idx, `c`=ptr reg, `g`=element-type code.
-fn h_ld_dyn(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_ld_dyn(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let (p, idx) = (rg!(st, i.c).ptr(), rg!(st, i.b).i());
     let ty = match i.g {
@@ -957,7 +1257,7 @@ fn h_ld_dyn(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
         2 => ElemTy::F32,
         _ => ElemTy::F4,
     };
-    match dyn_load(st, p, idx, ty) {
+    match dyn_load(st, cx, p, idx, ty) {
         Ok(v) => {
             sw!(st, i.a, v);
             ip + 1
@@ -967,7 +1267,8 @@ fn h_ld_dyn(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 }
 
 /// Dynamic store: `b`=idx, `c`=val, `d`=ptr reg, `g`=element-type code.
-fn h_st_dyn(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_st_dyn(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let (p, idx, v) = (rg!(st, i.d).ptr(), rg!(st, i.b).i(), rg!(st, i.c));
     let ty = match i.g {
@@ -976,7 +1277,7 @@ fn h_st_dyn(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
         2 => ElemTy::F32,
         _ => ElemTy::F4,
     };
-    match dyn_store(st, p, idx, ty, v) {
+    match dyn_store(st, cx, p, idx, ty, v) {
         Ok(()) => ip + 1,
         Err(h) => h,
     }
@@ -984,54 +1285,58 @@ fn h_st_dyn(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 
 /// Work-item id builtin with a compile-time-known dimension (`imm`).
 macro_rules! hid_const {
-    ($name:ident, $field:ident) => {
-        fn $name(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
-            chgt!(st, i);
-            sw!(st, i.a, RVal::from_i(st.$field[i.imm as usize] as i64));
+    ($name:ident, |$st:ident, $cx:ident| $field:expr) => {
+        #[inline(always)]
+        fn $name($st: &mut NItem, $cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
+            chgt!($st, i);
+            sw!($st, i.a, RVal::from_i($field[i.imm as usize] as i64));
             ip + 1
         }
     };
 }
-hid_const!(h_gid_c, gid);
-hid_const!(h_lid_c, lid);
-hid_const!(h_grp_c, group_id);
-hid_const!(h_gsz_c, global_size);
-hid_const!(h_lsz_c, local_size);
-hid_const!(h_ngr_c, num_groups);
+hid_const!(h_gid_c, |st, _cx| st.gid);
+hid_const!(h_lid_c, |st, _cx| st.lid);
+hid_const!(h_grp_c, |st, cx| cx.group_id);
+hid_const!(h_gsz_c, |st, cx| cx.global_size);
+hid_const!(h_lsz_c, |st, cx| cx.local_size);
+hid_const!(h_ngr_c, |st, cx| cx.num_groups);
 
 /// Work-item id builtin with a dynamic dimension register (`b`);
 /// out-of-range dimensions read `imm` (0 for ids, 1 for sizes).
 macro_rules! hid_dyn {
-    ($name:ident, $field:ident) => {
-        fn $name(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
-            chgt!(st, i);
-            let d = rg!(st, i.b).i();
+    ($name:ident, |$st:ident, $cx:ident| $field:expr) => {
+        #[inline(always)]
+        fn $name($st: &mut NItem, $cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
+            chgt!($st, i);
+            let d = rg!($st, i.b).i();
             let v = if (0..=2).contains(&d) {
-                st.$field[d as usize] as i64
+                $field[d as usize] as i64
             } else {
                 i.imm as i64
             };
-            sw!(st, i.a, RVal::from_i(v));
+            sw!($st, i.a, RVal::from_i(v));
             ip + 1
         }
     };
 }
-hid_dyn!(h_gid_d, gid);
-hid_dyn!(h_lid_d, lid);
-hid_dyn!(h_grp_d, group_id);
-hid_dyn!(h_gsz_d, global_size);
-hid_dyn!(h_lsz_d, local_size);
-hid_dyn!(h_ngr_d, num_groups);
+hid_dyn!(h_gid_d, |st, _cx| st.gid);
+hid_dyn!(h_lid_d, |st, _cx| st.lid);
+hid_dyn!(h_grp_d, |st, cx| cx.group_id);
+hid_dyn!(h_gsz_d, |st, cx| cx.global_size);
+hid_dyn!(h_lsz_d, |st, cx| cx.local_size);
+hid_dyn!(h_ngr_d, |st, cx| cx.num_groups);
 
 /// Constant integer result (out-of-range dim with a known register).
-fn h_const_i(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_const_i(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(st, i.a, RVal::from_i(i.imm as i64));
     ip + 1
 }
 
 /// Inline-call prologue: copy `c` argument registers from `b..` to `a..`.
-fn h_copyargs(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_copyargs(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     st.regs
         .copy_within(i.b as usize..(i.b + i.c) as usize, i.a as usize);
@@ -1039,19 +1344,22 @@ fn h_copyargs(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 }
 
 /// Inline-call prologue: zero `b` callee locals starting at `a`.
-fn h_zerolocals(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_zerolocals(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     st.regs[i.a as usize..(i.a + i.b) as usize].fill(RVal::default());
     ip + 1
 }
 
-fn h_barrier(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_barrier(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
-    st.resume = ip + 1;
+    st.ip = ip + 1;
     IP_BARRIER
 }
 
-fn h_done(st: &mut NState, i: &NInstr, _ip: u32) -> u32 {
+#[inline(always)]
+fn h_done(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, _ip: u32) -> u32 {
     chgt!(st, i);
     IP_DONE
 }
@@ -1070,7 +1378,8 @@ fn h_done(st: &mut NState, i: &NInstr, _ip: u32) -> u32 {
 // block-entry op charge in `t` and branch pairs carry it in `imm`.
 
 /// Loop increment + compare-and-branch: `a = b + c; if (d cmp e) goto t`.
-fn h_addi_jci_c<const C: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_addi_jci_c<const C: u8>(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgi!(st, i);
     sw!(
         st,
@@ -1085,7 +1394,8 @@ fn h_addi_jci_c<const C: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 }
 
 /// Loop decrement + compare-and-branch: `a = b - c; if (d cmp e) goto t`.
-fn h_subi_jci_c<const C: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_subi_jci_c<const C: u8>(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgi!(st, i);
     sw!(
         st,
@@ -1101,15 +1411,16 @@ fn h_subi_jci_c<const C: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 
 /// Two adjacent sited loads of the same element type:
 /// `a = [site1][b]; c = [site2][d]`, `imm = site1 | site2 << 32`.
-fn h_ld_ld_c<const T: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_ld_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let idx1 = rg!(st, i.b).i();
-    match load_site(st, (i.imm & 0xffff_ffff) as usize, idx1, ty_of::<T>()) {
+    match load_site(st, cx, (i.imm & 0xffff_ffff) as usize, idx1, ty_of::<T>()) {
         Ok(v) => sw!(st, i.a, v),
         Err(h) => return h,
     }
     let idx2 = rg!(st, i.d).i();
-    match load_site(st, (i.imm >> 32) as usize, idx2, ty_of::<T>()) {
+    match load_site(st, cx, (i.imm >> 32) as usize, idx2, ty_of::<T>()) {
         Ok(v) => {
             sw!(st, i.c, v);
             ip + 1
@@ -1119,7 +1430,8 @@ fn h_ld_ld_c<const T: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 }
 
 /// Integer add + sited load: `a = b + c; d = [site][e]`.
-fn h_addi_ld_c<const T: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_addi_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(
         st,
@@ -1127,7 +1439,7 @@ fn h_addi_ld_c<const T: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
         RVal::from_i(rg!(st, i.b).i().wrapping_add(rg!(st, i.c).i()))
     );
     let idx = rg!(st, i.e).i();
-    match load_site(st, i.imm as usize, idx, ty_of::<T>()) {
+    match load_site(st, cx, i.imm as usize, idx, ty_of::<T>()) {
         Ok(v) => {
             sw!(st, i.d, v);
             ip + 1
@@ -1138,7 +1450,8 @@ fn h_addi_ld_c<const T: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 
 /// Integer multiply-add + sited load: `a = b * c + d; e = [site][g]`
 /// (the matmul row/column address-compute + fetch pair).
-fn h_madi_ld_c<const T: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_madi_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(
         st,
@@ -1151,7 +1464,7 @@ fn h_madi_ld_c<const T: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
         )
     );
     let idx = rg!(st, i.g).i();
-    match load_site(st, i.imm as usize, idx, ty_of::<T>()) {
+    match load_site(st, cx, i.imm as usize, idx, ty_of::<T>()) {
         Ok(v) => {
             sw!(st, i.e, v);
             ip + 1
@@ -1162,10 +1475,11 @@ fn h_madi_ld_c<const T: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 
 /// Sited store + integer add: `[site][b] = c; a = d + e`
 /// (store result, bump the index).
-fn h_st_addi_c<const T: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_st_addi_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let (idx, v) = (rg!(st, i.b).i(), rg!(st, i.c));
-    if let Err(h) = store_site(st, i.imm as usize, idx, ty_of::<T>(), v) {
+    if let Err(h) = store_site(st, cx, i.imm as usize, idx, ty_of::<T>(), v) {
         return h;
     }
     sw!(
@@ -1178,10 +1492,11 @@ fn h_st_addi_c<const T: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 
 /// Sited float load + multiply-add `c + a * b`:
 /// `a = [site][b]; c = d + e * g` (the inner-product hot pair).
-fn h_ld_madrf(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_ld_madrf(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let idx = rg!(st, i.b).i();
-    match load_site(st, i.imm as usize, idx, ElemTy::F32) {
+    match load_site(st, cx, i.imm as usize, idx, ElemTy::F32) {
         Ok(v) => sw!(st, i.a, v),
         Err(h) => return h,
     }
@@ -1194,10 +1509,11 @@ fn h_ld_madrf(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 }
 
 /// Sited float load + multiply-add `a * b + c`.
-fn h_ld_mad(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_ld_mad(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let idx = rg!(st, i.b).i();
-    match load_site(st, i.imm as usize, idx, ElemTy::F32) {
+    match load_site(st, cx, i.imm as usize, idx, ElemTy::F32) {
         Ok(v) => sw!(st, i.a, v),
         Err(h) => return h,
     }
@@ -1211,10 +1527,11 @@ fn h_ld_mad(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 
 /// Sited float load + float binary op (selected by `B`: 0=add 1=sub
 /// 2=mul): `a = [site][b]; c = d op e`.
-fn h_ld_fbin_c<const B: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_ld_fbin_c<const B: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let idx = rg!(st, i.b).i();
-    match load_site(st, i.imm as usize, idx, ElemTy::F32) {
+    match load_site(st, cx, i.imm as usize, idx, ElemTy::F32) {
         Ok(v) => sw!(st, i.a, v),
         Err(h) => return h,
     }
@@ -1230,7 +1547,8 @@ fn h_ld_fbin_c<const B: u8>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 
 /// Float multiply-add (either operand order, selected by `M`) followed by
 /// an integer add: `a = mad(b, c, d); e = g + imm`.
-fn h_madf_addi_c<const M: bool>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_madf_addi_c<const M: bool>(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let v = if M {
         rg!(st, i.b).f() * rg!(st, i.c).f() + rg!(st, i.d).f()
@@ -1248,7 +1566,8 @@ fn h_madf_addi_c<const M: bool>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 
 /// Float multiply + multiply-add (order selected by `M`):
 /// `a = b * c; d = mad(e, g, imm)`.
-fn h_mulf_madf_c<const M: bool>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_mulf_madf_c<const M: bool>(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(st, i.a, RVal::from_f(rg!(st, i.b).f() * rg!(st, i.c).f()));
     let v = if M {
@@ -1261,7 +1580,8 @@ fn h_mulf_madf_c<const M: bool>(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 }
 
 /// Integer multiply-add followed by an integer add.
-fn h_madi_addi(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_madi_addi(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(
         st,
@@ -1282,7 +1602,8 @@ fn h_madi_addi(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
 }
 
 /// Register copy + integer add: `a = b; c = d + e`.
-fn h_mov_addi(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+#[inline(always)]
+fn h_mov_addi(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(st, i.a, rg!(st, i.b));
     sw!(
@@ -1303,7 +1624,8 @@ fn imm_reg(i: &NInstr) -> u16 {
 /// Two adjacent float binary ops: `a = b op1 c; d = e op2 g`.
 macro_rules! hff {
     ($name:ident, $x:ident, $y:ident, $e1:expr, $u:ident, $v:ident, $e2:expr) => {
-        fn $name(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+        #[inline(always)]
+        fn $name(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
             chgt!(st, i);
             let ($x, $y) = (rg!(st, i.b).f(), rg!(st, i.c).f());
             sw!(st, i.a, RVal::from_f($e1));
@@ -1326,7 +1648,8 @@ hff!(h_ff_mm, x, y, x * y, u, v, u * v);
 /// Two adjacent integer binary ops: `a = b op1 c; d = e op2 g`.
 macro_rules! hii {
     ($name:ident, $x:ident, $y:ident, $e1:expr, $u:ident, $v:ident, $e2:expr) => {
-        fn $name(st: &mut NState, i: &NInstr, ip: u32) -> u32 {
+        #[inline(always)]
+        fn $name(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
             chgt!(st, i);
             let ($x, $y) = (rg!(st, i.b).i(), rg!(st, i.c).i());
             sw!(st, i.a, RVal::from_i($e1));
@@ -1346,25 +1669,25 @@ hii!(h_ii_ma, x, y, x.wrapping_mul(y), u, v, u.wrapping_add(v));
 hii!(h_ii_ms, x, y, x.wrapping_mul(y), u, v, u.wrapping_sub(v));
 hii!(h_ii_mm, x, y, x.wrapping_mul(y), u, v, u.wrapping_mul(v));
 
-fn addi_jci_h(c: Cmp) -> H {
+fn addi_jci_h(c: Cmp) -> HP {
     match cmp_code(c) {
-        0 => h_addi_jci_c::<0>,
-        1 => h_addi_jci_c::<1>,
-        2 => h_addi_jci_c::<2>,
-        3 => h_addi_jci_c::<3>,
-        4 => h_addi_jci_c::<4>,
-        _ => h_addi_jci_c::<5>,
+        0 => hp!(h_addi_jci_c::<0>),
+        1 => hp!(h_addi_jci_c::<1>),
+        2 => hp!(h_addi_jci_c::<2>),
+        3 => hp!(h_addi_jci_c::<3>),
+        4 => hp!(h_addi_jci_c::<4>),
+        _ => hp!(h_addi_jci_c::<5>),
     }
 }
 
-fn subi_jci_h(c: Cmp) -> H {
+fn subi_jci_h(c: Cmp) -> HP {
     match cmp_code(c) {
-        0 => h_subi_jci_c::<0>,
-        1 => h_subi_jci_c::<1>,
-        2 => h_subi_jci_c::<2>,
-        3 => h_subi_jci_c::<3>,
-        4 => h_subi_jci_c::<4>,
-        _ => h_subi_jci_c::<5>,
+        0 => hp!(h_subi_jci_c::<0>),
+        1 => hp!(h_subi_jci_c::<1>),
+        2 => hp!(h_subi_jci_c::<2>),
+        3 => hp!(h_subi_jci_c::<3>),
+        4 => hp!(h_subi_jci_c::<4>),
+        _ => hp!(h_subi_jci_c::<5>),
     }
 }
 
@@ -1719,9 +2042,10 @@ fn op_regs(op: &FOp) -> (Vec<RegRange>, Vec<RegRange>) {
 // Lowering to native instructions
 // ---------------------------------------------------------------------------
 
-const fn ni(f: H) -> NInstr {
+const fn ni(h: HP) -> NInstr {
     NInstr {
-        f,
+        f: h.0,
+        sf: h.1,
         imm: 0,
         t: 0,
         a: 0,
@@ -1734,115 +2058,123 @@ const fn ni(f: H) -> NInstr {
 }
 
 /// Dedupe memory sites by pointer register; returns the site index.
-fn site_for(ptr: u16, sites: &mut HashMap<u16, u32>, specs: &mut Vec<u16>) -> u32 {
+fn site_for(ptr: u16, sites: &mut HashMap<u16, u32>, specs: &mut Vec<SiteUse>) -> u32 {
     *sites.entry(ptr).or_insert_with(|| {
-        specs.push(ptr);
+        specs.push(SiteUse {
+            ptr,
+            loaded: false,
+            stores: 0,
+        });
         (specs.len() - 1) as u32
     })
 }
 
 struct Lower<'a> {
-    written: &'a [bool],
+    /// Writes per register over the whole program.
+    writes: &'a [u32],
     known: &'a [Option<RVal>],
     sites: HashMap<u16, u32>,
-    specs: Vec<u16>,
+    specs: Vec<SiteUse>,
 }
 
 impl Lower<'_> {
     fn stable(&self, ptr: u16) -> bool {
-        !self.written[ptr as usize]
+        self.writes[ptr as usize] == 0
     }
 
     /// Lower one flat op to a single native instruction.
     fn one(&mut self, op: &FOp) -> Option<NInstr> {
         use ROp::*;
         Some(match op {
-            FOp::Done => ni(h_done),
+            FOp::Done => ni(hp!(h_done)),
             FOp::CopyArgs { dst, src, n } => NInstr {
                 a: *dst,
                 b: *src,
                 c: *n,
-                ..ni(h_copyargs)
+                ..ni(hp!(h_copyargs))
             },
             FOp::ZeroLocals { at, n } => NInstr {
                 a: *at,
                 b: *n,
-                ..ni(h_zerolocals)
+                ..ni(hp!(h_zerolocals))
             },
             FOp::R(r) => match *r {
                 Ops(n) => NInstr {
                     imm: n,
-                    ..ni(h_ops)
+                    ..ni(hp!(h_ops))
                 },
                 Mov { dst, src } => NInstr {
                     a: dst,
                     b: src,
-                    ..ni(h_mov)
+                    ..ni(hp!(h_mov))
                 },
                 Swap { a, b } => NInstr {
                     a,
                     b,
-                    ..ni(h_swap)
+                    ..ni(hp!(h_swap))
                 },
-                AddI { dst, a, b } => bin3(h_addi, dst, a, b),
-                SubI { dst, a, b } => bin3(h_subi, dst, a, b),
-                MulI { dst, a, b } => bin3(h_muli, dst, a, b),
-                DivI { dst, a, b } => bin3(h_divi, dst, a, b),
-                RemI { dst, a, b } => bin3(h_remi, dst, a, b),
-                Shl { dst, a, b } => bin3(h_shl, dst, a, b),
-                Shr { dst, a, b } => bin3(h_shr, dst, a, b),
-                BAnd { dst, a, b } => bin3(h_band, dst, a, b),
-                BOr { dst, a, b } => bin3(h_bor, dst, a, b),
-                BXor { dst, a, b } => bin3(h_bxor, dst, a, b),
-                NegI { dst, src } => un2(h_negi, dst, src),
-                BNot { dst, src } => un2(h_bnot, dst, src),
-                LNot { dst, src } => un2(h_lnot, dst, src),
-                AbsI { dst, src } => un2(h_absi, dst, src),
-                AddF { dst, a, b } => bin3(h_addf, dst, a, b),
-                SubF { dst, a, b } => bin3(h_subf, dst, a, b),
-                MulF { dst, a, b } => bin3(h_mulf, dst, a, b),
-                DivF { dst, a, b } => bin3(h_divf, dst, a, b),
-                NegF { dst, src } => un2(h_negf, dst, src),
-                I2F { dst, src } => un2(h_i2f, dst, src),
-                F2I { dst, src } => un2(h_f2i, dst, src),
-                AddF4 { dst, a, b } => bin3(h_addf4, dst, a, b),
-                SubF4 { dst, a, b } => bin3(h_subf4, dst, a, b),
-                MulF4 { dst, a, b } => bin3(h_mulf4, dst, a, b),
-                DivF4 { dst, a, b } => bin3(h_divf4, dst, a, b),
-                SplatF4 { dst, src } => un2(h_splatf4, dst, src),
+                AddI { dst, a, b } => bin3(hp!(h_addi), dst, a, b),
+                SubI { dst, a, b } => bin3(hp!(h_subi), dst, a, b),
+                MulI { dst, a, b } => bin3(hp!(h_muli), dst, a, b),
+                DivI { dst, a, b } => bin3(hp!(h_divi), dst, a, b),
+                RemI { dst, a, b } => bin3(hp!(h_remi), dst, a, b),
+                Shl { dst, a, b } => bin3(hp!(h_shl), dst, a, b),
+                Shr { dst, a, b } => bin3(hp!(h_shr), dst, a, b),
+                BAnd { dst, a, b } => bin3(hp!(h_band), dst, a, b),
+                BOr { dst, a, b } => bin3(hp!(h_bor), dst, a, b),
+                BXor { dst, a, b } => bin3(hp!(h_bxor), dst, a, b),
+                NegI { dst, src } => un2(hp!(h_negi), dst, src),
+                BNot { dst, src } => un2(hp!(h_bnot), dst, src),
+                LNot { dst, src } => un2(hp!(h_lnot), dst, src),
+                AbsI { dst, src } => un2(hp!(h_absi), dst, src),
+                AddF { dst, a, b } => bin3(hp!(h_addf), dst, a, b),
+                SubF { dst, a, b } => bin3(hp!(h_subf), dst, a, b),
+                MulF { dst, a, b } => bin3(hp!(h_mulf), dst, a, b),
+                DivF { dst, a, b } => bin3(hp!(h_divf), dst, a, b),
+                NegF { dst, src } => un2(hp!(h_negf), dst, src),
+                I2F { dst, src } => un2(hp!(h_i2f), dst, src),
+                F2I { dst, src } => un2(hp!(h_f2i), dst, src),
+                AddF4 { dst, a, b } => bin3(hp!(h_addf4), dst, a, b),
+                SubF4 { dst, a, b } => bin3(hp!(h_subf4), dst, a, b),
+                MulF4 { dst, a, b } => bin3(hp!(h_mulf4), dst, a, b),
+                DivF4 { dst, a, b } => bin3(hp!(h_divf4), dst, a, b),
+                SplatF4 { dst, src } => un2(hp!(h_splatf4), dst, src),
                 MakeF4 { dst, src } => NInstr {
                     a: dst,
                     b: src[0],
                     c: src[1],
                     d: src[2],
                     e: src[3],
-                    ..ni(h_makef4)
+                    ..ni(hp!(h_makef4))
                 },
                 GetComp { dst, src, c } => NInstr {
                     a: dst,
                     b: src,
                     g: c as u16,
-                    ..ni(h_getcomp)
+                    ..ni(hp!(h_getcomp))
                 },
                 SetComp { dst, vec, scl, c } => NInstr {
                     a: dst,
                     b: vec,
                     c: scl,
                     g: c as u16,
-                    ..ni(h_setcomp)
+                    ..ni(hp!(h_setcomp))
                 },
                 CmpI { cmp, dst, a, b } => bin3(cmpi_h(cmp), dst, a, b),
                 CmpF { cmp, dst, a, b } => bin3(cmpf_h(cmp), dst, a, b),
-                Jmp { t } => NInstr { t, ..ni(h_jmp) },
+                Jmp { t } => NInstr {
+                    t,
+                    ..ni(hp!(h_jmp))
+                },
                 Jz { c, t } => NInstr {
                     a: c,
                     t,
-                    ..ni(h_jz)
+                    ..ni(hp!(h_jz))
                 },
                 Jnz { c, t } => NInstr {
                     a: c,
                     t,
-                    ..ni(h_jnz)
+                    ..ni(hp!(h_jnz))
                 },
                 // `when == true` after canonicalisation.
                 JcI { cmp, a, b, t, .. } => NInstr {
@@ -1871,7 +2203,7 @@ impl Lower<'_> {
                             b: idx,
                             c: ptr,
                             g: ty_code(ty) as u16,
-                            ..ni(h_ld_dyn)
+                            ..ni(hp!(h_ld_dyn))
                         }
                     }
                 }
@@ -1889,25 +2221,25 @@ impl Lower<'_> {
                             c: val,
                             d: ptr,
                             g: ty_code(ty) as u16,
-                            ..ni(h_st_dyn)
+                            ..ni(hp!(h_st_dyn))
                         }
                     }
                 }
                 Id { b, dst, src } => {
-                    let (fc, fd, default): (H, H, u64) = match b {
-                        Builtin::GetGlobalId => (h_gid_c, h_gid_d, 0),
-                        Builtin::GetLocalId => (h_lid_c, h_lid_d, 0),
-                        Builtin::GetGroupId => (h_grp_c, h_grp_d, 0),
-                        Builtin::GetGlobalSize => (h_gsz_c, h_gsz_d, 1),
-                        Builtin::GetLocalSize => (h_lsz_c, h_lsz_d, 1),
-                        Builtin::GetNumGroups => (h_ngr_c, h_ngr_d, 1),
+                    let (fc, fd, default): (HP, HP, u64) = match b {
+                        Builtin::GetGlobalId => (hp!(h_gid_c), hp!(h_gid_d), 0),
+                        Builtin::GetLocalId => (hp!(h_lid_c), hp!(h_lid_d), 0),
+                        Builtin::GetGroupId => (hp!(h_grp_c), hp!(h_grp_d), 0),
+                        Builtin::GetGlobalSize => (hp!(h_gsz_c), hp!(h_gsz_d), 1),
+                        Builtin::GetLocalSize => (hp!(h_lsz_c), hp!(h_lsz_d), 1),
+                        Builtin::GetNumGroups => (hp!(h_ngr_c), hp!(h_ngr_d), 1),
                         // The register engine evaluates every other
                         // builtin in `Id` position to 0 for any dimension.
                         _ => {
                             return Some(NInstr {
                                 a: dst,
                                 imm: 0,
-                                ..ni(h_const_i)
+                                ..ni(hp!(h_const_i))
                             })
                         }
                     };
@@ -1924,7 +2256,7 @@ impl Lower<'_> {
                                 NInstr {
                                     a: dst,
                                     imm: default,
-                                    ..ni(h_const_i)
+                                    ..ni(hp!(h_const_i))
                                 }
                             }
                         }
@@ -1937,62 +2269,69 @@ impl Lower<'_> {
                     }
                 }
                 Math1 { b, dst, src } => {
-                    let f: H = match b {
-                        Builtin::Sqrt => h_sqrt,
-                        Builtin::Rsqrt => h_rsqrt,
-                        Builtin::Fabs => h_fabs,
-                        Builtin::Floor => h_floor,
-                        Builtin::Ceil => h_ceil,
-                        Builtin::Exp => h_exp,
-                        Builtin::Log => h_log,
-                        Builtin::Sin => h_sin,
-                        Builtin::Cos => h_cos,
-                        _ => h_m1_other,
+                    let f: HP = match b {
+                        Builtin::Sqrt => hp!(h_sqrt),
+                        Builtin::Rsqrt => hp!(h_rsqrt),
+                        Builtin::Fabs => hp!(h_fabs),
+                        Builtin::Floor => hp!(h_floor),
+                        Builtin::Ceil => hp!(h_ceil),
+                        Builtin::Exp => hp!(h_exp),
+                        Builtin::Log => hp!(h_log),
+                        Builtin::Sin => hp!(h_sin),
+                        Builtin::Cos => hp!(h_cos),
+                        _ => hp!(h_m1_other),
                     };
                     un2(f, dst, src)
                 }
                 Math2F { b, dst, a, b2 } => {
-                    let f: H = match b {
-                        Builtin::Pow => h_pow,
-                        Builtin::Fmin => h_fmin,
-                        Builtin::Fmax => h_fmax,
-                        _ => h_m2f_other,
+                    let f: HP = match b {
+                        Builtin::Pow => hp!(h_pow),
+                        Builtin::Fmin => hp!(h_fmin),
+                        Builtin::Fmax => hp!(h_fmax),
+                        _ => hp!(h_m2f_other),
                     };
                     bin3(f, dst, a, b2)
                 }
-                Math2I { b, dst, a, b2 } => {
-                    bin3(if b == Builtin::MinI { h_mini } else { h_maxi }, dst, a, b2)
-                }
+                Math2I { b, dst, a, b2 } => bin3(
+                    if b == Builtin::MinI {
+                        hp!(h_mini)
+                    } else {
+                        hp!(h_maxi)
+                    },
+                    dst,
+                    a,
+                    b2,
+                ),
                 Clamp { dst, v, lo, hi } => NInstr {
                     a: dst,
                     b: v,
                     c: lo,
                     d: hi,
-                    ..ni(h_clamp)
+                    ..ni(hp!(h_clamp))
                 },
                 Mad { dst, a, b, c } => NInstr {
                     a: dst,
                     b: a,
                     c: b,
                     d: c,
-                    ..ni(h_mad)
+                    ..ni(hp!(h_mad))
                 },
                 MadRF { dst, c, a, b } => NInstr {
                     a: dst,
                     b: c,
                     c: a,
                     d: b,
-                    ..ni(h_madrf)
+                    ..ni(hp!(h_madrf))
                 },
                 MadI { dst, a, b, c } => NInstr {
                     a: dst,
                     b: a,
                     c: b,
                     d: c,
-                    ..ni(h_madi)
+                    ..ni(hp!(h_madi))
                 },
-                Dot { dst, a, b } => bin3(h_dot, dst, a, b),
-                Barrier => ni(h_barrier),
+                Dot { dst, a, b } => bin3(hp!(h_dot), dst, a, b),
+                Barrier => ni(hp!(h_barrier)),
                 Call { .. } | Ret | RetV { .. } => return None,
             },
         })
@@ -2023,10 +2362,10 @@ impl Lower<'_> {
                     if matches!(ty, ElemTy::F32 | ElemTy::I32) && self.stable(*ptr) =>
                 {
                     let site = site_for(*ptr, &mut self.sites, &mut self.specs);
-                    let f: H = if *ty == ElemTy::F32 {
-                        h_addi_ld_c::<2>
+                    let f: HP = if *ty == ElemTy::F32 {
+                        hp!(h_addi_ld_c::<2>)
                     } else {
-                        h_addi_ld_c::<0>
+                        hp!(h_addi_ld_c::<0>)
                     };
                     return Some(NInstr {
                         a: *dst,
@@ -2057,10 +2396,10 @@ impl Lower<'_> {
         if let (FOp::R(MadI { dst, a, b, c }), FOp::R(Load { ty, dst: d2, ptr, idx })) = (x, y) {
             if matches!(ty, ElemTy::F32 | ElemTy::I32) && self.stable(*ptr) {
                 let site = site_for(*ptr, &mut self.sites, &mut self.specs);
-                let f: H = if *ty == ElemTy::F32 {
-                    h_madi_ld_c::<2>
+                let f: HP = if *ty == ElemTy::F32 {
+                    hp!(h_madi_ld_c::<2>)
                 } else {
-                    h_madi_ld_c::<0>
+                    hp!(h_madi_ld_c::<0>)
                 };
                 return Some(NInstr {
                     a: *dst,
@@ -2078,10 +2417,10 @@ impl Lower<'_> {
         if let (FOp::R(Store { ty, ptr, idx, val }), FOp::R(AddI { dst, a, b })) = (x, y) {
             if matches!(ty, ElemTy::F32 | ElemTy::I32) && self.stable(*ptr) {
                 let site = site_for(*ptr, &mut self.sites, &mut self.specs);
-                let f: H = if *ty == ElemTy::F32 {
-                    h_st_addi_c::<2>
+                let f: HP = if *ty == ElemTy::F32 {
+                    hp!(h_st_addi_c::<2>)
                 } else {
-                    h_st_addi_c::<0>
+                    hp!(h_st_addi_c::<0>)
                 };
                 return Some(NInstr {
                     a: *dst,
@@ -2102,7 +2441,7 @@ impl Lower<'_> {
                 c: *d2,
                 d: *a,
                 e: *b,
-                ..ni(h_mov_addi)
+                ..ni(hp!(h_mov_addi))
             });
         }
         // Load + load / multiply-add / float binary.
@@ -2114,10 +2453,10 @@ impl Lower<'_> {
                     {
                         let s1 = site_for(*ptr, &mut self.sites, &mut self.specs);
                         let s2 = site_for(*p2, &mut self.sites, &mut self.specs);
-                        let f: H = if *ty == ElemTy::F32 {
-                            h_ld_ld_c::<2>
+                        let f: HP = if *ty == ElemTy::F32 {
+                            hp!(h_ld_ld_c::<2>)
                         } else {
-                            h_ld_ld_c::<0>
+                            hp!(h_ld_ld_c::<0>)
                         };
                         return Some(NInstr {
                             imm: s1 as u64 | (s2 as u64) << 32,
@@ -2138,7 +2477,7 @@ impl Lower<'_> {
                             d: *c,
                             e: *a,
                             g: *b,
-                            ..ni(h_ld_madrf)
+                            ..ni(hp!(h_ld_madrf))
                         });
                     }
                     FOp::R(Mad { dst: d2, a, b, c }) if *ty == ElemTy::F32 => {
@@ -2151,17 +2490,17 @@ impl Lower<'_> {
                             d: *a,
                             e: *b,
                             g: *c,
-                            ..ni(h_ld_mad)
+                            ..ni(hp!(h_ld_mad))
                         });
                     }
                     _ => {
                         if *ty == ElemTy::F32 {
                             if let Some((o2, d2, a2, b2)) = fbin(y) {
                                 let site = site_for(*ptr, &mut self.sites, &mut self.specs);
-                                let f: H = match o2 {
-                                    0 => h_ld_fbin_c::<0>,
-                                    1 => h_ld_fbin_c::<1>,
-                                    _ => h_ld_fbin_c::<2>,
+                                let f: HP = match o2 {
+                                    0 => hp!(h_ld_fbin_c::<0>),
+                                    1 => hp!(h_ld_fbin_c::<1>),
+                                    _ => hp!(h_ld_fbin_c::<2>),
                                 };
                                 return Some(NInstr {
                                     imm: site as u64,
@@ -2190,7 +2529,7 @@ impl Lower<'_> {
                         e: *a2,
                         g: *b2,
                         imm: *c2 as u64,
-                        ..ni(h_mulf_madf_c::<true>)
+                        ..ni(hp!(h_mulf_madf_c::<true>))
                     });
                 }
                 FOp::R(MadRF { dst: d2, c: c2, a: a2, b: b2 }) => {
@@ -2202,7 +2541,7 @@ impl Lower<'_> {
                         e: *c2,
                         g: *a2,
                         imm: *b2 as u64,
-                        ..ni(h_mulf_madf_c::<false>)
+                        ..ni(hp!(h_mulf_madf_c::<false>))
                     });
                 }
                 _ => {}
@@ -2220,7 +2559,7 @@ impl Lower<'_> {
                         e: *d2,
                         g: *a2,
                         imm: *b2 as u64,
-                        ..ni(h_madf_addi_c::<true>)
+                        ..ni(hp!(h_madf_addi_c::<true>))
                     })
                 }
                 FOp::R(MadRF { dst, c, a, b }) => {
@@ -2232,7 +2571,7 @@ impl Lower<'_> {
                         e: *d2,
                         g: *a2,
                         imm: *b2 as u64,
-                        ..ni(h_madf_addi_c::<false>)
+                        ..ni(hp!(h_madf_addi_c::<false>))
                     })
                 }
                 FOp::R(MadI { dst, a, b, c }) => {
@@ -2244,7 +2583,7 @@ impl Lower<'_> {
                         e: *d2,
                         g: *a2,
                         imm: *b2 as u64,
-                        ..ni(h_madi_addi)
+                        ..ni(hp!(h_madi_addi))
                     })
                 }
                 _ => {}
@@ -2252,10 +2591,10 @@ impl Lower<'_> {
         }
         // Generic adjacent float / integer binary pairs.
         if let (Some((o1, d1, a1, b1)), Some((o2, d2, a2, b2))) = (fbin(x), fbin(y)) {
-            const FF: [[H; 3]; 3] = [
-                [h_ff_aa, h_ff_as, h_ff_am],
-                [h_ff_sa, h_ff_ss, h_ff_sm],
-                [h_ff_ma, h_ff_ms, h_ff_mm],
+            const FF: [[HP; 3]; 3] = [
+                [hp!(h_ff_aa), hp!(h_ff_as), hp!(h_ff_am)],
+                [hp!(h_ff_sa), hp!(h_ff_ss), hp!(h_ff_sm)],
+                [hp!(h_ff_ma), hp!(h_ff_ms), hp!(h_ff_mm)],
             ];
             return Some(NInstr {
                 a: d1,
@@ -2268,10 +2607,10 @@ impl Lower<'_> {
             });
         }
         if let (Some((o1, d1, a1, b1)), Some((o2, d2, a2, b2))) = (ibin(x), ibin(y)) {
-            const II: [[H; 3]; 3] = [
-                [h_ii_aa, h_ii_as, h_ii_am],
-                [h_ii_sa, h_ii_ss, h_ii_sm],
-                [h_ii_ma, h_ii_ms, h_ii_mm],
+            const II: [[HP; 3]; 3] = [
+                [hp!(h_ii_aa), hp!(h_ii_as), hp!(h_ii_am)],
+                [hp!(h_ii_sa), hp!(h_ii_ss), hp!(h_ii_sm)],
+                [hp!(h_ii_ma), hp!(h_ii_ms), hp!(h_ii_mm)],
             ];
             return Some(NInstr {
                 a: d1,
@@ -2287,7 +2626,7 @@ impl Lower<'_> {
     }
 }
 
-const fn bin3(f: H, dst: u16, a: u16, b: u16) -> NInstr {
+const fn bin3(f: HP, dst: u16, a: u16, b: u16) -> NInstr {
     NInstr {
         a: dst,
         b: a,
@@ -2296,7 +2635,7 @@ const fn bin3(f: H, dst: u16, a: u16, b: u16) -> NInstr {
     }
 }
 
-const fn un2(f: H, dst: u16, src: u16) -> NInstr {
+const fn un2(f: HP, dst: u16, src: u16) -> NInstr {
     NInstr {
         a: dst,
         b: src,
@@ -2372,7 +2711,7 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
         const_regions,
         ..
     } = fl;
-    if out.is_empty() || out.len() >= IP_TRAP as usize {
+    if out.is_empty() || out.len() >= IP_HALT_MIN as usize {
         return None;
     }
     // The last instruction must never fall through (it is a `Done` or an
@@ -2396,23 +2735,25 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
     // Operand bounds check (licenses the unchecked handler accesses) and
     // never-written analysis (licenses site pre-resolution and the partial
     // per-item reset).
-    let mut written = vec![false; total_regs as usize];
+    let mut writes = vec![0u32; total_regs as usize];
     for op in &out {
-        let (reads, writes) = op_regs(op);
-        for &(r, n) in reads.iter().chain(writes.iter()) {
+        let (rd, wr) = op_regs(op);
+        for &(r, n) in rd.iter().chain(wr.iter()) {
             if r as u32 + n as u32 > total_regs {
                 return None;
             }
         }
-        for (r, n) in writes {
-            written[r as usize..(r + n) as usize].fill(true);
+        for (r, n) in wr {
+            for w in &mut writes[r as usize..(r + n) as usize] {
+                *w += 1;
+            }
         }
     }
     // A write into a constant region would break both the known-constant
     // specialisation and the no-reset-needed invariant; `validate` makes
     // this impossible, but the lowering re-checks rather than trusts.
     for &(lo, hi) in &const_regions {
-        if written[lo as usize..hi as usize].iter().any(|&w| w) {
+        if writes[lo as usize..hi as usize].iter().any(|&w| w > 0) {
             return None;
         }
     }
@@ -2432,8 +2773,44 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
         }
     }
 
+    // Pointer copy propagation. The stack compiler binds a private array
+    // by moving its constant-pool pointer into a local once, in the entry
+    // block; accesses through that local would all count as dynamic. When
+    // a register's only write is such a `Mov` on the straight-line path
+    // from the entry, and nothing dereferences it earlier on that path,
+    // every dereference anywhere sees the constant: redirect them to the
+    // (never-written) constant register, which makes them sited.
+    let mut deref_before = vec![false; total_regs as usize];
+    let mut alias: Vec<(u16, u16)> = Vec::new();
+    for (k, op) in out.iter().enumerate().skip(entry as usize) {
+        if (k != entry as usize && is_target[k]) || target_of(op).is_some() {
+            break;
+        }
+        match op {
+            FOp::R(ROp::Mov { dst, src })
+                if known[*src as usize].is_some()
+                    && writes[*dst as usize] == 1
+                    && !deref_before[*dst as usize] =>
+            {
+                alias.push((*dst, *src));
+            }
+            FOp::R(ROp::Load { ptr, .. }) | FOp::R(ROp::Store { ptr, .. }) => {
+                deref_before[*ptr as usize] = true;
+            }
+            FOp::Done => break,
+            _ => {}
+        }
+    }
+    for op in &mut out {
+        if let FOp::R(ROp::Load { ptr, .. }) | FOp::R(ROp::Store { ptr, .. }) = op {
+            if let Some(&(_, src)) = alias.iter().find(|(dst, _)| dst == ptr) {
+                *ptr = src;
+            }
+        }
+    }
+
     let mut lo = Lower {
-        written: &written,
+        writes: &writes,
         known: &known,
         sites: HashMap::new(),
         specs: Vec::new(),
@@ -2518,19 +2895,94 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
     if prog.const_base as usize + template_static.len() != total_regs as usize {
         return None;
     }
+
+    // Strip-mode eligibility, static half, and the per-site use counts its
+    // per-dispatch half (`slot_conflict`) works from. An op lies on a CFG
+    // cycle only if some backward jump spans it (follow the cycle from the
+    // op: it must step from an index >= the op's to one below it, or the
+    // op is the cycle's lowest index and the edge entering it comes from
+    // above), so marking every backward jump's span over-approximates.
+    let mut in_loop = vec![false; out.len()];
+    for (k, op) in out.iter().enumerate() {
+        if let Some(t) = target_of(op).filter(|&t| t as usize <= k) {
+            in_loop[t as usize..=k].fill(true);
+        }
+    }
+    let Lower {
+        sites,
+        specs: mut site_uses,
+        ..
+    } = lo;
+    let has_local = !kernel.local_decl_bytes.is_empty()
+        || kernel
+            .params
+            .iter()
+            .any(|p| matches!(p.ty, Type::Ptr(Space::Local, _)));
+    let mut strip_reject = has_local.then_some(StripReject::LocalMemory);
+    for (k, op) in out.iter().enumerate() {
+        let found = match op {
+            FOp::R(ROp::Barrier) => Some(StripReject::Barrier),
+            FOp::R(ROp::Load { ptr, .. }) => match sites.get(ptr) {
+                Some(&site) => {
+                    site_uses[site as usize].loaded = true;
+                    None
+                }
+                None => Some(StripReject::DynamicPointer),
+            },
+            FOp::R(ROp::Store { ptr, .. }) => match sites.get(ptr) {
+                Some(&site) => {
+                    site_uses[site as usize].stores += 1;
+                    // A private array's pointer is a constant-pool entry.
+                    let private =
+                        known[*ptr as usize].is_some_and(|v| v.ptr().space == Space::Private);
+                    (in_loop[k] && !private).then_some(StripReject::StoreInLoop)
+                }
+                None => Some(StripReject::DynamicPointer),
+            },
+            _ => None,
+        };
+        strip_reject = strip_reject.or(found);
+    }
     Some(NativeProgram {
         code,
         entry,
         total_regs,
         main_const_base: prog.const_base,
         template_static,
-        site_specs: lo.specs,
+        site_uses,
+        strip_reject,
     })
 }
 
 // ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
+
+/// Strip-mode eligibility, per-dispatch half: with this binding, is some
+/// buffer slot both loaded and stored, or stored through more than one
+/// store instruction? One pass over the (handful of) sites per storing
+/// site; private memory is per lane and never conflicts.
+fn slot_conflict(uses: &[SiteUse], sites: &[Site]) -> Option<StripReject> {
+    let global = |k: usize| sites[k].kind == SiteKind::Global;
+    for (a, ua) in uses.iter().enumerate() {
+        if ua.stores == 0 || !global(a) {
+            continue;
+        }
+        let slot = sites[a].slot;
+        for (b, ub) in uses.iter().enumerate() {
+            if !global(b) || sites[b].slot != slot {
+                continue;
+            }
+            if ub.loaded {
+                return Some(StripReject::LoadStore(slot));
+            }
+            if ub.stores > 1 || (b != a && ub.stores > 0) {
+                return Some(StripReject::TwoStores(slot));
+            }
+        }
+    }
+    None
+}
 
 /// Decode a pointer register's dispatch-time value into a [`Site`].
 /// Unknown slots become `Bad*` sites that trap on first *execution* —
@@ -2591,91 +3043,136 @@ fn rval_of(v: Val) -> RVal {
     }
 }
 
-/// Per-dispatch context shared by every work item of the ND-range.
-struct NCtx<'a> {
-    bufs: &'a mut Vec<Vec<u8>>,
-    read_only: &'a [bool],
-    local_regions: Vec<Vec<u8>>,
-    sites: Vec<Site>,
-    group_id: [usize; 3],
-    global_size: [usize; 3],
-    local_size: [usize; 3],
-    num_groups: [usize; 3],
-}
-
-fn item_gid(ctx: &NCtx<'_>, lid: [usize; 3]) -> [usize; 3] {
+fn item_gid(cx: &NCtx<'_>, lid: [usize; 3]) -> [usize; 3] {
     [
-        ctx.group_id[0] * ctx.local_size[0] + lid[0],
-        ctx.group_id[1] * ctx.local_size[1] + lid[1],
-        ctx.group_id[2] * ctx.local_size[2] + lid[2],
+        cx.group_id[0] * cx.local_size[0] + lid[0],
+        cx.group_id[1] * cx.local_size[1] + lid[1],
+        cx.group_id[2] * cx.local_size[2] + lid[2],
     ]
 }
 
-/// Barrier-free work-group: every item runs straight through one reused
-/// register arena — per-item set-up is one copy of the locals/stack span
-/// and a `fill(0)` of private memory.
+impl NItem {
+    /// A work-item arena: the full dispatch template (the constant tail is
+    /// never written again) and zeroed private memory.
+    fn new(template: &[RVal], priv_bytes: usize) -> NItem {
+        NItem {
+            regs: template.to_vec(),
+            priv_mem: vec![0u8; priv_bytes],
+            ip: 0,
+            gid: [0; 3],
+            lid: [0; 3],
+            ops: 0,
+            done: false,
+            trap: None,
+        }
+    }
+
+    /// Per-item set-up: one copy of the locals/stack span (`template` cut
+    /// to it) and a `fill(0)` of private memory.
+    fn reset(&mut self, template: &[RVal], entry: u32, cx: &NCtx<'_>, lid: [usize; 3]) {
+        self.regs[..template.len()].copy_from_slice(template);
+        if !self.priv_mem.is_empty() {
+            self.priv_mem.fill(0);
+        }
+        self.ip = entry;
+        self.lid = lid;
+        self.gid = item_gid(cx, lid);
+        self.ops = 0;
+        self.done = false;
+    }
+}
+
+/// Run one item of a barrier-free kernel from `ip` (an instruction index,
+/// or the halt it already reached) to completion.
+fn run_to_end(
+    prog: &NativeProgram,
+    ip: u32,
+    st: &mut NItem,
+    cx: &mut NCtx<'_>,
+) -> Result<(), Trap> {
+    let halt = if ip >= IP_HALT_MIN {
+        ip
+    } else {
+        exec(&prog.code, ip, st, cx)
+    };
+    match halt {
+        IP_DONE => Ok(()),
+        IP_TRAP => Err(st.trap.take().expect("trap halt sets a trap")),
+        _ => Err(Trap {
+            message: "barrier reached in kernel compiled without barriers".to_string(),
+            global_id: st.gid,
+        }),
+    }
+}
+
+/// Advance a strip of lanes that all stand at `ip` together; when they
+/// stop agreeing, *unzip* around the stopping lane, in item order: the
+/// lanes below it (they agree on their successor) go on as a strip of
+/// their own, then the stopping lane finishes on the scalar loop from its
+/// own outcome, then the lanes above it go on as a strip from the
+/// instruction they had not executed yet. Nothing re-converges: a strip
+/// only ever splits, down to single lanes on [`exec`]. Each part runs to
+/// completion before the next starts, so the first trap in item order is
+/// the one reported.
+fn run_strip(
+    prog: &NativeProgram,
+    ip: u32,
+    lanes: &mut [NItem],
+    cx: &mut NCtx<'_>,
+    tally: &mut StripStats,
+) -> Result<(), Trap> {
+    if lanes.len() < 2 || ip >= IP_HALT_MIN {
+        return lanes
+            .iter_mut()
+            .try_for_each(|st| run_to_end(prog, ip, st, cx));
+    }
+    if exec_strip(&prog.code, ip, lanes, cx) == IP_DONE {
+        return Ok(());
+    }
+    tally.unzips += 1;
+    let Unzip {
+        at,
+        lane,
+        below_ip,
+        lane_next,
+    } = cx.unzip;
+    let (below, rest) = lanes.split_at_mut(lane);
+    let (stop, above) = rest.split_first_mut().expect("the stopping lane exists");
+    run_strip(prog, below_ip, below, cx, tally)?;
+    run_to_end(prog, lane_next, stop, cx)?;
+    run_strip(prog, at, above, cx, tally)
+}
+
+/// Barrier-free work-group: the items of each dim-0 row run in strips of
+/// `lanes.len()` reused arenas (fewer at the end of a row). One lane is
+/// the scalar path: each item straight through [`exec`].
 fn run_group_fast(
     prog: &NativeProgram,
     template: &[RVal],
-    ctx: &mut NCtx<'_>,
-    regs: &mut [RVal],
-    priv_mem: &mut [u8],
+    cx: &mut NCtx<'_>,
+    lanes: &mut [NItem],
+    tally: &mut StripStats,
 ) -> Result<u64, Trap> {
-    let reset = prog.main_const_base as usize;
+    let template = &template[..prog.main_const_base as usize];
     let mut group_ops = 0u64;
-    let [lx, ly, lz] = ctx.local_size;
+    let [lx, ly, lz] = cx.local_size;
     for iz in 0..lz {
         for iy in 0..ly {
-            for ix in 0..lx {
-                let lid = [ix, iy, iz];
-                let gid = item_gid(ctx, lid);
-                regs[..reset].copy_from_slice(&template[..reset]);
-                if !priv_mem.is_empty() {
-                    priv_mem.fill(0);
+            for ix in (0..lx).step_by(lanes.len()) {
+                let live = lanes.len().min(lx - ix);
+                let live = &mut lanes[..live];
+                for (k, st) in live.iter_mut().enumerate() {
+                    st.reset(template, prog.entry, cx, [ix + k, iy, iz]);
                 }
-                let mut st = NState {
-                    regs,
-                    priv_mem,
-                    bufs: ctx.bufs,
-                    read_only: ctx.read_only,
-                    local_regions: &mut ctx.local_regions,
-                    sites: &ctx.sites,
-                    gid,
-                    lid,
-                    group_id: ctx.group_id,
-                    global_size: ctx.global_size,
-                    local_size: ctx.local_size,
-                    num_groups: ctx.num_groups,
-                    ops: 0,
-                    resume: 0,
-                    trap: None,
-                };
-                match exec(&prog.code, prog.entry, &mut st) {
-                    IP_DONE => group_ops += st.ops,
-                    IP_TRAP => return Err(st.trap.take().expect("trap halt sets a trap")),
-                    _ => {
-                        return Err(Trap {
-                            message: "barrier reached in kernel compiled without barriers"
-                                .to_string(),
-                            global_id: gid,
-                        })
-                    }
+                if live.len() > 1 {
+                    tally.items += live.len() as u64;
                 }
+                run_strip(prog, prog.entry, live, cx, tally)?;
+                group_ops += live.iter().map(|st| st.ops).sum::<u64>();
             }
         }
     }
     Ok(group_ops)
-}
-
-/// One work item of a lockstep (barrier-carrying) group.
-struct NItem {
-    regs: Vec<RVal>,
-    priv_mem: Vec<u8>,
-    ip: u32,
-    gid: [usize; 3],
-    lid: [usize; 3],
-    ops: u64,
-    done: bool,
 }
 
 /// Work-group with barriers: the same lockstep sweep as the register
@@ -2683,41 +3180,18 @@ struct NItem {
 /// trap on divergence, repeat.
 fn run_group_lockstep(
     prog: &NativeProgram,
-    kernel: &KernelInfo,
     template: &[RVal],
-    ctx: &mut NCtx<'_>,
-    items_per_group: usize,
-    items: &mut Vec<NItem>,
+    cx: &mut NCtx<'_>,
+    items: &mut [NItem],
 ) -> Result<u64, Trap> {
-    let reset = prog.main_const_base as usize;
-    let [lx, ly, lz] = ctx.local_size;
-    while items.len() < items_per_group {
-        items.push(NItem {
-            regs: template.to_vec(),
-            priv_mem: vec![0u8; kernel.priv_bytes],
-            ip: 0,
-            gid: [0; 3],
-            lid: [0; 3],
-            ops: 0,
-            done: false,
-        });
-    }
-    let items = &mut items[..items_per_group];
+    let template = &template[..prog.main_const_base as usize];
+    let [lx, ly, lz] = cx.local_size;
     let mut at = 0usize;
     for iz in 0..lz {
         for iy in 0..ly {
             for ix in 0..lx {
-                let item = &mut items[at];
+                items[at].reset(template, prog.entry, cx, [ix, iy, iz]);
                 at += 1;
-                item.regs[..reset].copy_from_slice(&template[..reset]);
-                if !item.priv_mem.is_empty() {
-                    item.priv_mem.fill(0);
-                }
-                item.ip = prog.entry;
-                item.lid = [ix, iy, iz];
-                item.gid = item_gid(ctx, item.lid);
-                item.ops = 0;
-                item.done = false;
             }
         }
     }
@@ -2729,32 +3203,11 @@ fn run_group_lockstep(
                 continue;
             }
             running += 1;
-            let mut st = NState {
-                regs: &mut item.regs,
-                priv_mem: &mut item.priv_mem,
-                bufs: ctx.bufs,
-                read_only: ctx.read_only,
-                local_regions: &mut ctx.local_regions,
-                sites: &ctx.sites,
-                gid: item.gid,
-                lid: item.lid,
-                group_id: ctx.group_id,
-                global_size: ctx.global_size,
-                local_size: ctx.local_size,
-                num_groups: ctx.num_groups,
-                ops: item.ops,
-                resume: 0,
-                trap: None,
-            };
-            let halt = exec(&prog.code, item.ip, &mut st);
-            item.ops = st.ops;
-            match halt {
+            match exec(&prog.code, item.ip, item, cx) {
                 IP_DONE => item.done = true,
-                IP_BARRIER => {
-                    item.ip = st.resume;
-                    at_barrier += 1;
-                }
-                _ => return Err(st.trap.take().expect("trap halt sets a trap")),
+                // `h_barrier` left the resume point in `item.ip`.
+                IP_BARRIER => at_barrier += 1,
+                _ => return Err(item.trap.take().expect("trap halt sets a trap")),
             }
         }
         if running == 0 {
@@ -2793,12 +3246,7 @@ pub fn run_ndrange(
     global: [usize; 3],
     local: [usize; 3],
 ) -> Result<NdStats, Trap> {
-    let num_groups = [
-        global[0] / local[0].max(1),
-        global[1] / local[1].max(1),
-        global[2] / local[2].max(1),
-    ];
-    let window = [0..num_groups[0], 0..num_groups[1], 0..num_groups[2]];
+    let window = num_groups(global, local).map(|n| 0..n);
     run_ndrange_window(prog, kernel, args, pool, global, local, window)
 }
 
@@ -2816,11 +3264,6 @@ pub fn run_ndrange_window(
     local: [usize; 3],
     window: [std::ops::Range<usize>; 3],
 ) -> Result<NdStats, Trap> {
-    let num_groups = [
-        global[0] / local[0].max(1),
-        global[1] / local[1].max(1),
-        global[2] / local[2].max(1),
-    ];
     let region_bytes = local_region_sizes(kernel, args)?;
     // Dispatch template: bound locals, zeroed canonical stack slots, then
     // the static tail (main constant pool + every inline window).
@@ -2832,62 +3275,69 @@ pub fn run_ndrange_window(
     template.extend_from_slice(&prog.template_static);
     debug_assert_eq!(template.len(), prog.total_regs as usize);
 
-    let bufs = &mut pool.bufs;
     let read_only = pool.read_only.as_slice();
     let local_regions: Vec<Vec<u8>> = region_bytes.iter().map(|&b| vec![0u8; b]).collect();
     // Pre-resolve every stable memory site from the same template bits the
     // register engine would decode at run time.
     let sites: Vec<Site> = prog
-        .site_specs
+        .site_uses
         .iter()
-        .map(|&r| {
+        .map(|u| {
             resolve_site(
-                template[r as usize].ptr(),
-                bufs.len(),
+                template[u.ptr as usize].ptr(),
+                pool.bufs.len(),
                 read_only,
                 local_regions.len(),
             )
         })
         .collect();
-    let mut ctx = NCtx {
-        bufs,
+
+    let mut stats = NdStats::default();
+    let items_per_group = local[0] * local[1] * local[2];
+    // Work-item arenas, reused across every group of the dispatch: the
+    // whole group for the lockstep sweep, one strip otherwise — a strip of
+    // one (the scalar path) when the kernel or this binding is ineligible.
+    let arenas = if kernel.has_barrier {
+        items_per_group
+    } else {
+        stats.strip.scalar_why = prog
+            .strip_reject
+            .or_else(|| slot_conflict(&prog.site_uses, &sites));
+        match stats.strip.scalar_why {
+            None => STRIP.min(local[0]).max(1),
+            Some(_) => 1,
+        }
+    };
+    let mut items: Vec<NItem> = (0..arenas)
+        .map(|_| NItem::new(&template, kernel.priv_bytes))
+        .collect();
+    let mut cx = NCtx {
+        bufs: &mut pool.bufs,
         read_only,
         local_regions,
         sites,
         group_id: [0; 3],
         global_size: global,
         local_size: local,
-        num_groups,
+        num_groups: num_groups(global, local),
+        unzip: Unzip::default(),
     };
 
-    let mut stats = NdStats::default();
-    let items_per_group = local[0] * local[1] * local[2];
-    // Work-item arenas, reused across every group of the dispatch.
-    let mut regs: Vec<RVal> = template.clone();
-    let mut priv_mem = vec![0u8; kernel.priv_bytes];
-    let mut items: Vec<NItem> = Vec::new();
     let mut first_group = true;
     for gz in window[2].clone() {
         for gy in window[1].clone() {
             for gx in window[0].clone() {
-                ctx.group_id = [gx, gy, gz];
-                if !first_group && !ctx.local_regions.is_empty() {
-                    for r in &mut ctx.local_regions {
+                cx.group_id = [gx, gy, gz];
+                if !first_group && !cx.local_regions.is_empty() {
+                    for r in &mut cx.local_regions {
                         r.fill(0);
                     }
                 }
                 first_group = false;
                 let ops = if kernel.has_barrier {
-                    run_group_lockstep(
-                        prog,
-                        kernel,
-                        &template,
-                        &mut ctx,
-                        items_per_group,
-                        &mut items,
-                    )?
+                    run_group_lockstep(prog, &template, &mut cx, &mut items)?
                 } else {
-                    run_group_fast(prog, &template, &mut ctx, &mut regs, &mut priv_mem)?
+                    run_group_fast(prog, &template, &mut cx, &mut items, &mut stats.strip)?
                 };
                 stats.group_ops.push(ops);
                 stats.items += items_per_group as u64;
@@ -2907,8 +3357,6 @@ mod tests {
 
     type EngineRun = Result<(NdStats, Vec<Vec<u8>>), Trap>;
 
-    /// Run `kernel` from `src` on all three engines with identical pools
-    /// and assert identical outcomes pairwise.
     fn triangle(
         src: &str,
         kernel: &str,
@@ -2917,6 +3365,19 @@ mod tests {
         global: [usize; 3],
         local: [usize; 3],
     ) {
+        let _ = triangle_native(src, kernel, args, pool_init, global, local);
+    }
+
+    /// Run `kernel` from `src` on all three engines with identical pools,
+    /// assert identical outcomes pairwise and return the native engine's.
+    fn triangle_native(
+        src: &str,
+        kernel: &str,
+        args: &[RtArg],
+        pool_init: (Vec<Vec<u8>>, Vec<bool>),
+        global: [usize; 3],
+        local: [usize; 3],
+    ) -> EngineRun {
         let ast = parse(src).expect("parse");
         let unit = compile(&ast).expect("compile");
         let info = unit.kernels.get(kernel).expect("kernel").clone();
@@ -2957,6 +3418,7 @@ mod tests {
                 (s, o) => panic!("{label} disagrees on success: stack={s:?} other={o:?}"),
             }
         }
+        native
     }
 
     fn f32_buf(vals: &[f32]) -> Vec<u8> {
@@ -3170,6 +3632,270 @@ mod tests {
             [2, 1, 1],
         );
     }
+
+    // -- strip mode: each of these fails against a strip mode that lacks
+    //    the eligibility rule or the unzip ------------------------------
+
+    fn i32_buf(n: usize) -> Vec<u8> {
+        (0..n as i32)
+            .flat_map(|v| (v * 3 + 1).to_le_bytes())
+            .collect()
+    }
+
+    fn bufs(slots: &[usize]) -> Vec<RtArg> {
+        slots.iter().map(|&s| RtArg::Buf { pool_slot: s }).collect()
+    }
+
+    /// The triangle must hold, the dispatch must succeed, and the native
+    /// engine must have decided for (`None`) or against strips as stated.
+    fn strip_case(
+        src: &str,
+        args: &[RtArg],
+        pool: Vec<Vec<u8>>,
+        local: [usize; 3],
+        groups: [usize; 3],
+        scalar_why: Option<StripReject>,
+    ) -> StripStats {
+        let ro = vec![false; pool.len()];
+        let global = std::array::from_fn(|d| local[d] * groups[d]);
+        let (stats, _) = triangle_native(src, "k", args, (pool, ro), global, local)
+            .expect("the kernel does not trap");
+        assert_eq!(stats.strip.scalar_why, scalar_why);
+        // Every item starts in a strip, except a dim-0 remainder of one.
+        let lanes = STRIP.min(local[0]);
+        let alone = (scalar_why.is_none() && lanes > 1 && local[0] % lanes == 1) as u64;
+        let rows = stats.items / local[0] as u64;
+        let expected = if scalar_why.is_some() || lanes == 1 {
+            0
+        } else {
+            stats.items - rows * alone
+        };
+        assert_eq!(stats.strip.items, expected);
+        stats.strip
+    }
+
+    #[test]
+    fn in_place_shift_stays_scalar() {
+        // Item i+1 must read what item i wrote: lanes may not interleave.
+        strip_case(
+            "__kernel void k(__global int* a) { int i = get_global_id(0); a[i + 1] = a[i] + 1; }",
+            &bufs(&[0]),
+            vec![i32_buf(40)],
+            [16, 1, 1],
+            [2, 1, 1],
+            Some(StripReject::LoadStore(0)),
+        );
+    }
+
+    #[test]
+    fn two_store_sites_into_one_buffer_stay_scalar() {
+        // Item i's second store and item i+1's first hit the same element.
+        strip_case(
+            "__kernel void k(__global int* a) {
+                int i = get_global_id(0);
+                a[i + 1] = i;
+                a[i] = 100 + i;
+            }",
+            &bufs(&[0]),
+            vec![i32_buf(40)],
+            [16, 1, 1],
+            [2, 1, 1],
+            Some(StripReject::TwoStores(0)),
+        );
+    }
+
+    #[test]
+    fn global_store_in_a_loop_stays_scalar() {
+        // One store instruction, but each item runs it several times at
+        // addresses its neighbours also write.
+        strip_case(
+            "__kernel void k(__global int* a) {
+                int i = get_global_id(0);
+                for (int j = 0; j < 3; j++) { a[i + j] = i * 10 + j; }
+            }",
+            &bufs(&[0]),
+            vec![i32_buf(40)],
+            [16, 1, 1],
+            [2, 1, 1],
+            Some(StripReject::StoreInLoop),
+        );
+    }
+
+    #[test]
+    fn aliased_arguments_are_rejected_per_dispatch() {
+        let src = "__kernel void k(__global int* a, __global int* b) {
+            int i = get_global_id(0);
+            b[i + 1] = a[i] + 1;
+        }";
+        // Statically eligible, and with distinct buffers it strips ...
+        strip_case(
+            src,
+            &bufs(&[0, 1]),
+            vec![i32_buf(40), i32_buf(40)],
+            [16, 1, 1],
+            [2, 1, 1],
+            None,
+        );
+        // ... but bound to one buffer it is the in-place shift again.
+        strip_case(
+            src,
+            &bufs(&[0, 0]),
+            vec![i32_buf(40)],
+            [16, 1, 1],
+            [2, 1, 1],
+            Some(StripReject::LoadStore(0)),
+        );
+    }
+
+    #[test]
+    fn differing_trip_counts_unzip_and_agreeing_ones_do_not() {
+        let kernel = |bound: &str| {
+            format!(
+                "__kernel void k(__global int* a, __global int* out) {{
+                    int i = get_global_id(1) * get_global_size(0) + get_global_id(0);
+                    int acc = 0;
+                    for (int j = 0; j < {bound}; j++) {{ acc = acc * 3 + a[(i + j) % 64]; }}
+                    out[i] = acc;
+                }}"
+            )
+        };
+        let run = |src: &str| {
+            strip_case(
+                src,
+                &bufs(&[0, 1]),
+                vec![i32_buf(64), vec![0u8; 4 * 66]],
+                [33, 2, 1],
+                [1, 1, 1],
+                None,
+            )
+        };
+        assert!(run(&kernel("(i * 7) % 5")).unzips > 0);
+        assert_eq!(run(&kernel("5")).unzips, 0);
+    }
+
+    #[test]
+    fn strips_follow_dim0_for_every_local_size() {
+        // Full strips, short strips, remainders of one, several rows; the
+        // divergent branch makes some of them unzip on the way.
+        for lx in [1, 5, 16, 17, 33] {
+            let n = lx * 3 * 2 * 2;
+            strip_case(
+                "__kernel void k(__global int* a, __global int* out) {
+                    int i = get_global_id(1) * get_global_size(0) + get_global_id(0);
+                    int v = a[i] + get_local_id(0) * 1000 + get_local_id(1) * 100 + get_group_id(0);
+                    if (i % 3 == 1) { v = v * 2; }
+                    out[i] = v;
+                }",
+                &bufs(&[0, 1]),
+                vec![i32_buf(n), vec![0u8; 4 * n]],
+                [lx, 3, 1],
+                [2, 2, 1],
+                None,
+            );
+        }
+    }
+
+    #[test]
+    fn private_array_kernel_strips() {
+        // Docrank's shape: private arrays bound through a local pointer
+        // (sited only thanks to pointer copy propagation), stored in loops.
+        let strip = strip_case(
+            "__kernel void k(__global float* docs, __global int* flags) {
+                int d = get_global_id(0);
+                float tf[8];
+                for (int t = 0; t < 8; t++) { tf[t] = docs[d * 8 + t]; }
+                float s = 0.0f;
+                for (int t = 0; t < 8; t++) { s = s + tf[t] * tf[7 - t]; }
+                int wanted = 0;
+                if (s > 150.0f) { wanted = 1; }
+                flags[d] = wanted;
+            }",
+            &bufs(&[0, 1]),
+            vec![
+                f32_buf(&(0..256).map(|i| (i % 11) as f32).collect::<Vec<_>>()),
+                vec![0u8; 4 * 32],
+            ],
+            [16, 1, 1],
+            [2, 1, 1],
+            None,
+        );
+        assert!(strip.unzips > 0, "the threshold test splits some strip");
+    }
+
+    #[test]
+    fn float4_kernel_strips() {
+        strip_case(
+            "__kernel void k(__global float4* a, __global float* out) {
+                int i = get_global_id(0);
+                float4 x = a[i];
+                float4 y = (float4)(2.0f) * x + (float4)(x.w, x.z, x.y, x.x);
+                y.z = y.z / 3.0f;
+                out[i] = dot(x, y) + y.z;
+            }",
+            &bufs(&[0, 1]),
+            vec![
+                f32_buf(&(0..128).map(|i| i as f32 * 0.5 - 7.0).collect::<Vec<_>>()),
+                vec![0u8; 4 * 32],
+            ],
+            [16, 1, 1],
+            [2, 1, 1],
+            None,
+        );
+    }
+
+    /// Compile `src`'s kernel `k`, check that it is statically eligible
+    /// for strips, and run the (trapping) triangle.
+    fn strip_trap_case(src: &str, pool: Vec<Vec<u8>>) -> Trap {
+        let unit = compile(&parse(src).expect("parse")).expect("compile");
+        let info = unit.kernels.get("k").expect("kernel").clone();
+        let reg = regir::compile_kernel(&unit, &info).expect("register compile");
+        let nat = compile_native(&reg, &info).expect("native compile");
+        assert_eq!(nat.strip_reject, None, "the trap must happen in strip mode");
+        let args = bufs(&(0..pool.len()).collect::<Vec<_>>());
+        let ro = vec![false; pool.len()];
+        triangle_native(src, "k", &args, (pool, ro), [32, 1, 1], [16, 1, 1])
+            .expect_err("the kernel traps")
+    }
+
+    #[test]
+    fn the_first_trap_in_item_order_wins_over_the_first_in_time() {
+        // Lane 5 traps on its first instructions; lane 2 traps much later.
+        // The sequential sweep never reaches item 5.
+        let trap = strip_trap_case(
+            "__kernel void k(__global int* a, __global int* out) {
+                int i = get_global_id(0);
+                int v = a[i];
+                if (i == 5) { v = a[i + 1000000]; }
+                for (int j = 0; j < 20; j++) { v = v * 3 + j; }
+                int z = i - 2;
+                out[i] = v / z;
+            }",
+            vec![i32_buf(32), vec![0u8; 4 * 32]],
+        );
+        assert_eq!(trap.global_id, [2, 0, 0]);
+        assert_eq!(trap.message, "integer division by zero");
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "2e9 interpreted ops per engine: release only"
+    )]
+    fn op_budget_trap_inside_a_strip() {
+        // Lanes 0 and 1 spin together as a strip of two after lane 2
+        // leaves the loop; lane 0 exhausts the budget first.
+        let trap = strip_trap_case(
+            "__kernel void k(__global float* a, __global float* out) {
+                int i = get_global_id(0);
+                float v = a[i];
+                while (i < 2) { v = v / 1.5f / 1.5f / 1.5f / 1.5f / 1.5f / 1.5f / 1.5f / 1.5f; }
+                out[i] = v;
+            }",
+            vec![f32_buf(&[1.0; 32]), vec![0u8; 4 * 32]],
+        );
+        assert_eq!(trap.global_id, [0, 0, 0]);
+        assert!(trap.message.contains("op budget"));
+    }
 }
 
 #[cfg(test)]
@@ -3207,7 +3933,7 @@ mod microbench {
             read_only: vec![false, false, false],
         };
         let global = [n, n, 1];
-        let local = [8, 8, 1];
+        let local = [16, 16, 1];
         let mut best_r = u128::MAX;
         let mut best_n = u128::MAX;
         for _ in 0..5 {

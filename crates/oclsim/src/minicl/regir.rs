@@ -41,8 +41,8 @@
 use super::ast::Space;
 use super::bytecode::{Builtin, Cmp, CompiledUnit, ElemTy, FuncInfo, KernelInfo, Op};
 use super::interp::{
-    checked_offset, local_region_sizes, locals_template, oob, MemPool, NdStats, PtrV, RtArg, Trap,
-    Val, MAX_ITEM_OPS,
+    checked_offset, local_region_sizes, locals_template, num_groups, oob, MemPool, NdStats, PtrV,
+    RtArg, Trap, Val, MAX_ITEM_OPS,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -1479,12 +1479,7 @@ pub fn run_ndrange(
     global: [usize; 3],
     local: [usize; 3],
 ) -> Result<NdStats, Trap> {
-    let num_groups = [
-        global[0] / local[0].max(1),
-        global[1] / local[1].max(1),
-        global[2] / local[2].max(1),
-    ];
-    let window = [0..num_groups[0], 0..num_groups[1], 0..num_groups[2]];
+    let window = num_groups(global, local).map(|n| 0..n);
     run_ndrange_window(prog, kernel, args, pool, global, local, window)
 }
 
@@ -1500,11 +1495,7 @@ pub fn run_ndrange_window(
     local: [usize; 3],
     window: [std::ops::Range<usize>; 3],
 ) -> Result<NdStats, Trap> {
-    let num_groups = [
-        global[0] / local[0].max(1),
-        global[1] / local[1].max(1),
-        global[2] / local[2].max(1),
-    ];
+    let num_groups = num_groups(global, local);
     let region_bytes = local_region_sizes(kernel, args)?;
     // Dispatch template: bound locals, zeroed canonical stack slots, then
     // the kernel's constant pool. `len == prog.nregs` by construction.

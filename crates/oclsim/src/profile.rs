@@ -113,7 +113,7 @@ impl ProfileSink {
             if ev.ops() > 0 {
                 te = te.with_arg("ops", ev.ops());
             }
-            self.trace.record(te);
+            self.trace.record(ev.with_strip_args(te));
         }
     }
 

@@ -8,8 +8,8 @@ use crate::engine::Engine;
 use crate::error::{ClError, ClResult};
 use crate::event::{CommandKind, Event};
 use crate::fault::{FaultEffect, FaultInjector, FaultOp};
-use crate::minicl::interp::{run_ndrange_window, MemPool, NdStats};
-use crate::minicl::native;
+use crate::minicl::interp::{num_groups, run_ndrange_window, MemPool, NdStats};
+use crate::minicl::native::{self, StripStats};
 use crate::minicl::regir;
 use crate::ndrange::NdRange;
 use crate::program::Kernel;
@@ -336,7 +336,7 @@ impl CommandQueue {
         if ev.ops() > 0 {
             te = te.with_arg("ops", ev.ops());
         }
-        sink.record(te);
+        sink.record(ev.with_strip_args(te));
     }
 
     /// The device this queue feeds.
@@ -536,12 +536,7 @@ impl CommandQueue {
         discount_ns: f64,
     ) -> ClResult<Event> {
         let prep = self.predispatch(kernel, nd)?;
-        let num_groups = [
-            nd.global[0] / nd.local[0].max(1),
-            nd.global[1] / nd.local[1].max(1),
-            nd.global[2] / nd.local[2].max(1),
-        ];
-        let window = [0..num_groups[0], 0..num_groups[1], 0..num_groups[2]];
+        let window = num_groups(nd.global, nd.local).map(|n| 0..n);
         let (stats, engine) = self.run_window(kernel, &prep.plan, nd, window)?;
         let base = self.inner.device.cost_model().kernel_ns(
             &stats.group_ops,
@@ -558,6 +553,7 @@ impl CommandQueue {
             ops,
             (base - discount_ns).max(0.0),
             engine,
+            stats.strip,
         )
     }
 
@@ -717,6 +713,7 @@ impl CommandQueue {
         ops: u64,
         mut cost: f64,
         engine: Engine,
+        strip: StripStats,
     ) -> ClResult<Event> {
         if let Some(factor) = effect.slowdown {
             // A straggling kernel: correct results, stretched virtual
@@ -765,6 +762,7 @@ impl CommandQueue {
             items,
             ops,
             engine.label(),
+            strip,
         );
         self.trace_command(&ev);
         Ok(ev)

@@ -2,7 +2,8 @@
 //!
 //! Every kernel the repository can produce — the generated OpenCL C of all
 //! five Ensemble applications on both device targets, hand-written trap
-//! fixtures, and proptest-generated expression kernels — is run through the
+//! fixtures, and proptest-generated expression and cross-item-conflict
+//! kernels — is run through the
 //! full public dispatch path (`Program::build` → `set_arg_*` →
 //! `enqueue_nd_range`) once per engine, and all three engines must agree
 //! **byte for byte** on every output buffer, on the retired abstract op
@@ -19,6 +20,7 @@ use ensemble_repro::ensemble_lang::{self, ActorCode};
 use ensemble_repro::oclsim::{
     ClError, CommandQueue, Context, DeviceType, Engine, MemFlags, NdRange, Platform, Program,
 };
+use ensemble_repro::trace::{SpanKind, TraceSink};
 use proptest::prelude::*;
 
 /// Elements per synthesized `__global` buffer argument.
@@ -51,9 +53,29 @@ type Outcome = Result<(Vec<Vec<u8>>, u64), String>;
 /// `float` (0.5). Any error other than a kernel trap is a panic — the
 /// fixtures are expected to build and launch.
 fn run_on(engine: Engine, src: &str, kernel_name: &str, global: [usize; 3], local: [usize; 3]) -> Outcome {
+    run_traced(
+        engine,
+        src,
+        kernel_name,
+        global,
+        local,
+        TraceSink::disabled(),
+    )
+}
+
+/// [`run_on`], with the queue's command spans recorded on `sink`.
+fn run_traced(
+    engine: Engine,
+    src: &str,
+    kernel_name: &str,
+    global: [usize; 3],
+    local: [usize; 3],
+    sink: TraceSink,
+) -> Outcome {
     let device = Platform::default_device(DeviceType::Gpu).expect("device");
     let ctx = Context::new(std::slice::from_ref(&device)).expect("context");
     let queue = CommandQueue::new(&ctx, &device).expect("queue");
+    queue.attach_trace(sink);
     let program = Program::build(&ctx, src)
         .unwrap_or_else(|e| panic!("build failure for `{kernel_name}`: {e}\n{src}"));
     let kernel = program.create_kernel(kernel_name).expect("kernel");
@@ -153,6 +175,55 @@ fn harvested_app_kernels_agree_on_all_engines() {
     }
 }
 
+/// The native engine runs the shipped barrier-free kernels in strips and
+/// says so on the kernel span; LUD's in-place kernels stay scalar and the
+/// span names the rule that kept them there.
+#[test]
+fn shipped_kernels_take_the_strip_path_and_lud_does_not() {
+    let kernels = harvested_kernels();
+    let span_args = |name: &str| -> Vec<(String, String)> {
+        let (_, src) = kernels
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("no harvested kernel `{name}`"));
+        let sink = TraceSink::new();
+        run_traced(Engine::Native, src, name, GLOBAL, LOCAL, sink.clone()).expect("runs");
+        let events = sink.events();
+        let span = events
+            .iter()
+            .find(|e| e.kind == SpanKind::Kernel)
+            .expect("a kernel span");
+        span.args.clone()
+    };
+    let arg = |args: &[(String, String)], key: &str| -> Option<String> {
+        args.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+    };
+    let items = (GLOBAL[0] * GLOBAL[1]).to_string();
+    for name in ["Multiply", "Mandelbrot", "Rank"] {
+        let args = span_args(name);
+        assert_eq!(
+            arg(&args, "strip_items"),
+            Some(items.clone()),
+            "`{name}`: {args:?}"
+        );
+        assert!(arg(&args, "strip_unzips").is_some(), "`{name}`: {args:?}");
+        assert_eq!(arg(&args, "scalar_why"), None, "`{name}`: {args:?}");
+    }
+    for name in ["Col", "Sub"] {
+        let args = span_args(name);
+        assert_eq!(arg(&args, "strip_items"), None, "`{name}`: {args:?}");
+        assert_eq!(
+            arg(&args, "scalar_why").as_deref(),
+            Some("load+store slot 0"),
+            "`{name}`: {args:?}"
+        );
+    }
+    // Barrier kernels run the lockstep sweep: neither tally nor reason.
+    let args = span_args("Reduce");
+    assert_eq!(arg(&args, "strip_items"), None, "{args:?}");
+    assert_eq!(arg(&args, "scalar_why"), None, "{args:?}");
+}
+
 /// Trap fixtures: all three engines must fail identically, through the
 /// public dispatch path (not just the minicl unit tests).
 #[test]
@@ -247,8 +318,67 @@ fn int_loop_kernel(bound: u8, ops: &[u8]) -> String {
     )
 }
 
+/// Build a kernel whose work-items get in each other's way on purpose:
+/// loads and stores of `out` at overlapping indices, a second store site,
+/// a store inside a loop, and loop trip counts that differ from item to
+/// item. Any engine that lets items interleave without proving it safe —
+/// the native engine's strip mode without its eligibility rule, or
+/// without the unzip — leaves different bytes than the sequential sweep.
+fn conflict_kernel(load: u8, trip: u8, loop_store: u8, store: u8, second: u8) -> String {
+    let index = |k: u8| match k % 5 {
+        0 => "i",
+        1 => "i + 1",
+        2 => "(i * 3) % 64",
+        3 => "255 - i",
+        _ => "0",
+    };
+    let load = match load % 4 {
+        0 => "a[i]".to_string(),
+        1 => "a[(i * 7) % 256]".to_string(),
+        k => format!("out[{}]", index(k)),
+    };
+    let trip = match trip % 4 {
+        0 => "3",
+        1 => "i % 4",
+        2 => "(i * 5) % 7",
+        _ => "0",
+    };
+    let loop_store = match loop_store % 3 {
+        0 => String::new(),
+        k => format!("out[{} + j] = v;", index(k)),
+    };
+    let second = match second % 3 {
+        0 => String::new(),
+        k => format!("out[{}] = v + 1;", index(k + 1)),
+    };
+    format!(
+        "__kernel void c(__global int* a, __global int* out) {{\n\
+            int i = get_global_id(1) * get_global_size(0) + get_global_id(0);\n\
+            int v = {load};\n\
+            for (int j = 0; j < {trip}; j++) {{ v = v * 3 + j; {loop_store} }}\n\
+            out[{}] = v;\n\
+            {second}\n\
+        }}",
+        index(store)
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Kernels built to conflict across items agree on all engines: the
+    /// native engine may only run in strips what it has proven safe.
+    #[test]
+    fn cross_item_conflict_kernels_agree(
+        load in any::<u8>(),
+        trip in any::<u8>(),
+        loop_store in any::<u8>(),
+        store in any::<u8>(),
+        second in any::<u8>(),
+    ) {
+        let src = conflict_kernel(load, trip, loop_store, store, second);
+        assert_engines_agree(&src, "c", GLOBAL, LOCAL);
+    }
 
     /// Arbitrary float expression kernels agree byte for byte on all engines.
     #[test]
