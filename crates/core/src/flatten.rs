@@ -12,7 +12,6 @@
 //! for making in-kernel updates to scalars visible to the host (§6.1.2
 //! notes "passing a pointer to the host variable is not an option").
 
-use oclsim::{Buffer, ClResult, CommandQueue, Event};
 use std::fmt;
 
 /// Element type of one flattened segment.
@@ -68,17 +67,6 @@ impl FlatSeg {
         }
     }
 
-    /// Upload the segment into `buf` through `queue`'s typed write: the
-    /// elements are converted straight into the buffer's storage, with no
-    /// intermediate [`FlatSeg::to_bytes`] vector. Every kernel-actor
-    /// upload goes through here.
-    pub fn upload(&self, queue: &CommandQueue, buf: &Buffer) -> ClResult<Event> {
-        match self {
-            FlatSeg::F32(v) => queue.write_f32(buf, v),
-            FlatSeg::I32(v) => queue.write_i32(buf, v),
-        }
-    }
-
     /// Rebuild a segment of type `ty` from device bytes.
     pub fn from_bytes(ty: SegTy, bytes: &[u8]) -> FlatSeg {
         match ty {
@@ -97,6 +85,49 @@ pub struct FlatData {
     pub segs: Vec<FlatSeg>,
     /// Shape metadata, passed to kernels as trailing `int` arguments.
     pub dims: Vec<i32>,
+}
+
+/// Where an upload's segments come from. The protocol asks a source for
+/// each segment's type and length, allocates the buffer, and has the
+/// source write the elements straight into the buffer's storage — so a
+/// front end whose values are not `f32`/`i32` vectors (the VM's `f64`
+/// leaves) never has to stage a [`FlatData`] first. [`FlatData`] itself
+/// is the source of the typed Rust API and of the failover rescue.
+pub trait FlatSource {
+    /// Shape metadata, passed to kernels as trailing `int` arguments.
+    fn dims(&self) -> &[i32];
+
+    /// Number of segments (one device buffer each).
+    fn seg_count(&self) -> usize;
+
+    /// Element type and element count of segment `idx`.
+    fn seg_shape(&self, idx: usize) -> (SegTy, usize);
+
+    /// Write segment `idx` into `dst` (exactly `4 * len` bytes) in the
+    /// [`FlatSeg::to_bytes`] layout. Must be re-runnable: a retried
+    /// upload fills the same buffer again.
+    fn fill(&self, idx: usize, dst: &mut [u8]);
+}
+
+impl FlatSource for FlatData {
+    fn dims(&self) -> &[i32] {
+        &self.dims
+    }
+
+    fn seg_count(&self) -> usize {
+        self.segs.len()
+    }
+
+    fn seg_shape(&self, idx: usize) -> (SegTy, usize) {
+        (self.segs[idx].ty(), self.segs[idx].len())
+    }
+
+    fn fill(&self, idx: usize, dst: &mut [u8]) {
+        match &self.segs[idx] {
+            FlatSeg::F32(v) => oclsim::hostmem::pack(v, dst, f32::to_le_bytes),
+            FlatSeg::I32(v) => oclsim::hostmem::pack(v, dst, i32::to_le_bytes),
+        }
+    }
 }
 
 /// Error rebuilding a value from flattened data.
@@ -532,17 +563,17 @@ mod tests {
     }
 
     #[test]
-    fn upload_lands_the_to_bytes_layout_on_the_device() {
-        let env = crate::env::private_gpu_env();
-        for seg in [FlatSeg::F32(vec![1.5, -2.0]), FlatSeg::I32(vec![7, -9, 11])] {
-            let buf = env
-                .context
-                .create_buffer(oclsim::MemFlags::ReadWrite, seg.byte_len())
-                .unwrap();
-            let ev = seg.upload(&env.queue, &buf).unwrap();
-            assert_eq!(ev.bytes(), seg.byte_len());
-            let mut raw = vec![0u8; seg.byte_len()];
-            env.queue.enqueue_read_buffer(&buf, &mut raw).unwrap();
+    fn flat_data_fills_the_to_bytes_layout() {
+        let flat = FlatData {
+            segs: vec![FlatSeg::F32(vec![1.5, -2.0]), FlatSeg::I32(vec![7, -9, 11])],
+            dims: vec![2, 3],
+        };
+        assert_eq!(FlatSource::dims(&flat), [2, 3]);
+        assert_eq!(flat.seg_count(), 2);
+        for (idx, seg) in flat.segs.iter().enumerate() {
+            assert_eq!(flat.seg_shape(idx), (seg.ty(), seg.len()));
+            let mut raw = vec![0xAAu8; seg.byte_len()];
+            flat.fill(idx, &mut raw);
             assert_eq!(raw, seg.to_bytes());
         }
     }

@@ -124,7 +124,7 @@ pub mod settings;
 
 pub use checkpoint::Checkpoint;
 pub use env::{device_matrix, DeviceSel, MatrixResolver, OpenClEnvironment, ResolveEnv};
-pub use flatten::{Array2, Array3, FlatData, FlatSeg, Flatten, FlattenError, SegTy};
+pub use flatten::{Array2, Array3, FlatData, FlatSeg, FlatSource, Flatten, FlattenError, SegTy};
 pub use kernel_actor::{KernelActor, ResidentKernelActor};
 pub use profile::{Profile, ProfileSink};
 pub use protocol::{DispatchMode, KernelHost, KernelSpec, Launch, ResidentBufs};

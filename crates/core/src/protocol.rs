@@ -8,8 +8,9 @@
 //! * [`KernelHost::open`] resolves a [`KernelSpec`]'s device through a
 //!   [`ResolveEnv`] and builds its kernel (transient refusals retried,
 //!   permanent ones failed over);
-//! * [`KernelHost::upload`] moves a [`FlatData`] into [`ResidentBufs`],
-//!   retrying per segment;
+//! * [`KernelHost::upload`] moves a [`FlatSource`] — a [`FlatData`], or a
+//!   front end's own view of its values — into [`ResidentBufs`], one
+//!   pass per segment straight into the buffer, retrying per segment;
 //! * [`KernelHost::dispatch`] binds buffers → dims → `int` scalars →
 //!   `float` scalars and enqueues under a [`DispatchMode`], retrying
 //!   transients and, on a permanent device error, evacuating the data
@@ -28,7 +29,7 @@
 //! protocol's restart state machine.
 
 use crate::env::{DeviceSel, OpenClEnvironment, ResolveEnv};
-use crate::flatten::{FlatData, FlatSeg, SegTy};
+use crate::flatten::{FlatData, FlatSeg, FlatSource, SegTy};
 use crate::profile::ProfileSink;
 use crate::recovery::{record_failover, with_retry, RecoveryPolicy};
 use crate::settings::nd_from;
@@ -106,31 +107,33 @@ impl Drop for ResidentBufs {
 }
 
 impl ResidentBufs {
-    /// Upload `flat` into fresh buffers on `env`, charging the transfers
+    /// Upload `src` into fresh buffers on `env`, charging the transfers
     /// to `profile`. Each segment's write retries transients on its own,
     /// so a refusal on a late segment never re-sends (or re-charges) the
     /// earlier ones. Every buffer joins the value before it is written,
     /// so an error or unwind mid-upload releases what was allocated.
     pub(crate) fn upload(
         env: &OpenClEnvironment,
-        flat: &FlatData,
+        src: &dyn FlatSource,
         policy: &RecoveryPolicy,
         profile: &ProfileSink,
     ) -> ClResult<ResidentBufs> {
         let mut rb = ResidentBufs {
-            bufs: Vec::with_capacity(flat.segs.len()),
-            dims: flat.dims.clone(),
+            bufs: Vec::with_capacity(src.seg_count()),
+            dims: src.dims().to_vec(),
             context: env.context.clone(),
             queue: env.queue.clone(),
         };
         let device = env.device.name();
-        for seg in &flat.segs {
-            let buf = env
-                .context
-                .create_buffer(MemFlags::ReadWrite, seg.byte_len())?;
-            rb.bufs.push((buf.clone(), seg.ty()));
+        for idx in 0..src.seg_count() {
+            let (ty, len) = src.seg_shape(idx);
+            let buf = env.context.create_buffer(MemFlags::ReadWrite, len * 4)?;
+            rb.bufs.push((buf.clone(), ty));
+            // The source converts its elements straight into the buffer's
+            // storage; a retry runs the fill again.
             let ev = with_retry(policy, &env.queue, device, profile, "upload", || {
-                seg.upload(&env.queue, &buf)
+                env.queue
+                    .write_with(&buf, len * 4, |dst| src.fill(idx, dst))
             })?;
             profile.record_command(&ev, device);
         }
@@ -358,11 +361,11 @@ impl KernelHost {
         Ok(())
     }
 
-    /// Upload `flat` to the current device, failing over (and uploading
+    /// Upload `src` to the current device, failing over (and uploading
     /// there instead) if the device refuses permanently.
-    pub fn upload(&mut self, flat: &FlatData) -> ClResult<ResidentBufs> {
+    pub fn upload(&mut self, src: &dyn FlatSource) -> ClResult<ResidentBufs> {
         loop {
-            match ResidentBufs::upload(&self.env, flat, &self.spec.recovery, &self.spec.profile) {
+            match ResidentBufs::upload(&self.env, src, &self.spec.recovery, &self.spec.profile) {
                 Err(e) if self.spec.recovery.should_fail_over(&e) => self.fail_over(&e)?,
                 done => return done,
             }
@@ -454,16 +457,16 @@ impl KernelHost {
         }
     }
 
-    /// The copy-channel round trip: upload `flat`, dispatch, and read the
+    /// The copy-channel round trip: upload `src`, dispatch, and read the
     /// spec's `out_segs` (with the dims named by `out_dims`) back. Nothing
     /// stays on the device: the buffers are released on every exit.
     pub fn request(
         &mut self,
-        flat: &FlatData,
+        src: &dyn FlatSource,
         launch: &Launch<'_>,
         mode: DispatchMode<'_>,
     ) -> ClResult<FlatData> {
-        let mut bufs = self.upload(flat)?;
+        let mut bufs = self.upload(src)?;
         self.dispatch(&mut bufs, launch, mode)?;
         let spec = &self.spec;
         Ok(FlatData {

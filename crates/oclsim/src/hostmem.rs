@@ -9,7 +9,7 @@
 /// to convert straight into buffer storage. A `chunks_exact_mut` walk over
 /// a pre-sized destination: no per-element capacity check, so the loop
 /// vectorises.
-pub(crate) fn pack<T: Copy>(vals: &[T], out: &mut [u8], le_bytes: impl Fn(T) -> [u8; 4]) {
+pub fn pack<T: Copy>(vals: &[T], out: &mut [u8], le_bytes: impl Fn(T) -> [u8; 4]) {
     assert_eq!(out.len(), vals.len() * 4, "destination must hold every element");
     for (word, v) in out.chunks_exact_mut(4).zip(vals) {
         word.copy_from_slice(&le_bytes(*v));

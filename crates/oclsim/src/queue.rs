@@ -379,8 +379,11 @@ impl CommandQueue {
     /// and the typed writes: `fill` produces the payload's `len` bytes
     /// directly in `buf`'s storage under its lock, so every form of write
     /// takes the same arbiter slot, draws exactly one `Upload` fault-op,
-    /// and records the same provenance, cost and trace span.
-    fn write_with(&self, buf: &Buffer, len: usize, fill: impl FnOnce(&mut [u8])) -> ClResult<Event> {
+    /// and records the same provenance, cost and trace span. Public so a
+    /// layer above can convert its own element representation straight
+    /// into the buffer (the VM's `f64` leaves, say) without staging a
+    /// typed vector first; `fill` runs only once the write is admitted.
+    pub fn write_with(&self, buf: &Buffer, len: usize, fill: impl FnOnce(&mut [u8])) -> ClResult<Event> {
         let _slot = self.arbiter_slot();
         let effect = self.fault_check(FaultOp::Upload)?;
         self.check_buffer(buf)?;
@@ -1148,6 +1151,7 @@ mod tests {
         outcomes: Vec<Result<(usize, u64, u64), String>>,
         device_bytes: Vec<Vec<u8>>,
         provenance: Vec<Option<u64>>,
+        shadow: Vec<Option<Vec<u8>>>,
         fired: Vec<crate::fault::InjectionRecord>,
         trace: Vec<(SpanKind, String, u64, u64)>,
         clock_bits: u64,
@@ -1179,6 +1183,10 @@ mod tests {
                 .collect(),
             device_bytes: bufs.iter().map(|b| b.snapshot().unwrap()).collect(),
             provenance: bufs.iter().map(|b| b.provenance_checksum()).collect(),
+            shadow: bufs
+                .iter()
+                .map(|b| b.inner.provenance.lock().as_ref().map(|p| p.shadow.clone()))
+                .collect(),
             fired: inj.records(),
             trace: sink
                 .events()
@@ -1191,9 +1199,14 @@ mod tests {
 
     #[test]
     fn typed_writes_are_indistinguishable_from_the_byte_write() {
-        use crate::fault::{FaultPlan, InjectedFault};
+        use crate::fault::{FaultPlan, InjectedFault, KillMode};
+        use crate::hostmem::pack;
         let floats: Vec<f32> = (0..64).map(|i| i as f32 * -0.75).collect();
         let ints: Vec<i32> = (0..64).map(|i| i * 0x0101_0101 - 7).collect();
+        // A caller-side source: wider host elements converted inside the
+        // fill, the way the VM's leaf view uploads (`f64→f32`, `i64→i32`).
+        let doubles: Vec<f64> = floats.iter().map(|&x| x as f64).collect();
+        let longs: Vec<i64> = ints.iter().map(|&x| x as i64 + (1 << 40)).collect();
         let plans = [
             FaultPlan::new(),
             // One fault-op per write: the flip scheduled at Upload index 1
@@ -1205,6 +1218,8 @@ mod tests {
             FaultPlan::new()
                 .fail(FaultOp::Upload, 0, InjectedFault::Transient)
                 .fail(FaultOp::Upload, 2, InjectedFault::Corrupt),
+            // A killed upload never runs its fill.
+            FaultPlan::new().fail(FaultOp::Upload, 1, InjectedFault::Kill(KillMode::Exit)),
         ];
         for plan in plans {
             // An oversize payload fails with the same message too.
@@ -1214,11 +1229,23 @@ mod tests {
                 });
                 let typed = observe_writes(plan.clone(), nbytes, |q, b| q.write_f32(b, &floats));
                 assert_eq!(typed, via_bytes, "f32, {nbytes}-byte buffers");
+                let source = observe_writes(plan.clone(), nbytes, |q, b| {
+                    q.write_with(b, doubles.len() * 4, |dst| {
+                        pack(&doubles, dst, |x| (x as f32).to_le_bytes())
+                    })
+                });
+                assert_eq!(source, via_bytes, "f64 source, {nbytes}-byte buffers");
                 let via_bytes = observe_writes(plan.clone(), nbytes, |q, b| {
                     q.enqueue_write_buffer(b, &crate::hostmem::i32_to_bytes(&ints))
                 });
                 let typed = observe_writes(plan.clone(), nbytes, |q, b| q.write_i32(b, &ints));
                 assert_eq!(typed, via_bytes, "i32, {nbytes}-byte buffers");
+                let source = observe_writes(plan.clone(), nbytes, |q, b| {
+                    q.write_with(b, longs.len() * 4, |dst| {
+                        pack(&longs, dst, |x| (x as i32).to_le_bytes())
+                    })
+                });
+                assert_eq!(source, via_bytes, "i64 source, {nbytes}-byte buffers");
             }
         }
         // The comparison above is not vacuous: the corrupting plan really
@@ -1234,6 +1261,7 @@ mod tests {
         assert_ne!(seen.device_bytes[1], seen.device_bytes[0]);
         assert_eq!(seen.device_bytes[2], seen.device_bytes[0]);
         assert_eq!(seen.provenance[1], Some(crate::buffer::fnv1a64(&seen.device_bytes[0])));
+        assert_eq!(seen.shadow[1].as_ref(), Some(&seen.device_bytes[0]));
         assert_eq!(seen.trace.len(), 3);
     }
 

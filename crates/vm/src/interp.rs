@@ -7,7 +7,7 @@
 //! "overhead" bar of the paper's figures (interpreting the non-kernel code
 //! is what makes Ensemble slower than C there).
 
-use crate::value::{force_host_locked, MovState, VmArr, VmError, VmVal};
+use crate::value::{force_host_locked, DupStats, DupTally, MovState, VmArr, VmError, VmVal};
 use ensemble_actors::ChannelError;
 use ensemble_lang::ast::PrintKind;
 use ensemble_lang::vmops::{Chunk, CompiledModule, ElemKind, NativeFn, VOp};
@@ -39,6 +39,11 @@ pub trait RuntimeHooks {
     /// [`crate::value::DEADLINE_MARK`] error once it passes. `None` (the
     /// default) blocks indefinitely — the paper's standalone semantics.
     fn deadline(&self) -> Option<std::time::Instant> {
+        None
+    }
+    /// Where copy sends and the writes that un-share their leaves are
+    /// accounted (`None`: nobody is counting).
+    fn dup_stats(&self) -> Option<&DupStats> {
         None
     }
 }
@@ -190,7 +195,7 @@ pub fn run_chunk(
                 let value = pop!();
                 let idx = pop!().as_i()?;
                 let arr = pop!();
-                index_store(&arr, idx, value)?;
+                index_store(&arr, idx, value, hooks.dup_stats())?;
             }
             VOp::Add | VOp::Sub | VOp::Mul | VOp::Div | VOp::Rem => {
                 let b = pop!();
@@ -274,28 +279,37 @@ pub fn run_chunk(
                 let VmVal::ChanOut(o) = chan else {
                     return Err(VmError::new("send on a non-out endpoint"));
                 };
-                // Shared-nothing: duplicate unless the type is mov.
+                // Shared-nothing: duplicate unless the type is mov. The
+                // duplicate shares its typed leaves copy-on-write, so the
+                // send is O(cells) whatever the payload's size.
+                let mut shared = DupTally::default();
                 let payload = if *mov {
                     value
                 } else {
-                    value.deep_copy(hooks.profile())?
+                    let copy = value.dup(hooks.profile(), &mut shared)?;
+                    if let Some(dup) = hooks.dup_stats() {
+                        dup.add_shared(shared.bytes);
+                    }
+                    copy
                 };
                 // The interpreter, not the channel, knows whether this
                 // send is a mov (ownership transfer) or a duplicate — the
                 // runtime always delivers via `send_moved` because a
-                // non-mov payload was already deep-copied above.
+                // non-mov payload was already duplicated above.
                 if let Some(p) = hooks.profile() {
                     let t = p.trace();
                     if t.is_enabled() {
-                        let (kind, name) = if *mov {
-                            (trace::SpanKind::MovTransfer, "send_mov")
-                        } else {
-                            (trace::SpanKind::Duplicate, "send_dup")
-                        };
-                        t.record(
+                        let ev = |kind, name| {
                             trace::TraceEvent::instant(kind, name, "vm", t.wall_ns())
-                                .with_arg("clock", "wall"),
-                        );
+                                .with_arg("clock", "wall")
+                        };
+                        t.record(if *mov {
+                            ev(trace::SpanKind::MovTransfer, "send_mov")
+                        } else {
+                            ev(trace::SpanKind::Duplicate, "send_dup")
+                                .with_arg("leaves", shared.leaves)
+                                .with_arg("bytes_shared", shared.bytes)
+                        });
                     }
                 }
                 match o.send_moved(payload) {
@@ -390,7 +404,7 @@ fn native_call(f: NativeFn, stack: &mut Vec<VmVal>) -> Result<VmVal, VmError> {
             let n = pop()?.as_i()? as usize;
             let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
             let data: Vec<f64> = (0..n).map(|_| 0.5 + xorshift(&mut state)).collect();
-            Ok(VmVal::arr(VmArr::R(data)))
+            Ok(VmVal::arr(VmArr::R(data.into())))
         }
         NativeFn::GenerateMatrix => {
             let seed = pop()?.as_i()? as u64;
@@ -398,7 +412,10 @@ fn native_call(f: NativeFn, stack: &mut Vec<VmVal>) -> Result<VmVal, VmError> {
             let rows = pop()?.as_i()? as usize;
             let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
             let cells = (0..rows)
-                .map(|_| VmVal::arr(VmArr::R((0..cols).map(|_| xorshift(&mut state)).collect())))
+                .map(|_| {
+                    let row: Vec<f64> = (0..cols).map(|_| xorshift(&mut state)).collect();
+                    VmVal::arr(VmArr::R(row.into()))
+                })
                 .collect();
             Ok(VmVal::arr(VmArr::Cells(cells)))
         }
@@ -416,7 +433,7 @@ fn native_call(f: NativeFn, stack: &mut Vec<VmVal>) -> Result<VmVal, VmError> {
                         .map(|(_, v)| v.abs())
                         .sum();
                     row[i] = sum + 1.0 + xorshift(&mut state);
-                    VmVal::arr(VmArr::R(row))
+                    VmVal::arr(VmArr::R(row.into()))
                 })
                 .collect();
             Ok(VmVal::arr(VmArr::Cells(cells)))
@@ -452,13 +469,14 @@ fn alloc_array(dims: &[usize], elem: ElemKind, fill: Option<&VmVal>) -> Result<V
     if dims.len() == 1 {
         let n = dims[0];
         let arr = match elem {
-            ElemKind::Int => VmArr::I(vec![fill.map(|f| f.as_i()).transpose()?.unwrap_or(0); n]),
-            ElemKind::Real => VmArr::R(vec![fill.map(|f| f.as_f()).transpose()?.unwrap_or(0.0); n]),
+            ElemKind::Int => {
+                VmArr::I(vec![fill.map(|f| f.as_i()).transpose()?.unwrap_or(0); n].into())
+            }
+            ElemKind::Real => {
+                VmArr::R(vec![fill.map(|f| f.as_f()).transpose()?.unwrap_or(0.0); n].into())
+            }
             ElemKind::Bool | ElemKind::Cell => {
-                VmArr::B(vec![
-                    fill.map(|f| f.as_b()).transpose()?.unwrap_or(false);
-                    n
-                ])
+                VmArr::B(vec![fill.map(|f| f.as_b()).transpose()?.unwrap_or(false); n].into())
             }
         };
         return Ok(VmVal::arr(arr));
@@ -487,7 +505,7 @@ fn index_load(arr: &VmVal, idx: i64) -> Result<VmVal, VmError> {
     out.ok_or_else(|| VmError::new(format!("index {idx} out of bounds (len {})", guard.len())))
 }
 
-fn index_store(arr: &VmVal, idx: i64, value: VmVal) -> Result<(), VmError> {
+fn index_store(arr: &VmVal, idx: i64, value: VmVal, dup: Option<&DupStats>) -> Result<(), VmError> {
     let VmVal::Arr(a) = arr else {
         return Err(VmError::new(format!("indexing a non-array {arr:?}")));
     };
@@ -502,13 +520,7 @@ fn index_store(arr: &VmVal, idx: i64, value: VmVal) -> Result<(), VmError> {
             "index {idx} out of bounds (len {len})"
         )));
     }
-    match &mut *guard {
-        VmArr::I(v) => v[i] = value.as_i()?,
-        VmArr::R(v) => v[i] = value.as_f()?,
-        VmArr::B(v) => v[i] = value.as_b()?,
-        VmArr::Cells(v) => v[i] = value,
-    }
-    Ok(())
+    guard.store(i, value, dup)
 }
 
 fn arith(op: &VOp, a: &VmVal, b: &VmVal) -> Result<VmVal, VmError> {

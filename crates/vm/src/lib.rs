@@ -66,4 +66,6 @@ pub mod value;
 
 pub use interp::{run_chunk, Exit, RuntimeHooks};
 pub use runtime::{ResidentHook, VmReport, VmRuntime, VM_NS_PER_OP};
-pub use value::{ErrorClass, EvictableMov, VmArr, VmError, VmVal, DEADLINE_MARK};
+pub use value::{
+    DupStats, ErrorClass, EvictableMov, FlatView, VmArr, VmError, VmVal, DEADLINE_MARK,
+};

@@ -25,7 +25,7 @@
 
 use crate::interp::{run_chunk, Exit, RuntimeHooks};
 use crate::value::{
-    flatten_fields, unflatten_fields, ErrorClass, EvictableMov, MovState, VmError, VmVal,
+    flatten_fields, unflatten_fields, DupStats, ErrorClass, EvictableMov, MovState, VmError, VmVal,
 };
 use ensemble_actors::supervisor::panic_message;
 use ensemble_actors::{
@@ -67,6 +67,11 @@ pub struct VmReport {
     pub output: Vec<String>,
     /// Accumulated OpenCL costs from kernel actors.
     pub profile: Profile,
+    /// Typed-leaf bytes copy-channel sends shared instead of copying.
+    pub dup_shared_bytes: u64,
+    /// Typed-leaf bytes a write to a still-shared leaf had to copy after
+    /// all — 0 for a program that never mutates what it has sent.
+    pub dup_copied_bytes: u64,
 }
 
 impl VmReport {
@@ -115,6 +120,7 @@ struct Shared {
     /// module to every request that runs the same source.
     module: Arc<CompiledModule>,
     ops: Arc<AtomicU64>,
+    dup: DupStats,
     profile: ProfileSink,
     output: Mutex<Vec<String>>,
     /// Actors created during boot; their threads start only after boot
@@ -161,6 +167,10 @@ impl RuntimeHooks for Arc<Shared> {
     fn deadline(&self) -> Option<Instant> {
         *self.deadline.lock()
     }
+
+    fn dup_stats(&self) -> Option<&DupStats> {
+        Some(&self.dup)
+    }
 }
 
 /// The VM: owns a compiled module and runs it.
@@ -185,6 +195,7 @@ impl VmRuntime {
             shared: Arc::new(Shared {
                 module: module.into(),
                 ops: Arc::new(AtomicU64::new(0)),
+                dup: DupStats::default(),
                 profile,
                 output: Mutex::new(Vec::new()),
                 pending: Mutex::new(Vec::new()),
@@ -370,6 +381,8 @@ impl VmRuntime {
             vm_ops: self.shared.ops.load(Ordering::Relaxed),
             output: self.shared.output.lock().clone(),
             profile: self.shared.profile.snapshot(),
+            dup_shared_bytes: self.shared.dup.shared_bytes(),
+            dup_copied_bytes: self.shared.dup.copied_bytes(),
         })
     }
 }

@@ -22,6 +22,22 @@ fn run(src: &str) -> Vec<String> {
         .output
 }
 
+/// [`run`] for a shipped `ocl.ens`. Every one of them is W005-clean
+/// (`crates/analysis/tests/proofs.rs`): the prover predicts that no copy
+/// send's payload is written while the other side still holds it, and the
+/// copy-on-write runtime is the dynamic cross-check — not one deferred
+/// copy may materialise.
+fn run_ocl(src: &str) -> Vec<String> {
+    let report = VmRuntime::new(gated(src))
+        .run()
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(
+        report.dup_copied_bytes, 0,
+        "a W005-clean app paid for a copy"
+    );
+    report.output
+}
+
 /// Shrink the paper-scale constants embedded in an asset for test speed.
 fn shrink(src: &str, subs: &[(&str, &str)]) -> String {
     let mut out = src.to_string();
@@ -40,7 +56,7 @@ fn matmul_ocl_matches_seq() {
         include_str!("../../apps/src/assets/matmul/seq.ens"),
         &subs,
     ));
-    let ocl = run(&shrink(
+    let ocl = run_ocl(&shrink(
         include_str!("../../apps/src/assets/matmul/ocl.ens"),
         &gsubs,
     ));
@@ -57,7 +73,7 @@ fn mandelbrot_ocl_matches_seq() {
         include_str!("../../apps/src/assets/mandelbrot/seq.ens"),
         &subs,
     ));
-    let ocl = run(&shrink(
+    let ocl = run_ocl(&shrink(
         include_str!("../../apps/src/assets/mandelbrot/ocl.ens"),
         &gsubs,
     ));
@@ -75,7 +91,7 @@ fn reduction_ocl_matches_seq() {
         include_str!("../../apps/src/assets/reduction/seq.ens"),
         &subs,
     ));
-    let ocl = run(&shrink(
+    let ocl = run_ocl(&shrink(
         include_str!("../../apps/src/assets/reduction/ocl.ens"),
         &subs,
     ));
@@ -91,7 +107,7 @@ fn lud_ocl_matches_seq() {
         include_str!("../../apps/src/assets/lud/seq.ens"),
         &subs,
     ));
-    let ocl = run(&shrink(
+    let ocl = run_ocl(&shrink(
         include_str!("../../apps/src/assets/lud/ocl.ens"),
         &gsubs,
     ));
@@ -112,7 +128,7 @@ fn docrank_ocl_matches_seq() {
         include_str!("../../apps/src/assets/docrank/seq.ens"),
         &subs,
     ));
-    let ocl = run(&shrink(
+    let ocl = run_ocl(&shrink(
         include_str!("../../apps/src/assets/docrank/ocl.ens"),
         &subs,
     ));
@@ -203,4 +219,37 @@ fn lud_residency_proof_skips_runtime_bookkeeping() {
     // 8 steps × 3 kernels = 24 dispatches; all but the very first find the
     // matrix already device-resident and skip the check under the proof.
     assert_eq!(proven, 23, "expected a proof instant per resident dispatch");
+}
+
+#[test]
+fn a_write_after_a_copy_send_pays_its_copy_and_stays_invisible() {
+    // The W005 fixture mutates `d.inp` right after sending `d` by copy.
+    // The kernel must still see the sent 1.0s (8 × 2.0 = 16), and the
+    // only copy ever made is that one 8-element leaf — or none, if the
+    // kernel actor had already uploaded and dropped its share.
+    let module = gated(include_str!("../../analysis/tests/fixtures/w005.ens"));
+    let report = VmRuntime::new(module).run().unwrap();
+    assert_eq!(report.output, vec!["16"]);
+    assert!(report.dup_shared_bytes >= 2 * 8 * 8, "{report:?}");
+    assert!(report.dup_copied_bytes <= 64, "{report:?}");
+}
+
+#[test]
+fn an_integer_array_in_a_real_field_is_a_typed_error() {
+    // Nothing in `lang` rejects building `data_t(real [] x; ...)` from an
+    // `integer []`; it used to flatten to a zero-length segment and trap
+    // inside the kernel as an out-of-bounds access.
+    let src = shrink(
+        include_str!("../../../benchmark/fixtures/stream_copy.ens"),
+        &[
+            ("n = 1048576", "n = 2048"),
+            ("x = new real[n] of 1.0", "x = new integer[n] of 1"),
+        ],
+    );
+    let err = VmRuntime::new(gated(&src)).run().unwrap_err();
+    assert!(
+        err.message
+            .contains("field `x` is declared Real [] but holds integer []"),
+        "{err}"
+    );
 }
