@@ -160,6 +160,18 @@ pub(crate) struct Access {
     pub(crate) span: Span,
 }
 
+/// Which symbol ranges an argument may lean on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ranges {
+    /// The [`HostFacts`] routed into this kernel: the argument holds for
+    /// the dispatches the analysed host makes.
+    Routed,
+    /// Only what the language guarantees (ids and extents are
+    /// non-negative, sizes at least 1): the argument holds for every
+    /// ND-range and every buffer extent.
+    Any,
+}
+
 /// Facts routed in from the host-side abstract interpretation.
 #[derive(Debug, Default, Clone)]
 pub struct HostFacts {
@@ -707,9 +719,15 @@ impl KernelCheck {
     // ---- ranges -------------------------------------------------------
 
     pub(crate) fn sym_range(&self, s: Sym) -> (Option<i64>, Option<i64>) {
+        self.sym_range_in(s, Ranges::Routed)
+    }
+
+    fn sym_range_in(&self, s: Sym, ranges: Ranges) -> (Option<i64>, Option<i64>) {
         let f = &self.facts;
-        let ext = |d: u8| f.extent.get(d as usize).copied().flatten();
-        let ls = |d: u8| f.lsize.get(d as usize).copied().flatten();
+        let routed = ranges == Ranges::Routed;
+        let fact = |of: &[Option<i64>; 3], d: u8| of.get(d as usize).copied().flatten();
+        let ext = |d: u8| fact(&f.extent, d).filter(|_| routed);
+        let ls = |d: u8| fact(&f.lsize, d).filter(|_| routed);
         match s {
             Sym::Gid(d) => (Some(0), ext(d).map(|e| e - 1)),
             Sym::Lid(d) => (Some(0), ls(d).map(|l| l - 1)),
@@ -726,9 +744,13 @@ impl KernelCheck {
             Sym::Scalar(_) => (None, None),
             Sym::DimLen(id) => {
                 let v = self.dimlen_vals.get(id as usize).copied().flatten();
+                let v = v.filter(|_| routed);
                 (v.or(Some(0)), v)
             }
-            Sym::Loop(id) => self.loops.get(id as usize).copied().unwrap_or((None, None)),
+            // Loop bounds were folded through the routed facts when the
+            // loop was walked.
+            Sym::Loop(id) if routed => self.loops.get(id as usize).copied().unwrap_or((None, None)),
+            Sym::Loop(_) => (None, None),
         }
     }
 
@@ -1084,6 +1106,11 @@ impl KernelCheck {
     /// per-item symbols independent between the two items — is strictly
     /// positive or strictly negative.
     pub(crate) fn disjoint(&self, a: &Access, b: &Access) -> bool {
+        self.disjoint_in(a, b, Ranges::Routed)
+    }
+
+    /// [`Self::disjoint`] with the symbol intervals taken from `ranges`.
+    pub(crate) fn disjoint_in(&self, a: &Access, b: &Access, ranges: Ranges) -> bool {
         for (x, y) in a.idxs.iter().zip(&b.idxs) {
             let (Some(x), Some(y)) = (x, y) else { continue };
             let (mut lo, mut hi) = (Some(0i64), Some(0i64));
@@ -1104,13 +1131,13 @@ impl KernelCheck {
                     if c == 0 {
                         continue;
                     }
-                    let (slo, shi) = self.sym_range(s);
+                    let (slo, shi) = self.sym_range_in(s, ranges);
                     let (a1, b1) = if c > 0 { (slo, shi) } else { (shi, slo) };
                     lo = add(lo, a1.map(|v| c * v));
                     hi = add(hi, b1.map(|v| c * v));
                 } else {
                     // Per-item: independent copy for item B.
-                    let (slo, shi) = self.sym_range(s);
+                    let (slo, shi) = self.sym_range_in(s, ranges);
                     let (a1, b1) = if cy > 0 { (slo, shi) } else { (shi, slo) };
                     lo = add(lo, a1.map(|v| cy * v));
                     hi = add(hi, b1.map(|v| cy * v));
@@ -1121,7 +1148,7 @@ impl KernelCheck {
                     if !handled.contains(&s) {
                         // coefficient cy = 0, c = -cx
                         let c = -cx;
-                        let (slo, shi) = self.sym_range(s);
+                        let (slo, shi) = self.sym_range_in(s, ranges);
                         let (a1, b1) = if c > 0 { (slo, shi) } else { (shi, slo) };
                         lo = add(lo, a1.map(|v| c * v));
                         hi = add(hi, b1.map(|v| c * v));
@@ -1129,7 +1156,7 @@ impl KernelCheck {
                 } else {
                     // Independent copy for item A, negated.
                     let c = -cx;
-                    let (slo, shi) = self.sym_range(s);
+                    let (slo, shi) = self.sym_range_in(s, ranges);
                     let (a1, b1) = if c > 0 { (slo, shi) } else { (shi, slo) };
                     lo = add(lo, a1.map(|v| c * v));
                     hi = add(hi, b1.map(|v| c * v));

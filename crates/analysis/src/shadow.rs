@@ -13,6 +13,14 @@
 //!   group-aligned cut really would need no cross-device traffic;
 //! - a **Reduction** dimension claim: slices may share reads, but
 //!   writes stay disjoint (the per-group combine slots);
+//! - a **disjoint items** claim, for every kernel whose proof earns the
+//!   `ens_disjoint_items` attribute
+//!   ([`SplitProof::proves_disjoint_items`](ensemble_lang::SplitProof::proves_disjoint_items)):
+//!   no two work-items that differ in `get_global_id(0)` touch an
+//!   element one of them writes — compared on *flattened* element
+//!   addresses, the way the generated kernel addresses the buffer, so a
+//!   subscript that runs off the end of its row lands where it would on
+//!   the device;
 //! - a **mergeable** fusion pair: the two dispatches' access sets are
 //!   RAW/WAW/WAR-free against each other under the same buffer space.
 //!
@@ -94,7 +102,7 @@ pub fn shadow_validate(src: &str, cfg: &ShadowConfig) -> Result<Vec<Refutation>,
         for dp in &sp.dims {
             match dp.class {
                 DimClass::Splittable => {
-                    if let Some(detail) = refute_slices(log, dp.dim, false) {
+                    if let Some(detail) = refute_slices(&log.groups, dp.dim, false) {
                         refutations.push(Refutation {
                             kernel: sp.kernel.clone(),
                             claim: format!("splittable dim {}", dp.dim),
@@ -103,7 +111,7 @@ pub fn shadow_validate(src: &str, cfg: &ShadowConfig) -> Result<Vec<Refutation>,
                     }
                 }
                 DimClass::Reduction => {
-                    if let Some(detail) = refute_slices(log, dp.dim, true) {
+                    if let Some(detail) = refute_slices(&log.groups, dp.dim, true) {
                         refutations.push(Refutation {
                             kernel: sp.kernel.clone(),
                             claim: format!("reduction dim {}", dp.dim),
@@ -112,6 +120,15 @@ pub fn shadow_validate(src: &str, cfg: &ShadowConfig) -> Result<Vec<Refutation>,
                     }
                 }
                 DimClass::Blocked | DimClass::Inactive => {}
+            }
+        }
+        if sp.proves_disjoint_items() {
+            if let Some(detail) = refute_slices(&log.lanes, 0, false) {
+                refutations.push(Refutation {
+                    kernel: sp.kernel.clone(),
+                    claim: "disjoint items dim 0".to_string(),
+                    detail,
+                });
             }
         }
     }
@@ -124,7 +141,7 @@ pub fn shadow_validate(src: &str, cfg: &ShadowConfig) -> Result<Vec<Refutation>,
             let (Some(a), Some(b)) = (logs.get(&pair.from), logs.get(&pair.to)) else {
                 continue;
             };
-            if let Some(detail) = refute_merge(a, b) {
+            if let Some(detail) = refute_merge(&a.groups, &b.groups) {
                 refutations.push(Refutation {
                     kernel: format!("{}->{}", pair.from, pair.to),
                     claim: "mergeable".to_string(),
@@ -141,17 +158,40 @@ pub fn shadow_validate(src: &str, cfg: &ShadowConfig) -> Result<Vec<Refutation>,
 
 type Loc = (String, Vec<i64>);
 
-/// What one dispatch touched: per global element, the set of group
-/// coordinates that read / wrote it.
+/// Who touched what: per location, the coordinates that read / wrote it.
 #[derive(Default)]
-struct AccessLog {
+struct Touched {
     readers: HashMap<Loc, BTreeSet<[usize; 3]>>,
     writers: HashMap<Loc, BTreeSet<[usize; 3]>>,
 }
 
+impl Touched {
+    fn record(&mut self, loc: Loc, by: [usize; 3], is_write: bool) {
+        let side = if is_write {
+            &mut self.writers
+        } else {
+            &mut self.readers
+        };
+        side.entry(loc).or_default().insert(by);
+    }
+}
+
+/// What one dispatch touched, at the two granularities claims are made
+/// at.
+#[derive(Default)]
+struct AccessLog {
+    /// Per global element as subscripted, the work-groups that touched it.
+    groups: Touched,
+    /// Per *flattened* global element — one subscript, row-major over the
+    /// configured extents, as the generated kernel computes it — the
+    /// work-items that touched it, told apart by `get_global_id(0)` alone
+    /// (`[gid0, 0, 0]`).
+    lanes: Touched,
+}
+
 /// Seek a location whose writers span ≥ 2 slices along `d`, or (unless
 /// `writes_only`) one written in one slice and touched in another.
-fn refute_slices(log: &AccessLog, d: usize, writes_only: bool) -> Option<String> {
+fn refute_slices(log: &Touched, d: usize, writes_only: bool) -> Option<String> {
     for (loc, wgroups) in &log.writers {
         let mut slices: BTreeSet<usize> = wgroups.iter().map(|g| g[d]).collect();
         if !writes_only {
@@ -172,7 +212,7 @@ fn refute_slices(log: &AccessLog, d: usize, writes_only: bool) -> Option<String>
 }
 
 /// Seek a RAW/WAW/WAR collision between the two dispatches' logs.
-fn refute_merge(a: &AccessLog, b: &AccessLog) -> Option<String> {
+fn refute_merge(a: &Touched, b: &Touched) -> Option<String> {
     for loc in a.writers.keys() {
         if b.readers.contains_key(loc) {
             return Some(format!("RAW on element `{}`", render_loc(loc)));
@@ -437,8 +477,7 @@ impl Interp<'_, '_> {
             // A partial write (fewer subscripts than dims) would be a
             // whole-row write; the shipped kernels always write
             // elements. Record as-is either way.
-            let group = self.group();
-            self.log.writers.entry(loc.clone()).or_default().insert(group);
+            self.touch(&loc, true);
             self.heap.insert(loc, v);
             return;
         }
@@ -455,6 +494,21 @@ impl Interp<'_, '_> {
                 }
             }
         }
+    }
+
+    /// Log one access to a global element at both granularities. The
+    /// flattened address needs the field's extents; a field the
+    /// configuration gives none for is logged under its first subscript.
+    fn touch(&mut self, loc: &Loc, is_write: bool) {
+        self.log.groups.record(loc.clone(), self.group(), is_write);
+        let extents = self.cfg.dims.get(&loc.0).map_or(&[][..], Vec::as_slice);
+        let inner = extents.iter().skip(1).chain(&[1]);
+        let flat = loc.1.iter().zip(inner).fold(0i64, |acc, (&i, &inner)| {
+            acc.wrapping_add(i).wrapping_mul(inner as i64)
+        });
+        self.log
+            .lanes
+            .record((loc.0.clone(), vec![flat]), [self.gid[0], 0, 0], is_write);
     }
 
     /// Deterministic seed value for an untouched global element, so
@@ -520,8 +574,7 @@ impl Interp<'_, '_> {
             return Value::Int(0);
         }
         if let Some(loc) = self.global_loc(root, segs) {
-            let group = self.group();
-            self.log.readers.entry(loc.clone()).or_default().insert(group);
+            self.touch(&loc, false);
             return self.heap.get(&loc).cloned().unwrap_or_else(|| Self::seed(&loc));
         }
         let Some(v) = self.lookup(root) else {
@@ -676,6 +729,7 @@ mod tests {
     const W003: &str = include_str!("../tests/fixtures/w003.ens");
     const W004: &str = include_str!("../tests/fixtures/w004.ens");
     const FUSION_OK: &str = include_str!("../tests/fixtures/fusion_ok.ens");
+    const LANES: &str = include_str!("../tests/fixtures/lanes.ens");
 
     fn cfg(global: &[usize], local: &[usize], dims: &[(&str, &[usize])]) -> DispatchConfig {
         DispatchConfig {
@@ -710,12 +764,33 @@ mod tests {
         );
         let log = log_for(W003, "Broadcast", &dc);
         // A (bogus) splittable claim along dim 1 must be refuted …
-        assert!(refute_slices(&log, 1, false).is_some());
+        assert!(refute_slices(&log.groups, 1, false).is_some());
         // … the genuine dim-0 claim must survive …
-        assert!(refute_slices(&log, 0, false).is_none());
+        assert!(refute_slices(&log.groups, 0, false).is_none());
         // … and a writes-only (reduction-style) check along dim 1 holds
         // too: each element of `out`/`res` has a single writing slice.
-        assert!(refute_slices(&log, 1, true).is_none());
+        assert!(refute_slices(&log.groups, 1, true).is_none());
+        // Item by item the dim-0 claim holds as well (`out[x]`, `res[y][x]`).
+        assert!(refute_slices(&log.lanes, 0, false).is_none());
+    }
+
+    #[test]
+    fn cross_item_traffic_inside_one_group_is_refuted() {
+        // One work-group, so no group-level check can see any of it.
+        let mut dc = cfg(&[7], &[7], &[("a", &[8]), ("m", &[2, 8])]);
+        dc.scalars.insert("w".to_string(), 8);
+        // Item x reads the element item x - 1 wrote.
+        let log = log_for(LANES, "Shift", &dc);
+        assert!(refute_slices(&log.groups, 0, false).is_none());
+        let detail = refute_slices(&log.lanes, 0, false).expect("the shift is refuted");
+        assert!(detail.contains("a["), "{detail}");
+        // `m[0][x + 9]` of an 8-wide row *is* `m[1][x + 1]`: only the
+        // flattened address shows it.
+        let log = log_for(LANES, "RowOverflow", &dc);
+        assert!(refute_slices(&log.lanes, 0, false).is_some());
+        // Inside its row the same kernel touches row 0 and row 1 apart.
+        let log = log_for(LANES, "InRow", &dc);
+        assert!(refute_slices(&log.lanes, 0, false).is_none());
     }
 
     #[test]
@@ -725,13 +800,13 @@ mod tests {
         let dc = cfg(&[8], &[4], &[("v", &[8])]);
         let a = log_for(W004, "Produce", &dc);
         let b = log_for(W004, "Scale", &dc);
-        assert!(refute_merge(&a, &b).is_some());
+        assert!(refute_merge(&a.groups, &b.groups).is_some());
 
         // fusion_ok's Double and Square write disjoint buffers: the
         // genuine mergeable claim survives.
         let dc = cfg(&[8], &[4], &[("inp", &[8]), ("dbl", &[8]), ("sqr", &[8])]);
         let a = log_for(FUSION_OK, "Double", &dc);
         let b = log_for(FUSION_OK, "Square", &dc);
-        assert!(refute_merge(&a, &b).is_none());
+        assert!(refute_merge(&a.groups, &b.groups).is_none());
     }
 }

@@ -21,6 +21,17 @@
 //!    `get_global_id(d) == k` with the same `k`: both only happen in
 //!    one slice, which a cut never separates from itself.
 //!
+//! Each witness is sought twice. Leaning on the host facts routed into
+//! the kernel ([`Ranges::Routed`]) it decides the classification, as a
+//! co-execution scheduler needs it: for the dispatches the analysed host
+//! makes, across group-aligned cuts. Leaning on nothing but the language
+//! ([`Ranges::Any`]: no worksize, work-group or buffer extent, no
+//! inactive-dimension exemption, no `get_group_id` identity) it decides
+//! [`DimProof::unconditional`]: the same verdict for *every* ND-range and
+//! between any two work-items that differ in `get_global_id(d)` — the
+//! form the second consumer needs, the kernel engine's strip mode, which
+//! meets the kernel source without the host (ARCHITECTURE §15).
+//!
 //! A dimension whose witnesses include a `get_group_id` identity is
 //! classified [`DimClass::Reduction`]: cross-group writes are disjoint,
 //! but the output is a per-group combine slot, so a splitting scheduler
@@ -28,7 +39,7 @@
 //! dimension ([`DimClass::Blocked`]) and — in proofs mode — yields a
 //! W003 naming the offending subscript pair.
 
-use crate::kernel::{Access, Affine, KernelCheck, Sym, Target};
+use crate::kernel::{Access, Affine, KernelCheck, Ranges, Sym, Target};
 use ensemble_lang::diag::{codes, Diagnostic};
 use ensemble_lang::proof::{DimClass, DimProof, SplitProof};
 
@@ -72,10 +83,12 @@ pub(crate) fn prove(check: &KernelCheck) -> (SplitProof, Vec<Diagnostic>) {
                 dim: d,
                 class: DimClass::Inactive,
                 evidence: format!("worksize extent along dimension {d} is at most 1"),
+                unconditional: false,
             });
             continue;
         }
         let mut any_grp = false;
+        let mut unconditional = true;
         let mut blocked: Option<(&Access, &Access, String)> = None;
         let mut witness_note: Option<String> = None;
         'fields: for field in &fields {
@@ -99,7 +112,9 @@ pub(crate) fn prove(check: &KernelCheck) -> (SplitProof, Vec<Diagnostic>) {
                     {
                         continue; // symmetric write pair already done
                     }
-                    match pair_witness(check, w, a, d as u8) {
+                    unconditional =
+                        unconditional && pair_witness(check, w, a, d as u8, Ranges::Any).is_some();
+                    match pair_witness(check, w, a, d as u8, Ranges::Routed) {
                         Some(Witness::Grp(p)) => {
                             any_grp = true;
                             witness_note.get_or_insert_with(|| {
@@ -157,12 +172,14 @@ pub(crate) fn prove(check: &KernelCheck) -> (SplitProof, Vec<Diagnostic>) {
                     dim: d,
                     class: DimClass::Blocked,
                     evidence,
+                    unconditional: false,
                 });
             }
             None if fields.is_empty() => dims.push(DimProof {
                 dim: d,
                 class: DimClass::Splittable,
                 evidence: "no global buffer is written".to_string(),
+                unconditional: true,
             }),
             None => {
                 let class = if any_grp {
@@ -170,12 +187,20 @@ pub(crate) fn prove(check: &KernelCheck) -> (SplitProof, Vec<Diagnostic>) {
                 } else {
                     DimClass::Splittable
                 };
+                let mut evidence = witness_note.unwrap_or_else(|| {
+                    format!("all write-involving pairs provably disjoint along gid{d}")
+                });
+                if unconditional {
+                    evidence.push_str(
+                        "; holds between any two items for every ND-range, \
+                         while inner subscripts stay inside their rows",
+                    );
+                }
                 dims.push(DimProof {
                     dim: d,
                     class,
-                    evidence: witness_note.unwrap_or_else(|| {
-                        format!("all write-involving pairs provably disjoint along gid{d}")
-                    }),
+                    evidence,
+                    unconditional,
                 });
             }
         }
@@ -192,8 +217,16 @@ pub(crate) fn prove(check: &KernelCheck) -> (SplitProof, Vec<Diagnostic>) {
 }
 
 /// Seek a safety witness for the pair `{w, a}` (at least one write)
-/// along dimension `d`.
-fn pair_witness(check: &KernelCheck, w: &Access, a: &Access, d: u8) -> Option<Witness> {
+/// along dimension `d`, leaning on `ranges` only. Under [`Ranges::Any`]
+/// a witness separates any two *items* that differ in `get_global_id(d)`,
+/// so a group identity does not count.
+fn pair_witness(
+    check: &KernelCheck,
+    w: &Access,
+    a: &Access,
+    d: u8,
+    ranges: Ranges,
+) -> Option<Witness> {
     // (1) Structure identity in some shared subscript position.
     for (p, (wi, ai)) in w.idxs.iter().zip(&a.idxs).enumerate() {
         let (Some(wi), Some(ai)) = (wi, ai) else {
@@ -202,14 +235,14 @@ fn pair_witness(check: &KernelCheck, w: &Access, a: &Access, d: u8) -> Option<Wi
         if wi != ai {
             continue;
         }
-        match per_item_witness(check, wi, d) {
+        match per_item_witness(check, wi, d, ranges) {
             Some(Witness::Gid(_)) => return Some(Witness::Gid(p)),
-            Some(Witness::Grp(_)) => return Some(Witness::Grp(p)),
+            Some(Witness::Grp(_)) if ranges == Ranges::Routed => return Some(Witness::Grp(p)),
             _ => {}
         }
     }
     // (2) Outright interval disjointness (all item pairs).
-    if check.disjoint(w, a) {
+    if check.disjoint_in(w, a, ranges) {
         return Some(Witness::Disjoint);
     }
     // (3) Both pinned to the same slice along `d`.
@@ -226,8 +259,9 @@ fn pair_witness(check: &KernelCheck, w: &Access, a: &Access, d: u8) -> Option<Wi
 /// Does this affine form distinguish items across a group-aligned cut
 /// along `d`? Its per-item content must be exactly one symbol of
 /// dimension `d` — `Gid(d)` or `Grp(d)` — with everything else uniform
-/// or provably zero (per-item symbols of inactive dimensions).
-fn per_item_witness(check: &KernelCheck, idx: &Affine, d: u8) -> Option<Witness> {
+/// or provably zero (per-item symbols of dimensions the routed facts
+/// show inactive — an exemption [`Ranges::Any`] does not grant).
+fn per_item_witness(check: &KernelCheck, idx: &Affine, d: u8, ranges: Ranges) -> Option<Witness> {
     let mut found: Option<Witness> = None;
     for (&s, &c) in &idx.terms {
         if s.is_uniform() || c == 0 {
@@ -246,7 +280,8 @@ fn per_item_witness(check: &KernelCheck, idx: &Affine, d: u8) -> Option<Witness>
                 }
                 found = Some(Witness::Grp(0));
             }
-            Sym::Gid(e) | Sym::Lid(e) | Sym::Grp(e) if !check.facts.active(e as usize) => {}
+            Sym::Gid(e) | Sym::Lid(e) | Sym::Grp(e)
+                if ranges == Ranges::Routed && !check.facts.active(e as usize) => {}
             _ => return None,
         }
     }

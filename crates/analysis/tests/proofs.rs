@@ -302,13 +302,156 @@ fn app_shadow_kernels(app: &str) -> Vec<(&'static str, DispatchConfig)> {
                 &[("docs", &[4, 64]), ("tpl", &[64]), ("flags", &[4])],
             ),
         )],
+        // Several items per group, and a worksize rounded past the
+        // remaining rows as the controller does it: the item-granularity
+        // claim has lanes to compare and the guards have items to turn
+        // away.
         "lud" => vec![
             ("Diag", lud(&[1], &[1])),
-            ("Col", lud(&[2], &[1])),
-            ("Sub", lud(&[2, 2], &[1, 1])),
+            ("Col", lud(&[8], &[4])),
+            ("Sub", lud(&[8, 8], &[4, 4])),
         ],
         _ => Vec::new(),
     }
+}
+
+// ---- proofs that travel with the kernel source -------------------------
+
+/// `(kernel, per-dimension unconditional, earns the attribute)`.
+fn travels(report: &Report) -> Vec<(&str, Vec<bool>, bool)> {
+    report
+        .proofs
+        .splits
+        .iter()
+        .map(|sp| {
+            (
+                sp.kernel.as_str(),
+                sp.dims.iter().map(|d| d.unconditional).collect(),
+                sp.proves_disjoint_items(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn shipped_kernels_that_earn_the_disjoint_items_attribute_are_pinned() {
+    let got: Vec<_> = ["matmul", "mandelbrot", "reduction", "docrank", "lud"]
+        .into_iter()
+        .flat_map(|app| {
+            travels(&app_report(app))
+                .into_iter()
+                .map(|(k, u, a)| (k.to_string(), u, a))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let want = [
+        ("Multiply", vec![true, true], true),
+        ("Mandelbrot", vec![true, true], true),
+        // A group identity separates groups, not items.
+        ("Reduce", vec![false], false),
+        ("Rank", vec![true], true),
+        // One work-item: nothing to interleave, nothing claimed.
+        ("Diag", vec![false], false),
+        ("Col", vec![true], true),
+        ("Sub", vec![true, true], true),
+    ]
+    .map(|(k, u, a)| (k.to_string(), u, a));
+    assert_eq!(got, want);
+
+    // The attribute is in the gated source and nowhere else.
+    let src = std::fs::read_to_string(assets().join("lud/ocl.ens")).unwrap();
+    let attributed = |module: &ensemble_lang::CompiledModule| -> Vec<String> {
+        module
+            .actors
+            .iter()
+            .filter_map(|a| match &a.code {
+                ensemble_lang::ActorCode::Kernel(plan)
+                    if plan.source.contains("__attribute__((ens_disjoint_items))") =>
+                {
+                    Some(plan.kernel_name.clone())
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    let gated = ensemble_analysis::compile_source(&src, &Options::default()).unwrap();
+    assert_eq!(attributed(&gated), ["Col", "Sub"]);
+    let ungated = ensemble_lang::compile_source(&src).unwrap();
+    assert!(attributed(&ungated).is_empty());
+}
+
+/// One kernel and a host that dispatches it over 8 items in one
+/// dimension.
+fn one_kernel_source(body: &str) -> String {
+    strided_kernel_source(16, 2, 4, 1, 0).replace("d.out[1 * gid + 0] := 2.0 * d.inp[gid];", body)
+}
+
+#[test]
+fn verdicts_that_lean_on_host_facts_do_not_travel() {
+    // Splittable because the routed worksize has one dimension, so
+    // `get_global_id(1)` is 0 — for this host.
+    let r = analyze_source(
+        &one_kernel_source("d.out[gid + get_global_id(1)] := 2.0 * d.inp[gid];"),
+        &proofs_opts(),
+    )
+    .unwrap();
+    assert_eq!(classes(&r, "Scale"), vec![DimClass::Splittable]);
+    assert_eq!(travels(&r), [("Scale", vec![false], false)]);
+
+    // Splittable because the routed extent is 8, so the write `out[gid + 8]`
+    // stays above every read `out[gid]` — for this host; over 16 items,
+    // item 8 reads what item 0 wrote.
+    let r = analyze_source(
+        &one_kernel_source("d.out[gid + 8] := 2.0 * d.out[gid];"),
+        &proofs_opts(),
+    )
+    .unwrap();
+    assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
+    assert_eq!(classes(&r, "Scale"), vec![DimClass::Splittable]);
+    assert_eq!(travels(&r), [("Scale", vec![false], false)]);
+
+    // The same shape with nothing to lean on.
+    let r = analyze_source(
+        &one_kernel_source("d.out[gid] := 2.0 * d.out[gid];"),
+        &proofs_opts(),
+    )
+    .unwrap();
+    assert_eq!(travels(&r), [("Scale", vec![true], true)]);
+    assert!(
+        r.proofs.splits[0].dims[0]
+            .evidence
+            .contains("inside their rows"),
+        "the evidence states the in-row assumption: {}",
+        r.proofs.splits[0].dims[0].evidence
+    );
+}
+
+#[test]
+fn a_row_overflow_breaks_the_in_row_assumption_and_the_shadow_says_so() {
+    // The prover argues per subscript position: row 1 is not row 0. The
+    // generated kernel addresses `m[i * dim1 + j]` under a whole-buffer
+    // bounds check, so a `j` past the row's end lands in the next row.
+    // The claim is made (no routed extent to refute it with), it is
+    // false, and the adversary at item granularity catches it.
+    let src = std::fs::read_to_string(fixtures().join("lanes.ens")).unwrap();
+    let r = analyze_source(&src, &proofs_opts()).unwrap();
+    let claims = |k: &str| r.proofs.split_for(k).unwrap().proves_disjoint_items();
+    assert!(!claims("Shift"));
+    assert!(claims("RowOverflow") && claims("InRow"));
+
+    let mut d = dc(&[7], &[7], &[("w", 8)], &[("a", &[8]), ("m", &[2, 8])]);
+    let cfg =
+        |d: &DispatchConfig| shadow_cfg(vec![("RowOverflow", d.clone()), ("InRow", d.clone())]);
+    let refs = shadow_validate(&src, &cfg(&d)).unwrap();
+    assert_eq!(refs.len(), 1, "{refs:?}");
+    assert_eq!(
+        (refs[0].kernel.as_str(), refs[0].claim.as_str()),
+        ("RowOverflow", "disjoint items dim 0")
+    );
+    // With rows wide enough for every subscript the claim holds.
+    d.dims.insert("m".to_string(), vec![2, 16]);
+    let refs = shadow_validate(&src, &cfg(&d)).unwrap();
+    assert!(refs.is_empty(), "{refs:?}");
 }
 
 // ---- suppression ------------------------------------------------------
@@ -361,7 +504,10 @@ fn ens_lint_proofs_json_round_trips() {
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("\"errors\":0"), "{stdout}");
-    assert!(stdout.contains("\"class\":\"splittable\""), "{stdout}");
+    assert!(
+        stdout.contains("\"class\":\"splittable\",\"unconditional\":true"),
+        "{stdout}"
+    );
     assert!(stdout.contains("\"unmutated\":true"), "{stdout}");
 
     // Errors exit 1; usage errors exit 2; warnings-only exits 0.

@@ -781,6 +781,7 @@ impl<'r> Hook<'r> {
                 funcs: vec![Func {
                     name: kname.clone(),
                     is_kernel: true,
+                    disjoint_items: false,
                     ret: Type::Void,
                     params,
                     body: kbody,
@@ -988,6 +989,7 @@ impl<'r> Hook<'r> {
                 funcs: vec![Func {
                     name: kname.clone(),
                     is_kernel: true,
+                    disjoint_items: false,
                     ret: Type::Void,
                     params,
                     body: kbody,

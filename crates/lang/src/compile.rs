@@ -621,6 +621,10 @@ fn compile_kernel_actor(
         data_name,
         data_is_struct: matches!(data_shape, DataShape::Struct { .. }),
         body,
+        disjoint_items: opts
+            .kernel_proofs
+            .get(&actor.name)
+            .is_some_and(|p| p.split.proves_disjoint_items()),
     })?;
 
     Ok(CompiledActor {

@@ -62,6 +62,12 @@ pub struct KernelGenInput<'a> {
     pub data_is_struct: bool,
     /// The kernel region statements.
     pub body: &'a [ens::Stmt],
+    /// An analysis pass proved
+    /// [`SplitProof::proves_disjoint_items`](crate::SplitProof::proves_disjoint_items):
+    /// state it in the source as `__attribute__((ens_disjoint_items))`,
+    /// so that every host that builds this source — the VM, the typed
+    /// Rust API, a replay — hands the kernel engine the same evidence.
+    pub disjoint_items: bool,
 }
 
 /// Dimension parameter name for `field`'s `k`-th dimension.
@@ -128,6 +134,7 @@ pub fn generate(input: &KernelGenInput<'_>) -> Result<String, KernelGenError> {
     let func = cl::Func {
         name: input.name.to_string(),
         is_kernel: true,
+        disjoint_items: input.disjoint_items,
         ret: cl::Type::Void,
         params,
         body,
@@ -698,7 +705,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
-    fn matmul_kernel_source() -> String {
+    fn matmul_kernel(disjoint_items: bool) -> String {
         let src = include_str!("../../apps/src/assets/matmul/ocl.ens");
         let module = parse(src).unwrap();
         let actor = &module.stages[0].actors[0];
@@ -729,8 +736,31 @@ mod tests {
             data_name: "d",
             data_is_struct: true,
             body,
+            disjoint_items,
         };
         generate(&input).unwrap()
+    }
+
+    fn matmul_kernel_source() -> String {
+        matmul_kernel(false)
+    }
+
+    #[test]
+    fn a_proven_kernel_states_its_disjointness_in_the_source() {
+        let src = matmul_kernel(true);
+        assert!(
+            src.starts_with("__kernel __attribute__((ens_disjoint_items)) void Multiply("),
+            "{src}"
+        );
+        let unit = oclsim::minicl::parse(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        assert!(unit.funcs[0].disjoint_items);
+        let compiled = oclsim::minicl::compile(&unit).unwrap();
+        assert!(compiled.kernels["Multiply"].disjoint_items);
+        // Without a proof the source is what it always was.
+        assert_eq!(
+            src.replace("__attribute__((ens_disjoint_items)) ", ""),
+            matmul_kernel_source()
+        );
     }
 
     #[test]
@@ -784,6 +814,7 @@ mod tests {
             data_name: "d",
             data_is_struct: false,
             body,
+            disjoint_items: false,
         };
         let err = generate(&input).unwrap_err();
         assert!(err.diag.message.contains("print"));

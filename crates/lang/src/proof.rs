@@ -60,6 +60,21 @@ pub struct DimProof {
     /// Human-readable witness: which subscript proves the claim, or
     /// which subscript pair blocks it.
     pub evidence: String,
+    /// The verdict holds for *every* ND-range and buffer extent, and
+    /// between any two work-items that differ in `get_global_id(dim)` —
+    /// not only across group-aligned cuts of the dispatches the analysed
+    /// host makes: every write-involving pair has a witness that uses no
+    /// routed host fact (worksize or work-group extent, buffer
+    /// dimension, inactive-dimension exemption) and no `get_group_id`
+    /// identity. Only such a verdict may travel with the kernel source
+    /// (see [`SplitProof::proves_disjoint_items`]).
+    ///
+    /// One assumption stays inside it: the witnesses argue per subscript
+    /// *position*, and `m[i][j]` is lowered to `m[i * dim1 + j]` under a
+    /// whole-buffer bounds check only, so "a different row is a
+    /// different element" holds while every inner subscript stays inside
+    /// its row (`j < dim1`).
+    pub unconditional: bool,
 }
 
 /// Per-dispatch-site splittability proof: one verdict per NDRange
@@ -87,6 +102,19 @@ impl SplitProof {
     /// The classification of dimension `d`, if covered.
     pub fn class_of(&self, d: usize) -> Option<DimClass> {
         self.dims.iter().find(|p| p.dim == d).map(|p| p.class)
+    }
+
+    /// Is dimension 0 [`DimClass::Splittable`] by an
+    /// [unconditional](DimProof::unconditional) verdict? Then two
+    /// work-items of one dispatch that differ in `get_global_id(0)` never
+    /// touch a global element the other writes, whatever the ND-range —
+    /// the claim the kernel generator states in the emitted source as
+    /// `__attribute__((ens_disjoint_items))`, which licenses an engine
+    /// to interleave such items (`oclsim`'s strip mode).
+    pub fn proves_disjoint_items(&self) -> bool {
+        self.dims
+            .iter()
+            .any(|p| p.dim == 0 && p.class == DimClass::Splittable && p.unconditional)
     }
 }
 
@@ -227,9 +255,10 @@ impl ProofSet {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "{{\"dim\":{},\"class\":{},\"evidence\":{}}}",
+                    "{{\"dim\":{},\"class\":{},\"unconditional\":{},\"evidence\":{}}}",
                     d.dim,
                     json_string(d.class.as_str()),
+                    d.unconditional,
                     json_string(&d.evidence)
                 ));
             }
@@ -354,11 +383,13 @@ mod tests {
                         dim: 0,
                         class: DimClass::Splittable,
                         evidence: "write `d.result[y][x]` varies with gid0".into(),
+                        unconditional: true,
                     },
                     DimProof {
                         dim: 1,
                         class: DimClass::Reduction,
                         evidence: "group combine".into(),
+                        unconditional: false,
                     },
                 ],
             }],
@@ -384,7 +415,8 @@ mod tests {
             }],
         };
         let j = set.to_json();
-        assert!(j.contains("\"class\":\"splittable\""));
+        assert!(j.contains("\"class\":\"splittable\",\"unconditional\":true"));
+        assert!(set.splits[0].proves_disjoint_items());
         assert!(j.contains("\"hazard\":\"RAW\""));
         assert!(j.contains("\"unmutated\":true"));
         assert!(j.contains("\"iterations\":4"));

@@ -152,14 +152,19 @@ impl Event {
 
     /// Add to a kernel span why the dispatch ran the way it did on the
     /// native engine: how many items ran in strips, how many strips
-    /// unzipped, and the rule that kept a barrier-free dispatch scalar.
-    /// Adds nothing for other commands and engines.
+    /// unzipped, whether it took the source's `ens_disjoint_items`
+    /// attribute to run them (`strip_evidence: "proof"`), and the rule
+    /// that kept a barrier-free dispatch scalar. Adds nothing for other
+    /// commands and engines.
     pub(crate) fn with_strip_args(&self, mut te: TraceEvent) -> TraceEvent {
         let strip = &self.inner.strip;
         if strip.items > 0 {
             te = te
                 .with_arg("strip_items", strip.items)
                 .with_arg("strip_unzips", strip.unzips);
+        }
+        if strip.by_proof {
+            te = te.with_arg("strip_evidence", "proof");
         }
         if let Some(why) = strip.scalar_why {
             te = te.with_arg("scalar_why", why);

@@ -271,6 +271,9 @@ pub struct KernelInfo {
     pub has_barrier: bool,
     /// Per-item private array bytes.
     pub priv_bytes: usize,
+    /// The source asserts cross-item disjointness along dimension 0
+    /// (see [`Func::disjoint_items`](super::ast::Func::disjoint_items)).
+    pub disjoint_items: bool,
 }
 
 /// Metadata for a device function.

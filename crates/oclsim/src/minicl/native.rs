@@ -75,9 +75,25 @@
 //!   dynamic-pointer load/store, and no store to non-private memory on a
 //!   control-flow cycle. Per dispatch (one pass over the resolved sites):
 //!   no buffer slot is both loaded and stored, and each stored slot is
-//!   reached through exactly one store instruction. Anything else — LUD's
-//!   in-place `Col`/`Sub`, aliased arguments — stays on the scalar path,
+//!   reached through exactly one store instruction. Anything else —
+//!   an in-place kernel, aliased arguments — stays on the scalar path,
 //!   and the kernel span's `scalar_why` names the rule.
+//!
+//!   *Evidence from the source.* A kernel declared
+//!   `__kernel __attribute__((ens_disjoint_items)) void …` asserts that
+//!   two work-items of one dispatch that differ in `get_global_id(0)`
+//!   never touch a global element the other writes, provided distinct
+//!   pointer parameters are bound to distinct buffers
+//!   ([`Func::disjoint_items`](super::ast::Func::disjoint_items)). The
+//!   per-dispatch pass then waives a conflict *inside one site* — a site
+//!   is one never-written pointer register, i.e. one parameter — and
+//!   still rejects a slot reached through two sites (aliased arguments
+//!   are what the assertion assumes away). The static rules are not
+//!   waived. The assertion is trusted, like `restrict`: the Ensemble
+//!   compiler emits it only from an unconditional splittability proof
+//!   (`ensemble_lang::SplitProof::proves_disjoint_items`), which is how
+//!   the gated LUD `Col`/`Sub` come to strip; the span then carries
+//!   `strip_evidence: "proof"`.
 //!
 //!   *Why that is sound.* The reference semantics is the sequential sweep:
 //!   item 0 to completion, then item 1, … A strip interleaves items at
@@ -98,6 +114,20 @@
 //!   trap is taken. After a trap the buffers hold partial results, as on
 //!   every engine — with strips these may include stores of items above
 //!   the trapping one, which nothing observes (the dispatch failed).
+//!
+//!   Under the attribute, (1) and (2) follow from its contract instead of
+//!   the slot rule. The lanes of a strip share `get_global_id(1)` and
+//!   `(2)` and differ pairwise in `get_global_id(0)`, so no lane loads or
+//!   stores an element another lane of the strip stores: (1) every lane
+//!   reads what it would read alone — the bytes earlier strips left, and
+//!   its own stores; (2) each element has at most one writing lane per
+//!   strip, whose stores keep their program order, and strips run one
+//!   after another, so items that *share* a `get_global_id(0)` meet in
+//!   the sequential order. (3) is untouched. Because the contract is
+//!   asserted, not derived here, debug builds check it: a dispatch that
+//!   strips on the attribute alone runs a second time on the scalar path
+//!   over a copy of the buffers, and bytes, `group_ops` and trap must
+//!   agree (`run_ndrange_window`; release builds pay nothing).
 //!
 //! The engine is observationally identical to the stack and register
 //! engines: byte-identical buffers, identical `group_ops` (the `Ops`
@@ -223,7 +253,7 @@ struct NCtx<'a> {
     bufs: &'a mut [Vec<u8>],
     read_only: &'a [bool],
     local_regions: Vec<Vec<u8>>,
-    sites: Vec<Site>,
+    sites: &'a [Site],
     group_id: [usize; 3],
     global_size: [usize; 3],
     local_size: [usize; 3],
@@ -353,6 +383,10 @@ pub struct StripStats {
     /// For a barrier-free dispatch that stayed scalar: the rule that
     /// rejected it.
     pub scalar_why: Option<StripReject>,
+    /// The dispatch ran in strips on the word of the kernel source: the
+    /// per-dispatch rule found a load+store or two-store conflict inside
+    /// one parameter, and the `ens_disjoint_items` attribute waived it.
+    pub by_proof: bool,
 }
 
 impl StripStats {
@@ -361,6 +395,7 @@ impl StripStats {
         self.items += other.items;
         self.unzips += other.unzips;
         self.scalar_why = self.scalar_why.or(other.scalar_why);
+        self.by_proof |= other.by_proof;
     }
 }
 
@@ -522,7 +557,7 @@ fn trap_oob(st: &mut NItem, byte: usize, size: usize, len: usize) -> u32 {
 /// then the bounds check against the region.
 #[inline(always)]
 fn load_site(st: &mut NItem, cx: &NCtx, site: usize, idx: i64, ty: ElemTy) -> Result<RVal, u32> {
-    let s = site_at(&cx.sites, site);
+    let s = site_at(cx.sites, site);
     let size = ty.byte_size();
     let byte = site_offset(st, s.base, idx, size)?;
     debug_assert!(slot_in_range(cx, s), "site slot out of range");
@@ -558,7 +593,7 @@ fn store_site(
     ty: ElemTy,
     v: RVal,
 ) -> Result<(), u32> {
-    let s = site_at(&cx.sites, site);
+    let s = site_at(cx.sites, site);
     let size = ty.byte_size();
     let byte = site_offset(st, s.base, idx, size)?;
     debug_assert!(slot_in_range(cx, s), "site slot out of range");
@@ -2962,8 +2997,20 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
 /// buffer slot both loaded and stored, or stored through more than one
 /// store instruction? One pass over the (handful of) sites per storing
 /// site; private memory is per lane and never conflicts.
-fn slot_conflict(uses: &[SiteUse], sites: &[Site]) -> Option<StripReject> {
+///
+/// A site is one never-written pointer register, which is one kernel
+/// parameter. When the source asserts `disjoint_items`, a conflict
+/// *inside* one site is the case the assertion covers and is waived
+/// (`Ok(true)`); a conflict *between* two sites means two parameters are
+/// bound to one buffer, which the assertion assumes away, and rejects as
+/// it always did.
+fn slot_conflict(
+    uses: &[SiteUse],
+    sites: &[Site],
+    disjoint_items: bool,
+) -> Result<bool, StripReject> {
     let global = |k: usize| sites[k].kind == SiteKind::Global;
+    let mut waived = false;
     for (a, ua) in uses.iter().enumerate() {
         if ua.stores == 0 || !global(a) {
             continue;
@@ -2973,15 +3020,20 @@ fn slot_conflict(uses: &[SiteUse], sites: &[Site]) -> Option<StripReject> {
             if !global(b) || sites[b].slot != slot {
                 continue;
             }
-            if ub.loaded {
-                return Some(StripReject::LoadStore(slot));
+            let conflict = if ub.loaded {
+                StripReject::LoadStore(slot)
+            } else if ub.stores > 1 || (b != a && ub.stores > 0) {
+                StripReject::TwoStores(slot)
+            } else {
+                continue;
+            };
+            if !(disjoint_items && b == a) {
+                return Err(conflict);
             }
-            if ub.stores > 1 || (b != a && ub.stores > 0) {
-                return Some(StripReject::TwoStores(slot));
-            }
+            waived = true;
         }
     }
-    None
+    Ok(waived)
 }
 
 /// Decode a pointer register's dispatch-time value into a [`Site`].
@@ -3276,7 +3328,6 @@ pub fn run_ndrange_window(
     debug_assert_eq!(template.len(), prog.total_regs as usize);
 
     let read_only = pool.read_only.as_slice();
-    let local_regions: Vec<Vec<u8>> = region_bytes.iter().map(|&b| vec![0u8; b]).collect();
     // Pre-resolve every stable memory site from the same template bits the
     // register engine would decode at run time.
     let sites: Vec<Site> = prog
@@ -3287,7 +3338,7 @@ pub fn run_ndrange_window(
                 template[u.ptr as usize].ptr(),
                 pool.bufs.len(),
                 read_only,
-                local_regions.len(),
+                region_bytes.len(),
             )
         })
         .collect();
@@ -3300,51 +3351,94 @@ pub fn run_ndrange_window(
     let arenas = if kernel.has_barrier {
         items_per_group
     } else {
-        stats.strip.scalar_why = prog
-            .strip_reject
-            .or_else(|| slot_conflict(&prog.site_uses, &sites));
-        match stats.strip.scalar_why {
-            None => STRIP.min(local[0]).max(1),
-            Some(_) => 1,
+        let verdict = match prog.strip_reject {
+            Some(why) => Err(why),
+            None => slot_conflict(&prog.site_uses, &sites, kernel.disjoint_items),
+        };
+        match verdict {
+            Ok(by_proof) => {
+                stats.strip.by_proof = by_proof;
+                STRIP.min(local[0]).max(1)
+            }
+            Err(why) => {
+                stats.strip.scalar_why = Some(why);
+                1
+            }
         }
     };
-    let mut items: Vec<NItem> = (0..arenas)
-        .map(|_| NItem::new(&template, kernel.priv_bytes))
-        .collect();
-    let mut cx = NCtx {
-        bufs: &mut pool.bufs,
-        read_only,
-        local_regions,
-        sites,
-        group_id: [0; 3],
-        global_size: global,
-        local_size: local,
-        num_groups: num_groups(global, local),
-        unzip: Unzip::default(),
+    let run = |bufs: &mut [Vec<u8>], arenas: usize, tally: &mut StripStats| {
+        let cx = NCtx {
+            bufs,
+            read_only,
+            local_regions: region_bytes.iter().map(|&b| vec![0u8; b]).collect(),
+            sites: &sites,
+            group_id: [0; 3],
+            global_size: global,
+            local_size: local,
+            num_groups: num_groups(global, local),
+            unzip: Unzip::default(),
+        };
+        run_groups(prog, kernel, &template, cx, arenas, &window, tally)
     };
+    // Debug builds hold the attribute to its word: a dispatch that strips
+    // on it alone runs once more, scalar, over a copy of the buffers, and
+    // the two must leave the same outcome (release builds pay nothing).
+    let twin = (cfg!(debug_assertions) && stats.strip.by_proof).then(|| pool.bufs.clone());
+    let group_ops = run(&mut pool.bufs, arenas, &mut stats.strip);
+    if let Some(mut bufs) = twin {
+        let scalar = run(&mut bufs, 1, &mut StripStats::default());
+        // After a trap the buffers hold partial results on every path.
+        let same = match (&group_ops, &scalar) {
+            (Ok(a), Ok(b)) => a == b && pool.bufs == bufs,
+            (Err(a), Err(b)) => a.message == b.message && a.global_id == b.global_id,
+            _ => false,
+        };
+        debug_assert!(
+            same,
+            "kernel `{}` carries ens_disjoint_items, and its strips and the scalar sweep \
+             disagree: work-items that differ in get_global_id(0) touch an element one of \
+             them writes",
+            kernel.name
+        );
+    }
+    stats.group_ops = group_ops?;
+    stats.items = (stats.group_ops.len() * items_per_group) as u64;
+    Ok(stats)
+}
 
-    let mut first_group = true;
+/// Run `window`'s groups of one dispatch over `arenas` work-item arenas
+/// and return each group's op count.
+fn run_groups(
+    prog: &NativeProgram,
+    kernel: &KernelInfo,
+    template: &[RVal],
+    mut cx: NCtx<'_>,
+    arenas: usize,
+    window: &[std::ops::Range<usize>; 3],
+    tally: &mut StripStats,
+) -> Result<Vec<u64>, Trap> {
+    let mut items: Vec<NItem> = (0..arenas)
+        .map(|_| NItem::new(template, kernel.priv_bytes))
+        .collect();
+    let mut group_ops = Vec::new();
     for gz in window[2].clone() {
         for gy in window[1].clone() {
             for gx in window[0].clone() {
                 cx.group_id = [gx, gy, gz];
-                if !first_group && !cx.local_regions.is_empty() {
+                if !group_ops.is_empty() {
                     for r in &mut cx.local_regions {
                         r.fill(0);
                     }
                 }
-                first_group = false;
-                let ops = if kernel.has_barrier {
-                    run_group_lockstep(prog, &template, &mut cx, &mut items)?
+                group_ops.push(if kernel.has_barrier {
+                    run_group_lockstep(prog, template, &mut cx, &mut items)?
                 } else {
-                    run_group_fast(prog, &template, &mut cx, &mut items, &mut stats.strip)?
-                };
-                stats.group_ops.push(ops);
-                stats.items += items_per_group as u64;
+                    run_group_fast(prog, template, &mut cx, &mut items, tally)?
+                });
             }
         }
     }
-    Ok(stats)
+    Ok(group_ops)
 }
 
 #[cfg(test)]
@@ -3736,7 +3830,7 @@ mod tests {
             [2, 1, 1],
             None,
         );
-        // ... but bound to one buffer it is the in-place shift again.
+        // ... but bound to one buffer it is the in-place shift again ...
         strip_case(
             src,
             &bufs(&[0, 0]),
@@ -3745,6 +3839,98 @@ mod tests {
             [2, 1, 1],
             Some(StripReject::LoadStore(0)),
         );
+        // ... and the attribute does not help: it speaks about accesses
+        // through one parameter, and assumes two are two buffers.
+        let attributed = src.replace("__kernel", "__kernel __attribute__((ens_disjoint_items))");
+        let by_proof = strip_case(
+            &attributed,
+            &bufs(&[0, 1]),
+            vec![i32_buf(40), i32_buf(40)],
+            [16, 1, 1],
+            [2, 1, 1],
+            None,
+        )
+        .by_proof;
+        assert!(!by_proof, "the engine's own rule was enough");
+        strip_case(
+            &attributed,
+            &bufs(&[0, 0]),
+            vec![i32_buf(40)],
+            [16, 1, 1],
+            [2, 1, 1],
+            Some(StripReject::LoadStore(0)),
+        );
+    }
+
+    /// LUD `Sub` by hand: in place, reads row and column `step`, writes
+    /// strictly below and right of them.
+    const IN_PLACE: &str = "__kernel __attribute__((ens_disjoint_items))
+        void k(__global int* m, const int n, const int step) {
+            int j = get_global_id(0) + step + 1;
+            int i = get_global_id(1) + step + 1;
+            if (i < n && j < n) { m[i * n + j] = m[i * n + j] - m[i * n + step] * m[step * n + j]; }
+        }";
+
+    fn in_place_case(src: &str, lx: usize) -> StripStats {
+        // Two groups of `lx` along dim 0 against `n - 2` columns to update.
+        let n = 2 * lx;
+        let mut args = bufs(&[0]);
+        args.extend([n as i64, 1].map(|v| RtArg::Scalar(Val::I(v))));
+        let why = (!src.contains("__attribute__")).then_some(StripReject::LoadStore(0));
+        strip_case(src, &args, vec![i32_buf(n * n)], [lx, 2, 1], [2, 2, 1], why)
+    }
+
+    #[test]
+    fn the_attribute_waives_the_slot_rule_inside_one_parameter() {
+        for lx in [1, 5, 16, 17, 33] {
+            let strip = in_place_case(IN_PLACE, lx);
+            assert!(strip.by_proof, "local_size[0] = {lx}");
+            // The bounds guard turns the last items of each row away.
+            assert_eq!(strip.unzips > 0, lx > 1);
+            // Without the attribute the same kernel is what it always was.
+            let plain = IN_PLACE.replace("__attribute__((ens_disjoint_items))", "");
+            assert!(!in_place_case(&plain, lx).by_proof);
+        }
+    }
+
+    #[test]
+    fn the_attribute_does_not_waive_the_static_rules() {
+        strip_case(
+            "__kernel __attribute__((ens_disjoint_items)) void k(__global int* a) {
+                int i = get_global_id(0);
+                for (int j = 0; j < 3; j++) { a[i * 3 + j] = a[i * 3 + j] + j; }
+            }",
+            &bufs(&[0]),
+            vec![i32_buf(120)],
+            [16, 1, 1],
+            [2, 1, 1],
+            Some(StripReject::StoreInLoop),
+        );
+    }
+
+    // The attribute is trusted like `restrict`; where tests run, a false
+    // one is loud. (Release builds skip the scalar twin: see
+    // `run_ndrange_window`.)
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "carries ens_disjoint_items")]
+    fn a_false_attribute_is_caught_by_the_scalar_twin() {
+        let mut pool = MemPool {
+            bufs: vec![i32_buf(40)],
+            read_only: vec![false],
+        };
+        let ast = parse(
+            "__kernel __attribute__((ens_disjoint_items)) void k(__global int* a) {
+                int i = get_global_id(0);
+                a[i + 1] = a[i] + 1;
+            }",
+        )
+        .unwrap();
+        let unit = compile(&ast).unwrap();
+        let info = unit.kernels["k"].clone();
+        let reg = regir::compile_kernel(&unit, &info).unwrap();
+        let nat = compile_native(&reg, &info).unwrap();
+        let _ = run_ndrange(&nat, &info, &bufs(&[0]), &mut pool, [32, 1, 1], [16, 1, 1]);
     }
 
     #[test]

@@ -23,6 +23,11 @@ pub fn emit_func(out: &mut String, f: &Func) {
     if f.is_kernel {
         out.push_str("__kernel ");
     }
+    if f.disjoint_items {
+        out.push_str("__attribute__((");
+        out.push_str(DISJOINT_ITEMS_ATTR);
+        out.push_str(")) ");
+    }
     out.push_str(&type_name(&f.ret));
     out.push(' ');
     out.push_str(&f.name);
@@ -328,6 +333,19 @@ mod tests {
                 int i = get_global_id(0);
                 if (i < n) { out[i] = in[i] * in[i]; }
             }",
+        );
+    }
+
+    #[test]
+    fn roundtrips_the_disjoint_items_attribute() {
+        let src = "__kernel __attribute__((ens_disjoint_items)) void k(__global float* a) {
+            a[get_global_id(0)] = 1.0f;
+        }";
+        roundtrip(src);
+        let emitted = emit_unit(&parse(src).unwrap());
+        assert!(
+            emitted.starts_with("__kernel __attribute__((ens_disjoint_items)) void k("),
+            "{emitted}"
         );
     }
 

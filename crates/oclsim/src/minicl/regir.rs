@@ -2449,6 +2449,7 @@ mod tests {
             local_decl_bytes: vec![],
             has_barrier: false,
             priv_bytes: 0,
+            disjoint_items: false,
         };
         assert!(compile_kernel(&unit, &info).is_none());
     }

@@ -72,6 +72,21 @@ fn run_traced(
     local: [usize; 3],
     sink: TraceSink,
 ) -> Outcome {
+    run_bound(engine, src, kernel_name, global, local, sink, &[])
+}
+
+/// [`run_traced`], with the `int` arguments taken from `ints` in
+/// parameter order (16 once they run out).
+fn run_bound(
+    engine: Engine,
+    src: &str,
+    kernel_name: &str,
+    global: [usize; 3],
+    local: [usize; 3],
+    sink: TraceSink,
+    ints: &[i32],
+) -> Outcome {
+    let mut ints = ints.iter().copied();
     let device = Platform::default_device(DeviceType::Gpu).expect("device");
     let ctx = Context::new(std::slice::from_ref(&device)).expect("context");
     let queue = CommandQueue::new(&ctx, &device).expect("queue");
@@ -91,12 +106,14 @@ fn run_traced(
                 .enqueue_write_buffer(&buf, &arg_fill(i, BUF_ELEMS))
                 .expect("write");
             bufs.push(buf);
-        } else if kernel.set_arg_local(i, local_items * 16).is_err()
-            && kernel.set_arg_i32(i, 16).is_err()
-        {
-            kernel
-                .set_arg_f32(i, 0.5)
-                .unwrap_or_else(|e| panic!("arg {i} of `{kernel_name}` unbindable: {e}"));
+        } else if kernel.set_arg_local(i, local_items * 16).is_err() {
+            if kernel.set_arg_i32(i, 16).is_err() {
+                kernel
+                    .set_arg_f32(i, 0.5)
+                    .unwrap_or_else(|e| panic!("arg {i} of `{kernel_name}` unbindable: {e}"));
+            } else if let Some(v) = ints.next() {
+                kernel.set_arg_i32(i, v).expect("an int argument");
+            }
         }
     }
     let ops = match queue.enqueue_nd_range(&kernel, &NdRange::d3(global, local)) {
@@ -118,9 +135,25 @@ fn run_traced(
 /// Run on all three engines and assert identical outcomes pairwise
 /// against the stack reference (closing the triangle transitively).
 fn assert_engines_agree(src: &str, kernel_name: &str, global: [usize; 3], local: [usize; 3]) {
-    let stack = run_on(Engine::Stack, src, kernel_name, global, local);
+    let _ = assert_engines_agree_bound(src, kernel_name, global, local, &[]);
+}
+
+/// [`assert_engines_agree`] with chosen `int` arguments (see [`run_bound`]);
+/// returns the agreed outcome.
+fn assert_engines_agree_bound(
+    src: &str,
+    kernel_name: &str,
+    global: [usize; 3],
+    local: [usize; 3],
+    ints: &[i32],
+) -> Outcome {
+    let run = |engine| {
+        let sink = TraceSink::disabled();
+        run_bound(engine, src, kernel_name, global, local, sink, ints)
+    };
+    let stack = run(Engine::Stack);
     for (label, engine) in [("register", Engine::Register), ("native", Engine::Native)] {
-        let other = run_on(engine, src, kernel_name, global, local);
+        let other = run(engine);
         match (&stack, &other) {
             (Ok((sb, sops)), Ok((ob, oops))) => {
                 assert_eq!(sb, ob, "`{kernel_name}`: {label} output buffers differ from stack");
@@ -132,11 +165,25 @@ fn assert_engines_agree(src: &str, kernel_name: &str, global: [usize; 3], local:
             ),
         }
     }
+    stack
 }
 
 /// Harvest every distinct generated kernel from the five applications'
 /// Ensemble sources, on both device targets.
 fn harvested_kernels() -> Vec<(String, String)> {
+    harvest(|src| ensemble_lang::compile_source(src).expect("compile .ens"))
+}
+
+/// The same through the analysis gate, whose proofs reach the generated
+/// source (`__attribute__((ens_disjoint_items))`): what the VM, the
+/// serving layer and the benchmark actually build.
+fn gated_kernels() -> Vec<(String, String)> {
+    harvest(|src| {
+        ensemble_analysis::compile_source(src, &Default::default()).expect("passes the gate")
+    })
+}
+
+fn harvest(front_end: impl Fn(&str) -> ensemble_lang::CompiledModule) -> Vec<(String, String)> {
     let mut found: Vec<(String, String)> = Vec::new();
     for target in ["GPU", "CPU"] {
         let sources = [
@@ -147,7 +194,7 @@ fn harvested_kernels() -> Vec<(String, String)> {
             bench::apps_ens::docrank(64, 2, target),
         ];
         for ens_src in sources {
-            let module = ensemble_lang::compile_source(&ens_src).expect("compile .ens");
+            let module = front_end(&ens_src);
             for actor in &module.actors {
                 if let ActorCode::Kernel(plan) = &actor.code {
                     if !found.iter().any(|(_, s)| *s == plan.source) {
@@ -222,6 +269,94 @@ fn shipped_kernels_take_the_strip_path_and_lud_does_not() {
     let args = span_args("Reduce");
     assert_eq!(arg(&args, "strip_items"), None, "{args:?}");
     assert_eq!(arg(&args, "scalar_why"), None, "{args:?}");
+}
+
+const ATTRIBUTE: &str = "__attribute__((ens_disjoint_items))";
+
+/// The gated front end states its unconditional proofs in the kernel
+/// source, and with them LUD's in-place kernels run in strips too — on
+/// the proof's word, which the span records; the kernels the engine's own
+/// rule already admitted carry the attribute without needing it.
+#[test]
+fn gated_lud_kernels_take_the_strip_path_on_the_proofs_word() {
+    let kernels = gated_kernels();
+    let attributed: Vec<&str> = kernels
+        .iter()
+        .filter(|(_, src)| src.contains(ATTRIBUTE))
+        .map(|(name, _)| name.as_str())
+        .collect();
+    // GPU and CPU targets generate the same source, harvested once.
+    assert_eq!(attributed, ["Multiply", "Mandelbrot", "Col", "Sub", "Rank"]);
+    assert!(harvested_kernels()
+        .iter()
+        .all(|(_, src)| !src.contains(ATTRIBUTE)));
+
+    let items = (GLOBAL[0] * GLOBAL[1]).to_string();
+    for (name, src) in &kernels {
+        assert_engines_agree(src, name, GLOBAL, LOCAL);
+        let sink = TraceSink::new();
+        run_traced(Engine::Native, src, name, GLOBAL, LOCAL, sink.clone()).expect("runs");
+        let events = sink.events();
+        let span = events
+            .iter()
+            .find(|e| e.kind == SpanKind::Kernel)
+            .expect("a kernel span");
+        let arg = |key: &str| {
+            span.args
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.as_str())
+        };
+        let in_place = matches!(name.as_str(), "Col" | "Sub");
+        assert_eq!(
+            arg("strip_evidence"),
+            in_place.then_some("proof"),
+            "`{name}`"
+        );
+        if attributed.contains(&name.as_str()) {
+            assert_eq!(
+                arg("strip_items"),
+                Some(items.as_str()),
+                "`{name}`: {:?}",
+                span.args
+            );
+            assert_eq!(arg("scalar_why"), None, "`{name}`: {:?}", span.args);
+        }
+    }
+}
+
+/// LUD's attributed kernels against the stack and register engines on
+/// bytes, op counts and traps, over the strip shapes (`local_size[0]`
+/// below, at, and just above the strip width, with remainders) and the
+/// factorisation's first, second and last step — where the guards turn
+/// away no item, some items, and nearly every item.
+#[test]
+fn attributed_lud_kernels_agree_for_every_strip_shape_and_step() {
+    let kernels = gated_kernels();
+    // `m` is N x N and fills the synthesized buffer exactly.
+    const N: i32 = 64;
+    assert_eq!((N * N) as usize, BUF_ELEMS);
+    for name in ["Col", "Sub"] {
+        let (_, src) = kernels.iter().find(|(n, _)| n == name).expect("harvested");
+        assert!(src.contains(ATTRIBUTE), "{src}");
+        for lx in [1usize, 5, 16, 17, 33] {
+            // Up to three groups along dimension 0, inside the rows of `m`.
+            let global = [lx * (48 / lx).clamp(1, 3), 6, 1];
+            let local = [lx, 3, 1];
+            for step in [0, 1, N - 2] {
+                // m_dim0, m_dim1, piv_dim0, set_step.
+                let ints = [N, N, 1, step];
+                let outcome = assert_engines_agree_bound(src, name, global, local, &ints);
+                assert!(outcome.is_ok(), "`{name}` lx {lx} step {step}: {outcome:?}");
+            }
+        }
+        // Rows declared wider than the buffer is long: the kernels run off
+        // its end, and all three engines name the same item and message.
+        let ints = [4000, 4000, 1, 0];
+        let outcome = assert_engines_agree_bound(src, name, [48, 6, 1], [16, 3, 1], &ints);
+        let trap = outcome.expect_err("runs off the buffer");
+        assert!(trap.starts_with("out-of-bounds access"), "{trap}");
+    }
 }
 
 /// Trap fixtures: all three engines must fail identically, through the
