@@ -30,7 +30,7 @@
 use crate::device::Device;
 use crate::error::ClResult;
 use crate::event::Event;
-use crate::minicl::interp::num_groups;
+use crate::minicl::num_groups;
 use crate::ndrange::NdRange;
 use crate::program::Kernel;
 use crate::queue::CommandQueue;

@@ -19,6 +19,13 @@
 //!   (depth-inconsistent hand-built bytecode, ambiguous device-function
 //!   returns).
 //!
+//! The ladder is walked in one place: a kernel resolves its requested rung
+//! to the highest rung at or below it whose lowering accepted the kernel
+//! (each lowering is attempted once per kernel object), and the dispatch
+//! reports the rung that ran on its [`crate::Event`]. Every rung is then
+//! executed by the same ND-range driver ([`crate::minicl::run_ndrange`]);
+//! an engine only supplies "run one group".
+//!
 //! All three engines are deterministic and produce byte-identical buffers,
 //! identical `group_ops` and identical traps — the engine choice changes
 //! *host wall-clock* only, never virtual time. The process-wide default can

@@ -6,10 +6,12 @@
 //! does, every item is a resumable state machine and the group advances in
 //! lock-step rounds between [`Op::Barrier`] instructions, exactly the
 //! semantics OpenCL guarantees (and traps on the divergent-barrier case
-//! OpenCL declares undefined).
+//! OpenCL declares undefined). The group walk and the lock-step sweep are
+//! the shared driver's ([`super::driver`]); this module is "run one item".
 
-use super::ast::{Space, Type};
+use super::ast::Space;
 use super::bytecode::*;
+use super::driver::{locals_template, Geometry, GroupEngine, Stop};
 
 /// Runtime argument for a dispatch, already resolved by the host layer.
 #[derive(Debug, Clone)]
@@ -71,23 +73,6 @@ pub struct Trap {
     pub global_id: [usize; 3],
 }
 
-/// Per-dispatch statistics feeding the virtual clock.
-#[derive(Debug, Clone, Default)]
-pub struct NdStats {
-    /// Total abstract ops per work-group (input to the cost model).
-    pub group_ops: Vec<u64>,
-    /// Number of work-items executed.
-    pub items: u64,
-    /// The native engine's strip-mode tallies; untouched by the others.
-    pub strip: super::native::StripStats,
-}
-
-/// Work-groups per dimension of an ND-range — the one place the division
-/// is written (a zero local size divides as one).
-pub fn num_groups(global: [usize; 3], local: [usize; 3]) -> [usize; 3] {
-    std::array::from_fn(|d| global[d] / local[d].max(1))
-}
-
 /// Abort threshold: a single work-item retiring this many ops is assumed to
 /// be stuck in an infinite loop (no paper kernel comes within 10⁴× of it).
 /// Shared with the register engine so both trap identically.
@@ -98,7 +83,8 @@ struct Frame {
     base: usize,
 }
 
-struct Item {
+/// One work-item of the stack interpreter.
+pub(super) struct Item {
     ip: usize,
     stack: Vec<Val>,
     locals: Vec<Val>,
@@ -107,281 +93,90 @@ struct Item {
     gid: [usize; 3],
     lid: [usize; 3],
     ops: u64,
-    done: bool,
 }
 
-enum StopReason {
-    Done,
-    Barrier,
-}
-
-struct GroupCtx<'a> {
+/// The stack interpreter's side of a dispatch.
+pub(super) struct GroupCtx<'a> {
     code: &'a [Op],
     funcs: &'a [FuncInfo],
+    kernel: &'a KernelInfo,
+    /// The parameter-binding part of a work-item's locals frame is the same
+    /// for every item of the dispatch: built once, copied per item.
+    locals_template: Vec<Val>,
     pool: &'a mut MemPool,
     local_regions: Vec<Vec<u8>>,
-    group_id: [usize; 3],
-    global_size: [usize; 3],
-    local_size: [usize; 3],
-    num_groups: [usize; 3],
+    geo: Geometry,
 }
 
-/// Execute a full ND-range. `args` must already be validated against the
-/// kernel's parameters (the host layer does this in
-/// [`crate::program::Kernel`]).
-pub fn run_ndrange(
-    unit: &CompiledUnit,
-    kernel: &KernelInfo,
-    args: &[RtArg],
-    pool: &mut MemPool,
-    global: [usize; 3],
-    local: [usize; 3],
-) -> Result<NdStats, Trap> {
-    let window = num_groups(global, local).map(|n| 0..n);
-    run_ndrange_window(unit, kernel, args, pool, global, local, window)
-}
-
-/// Execute a *window* of a larger ND-range: only work-groups whose
-/// per-dimension group index falls inside `window` run, but
-/// `get_global_size` / `get_num_groups` / global ids all report the full
-/// range — the semantics a co-execution scheduler needs when it assigns
-/// disjoint group slices of one dispatch to different devices.
-pub fn run_ndrange_window(
-    unit: &CompiledUnit,
-    kernel: &KernelInfo,
-    args: &[RtArg],
-    pool: &mut MemPool,
-    global: [usize; 3],
-    local: [usize; 3],
-    window: [std::ops::Range<usize>; 3],
-) -> Result<NdStats, Trap> {
-    let num_groups = num_groups(global, local);
-    let region_bytes = local_region_sizes(kernel, args)?;
-
-    let mut stats = NdStats::default();
-    let items_per_group = local[0] * local[1] * local[2];
-    // The parameter-binding part of a work-item's locals frame is the same
-    // for every item of the dispatch: build it once and memcpy per item.
-    let locals_template = locals_template(kernel, args);
-    let mut ctx = GroupCtx {
-        code: &unit.code,
-        funcs: &unit.funcs,
-        pool,
-        local_regions: region_bytes.iter().map(|&b| vec![0u8; b]).collect(),
-        group_id: [0; 3],
-        global_size: global,
-        local_size: local,
-        num_groups,
-    };
-
-    let mut first_group = true;
-    for gz in window[2].clone() {
-        for gy in window[1].clone() {
-            for gx in window[0].clone() {
-                ctx.group_id = [gx, gy, gz];
-                // Zero local memory between groups for determinism. The
-                // first group sees freshly allocated (zeroed) regions, and
-                // kernels with no local memory skip the pass entirely.
-                if !first_group {
-                    for r in &mut ctx.local_regions {
-                        r.fill(0);
-                    }
-                }
-                first_group = false;
-                let ops = if kernel.has_barrier {
-                    run_group_lockstep(&mut ctx, kernel, &locals_template, items_per_group)?
-                } else {
-                    run_group_fast(&mut ctx, kernel, &locals_template)?
-                };
-                stats.group_ops.push(ops);
-                stats.items += items_per_group as u64;
-            }
+impl<'a> GroupCtx<'a> {
+    pub(super) fn new(
+        unit: &'a CompiledUnit,
+        kernel: &'a KernelInfo,
+        args: &[RtArg],
+        pool: &'a mut MemPool,
+        geo: Geometry,
+        local_regions: Vec<Vec<u8>>,
+    ) -> Self {
+        GroupCtx {
+            code: &unit.code,
+            funcs: &unit.funcs,
+            kernel,
+            locals_template: locals_template(kernel, args),
+            pool,
+            local_regions,
+            geo,
         }
     }
-    Ok(stats)
 }
 
-/// Byte sizes of the dispatch's `__local` regions: host-set `__local`
-/// params (in param order) then in-body declarations. Shared by both
-/// execution engines so the missing-arg trap is identical.
-pub(super) fn local_region_sizes(kernel: &KernelInfo, args: &[RtArg]) -> Result<Vec<usize>, Trap> {
-    let mut region_bytes: Vec<usize> = Vec::new();
-    for (param, arg) in kernel.params.iter().zip(args) {
-        if matches!(param.ty, Type::Ptr(Space::Local, _)) {
-            match arg {
-                RtArg::Local { bytes } => region_bytes.push(*bytes),
-                _ => {
-                    return Err(Trap {
-                        message: format!(
-                            "__local param `{}` not set via set_arg_local",
-                            param.name
-                        ),
-                        global_id: [0; 3],
-                    })
-                }
-            }
-        }
-    }
-    region_bytes.extend_from_slice(&kernel.local_decl_bytes);
-    Ok(region_bytes)
-}
+impl GroupEngine for GroupCtx<'_> {
+    type Item = Item;
 
-/// The dispatch-invariant initial locals frame: parameters bound, every
-/// other slot `I(0)`. Shared by both execution engines (the register
-/// engine converts each [`Val`] to its raw register form).
-pub(super) fn locals_template(kernel: &KernelInfo, args: &[RtArg]) -> Vec<Val> {
-    let mut locals = vec![Val::I(0); kernel.nlocals as usize];
-    let mut local_region = 0u16;
-    for (i, (param, arg)) in kernel.params.iter().zip(args).enumerate() {
-        let v = match (&param.ty, arg) {
-            (Type::Ptr(Space::Local, _), RtArg::Local { .. }) => {
-                let p = Val::Ptr(PtrV {
-                    space: Space::Local,
-                    slot: local_region,
-                    base: 0,
-                });
-                local_region += 1;
-                p
-            }
-            (Type::Ptr(space, _), RtArg::Buf { pool_slot }) => Val::Ptr(PtrV {
-                space: *space,
-                slot: *pool_slot as u16,
-                base: 0,
-            }),
-            (_, RtArg::Scalar(v)) => *v,
-            // Validated by the host layer; defensive default.
-            _ => Val::I(0),
-        };
-        locals[i] = v;
+    fn geometry(&mut self) -> &mut Geometry {
+        &mut self.geo
     }
-    locals
-}
 
-fn init_item(item: &mut Item, kernel: &KernelInfo, locals_template: &[Val]) {
-    item.ip = kernel.entry as usize;
-    item.stack.clear();
-    item.frames.clear();
-    item.locals.clear();
-    item.locals.extend_from_slice(locals_template);
-    item.priv_mem.clear();
-    item.priv_mem.resize(kernel.priv_bytes, 0);
-    item.done = false;
-}
+    fn local_regions(&mut self) -> &mut [Vec<u8>] {
+        &mut self.local_regions
+    }
 
-fn run_group_fast(
-    ctx: &mut GroupCtx<'_>,
-    kernel: &KernelInfo,
-    locals_template: &[Val],
-) -> Result<u64, Trap> {
-    let mut item = Item {
-        ip: 0,
-        stack: Vec::with_capacity(16),
-        locals: Vec::new(),
-        frames: Vec::new(),
-        priv_mem: Vec::new(),
-        gid: [0; 3],
-        lid: [0; 3],
-        ops: 0,
-        done: false,
-    };
-    let mut group_ops = 0u64;
-    let [lx, ly, lz] = ctx.local_size;
-    for iz in 0..lz {
-        for iy in 0..ly {
-            for ix in 0..lx {
-                init_item(&mut item, kernel, locals_template);
-                item.lid = [ix, iy, iz];
-                item.gid = [
-                    ctx.group_id[0] * lx + ix,
-                    ctx.group_id[1] * ly + iy,
-                    ctx.group_id[2] * lz + iz,
-                ];
-                item.ops = 0;
-                match step_until_stop(&mut item, ctx)? {
-                    StopReason::Done => {}
-                    StopReason::Barrier => {
-                        return Err(Trap {
-                            message: "barrier reached in kernel compiled without barriers"
-                                .to_string(),
-                            global_id: item.gid,
-                        })
-                    }
-                }
-                group_ops += item.ops;
-            }
+    fn arena(&self) -> Item {
+        Item {
+            ip: 0,
+            stack: Vec::with_capacity(16),
+            locals: Vec::new(),
+            frames: Vec::new(),
+            priv_mem: Vec::new(),
+            gid: [0; 3],
+            lid: [0; 3],
+            ops: 0,
         }
     }
-    Ok(group_ops)
-}
 
-fn run_group_lockstep(
-    ctx: &mut GroupCtx<'_>,
-    kernel: &KernelInfo,
-    locals_template: &[Val],
-    items_per_group: usize,
-) -> Result<u64, Trap> {
-    let [lx, ly, lz] = ctx.local_size;
-    let mut items: Vec<Item> = Vec::with_capacity(items_per_group);
-    for iz in 0..lz {
-        for iy in 0..ly {
-            for ix in 0..lx {
-                let mut item = Item {
-                    ip: 0,
-                    stack: Vec::with_capacity(16),
-                    locals: Vec::new(),
-                    frames: Vec::new(),
-                    priv_mem: Vec::new(),
-                    gid: [0; 3],
-                    lid: [0; 3],
-                    ops: 0,
-                    done: false,
-                };
-                init_item(&mut item, kernel, locals_template);
-                item.lid = [ix, iy, iz];
-                item.gid = [
-                    ctx.group_id[0] * lx + ix,
-                    ctx.group_id[1] * ly + iy,
-                    ctx.group_id[2] * lz + iz,
-                ];
-                items.push(item);
-            }
-        }
+    fn reset(&self, item: &mut Item, lid: [usize; 3]) {
+        item.ip = self.kernel.entry as usize;
+        item.stack.clear();
+        item.frames.clear();
+        item.locals.clear();
+        item.locals.extend_from_slice(&self.locals_template);
+        item.priv_mem.clear();
+        item.priv_mem.resize(self.kernel.priv_bytes, 0);
+        item.lid = lid;
+        item.gid = self.geo.item_gid(lid);
+        item.ops = 0;
     }
-    loop {
-        let mut at_barrier = 0usize;
-        let mut running = 0usize;
-        for item in items.iter_mut() {
-            if item.done {
-                continue;
-            }
-            running += 1;
-            match step_until_stop(item, ctx)? {
-                StopReason::Done => item.done = true,
-                StopReason::Barrier => at_barrier += 1,
-            }
-        }
-        if running == 0 {
-            break;
-        }
-        if at_barrier == 0 {
-            // Every still-running item finished this round.
-            continue;
-        }
-        if at_barrier != running {
-            let culprit = items
-                .iter()
-                .find(|i| !i.done)
-                .map(|i| i.gid)
-                .unwrap_or([0; 3]);
-            return Err(Trap {
-                message: format!(
-                    "divergent barrier: {at_barrier} of {running} running items reached barrier"
-                ),
-                global_id: culprit,
-            });
-        }
+
+    fn step(&mut self, item: &mut Item) -> Result<Stop, Trap> {
+        step_until_stop(item, self)
     }
-    Ok(items.iter().map(|i| i.ops).sum())
+
+    fn ops(item: &Item) -> u64 {
+        item.ops
+    }
+
+    fn gid(item: &Item) -> [usize; 3] {
+        item.gid
+    }
 }
 
 macro_rules! pop {
@@ -449,7 +244,7 @@ macro_rules! pop_ptr {
     };
 }
 
-fn step_until_stop(item: &mut Item, ctx: &mut GroupCtx<'_>) -> Result<StopReason, Trap> {
+fn step_until_stop(item: &mut Item, ctx: &mut GroupCtx<'_>) -> Result<Stop, Trap> {
     loop {
         let op = &ctx.code[item.ip];
         item.ops += op.cost();
@@ -751,13 +546,13 @@ fn step_until_stop(item: &mut Item, ctx: &mut GroupCtx<'_>) -> Result<StopReason
             Op::CallB(b, argc) => {
                 builtin(item, ctx, *b, *argc)?;
             }
-            Op::Barrier => return Ok(StopReason::Barrier),
+            Op::Barrier => return Ok(Stop::Barrier),
             Op::Ret => match item.frames.pop() {
                 Some(fr) => {
                     item.locals.truncate(fr.base);
                     item.ip = fr.ret_ip;
                 }
-                None => return Ok(StopReason::Done),
+                None => return Ok(Stop::Done),
             },
             Op::RetV => {
                 let v = pop!(item);
@@ -767,7 +562,7 @@ fn step_until_stop(item: &mut Item, ctx: &mut GroupCtx<'_>) -> Result<StopReason
                         item.ip = fr.ret_ip;
                         item.stack.push(v);
                     }
-                    None => return Ok(StopReason::Done),
+                    None => return Ok(Stop::Done),
                 }
             }
         }
@@ -929,25 +724,7 @@ fn builtin(item: &mut Item, ctx: &GroupCtx<'_>, b: Builtin, _argc: u8) -> Result
     match b {
         GetGlobalId | GetLocalId | GetGroupId | GetGlobalSize | GetLocalSize | GetNumGroups => {
             let d = pop_i!(item);
-            // OpenCL semantics for an out-of-range dimension: the id
-            // builtins return 0, the size builtins return 1.
-            let v = if !(0..=2).contains(&d) {
-                match b {
-                    GetGlobalSize | GetLocalSize | GetNumGroups => 1,
-                    _ => 0,
-                }
-            } else {
-                let d = d as usize;
-                match b {
-                    GetGlobalId => item.gid[d],
-                    GetLocalId => item.lid[d],
-                    GetGroupId => ctx.group_id[d],
-                    GetGlobalSize => ctx.global_size[d],
-                    GetLocalSize => ctx.local_size[d],
-                    GetNumGroups => ctx.num_groups[d],
-                    _ => unreachable!(),
-                }
-            };
+            let v = ctx.geo.query(b, d, item.gid, item.lid);
             item.stack.push(Val::I(v as i64));
         }
         Sqrt | Rsqrt | Fabs | Floor | Ceil | Exp | Log | Sin | Cos => {
@@ -1016,6 +793,7 @@ fn builtin(item: &mut Item, ctx: &GroupCtx<'_>, b: Builtin, _argc: u8) -> Result
 mod tests {
     use super::*;
     use crate::minicl::codegen::compile;
+    use crate::minicl::driver::{all_groups, run_ndrange, Lowered, NdStats};
     use crate::minicl::parser::parse;
 
     fn run(
@@ -1028,7 +806,8 @@ mod tests {
     ) -> Result<NdStats, Trap> {
         let unit = compile(&parse(src).unwrap()).unwrap();
         let k = unit.kernels[kernel].clone();
-        run_ndrange(&unit, &k, &args, pool, global, local)
+        let window = all_groups(global, local);
+        run_ndrange(Lowered::Stack(&unit), &k, &args, pool, global, local, window)
     }
 
     fn f32_buf(vals: &[f32]) -> Vec<u8> {

@@ -44,9 +44,9 @@
 //!   through a few reused `NItem` arenas (pocl's work-group function
 //!   transformation, specialised to the no-barrier case): per-item set-up
 //!   is one `memcpy` of the locals/stack region and a `fill(0)` of private
-//!   memory. Kernels with barriers run the same lockstep sweep as the
-//!   register engine over one `NItem` per item of the group, resuming each
-//!   at its saved instruction pointer.
+//!   memory. Kernels with barriers run the shared driver's lockstep sweep
+//!   ([`super::driver`]) over one `NItem` per item of the group, resuming
+//!   each at its saved instruction pointer.
 //! * **Strip mode.** On an eligible barrier-free dispatch, up to `STRIP`
 //!   (16) consecutive dim-0 work-items of a group — fewer when
 //!   `local_size[0]` is smaller or leaves a remainder — advance together:
@@ -127,7 +127,7 @@
 //!   asserted, not derived here, debug builds check it: a dispatch that
 //!   strips on the attribute alone runs a second time on the scalar path
 //!   over a copy of the buffers, and bytes, `group_ops` and trap must
-//!   agree (`run_ndrange_window`; release builds pay nothing).
+//!   agree (`run_window`; release builds pay nothing).
 //!
 //! The engine is observationally identical to the stack and register
 //! engines: byte-identical buffers, identical `group_ops` (the `Ops`
@@ -140,12 +140,11 @@
 
 use super::ast::{Space, Type};
 use super::bytecode::{Builtin, Cmp, ElemTy, KernelInfo};
-use super::interp::{
-    checked_offset, local_region_sizes, locals_template, num_groups, oob, MemPool, NdStats, PtrV,
-    RtArg, Trap, Val, MAX_ITEM_OPS,
-};
+use super::driver::{drive, register_template, stray_barrier, Geometry, GroupEngine, Stop};
+use super::interp::{checked_offset, oob, MemPool, PtrV, RtArg, Trap, MAX_ITEM_OPS};
 use super::regir::{read_reg, write_reg, RFunc, ROp, RVal, RegProgram};
 use std::collections::HashMap;
+use std::ops::Range;
 
 // ---------------------------------------------------------------------------
 // Instruction format
@@ -234,7 +233,7 @@ enum SiteKind {
 /// Per-work-item half of the execution state: what differs between the
 /// items of a group. The lockstep path keeps one per item of the group,
 /// strip mode one per lane, the scalar path reuses a single one.
-struct NItem {
+pub(super) struct NItem {
     regs: Vec<RVal>,
     priv_mem: Vec<u8>,
     /// Where to resume after a barrier.
@@ -242,22 +241,18 @@ struct NItem {
     gid: [usize; 3],
     lid: [usize; 3],
     ops: u64,
-    done: bool,
     trap: Option<Trap>,
 }
 
 /// Dispatch-wide half of the execution state, built once per ND-range;
-/// only `group_id` (and the contents of `local_regions`) change between
-/// groups.
+/// only `geo.group_id` (and the contents of `local_regions`) change
+/// between groups.
 struct NCtx<'a> {
     bufs: &'a mut [Vec<u8>],
     read_only: &'a [bool],
     local_regions: Vec<Vec<u8>>,
     sites: &'a [Site],
-    group_id: [usize; 3],
-    global_size: [usize; 3],
-    local_size: [usize; 3],
-    num_groups: [usize; 3],
+    geo: Geometry,
     /// Set by [`strip`] when it returns [`IP_UNZIP`].
     unzip: Unzip,
 }
@@ -278,37 +273,9 @@ struct Unzip {
 /// times.
 ///
 /// Produced by [`compile_native`] from an already-validated
-/// [`RegProgram`], executed by [`run_ndrange`]. Observationally identical
-/// to the register engine (buffers, `group_ops`, traps).
-///
-/// ```
-/// use oclsim::minicl::{self, native, regir};
-/// use oclsim::minicl::interp::{MemPool, RtArg};
-///
-/// // Lower a tiny kernel all the way down the ladder: source -> stack
-/// // bytecode -> register IR -> native, then dispatch over 4 items.
-/// let unit = minicl::parse("__kernel void dbl(__global float* a) {
-///     int i = get_global_id(0);
-///     a[i] = a[i] * 2.0f;
-/// }").unwrap();
-/// let compiled = minicl::compile(&unit).unwrap();
-/// let info = compiled.kernels.get("dbl").unwrap().clone();
-/// let reg = regir::compile_kernel(&compiled, &info).expect("register-lowerable");
-/// let prog = native::compile_native(&reg, &info).expect("native-lowerable");
-/// assert!(!prog.is_empty());
-///
-/// let mut pool = MemPool {
-///     bufs: vec![[1.0f32, 2.0, 3.0, 4.0].iter().flat_map(|v| v.to_le_bytes()).collect()],
-///     read_only: vec![false],
-/// };
-/// let stats = native::run_ndrange(
-///     &prog, &info, &[RtArg::Buf { pool_slot: 0 }], &mut pool, [4, 1, 1], [2, 1, 1],
-/// ).unwrap();
-/// assert_eq!(stats.items, 4);
-/// let out: Vec<f32> = pool.bufs[0].chunks(4)
-///     .map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
-/// assert_eq!(out, vec![2.0, 4.0, 6.0, 8.0]);
-/// ```
+/// [`RegProgram`], executed by [`run_ndrange`](super::run_ndrange) as
+/// [`Lowered::Native`](super::Lowered). Observationally identical to the
+/// register engine (buffers, `group_ops`, traps).
 #[derive(Debug, Clone)]
 pub struct NativeProgram {
     code: Vec<NInstr>,
@@ -1331,10 +1298,10 @@ macro_rules! hid_const {
 }
 hid_const!(h_gid_c, |st, _cx| st.gid);
 hid_const!(h_lid_c, |st, _cx| st.lid);
-hid_const!(h_grp_c, |st, cx| cx.group_id);
-hid_const!(h_gsz_c, |st, cx| cx.global_size);
-hid_const!(h_lsz_c, |st, cx| cx.local_size);
-hid_const!(h_ngr_c, |st, cx| cx.num_groups);
+hid_const!(h_grp_c, |st, cx| cx.geo.group_id);
+hid_const!(h_gsz_c, |st, cx| cx.geo.global_size);
+hid_const!(h_lsz_c, |st, cx| cx.geo.local_size);
+hid_const!(h_ngr_c, |st, cx| cx.geo.num_groups);
 
 /// Work-item id builtin with a dynamic dimension register (`b`);
 /// out-of-range dimensions read `imm` (0 for ids, 1 for sizes).
@@ -1356,10 +1323,10 @@ macro_rules! hid_dyn {
 }
 hid_dyn!(h_gid_d, |st, _cx| st.gid);
 hid_dyn!(h_lid_d, |st, _cx| st.lid);
-hid_dyn!(h_grp_d, |st, cx| cx.group_id);
-hid_dyn!(h_gsz_d, |st, cx| cx.global_size);
-hid_dyn!(h_lsz_d, |st, cx| cx.local_size);
-hid_dyn!(h_ngr_d, |st, cx| cx.num_groups);
+hid_dyn!(h_grp_d, |st, cx| cx.geo.group_id);
+hid_dyn!(h_gsz_d, |st, cx| cx.geo.global_size);
+hid_dyn!(h_lsz_d, |st, cx| cx.geo.local_size);
+hid_dyn!(h_ngr_d, |st, cx| cx.geo.num_groups);
 
 /// Constant integer result (out-of-range dim with a known register).
 #[inline(always)]
@@ -3086,54 +3053,6 @@ fn resolve_site(p: PtrV, nbufs: usize, read_only: &[bool], nregions: usize) -> S
     }
 }
 
-fn rval_of(v: Val) -> RVal {
-    match v {
-        Val::I(x) => RVal::from_i(x),
-        Val::F(x) => RVal::from_f(x),
-        Val::F4(x) => RVal::from_f4(x),
-        Val::Ptr(p) => RVal::from_ptr(p),
-    }
-}
-
-fn item_gid(cx: &NCtx<'_>, lid: [usize; 3]) -> [usize; 3] {
-    [
-        cx.group_id[0] * cx.local_size[0] + lid[0],
-        cx.group_id[1] * cx.local_size[1] + lid[1],
-        cx.group_id[2] * cx.local_size[2] + lid[2],
-    ]
-}
-
-impl NItem {
-    /// A work-item arena: the full dispatch template (the constant tail is
-    /// never written again) and zeroed private memory.
-    fn new(template: &[RVal], priv_bytes: usize) -> NItem {
-        NItem {
-            regs: template.to_vec(),
-            priv_mem: vec![0u8; priv_bytes],
-            ip: 0,
-            gid: [0; 3],
-            lid: [0; 3],
-            ops: 0,
-            done: false,
-            trap: None,
-        }
-    }
-
-    /// Per-item set-up: one copy of the locals/stack span (`template` cut
-    /// to it) and a `fill(0)` of private memory.
-    fn reset(&mut self, template: &[RVal], entry: u32, cx: &NCtx<'_>, lid: [usize; 3]) {
-        self.regs[..template.len()].copy_from_slice(template);
-        if !self.priv_mem.is_empty() {
-            self.priv_mem.fill(0);
-        }
-        self.ip = entry;
-        self.lid = lid;
-        self.gid = item_gid(cx, lid);
-        self.ops = 0;
-        self.done = false;
-    }
-}
-
 /// Run one item of a barrier-free kernel from `ip` (an instruction index,
 /// or the halt it already reached) to completion.
 fn run_to_end(
@@ -3150,10 +3069,7 @@ fn run_to_end(
     match halt {
         IP_DONE => Ok(()),
         IP_TRAP => Err(st.trap.take().expect("trap halt sets a trap")),
-        _ => Err(Trap {
-            message: "barrier reached in kernel compiled without barriers".to_string(),
-            global_id: st.gid,
-        }),
+        _ => Err(stray_barrier(st.gid)),
     }
 }
 
@@ -3195,136 +3111,117 @@ fn run_strip(
     run_strip(prog, at, above, cx, tally)
 }
 
-/// Barrier-free work-group: the items of each dim-0 row run in strips of
-/// `lanes.len()` reused arenas (fewer at the end of a row). One lane is
-/// the scalar path: each item straight through [`exec`].
-fn run_group_fast(
-    prog: &NativeProgram,
-    template: &[RVal],
-    cx: &mut NCtx<'_>,
-    lanes: &mut [NItem],
-    tally: &mut StripStats,
-) -> Result<u64, Trap> {
-    let template = &template[..prog.main_const_base as usize];
-    let mut group_ops = 0u64;
-    let [lx, ly, lz] = cx.local_size;
-    for iz in 0..lz {
-        for iy in 0..ly {
-            for ix in (0..lx).step_by(lanes.len()) {
-                let live = lanes.len().min(lx - ix);
-                let live = &mut lanes[..live];
-                for (k, st) in live.iter_mut().enumerate() {
-                    st.reset(template, prog.entry, cx, [ix + k, iy, iz]);
-                }
-                if live.len() > 1 {
-                    tally.items += live.len() as u64;
-                }
-                run_strip(prog, prog.entry, live, cx, tally)?;
-                group_ops += live.iter().map(|st| st.ops).sum::<u64>();
-            }
-        }
-    }
-    Ok(group_ops)
+/// The native engine's side of a dispatch: the program, its dispatch
+/// template, the execution context and the strip tallies.
+struct Groups<'p, 'a> {
+    prog: &'p NativeProgram,
+    /// The full dispatch template (`len == prog.total_regs`).
+    template: &'p [RVal],
+    priv_bytes: usize,
+    cx: NCtx<'a>,
+    tally: &'p mut StripStats,
 }
 
-/// Work-group with barriers: the same lockstep sweep as the register
-/// engine — run every live item to its next barrier (or completion),
-/// trap on divergence, repeat.
-fn run_group_lockstep(
-    prog: &NativeProgram,
-    template: &[RVal],
-    cx: &mut NCtx<'_>,
-    items: &mut [NItem],
-) -> Result<u64, Trap> {
-    let template = &template[..prog.main_const_base as usize];
-    let [lx, ly, lz] = cx.local_size;
-    let mut at = 0usize;
-    for iz in 0..lz {
-        for iy in 0..ly {
-            for ix in 0..lx {
-                items[at].reset(template, prog.entry, cx, [ix, iy, iz]);
-                at += 1;
-            }
+impl GroupEngine for Groups<'_, '_> {
+    type Item = NItem;
+
+    fn geometry(&mut self) -> &mut Geometry {
+        &mut self.cx.geo
+    }
+
+    fn local_regions(&mut self) -> &mut [Vec<u8>] {
+        &mut self.cx.local_regions
+    }
+
+    /// The full dispatch template (the constant tail is never written
+    /// again) and zeroed private memory.
+    fn arena(&self) -> NItem {
+        NItem {
+            regs: self.template.to_vec(),
+            priv_mem: vec![0u8; self.priv_bytes],
+            ip: 0,
+            gid: [0; 3],
+            lid: [0; 3],
+            ops: 0,
+            trap: None,
         }
     }
-    loop {
-        let mut at_barrier = 0usize;
-        let mut running = 0usize;
-        for item in items.iter_mut() {
-            if item.done {
-                continue;
-            }
-            running += 1;
-            match exec(&prog.code, item.ip, item, cx) {
-                IP_DONE => item.done = true,
-                // `h_barrier` left the resume point in `item.ip`.
-                IP_BARRIER => at_barrier += 1,
-                _ => return Err(item.trap.take().expect("trap halt sets a trap")),
-            }
+
+    /// One copy of the locals/stack span (the template cut to it) and a
+    /// `fill(0)` of private memory.
+    fn reset(&self, st: &mut NItem, lid: [usize; 3]) {
+        let span = self.prog.main_const_base as usize;
+        st.regs[..span].copy_from_slice(&self.template[..span]);
+        if !st.priv_mem.is_empty() {
+            st.priv_mem.fill(0);
         }
-        if running == 0 {
-            break;
-        }
-        if at_barrier == 0 {
-            continue;
-        }
-        if at_barrier != running {
-            let culprit = items
-                .iter()
-                .find(|i| !i.done)
-                .map(|i| i.gid)
-                .unwrap_or([0; 3]);
-            return Err(Trap {
-                message: format!(
-                    "divergent barrier: {at_barrier} of {running} running items reached barrier"
-                ),
-                global_id: culprit,
-            });
+        st.ip = self.prog.entry;
+        st.lid = lid;
+        st.gid = self.cx.geo.item_gid(lid);
+        st.ops = 0;
+    }
+
+    fn step(&mut self, st: &mut NItem) -> Result<Stop, Trap> {
+        match exec(&self.prog.code, st.ip, st, &mut self.cx) {
+            IP_DONE => Ok(Stop::Done),
+            // `h_barrier` left the resume point in `st.ip`.
+            IP_BARRIER => Ok(Stop::Barrier),
+            _ => Err(st.trap.take().expect("trap halt sets a trap")),
         }
     }
-    Ok(items.iter().map(|i| i.ops).sum())
+
+    fn ops(st: &NItem) -> u64 {
+        st.ops
+    }
+
+    fn gid(st: &NItem) -> [usize; 3] {
+        st.gid
+    }
+
+    /// The items of each dim-0 row run in strips of `lanes.len()` reused
+    /// arenas (fewer at the end of a row). One lane is the scalar path:
+    /// each item straight through [`exec`].
+    fn run_free_group(&mut self, lanes: &mut [NItem]) -> Result<u64, Trap> {
+        let mut group_ops = 0u64;
+        let [lx, ly, lz] = self.cx.geo.local_size;
+        let width = lanes.len();
+        for iz in 0..lz {
+            for iy in 0..ly {
+                for ix in (0..lx).step_by(width) {
+                    let live = &mut lanes[..width.min(lx - ix)];
+                    for (k, st) in live.iter_mut().enumerate() {
+                        self.reset(st, [ix + k, iy, iz]);
+                    }
+                    if live.len() > 1 {
+                        self.tally.items += live.len() as u64;
+                    }
+                    run_strip(self.prog, self.prog.entry, live, &mut self.cx, self.tally)?;
+                    group_ops += live.iter().map(|st| st.ops).sum::<u64>();
+                }
+            }
+        }
+        Ok(group_ops)
+    }
 }
 
-/// Execute a full ND-range on the native engine. Same contract, traps and
-/// statistics as [`super::regir::run_ndrange`] and
-/// [`super::interp::run_ndrange`]: byte-identical buffers, identical
-/// `group_ops` (virtual clock) and identical trap messages/global-ids.
-/// See [`NativeProgram`] for a lower-and-dispatch example.
-pub fn run_ndrange(
+/// Run `window`'s groups of one dispatch on the native engine and return
+/// each group's op count; `strip` receives the strip-mode tallies. Memory
+/// sites are resolved once per dispatch: they depend on the template, not
+/// on which groups run.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn run_window(
     prog: &NativeProgram,
     kernel: &KernelInfo,
     args: &[RtArg],
     pool: &mut MemPool,
-    global: [usize; 3],
-    local: [usize; 3],
-) -> Result<NdStats, Trap> {
-    let window = num_groups(global, local).map(|n| 0..n);
-    run_ndrange_window(prog, kernel, args, pool, global, local, window)
-}
-
-/// Execute a *window* of group indices of a larger ND-range — the native
-/// engine's counterpart of [`super::interp::run_ndrange_window`]: ids and
-/// query functions report the full range, only `window`'s groups run. Site
-/// pre-resolution is unchanged (sites depend on the template, not on which
-/// groups run).
-pub fn run_ndrange_window(
-    prog: &NativeProgram,
-    kernel: &KernelInfo,
-    args: &[RtArg],
-    pool: &mut MemPool,
-    global: [usize; 3],
-    local: [usize; 3],
-    window: [std::ops::Range<usize>; 3],
-) -> Result<NdStats, Trap> {
-    let region_bytes = local_region_sizes(kernel, args)?;
+    geo: Geometry,
+    local_regions: Vec<Vec<u8>>,
+    window: &[Range<usize>; 3],
+    strip: &mut StripStats,
+) -> Result<Vec<u64>, Trap> {
     // Dispatch template: bound locals, zeroed canonical stack slots, then
     // the static tail (main constant pool + every inline window).
-    let mut template: Vec<RVal> = locals_template(kernel, args)
-        .into_iter()
-        .map(rval_of)
-        .collect();
-    template.resize(prog.main_const_base as usize, RVal::default());
-    template.extend_from_slice(&prog.template_static);
+    let template = register_template(kernel, args, prog.main_const_base, &prog.template_static);
     debug_assert_eq!(template.len(), prog.total_regs as usize);
 
     let read_only = pool.read_only.as_slice();
@@ -3338,55 +3235,56 @@ pub fn run_ndrange_window(
                 template[u.ptr as usize].ptr(),
                 pool.bufs.len(),
                 read_only,
-                region_bytes.len(),
+                local_regions.len(),
             )
         })
         .collect();
 
-    let mut stats = NdStats::default();
-    let items_per_group = local[0] * local[1] * local[2];
-    // Work-item arenas, reused across every group of the dispatch: the
-    // whole group for the lockstep sweep, one strip otherwise — a strip of
+    // A barrier-free group runs in one strip of arenas, or in a strip of
     // one (the scalar path) when the kernel or this binding is ineligible.
-    let arenas = if kernel.has_barrier {
-        items_per_group
-    } else {
+    let mut lanes = 1;
+    if !kernel.has_barrier {
         let verdict = match prog.strip_reject {
             Some(why) => Err(why),
             None => slot_conflict(&prog.site_uses, &sites, kernel.disjoint_items),
         };
         match verdict {
             Ok(by_proof) => {
-                stats.strip.by_proof = by_proof;
-                STRIP.min(local[0]).max(1)
+                strip.by_proof = by_proof;
+                lanes = STRIP.min(geo.local_size[0]).max(1);
             }
-            Err(why) => {
-                stats.strip.scalar_why = Some(why);
-                1
-            }
+            Err(why) => strip.scalar_why = Some(why),
         }
-    };
-    let run = |bufs: &mut [Vec<u8>], arenas: usize, tally: &mut StripStats| {
+    }
+    let run = |bufs: &mut [Vec<u8>],
+               local_regions: Vec<Vec<u8>>,
+               lanes: usize,
+               tally: &mut StripStats| {
         let cx = NCtx {
             bufs,
             read_only,
-            local_regions: region_bytes.iter().map(|&b| vec![0u8; b]).collect(),
+            local_regions,
             sites: &sites,
-            group_id: [0; 3],
-            global_size: global,
-            local_size: local,
-            num_groups: num_groups(global, local),
+            geo,
             unzip: Unzip::default(),
         };
-        run_groups(prog, kernel, &template, cx, arenas, &window, tally)
+        let mut groups = Groups {
+            prog,
+            template: &template,
+            priv_bytes: kernel.priv_bytes,
+            cx,
+            tally,
+        };
+        drive(&mut groups, kernel.has_barrier, window, lanes)
     };
     // Debug builds hold the attribute to its word: a dispatch that strips
     // on it alone runs once more, scalar, over a copy of the buffers, and
     // the two must leave the same outcome (release builds pay nothing).
-    let twin = (cfg!(debug_assertions) && stats.strip.by_proof).then(|| pool.bufs.clone());
-    let group_ops = run(&mut pool.bufs, arenas, &mut stats.strip);
-    if let Some(mut bufs) = twin {
-        let scalar = run(&mut bufs, 1, &mut StripStats::default());
+    let twin = (cfg!(debug_assertions) && strip.by_proof)
+        .then(|| (pool.bufs.clone(), local_regions.clone()));
+    let group_ops = run(&mut pool.bufs, local_regions, lanes, strip);
+    if let Some((mut bufs, local_regions)) = twin {
+        let scalar = run(&mut bufs, local_regions, 1, &mut StripStats::default());
         // After a trap the buffers hold partial results on every path.
         let same = match (&group_ops, &scalar) {
             (Ok(a), Ok(b)) => a == b && pool.bufs == bufs,
@@ -3401,51 +3299,15 @@ pub fn run_ndrange_window(
             kernel.name
         );
     }
-    stats.group_ops = group_ops?;
-    stats.items = (stats.group_ops.len() * items_per_group) as u64;
-    Ok(stats)
-}
-
-/// Run `window`'s groups of one dispatch over `arenas` work-item arenas
-/// and return each group's op count.
-fn run_groups(
-    prog: &NativeProgram,
-    kernel: &KernelInfo,
-    template: &[RVal],
-    mut cx: NCtx<'_>,
-    arenas: usize,
-    window: &[std::ops::Range<usize>; 3],
-    tally: &mut StripStats,
-) -> Result<Vec<u64>, Trap> {
-    let mut items: Vec<NItem> = (0..arenas)
-        .map(|_| NItem::new(template, kernel.priv_bytes))
-        .collect();
-    let mut group_ops = Vec::new();
-    for gz in window[2].clone() {
-        for gy in window[1].clone() {
-            for gx in window[0].clone() {
-                cx.group_id = [gx, gy, gz];
-                if !group_ops.is_empty() {
-                    for r in &mut cx.local_regions {
-                        r.fill(0);
-                    }
-                }
-                group_ops.push(if kernel.has_barrier {
-                    run_group_lockstep(prog, template, &mut cx, &mut items)?
-                } else {
-                    run_group_fast(prog, template, &mut cx, &mut items, tally)?
-                });
-            }
-        }
-    }
-    Ok(group_ops)
+    group_ops
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::minicl::codegen::compile;
-    use crate::minicl::interp;
+    use crate::minicl::driver::{all_groups, run_ndrange, Lowered, NdStats};
+    use crate::minicl::interp::Val;
     use crate::minicl::parser::parse;
     use crate::minicl::regir;
 
@@ -3478,23 +3340,18 @@ mod tests {
         let reg = regir::compile_kernel(&unit, &info).expect("register compile");
         let nat = compile_native(&reg, &info).expect("native compile");
 
-        let run = |engine: u8| -> EngineRun {
+        let run = |prog: Lowered| -> EngineRun {
             let mut pool = MemPool {
                 bufs: pool_init.0.clone(),
                 read_only: pool_init.1.clone(),
             };
-            match engine {
-                0 => interp::run_ndrange(&unit, &info, args, &mut pool, global, local)
-                    .map(|stats| (stats, pool.bufs)),
-                1 => regir::run_ndrange(&reg, &info, args, &mut pool, global, local)
-                    .map(|stats| (stats, pool.bufs)),
-                _ => run_ndrange(&nat, &info, args, &mut pool, global, local)
-                    .map(|stats| (stats, pool.bufs)),
-            }
+            let window = all_groups(global, local);
+            run_ndrange(prog, &info, args, &mut pool, global, local, window)
+                .map(|stats| (stats, pool.bufs))
         };
-        let stack = run(0);
-        let register = run(1);
-        let native = run(2);
+        let stack = run(Lowered::Stack(&unit));
+        let register = run(Lowered::Register(&reg));
+        let native = run(Lowered::Native(&nat));
         for (label, other) in [("register", &register), ("native", &native)] {
             match (&stack, other) {
                 (Ok((s_stats, s_bufs)), Ok((o_stats, o_bufs))) => {
@@ -3910,7 +3767,7 @@ mod tests {
 
     // The attribute is trusted like `restrict`; where tests run, a false
     // one is loud. (Release builds skip the scalar twin: see
-    // `run_ndrange_window`.)
+    // `run_window`.)
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "carries ens_disjoint_items")]
@@ -3930,7 +3787,9 @@ mod tests {
         let info = unit.kernels["k"].clone();
         let reg = regir::compile_kernel(&unit, &info).unwrap();
         let nat = compile_native(&reg, &info).unwrap();
-        let _ = run_ndrange(&nat, &info, &bufs(&[0]), &mut pool, [32, 1, 1], [16, 1, 1]);
+        let (global, local) = ([32, 1, 1], [16, 1, 1]);
+        let window = all_groups(global, local);
+        let _ = run_ndrange(Lowered::Native(&nat), &info, &bufs(&[0]), &mut pool, global, local, window);
     }
 
     #[test]
@@ -4088,6 +3947,8 @@ mod tests {
 mod microbench {
     use super::*;
     use crate::minicl::codegen::compile;
+    use crate::minicl::driver::{all_groups, run_ndrange, Lowered};
+    use crate::minicl::interp::Val;
     use crate::minicl::parser::parse;
     use crate::minicl::regir;
 
@@ -4125,11 +3986,15 @@ mod microbench {
         for _ in 0..5 {
             let mut pool = mk();
             let t = std::time::Instant::now();
-            regir::run_ndrange(&reg, &info, &args, &mut pool, global, local).unwrap();
+            let window = all_groups(global, local);
+            run_ndrange(Lowered::Register(&reg), &info, &args, &mut pool, global, local, window)
+                .unwrap();
             best_r = best_r.min(t.elapsed().as_micros());
             let mut pool = mk();
             let t = std::time::Instant::now();
-            run_ndrange(&nat, &info, &args, &mut pool, global, local).unwrap();
+            let window = all_groups(global, local);
+            run_ndrange(Lowered::Native(&nat), &info, &args, &mut pool, global, local, window)
+                .unwrap();
             best_n = best_n.min(t.elapsed().as_micros());
         }
         eprintln!("register {best_r}us native {best_n}us speedup {:.2}x", best_r as f64 / best_n as f64);
@@ -4175,11 +4040,15 @@ mod microbench {
         for _ in 0..5 {
             let mut pool = mk();
             let t = std::time::Instant::now();
-            regir::run_ndrange(&reg, &info, &args, &mut pool, global, local).unwrap();
+            let window = all_groups(global, local);
+            run_ndrange(Lowered::Register(&reg), &info, &args, &mut pool, global, local, window)
+                .unwrap();
             best_r = best_r.min(t.elapsed().as_micros());
             let mut pool = mk();
             let t = std::time::Instant::now();
-            run_ndrange(&nat, &info, &args, &mut pool, global, local).unwrap();
+            let window = all_groups(global, local);
+            run_ndrange(Lowered::Native(&nat), &info, &args, &mut pool, global, local, window)
+                .unwrap();
             best_n = best_n.min(t.elapsed().as_micros());
         }
         eprintln!("register {best_r}us native {best_n}us speedup {:.2}x", best_r as f64 / best_n as f64);

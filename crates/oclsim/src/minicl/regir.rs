@@ -40,10 +40,8 @@
 
 use super::ast::Space;
 use super::bytecode::{Builtin, Cmp, CompiledUnit, ElemTy, FuncInfo, KernelInfo, Op};
-use super::interp::{
-    checked_offset, local_region_sizes, locals_template, num_groups, oob, MemPool, NdStats, PtrV,
-    RtArg, Trap, Val, MAX_ITEM_OPS,
-};
+use super::driver::{register_template, Geometry, GroupEngine, Stop};
+use super::interp::{checked_offset, oob, MemPool, PtrV, RtArg, Trap, Val, MAX_ITEM_OPS};
 use std::collections::{BTreeSet, HashMap};
 
 /// Frame-relative register index.
@@ -113,7 +111,7 @@ impl RVal {
             base: (w >> 32) as u32,
         }
     }
-    fn from_val(v: Val) -> Self {
+    pub(super) fn from_val(v: Val) -> Self {
         match v {
             Val::I(x) => RVal::from_i(x),
             Val::F(x) => RVal::from_f(x),
@@ -213,40 +211,14 @@ pub(super) struct RFunc {
 
 /// A kernel lowered to register IR, ready to dispatch any number of times.
 ///
-/// Produced by [`compile_kernel`], executed by [`run_ndrange`], and lowered
-/// further by the native engine ([`super::native::compile_native`]). The
-/// program is *validated*: every register operand is inside its frame,
-/// every jump target inside its function, every function ends in an
-/// unconditional terminator — which is what licenses the unchecked
-/// interpreter loop (and the native lowering built on top of it).
-///
-/// ```
-/// use oclsim::minicl::{self, regir};
-/// use oclsim::minicl::interp::{MemPool, RtArg};
-///
-/// // Lower a tiny kernel end-to-end: source -> AST -> stack bytecode ->
-/// // register IR, then dispatch it over a 4-item range.
-/// let unit = minicl::parse("__kernel void dbl(__global float* a) {
-///     int i = get_global_id(0);
-///     a[i] = a[i] * 2.0f;
-/// }").unwrap();
-/// let compiled = minicl::compile(&unit).unwrap();
-/// let info = compiled.kernels.get("dbl").unwrap().clone();
-/// let prog = regir::compile_kernel(&compiled, &info).expect("lowerable");
-/// assert!(!prog.is_empty());
-///
-/// let mut pool = MemPool {
-///     bufs: vec![[1.0f32, 2.0, 3.0, 4.0].iter().flat_map(|v| v.to_le_bytes()).collect()],
-///     read_only: vec![false],
-/// };
-/// let stats = regir::run_ndrange(
-///     &prog, &info, &[RtArg::Buf { pool_slot: 0 }], &mut pool, [4, 1, 1], [2, 1, 1],
-/// ).unwrap();
-/// assert_eq!(stats.items, 4);
-/// let out: Vec<f32> = pool.bufs[0].chunks(4)
-///     .map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
-/// assert_eq!(out, vec![2.0, 4.0, 6.0, 8.0]);
-/// ```
+/// Produced by [`compile_kernel`], executed by
+/// [`run_ndrange`](super::run_ndrange) as [`Lowered::Register`](super::Lowered),
+/// and lowered further by the native engine
+/// ([`super::native::compile_native`]). The program is *validated*: every
+/// register operand is inside its frame, every jump target inside its
+/// function, every function ends in an unconditional terminator — which is
+/// what licenses the unchecked interpreter loop (and the native lowering
+/// built on top of it).
 #[derive(Debug, Clone)]
 pub struct RegProgram {
     pub(super) code: Vec<ROp>,
@@ -1406,7 +1378,8 @@ struct RFrame {
     dst: usize,
 }
 
-struct RItem {
+/// One work-item of the register engine.
+pub(super) struct RItem {
     ip: usize,
     base: usize,
     nregs: usize,
@@ -1416,11 +1389,54 @@ struct RItem {
     gid: [usize; 3],
     lid: [usize; 3],
     ops: u64,
-    done: bool,
 }
 
-impl RItem {
-    fn new() -> Self {
+/// The register engine's side of a dispatch.
+pub(super) struct RCtx<'a> {
+    prog: &'a RegProgram,
+    kernel: &'a KernelInfo,
+    /// Bound locals, zeroed canonical stack slots, then the kernel's
+    /// constant pool: `len == prog.nregs` by construction.
+    template: Vec<RVal>,
+    pool: &'a mut MemPool,
+    local_regions: Vec<Vec<u8>>,
+    geo: Geometry,
+}
+
+impl<'a> RCtx<'a> {
+    pub(super) fn new(
+        prog: &'a RegProgram,
+        kernel: &'a KernelInfo,
+        args: &[RtArg],
+        pool: &'a mut MemPool,
+        geo: Geometry,
+        local_regions: Vec<Vec<u8>>,
+    ) -> Self {
+        let template = register_template(kernel, args, prog.const_base, &prog.consts);
+        debug_assert_eq!(template.len(), prog.nregs as usize);
+        RCtx {
+            prog,
+            kernel,
+            template,
+            pool,
+            local_regions,
+            geo,
+        }
+    }
+}
+
+impl GroupEngine for RCtx<'_> {
+    type Item = RItem;
+
+    fn geometry(&mut self) -> &mut Geometry {
+        &mut self.geo
+    }
+
+    fn local_regions(&mut self) -> &mut [Vec<u8>] {
+        &mut self.local_regions
+    }
+
+    fn arena(&self) -> RItem {
         RItem {
             ip: 0,
             base: 0,
@@ -1431,219 +1447,37 @@ impl RItem {
             gid: [0; 3],
             lid: [0; 3],
             ops: 0,
-            done: false,
         }
     }
 
-    /// (Re-)initialise for one work item. Afterwards
-    /// `regs.len() == prog.nregs == base + nregs` — the frame invariant the
-    /// unchecked interpreter relies on (calls only ever grow `regs`).
-    fn init(&mut self, prog: &RegProgram, kernel: &KernelInfo, template: &[RVal]) {
-        self.ip = prog.entry as usize;
-        self.base = 0;
-        self.nregs = prog.nregs as usize;
-        self.regs.clear();
-        self.regs.extend_from_slice(template);
-        self.frames.clear();
-        self.priv_mem.clear();
-        self.priv_mem.resize(kernel.priv_bytes, 0);
-        self.ops = 0;
-        self.done = false;
+    /// Afterwards `regs.len() == prog.nregs == base + nregs` — the frame
+    /// invariant the unchecked interpreter relies on (calls only ever grow
+    /// `regs`).
+    fn reset(&self, item: &mut RItem, lid: [usize; 3]) {
+        item.ip = self.prog.entry as usize;
+        item.base = 0;
+        item.nregs = self.prog.nregs as usize;
+        item.regs.clear();
+        item.regs.extend_from_slice(&self.template);
+        item.frames.clear();
+        item.priv_mem.clear();
+        item.priv_mem.resize(self.kernel.priv_bytes, 0);
+        item.lid = lid;
+        item.gid = self.geo.item_gid(lid);
+        item.ops = 0;
     }
-}
 
-enum StopReason {
-    Done,
-    Barrier,
-}
-
-struct RCtx<'a> {
-    pool: &'a mut MemPool,
-    local_regions: Vec<Vec<u8>>,
-    group_id: [usize; 3],
-    global_size: [usize; 3],
-    local_size: [usize; 3],
-    num_groups: [usize; 3],
-}
-
-/// Execute a full ND-range on the register engine. Same contract, traps and
-/// statistics as [`super::interp::run_ndrange`]: byte-identical buffers,
-/// identical `group_ops` (virtual clock) and identical trap
-/// messages/global-ids. See [`RegProgram`] for a lower-and-dispatch
-/// example.
-pub fn run_ndrange(
-    prog: &RegProgram,
-    kernel: &KernelInfo,
-    args: &[RtArg],
-    pool: &mut MemPool,
-    global: [usize; 3],
-    local: [usize; 3],
-) -> Result<NdStats, Trap> {
-    let window = num_groups(global, local).map(|n| 0..n);
-    run_ndrange_window(prog, kernel, args, pool, global, local, window)
-}
-
-/// Execute a *window* of group indices of a larger ND-range — the register
-/// engine's counterpart of [`super::interp::run_ndrange_window`]: ids and
-/// query functions report the full range, only `window`'s groups run.
-pub fn run_ndrange_window(
-    prog: &RegProgram,
-    kernel: &KernelInfo,
-    args: &[RtArg],
-    pool: &mut MemPool,
-    global: [usize; 3],
-    local: [usize; 3],
-    window: [std::ops::Range<usize>; 3],
-) -> Result<NdStats, Trap> {
-    let num_groups = num_groups(global, local);
-    let region_bytes = local_region_sizes(kernel, args)?;
-    // Dispatch template: bound locals, zeroed canonical stack slots, then
-    // the kernel's constant pool. `len == prog.nregs` by construction.
-    let mut template: Vec<RVal> = locals_template(kernel, args)
-        .into_iter()
-        .map(RVal::from_val)
-        .collect();
-    template.resize(prog.const_base as usize, RVal::default());
-    template.extend_from_slice(&prog.consts);
-    debug_assert_eq!(template.len(), prog.nregs as usize);
-
-    let mut stats = NdStats::default();
-    let items_per_group = local[0] * local[1] * local[2];
-    let mut ctx = RCtx {
-        pool,
-        local_regions: region_bytes.iter().map(|&b| vec![0u8; b]).collect(),
-        group_id: [0; 3],
-        global_size: global,
-        local_size: local,
-        num_groups,
-    };
-
-    // Work-item arenas, reused across every group of the dispatch.
-    let mut item = RItem::new();
-    let mut items: Vec<RItem> = Vec::new();
-    let mut first_group = true;
-    for gz in window[2].clone() {
-        for gy in window[1].clone() {
-            for gx in window[0].clone() {
-                ctx.group_id = [gx, gy, gz];
-                if !first_group && !ctx.local_regions.is_empty() {
-                    for r in &mut ctx.local_regions {
-                        r.fill(0);
-                    }
-                }
-                first_group = false;
-                let ops = if kernel.has_barrier {
-                    run_group_lockstep(prog, kernel, &template, &mut ctx, items_per_group, &mut items)?
-                } else {
-                    run_group_fast(prog, kernel, &template, &mut ctx, &mut item)?
-                };
-                stats.group_ops.push(ops);
-                stats.items += items_per_group as u64;
-            }
-        }
+    fn step(&mut self, item: &mut RItem) -> Result<Stop, Trap> {
+        step_until_stop(item, self)
     }
-    Ok(stats)
-}
 
-fn item_gid(ctx: &RCtx<'_>, lid: [usize; 3]) -> [usize; 3] {
-    [
-        ctx.group_id[0] * ctx.local_size[0] + lid[0],
-        ctx.group_id[1] * ctx.local_size[1] + lid[1],
-        ctx.group_id[2] * ctx.local_size[2] + lid[2],
-    ]
-}
+    fn ops(item: &RItem) -> u64 {
+        item.ops
+    }
 
-fn run_group_fast(
-    prog: &RegProgram,
-    kernel: &KernelInfo,
-    template: &[RVal],
-    ctx: &mut RCtx<'_>,
-    item: &mut RItem,
-) -> Result<u64, Trap> {
-    let mut group_ops = 0u64;
-    let [lx, ly, lz] = ctx.local_size;
-    for iz in 0..lz {
-        for iy in 0..ly {
-            for ix in 0..lx {
-                item.init(prog, kernel, template);
-                item.lid = [ix, iy, iz];
-                item.gid = item_gid(ctx, item.lid);
-                match step_until_stop(item, ctx, prog)? {
-                    StopReason::Done => {}
-                    StopReason::Barrier => {
-                        return Err(Trap {
-                            message: "barrier reached in kernel compiled without barriers"
-                                .to_string(),
-                            global_id: item.gid,
-                        })
-                    }
-                }
-                group_ops += item.ops;
-            }
-        }
+    fn gid(item: &RItem) -> [usize; 3] {
+        item.gid
     }
-    Ok(group_ops)
-}
-
-fn run_group_lockstep(
-    prog: &RegProgram,
-    kernel: &KernelInfo,
-    template: &[RVal],
-    ctx: &mut RCtx<'_>,
-    items_per_group: usize,
-    items: &mut Vec<RItem>,
-) -> Result<u64, Trap> {
-    let [lx, ly, lz] = ctx.local_size;
-    while items.len() < items_per_group {
-        items.push(RItem::new());
-    }
-    let items = &mut items[..items_per_group];
-    let mut at = 0usize;
-    for iz in 0..lz {
-        for iy in 0..ly {
-            for ix in 0..lx {
-                let item = &mut items[at];
-                at += 1;
-                item.init(prog, kernel, template);
-                item.lid = [ix, iy, iz];
-                item.gid = item_gid(ctx, item.lid);
-            }
-        }
-    }
-    loop {
-        let mut at_barrier = 0usize;
-        let mut running = 0usize;
-        for item in items.iter_mut() {
-            if item.done {
-                continue;
-            }
-            running += 1;
-            match step_until_stop(item, ctx, prog)? {
-                StopReason::Done => item.done = true,
-                StopReason::Barrier => at_barrier += 1,
-            }
-        }
-        if running == 0 {
-            break;
-        }
-        if at_barrier == 0 {
-            continue;
-        }
-        if at_barrier != running {
-            let culprit = items
-                .iter()
-                .find(|i| !i.done)
-                .map(|i| i.gid)
-                .unwrap_or([0; 3]);
-            return Err(Trap {
-                message: format!(
-                    "divergent barrier: {at_barrier} of {running} running items reached barrier"
-                ),
-                global_id: culprit,
-            });
-        }
-    }
-    Ok(items.iter().map(|i| i.ops).sum())
 }
 
 #[inline(always)]
@@ -1778,11 +1612,8 @@ fn store(
     write_reg(bytes, byte, ty, v).ok_or_else(|| oob(gid, byte, size, len))
 }
 
-fn step_until_stop(
-    item: &mut RItem,
-    ctx: &mut RCtx<'_>,
-    prog: &RegProgram,
-) -> Result<StopReason, Trap> {
+fn step_until_stop(item: &mut RItem, ctx: &mut RCtx<'_>) -> Result<Stop, Trap> {
+    let prog = ctx.prog;
     // SAFETY argument for the unchecked accesses below (all of them):
     //
     // * Register reads/writes: `validate` proved every register operand of
@@ -1984,24 +1815,7 @@ fn step_until_stop(
                 item.ip = f.entry as usize;
             }
             ROp::Id { b, dst, src } => {
-                let d = rg!(src).i();
-                let v = if !(0..=2).contains(&d) {
-                    match b {
-                        Builtin::GetGlobalSize | Builtin::GetLocalSize | Builtin::GetNumGroups => 1,
-                        _ => 0,
-                    }
-                } else {
-                    let d = d as usize;
-                    match b {
-                        Builtin::GetGlobalId => item.gid[d],
-                        Builtin::GetLocalId => item.lid[d],
-                        Builtin::GetGroupId => ctx.group_id[d],
-                        Builtin::GetGlobalSize => ctx.global_size[d],
-                        Builtin::GetLocalSize => ctx.local_size[d],
-                        Builtin::GetNumGroups => ctx.num_groups[d],
-                        _ => 0,
-                    }
-                };
+                let v = ctx.geo.query(b, rg!(src).i(), item.gid, item.lid);
                 st!(dst, RVal::from_i(v as i64));
             }
             ROp::Math1 { b, dst, src } => {
@@ -2057,14 +1871,14 @@ fn step_until_stop(
                 }
                 st!(dst, RVal::from_f(acc));
             }
-            ROp::Barrier => return Ok(StopReason::Barrier),
+            ROp::Barrier => return Ok(Stop::Barrier),
             ROp::Ret => match item.frames.pop() {
                 Some(fr) => {
                     item.base = fr.prev_base;
                     item.nregs = fr.prev_nregs;
                     item.ip = fr.ret_ip;
                 }
-                None => return Ok(StopReason::Done),
+                None => return Ok(Stop::Done),
             },
             ROp::RetV { src } => {
                 let v = rg!(src);
@@ -2075,7 +1889,7 @@ fn step_until_stop(
                         item.nregs = fr.prev_nregs;
                         item.ip = fr.ret_ip;
                     }
-                    None => return Ok(StopReason::Done),
+                    None => return Ok(Stop::Done),
                 }
             }
         }
@@ -2086,7 +1900,7 @@ fn step_until_stop(
 mod tests {
     use super::*;
     use crate::minicl::codegen::compile;
-    use crate::minicl::interp;
+    use crate::minicl::driver::{all_groups, run_ndrange, Lowered, NdStats};
     use crate::minicl::parser::parse;
 
     type EngineRun = Result<(NdStats, Vec<Vec<u8>>), Trap>;
@@ -2110,14 +1924,15 @@ mod tests {
                 bufs: pool_init.0.clone(),
                 read_only: pool_init.1.clone(),
             };
-            if register {
-                let prog = compile_kernel(&unit, &info).expect("register compile");
-                run_ndrange(&prog, &info, args, &mut pool, global, local)
-                    .map(|stats| (stats, pool.bufs))
+            let prog = compile_kernel(&unit, &info).expect("register compile");
+            let lowered = if register {
+                Lowered::Register(&prog)
             } else {
-                interp::run_ndrange(&unit, &info, args, &mut pool, global, local)
-                    .map(|stats| (stats, pool.bufs))
-            }
+                Lowered::Stack(&unit)
+            };
+            let window = all_groups(global, local);
+            run_ndrange(lowered, &info, args, &mut pool, global, local, window)
+                .map(|stats| (stats, pool.bufs))
         };
         (run(false), run(true))
     }

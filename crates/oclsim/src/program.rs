@@ -5,13 +5,12 @@ use crate::context::Context;
 use crate::engine::{default_engine, Engine};
 use crate::error::{ClError, ClResult};
 use crate::minicl::ast::{Space, Type};
-use crate::minicl::interp::RtArg;
 use crate::minicl::native::{self, NativeProgram};
 use crate::minicl::regir::{self, RegProgram};
-use crate::minicl::{self, CompiledUnit, KernelInfo, Val};
+use crate::minicl::{self, CompiledUnit, KernelInfo, Lowered, RtArg, Val};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An argument bound to a kernel slot.
 #[derive(Debug, Clone)]
@@ -106,41 +105,17 @@ pub(crate) struct DispatchPlan {
     pub(crate) local_bytes: usize,
 }
 
-/// Lazily compiled register program for a kernel.
-#[derive(Debug, Default)]
-enum RegSlot {
-    /// Not attempted yet.
-    #[default]
-    NotCompiled,
-    /// Lowering declined the kernel; always use the stack engine.
-    Unsupported,
-    /// Ready to dispatch.
-    Ready(Arc<RegProgram>),
-}
-
-/// Lazily compiled native program for a kernel (third rung of the engine
-/// ladder, lowered from the register program).
-#[derive(Debug, Default)]
-enum NativeSlot {
-    /// Not attempted yet.
-    #[default]
-    NotCompiled,
-    /// Lowering declined the kernel; fall back to the register engine.
-    Unsupported,
-    /// Ready to dispatch.
-    Ready(Arc<NativeProgram>),
-}
-
 /// Dispatch-state cache shared by all clones of a kernel: the argument
-/// generation counter, the cached [`DispatchPlan`], the lazily compiled
-/// register and native programs and the per-kernel engine override.
+/// generation counter, the cached [`DispatchPlan`], the register and
+/// native lowerings (each attempted at most once; `None` when it declined
+/// the kernel) and the per-kernel engine override.
 #[derive(Debug, Default)]
 pub(crate) struct KernelCache {
     /// Bumped on every argument rebind; invalidates the plan.
     generation: AtomicU64,
     plan: Mutex<Option<Arc<DispatchPlan>>>,
-    reg: Mutex<RegSlot>,
-    native: Mutex<NativeSlot>,
+    reg: OnceLock<Option<RegProgram>>,
+    native: OnceLock<Option<NativeProgram>>,
     engine: Mutex<Option<Engine>>,
 }
 
@@ -269,59 +244,34 @@ impl Kernel {
         self.cache.engine.lock().unwrap_or_else(default_engine)
     }
 
-    /// The lazily compiled register program, or `None` when the lowering
-    /// does not cover this kernel (→ stack fallback). Compiled at most
-    /// once per kernel object; all clones share the result.
-    pub(crate) fn reg_program(&self) -> Option<Arc<RegProgram>> {
-        let mut slot = self.cache.reg.lock();
-        match &*slot {
-            RegSlot::Ready(p) => Some(Arc::clone(p)),
-            RegSlot::Unsupported => None,
-            RegSlot::NotCompiled => match regir::compile_kernel(&self.unit, &self.info) {
-                Some(prog) => {
-                    let prog = Arc::new(prog);
-                    *slot = RegSlot::Ready(Arc::clone(&prog));
-                    Some(prog)
-                }
-                None => {
-                    *slot = RegSlot::Unsupported;
-                    None
-                }
-            },
-        }
-    }
-
-    /// The lazily compiled native program, or `None` when either lowering
-    /// rung declines this kernel (→ register or stack fallback). Compiled
-    /// at most once per kernel object; all clones share the result.
-    pub(crate) fn native_program(&self) -> Option<Arc<NativeProgram>> {
-        {
-            let slot = self.cache.native.lock();
-            match &*slot {
-                NativeSlot::Ready(p) => return Some(Arc::clone(p)),
-                NativeSlot::Unsupported => return None,
-                NativeSlot::NotCompiled => {}
+    /// The program this kernel's next dispatch runs: the requested rung,
+    /// or the first rung below it whose lowering accepted the kernel
+    /// (native → register → stack). [`Lowered::engine`] names the rung.
+    /// Each lowering is attempted at most once per kernel object, and only
+    /// when a rung at or above it is requested; all clones share the
+    /// result.
+    pub(crate) fn lowered(&self) -> Lowered<'_> {
+        let requested = self.engine();
+        let reg = || {
+            self.cache
+                .reg
+                .get_or_init(|| regir::compile_kernel(&self.unit, &self.info))
+                .as_ref()
+        };
+        if requested == Engine::Native {
+            let native = self.cache.native.get_or_init(|| {
+                reg().and_then(|reg| native::compile_native(reg, &self.info))
+            });
+            if let Some(prog) = native {
+                return Lowered::Native(prog);
             }
         }
-        // Compile outside the native lock: reg_program takes its own lock.
-        let compiled = self
-            .reg_program()
-            .and_then(|reg| native::compile_native(&reg, &self.info));
-        let mut slot = self.cache.native.lock();
-        if let NativeSlot::Ready(p) = &*slot {
-            return Some(Arc::clone(p));
-        }
-        match compiled {
-            Some(prog) => {
-                let prog = Arc::new(prog);
-                *slot = NativeSlot::Ready(Arc::clone(&prog));
-                Some(prog)
-            }
-            None => {
-                *slot = NativeSlot::Unsupported;
-                None
+        if requested != Engine::Stack {
+            if let Some(prog) = reg() {
+                return Lowered::Register(prog);
             }
         }
+        Lowered::Stack(&self.unit)
     }
 
     /// The cached dispatch plan for the current argument binding, building

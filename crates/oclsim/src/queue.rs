@@ -8,9 +8,8 @@ use crate::engine::Engine;
 use crate::error::{ClError, ClResult};
 use crate::event::{CommandKind, Event};
 use crate::fault::{FaultEffect, FaultInjector, FaultOp};
-use crate::minicl::interp::{num_groups, run_ndrange_window, MemPool, NdStats};
-use crate::minicl::native::{self, StripStats};
-use crate::minicl::regir;
+use crate::minicl::native::StripStats;
+use crate::minicl::{all_groups, run_ndrange, MemPool, NdStats};
 use crate::ndrange::NdRange;
 use crate::program::Kernel;
 use parking_lot::Mutex;
@@ -539,7 +538,7 @@ impl CommandQueue {
         discount_ns: f64,
     ) -> ClResult<Event> {
         let prep = self.predispatch(kernel, nd)?;
-        let window = num_groups(nd.global, nd.local).map(|n| 0..n);
+        let window = all_groups(nd.global, nd.local);
         let (stats, engine) = self.run_window(kernel, &prep.plan, nd, window)?;
         let base = self.inner.device.cost_model().kernel_ns(
             &stats.group_ops,
@@ -632,59 +631,16 @@ impl CommandQueue {
             }
         }
 
-        // Walk down the engine ladder from the requested rung, lazily
-        // compiling only the programs the chosen rung needs: native →
-        // register → stack, stopping at the first lowering that accepted
-        // the kernel.
-        let requested = kernel.engine();
-        let native = match requested {
-            Engine::Native => kernel.native_program(),
-            Engine::Register | Engine::Stack => None,
-        };
-        let reg = match (&native, requested) {
-            (Some(_), _) | (None, Engine::Stack) => None,
-            (None, Engine::Native | Engine::Register) => kernel.reg_program(),
-        };
-        let (result, engine_used) = if let Some(prog) = native {
-            (
-                native::run_ndrange_window(
-                    &prog,
-                    &kernel.info,
-                    &plan.rt_args,
-                    &mut pool,
-                    nd.global,
-                    nd.local,
-                    window,
-                ),
-                Engine::Native,
-            )
-        } else if let Some(prog) = reg {
-            (
-                regir::run_ndrange_window(
-                    &prog,
-                    &kernel.info,
-                    &plan.rt_args,
-                    &mut pool,
-                    nd.global,
-                    nd.local,
-                    window,
-                ),
-                Engine::Register,
-            )
-        } else {
-            (
-                run_ndrange_window(
-                    &kernel.unit,
-                    &kernel.info,
-                    &plan.rt_args,
-                    &mut pool,
-                    nd.global,
-                    nd.local,
-                    window,
-                ),
-                Engine::Stack,
-            )
-        };
+        let prog = kernel.lowered();
+        let result = run_ndrange(
+            prog,
+            &kernel.info,
+            &plan.rt_args,
+            &mut pool,
+            nd.global,
+            nd.local,
+            window,
+        );
 
         // Always return bytes to their buffers, even on trap.
         for (buf, bytes) in plan.pooled.iter().zip(pool.bufs.drain(..)) {
@@ -696,7 +652,7 @@ impl CommandQueue {
             message: t.message,
             global_id: t.global_id,
         })?;
-        Ok((stats, engine_used))
+        Ok((stats, prog.engine()))
     }
 
     /// Commit an executed kernel command to the queue: apply any injected

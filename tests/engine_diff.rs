@@ -41,9 +41,34 @@ fn arg_fill(arg: usize, elems: usize) -> Vec<u8> {
         .collect()
 }
 
-/// One engine's observable outcome: every buffer argument's final bytes
-/// plus the retired abstract op count, or the trap rendered as a string.
-type Outcome = Result<(Vec<Vec<u8>>, u64), String>;
+/// One engine's observable outcome: every buffer argument's final bytes,
+/// the retired abstract op count and the label of the engine that ran it
+/// ([`ensemble_repro::oclsim::Event::engine`]), or the trap rendered as a
+/// string.
+type Outcome = Result<(Vec<Vec<u8>>, u64, &'static str), String>;
+
+/// Kernels whose requested engine declines them, so a lower rung of the
+/// ladder runs them instead: `(kernel, requested, ran)`. Empty — every
+/// kernel this suite builds, harvested, gated or generated, runs on the
+/// rung it asks for. Without this check a silent native → register
+/// fallback would turn "native vs stack" into "register vs stack".
+const DECLINES: &[(&str, Engine, &str)] = &[];
+
+/// Assert that `outcome` ran on `requested`, or on the rung [`DECLINES`]
+/// names for `kernel_name`. A trap carries no event, so it names no rung.
+fn assert_ran_on(requested: Engine, kernel_name: &str, outcome: &Outcome) {
+    let Ok((_, _, ran)) = outcome else { return };
+    let expected = DECLINES
+        .iter()
+        .find(|(name, engine, _)| *name == kernel_name && *engine == requested)
+        .map_or(requested.label(), |(_, _, ran)| ran);
+    assert_eq!(
+        *ran,
+        expected,
+        "`{kernel_name}`: requested {} but {ran} ran",
+        requested.label()
+    );
+}
 
 /// Run `kernel_name` from `src` on `engine` with synthesized arguments.
 ///
@@ -116,8 +141,8 @@ fn run_bound(
             }
         }
     }
-    let ops = match queue.enqueue_nd_range(&kernel, &NdRange::d3(global, local)) {
-        Ok(ev) => ev.ops(),
+    let (ops, ran) = match queue.enqueue_nd_range(&kernel, &NdRange::d3(global, local)) {
+        Ok(ev) => (ev.ops(), ev.engine().expect("a kernel event names its engine")),
         Err(ClError::KernelTrap {
             message, global_id, ..
         }) => return Err(format!("{message} @ {global_id:?}")),
@@ -129,7 +154,9 @@ fn run_bound(
         queue.enqueue_read_buffer(buf, &mut bytes).expect("read");
         out.push(bytes);
     }
-    Ok((out, ops))
+    let outcome = Ok((out, ops, ran));
+    assert_ran_on(engine, kernel_name, &outcome);
+    outcome
 }
 
 /// Run on all three engines and assert identical outcomes pairwise
@@ -155,7 +182,7 @@ fn assert_engines_agree_bound(
     for (label, engine) in [("register", Engine::Register), ("native", Engine::Native)] {
         let other = run(engine);
         match (&stack, &other) {
-            (Ok((sb, sops)), Ok((ob, oops))) => {
+            (Ok((sb, sops, _)), Ok((ob, oops, _))) => {
                 assert_eq!(sb, ob, "`{kernel_name}`: {label} output buffers differ from stack");
                 assert_eq!(sops, oops, "`{kernel_name}`: {label} retired op count differs from stack");
             }
