@@ -240,9 +240,8 @@ pub enum DispatchMode<'a> {
     Single,
     /// Co-execution: split the NDRange along `dim` (proven splittable)
     /// across the host's queue and a secondary device lane. Dispatches
-    /// under `cfg.min_items` work-items or with fewer than two groups
-    /// along `dim` stay on one device — the secondary's transfer latency
-    /// would dominate any split.
+    /// under `cfg.min_items` work-items stay on one device, where the
+    /// secondary's transfer latency would dominate any split.
     Coexec {
         /// The second device lane.
         secondary: &'a OpenClEnvironment,
@@ -395,9 +394,8 @@ impl KernelHost {
             arg += 1;
         }
         let nd = nd_from(launch.worksize, launch.groupsize)?;
-        if let DispatchMode::Coexec { dim, cfg, .. } = *mode {
-            let items: usize = launch.worksize.iter().product();
-            if items < cfg.min_items || nd.global[dim] / nd.local[dim].max(1) < 2 {
+        if let DispatchMode::Coexec { cfg, .. } = *mode {
+            if launch.worksize.iter().product::<usize>() < cfg.min_items {
                 *mode = DispatchMode::Single;
             }
         }

@@ -30,11 +30,10 @@
 use crate::device::Device;
 use crate::error::ClResult;
 use crate::event::Event;
-use crate::minicl::num_groups;
+use crate::minicl::all_groups;
 use crate::ndrange::NdRange;
 use crate::program::Kernel;
-use crate::queue::CommandQueue;
-use trace::SpanKind;
+use crate::queue::{Admit, CommandQueue, Execution, Priced};
 
 /// Which load-balancing policy a run co-executes under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -370,8 +369,9 @@ pub fn model_shares(
 /// plain [`CommandQueue::enqueue_nd_range`] instead. Given that, this
 /// function:
 ///
-/// 1. draws the primary's Enqueue fault exactly once (same fault
-///    surface as an unsplit dispatch) and resolves the dispatch plan;
+/// 1. runs the primary's command stage list once — one arbiter slot, one
+///    Enqueue fault draw, the same validation, integrity, watchdog and
+///    provenance stages as an unsplit dispatch;
 /// 2. lets `policy` assign group chunks along `dim` — executing every
 ///    chunk *functionally* on the primary queue via window execution
 ///    (full-range ids ⇒ byte-identical output), while charging chunks
@@ -382,9 +382,12 @@ pub fn model_shares(
 /// 4. commits ONE composite kernel event whose duration is the makespan
 ///    over lanes — the secondary lane's span includes its input
 ///    transfers and its share of writable-buffer readback — and records
-///    a [`SpanKind::CoexecSplit`] instant with the per-lane breakdown.
+///    a [`trace::SpanKind::CoexecSplit`] instant with the per-lane
+///    breakdown.
 ///
-/// Returns the composite event, exactly like `enqueue_nd_range`.
+/// A range with fewer than two groups along `dim` has nothing to split:
+/// it runs and is priced exactly like `enqueue_nd_range`, and records no
+/// split. Returns the composite event, exactly like `enqueue_nd_range`.
 pub fn co_enqueue(
     primary: &CommandQueue,
     secondary: &CommandQueue,
@@ -393,42 +396,46 @@ pub fn co_enqueue(
     dim: usize,
     policy: &mut dyn CoexecPolicy,
 ) -> ClResult<Event> {
-    let _slot = primary.composite_slot();
-    let prep = primary.predispatch(kernel, nd)?;
+    primary.run_kernel(kernel, nd, Admit::Command, |ex| {
+        split(ex, primary.device(), secondary, nd, dim, policy)
+    })
+}
+
+/// The execute and price stages of [`co_enqueue`]: deal group chunks of
+/// `nd` along `dim` to the `primary` device's lane and `secondary`'s, and
+/// price the lanes' makespan.
+fn split(
+    ex: &mut Execution<'_>,
+    primary: &Device,
+    secondary: &CommandQueue,
+    nd: &NdRange,
+    dim: usize,
+    policy: &mut dyn CoexecPolicy,
+) -> ClResult<Priced> {
     let local = nd.local[dim].max(1);
     let groups = nd.global[dim] / local;
     if groups < 2 {
-        // Nothing to split; behave exactly like a plain dispatch.
-        return primary.enqueue_nd_range_held(kernel, nd, 0.0);
+        return ex.whole(0.0);
     }
 
+    let plan = ex.plan;
+    let devs = [primary, secondary.device()];
     let items_per_group = nd.group_size();
-    let devs = [primary.device().clone(), secondary.device().clone()];
     let sec_model = devs[1].cost_model().clone();
     // Every input buffer must reach the secondary before it can start.
-    let t_in_secondary: f64 = prep
-        .plan
+    let t_in_secondary: f64 = plan
         .pooled
         .iter()
         .map(|b| sec_model.transfer_ns(b.len()))
         .sum();
-    let mut lanes = [
-        LaneState {
-            group_ops: Vec::new(),
-            t_in_ns: 0.0,
-            touched: false,
-            dead: false,
-            groups: 0,
-        },
-        LaneState {
-            group_ops: Vec::new(),
-            t_in_ns: t_in_secondary,
-            touched: false,
-            dead: false,
-            groups: 0,
-        },
-    ];
-    let num_groups = num_groups(nd.global, nd.local);
+    let new_lane = |t_in_ns| LaneState {
+        group_ops: Vec::new(),
+        t_in_ns,
+        touched: false,
+        dead: false,
+        groups: 0,
+    };
+    let mut lanes = [new_lane(0.0), new_lane(t_in_secondary)];
 
     // Deterministic micro-profile: run the first group-slice along `dim`
     // on the primary (its results are needed regardless) and observe the
@@ -437,23 +444,20 @@ pub fn co_enqueue(
     // the ratio from observed ops rather than raw lane counts is what
     // keeps the static cut honest about per-group schedule overhead,
     // which dominates for small groups.
-    let mut probe_window = [0..num_groups[0], 0..num_groups[1], 0..num_groups[2]];
+    let mut probe_window = all_groups(nd.global, nd.local);
     probe_window[dim] = 0..1;
-    let (probe, probe_engine) = primary.run_window(kernel, &prep.plan, nd, probe_window)?;
-    let probe_ops = if probe.group_ops.is_empty() {
+    let probe = ex.run(probe_window)?;
+    let probe_ops = if probe.is_empty() {
         0.0
     } else {
-        probe.group_ops.iter().sum::<u64>() as f64 / probe.group_ops.len() as f64
+        probe.iter().sum::<u64>() as f64 / probe.len() as f64
     };
-    let shares = model_shares(&devs[0], &devs[1], items_per_group, probe_ops);
-    let mut total_items = probe.items;
-    let mut strip = probe.strip;
-    let mut engine = Some(probe_engine);
+    let shares = model_shares(devs[0], devs[1], items_per_group, probe_ops);
     // One unit along the split dimension is one *slice* — every group
     // whose `dim`-coordinate matches. The probe ran slice 0, so its
     // group count is the real groups per slice, and the probe average
     // prices one group on each device's cost model.
-    let groups_per_slice = probe.group_ops.len().max(1);
+    let groups_per_slice = probe.len().max(1);
     let group_cost = |i: usize, ops: f64| -> f64 {
         let m = devs[i].cost_model();
         m.kernel_ns(
@@ -464,17 +468,11 @@ pub fn co_enqueue(
         ) - m.launch_overhead_ns
     };
     let per_group: [f64; 2] = std::array::from_fn(|i| group_cost(i, probe_ops));
-    lanes[0].group_ops = probe.group_ops;
+    lanes[0].group_ops = probe;
     lanes[0].groups = 1;
     let next_group = 1usize;
 
     let views = |lanes: &[LaneState; 2], remaining: usize| -> [LaneView; 2] {
-        let mut out = [LaneView {
-            finish_ns: 0.0,
-            share: 0.0,
-            unit_ns: 0.0,
-            unit_hi_ns: 0.0,
-        }; 2];
         // Re-price from the *observed* ops across everything run so
         // far, not just the probe slice. A biased probe (mandelbrot's
         // fast-escape top rows) would otherwise poison every chunk
@@ -493,7 +491,8 @@ pub fn co_enqueue(
             sum as f64 / cnt as f64
         };
         let max_ops = if cnt == 0 { probe_ops } else { max as f64 };
-        for (i, lane) in lanes.iter().enumerate() {
+        std::array::from_fn(|i| {
+            let lane = &lanes[i];
             // A lane's finish always includes its input-transfer charge:
             // even before it takes anything, the transfers are the price
             // of *starting* it, and earliest-completion policies must
@@ -528,14 +527,13 @@ pub fn co_enqueue(
                     0.0
                 }
             };
-            out[i] = LaneView {
+            LaneView {
                 finish_ns: if lane.dead { f64::INFINITY } else { finish },
                 share: shares[i],
                 unit_ns: marginal(avg_ops),
                 unit_hi_ns: marginal(max_ops),
-            };
-        }
-        out
+            }
+        })
     };
 
     // Static policies cut once, up front; chunked policies are queried
@@ -553,10 +551,9 @@ pub fn co_enqueue(
     if policy.static_weights(&views(&lanes, groups - next_group)).is_some() {
         is_static = true;
         let t_out = |k: usize| -> f64 {
-            prep.plan
-                .pooled
+            plan.pooled
                 .iter()
-                .zip(prep.plan.read_only.iter())
+                .zip(plan.read_only.iter())
                 .filter(|(_, ro)| !**ro)
                 .map(|(b, _)| sec_model.transfer_ns(b.len() * k / groups))
                 .sum()
@@ -623,24 +620,21 @@ pub fn co_enqueue(
             // takes: a lost device reroutes its groups to the survivor
             // (the functional result is unaffected — windows run on the
             // primary — only the cost attribution moves).
-            if secondary.probe_enqueue_fault().is_err() {
+            if !ex.lane_alive(secondary) {
                 lanes[1].dead = true;
                 rescued += take;
                 lane = 0;
             }
         }
-        let mut window = [0..num_groups[0], 0..num_groups[1], 0..num_groups[2]];
+        let mut window = all_groups(nd.global, nd.local);
         window[dim] = if lane == 1 {
             hi - take..hi
         } else {
             lo..lo + take
         };
-        let (stats, eng) = primary.run_window(kernel, &prep.plan, nd, window)?;
-        engine = Some(eng);
-        lanes[lane].group_ops.extend(stats.group_ops);
+        let group_ops = ex.run(window)?;
+        lanes[lane].group_ops.extend(group_ops);
         lanes[lane].groups += take;
-        total_items += stats.items;
-        strip.absorb(&stats.strip);
         if lane == 1 {
             hi -= take;
         } else {
@@ -666,7 +660,7 @@ pub fn co_enqueue(
             );
         }
         if i == 1 && lane.groups > 0 {
-            for (buf, ro) in prep.plan.pooled.iter().zip(&prep.plan.read_only) {
+            for (buf, ro) in plan.pooled.iter().zip(&plan.read_only) {
                 if !*ro {
                     t += sec_model.transfer_ns(buf.len() * lane.groups / groups);
                 }
@@ -674,27 +668,9 @@ pub fn co_enqueue(
         }
         lane_ns[i] = t;
     }
-    let makespan = lane_ns[0].max(lane_ns[1]);
-    let ops = lanes[0]
-        .group_ops
-        .iter()
-        .chain(lanes[1].group_ops.iter())
-        .sum();
-    let engine = engine.expect("groups >= 2 ran at least one window");
-    let ev = primary.commit_kernel(
-        kernel,
-        &prep.plan,
-        &prep.effect,
-        total_items,
-        ops,
-        makespan,
-        engine,
-        strip,
-    )?;
-    primary.record_instant(
-        SpanKind::CoexecSplit,
-        kernel.name(),
-        &[
+    Ok(Priced {
+        cost_ns: lane_ns[0].max(lane_ns[1]),
+        split: vec![
             ("policy", policy.label().to_string()),
             ("dim", dim.to_string()),
             ("groups", groups.to_string()),
@@ -705,8 +681,7 @@ pub fn co_enqueue(
             ("secondary_device", devs[1].name().to_string()),
             ("rescued_groups", rescued.to_string()),
         ],
-    );
-    Ok(ev)
+    })
 }
 
 #[cfg(test)]
@@ -718,6 +693,7 @@ mod tests {
     use crate::fault::{FaultInjector, FaultPlan, FaultOp, InjectedFault};
     use crate::platform::Platform;
     use crate::program::Program;
+    use trace::SpanKind;
 
     const SRC: &str = "__kernel void scale(__global float* a, __global const float* b) {
         int i = get_global_id(0);
@@ -862,6 +838,29 @@ mod tests {
             co_small >= single_small,
             "co-exec {co_small} must not beat single {single_small} at 256 items"
         );
+    }
+
+    #[test]
+    fn an_unsplittable_range_draws_one_fault_like_a_plain_dispatch() {
+        let (ctx, q, sec) = gpu_setup();
+        q.attach_faults(FaultInjector::new(FaultPlan::new().fail(
+            FaultOp::Enqueue,
+            1,
+            InjectedFault::DeviceLost,
+        )));
+        let program = Program::build(&ctx, SRC).unwrap();
+        let k = program.create_kernel("scale").unwrap();
+        let a = ctx.create_buffer(MemFlags::ReadWrite, 16 * 4).unwrap();
+        let b = ctx.create_buffer(MemFlags::ReadOnly, 16 * 4).unwrap();
+        k.set_arg_buffer(0, &a).unwrap();
+        k.set_arg_buffer(1, &b).unwrap();
+        let nd = NdRange::d1(16, 16);
+        let mut policy = PolicyKind::Guided.make(&CoexecConfig::default());
+        // One group: nothing to split, one Enqueue fault-op (index 0).
+        co_enqueue(&q, &sec, &k, &nd, 0, policy.as_mut()).unwrap();
+        // The next dispatch draws index 1, the scheduled loss.
+        let err = q.enqueue_nd_range(&k, &nd).unwrap_err();
+        assert!(matches!(err, crate::ClError::DeviceLost { .. }), "{err}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::minicl::native::StripStats;
 use std::sync::Arc;
-use trace::TraceEvent;
+use trace::{SpanKind, TraceEvent};
 
 /// What kind of command an event describes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,22 +18,25 @@ pub enum CommandKind {
     ReadBuffer,
     /// Kernel execution; carries the kernel name.
     NdRange(String),
-    /// Queue marker (used by `finish`).
-    Marker,
+}
+
+/// What a kernel command executed, summed over every window it ran; all
+/// zero for transfers.
+#[derive(Debug, Default)]
+pub(crate) struct Executed {
+    pub(crate) items: u64,
+    pub(crate) ops: u64,
+    pub(crate) engine: Option<&'static str>,
+    pub(crate) strip: StripStats,
 }
 
 #[derive(Debug)]
 struct EventInner {
     kind: CommandKind,
-    queued_ns: f64,
-    submit_ns: f64,
     start_ns: f64,
     end_ns: f64,
     bytes: usize,
-    items: u64,
-    ops: u64,
-    engine: Option<&'static str>,
-    strip: StripStats,
+    run: Executed,
 }
 
 /// A completed command. The simulator executes commands eagerly, so events
@@ -44,56 +47,22 @@ pub struct Event {
 }
 
 impl Event {
+    /// A command of `kind` over `[start_ns, end_ns)` that moved `bytes`
+    /// (transfers) or executed `run` (kernels).
     pub(crate) fn new(
         kind: CommandKind,
-        queued_ns: f64,
         start_ns: f64,
         end_ns: f64,
         bytes: usize,
-        items: u64,
+        run: Executed,
     ) -> Event {
         Event {
             inner: Arc::new(EventInner {
                 kind,
-                queued_ns,
-                submit_ns: queued_ns,
                 start_ns,
                 end_ns,
                 bytes,
-                items,
-                ops: 0,
-                engine: None,
-                strip: StripStats::default(),
-            }),
-        }
-    }
-
-    /// A kernel-launch event carrying execution statistics: retired
-    /// abstract ops, the engine that ran the dispatch and, for the native
-    /// engine, its strip-mode tallies.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new_kernel(
-        name: String,
-        queued_ns: f64,
-        start_ns: f64,
-        end_ns: f64,
-        items: u64,
-        ops: u64,
-        engine: &'static str,
-        strip: StripStats,
-    ) -> Event {
-        Event {
-            inner: Arc::new(EventInner {
-                kind: CommandKind::NdRange(name),
-                queued_ns,
-                submit_ns: queued_ns,
-                start_ns,
-                end_ns,
-                bytes: 0,
-                items,
-                ops,
-                engine: Some(engine),
-                strip,
+                run,
             }),
         }
     }
@@ -103,14 +72,17 @@ impl Event {
         &self.inner.kind
     }
 
-    /// `CL_PROFILING_COMMAND_QUEUED` in virtual ns.
+    /// `CL_PROFILING_COMMAND_QUEUED` in virtual ns. Commands run eagerly
+    /// on an in-order queue, so a command is queued, submitted and
+    /// started at the same instant.
     pub fn queued_ns(&self) -> f64 {
-        self.inner.queued_ns
+        self.inner.start_ns
     }
 
-    /// `CL_PROFILING_COMMAND_SUBMIT` in virtual ns.
+    /// `CL_PROFILING_COMMAND_SUBMIT` in virtual ns (see
+    /// [`Event::queued_ns`]).
     pub fn submit_ns(&self) -> f64 {
-        self.inner.submit_ns
+        self.inner.start_ns
     }
 
     /// `CL_PROFILING_COMMAND_START` in virtual ns.
@@ -135,29 +107,50 @@ impl Event {
 
     /// Work-items executed (kernels) — 0 for transfers.
     pub fn items(&self) -> u64 {
-        self.inner.items
+        self.inner.run.items
     }
 
     /// Abstract ops retired by the dispatch (kernels) — 0 for transfers.
     /// Identical on all three execution engines for the same dispatch.
     pub fn ops(&self) -> u64 {
-        self.inner.ops
+        self.inner.run.ops
     }
 
     /// Label of the engine that executed the dispatch (`"stack"` /
     /// `"register"` / `"native"`), or `None` for non-kernel commands.
     pub fn engine(&self) -> Option<&'static str> {
-        self.inner.engine
+        self.inner.run.engine
     }
 
-    /// Add to a kernel span why the dispatch ran the way it did on the
-    /// native engine: how many items ran in strips, how many strips
+    /// This command as a span on `device`'s trace track: its kind and
+    /// virtual timestamps, the bytes or work-items it moved, and for a
+    /// kernel the engine, retired ops and — on the native engine — why it
+    /// ran the way it did: how many items ran in strips, how many strips
     /// unzipped, whether it took the source's `ens_disjoint_items`
     /// attribute to run them (`strip_evidence: "proof"`), and the rule
-    /// that kept a barrier-free dispatch scalar. Adds nothing for other
-    /// commands and engines.
-    pub(crate) fn with_strip_args(&self, mut te: TraceEvent) -> TraceEvent {
-        let strip = &self.inner.strip;
+    /// that kept a barrier-free dispatch scalar.
+    pub(crate) fn span(&self, device: &str) -> TraceEvent {
+        let (kind, name) = match &self.inner.kind {
+            CommandKind::WriteBuffer => (SpanKind::ToDevice, "write_buffer"),
+            CommandKind::ReadBuffer => (SpanKind::FromDevice, "read_buffer"),
+            CommandKind::NdRange(k) => (SpanKind::Kernel, k.as_str()),
+        };
+        let mut te = TraceEvent::span(kind, name, device, self.start_ns(), self.duration_ns())
+            .with_arg("queued_ns", self.queued_ns())
+            .with_arg("submit_ns", self.submit_ns());
+        if self.bytes() > 0 {
+            te = te.with_arg("bytes", self.bytes());
+        }
+        if self.items() > 0 {
+            te = te.with_arg("items", self.items());
+        }
+        if let Some(engine) = self.engine() {
+            te = te.with_arg("engine", engine);
+        }
+        if self.ops() > 0 {
+            te = te.with_arg("ops", self.ops());
+        }
+        let strip = &self.inner.run.strip;
         if strip.items > 0 {
             te = te
                 .with_arg("strip_items", strip.items)
@@ -184,15 +177,20 @@ mod tests {
 
     #[test]
     fn duration_is_end_minus_start() {
-        let e = Event::new(CommandKind::WriteBuffer, 0.0, 10.0, 35.0, 128, 0);
+        let e = Event::new(CommandKind::WriteBuffer, 10.0, 35.0, 128, Executed::default());
         assert_eq!(e.duration_ns(), 25.0);
         assert_eq!(e.bytes(), 128);
+        assert_eq!(e.queued_ns(), e.start_ns());
         e.wait();
     }
 
     #[test]
     fn kind_carries_kernel_name() {
-        let e = Event::new(CommandKind::NdRange("mm".into()), 0.0, 0.0, 1.0, 0, 64);
+        let run = Executed {
+            items: 64,
+            ..Executed::default()
+        };
+        let e = Event::new(CommandKind::NdRange("mm".into()), 0.0, 1.0, 0, run);
         assert_eq!(e.kind(), &CommandKind::NdRange("mm".into()));
         assert_eq!(e.items(), 64);
     }

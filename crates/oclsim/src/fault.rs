@@ -882,6 +882,14 @@ impl FaultInjector {
         }
     }
 
+    /// Operation indices of class `op` consumed so far, fired or not.
+    #[cfg(test)]
+    pub(crate) fn drawn(&self, op: FaultOp) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |inner| inner.counters[op.slot()].load(Ordering::Acquire))
+    }
+
     /// Number of [`InjectedFault::Kill`] faults fired so far.
     pub fn kill_count(&self) -> usize {
         match &self.inner {

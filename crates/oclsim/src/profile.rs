@@ -14,7 +14,7 @@
 use crate::event::{CommandKind, Event};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use trace::{SpanKind, TraceEvent, TraceSink};
+use trace::TraceSink;
 
 /// Accumulated virtual-time costs of one application run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -81,39 +81,16 @@ impl ProfileSink {
     /// a span on `device`'s track carrying the command's virtual
     /// queued/submit/start/end timestamps.
     pub fn record_command(&self, ev: &Event, device: &str) {
-        let (kind, name) = match ev.kind() {
-            CommandKind::WriteBuffer => {
-                self.add_to_device(ev.duration_ns());
-                (SpanKind::ToDevice, "write_buffer".to_string())
-            }
-            CommandKind::ReadBuffer => {
-                self.add_from_device(ev.duration_ns());
-                (SpanKind::FromDevice, "read_buffer".to_string())
-            }
-            CommandKind::NdRange(k) => {
+        match ev.kind() {
+            CommandKind::WriteBuffer => self.add_to_device(ev.duration_ns()),
+            CommandKind::ReadBuffer => self.add_from_device(ev.duration_ns()),
+            CommandKind::NdRange(_) => {
                 self.add_kernel(ev.duration_ns());
                 self.add_ops(ev.ops());
-                (SpanKind::Kernel, k.clone())
             }
-            CommandKind::Marker => return,
-        };
+        }
         if self.trace.is_enabled() {
-            let mut te = TraceEvent::span(kind, &name, device, ev.start_ns(), ev.duration_ns())
-                .with_arg("queued_ns", ev.queued_ns())
-                .with_arg("submit_ns", ev.submit_ns());
-            if ev.bytes() > 0 {
-                te = te.with_arg("bytes", ev.bytes());
-            }
-            if ev.items() > 0 {
-                te = te.with_arg("items", ev.items());
-            }
-            if let Some(engine) = ev.engine() {
-                te = te.with_arg("engine", engine);
-            }
-            if ev.ops() > 0 {
-                te = te.with_arg("ops", ev.ops());
-            }
-            self.trace.record(ev.with_strip_args(te));
+            self.trace.record(ev.span(device));
         }
     }
 
@@ -198,15 +175,15 @@ mod tests {
     fn record_command_keeps_profile_and_trace_in_lockstep() {
         let sink = ProfileSink::new().with_trace(TraceSink::new());
         sink.record_command(
-            &Event::new(CommandKind::WriteBuffer, 0.0, 0.0, 10.0, 64, 0),
+            &Event::new(CommandKind::WriteBuffer, 0.0, 10.0, 64, Default::default()),
             "dev",
         );
         sink.record_command(
-            &Event::new(CommandKind::NdRange("k".into()), 10.0, 10.0, 110.0, 0, 16),
+            &Event::new(CommandKind::NdRange("k".into()), 10.0, 110.0, 0, Default::default()),
             "dev",
         );
         sink.record_command(
-            &Event::new(CommandKind::ReadBuffer, 110.0, 110.0, 115.0, 64, 0),
+            &Event::new(CommandKind::ReadBuffer, 110.0, 115.0, 64, Default::default()),
             "dev",
         );
         let p = sink.snapshot();
@@ -224,7 +201,7 @@ mod tests {
     fn record_command_without_trace_only_accumulates() {
         let sink = ProfileSink::new();
         sink.record_command(
-            &Event::new(CommandKind::ReadBuffer, 0.0, 0.0, 5.0, 8, 0),
+            &Event::new(CommandKind::ReadBuffer, 0.0, 5.0, 8, Default::default()),
             "dev",
         );
         assert_eq!(sink.snapshot().from_device_ns, 5.0);

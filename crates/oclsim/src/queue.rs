@@ -1,18 +1,19 @@
-//! In-order command queues, mirroring `cl_command_queue`.
+//! In-order command queues, mirroring `cl_command_queue`. Every command
+//! runs one ordered list of stages: [`CommandQueue::write_with`] and
+//! `read_with` for transfers, `run_kernel` for every kind of dispatch.
 
 use crate::arbiter::{ArbiterGrant, ArbiterHandle, QueueArbiter};
 use crate::buffer::Buffer;
 use crate::context::Context;
 use crate::device::Device;
-use crate::engine::Engine;
 use crate::error::{ClError, ClResult};
-use crate::event::{CommandKind, Event};
+use crate::event::{CommandKind, Event, Executed};
 use crate::fault::{FaultEffect, FaultInjector, FaultOp};
-use crate::minicl::native::StripStats;
-use crate::minicl::{all_groups, run_ndrange, MemPool, NdStats};
+use crate::minicl::{all_groups, run_ndrange, MemPool};
 use crate::ndrange::NdRange;
-use crate::program::Kernel;
+use crate::program::{DispatchPlan, Kernel};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 use trace::{SpanKind, TraceEvent, TraceSink};
 
@@ -33,16 +34,11 @@ struct QueueInner {
     ctx: Context,
     device: Device,
     clock_ns: Mutex<f64>,
-    /// Optional recorder: when attached, every command this queue executes
-    /// becomes a virtual-clock span on the device's trace track.
+    /// Optional recorder for the queue's instant markers (co-execution
+    /// splits, fused batches, integrity checks, straggler kills). A
+    /// command's span comes from its [`Event`] instead, recorded by the
+    /// layer that charges it ([`crate::ProfileSink::record_command`]).
     trace: Mutex<TraceSink>,
-    /// Optional *instant mirror*: a second sink that receives only the
-    /// queue's instant markers (co-execution splits, fused batches,
-    /// integrity checks, straggler kills) and none of the command spans.
-    /// The VM attaches its run trace here — its profile layer already
-    /// emits the command spans, so mirroring the full trace would
-    /// double-count every segment.
-    instants: Mutex<TraceSink>,
     /// Optional fault source: when attached, every command consults it
     /// first and may fail with an injected error (see [`crate::fault`]).
     faults: Mutex<FaultInjector>,
@@ -63,6 +59,119 @@ struct QueueInner {
     watchdog_ns: Mutex<Option<f64>>,
 }
 
+/// Who holds the arbiter slot a kernel command runs under.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Admit {
+    /// The command takes one slot for itself (a single or co-executed
+    /// dispatch).
+    Command,
+    /// An open [`DispatchBatch`] already holds one for all its dispatches.
+    Batch,
+}
+
+/// The price stage's verdict on an executed kernel command.
+#[derive(Debug)]
+pub(crate) struct Priced {
+    /// Virtual cost before the slowdown and watchdog stages.
+    pub(crate) cost_ns: f64,
+    /// Args of the [`SpanKind::CoexecSplit`] instant recorded once the
+    /// command commits; empty for a dispatch that ran on one lane.
+    pub(crate) split: Vec<(&'static str, String)>,
+}
+
+/// The execute stage of an admitted, validated kernel command, handed to
+/// its schedule: runs group windows of the dispatch on the queue's engine
+/// ladder and sums what they executed into the command's [`Event`].
+pub(crate) struct Execution<'a> {
+    queue: &'a CommandQueue,
+    kernel: &'a Kernel,
+    nd: &'a NdRange,
+    /// The dispatch's resolved plan (its unique buffers and their
+    /// read-only flags).
+    pub(crate) plan: &'a DispatchPlan,
+    ran: Executed,
+}
+
+impl Execution<'_> {
+    /// Functionally execute the work-groups whose per-dimension group
+    /// indices fall in `window` and return their per-group op counts.
+    /// Buffers are checked out for the duration of the window and always
+    /// returned, trap or not.
+    pub(crate) fn run(&mut self, window: [Range<usize>; 3]) -> ClResult<Vec<u64>> {
+        let plan = self.plan;
+        // Check out the plan's unique buffers, undoing on conflict.
+        let mut pool = MemPool {
+            bufs: Vec::with_capacity(plan.pooled.len()),
+            read_only: plan.read_only.clone(),
+        };
+        for (i, buf) in plan.pooled.iter().enumerate() {
+            match buf.check_out() {
+                Ok(bytes) => pool.bufs.push(bytes),
+                Err(e) => {
+                    for (b, bytes) in plan.pooled[..i].iter().zip(pool.bufs.drain(..)) {
+                        b.check_in(bytes);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+
+        let prog = self.kernel.lowered();
+        let result = run_ndrange(
+            prog,
+            &self.kernel.info,
+            &plan.rt_args,
+            &mut pool,
+            self.nd.global,
+            self.nd.local,
+            window,
+        );
+
+        // Always return bytes to their buffers, even on trap.
+        for (buf, bytes) in plan.pooled.iter().zip(pool.bufs.drain(..)) {
+            buf.check_in(bytes);
+        }
+
+        let stats = result.map_err(|t| ClError::KernelTrap {
+            kernel: self.kernel.name().to_string(),
+            message: t.message,
+            global_id: t.global_id,
+        })?;
+        self.ran.items += stats.items;
+        self.ran.ops += stats.group_ops.iter().sum::<u64>();
+        self.ran.engine = Some(prog.engine().label());
+        self.ran.strip.absorb(&stats.strip);
+        Ok(stats.group_ops)
+    }
+
+    /// Run every group in one window and price the whole range on the
+    /// queue's device, less `discount_ns` (a batch's amortised launch
+    /// overhead).
+    pub(crate) fn whole(&mut self, discount_ns: f64) -> ClResult<Priced> {
+        let group_ops = self.run(all_groups(self.nd.global, self.nd.local))?;
+        let device = &self.queue.inner.device;
+        let base = device.cost_model().kernel_ns(
+            &group_ops,
+            self.nd.group_size(),
+            device.compute_units(),
+            device.simd_width(),
+        );
+        Ok(Priced {
+            cost_ns: (base - discount_ns).max(0.0),
+            split: Vec::new(),
+        })
+    }
+
+    /// Draw one Enqueue fault-op on a lane that only prices work — a
+    /// co-execution secondary — as a liveness probe. Non-error effects
+    /// (slowdown, bit corruption) are ignored: the lane never executes
+    /// functionally, so only its availability matters. An injected
+    /// kill-panic still propagates.
+    pub(crate) fn lane_alive(&self, lane: &CommandQueue) -> bool {
+        lane.fault_check(FaultOp::Enqueue).is_ok()
+    }
+}
+
 impl CommandQueue {
     /// Create a queue for `device`, which must belong to `ctx`.
     pub fn new(ctx: &Context, device: &Device) -> ClResult<CommandQueue> {
@@ -78,7 +187,6 @@ impl CommandQueue {
                 device: device.clone(),
                 clock_ns: Mutex::new(0.0),
                 trace: Mutex::new(TraceSink::disabled()),
-                instants: Mutex::new(TraceSink::disabled()),
                 faults: Mutex::new(FaultInjector::disabled()),
                 arbiter: Mutex::new(ArbiterHandle::detached()),
                 repair_ns: Mutex::new(0.0),
@@ -172,33 +280,29 @@ impl CommandQueue {
         *self.inner.repair_ns.lock() += cost_ns;
     }
 
-    /// Attach an instant mirror: `sink` receives every subsequent
-    /// instant marker this queue records (and nothing else — command
-    /// spans stay on the [`CommandQueue::attach_trace`] sink). All
-    /// clones of the queue share the attachment; attach
+    /// Attach a trace sink: from now on every instant marker this queue
+    /// records — co-execution splits, fused batches, integrity checks and
+    /// violations, abandoned stragglers — lands on this queue's device
+    /// track. Command spans do not: build those from the returned
+    /// [`Event`]s with [`crate::ProfileSink::record_command`]. All clones
+    /// of the queue share the attachment; attach
     /// [`TraceSink::disabled`] to detach.
-    pub fn attach_instants(&self, sink: TraceSink) {
-        *self.inner.instants.lock() = sink;
+    pub fn attach_trace(&self, sink: TraceSink) {
+        *self.inner.trace.lock() = sink;
     }
 
     /// Record an instant of `kind` on this queue's device track at the
     /// current virtual time (no-op when no sink is attached).
     fn instant(&self, kind: SpanKind, name: &str, args: &[(&str, String)]) {
-        let trace = self.inner.trace.lock();
-        let mirror = self.inner.instants.lock();
-        if !trace.is_enabled() && !mirror.is_enabled() {
+        let sink = self.inner.trace.lock();
+        if !sink.is_enabled() {
             return;
         }
         let mut ev = TraceEvent::instant(kind, name, self.inner.device.name(), self.now_ns());
         for (k, v) in args {
             ev = ev.with_arg(k, v);
         }
-        if trace.is_enabled() {
-            trace.record(ev.clone());
-        }
-        if mirror.is_enabled() {
-            mirror.record(ev);
-        }
+        sink.record(ev);
     }
 
     /// Detection seam shared by the readback and dispatch paths: `buf`'s
@@ -242,11 +346,6 @@ impl CommandQueue {
         if !self.integrity_armed() {
             return Ok(());
         }
-        self.preverify(bufs)
-    }
-
-    /// Armed-path body of [`CommandQueue::verify_integrity`].
-    fn preverify(&self, bufs: &[Buffer]) -> ClResult<()> {
         let mut checked = 0u32;
         for buf in bufs {
             if let Some((expected, actual)) = buf.verify_provenance() {
@@ -292,52 +391,6 @@ impl CommandQueue {
         Ok(())
     }
 
-    /// Attach a trace sink: from now on every enqueued command is also
-    /// recorded as a [`trace`] span (kind, queued/submit/start/end virtual
-    /// timestamps, bytes or items) on this queue's device track. All
-    /// clones of the queue share the attachment. Pass
-    /// [`TraceSink::disabled`] to detach.
-    pub fn attach_trace(&self, sink: TraceSink) {
-        *self.inner.trace.lock() = sink;
-    }
-
-    /// Record a completed command into the attached sink (no-op when no
-    /// sink is attached).
-    fn trace_command(&self, ev: &Event) {
-        let sink = self.inner.trace.lock();
-        if !sink.is_enabled() {
-            return;
-        }
-        let (kind, name) = match ev.kind() {
-            CommandKind::WriteBuffer => (SpanKind::ToDevice, "write_buffer".to_string()),
-            CommandKind::ReadBuffer => (SpanKind::FromDevice, "read_buffer".to_string()),
-            CommandKind::NdRange(k) => (SpanKind::Kernel, k.clone()),
-            CommandKind::Marker => (SpanKind::Marker, "marker".to_string()),
-        };
-        let mut te = TraceEvent::span(
-            kind,
-            &name,
-            self.inner.device.name(),
-            ev.start_ns(),
-            ev.duration_ns(),
-        )
-        .with_arg("queued_ns", ev.queued_ns())
-        .with_arg("submit_ns", ev.submit_ns());
-        if ev.bytes() > 0 {
-            te = te.with_arg("bytes", ev.bytes());
-        }
-        if ev.items() > 0 {
-            te = te.with_arg("items", ev.items());
-        }
-        if let Some(engine) = ev.engine() {
-            te = te.with_arg("engine", engine);
-        }
-        if ev.ops() > 0 {
-            te = te.with_arg("ops", ev.ops());
-        }
-        sink.record(ev.with_strip_args(te));
-    }
-
     /// The device this queue feeds.
     pub fn device(&self) -> &Device {
         &self.inner.device
@@ -359,26 +412,29 @@ impl CommandQueue {
         self.now_ns()
     }
 
-    fn advance(&self, cost_ns: f64) -> (f64, f64) {
+    /// Charge `cost_ns` of host-side time to this queue's virtual clock
+    /// and return the `(start, end)` window. This is how layers above the
+    /// simulator keep host work (e.g. retry backoff in the recovery
+    /// layer) on the same deterministic timeline as device commands.
+    pub fn charge_ns(&self, cost_ns: f64) -> (f64, f64) {
         let mut clock = self.inner.clock_ns.lock();
         let start = *clock;
         *clock += cost_ns;
         (start, *clock)
     }
 
-    /// Charge `cost_ns` of host-side time to this queue's virtual clock
-    /// and return the `(start, end)` window. This is how layers above the
-    /// simulator keep host work (e.g. retry backoff in the recovery
-    /// layer) on the same deterministic timeline as device commands.
-    pub fn charge_ns(&self, cost_ns: f64) -> (f64, f64) {
-        self.advance(cost_ns)
+    /// The last stage of every transfer: charge moving `len` bytes to the
+    /// clock and return the command's event.
+    fn commit_transfer(&self, kind: CommandKind, len: usize) -> Event {
+        let (start, end) = self.charge_ns(self.inner.device.cost_model().transfer_ns(len));
+        Event::new(kind, start, end, len, Executed::default())
     }
 
     /// The one upload path behind [`CommandQueue::enqueue_write_buffer`]
     /// and the typed writes: `fill` produces the payload's `len` bytes
     /// directly in `buf`'s storage under its lock, so every form of write
     /// takes the same arbiter slot, draws exactly one `Upload` fault-op,
-    /// and records the same provenance, cost and trace span. Public so a
+    /// and records the same provenance, cost and event. Public so a
     /// layer above can convert its own element representation straight
     /// into the buffer (the VM's `f64` leaves, say) without staging a
     /// typed vector first; `fill` runs only once the write is admitted.
@@ -396,11 +452,7 @@ impl CommandQueue {
         if let Some(bit) = effect.corrupt_bit {
             buf.flip_bit(bit);
         }
-        let cost = self.inner.device.cost_model().transfer_ns(len);
-        let (start, end) = self.advance(cost);
-        let ev = Event::new(CommandKind::WriteBuffer, start, start, end, len, 0);
-        self.trace_command(&ev);
-        Ok(ev)
+        Ok(self.commit_transfer(CommandKind::WriteBuffer, len))
     }
 
     /// Copy `data` into `buf` (host → device), mirroring
@@ -418,7 +470,7 @@ impl CommandQueue {
     /// injected wire flip to the delivered payload and `checksum` hashes
     /// it as little-endian bytes, so every form of read takes the same
     /// arbiter slot, draws exactly one `Readback` fault-op, and gets the
-    /// same integrity verdict, cost and trace span.
+    /// same integrity verdict, cost and event.
     fn read_with<T>(
         &self,
         buf: &Buffer,
@@ -434,11 +486,7 @@ impl CommandQueue {
             flip(&mut payload, bit);
         }
         self.verify_delivery(buf, || checksum(&payload))?;
-        let cost = self.inner.device.cost_model().transfer_ns(buf.len());
-        let (start, end) = self.advance(cost);
-        let ev = Event::new(CommandKind::ReadBuffer, start, start, end, buf.len(), 0);
-        self.trace_command(&ev);
-        Ok((payload, ev))
+        Ok((payload, self.commit_transfer(CommandKind::ReadBuffer, buf.len())))
     }
 
     /// Copy `buf` into `out` (device → host), mirroring
@@ -522,49 +570,34 @@ impl CommandQueue {
     /// resolved arguments come from the kernel's cached dispatch plan, so
     /// repeat dispatches with unchanged arguments skip re-resolution.
     pub fn enqueue_nd_range(&self, kernel: &Kernel, nd: &NdRange) -> ClResult<Event> {
-        let _slot = self.arbiter_slot();
-        self.enqueue_nd_range_held(kernel, nd, 0.0)
+        self.run_kernel(kernel, nd, Admit::Command, |ex| ex.whole(0.0))
     }
 
-    /// [`CommandQueue::enqueue_nd_range`] without acquiring an arbiter
-    /// slot (the caller — a [`DispatchBatch`] or the co-execution
-    /// scheduler — already holds one for the whole composite command),
-    /// with `discount_ns` subtracted from the charged cost before the
-    /// slowdown/watchdog stage (the batcher's amortised launch overhead).
-    pub(crate) fn enqueue_nd_range_held(
+    /// The kernel stage list, the one body of every dispatch:
+    ///
+    /// 1. admit — take an arbiter slot unless a batch holds one (`admit`);
+    /// 2. fault draw — exactly one `Enqueue` fault-op, however many
+    ///    windows later run;
+    /// 3. validate — context, shape and local memory;
+    /// 4. corruption seam and integrity verify — an injected flip lands in
+    ///    one argument buffer, then armed provenance is checked;
+    /// 5. execute and 6. price — `schedule` runs group windows through
+    ///    the [`Execution`] and prices what they retired;
+    /// 7. slowdown and watchdog — an injected stretch, and the rollback of
+    ///    a dispatch over budget;
+    /// 8. provenance — the outputs become the new checkpoint;
+    /// 9. clock advance, [`Event`], and the schedule's split instant.
+    pub(crate) fn run_kernel(
         &self,
         kernel: &Kernel,
         nd: &NdRange,
-        discount_ns: f64,
+        admit: Admit,
+        schedule: impl FnOnce(&mut Execution<'_>) -> ClResult<Priced>,
     ) -> ClResult<Event> {
-        let prep = self.predispatch(kernel, nd)?;
-        let window = all_groups(nd.global, nd.local);
-        let (stats, engine) = self.run_window(kernel, &prep.plan, nd, window)?;
-        let base = self.inner.device.cost_model().kernel_ns(
-            &stats.group_ops,
-            nd.group_size(),
-            self.inner.device.compute_units(),
-            self.inner.device.simd_width(),
-        );
-        let ops = stats.group_ops.iter().sum();
-        self.commit_kernel(
-            kernel,
-            &prep.plan,
-            &prep.effect,
-            stats.items,
-            ops,
-            (base - discount_ns).max(0.0),
-            engine,
-            stats.strip,
-        )
-    }
-
-    /// Everything that precedes execution for a kernel dispatch: the
-    /// Enqueue fault draw (exactly one per dispatch, however many window
-    /// pieces later run), context/shape/local-memory validation, the
-    /// corruption seam, and armed-path pre-verification. Shared by the
-    /// single-device path and the co-execution scheduler.
-    pub(crate) fn predispatch(&self, kernel: &Kernel, nd: &NdRange) -> ClResult<PreparedDispatch> {
+        let _slot = match admit {
+            Admit::Command => self.arbiter_slot(),
+            Admit::Batch => None,
+        };
         let effect = self.fault_check(FaultOp::Enqueue)?;
         if kernel.ctx_id != self.inner.ctx.id() {
             return Err(ClError::InvalidContext(format!(
@@ -588,100 +621,31 @@ impl CommandQueue {
         // is exactly the seam that catches it (along with any flip left
         // behind by a corrupted upload).
         if let Some(bit) = effect.corrupt_bit {
-            if let Some(target) = plan
-                .pooled
-                .get((bit % plan.pooled.len().max(1) as u64) as usize)
-            {
-                target.flip_bit(bit / plan.pooled.len().max(1) as u64);
+            let n = plan.pooled.len().max(1) as u64;
+            if let Some(target) = plan.pooled.get((bit % n) as usize) {
+                target.flip_bit(bit / n);
             }
         }
-        if self.integrity_armed() {
-            self.preverify(&plan.pooled)?;
-        }
-        Ok(PreparedDispatch { plan, effect })
-    }
+        self.verify_integrity(&plan.pooled)?;
 
-    /// Functionally execute the work-groups of `nd` whose per-dimension
-    /// group indices fall in `window`, on this queue's engine ladder.
-    /// No clock advance, no event, no provenance — the caller aggregates
-    /// the returned [`NdStats`] into a single committed command (see
-    /// [`CommandQueue::commit_kernel`]). Buffers are checked out for the
-    /// duration of the piece and always returned, trap or not.
-    pub(crate) fn run_window(
-        &self,
-        kernel: &Kernel,
-        plan: &crate::program::DispatchPlan,
-        nd: &NdRange,
-        window: [std::ops::Range<usize>; 3],
-    ) -> ClResult<(NdStats, Engine)> {
-        // Check out the plan's unique buffers, undoing on conflict.
-        let mut pool = MemPool {
-            bufs: Vec::with_capacity(plan.pooled.len()),
-            read_only: plan.read_only.clone(),
+        let mut ex = Execution {
+            queue: self,
+            kernel,
+            nd,
+            plan: &plan,
+            ran: Executed::default(),
         };
-        for (i, buf) in plan.pooled.iter().enumerate() {
-            match buf.check_out() {
-                Ok(bytes) => pool.bufs.push(bytes),
-                Err(e) => {
-                    for (b, bytes) in plan.pooled[..i].iter().zip(pool.bufs.drain(..)) {
-                        b.check_in(bytes);
-                    }
-                    return Err(e);
-                }
-            }
-        }
+        let Priced { mut cost_ns, split } = schedule(&mut ex)?;
+        let ran = ex.ran;
 
-        let prog = kernel.lowered();
-        let result = run_ndrange(
-            prog,
-            &kernel.info,
-            &plan.rt_args,
-            &mut pool,
-            nd.global,
-            nd.local,
-            window,
-        );
-
-        // Always return bytes to their buffers, even on trap.
-        for (buf, bytes) in plan.pooled.iter().zip(pool.bufs.drain(..)) {
-            buf.check_in(bytes);
-        }
-
-        let stats = result.map_err(|t| ClError::KernelTrap {
-            kernel: kernel.name().to_string(),
-            message: t.message,
-            global_id: t.global_id,
-        })?;
-        Ok((stats, prog.engine()))
-    }
-
-    /// Commit an executed kernel command to the queue: apply any injected
-    /// slowdown to `cost_ns`, enforce the watchdog (rolling buffer
-    /// mutations back from provenance shadows on abandonment), refresh
-    /// provenance checkpoints, advance the virtual clock, and record the
-    /// kernel [`Event`] + trace span. The tail of every dispatch path —
-    /// single-device, batched, and co-executed (where `cost_ns` is the
-    /// makespan over device lanes).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn commit_kernel(
-        &self,
-        kernel: &Kernel,
-        plan: &crate::program::DispatchPlan,
-        effect: &FaultEffect,
-        items: u64,
-        ops: u64,
-        mut cost: f64,
-        engine: Engine,
-        strip: StripStats,
-    ) -> ClResult<Event> {
         if let Some(factor) = effect.slowdown {
             // A straggling kernel: correct results, stretched virtual
             // duration. Only the watchdog below can turn this into an
             // error.
-            cost *= factor as f64;
+            cost_ns *= factor as f64;
         }
         if let Some(budget) = *self.inner.watchdog_ns.lock() {
-            if cost > budget {
+            if cost_ns > budget {
                 // Abandon the straggler: roll its buffer mutations back
                 // from the provenance shadows (as if the kernel had been
                 // killed before committing), charge only the budget, and
@@ -689,13 +653,13 @@ impl CommandQueue {
                 for buf in plan.pooled.iter() {
                     buf.restore_from_provenance();
                 }
-                self.advance(budget);
+                self.charge_ns(budget);
                 self.instant(
                     SpanKind::StragglerAbandoned,
                     kernel.name(),
                     &[
                         ("budget_ns", format!("{budget}")),
-                        ("cost_ns", format!("{cost}")),
+                        ("cost_ns", format!("{cost_ns}")),
                     ],
                 );
                 return Err(ClError::Straggler {
@@ -712,44 +676,12 @@ impl CommandQueue {
                 buf.record_provenance();
             }
         }
-        let (start, end) = self.advance(cost);
-        let ev = Event::new_kernel(
-            kernel.name().to_string(),
-            start,
-            start,
-            end,
-            items,
-            ops,
-            engine.label(),
-            strip,
-        );
-        self.trace_command(&ev);
-        Ok(ev)
-    }
-
-    /// Record an instant of `kind` on this queue's device track — the
-    /// crate-internal seam the co-execution scheduler uses for its
-    /// [`SpanKind::CoexecSplit`] marker.
-    pub(crate) fn record_instant(&self, kind: SpanKind, name: &str, args: &[(&str, String)]) {
-        self.instant(kind, name, args);
-    }
-
-    /// Acquire this queue's arbiter slot for a composite command (the
-    /// crate-internal seam the co-execution scheduler uses; `None` when no
-    /// arbiter is attached).
-    pub(crate) fn composite_slot(&self) -> Option<ArbiterGrant> {
-        self.arbiter_slot()
-    }
-
-    /// Consult this queue's fault surface as a liveness probe — the
-    /// crate-internal seam the co-execution scheduler draws once per
-    /// chunk a *secondary* lane takes, so a device lost mid-split is
-    /// observed at the chunk boundary and its groups can be rescued.
-    /// Non-error effects (slowdown, bit corruption) are ignored here:
-    /// the secondary lane never executes functionally, so only its
-    /// availability matters. An injected kill-fault still propagates.
-    pub(crate) fn probe_enqueue_fault(&self) -> ClResult<FaultEffect> {
-        self.fault_check(FaultOp::Enqueue)
+        let (start, end) = self.charge_ns(cost_ns);
+        if !split.is_empty() {
+            self.instant(SpanKind::CoexecSplit, kernel.name(), &split);
+        }
+        let kind = CommandKind::NdRange(kernel.name().to_string());
+        Ok(Event::new(kind, start, end, 0, ran))
     }
 
     /// Open a batched dispatch session on this queue: one arbiter slot is
@@ -768,15 +700,6 @@ impl CommandQueue {
             closed: false,
         }
     }
-}
-
-/// Pre-dispatch state shared by the single-device, batched, and
-/// co-executed kernel paths (see [`CommandQueue::predispatch`]).
-pub(crate) struct PreparedDispatch {
-    /// The kernel's resolved dispatch plan.
-    pub(crate) plan: Arc<crate::program::DispatchPlan>,
-    /// The injected fault effect this dispatch drew.
-    pub(crate) effect: FaultEffect,
 }
 
 /// A batched dispatch session: a chain of enqueues on one queue whose
@@ -811,7 +734,9 @@ impl DispatchBatch {
         } else {
             0.0
         };
-        let ev = self.queue.enqueue_nd_range_held(kernel, nd, discount)?;
+        let ev = self
+            .queue
+            .run_kernel(kernel, nd, Admit::Batch, |ex| ex.whole(discount))?;
         self.launches += 1;
         self.saved_ns += discount;
         Ok(ev)
@@ -889,6 +814,7 @@ mod tests {
     use crate::buffer::MemFlags;
     use crate::device::DeviceType;
     use crate::platform::Platform;
+    use crate::profile::ProfileSink;
     use crate::program::Program;
 
     fn setup(ty: DeviceType) -> (Context, CommandQueue) {
@@ -1015,10 +941,13 @@ mod tests {
     }
 
     #[test]
-    fn attached_trace_sees_every_command_with_queue_timestamps() {
+    fn command_spans_come_from_events_and_the_queue_sink_holds_only_instants() {
         let (ctx, q) = setup(DeviceType::Gpu);
-        let sink = TraceSink::new();
-        q.attach_trace(sink.clone());
+        let instants = TraceSink::new();
+        q.attach_trace(instants.clone());
+        let spans = TraceSink::new();
+        let profile = ProfileSink::new().with_trace(spans.clone());
+        let dev = q.device().name();
         let src = "__kernel void sq(__global float* a) {
             int i = get_global_id(0);
             a[i] = a[i] * a[i];
@@ -1026,13 +955,13 @@ mod tests {
         let program = Program::build(&ctx, src).unwrap();
         let k = program.create_kernel("sq").unwrap();
         let buf = ctx.create_buffer(MemFlags::ReadWrite, 16).unwrap();
-        q.write_f32(&buf, &[1.0, 2.0, 3.0, 4.0]).unwrap();
+        profile.record_command(&q.write_f32(&buf, &[1.0, 2.0, 3.0, 4.0]).unwrap(), dev);
         k.set_arg_buffer(0, &buf).unwrap();
-        q.enqueue_nd_range(&k, &NdRange::d1(4, 2)).unwrap();
+        profile.record_command(&q.enqueue_nd_range(&k, &NdRange::d1(4, 2)).unwrap(), dev);
         let (_, read_ev) = q.read_f32(&buf).unwrap();
+        profile.record_command(&read_ev, dev);
 
-        let events = sink.events();
-        assert_eq!(events.len(), 3);
+        let events = spans.events();
         assert_eq!(
             events.iter().map(|e| e.kind).collect::<Vec<_>>(),
             vec![SpanKind::ToDevice, SpanKind::Kernel, SpanKind::FromDevice]
@@ -1044,12 +973,20 @@ mod tests {
         assert_eq!(events[2].ts_ns + events[2].dur_ns, read_ev.end_ns());
         assert_eq!(events[2].ts_ns + events[2].dur_ns, q.now_ns());
         // Segment aggregation covers the whole clock.
-        assert_eq!(sink.segments().total_ns(), q.now_ns());
+        assert_eq!(spans.segments().total_ns(), q.now_ns());
 
-        // Detach: later commands are not recorded.
+        // The queue's own sink saw no command, only its instants.
+        assert!(instants.is_empty());
+        let mut batch = q.open_batch();
+        batch.enqueue_nd_range(&k, &NdRange::d1(4, 2)).unwrap();
+        batch.close();
+        assert_eq!(instants.events()[0].kind, SpanKind::BatchFused);
+        assert_eq!(instants.len(), 1);
+
+        // Detach: later instants are not recorded.
         q.attach_trace(TraceSink::disabled());
-        q.write_f32(&buf, &[0.0; 4]).unwrap();
-        assert_eq!(sink.len(), 3);
+        q.open_batch().enqueue_nd_range(&k, &NdRange::d1(4, 2)).unwrap();
+        assert_eq!(instants.len(), 1);
     }
 
     #[test]
@@ -1125,6 +1062,7 @@ mod tests {
         q.attach_faults(inj.clone());
         let sink = TraceSink::new();
         q.attach_trace(sink.clone());
+        let profile = ProfileSink::new().with_trace(sink.clone());
         let bufs: Vec<Buffer> = (0..3)
             .map(|_| ctx.create_buffer(MemFlags::ReadWrite, nbytes).unwrap())
             .collect();
@@ -1133,7 +1071,10 @@ mod tests {
                 .iter()
                 .map(|b| {
                     write(&q, b)
-                        .map(|ev| (ev.bytes(), ev.start_ns().to_bits(), ev.end_ns().to_bits()))
+                        .map(|ev| {
+                            profile.record_command(&ev, q.device().name());
+                            (ev.bytes(), ev.start_ns().to_bits(), ev.end_ns().to_bits())
+                        })
                         .map_err(|e| e.to_string())
                 })
                 .collect(),
@@ -1267,11 +1208,13 @@ mod tests {
         q.enqueue_write_buffer(&buf, image).unwrap();
         let sink = TraceSink::new();
         q.attach_trace(sink.clone());
+        let profile = ProfileSink::new().with_trace(sink.clone());
         ReadObservation {
             outcomes: (0..3)
                 .map(|_| {
                     read(&q, &buf)
                         .map(|(bytes, ev)| {
+                            profile.record_command(&ev, q.device().name());
                             (bytes, ev.bytes(), ev.start_ns().to_bits(), ev.end_ns().to_bits())
                         })
                         // Buffer ids are process-unique; everything else
@@ -1353,7 +1296,7 @@ mod tests {
     fn kernel_events_report_engine_and_ops() {
         let (ctx, q) = setup(DeviceType::Cpu);
         let sink = TraceSink::new();
-        q.attach_trace(sink.clone());
+        let profile = ProfileSink::new().with_trace(sink.clone());
         let src = "__kernel void sq(__global float* a) {
             int i = get_global_id(0);
             a[i] = a[i] * a[i];
@@ -1368,11 +1311,13 @@ mod tests {
         assert_eq!(ev.engine(), Some("register"));
         assert!(ev.ops() > 0);
         let register_ops = ev.ops();
+        profile.record_command(&ev, q.device().name());
 
         k.set_engine(Some(crate::engine::Engine::Stack));
         let ev = q.enqueue_nd_range(&k, &NdRange::d1(4, 2)).unwrap();
         assert_eq!(ev.engine(), Some("stack"));
         assert_eq!(ev.ops(), register_ops);
+        profile.record_command(&ev, q.device().name());
 
         // The trace spans carry the same engine/ops args.
         let events = sink.events();
@@ -1557,5 +1502,195 @@ mod tests {
         let cpu = Platform::default_device(DeviceType::Cpu).unwrap();
         let ctx = Context::new(std::slice::from_ref(&gpu)).unwrap();
         assert!(CommandQueue::new(&ctx, &cpu).is_err());
+    }
+
+    /// Counts the arbiter slots taken and given back.
+    #[derive(Default)]
+    struct CountingArbiter {
+        acquires: std::sync::atomic::AtomicU64,
+        releases: std::sync::atomic::AtomicU64,
+    }
+
+    impl QueueArbiter for CountingArbiter {
+        fn acquire(&self, _device: usize, _tenant: u64) {
+            self.acquires.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+        fn release(&self, _device: usize, _tenant: u64) {
+            self.releases.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    /// One command path of the stage-list table: what it must cost in
+    /// arbiter slots and fault-ops of class `op` on the primary queue.
+    struct PathRow<'a> {
+        path: &'a str,
+        slots: u64,
+        op: FaultOp,
+        draws: u64,
+        run: Box<dyn Fn() -> Vec<Event> + 'a>,
+    }
+
+    /// The stage list's invariants on every command path: one arbiter slot
+    /// per command, batch or co-execution; exactly one fault draw per
+    /// command on the primary, plus one probe on the secondary per chunk
+    /// it takes; and the clock advanced by exactly the returned events.
+    #[test]
+    fn every_command_path_admits_once_draws_once_and_charges_its_events() {
+        use crate::coexec::{co_enqueue, CoexecConfig, PolicyKind};
+        use crate::fault::FaultPlan;
+        use std::sync::atomic::Ordering::SeqCst;
+        let (ctx, q) = setup(DeviceType::Gpu);
+        let cpu = Platform::default_device(DeviceType::Cpu).unwrap();
+        let cpu_ctx = Context::new(std::slice::from_ref(&cpu)).unwrap();
+        let sec = CommandQueue::new(&cpu_ctx, &cpu).unwrap();
+        let arbiter = Arc::new(CountingArbiter::default());
+        q.attach_arbiter(arbiter.clone(), 1);
+        sec.attach_arbiter(arbiter.clone(), 2);
+        let (faults, sec_faults) = (
+            FaultInjector::new(FaultPlan::new()),
+            FaultInjector::new(FaultPlan::new()),
+        );
+        q.attach_faults(faults.clone());
+        sec.attach_faults(sec_faults.clone());
+        let instants = TraceSink::new();
+        q.attach_trace(instants.clone());
+
+        const N: usize = 4096;
+        let src = "__kernel void scale(__global float* a, __global const float* b) {
+            int i = get_global_id(0);
+            a[i] = a[i] * b[i % 16] + 1.0f;
+        }";
+        let k = Program::build(&ctx, src).unwrap().create_kernel("scale").unwrap();
+        let buf = ctx.create_buffer(MemFlags::ReadWrite, N * 4).unwrap();
+        let weights = ctx.create_buffer(MemFlags::ReadOnly, 16 * 4).unwrap();
+        q.write_f32(&weights, &[1.0; 16]).unwrap();
+        k.set_arg_buffer(0, &buf).unwrap();
+        k.set_arg_buffer(1, &weights).unwrap();
+        let nd = NdRange::d1(N, 16);
+        let one = |ev: ClResult<Event>| vec![ev.unwrap()];
+        let rows = [
+            PathRow {
+                path: "write_with",
+                slots: 1,
+                op: FaultOp::Upload,
+                draws: 1,
+                run: Box::new(|| one(q.write_with(&buf, N * 4, |dst| dst.fill(0)))),
+            },
+            PathRow {
+                path: "enqueue_write_buffer",
+                slots: 1,
+                op: FaultOp::Upload,
+                draws: 1,
+                run: Box::new(|| one(q.enqueue_write_buffer(&buf, &[0x3f; N * 4]))),
+            },
+            PathRow {
+                path: "write_f32",
+                slots: 1,
+                op: FaultOp::Upload,
+                draws: 1,
+                run: Box::new(|| one(q.write_f32(&buf, &[0.5; N]))),
+            },
+            PathRow {
+                path: "write_i32",
+                slots: 1,
+                op: FaultOp::Upload,
+                draws: 1,
+                run: Box::new(|| one(q.write_i32(&buf, &[0x3f00_0000; N]))),
+            },
+            PathRow {
+                path: "enqueue_read_buffer",
+                slots: 1,
+                op: FaultOp::Readback,
+                draws: 1,
+                run: Box::new(|| one(q.enqueue_read_buffer(&buf, &mut vec![0; N * 4]))),
+            },
+            PathRow {
+                path: "read_f32",
+                slots: 1,
+                op: FaultOp::Readback,
+                draws: 1,
+                run: Box::new(|| one(q.read_f32(&buf).map(|(_, ev)| ev))),
+            },
+            PathRow {
+                path: "read_i32",
+                slots: 1,
+                op: FaultOp::Readback,
+                draws: 1,
+                run: Box::new(|| one(q.read_i32(&buf).map(|(_, ev)| ev))),
+            },
+            PathRow {
+                path: "enqueue_nd_range",
+                slots: 1,
+                op: FaultOp::Enqueue,
+                draws: 1,
+                run: Box::new(|| one(q.enqueue_nd_range(&k, &nd))),
+            },
+            PathRow {
+                path: "3-dispatch batch",
+                slots: 1,
+                op: FaultOp::Enqueue,
+                draws: 3,
+                run: Box::new(|| {
+                    let mut batch = q.open_batch();
+                    let evs = (0..3).map(|_| batch.enqueue_nd_range(&k, &nd).unwrap()).collect();
+                    batch.close();
+                    evs
+                }),
+            },
+            PathRow {
+                path: "co_enqueue",
+                slots: 1,
+                op: FaultOp::Enqueue,
+                draws: 1,
+                run: Box::new(|| {
+                    // One-group chunks: the secondary's probes count its chunks.
+                    let cfg = CoexecConfig {
+                        chunk_groups: 1,
+                        ..CoexecConfig::default()
+                    };
+                    let mut policy = PolicyKind::ChunkedDynamic.make(&cfg);
+                    one(co_enqueue(&q, &sec, &k, &nd, 0, policy.as_mut()))
+                }),
+            },
+        ];
+
+        let ops = [FaultOp::Upload, FaultOp::Readback, FaultOp::Enqueue, FaultOp::Build];
+        let mut secondary_chunks_seen = 0;
+        for row in &rows {
+            let slots = arbiter.acquires.load(SeqCst);
+            let drawn = ops.map(|op| faults.drawn(op));
+            let probes = sec_faults.drawn(FaultOp::Enqueue);
+            let seen = instants.len();
+            let clock = q.now_ns();
+
+            let events = (row.run)();
+
+            let path = row.path;
+            assert_eq!(arbiter.acquires.load(SeqCst) - slots, row.slots, "{path}: slots");
+            assert_eq!(arbiter.releases.load(SeqCst), arbiter.acquires.load(SeqCst), "{path}");
+            for (op, before) in ops.iter().zip(drawn) {
+                let want = if *op == row.op { row.draws } else { 0 };
+                assert_eq!(faults.drawn(*op) - before, want, "{path}: {op:?} draws");
+            }
+            // One probe per chunk the secondary took (a chunk is one group).
+            let chunks: u64 = instants.events()[seen..]
+                .iter()
+                .filter(|e| e.kind == SpanKind::CoexecSplit)
+                .flat_map(|e| &e.args)
+                .filter(|(k, _)| k == "secondary_groups")
+                .map(|(_, v)| v.parse::<u64>().unwrap())
+                .sum();
+            assert_eq!(sec_faults.drawn(FaultOp::Enqueue) - probes, chunks, "{path}: probes");
+            secondary_chunks_seen += chunks;
+            // The events tile the clock's advance exactly.
+            let mut at = clock;
+            for ev in &events {
+                assert_eq!(ev.start_ns().to_bits(), at.to_bits(), "{path}: start");
+                at = ev.end_ns();
+            }
+            assert_eq!(q.now_ns().to_bits(), at.to_bits(), "{path}: clock");
+        }
+        assert!(secondary_chunks_seen > 0, "the secondary took no chunk");
+        assert_eq!(sec.now_ns(), 0.0, "a pricing lane's clock never moves");
     }
 }

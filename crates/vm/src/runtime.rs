@@ -36,14 +36,14 @@ use ensemble_ocl::{
     Checkpoint, DeviceSel, DispatchMode, KernelHost, KernelSpec, Launch, MatrixResolver, Profile,
     ProfileSink, RecoveryPolicy, ResolveEnv,
 };
-use oclsim::{CoexecConfig, DeviceType, DispatchBatch, KillPanic};
+use oclsim::{CoexecConfig, CommandQueue, DeviceType, DispatchBatch, KillPanic};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use trace::{SpanKind, TraceEvent};
+use trace::{SpanKind, TraceEvent, TraceSink};
 
 /// Callback the serving layer registers to learn about every `mov` value
 /// that becomes device-resident, so its memory accountant can evict idle
@@ -149,6 +149,10 @@ struct Shared {
     /// batch. Drained — closing each session and recording its
     /// `BatchFused` instant — before the run's profile snapshot.
     batches: Mutex<HashMap<String, DispatchBatch>>,
+    /// Queues whose instant markers this run's trace receives; detached
+    /// when the run ends, so a later run's instants never land in this
+    /// run's sink.
+    traced: Mutex<Vec<CommandQueue>>,
 }
 
 impl RuntimeHooks for Arc<Shared> {
@@ -204,6 +208,7 @@ impl VmRuntime {
                 resident_hook: Mutex::new(None),
                 coexec: Mutex::new(CoexecConfig::from_env()),
                 batches: Mutex::new(HashMap::new()),
+                traced: Mutex::new(Vec::new()),
             }),
             budget: RestartBudget::default(),
         }
@@ -374,6 +379,9 @@ impl VmRuntime {
         // releases the held arbiter slot, so the snapshot below carries
         // the full batching story.
         self.shared.batches.lock().clear();
+        for queue in self.shared.traced.lock().drain(..) {
+            queue.attach_trace(TraceSink::disabled());
+        }
         if let Some(e) = first_error.lock().take() {
             return Err(e);
         }
@@ -623,12 +631,12 @@ fn kernel_actor(
             e => VmError::device("kernel build failed", &e),
         })?;
     let trace = profile.trace();
-    // Mirror the queue's instant markers (co-execution splits, fused
-    // batches, integrity checks) into this run's trace. Only instants:
-    // the profile layer already records the command spans, so mirroring
-    // the full queue trace would double-count every segment.
+    // Record the queue's instant markers (co-execution splits, fused
+    // batches, integrity checks) in this run's trace until the run ends.
     if trace.is_enabled() {
-        host.env().queue.attach_instants(trace.clone());
+        let queue = &host.env().queue;
+        queue.attach_trace(trace.clone());
+        shared.traced.lock().push(queue.clone());
     }
 
     // The scheduler seam: decide once per incarnation how this actor's

@@ -18,7 +18,8 @@
 
 use ensemble_repro::ensemble_lang::{self, ActorCode};
 use ensemble_repro::oclsim::{
-    ClError, CommandQueue, Context, DeviceType, Engine, MemFlags, NdRange, Platform, Program,
+    ClError, CommandQueue, Context, DeviceType, Engine, MemFlags, NdRange, Platform, ProfileSink,
+    Program,
 };
 use ensemble_repro::trace::{SpanKind, TraceSink};
 use proptest::prelude::*;
@@ -88,7 +89,7 @@ fn run_on(engine: Engine, src: &str, kernel_name: &str, global: [usize; 3], loca
     )
 }
 
-/// [`run_on`], with the queue's command spans recorded on `sink`.
+/// [`run_on`], with the dispatch's command span recorded on `sink`.
 fn run_traced(
     engine: Engine,
     src: &str,
@@ -115,7 +116,7 @@ fn run_bound(
     let device = Platform::default_device(DeviceType::Gpu).expect("device");
     let ctx = Context::new(std::slice::from_ref(&device)).expect("context");
     let queue = CommandQueue::new(&ctx, &device).expect("queue");
-    queue.attach_trace(sink);
+    let profile = ProfileSink::new().with_trace(sink);
     let program = Program::build(&ctx, src)
         .unwrap_or_else(|e| panic!("build failure for `{kernel_name}`: {e}\n{src}"));
     let kernel = program.create_kernel(kernel_name).expect("kernel");
@@ -142,7 +143,10 @@ fn run_bound(
         }
     }
     let (ops, ran) = match queue.enqueue_nd_range(&kernel, &NdRange::d3(global, local)) {
-        Ok(ev) => (ev.ops(), ev.engine().expect("a kernel event names its engine")),
+        Ok(ev) => {
+            profile.record_command(&ev, device.name());
+            (ev.ops(), ev.engine().expect("a kernel event names its engine"))
+        }
         Err(ClError::KernelTrap {
             message, global_id, ..
         }) => return Err(format!("{message} @ {global_id:?}")),

@@ -1,13 +1,16 @@
 //! Tests for the §6 runtime claims that are not tied to one figure:
 //! dynamic retargeting by reconnecting the configuration channel, multiple
-//! kernels sharing one device, and the multi-queue read race the device
-//! matrix exists to prevent.
+//! kernels sharing one device, the multi-queue read race the device
+//! matrix exists to prevent, and a traced run's hold on the matrix queue
+//! ending with the run.
 
 use ensemble_repro::ensemble_actors::{buffered_channel, In, Out, Stage};
 use ensemble_repro::ensemble_ocl::{
     device_matrix, DeviceSel, KernelActor, KernelSpec, ProfileSink, RecoveryPolicy, Settings,
 };
-use ensemble_repro::oclsim::{CommandQueue, MemFlags, NdRange, Program};
+use ensemble_repro::ensemble_vm::VmRuntime;
+use ensemble_repro::oclsim::{CoexecConfig, CommandQueue, MemFlags, NdRange, Program};
+use ensemble_repro::trace::{SpanKind, TraceSink};
 use std::time::Duration;
 
 /// The tests below assert on the global device-matrix queue clocks, so
@@ -196,4 +199,32 @@ fn multi_queue_read_race_is_real_and_the_matrix_prevents_it() {
     let (vals, _) = entry.queue.read_f32(&buf).unwrap();
     assert!(vals.iter().all(|&v| v > 1.0));
     entry.context.release_bytes(256 * 4);
+}
+
+/// A traced `.ens` run records the matrix queue's instant markers (here,
+/// fused batches) only while it runs: once it returns, a later untraced
+/// run on the same queue leaves the finished run's trace untouched.
+#[test]
+fn a_finished_runs_trace_receives_no_later_queue_instants() {
+    let _serial = SERIAL.lock().unwrap();
+    let _chaos = bench::chaos::serialise();
+    let module = ensemble_analysis::compile_source(
+        &bench::apps_ens::lud(16, "GPU"),
+        &ensemble_analysis::Options::default(),
+    )
+    .expect("lud compiles");
+    let run = |profile: ProfileSink| {
+        let vm = VmRuntime::with_profile(module.clone(), profile);
+        vm.set_coexec(CoexecConfig {
+            batch: true,
+            ..CoexecConfig::default()
+        });
+        vm.run().expect("lud runs");
+    };
+    let sink = TraceSink::new();
+    run(ProfileSink::new().with_trace(sink.clone()));
+    let recorded = sink.len();
+    assert!(sink.events().iter().any(|e| e.kind == SpanKind::BatchFused));
+    run(ProfileSink::new());
+    assert_eq!(sink.len(), recorded, "a later run recorded into a finished run's trace");
 }
