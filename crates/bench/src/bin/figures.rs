@@ -140,14 +140,19 @@ fn run_chaos_mode(seed: u64, sizes: &Sizes) -> ! {
             failed = true;
         }
     }
-    match chaos::run_failover_chaos(sizes.matmul_n) {
-        Ok(o) => {
-            println!("{}", o.render());
-            failed |= !o.matches_reference || o.failovers == 0;
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            failed = true;
+    for outcome in [
+        chaos::run_failover_chaos(sizes.matmul_n),
+        chaos::run_session_failover_chaos(sizes.matmul_n),
+    ] {
+        match outcome {
+            Ok(o) => {
+                println!("{}", o.render());
+                failed |= !o.matches_reference || o.failovers == 0;
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                failed = true;
+            }
         }
     }
     std::process::exit(if failed { 1 } else { 0 });

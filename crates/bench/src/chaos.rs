@@ -20,6 +20,9 @@
 //!   the kernel actor must evacuate its buffers through the rescue
 //!   read-back path, fail over to the CPU matrix entry, and still produce
 //!   the reference product.
+//! * [`run_session_failover_chaos`] — the same loss under the `.ens`
+//!   matmul in a serving session: the failover must stay on the
+//!   session's private lanes and print the fault-free output.
 //! * [`run_kill_chaos`] — all five apps with a seeded **kill** schedule
 //!   ([`InjectedFault::Kill`]): actors die mid-protocol (by panic or
 //!   abrupt exit) and the VM's supervisor restarts each one from its
@@ -33,9 +36,12 @@
 
 use crate::apps_ens::{self, Sizes};
 use crate::TraceSink;
+use ensemble_actors::RestartBudget;
 use ensemble_ocl::{device_matrix, DeviceSel, ProfileSink};
+use ensemble_serve::{ArbiterPolicy, DevicePool, FairArbiter, TenantSession};
 use ensemble_vm::VmRuntime;
 use oclsim::fault::{FaultInjector, FaultOp, FaultPlan, InjectedFault, KillMode};
+use std::sync::Arc;
 use trace::SpanKind;
 
 /// Serialises chaos runs: injectors attach to the process-global device
@@ -337,6 +343,61 @@ pub fn run_failover_chaos(n: usize) -> Result<ChaosOutcome, String> {
         exits: count(&events, SpanKind::ActorExit),
         restarts: count(&events, SpanKind::Restart),
         matches_reference: close,
+    })
+}
+
+/// Run `src` in a fresh standalone [`TenantSession`] with `injector` on
+/// the session's private GPU lane only, recording into a fresh trace.
+/// Returns the printed output, the trace events and the session, whose
+/// lanes show where the work ran.
+pub fn session_gpu_run(
+    src: &str,
+    injector: &FaultInjector,
+) -> Result<(Vec<String>, Vec<trace::TraceEvent>, TenantSession), String> {
+    let sink = TraceSink::new();
+    injector.attach_trace(sink.clone());
+    let session = TenantSession::new(
+        0,
+        Arc::new(FairArbiter::new(ArbiterPolicy::RoundRobin)),
+        Arc::new(DevicePool::new(usize::MAX)),
+        None,
+    )
+    .map_err(|e| e.to_string())?
+    .with_trace(sink.clone());
+    let gpu = session
+        .lanes()
+        .select(DeviceSel::gpu())
+        .map_err(|e| e.to_string())?;
+    gpu.queue.attach_faults(injector.clone());
+    gpu.context.attach_faults(injector.clone());
+    let report = session
+        .run(src, None, RestartBudget::default())
+        .map_err(|e| e.to_string())?;
+    Ok((report.output, sink.events(), session))
+}
+
+/// The `.ens` twin of [`run_failover_chaos`]: matmul in a serving session
+/// whose private GPU lane is lost on its first dispatch. The kernel actor
+/// fails over to the session's own CPU lane, never the process-wide
+/// matrix's, and must print exactly the fault-free output.
+pub fn run_session_failover_chaos(n: usize) -> Result<ChaosOutcome, String> {
+    let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let src = apps_ens::matmul(n, "GPU");
+    let (reference, ..) = session_gpu_run(&src, &FaultInjector::disabled())
+        .map_err(|e| format!("matmul.ens: reference run failed: {e}"))?;
+    let injector =
+        FaultInjector::new(FaultPlan::new().fail(FaultOp::Enqueue, 0, InjectedFault::DeviceLost));
+    let (output, events, _) = session_gpu_run(&src, &injector)
+        .map_err(|e| format!("matmul.ens: failover run failed: {e}"))?;
+    Ok(ChaosOutcome {
+        app: "matmul.ens/failover".to_string(),
+        injected: injector.injected_count(),
+        retries: count(&events, SpanKind::Retry),
+        failovers: count(&events, SpanKind::Failover),
+        kills: injector.kill_count(),
+        exits: count(&events, SpanKind::ActorExit),
+        restarts: count(&events, SpanKind::Restart),
+        matches_reference: output == reference,
     })
 }
 

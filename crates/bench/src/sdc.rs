@@ -5,8 +5,9 @@
 //!
 //! 1. **Silent data corruption is detected and repaired, for free on the
 //!    virtual clock.** All five applications run on *private* device
-//!    lanes (fresh context + queue per matrix device, so the virtual
-//!    clock origin is zero and bit patterns are comparable) under a
+//!    lanes ([`DeviceMatrix::private`]: fresh context + queue per matrix
+//!    device, so the virtual clock origin is zero and bit patterns are
+//!    comparable) under a
 //!    seeded [`InjectedFault::Corrupt`] schedule that silently flips
 //!    payload bits at the upload, dispatch, and read-back seams. The
 //!    per-buffer provenance checksums must catch **every** injected
@@ -21,98 +22,19 @@
 //!    tenants runs twice: once without hedging (every hung dispatch
 //!    sleeps out its full cap) and once with
 //!    [`ensemble_serve::ServeConfig::hedge_after`] set, so the server
-//!    speculatively re-issues stragglers on failover-shifted lanes. The
+//!    speculatively re-issues stragglers on their failover lanes. The
 //!    hedged p99 must be finite and strictly below the unhedged p99.
 
 use crate::apps_ens::{self, Sizes};
 use crate::chaos::CHAOS_LOCK;
 use crate::TraceSink;
-use ensemble_ocl::{device_matrix, DeviceSel, OpenClEnvironment, ResolveEnv};
+use ensemble_ocl::{DeviceMatrix, DeviceSel};
 use ensemble_serve::{latency_percentile, open_loop, Outcome, Request, ServeConfig, Server};
 use ensemble_vm::VmRuntime;
 use oclsim::fault::{FaultInjector, FaultOp, FaultPlan, InjectedFault};
-use oclsim::{ClResult, CommandQueue, Context, DeviceType};
 use std::sync::Arc;
 use std::time::Duration;
 use trace::SpanKind;
-
-/// One private device lane: the shared physical device wrapped in a
-/// fresh context and queue, so the lane's virtual clock starts at zero.
-struct Lane {
-    platform: String,
-    context: Context,
-    queue: CommandQueue,
-}
-
-/// A bench-private environment table over every device of the global
-/// matrix — the same resolution rules as the matrix itself, just onto
-/// zero-origin lanes, so two runs' clocks can be compared bit-for-bit.
-struct PrivateLanes {
-    lanes: Vec<Lane>,
-}
-
-impl PrivateLanes {
-    fn new() -> Result<PrivateLanes, String> {
-        let mut lanes = Vec::new();
-        for m in device_matrix().entries() {
-            let context = Context::new(std::slice::from_ref(&m.device))
-                .map_err(|e| format!("sdc lane context: {e}"))?;
-            let queue = CommandQueue::new(&context, &m.device)
-                .map_err(|e| format!("sdc lane queue: {e}"))?;
-            lanes.push(Lane {
-                platform: m.platform.clone(),
-                context,
-                queue,
-            });
-        }
-        Ok(PrivateLanes { lanes })
-    }
-
-    /// Attach `injector` to every GPU lane (queue and context), the
-    /// device class the apps dispatch to.
-    fn attach_gpu(&self, injector: &FaultInjector) {
-        for l in &self.lanes {
-            if l.queue.device().device_type() == DeviceType::Gpu {
-                l.queue.attach_faults(injector.clone());
-                l.context.attach_faults(injector.clone());
-            }
-        }
-    }
-
-    /// Total repair accounting across the lanes: virtual nanoseconds of
-    /// shadow restores and integrity-retry backoff — work that a real
-    /// system would spend recomputing, kept off the main clocks so
-    /// recovered runs stay bit-identical.
-    fn repair_ns(&self) -> f64 {
-        self.lanes.iter().map(|l| l.queue.repair_ns()).sum()
-    }
-}
-
-impl ResolveEnv for PrivateLanes {
-    fn resolve(&self, sel: DeviceSel) -> ClResult<OpenClEnvironment> {
-        let lane = match sel.device_type {
-            None => self.lanes.get(sel.device_index).ok_or_else(|| {
-                oclsim::ClError::DeviceNotFound {
-                    requested: format!("device #{}", sel.device_index),
-                }
-            })?,
-            Some(ty) => self
-                .lanes
-                .iter()
-                .filter(|l| l.queue.device().device_type() == ty)
-                .nth(sel.device_index)
-                .ok_or_else(|| oclsim::ClError::DeviceNotFound {
-                    requested: format!("{ty} #{}", sel.device_index),
-                })?,
-        };
-        Ok(OpenClEnvironment {
-            platform: lane.platform.clone(),
-            device: lane.queue.device().clone(),
-            context: lane.context.clone(),
-            queue: lane.queue.clone(),
-        })
-    }
-}
 
 /// The seeded corruption schedule for one app: roughly one in `period`
 /// eligible operations silently flips a payload bit, plus a guaranteed
@@ -126,17 +48,24 @@ pub fn corrupt_plan(seed: u64, period: u64) -> FaultPlan {
 }
 
 /// Run one compiled source on fresh private lanes with `injector` on
-/// the GPU lanes. Returns `(output, total_ns bit pattern, repair_ns)`.
+/// the GPU lane, the device the apps dispatch to. Returns `(output,
+/// total_ns bit pattern, repair_ns)`, where `repair_ns` sums the lanes'
+/// repair accounting: shadow restores and integrity-retry backoff — work
+/// a real system would spend recomputing, kept off the main clocks so
+/// recovered runs stay bit-identical.
 fn lanes_run(src: &str, injector: &FaultInjector) -> Result<(Vec<String>, u64, f64), String> {
     let module = ensemble_analysis::compile_source(src, &ensemble_analysis::Options::default())
         .map_err(|e| e.to_string())?;
-    let lanes = Arc::new(PrivateLanes::new()?);
-    lanes.attach_gpu(injector);
+    let lanes = Arc::new(DeviceMatrix::private().map_err(|e| format!("sdc lanes: {e}"))?);
+    let gpu = lanes.select(DeviceSel::gpu()).map_err(|e| e.to_string())?;
+    gpu.queue.attach_faults(injector.clone());
+    gpu.context.attach_faults(injector.clone());
     let vm = VmRuntime::new(module);
     vm.set_env_resolver(Arc::clone(&lanes) as _);
     let report = vm.run().map_err(|e| e.to_string())?;
     let clock = report.total_ns().to_bits();
-    Ok((report.output, clock, lanes.repair_ns()))
+    let repair_ns = lanes.entries().iter().map(|l| l.queue.repair_ns()).sum();
+    Ok((report.output, clock, repair_ns))
 }
 
 /// Outcome of one application under the seeded corruption schedule.

@@ -187,20 +187,11 @@ impl<P, T> Checkpoint<P, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::{private_gpu_env, DeviceSel, OpenClEnvironment, ResolveEnv};
+    use crate::env::{DeviceMatrix, DeviceSel};
     use crate::protocol::KernelSpec;
     use crate::ProfileSink;
     use ensemble_actors::{buffered_channel, ChannelError};
-    use oclsim::ClResult;
     use trace::{SpanKind, TraceSink};
-
-    struct Lane(OpenClEnvironment);
-
-    impl ResolveEnv for Lane {
-        fn resolve(&self, _sel: DeviceSel) -> ClResult<OpenClEnvironment> {
-            Ok(self.0.clone())
-        }
-    }
 
     fn host(sink: &TraceSink) -> KernelHost {
         let spec = KernelSpec {
@@ -211,7 +202,7 @@ mod tests {
                 DeviceSel::gpu(),
             )
         };
-        KernelHost::open(spec, &Lane(private_gpu_env())).unwrap()
+        KernelHost::open(spec, Arc::new(DeviceMatrix::private().unwrap())).unwrap()
     }
 
     /// How the slot was left by whoever held it before this drive.

@@ -6,9 +6,14 @@
 //! observing read races with multiple command queues per device. Kernel
 //! actors carry an [`OpenClEnvironment`] resolved from this matrix using
 //! the `<device_index, device_type>` annotation in their declaration.
+//!
+//! The matrix is the only lane table: [`DeviceMatrix::private`] copies it
+//! onto fresh contexts and queues (a serving session's lanes, a harness's
+//! zero-origin lanes), and [`ResolveEnv`] is the one rule for picking a
+//! lane and for the lane work fails over to.
 
 use oclsim::{ClError, ClResult, CommandQueue, Context, Device, DeviceType, Platform};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Device selection attached to an `opencl` actor declaration:
 /// `opencl <device_index=0, device_type=CPU> actor ...`.
@@ -55,36 +60,64 @@ pub struct MatrixEntry {
     pub queue: CommandQueue,
 }
 
-/// The process-wide platforms × devices matrix.
+impl MatrixEntry {
+    /// A fresh context and queue over `device`.
+    fn open(platform: &str, device: &Device) -> ClResult<MatrixEntry> {
+        let context = Context::new(std::slice::from_ref(device))?;
+        let queue = CommandQueue::new(&context, device)?;
+        Ok(MatrixEntry {
+            platform: platform.to_string(),
+            device: device.clone(),
+            context,
+            queue,
+        })
+    }
+}
+
+/// A platforms × devices table, one context and one queue per device:
+/// the process-wide matrix ([`device_matrix`]) or a private copy of it
+/// ([`DeviceMatrix::private`]).
 #[derive(Debug)]
 pub struct DeviceMatrix {
     entries: Vec<MatrixEntry>,
 }
 
-static MATRIX: OnceLock<DeviceMatrix> = OnceLock::new();
+static MATRIX: OnceLock<Arc<DeviceMatrix>> = OnceLock::new();
 
-/// The process-wide device matrix, built on first use.
-pub fn device_matrix() -> &'static DeviceMatrix {
-    MATRIX.get_or_init(DeviceMatrix::discover)
-}
-
-impl DeviceMatrix {
-    fn discover() -> DeviceMatrix {
+fn process_matrix() -> &'static Arc<DeviceMatrix> {
+    MATRIX.get_or_init(|| {
         let mut entries = Vec::new();
         for platform in Platform::all() {
             for device in platform.devices(None) {
-                let context =
-                    Context::new(std::slice::from_ref(&device)).expect("context for device");
-                let queue = CommandQueue::new(&context, &device).expect("queue for device");
-                entries.push(MatrixEntry {
-                    platform: platform.name().to_string(),
-                    device,
-                    context,
-                    queue,
-                });
+                entries.push(MatrixEntry::open(platform.name(), &device).expect("lane for device"));
             }
         }
-        DeviceMatrix { entries }
+        Arc::new(DeviceMatrix { entries })
+    })
+}
+
+/// The process-wide device matrix, built on first use.
+pub fn device_matrix() -> &'static DeviceMatrix {
+    process_matrix()
+}
+
+impl DeviceMatrix {
+    /// The process-wide matrix as a shareable resolver — what kernel
+    /// actors resolve through unless a front end substitutes another.
+    pub fn shared() -> Arc<DeviceMatrix> {
+        Arc::clone(process_matrix())
+    }
+
+    /// A fresh context and queue for each device of the process-wide
+    /// matrix, in the same order. Its lanes start their virtual clocks at
+    /// zero and see no other table's faults, arbiter or memory observer.
+    pub fn private() -> ClResult<DeviceMatrix> {
+        let entries = device_matrix()
+            .entries
+            .iter()
+            .map(|e| MatrixEntry::open(&e.platform, &e.device))
+            .collect::<ClResult<_>>()?;
+        Ok(DeviceMatrix { entries })
     }
 
     /// All matrix entries (platform-major, device-minor order).
@@ -111,55 +144,60 @@ impl DeviceMatrix {
                 }),
         }
     }
-
-    /// The entry the recovery layer fails over to when `device_id` becomes
-    /// unusable: the *next* matrix row, non-wrapping. The matrix is ordered
-    /// platform-major with the GPU first, so failover walks the degradation
-    /// chain GPU → CPU → accelerator and reports [`ClError::DeviceNotFound`]
-    /// once every device has been exhausted.
-    pub fn failover_from(&self, device_id: usize) -> ClResult<&MatrixEntry> {
-        let pos = self
-            .entries
-            .iter()
-            .position(|e| e.device.id() == device_id)
-            .ok_or_else(|| ClError::DeviceNotFound {
-                requested: format!("matrix entry for device id {device_id}"),
-            })?;
-        self.entries
-            .get(pos + 1)
-            .ok_or_else(|| ClError::DeviceNotFound {
-                requested: format!(
-                    "failover target after `{}` (device matrix exhausted)",
-                    self.entries[pos].device.name()
-                ),
-            })
-    }
 }
 
 /// Resolves a kernel actor's `<device_index, device_type>` selection to
-/// the [`OpenClEnvironment`] it will dispatch through.
+/// the [`OpenClEnvironment`] it will dispatch through, and names the lane
+/// its work moves to when that lane's device fails.
 ///
-/// The VM's default resolver ([`MatrixResolver`]) answers from the
-/// process-wide [`DeviceMatrix`] — one shared context + queue per device,
-/// exactly the paper's runtime. A multi-tenant serving layer substitutes
-/// its own resolver so each tenant session dispatches through *private*
-/// per-tenant contexts and queues over the same physical devices: private
-/// contexts give every tenant a deterministic virtual clock starting at
-/// zero (byte-identical solo vs. contended runs) and a fault-isolation
-/// boundary (one tenant's injected chaos can only ever fire on that
-/// tenant's own queues).
+/// A [`DeviceMatrix`] is the resolver: the process-wide one (one shared
+/// context + queue per device, exactly the paper's runtime) or a
+/// [`DeviceMatrix::private`] copy, which is how a serving session gives
+/// each tenant a virtual clock starting at zero and a fault-isolation
+/// boundary. Because failover asks the same resolver, work never leaves
+/// the table it was resolved from.
 pub trait ResolveEnv: Send + Sync {
     /// Resolve `sel` to a device environment.
     fn resolve(&self, sel: DeviceSel) -> ClResult<OpenClEnvironment>;
+
+    /// The lane after `from` in this resolver's order, never wrapping:
+    /// where work on `from` goes when its device fails permanently.
+    /// `None` when nothing follows — the default, for a one-lane resolver.
+    fn failover(&self, _from: &OpenClEnvironment) -> Option<OpenClEnvironment> {
+        None
+    }
 }
 
-/// The default resolver: the process-wide device matrix.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MatrixResolver;
-
-impl ResolveEnv for MatrixResolver {
+/// The table's order is platform-major with the GPU first, so failover
+/// walks the degradation chain GPU → CPU → accelerator and stops there.
+impl ResolveEnv for DeviceMatrix {
     fn resolve(&self, sel: DeviceSel) -> ClResult<OpenClEnvironment> {
-        OpenClEnvironment::resolve(sel)
+        self.select(sel).map(OpenClEnvironment::from_entry)
+    }
+
+    fn failover(&self, from: &OpenClEnvironment) -> Option<OpenClEnvironment> {
+        let pos = self
+            .entries
+            .iter()
+            .position(|e| e.device.id() == from.device.id())?;
+        self.entries.get(pos + 1).map(OpenClEnvironment::from_entry)
+    }
+}
+
+/// A hedge secondary's view of a resolver: every selection lands on the
+/// lane its primary would fail over to — away from whatever straggles on
+/// the primary's lane — or on the primary's own lane when none follows.
+/// Failover continues along the inner resolver's order.
+pub struct Hedged(pub Arc<dyn ResolveEnv>);
+
+impl ResolveEnv for Hedged {
+    fn resolve(&self, sel: DeviceSel) -> ClResult<OpenClEnvironment> {
+        let primary = self.0.resolve(sel)?;
+        Ok(self.0.failover(&primary).unwrap_or(primary))
+    }
+
+    fn failover(&self, from: &OpenClEnvironment) -> Option<OpenClEnvironment> {
+        self.0.failover(from)
     }
 }
 
@@ -182,8 +220,7 @@ pub struct OpenClEnvironment {
 impl OpenClEnvironment {
     /// Resolve a device selection through the global matrix.
     pub fn resolve(sel: DeviceSel) -> ClResult<OpenClEnvironment> {
-        let entry = device_matrix().select(sel)?;
-        Ok(OpenClEnvironment::from_entry(entry))
+        device_matrix().resolve(sel)
     }
 
     fn from_entry(entry: &MatrixEntry) -> OpenClEnvironment {
@@ -194,30 +231,17 @@ impl OpenClEnvironment {
             queue: entry.queue.clone(),
         }
     }
-
-    /// The environment the recovery layer degrades to when this one's
-    /// device fails permanently (see [`DeviceMatrix::failover_from`]).
-    pub fn failover(&self) -> ClResult<OpenClEnvironment> {
-        let entry = device_matrix().failover_from(self.device.id())?;
-        Ok(OpenClEnvironment::from_entry(entry))
-    }
 }
 
-/// A GPU environment over a **private** context and queue, for unit tests
-/// that assert deltas of the queue clock or of `allocated_bytes()`: the
-/// matrix's shared queue is dispatched on by whatever kernel-actor tests
-/// run in parallel, so such deltas are only exact on a lane of one's own.
+/// A GPU lane of a **private** table, for unit tests that assert deltas
+/// of the queue clock or of `allocated_bytes()`: the matrix's shared queue
+/// is dispatched on by whatever kernel-actor tests run in parallel, so
+/// such deltas are only exact on a lane of one's own.
 #[cfg(test)]
 pub(crate) fn private_gpu_env() -> OpenClEnvironment {
-    let device = Platform::default_device(DeviceType::Gpu).expect("simulated GPU");
-    let context = Context::new(std::slice::from_ref(&device)).expect("private context");
-    let queue = CommandQueue::new(&context, &device).expect("private queue");
-    OpenClEnvironment {
-        platform: "private".to_string(),
-        device,
-        context,
-        queue,
-    }
+    DeviceMatrix::private()
+        .and_then(|lanes| lanes.resolve(DeviceSel::gpu()))
+        .expect("private GPU lane")
 }
 
 #[cfg(test)]
@@ -249,31 +273,82 @@ mod tests {
     }
 
     #[test]
-    fn selection_by_type_and_index() {
-        let m = device_matrix();
-        let gpu = m.select(DeviceSel::gpu()).unwrap();
-        assert_eq!(gpu.device.device_type(), DeviceType::Gpu);
-        let cpu = m.select(DeviceSel::cpu()).unwrap();
-        assert_eq!(cpu.device.device_type(), DeviceType::Cpu);
-        assert!(m.select(DeviceSel::new(DeviceType::Gpu, 5)).is_err());
+    fn the_shared_and_a_private_table_select_and_fail_over_by_one_rule() {
+        use DeviceType::{Accelerator as Acc, Cpu, Gpu};
+        let shared = device_matrix();
+        let private = DeviceMatrix::private().unwrap();
+        let ids: Vec<usize> = shared.entries().iter().map(|e| e.device.id()).collect();
+        let types: Vec<DeviceType> = shared
+            .entries()
+            .iter()
+            .map(|e| e.device.device_type())
+            .collect();
+        assert_eq!(types, [Gpu, Cpu, Acc], "the table's order");
+        let (gpu, cpu, acc) = (ids[0], ids[1], ids[2]);
+        let missing = |requested: &str| {
+            Err(ClError::DeviceNotFound {
+                requested: requested.to_string(),
+            })
+        };
+        let untyped = |device_index| DeviceSel {
+            device_type: None,
+            device_index,
+        };
+        let cases: [(DeviceSel, ClResult<usize>); 16] = [
+            // `None` picks the table row: the default is the first device.
+            (DeviceSel::default(), Ok(gpu)),
+            (untyped(1), Ok(cpu)),
+            (untyped(2), Ok(acc)),
+            (untyped(3), missing("device #3")),
+            // A type picks the `index`-th device of that type.
+            (DeviceSel::gpu(), Ok(gpu)),
+            (DeviceSel::new(Gpu, 1), missing("GPU #1")),
+            (DeviceSel::new(Gpu, 2), missing("GPU #2")),
+            (DeviceSel::new(Gpu, 3), missing("GPU #3")),
+            (DeviceSel::cpu(), Ok(cpu)),
+            (DeviceSel::new(Cpu, 1), missing("CPU #1")),
+            (DeviceSel::new(Cpu, 2), missing("CPU #2")),
+            (DeviceSel::new(Cpu, 3), missing("CPU #3")),
+            (DeviceSel::new(Acc, 0), Ok(acc)),
+            (DeviceSel::new(Acc, 1), missing("ACCELERATOR #1")),
+            (DeviceSel::new(Acc, 2), missing("ACCELERATOR #2")),
+            (DeviceSel::new(Acc, 3), missing("ACCELERATOR #3")),
+        ];
+        for (sel, want) in &cases {
+            let on = |table: &DeviceMatrix| table.resolve(*sel).map(|e| e.device.id());
+            assert_eq!(&on(shared), want, "shared table, {sel:?}");
+            assert_eq!(&on(&private), want, "private table, {sel:?}");
+        }
+        for (table, name) in [(shared, "shared"), (&private, "private")] {
+            // Failover walks the table's order and never wraps.
+            let next: Vec<Option<usize>> = table
+                .entries()
+                .iter()
+                .map(|e| {
+                    let from = OpenClEnvironment::from_entry(e);
+                    table.failover(&from).map(|to| to.device.id())
+                })
+                .collect();
+            assert_eq!(next, [Some(cpu), Some(acc), None], "{name} table");
+        }
+        // Same devices in the same order, on lanes of its own.
+        for (p, s) in private.entries().iter().zip(shared.entries()) {
+            assert_eq!(p.device.id(), s.device.id());
+            assert_ne!(p.context.id(), s.context.id());
+        }
     }
 
     #[test]
-    fn default_selection_uses_first_device() {
-        let m = device_matrix();
-        let e = m.select(DeviceSel::default()).unwrap();
-        assert_eq!(e.device.id(), m.entries()[0].device.id());
-    }
-
-    #[test]
-    fn failover_walks_the_matrix_without_wrapping() {
-        let m = device_matrix();
-        let gpu = m.select(DeviceSel::gpu()).unwrap();
-        let second = m.failover_from(gpu.device.id()).unwrap();
-        assert_eq!(second.device.id(), m.entries()[1].device.id());
-        let last = m.entries().last().unwrap();
-        assert!(m.failover_from(last.device.id()).is_err(), "must not wrap");
-        let env = OpenClEnvironment::resolve(DeviceSel::gpu()).unwrap();
-        assert_eq!(env.failover().unwrap().device.id(), second.device.id());
+    fn a_hedged_resolver_lands_one_lane_along_the_failover_order() {
+        let lanes: Arc<dyn ResolveEnv> = Arc::new(DeviceMatrix::private().unwrap());
+        let hedged = Hedged(Arc::clone(&lanes));
+        let id = |r: &dyn ResolveEnv, sel| r.resolve(sel).unwrap().device.id();
+        let cpu = id(&*lanes, DeviceSel::cpu());
+        let acc = id(&*lanes, DeviceSel::new(DeviceType::Accelerator, 0));
+        assert_eq!(id(&hedged, DeviceSel::gpu()), cpu);
+        assert_eq!(id(&hedged, DeviceSel::cpu()), acc);
+        // Nothing follows the last lane: the secondary shares it.
+        assert_eq!(id(&hedged, DeviceSel::new(DeviceType::Accelerator, 0)), acc);
+        assert!(hedged.resolve(DeviceSel::new(DeviceType::Gpu, 1)).is_err());
     }
 }

@@ -28,7 +28,7 @@
 //!   resident in the actor's context are used in place (§6.2.3).
 
 use crate::checkpoint::Checkpoint;
-use crate::env::MatrixResolver;
+use crate::env::DeviceMatrix;
 use crate::flatten::{FlatData, Flatten};
 use crate::protocol::{DispatchMode, KernelHost};
 use crate::resident::{DeviceData, Dispatchable};
@@ -103,7 +103,7 @@ impl<TIn: Flatten, TOut: Flatten> KernelActor<TIn, TOut> {
 
 impl<TIn: Flatten, TOut: Flatten> Actor for KernelActor<TIn, TOut> {
     fn constructor(&mut self, _ctx: &mut ActorCtx) {
-        self.host = Some(KernelHost::open(self.spec.clone(), &MatrixResolver));
+        self.host = Some(KernelHost::open(self.spec.clone(), DeviceMatrix::shared()));
     }
 
     fn behaviour(&mut self, ctx: &mut ActorCtx) -> Control {
@@ -181,7 +181,7 @@ impl<T: Flatten> ResidentKernelActor<T> {
 
 impl<T: Flatten> Actor for ResidentKernelActor<T> {
     fn constructor(&mut self, _ctx: &mut ActorCtx) {
-        self.host = Some(KernelHost::open(self.spec.clone(), &MatrixResolver));
+        self.host = Some(KernelHost::open(self.spec.clone(), DeviceMatrix::shared()));
     }
 
     fn behaviour(&mut self, ctx: &mut ActorCtx) -> Control {

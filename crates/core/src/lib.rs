@@ -11,9 +11,10 @@
 //!
 //! * [`mod@env`] (§6.2.1–6.2.2) — the process-wide platforms × devices
 //!   [`env::DeviceMatrix`] with **one context and one command queue per
-//!   device** (the paper's fix for multi-queue read races), and the
-//!   [`env::OpenClEnvironment`] resolved from an actor's
-//!   `<device_index, device_type>` annotation.
+//!   device** (the paper's fix for multi-queue read races), private copies
+//!   of it, and the [`env::OpenClEnvironment`] resolved from an actor's
+//!   `<device_index, device_type>` annotation by the one selection and
+//!   failover rule, [`env::ResolveEnv`].
 //! * [`settings`] (§6.1.1) — the `opencl struct` protocol: worksize +
 //!   groupsize arrays and dynamically-created in/out data channels, sent to
 //!   the kernel actor over its single interface channel.
@@ -42,9 +43,10 @@
 //!   time, feeding the Figure 3a–3e harness.
 //! * [`recovery`] — the robustness layer the paper leaves to future work:
 //!   a per-actor [`recovery::RecoveryPolicy`] retries transient simulator
-//!   faults with virtual-clock backoff and *fails over* to the next
-//!   device-matrix entry (GPU → CPU degradation) on permanent device
-//!   errors, evacuating resident data through the read-back rescue path.
+//!   faults with virtual-clock backoff, and permanent device errors *fail
+//!   over* to the next lane of the table the actor resolved from (GPU →
+//!   CPU degradation), evacuating resident data through the read-back
+//!   rescue path.
 //!
 //! ## Example: the matrix-multiply choreography of Listing 3
 //!
@@ -123,7 +125,7 @@ pub mod resident;
 pub mod settings;
 
 pub use checkpoint::Checkpoint;
-pub use env::{device_matrix, DeviceSel, MatrixResolver, OpenClEnvironment, ResolveEnv};
+pub use env::{device_matrix, DeviceMatrix, DeviceSel, Hedged, OpenClEnvironment, ResolveEnv};
 pub use flatten::{Array2, Array3, FlatData, FlatSeg, FlatSource, Flatten, FlattenError, SegTy};
 pub use kernel_actor::{KernelActor, ResidentKernelActor};
 pub use profile::{Profile, ProfileSink};

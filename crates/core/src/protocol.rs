@@ -7,15 +7,15 @@
 //!
 //! * [`KernelHost::open`] resolves a [`KernelSpec`]'s device through a
 //!   [`ResolveEnv`] and builds its kernel (transient refusals retried,
-//!   permanent ones failed over);
+//!   permanent ones failed over to the lane that resolver names next);
 //! * [`KernelHost::upload`] moves a [`FlatSource`] — a [`FlatData`], or a
 //!   front end's own view of its values — into [`ResidentBufs`], one
 //!   pass per segment straight into the buffer, retrying per segment;
 //! * [`KernelHost::dispatch`] binds buffers → dims → `int` scalars →
 //!   `float` scalars and enqueues under a [`DispatchMode`], retrying
 //!   transients and, on a permanent device error, evacuating the data
-//!   through the read-back rescue path, migrating to the next matrix
-//!   entry and re-dispatching there;
+//!   through the read-back rescue path, migrating to the resolver's next
+//!   lane and re-dispatching there;
 //! * [`KernelHost::request`] is the copy-channel round trip: upload,
 //!   dispatch, read the spec's output segments back;
 //! * [`ResidentBufs`] owns its share of the context's memory accounting
@@ -31,12 +31,13 @@
 use crate::env::{DeviceSel, OpenClEnvironment, ResolveEnv};
 use crate::flatten::{FlatData, FlatSeg, FlatSource, SegTy};
 use crate::profile::ProfileSink;
-use crate::recovery::{record_failover, with_retry, RecoveryPolicy};
+use crate::recovery::{record_failover, should_fail_over, with_retry, RecoveryPolicy};
 use crate::settings::nd_from;
 use oclsim::{
     co_enqueue, Buffer, ClError, ClResult, CoexecConfig, CommandQueue, Context, DispatchBatch,
     Kernel, MemFlags, PolicyKind, Program,
 };
+use std::sync::Arc;
 use trace::{SpanKind, TraceEvent};
 
 /// Static description of a kernel actor: what to compile, where to run it,
@@ -258,30 +259,37 @@ pub enum DispatchMode<'a> {
 }
 
 /// A kernel actor's host role: the environment its [`KernelSpec`]
-/// resolved to (possibly migrated since) and the kernel built there.
-#[derive(Debug)]
+/// resolved to (possibly migrated since), the kernel built there, and the
+/// resolver both came from — which is also where a failed lane's work
+/// goes next.
 pub struct KernelHost {
     spec: KernelSpec,
+    resolver: Arc<dyn ResolveEnv>,
     env: OpenClEnvironment,
     kernel: Kernel,
+    /// Context of the lane the host was opened on.
+    opened_on: u64,
 }
 
-/// Abandon `from`: record the failover instant and return the next
-/// device-matrix entry.
+/// Abandon `from` after `error`: record the failover instant and return
+/// the lane `resolver` names next — or `error` itself when none follows.
 fn next_env(
     spec: &KernelSpec,
+    resolver: &dyn ResolveEnv,
     from: &OpenClEnvironment,
     error: &ClError,
 ) -> ClResult<OpenClEnvironment> {
-    let next = from.failover()?;
+    let next = resolver.failover(from).ok_or_else(|| error.clone())?;
     record_failover(&spec.profile, from, &next, &spec.kernel_name, error);
     Ok(next)
 }
 
 /// Build the spec's kernel on `env`, retrying transient build refusals
-/// and walking the failover chain while devices refuse permanently.
+/// and walking `resolver`'s failover order while devices refuse
+/// permanently.
 fn build_from(
     spec: &KernelSpec,
+    resolver: &dyn ResolveEnv,
     mut env: OpenClEnvironment,
 ) -> ClResult<(OpenClEnvironment, Kernel)> {
     loop {
@@ -296,17 +304,25 @@ fn build_from(
         .and_then(|program| program.create_kernel(&spec.kernel_name));
         match built {
             Ok(kernel) => return Ok((env, kernel)),
-            Err(e) if spec.recovery.should_fail_over(&e) => env = next_env(spec, &env, &e)?,
+            Err(e) if should_fail_over(&e) => env = next_env(spec, resolver, &env, &e)?,
             Err(e) => return Err(e),
         }
     }
 }
 
 impl KernelHost {
-    /// Resolve `spec.device` through `resolver` and build the kernel.
-    pub fn open(spec: KernelSpec, resolver: &dyn ResolveEnv) -> ClResult<KernelHost> {
-        let (env, kernel) = build_from(&spec, resolver.resolve(spec.device)?)?;
-        Ok(KernelHost { spec, env, kernel })
+    /// Resolve `spec.device` through `resolver` and build the kernel. The
+    /// host keeps `resolver`: failover only ever moves to its lanes.
+    pub fn open(spec: KernelSpec, resolver: Arc<dyn ResolveEnv>) -> ClResult<KernelHost> {
+        let (env, kernel) = build_from(&spec, &*resolver, resolver.resolve(spec.device)?)?;
+        let opened_on = env.context.id();
+        Ok(KernelHost {
+            spec,
+            resolver,
+            env,
+            kernel,
+            opened_on,
+        })
     }
 
     /// The spec this host was opened for.
@@ -317,6 +333,13 @@ impl KernelHost {
     /// The environment dispatches currently go through.
     pub fn env(&self) -> &OpenClEnvironment {
         &self.env
+    }
+
+    /// Whether a dispatch or upload failed over since [`KernelHost::open`].
+    /// Whatever a front end decided from the opened lane — a co-execution
+    /// secondary, a batch session, a residency proof — no longer holds.
+    pub fn migrated(&self) -> bool {
+        self.env.context.id() != self.opened_on
     }
 
     /// Record an instant of `kind` for this host's kernel on its device
@@ -353,10 +376,10 @@ impl KernelHost {
     }
 
     /// Abandon the current device after `error` and rebuild the kernel on
-    /// the next matrix entry.
+    /// the resolver's next lane.
     fn fail_over(&mut self, error: &ClError) -> ClResult<()> {
-        let next = next_env(&self.spec, &self.env, error)?;
-        (self.env, self.kernel) = build_from(&self.spec, next)?;
+        let next = next_env(&self.spec, &*self.resolver, &self.env, error)?;
+        (self.env, self.kernel) = build_from(&self.spec, &*self.resolver, next)?;
         Ok(())
     }
 
@@ -365,7 +388,7 @@ impl KernelHost {
     pub fn upload(&mut self, src: &dyn FlatSource) -> ClResult<ResidentBufs> {
         loop {
             match ResidentBufs::upload(&self.env, src, &self.spec.recovery, &self.spec.profile) {
-                Err(e) if self.spec.recovery.should_fail_over(&e) => self.fail_over(&e)?,
+                Err(e) if should_fail_over(&e) => self.fail_over(&e)?,
                 done => return done,
             }
         }
@@ -432,19 +455,25 @@ impl KernelHost {
 
     /// Dispatch the kernel over `bufs` in place. A permanent device error
     /// evacuates the data (and any partial output) through the read-back
-    /// rescue path, migrates to the next matrix entry, re-uploads into
+    /// rescue path, migrates to the resolver's next lane, re-uploads into
     /// `bufs` and re-dispatches there — plainly: the batch session or
-    /// secondary lane of `mode` belonged to the abandoned device. On any
-    /// error `bufs` is left to its owner.
+    /// secondary lane of `mode` belonged to the abandoned device. Buffers
+    /// of another context (a neighbour failed over after a front end
+    /// proved they could not be) move to this one first: no kernel is
+    /// handed a foreign buffer. On any error `bufs` is left to its owner.
     pub fn dispatch(
         &mut self,
         bufs: &mut ResidentBufs,
         launch: &Launch<'_>,
         mut mode: DispatchMode<'_>,
     ) -> ClResult<()> {
+        if bufs.context_id() != self.env.context.id() {
+            let flat = bufs.read_all(&self.spec.recovery, &self.spec.profile, "rescue")?;
+            *bufs = self.upload(&flat)?;
+        }
         loop {
             match self.enqueue(bufs, launch, &mut mode) {
-                Err(e) if self.spec.recovery.should_fail_over(&e) => {
+                Err(e) if should_fail_over(&e) => {
                     let flat = bufs.read_all(&self.spec.recovery, &self.spec.profile, "rescue")?;
                     self.fail_over(&e)?;
                     *bufs = self.upload(&flat)?;
@@ -485,6 +514,56 @@ mod tests {
     use crate::env::private_gpu_env;
     use crate::flatten::Flatten;
     use oclsim::fault::{FaultInjector, FaultOp, FaultPlan, InjectedFault};
+    use trace::TraceSink;
+
+    /// Resolves every selection onto one lane; nothing follows it.
+    struct OneLane(OpenClEnvironment);
+
+    impl ResolveEnv for OneLane {
+        fn resolve(&self, _sel: DeviceSel) -> ClResult<OpenClEnvironment> {
+            Ok(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn an_exhausted_failover_reports_the_error_that_caused_it() {
+        let env = private_gpu_env();
+        env.queue
+            .attach_faults(FaultInjector::new(FaultPlan::new().fail(
+                FaultOp::Enqueue,
+                0,
+                InjectedFault::DeviceLost,
+            )));
+        let sink = TraceSink::new();
+        let spec = KernelSpec {
+            profile: ProfileSink::new().with_trace(sink.clone()),
+            ..KernelSpec::in_place(
+                "__kernel void k(__global float* a, const int n) {}",
+                "k",
+                DeviceSel::gpu(),
+            )
+        };
+        let mut host = KernelHost::open(spec, Arc::new(OneLane(env.clone()))).unwrap();
+        let launch = Launch {
+            worksize: &[4],
+            groupsize: &[4],
+            ints: &[],
+            floats: &[],
+        };
+        let refused = host.request(&vec![1.0f32; 4].flatten(), &launch, DispatchMode::Single);
+        assert!(
+            matches!(refused, Err(ClError::DeviceLost { .. })),
+            "{refused:?}"
+        );
+        let failovers = sink
+            .events()
+            .iter()
+            .filter(|e| e.kind == SpanKind::Failover)
+            .count();
+        assert_eq!(failovers, 0);
+        assert!(!host.migrated());
+        assert_eq!(env.context.allocated_bytes(), 0);
+    }
 
     #[test]
     fn resident_bufs_give_their_accounting_back_on_drop() {

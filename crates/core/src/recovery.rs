@@ -1,5 +1,5 @@
 //! Supervised recovery: bounded retry with virtual-clock backoff, and
-//! device failover through the device matrix.
+//! device failover along the resolver's lane table.
 //!
 //! The paper's runtime treats every OpenCL error as fatal; this module is
 //! the reproduction's robustness layer on top of it. Two mechanisms:
@@ -13,9 +13,9 @@
 //! * **Failover** — permanent device-level errors (a lost device,
 //!   exhausted device memory, or a transient error that outlived its
 //!   retry budget) abandon the device: resident data is evacuated through
-//!   the read-back rescue path, and the dispatch is re-issued on the next
-//!   device-matrix entry ([`crate::env::DeviceMatrix::failover_from`]) —
-//!   in practice a GPU → CPU degradation.
+//!   the read-back rescue path, and the dispatch is re-issued on the lane
+//!   the actor's resolver names next ([`crate::env::ResolveEnv::failover`])
+//!   — in practice a GPU → CPU degradation inside the same table.
 //!
 //! Both paths leave [`trace::SpanKind::Retry`] / [`trace::SpanKind::Failover`]
 //! instants on the timeline, so a Chrome trace of a chaos run shows
@@ -38,52 +38,47 @@ pub struct RecoveryPolicy {
     /// Multiplier applied to the backoff after every failed re-attempt
     /// (exponential backoff).
     pub backoff_factor: f64,
-    /// Whether a permanent device failure migrates the work to the next
-    /// device-matrix entry instead of propagating the error.
-    pub failover: bool,
 }
 
 impl Default for RecoveryPolicy {
-    /// Four retries starting at 2 µs (virtual) doubling each time, with
-    /// failover enabled — enough to ride out any plausible transient
-    /// schedule while keeping the worst-case added virtual time bounded
-    /// (30 µs per operation).
+    /// Four retries starting at 2 µs (virtual) doubling each time —
+    /// enough to ride out any plausible transient schedule while keeping
+    /// the worst-case added virtual time bounded (30 µs per operation).
     fn default() -> RecoveryPolicy {
         RecoveryPolicy {
             max_retries: 4,
             backoff_ns: 2_000.0,
             backoff_factor: 2.0,
-            failover: true,
         }
     }
 }
 
 impl RecoveryPolicy {
-    /// A policy that retries nothing and never fails over — the paper's
-    /// original fail-fast behaviour.
+    /// A policy that retries nothing — the paper's original fail-fast
+    /// behaviour for transients.
     pub fn none() -> RecoveryPolicy {
         RecoveryPolicy {
             max_retries: 0,
             backoff_ns: 0.0,
             backoff_factor: 1.0,
-            failover: false,
         }
     }
+}
 
-    /// Whether `error` should move the work to another device under this
-    /// policy: device-level conditions (lost device, exhausted device
-    /// memory, a transient refusal that outlived its retry budget) — not
-    /// programming errors, which would fail identically everywhere.
-    pub fn should_fail_over(&self, error: &ClError) -> bool {
-        self.failover
-            && matches!(
-                error,
-                ClError::DeviceLost { .. }
-                    | ClError::DeviceBusy { .. }
-                    | ClError::OutOfDeviceMemory { .. }
-                    | ClError::Straggler { .. }
-            )
-    }
+/// Whether `error` should move the work to another device: device-level
+/// conditions (lost device, exhausted device memory, a transient refusal
+/// that outlived its retry budget, a blown watchdog) — not programming
+/// errors, which would fail identically everywhere. Whether a device is
+/// *left* to go to is the resolver's answer
+/// ([`crate::env::ResolveEnv::failover`]), not the policy's.
+pub fn should_fail_over(error: &ClError) -> bool {
+    matches!(
+        error,
+        ClError::DeviceLost { .. }
+            | ClError::DeviceBusy { .. }
+            | ClError::OutOfDeviceMemory { .. }
+            | ClError::Straggler { .. }
+    )
 }
 
 /// Run `op`, re-attempting transient failures up to `policy.max_retries`
@@ -316,21 +311,23 @@ mod tests {
 
     #[test]
     fn failover_classification() {
-        let p = RecoveryPolicy::default();
-        assert!(p.should_fail_over(&ClError::DeviceLost { device: "g".into() }));
-        assert!(p.should_fail_over(&ClError::DeviceBusy { device: "g".into() }));
-        assert!(p.should_fail_over(&ClError::OutOfDeviceMemory {
+        assert!(should_fail_over(&ClError::DeviceLost {
+            device: "g".into()
+        }));
+        assert!(should_fail_over(&ClError::DeviceBusy {
+            device: "g".into()
+        }));
+        assert!(should_fail_over(&ClError::OutOfDeviceMemory {
             requested: 1,
             available: 0
         }));
-        assert!(p.should_fail_over(&ClError::Straggler {
+        assert!(should_fail_over(&ClError::Straggler {
             device: "g".into(),
             budget_ns: 1
         }));
-        assert!(!p.should_fail_over(&ClError::BuildFailure { log: "x".into() }));
-        assert!(!p.should_fail_over(&ClError::InvalidKernelArgs("x".into())));
-        assert!(
-            !RecoveryPolicy::none().should_fail_over(&ClError::DeviceLost { device: "g".into() })
-        );
+        assert!(!should_fail_over(&ClError::BuildFailure {
+            log: "x".into()
+        }));
+        assert!(!should_fail_over(&ClError::InvalidKernelArgs("x".into())));
     }
 }

@@ -41,7 +41,7 @@ pub struct ServeConfig {
     pub policy: ArbiterPolicy,
     /// Straggler hedging: when an admitted request has not completed
     /// after this much wall-clock time, speculatively re-issue it in a
-    /// clean secondary session on failover-shifted device lanes and
+    /// clean secondary session on the lanes its devices fail over to and
     /// return whichever finishes first (the loser's injected hang
     /// stalls are cancelled, and the result is discarded). `None`
     /// disables hedging. Trades duplicated work for tail latency:
@@ -225,19 +225,19 @@ impl Server {
     }
 
     /// A session over this server's arbiter, pool and module cache;
-    /// `shifted` builds a hedge secondary on failover-shifted lanes.
+    /// `hedge` builds a hedge secondary on its failover lanes.
     fn session(
         &self,
         tenant: u64,
         chaos: Option<FaultPlan>,
-        shifted: bool,
+        hedge: bool,
     ) -> Result<TenantSession, ServeError> {
         TenantSession::build(
             tenant,
             Arc::clone(&self.arbiter) as _,
             Arc::clone(&self.pool),
             chaos,
-            shifted,
+            hedge,
             Some(Arc::clone(&self.modules)),
         )
     }
@@ -318,7 +318,7 @@ impl Server {
     /// Straggler hedging (see [`ServeConfig::hedge_after`]): run the
     /// primary session on a worker thread; if it has not produced a
     /// result after `hedge`, speculatively re-issue the request in a
-    /// clean secondary session on failover-shifted lanes and return
+    /// clean secondary session on its failover lanes and return
     /// whichever finishes first. The loser's injected hang stalls are
     /// released ([`TenantSession::cancel_hangs`]) and its result is
     /// discarded; the primary is always joined and torn down before
@@ -346,7 +346,7 @@ impl Server {
             return result;
         }
         // The primary is straggling. Race a clean secondary against it
-        // on failover-shifted lanes, under a distinct tenant tag so the
+        // on its failover lanes, under a distinct tenant tag so the
         // two sessions' pool-registry entries stay independent.
         self.instant(SpanKind::Hedge, "hedge", req.tenant);
         let secondary_outcome = self

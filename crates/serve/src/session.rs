@@ -2,8 +2,9 @@
 //! physical pool.
 //!
 //! A [`TenantSession`] materialises, for every device of the process-wide
-//! matrix, a **private** context and command queue. That single decision
-//! carries the tentpole guarantees:
+//! matrix, a **private** context and command queue
+//! ([`DeviceMatrix::private`]). That single decision carries the tentpole
+//! guarantees:
 //!
 //! * **Determinism under contention** — each private queue's virtual
 //!   clock starts at zero, so a tenant's virtual timeline (and therefore
@@ -16,7 +17,9 @@
 //!   own queues and contexts only, so seeded kill-chaos in one tenant
 //!   can only ever fire on that tenant's actor threads, and is absorbed
 //!   by that tenant's own supervision tree (the VM's one-for-one
-//!   supervisor with a per-session [`RestartBudget`]).
+//!   supervisor with a per-session [`RestartBudget`]). A lost device
+//!   fails over inside the session too: the private table is the kernel
+//!   actors' resolver, so GPU work degrades to the session's own CPU lane.
 //!
 //! [`FairArbiter`]: crate::FairArbiter
 //! [`DevicePool`]: crate::DevicePool
@@ -25,79 +28,22 @@ use crate::cache::{self, ModuleCache};
 use crate::error::{DeadlinePhase, ServeError};
 use crate::pool::DevicePool;
 use ensemble_actors::RestartBudget;
-use ensemble_ocl::{device_matrix, DeviceSel, OpenClEnvironment, ResolveEnv};
+use ensemble_ocl::{DeviceMatrix, Hedged, ProfileSink, ResolveEnv};
 use ensemble_vm::{EvictableMov, VmReport, VmRuntime};
-use oclsim::{ClError, ClResult, CommandQueue, Context, FaultInjector, FaultPlan, QueueArbiter};
+use oclsim::{FaultInjector, FaultPlan, QueueArbiter};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// One private device lane of a session: the shared physical device,
-/// wrapped in this tenant's own context and queue.
-struct SessionEntry {
-    context: Context,
-    queue: CommandQueue,
-    platform: String,
-}
-
-/// The session's environment table; implements [`ResolveEnv`] with the
-/// same selection rules as the global [`ensemble_ocl::DeviceMatrix`], so
-/// programs resolve identically — just onto private lanes.
-///
-/// A *shifted* table (used by hedge secondaries) resolves typed
-/// selections onto the **opposite** device class when one exists — the
-/// speculative re-issue runs on the failover device, away from whatever
-/// is straggling on the primary's preferred class — falling back to the
-/// requested class when there is no other.
-struct SessionEnvs {
-    entries: Vec<SessionEntry>,
-    shifted: bool,
-}
-
-impl ResolveEnv for SessionEnvs {
-    fn resolve(&self, sel: DeviceSel) -> ClResult<OpenClEnvironment> {
-        let entry = match sel.device_type {
-            None => self.entries.get(sel.device_index).ok_or_else(|| {
-                ClError::DeviceNotFound {
-                    requested: format!("device #{}", sel.device_index),
-                }
-            })?,
-            Some(ty) => {
-                let shifted_pick = if self.shifted {
-                    self.entries
-                        .iter()
-                        .filter(|e| e.queue.device().device_type() != ty)
-                        .nth(sel.device_index)
-                } else {
-                    None
-                };
-                match shifted_pick {
-                    Some(e) => e,
-                    None => self
-                        .entries
-                        .iter()
-                        .filter(|e| e.queue.device().device_type() == ty)
-                        .nth(sel.device_index)
-                        .ok_or_else(|| ClError::DeviceNotFound {
-                            requested: format!("{ty} #{}", sel.device_index),
-                        })?,
-                }
-            }
-        };
-        Ok(OpenClEnvironment {
-            platform: entry.platform.clone(),
-            device: entry.queue.device().clone(),
-            context: entry.context.clone(),
-            queue: entry.queue.clone(),
-        })
-    }
-}
+use trace::TraceSink;
 
 /// A tenant's serving session (see module docs). Tear-down is automatic
 /// on drop: registry entries evicted, observers and arbiter detached.
 pub struct TenantSession {
     tenant: u64,
-    envs: Arc<SessionEnvs>,
+    lanes: Arc<DeviceMatrix>,
+    /// What the session's kernel actors resolve through: `lanes`, or a
+    /// hedge secondary's [`Hedged`] view of them.
+    resolver: Arc<dyn ResolveEnv>,
     pool: Arc<DevicePool>,
     chaotic: bool,
     /// The session's injector, kept so a hedging server can release any
@@ -114,6 +60,9 @@ pub struct TenantSession {
     /// The owning server's compiled-module cache; `None` for a
     /// standalone session, which compiles every run itself.
     modules: Option<Arc<ModuleCache>>,
+    /// Where this session's runs record their trace (disabled unless
+    /// [`TenantSession::with_trace`] set one).
+    trace: TraceSink,
 }
 
 impl TenantSession {
@@ -130,59 +79,66 @@ impl TenantSession {
         TenantSession::build(tenant, arbiter, pool, chaos, false, None)
     }
 
-    /// The one constructor. `shifted` builds a hedge secondary: a session
-    /// whose typed device selections resolve onto the *opposite* device
-    /// class (the failover device) when one exists, so the speculative
-    /// re-issue races the straggling primary on different hardware — give
-    /// it a tenant tag distinct from the primary's so the two sessions'
-    /// pool-registry entries stay independent. `modules` is the owning
-    /// [`Server`](crate::Server)'s compiled-module cache.
+    /// The one constructor. `hedge` builds a hedge secondary: a session
+    /// whose selections resolve onto the lane each would fail over to
+    /// ([`Hedged`]), so the speculative re-issue races the straggling
+    /// primary on different hardware — give it a tenant tag distinct from
+    /// the primary's so the two sessions' pool-registry entries stay
+    /// independent. `modules` is the owning [`Server`](crate::Server)'s
+    /// compiled-module cache.
     pub(crate) fn build(
         tenant: u64,
         arbiter: Arc<dyn QueueArbiter>,
         pool: Arc<DevicePool>,
         chaos: Option<FaultPlan>,
-        shifted: bool,
+        hedge: bool,
         modules: Option<Arc<ModuleCache>>,
     ) -> Result<TenantSession, ServeError> {
         let injector = chaos.map(FaultInjector::new);
-        let mut entries = Vec::new();
-        for m in device_matrix().entries() {
-            let context = Context::new(std::slice::from_ref(&m.device)).map_err(|e| {
-                ServeError::Failed {
-                    detail: format!("session context: {e}"),
-                }
-            })?;
-            let queue =
-                CommandQueue::new(&context, &m.device).map_err(|e| ServeError::Failed {
-                    detail: format!("session queue: {e}"),
-                })?;
-            queue.attach_arbiter(Arc::clone(&arbiter), tenant);
-            context.set_mem_observer(Some(Arc::clone(&pool) as _));
+        let lanes = Arc::new(DeviceMatrix::private().map_err(|e| ServeError::Failed {
+            detail: format!("session lanes: {e}"),
+        })?);
+        for lane in lanes.entries() {
+            lane.queue.attach_arbiter(Arc::clone(&arbiter), tenant);
+            lane.context.set_mem_observer(Some(Arc::clone(&pool) as _));
             if let Some(inj) = &injector {
-                queue.attach_faults(inj.clone());
-                context.attach_faults(inj.clone());
+                lane.queue.attach_faults(inj.clone());
+                lane.context.attach_faults(inj.clone());
             }
-            entries.push(SessionEntry {
-                context,
-                queue,
-                platform: m.platform.clone(),
-            });
         }
+        let resolver: Arc<dyn ResolveEnv> = if hedge {
+            Arc::new(Hedged(Arc::clone(&lanes) as _))
+        } else {
+            Arc::clone(&lanes) as _
+        };
         Ok(TenantSession {
             tenant,
-            envs: Arc::new(SessionEnvs { entries, shifted }),
+            lanes,
+            resolver,
             pool,
             chaotic: injector.is_some(),
             injector,
             local_resident: Arc::new(Mutex::new(Vec::new())),
             modules,
+            trace: TraceSink::disabled(),
         })
+    }
+
+    /// Record every later [`TenantSession::run`]'s trace (commands,
+    /// retries, failovers, …) into `sink`.
+    pub fn with_trace(mut self, sink: TraceSink) -> TenantSession {
+        self.trace = sink;
+        self
     }
 
     /// The tenant tag.
     pub fn tenant(&self) -> u64 {
         self.tenant
+    }
+
+    /// The session's private lanes, in the process-wide matrix's order.
+    pub fn lanes(&self) -> &DeviceMatrix {
+        &self.lanes
     }
 
     /// Whether this session runs under fault injection.
@@ -202,10 +158,10 @@ impl TenantSession {
     }
 
     /// Compile (or fetch from the server's module cache) and run `source`
-    /// inside this session: kernel actors
-    /// resolve onto the private lanes, every blocking receive honours
-    /// `deadline`, and (for chaos-free sessions) resident `mov` values
-    /// are registered with the pool's eviction registry.
+    /// inside this session: kernel actors resolve (and fail over) onto
+    /// the private lanes, every blocking receive honours `deadline`, and
+    /// (for chaos-free sessions) resident `mov` values are registered
+    /// with the pool's eviction registry.
     pub fn run(
         &self,
         source: &str,
@@ -222,9 +178,10 @@ impl TenantSession {
         .map_err(|e| ServeError::Failed {
             detail: format!("compile: {e}"),
         })?;
-        let mut vm = VmRuntime::new(module);
+        let mut vm =
+            VmRuntime::with_profile(module, ProfileSink::new().with_trace(self.trace.clone()));
         vm.set_restart_budget(budget);
-        vm.set_env_resolver(Arc::clone(&self.envs) as _);
+        vm.set_env_resolver(Arc::clone(&self.resolver));
         vm.set_deadline(deadline);
         if self.chaotic {
             // Chaotic tenants never feed the shared eviction registry:
@@ -268,7 +225,7 @@ impl TenantSession {
         // below read back on this session's queues, and must not trip
         // leftover scheduled kills on the teardown thread.
         if self.chaotic {
-            for e in &self.envs.entries {
+            for e in self.lanes.entries() {
                 e.queue.attach_faults(FaultInjector::disabled());
                 e.context.attach_faults(FaultInjector::disabled());
             }
@@ -277,7 +234,7 @@ impl TenantSession {
             let _ = h.try_evict();
         }
         self.pool.release_tenant(self.tenant);
-        for e in &self.envs.entries {
+        for e in self.lanes.entries() {
             e.context.set_mem_observer(None);
             e.queue.detach_arbiter();
         }

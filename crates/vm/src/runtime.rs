@@ -33,7 +33,7 @@ use ensemble_actors::{
 };
 use ensemble_lang::vmops::*;
 use ensemble_ocl::{
-    Checkpoint, DeviceSel, DispatchMode, KernelHost, KernelSpec, Launch, MatrixResolver, Profile,
+    Checkpoint, DeviceMatrix, DeviceSel, DispatchMode, KernelHost, KernelSpec, Launch, Profile,
     ProfileSink, RecoveryPolicy, ResolveEnv,
 };
 use oclsim::{CoexecConfig, CommandQueue, DeviceType, DispatchBatch, KillPanic};
@@ -127,9 +127,9 @@ struct Shared {
     /// finishes wiring the topology (otherwise an eager sender could see a
     /// not-yet-connected channel).
     pending: Mutex<Vec<(CompiledActor, Vec<VmVal>)>>,
-    /// How kernel actors resolve device selections to environments. The
-    /// default ([`MatrixResolver`]) is the process-wide device matrix; a
-    /// serving layer substitutes per-tenant private contexts/queues.
+    /// How kernel actors resolve device selections to environments, and
+    /// where their work fails over to. The default is the process-wide
+    /// device matrix; a serving layer substitutes a session's private one.
     env: Mutex<Arc<dyn ResolveEnv>>,
     /// Absolute wall-clock deadline for the whole run: every blocking
     /// receive on the serving path gives up with a [`DEADLINE_MARK`]ed
@@ -203,7 +203,7 @@ impl VmRuntime {
                 profile,
                 output: Mutex::new(Vec::new()),
                 pending: Mutex::new(Vec::new()),
-                env: Mutex::new(Arc::new(MatrixResolver)),
+                env: Mutex::new(DeviceMatrix::shared()),
                 deadline: Mutex::new(None),
                 resident_hook: Mutex::new(None),
                 coexec: Mutex::new(CoexecConfig::from_env()),
@@ -217,7 +217,8 @@ impl VmRuntime {
     /// Substitute the environment resolver kernel actors use (default:
     /// the process-wide device matrix). A multi-tenant serving layer
     /// installs a per-session resolver here so every kernel actor of this
-    /// VM dispatches through that tenant's private contexts and queues.
+    /// VM dispatches — and fails over — within that tenant's private
+    /// contexts and queues.
     pub fn set_env_resolver(&self, resolver: Arc<dyn ResolveEnv>) {
         *self.shared.env.lock() = resolver;
     }
@@ -537,14 +538,7 @@ fn kernel_spec(plan: &KernelPlan, profile: ProfileSink) -> KernelSpec {
         out_segs,
         out_dims,
         profile,
-        // No failover on the `.ens` path: the protocol's failover walks
-        // the process-wide device matrix, and a serving session's private
-        // lanes must never migrate onto it. A permanent device error is a
-        // typed failure of the run.
-        recovery: RecoveryPolicy {
-            failover: false,
-            ..RecoveryPolicy::default()
-        },
+        recovery: RecoveryPolicy::default(),
     }
 }
 
@@ -623,8 +617,8 @@ fn kernel_actor(
     // so a restarted actor re-deriving them is free of the kill's effects.
     let resolver = Arc::clone(&*shared.env.lock());
     let profile = shared.profile.clone();
-    let mut host =
-        KernelHost::open(kernel_spec(plan, profile.clone()), &*resolver).map_err(|e| match e {
+    let mut host = KernelHost::open(kernel_spec(plan, profile.clone()), Arc::clone(&resolver))
+        .map_err(|e| match e {
             oclsim::ClError::BuildFailure { .. } => {
                 VmError::new(format!("kernel build failed: {e}\n{}", plan.source))
             }
@@ -644,7 +638,10 @@ fn kernel_actor(
     // dimension the split proof classifies `Splittable`, the copy path
     // (`mov` chains keep data resident and batch instead), and a second
     // device of the opposite type that actually resolves — anything
-    // missing falls back to plain single-device dispatch.
+    // missing falls back to plain single-device dispatch. All three
+    // decisions below (secondary, chain key, the residency proof's skip)
+    // are about the lane the host opened on: once it has failed over
+    // (`KernelHost::migrated`) they are void, and it dispatches `Single`.
     let coexec_cfg = shared.coexec.lock().clone();
     let split = coexec_cfg
         .policy
@@ -776,7 +773,7 @@ fn kernel_actor(
                     }
                 };
                 let flat = flatten_fields(&field_vals, &plan.data_fields)?;
-                let mode = match &split {
+                let mode = match split.as_ref().filter(|_| !host.migrated()) {
                     Some((kind, dim, secondary)) => DispatchMode::Coexec {
                         secondary,
                         dim: *dim,
@@ -811,8 +808,9 @@ fn kernel_actor(
                 // "different context" rule). When static analysis proved
                 // every consumer of this data type lives on one device
                 // (`residency_proven`), the comparison is skipped
-                // entirely — the proof is the bookkeeping.
-                let cross = if plan.residency_proven {
+                // entirely — the proof is the bookkeeping, up to a failover
+                // it could not foresee.
+                let cross = if plan.residency_proven && !host.migrated() {
                     if trace.is_enabled() && matches!(&*guard, MovState::Device { .. }) {
                         trace.record(
                             TraceEvent::instant(
@@ -845,7 +843,7 @@ fn kernel_actor(
                 let MovState::Device { bufs, .. } = &mut *guard else {
                     unreachable!("uploaded above");
                 };
-                let dispatched = match &chain_key {
+                let dispatched = match chain_key.as_ref().filter(|_| !host.migrated()) {
                     Some((key, role)) => {
                         let mut batches = shared.batches.lock();
                         // A batch closes (recording its BatchFused

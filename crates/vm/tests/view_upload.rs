@@ -7,22 +7,12 @@
 
 use ensemble_lang::vmops::{DataField, ElemKind};
 use ensemble_ocl::{
-    DeviceSel, FlatData, FlatSource, KernelHost, KernelSpec, OpenClEnvironment, ProfileSink,
-    ResolveEnv,
+    DeviceMatrix, DeviceSel, FlatData, FlatSource, KernelHost, KernelSpec, ProfileSink,
 };
 use ensemble_vm::{FlatView, VmArr, VmVal};
 use oclsim::fault::{FaultInjector, FaultOp, FaultPlan, InjectedFault, KillMode};
-use oclsim::{ClResult, CommandQueue, Context, DeviceType, Platform};
+use std::sync::Arc;
 use trace::TraceSink;
-
-/// Resolves every selection onto one private lane.
-struct Lane(OpenClEnvironment);
-
-impl ResolveEnv for Lane {
-    fn resolve(&self, _sel: DeviceSel) -> ClResult<OpenClEnvironment> {
-        Ok(self.0.clone())
-    }
-}
 
 /// Everything an upload leaves behind that a later command, a trace
 /// reader or the fault scoreboard could observe.
@@ -39,9 +29,9 @@ struct Observation {
 }
 
 fn observe(plan: FaultPlan, src: &dyn FlatSource) -> Observation {
-    let device = Platform::default_device(DeviceType::Gpu).expect("simulated device");
-    let context = Context::new(std::slice::from_ref(&device)).expect("private context");
-    let queue = CommandQueue::new(&context, &device).expect("private queue");
+    let lanes = DeviceMatrix::private().expect("private lanes");
+    let gpu = lanes.select(DeviceSel::gpu()).expect("simulated GPU");
+    let (context, queue) = (gpu.context.clone(), gpu.queue.clone());
     let inj = FaultInjector::new(plan);
     queue.attach_faults(inj.clone());
     let sink = TraceSink::new();
@@ -52,13 +42,7 @@ fn observe(plan: FaultPlan, src: &dyn FlatSource) -> Observation {
         DeviceSel::gpu(),
     );
     spec.profile = profile.clone();
-    let lane = Lane(OpenClEnvironment {
-        platform: "private".to_string(),
-        device,
-        context: context.clone(),
-        queue: queue.clone(),
-    });
-    let mut host = KernelHost::open(spec, &lane).expect("kernel builds");
+    let mut host = KernelHost::open(spec, Arc::new(lanes)).expect("kernel builds");
     let uploaded = host.upload(src);
     let allocated = context.allocated_bytes();
     Observation {

@@ -48,6 +48,16 @@ fn device_lost_mid_pipeline_fails_over_to_cpu() {
     assert!(o.injected >= 1, "{}", o.render());
 }
 
+/// The `.ens` twin on the serving path: a lost GPU lane in a session fails
+/// over to the session's own CPU lane and prints the fault-free output.
+#[test]
+fn device_lost_in_a_session_fails_over_inside_it() {
+    let o = chaos::run_session_failover_chaos(16).unwrap();
+    assert_eq!(o.app, "matmul.ens/failover");
+    assert!(o.matches_reference, "{}", o.render());
+    assert_eq!((o.injected, o.failovers), (1, 1), "{}", o.render());
+}
+
 /// An empty `FaultPlan` is inert at the byte level: the same command
 /// sequence on a pinned-clock queue produces an identical Chrome trace
 /// with and without the (empty) injector attached.
@@ -290,7 +300,6 @@ proptest! {
             max_retries,
             backoff_ns,
             backoff_factor: factor,
-            failover: false,
         };
         let profile = ProfileSink::new();
         let mut stamps = Vec::new();

@@ -9,15 +9,16 @@
 //! the process-wide matrix, so each test that drives it uses a matrix
 //! device no other test in this file touches.
 
+use bench::{apps_ens, chaos};
 use ensemble_actors::{buffered_channel, In, Out, Stage};
 use ensemble_lang::vmops::ActorCode;
 use ensemble_ocl::{
-    device_matrix, DeviceSel, KernelActor, KernelSpec, OpenClEnvironment, ProfileSink,
-    RecoveryPolicy, ResolveEnv, Settings,
+    device_matrix, DeviceMatrix, DeviceSel, KernelActor, KernelSpec, OpenClEnvironment,
+    ProfileSink, RecoveryPolicy, ResolveEnv, Settings,
 };
 use ensemble_vm::{ErrorClass, VmError, VmRuntime};
 use oclsim::fault::{FaultInjector, FaultOp, FaultPlan, InjectedFault};
-use oclsim::{ClResult, CommandQueue, Context, DeviceType, Platform};
+use oclsim::{ClResult, CoexecConfig, CommandQueue, Context, DeviceType, Platform, PolicyKind};
 use std::sync::Arc;
 use trace::{SpanKind, TraceEvent, TraceSink};
 
@@ -138,7 +139,7 @@ struct Observed {
 
 impl Observed {
     fn count(&self, kind: SpanKind) -> usize {
-        self.events.iter().filter(|e| e.kind == kind).count()
+        count(&self.events, kind)
     }
 
     /// The protocol's footprint on the device track: the `invokenative`
@@ -332,8 +333,98 @@ fn a_lost_device_fails_an_ens_run_without_failing_over() {
     assert!(err.message.contains("actor `Scale`"), "{err}");
     assert!(err.message.contains("lost"), "{err}");
     // The private lane shares its device id with the process-wide
-    // matrix's GPU entry: a policy that allowed failover would have
-    // migrated this session's work onto the shared CPU lane.
+    // matrix's GPU entry, but failover asks the lane's own resolver, and
+    // nothing follows its one lane: the cause is reported, not a lookup
+    // miss, and the work never reaches the shared CPU lane.
     assert_eq!(seen.count(SpanKind::Failover), 0);
     assert_eq!(seen.count(SpanKind::Kernel), 0);
+}
+
+fn count(events: &[TraceEvent], kind: SpanKind) -> usize {
+    events.iter().filter(|e| e.kind == kind).count()
+}
+
+#[test]
+fn a_lost_device_in_a_session_fails_over_to_the_sessions_own_cpu_lane() {
+    // The process-wide CPU lane must not move: keep chaos runs, which
+    // fail over onto it, out while this one is in flight.
+    let _serial = chaos::serialise();
+    let src = apps_ens::matmul(16, "GPU");
+    let (clean, ..) = chaos::session_gpu_run(&src, &FaultInjector::disabled()).unwrap();
+    let shared_cpu = device_matrix().select(DeviceSel::cpu()).unwrap();
+    let before = (
+        shared_cpu.queue.now_ns().to_bits(),
+        shared_cpu.context.allocated_bytes(),
+    );
+    let inj =
+        FaultInjector::new(FaultPlan::new().fail(FaultOp::Enqueue, 0, InjectedFault::DeviceLost));
+    let (output, events, session) = chaos::session_gpu_run(&src, &inj).unwrap();
+    assert_eq!(inj.injected_count(), 1);
+    assert_eq!(output, clean);
+    assert_eq!(count(&events, SpanKind::Failover), 1);
+    assert_eq!(
+        (
+            shared_cpu.queue.now_ns().to_bits(),
+            shared_cpu.context.allocated_bytes()
+        ),
+        before,
+        "the work left the session"
+    );
+    let own_cpu = session.lanes().select(DeviceSel::cpu()).unwrap();
+    assert!(
+        own_cpu.queue.now_ns() > 0.0,
+        "the session's CPU lane ran it"
+    );
+}
+
+#[test]
+fn a_failover_mid_mov_ring_never_hands_a_kernel_a_foreign_buffer() {
+    // LUD's Diag → Col → Sub ring keeps one value resident; its residency
+    // proof lets each actor skip the cross-context check. Five transients
+    // on one mid-ring dispatch outlast the four retries: that actor fails
+    // over to the CPU lane while the GPU stays healthy for the others, so
+    // the value crosses contexts twice per step from then on.
+    let module = Arc::new(
+        ensemble_analysis::compile_source(
+            &apps_ens::lud(16, "GPU"),
+            &ensemble_analysis::Options::default(),
+        )
+        .unwrap(),
+    );
+    let batched = CoexecConfig {
+        policy: Some(PolicyKind::Static),
+        batch: true,
+        min_items: 1,
+        ..CoexecConfig::default()
+    };
+    let run = |cfg: &CoexecConfig, plan: FaultPlan| {
+        let lanes = DeviceMatrix::private().unwrap();
+        let gpu = lanes.select(DeviceSel::gpu()).unwrap();
+        let inj = FaultInjector::new(plan);
+        gpu.queue.attach_faults(inj.clone());
+        gpu.context.attach_faults(inj);
+        let sink = TraceSink::new();
+        let vm = VmRuntime::with_profile(
+            Arc::clone(&module),
+            ProfileSink::new().with_trace(sink.clone()),
+        );
+        vm.set_coexec(cfg.clone());
+        vm.set_env_resolver(Arc::new(lanes));
+        (vm.run().map(|r| r.output), sink.events())
+    };
+    let transients = (20..25).fold(FaultPlan::new(), |plan, draw| {
+        plan.fail(FaultOp::Enqueue, draw, InjectedFault::Transient)
+    });
+    for cfg in [CoexecConfig::default(), batched] {
+        let (clean, _) = run(&cfg, FaultPlan::new());
+        let (output, events) = run(&cfg, transients.clone());
+        assert_eq!(output.unwrap(), clean.unwrap(), "{cfg:?}");
+        assert_eq!(count(&events, SpanKind::Failover), 1, "{cfg:?}");
+        assert_eq!(count(&events, SpanKind::Retry), 4, "{cfg:?}");
+        let foreign = events
+            .iter()
+            .flat_map(|e| &e.args)
+            .any(|(_, v)| v.contains("invalid context"));
+        assert!(!foreign, "{cfg:?}");
+    }
 }
