@@ -10,15 +10,17 @@
 //! * the `__local` regions: their sizes, and zeroing them between groups;
 //! * the window of groups that runs (the whole range, or a co-execution
 //!   slice of it) and the [`NdStats`] it yields;
-//! * the lockstep sweep for kernels with barriers: run every live item to
-//!   its next barrier or to completion, trap when only some reached the
-//!   barrier, repeat.
+//! * the barrier sweep for kernels with barriers: run every item of the
+//!   group to its next barrier or to completion (one phase), trap when
+//!   only some reached the barrier, repeat.
 //!
 //! An engine supplies a `GroupEngine`: its work-item arena with reset,
-//! "step this item to its next barrier or to completion", and its
-//! barrier-free group body (the scalar loop unless it has a better one;
-//! the native engine runs strips). The driver is generic over it, so each
-//! engine's hot loop is monomorphised on its own types.
+//! "step this item to its next barrier or to completion", its barrier-free
+//! group body (the scalar loop unless it has a better one) and its phase
+//! body for one row of a group with barriers (each item stepped in turn
+//! unless it has a better one). The native engine has both: strips, and
+//! strips over the regions between barriers. The driver is generic over
+//! it, so each engine's hot loop is monomorphised on its own types.
 
 use super::ast::{Space, Type};
 use super::bytecode::{Builtin, CompiledUnit, KernelInfo};
@@ -271,6 +273,7 @@ impl Geometry {
 }
 
 /// Why a work-item stopped.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub(super) enum Stop {
     /// It ran to completion.
     Done,
@@ -322,6 +325,19 @@ pub(super) trait GroupEngine {
         }
         Ok(ops)
     }
+
+    /// Run one phase of `lanes`, consecutive items of one dim-0 row of
+    /// the current group that all stand at the kernel entry or at a
+    /// barrier: each to its next barrier or to completion, recording why
+    /// in `stops`. A trap ends the phase; the first in item order is the
+    /// one returned. By default each item steps in turn; the native engine
+    /// runs strips where the region is race-free.
+    fn run_phase(&mut self, lanes: &mut [Self::Item], stops: &mut [Stop]) -> Result<(), Trap> {
+        for (item, stop) in lanes.iter_mut().zip(stops) {
+            *stop = self.step(item)?;
+        }
+        Ok(())
+    }
 }
 
 /// Run `window`'s groups of one dispatch and return each group's op count,
@@ -340,7 +356,7 @@ pub(super) fn drive<E: GroupEngine>(
         lanes
     };
     let mut items: Vec<E::Item> = (0..arenas).map(|_| eng.arena()).collect();
-    let mut done = vec![false; if has_barrier { arenas } else { 0 }];
+    let mut stops = vec![Stop::Done; if has_barrier { arenas } else { 0 }];
     let mut group_ops = Vec::new();
     for gz in window[2].clone() {
         for gy in window[1].clone() {
@@ -354,7 +370,7 @@ pub(super) fn drive<E: GroupEngine>(
                     }
                 }
                 group_ops.push(if has_barrier {
-                    lockstep(eng, &mut items, &mut done)?
+                    barrier_group(eng, &mut items, &mut stops)?
                 } else {
                     eng.run_free_group(&mut items)?
                 });
@@ -364,49 +380,40 @@ pub(super) fn drive<E: GroupEngine>(
     Ok(group_ops)
 }
 
-/// One group of a kernel with barriers: run every live item to its next
-/// barrier or to completion, trap if only some of them reached the
-/// barrier (OpenCL leaves that undefined), repeat.
-fn lockstep<E: GroupEngine>(
+/// One group of a kernel with barriers, one arena and one `stops` entry
+/// per item: run a phase over every row, repeat while every item stopped
+/// at a barrier. After a phase either every item waits at a barrier,
+/// every item finished, or some of each — OpenCL leaves that undefined,
+/// and it traps at the first item at a barrier.
+fn barrier_group<E: GroupEngine>(
     eng: &mut E,
     items: &mut [E::Item],
-    done: &mut [bool],
+    stops: &mut [Stop],
 ) -> Result<u64, Trap> {
     for (item, lid) in items.iter_mut().zip(eng.geometry().lids()) {
         eng.reset(item, lid);
     }
-    done.fill(false);
+    let row = eng.geometry().local_size[0].max(1);
     loop {
-        let mut at_barrier = 0usize;
-        let mut running = 0usize;
-        for (item, done) in items.iter_mut().zip(done.iter_mut()) {
-            if *done {
-                continue;
-            }
-            running += 1;
-            match eng.step(item)? {
-                Stop::Done => *done = true,
-                Stop::Barrier => at_barrier += 1,
-            }
+        for (lanes, stops) in items.chunks_mut(row).zip(stops.chunks_mut(row)) {
+            eng.run_phase(lanes, stops)?;
         }
-        if running == 0 {
-            break;
+        let at_barrier = stops.iter().filter(|&&stop| stop == Stop::Barrier).count();
+        if at_barrier == 0 {
+            return Ok(items.iter().map(E::ops).sum());
         }
-        if at_barrier != 0 && at_barrier != running {
-            let culprit = items
-                .iter()
-                .zip(done.iter())
-                .find(|(_, &done)| !done)
-                .map_or([0; 3], |(item, _)| E::gid(item));
+        if at_barrier != items.len() {
+            let first = stops.iter().position(|&stop| stop == Stop::Barrier);
+            let first = first.expect("some item stopped at a barrier");
             return Err(Trap {
                 message: format!(
-                    "divergent barrier: {at_barrier} of {running} running items reached barrier"
+                    "divergent barrier: {at_barrier} of {} running items reached barrier",
+                    items.len()
                 ),
-                global_id: culprit,
+                global_id: E::gid(&items[first]),
             });
         }
     }
-    Ok(items.iter().map(E::ops).sum())
 }
 
 #[cfg(test)]

@@ -44,9 +44,10 @@
 //!   through a few reused `NItem` arenas (pocl's work-group function
 //!   transformation, specialised to the no-barrier case): per-item set-up
 //!   is one `memcpy` of the locals/stack region and a `fill(0)` of private
-//!   memory. Kernels with barriers run the shared driver's lockstep sweep
-//!   ([`super::driver`]) over one `NItem` per item of the group, resuming
-//!   each at its saved instruction pointer.
+//!   memory. Kernels with barriers keep one `NItem` per item of the group
+//!   — pocl's context arrays — and run the group phase by phase: every
+//!   item from its saved instruction pointer to its next barrier or to
+//!   completion (see *Regions* below).
 //! * **Strip mode.** On an eligible barrier-free dispatch, up to `STRIP`
 //!   (16) consecutive dim-0 work-items of a group — fewer when
 //!   `local_size[0]` is smaller or leaves a remainder — advance together:
@@ -57,7 +58,11 @@
 //!   items, and the lanes' independent dependency chains overlap. Every
 //!   handler's strip twin is the one generic wrapper `strip`
 //!   monomorphised on it (the `hp!` macro pairs them where the lowering
-//!   picks a handler); there is no second handler set.
+//!   picks a handler); there is no second handler set. A handler that goes
+//!   through one memory site has its body written over a `Mem` accessor
+//!   (`hp_mem!`): its strip twin fetches the `Site`, tests its kind and
+//!   resolves the buffer or local region to its bytes once per strip, not
+//!   once per lane.
 //!
 //!   *Unzip.* The first lane that returns a different successor, or traps
 //!   (bounds, division by zero, op budget), stops the strip: the lanes
@@ -70,10 +75,19 @@
 //!   — down to single lanes on the scalar loop, and each part runs to
 //!   completion before the next starts.
 //!
+//!   *Op budget.* The lanes of a strip retire the same instructions, so a
+//!   loop they share costs `STRIP` times its scalar op count. The strip's
+//!   first lane may spend `MAX_ITEM_OPS / STRIP` in it; past that it
+//!   leaves for the scalar loop and the rest go on as a strip. A runaway
+//!   loop then traps, with the scalar path's message and global id, after
+//!   about twice the scalar path's ops instead of `STRIP` times; a loop
+//!   that ends under the budget still completes.
+//!
 //!   *Eligibility.* The engine alone decides, with no option to set.
-//!   Statically (`compile_native`): no barrier, no `__local` region, no
-//!   dynamic-pointer load/store, and no store to non-private memory on a
-//!   control-flow cycle. Per dispatch (one pass over the resolved sites):
+//!   Barrier-free kernels, statically (`compile_native`): no `__local`
+//!   region, no dynamic-pointer load/store, and no store to non-private
+//!   memory on a control-flow cycle. Per dispatch (one pass over the
+//!   resolved sites):
 //!   no buffer slot is both loaded and stored, and each stored slot is
 //!   reached through exactly one store instruction. Anything else —
 //!   an in-place kernel, aliased arguments — stays on the scalar path,
@@ -129,6 +143,25 @@
 //!   over a copy of the buffers, and bytes, `group_ops` and trap must
 //!   agree (`run_window`; release builds pay nothing).
 //!
+//!   *Regions.* A kernel with barriers runs phase by phase. A *region* is
+//!   the code reachable from the kernel entry or from the instruction
+//!   after a barrier without passing a barrier; a phase runs every item
+//!   of the group through one region. The phase's items run in strips
+//!   along dim-0 rows where `regions` proves the region **race-free** —
+//!   no two items of the group touch one local or global element with a
+//!   store among the accesses — for this binding and group shape, and the
+//!   strip's lanes resume together at that region's entry holding the
+//!   entry values its analysis took as uniform. Then no interleaving of
+//!   the items can be told apart from the sweep (the same three points as
+//!   above, with race-freedom in place of the slot rule). Every other
+//!   phase runs one lane wide, item by item in item order. The phase loop
+//!   and its divergent-barrier trap are the driver's barrier sweep; this
+//!   engine supplies only the per-row phase body (`run_phase`).
+//!   Debug builds re-run every dispatch that stripped a region, scalar,
+//!   over a copy of the buffers, as for the attribute. A barrier kernel
+//!   reports no `scalar_why`; `strip_items` counts the items that started
+//!   a phase in a strip, once per phase.
+//!
 //! The engine is observationally identical to the stack and register
 //! engines: byte-identical buffers, identical `group_ops` (the `Ops`
 //! block-entry charges are kept as-is, fused but never re-associated,
@@ -140,11 +173,15 @@
 
 use super::ast::{Space, Type};
 use super::bytecode::{Builtin, Cmp, ElemTy, KernelInfo};
-use super::driver::{drive, register_template, stray_barrier, Geometry, GroupEngine, Stop};
+use super::driver::{
+    drive, register_template, stray_barrier, Geometry, GroupEngine, Stop,
+};
 use super::interp::{checked_offset, oob, MemPool, PtrV, RtArg, Trap, MAX_ITEM_OPS};
 use super::regir::{read_reg, write_reg, RFunc, ROp, RVal, RegProgram};
 use std::collections::HashMap;
 use std::ops::Range;
+
+mod regions;
 
 // ---------------------------------------------------------------------------
 // Instruction format
@@ -231,8 +268,9 @@ enum SiteKind {
 }
 
 /// Per-work-item half of the execution state: what differs between the
-/// items of a group. The lockstep path keeps one per item of the group,
-/// strip mode one per lane, the scalar path reuses a single one.
+/// items of a group. A kernel with barriers keeps one per item of the
+/// group, a barrier-free strip one per lane, the scalar path reuses a
+/// single one.
 pub(super) struct NItem {
     regs: Vec<RVal>,
     priv_mem: Vec<u8>,
@@ -241,7 +279,20 @@ pub(super) struct NItem {
     gid: [usize; 3],
     lid: [usize; 3],
     ops: u64,
+    /// How the item last stopped: [`IP_DONE`] or [`IP_BARRIER`].
+    halt: u32,
     trap: Option<Trap>,
+}
+
+impl NItem {
+    /// Why the item last stopped.
+    fn stop(&self) -> Stop {
+        if self.halt == IP_DONE {
+            Stop::Done
+        } else {
+            Stop::Barrier
+        }
+    }
 }
 
 /// Dispatch-wide half of the execution state, built once per ND-range;
@@ -298,6 +349,9 @@ pub struct NativeProgram {
     /// Static half of the strip-mode eligibility rule: why a barrier-free
     /// dispatch of this kernel can never run in strips, if it cannot.
     strip_reject: Option<StripReject>,
+    /// A barrier kernel's regions, by entry instruction, with what their
+    /// race analysis found (empty for a barrier-free kernel).
+    regions: Vec<(u32, regions::Region)>,
 }
 
 /// How the code uses one memory site.
@@ -343,7 +397,8 @@ impl std::fmt::Display for StripReject {
 /// Strip-mode tallies of a dispatch (all zero on the other engines).
 #[derive(Debug, Clone, Default)]
 pub struct StripStats {
-    /// Work-items that started in a strip of two or more lanes.
+    /// Work-items that started in a strip of two or more lanes; a kernel
+    /// with barriers counts an item once per phase it starts in one.
     pub items: u64,
     /// Times the lanes of a strip stopped agreeing and it split.
     pub unzips: u64,
@@ -386,7 +441,7 @@ impl NativeProgram {
 
 // SAFETY argument for the unchecked register accesses in the handlers:
 // `compile_native` checks every register field of every emitted instruction
-// against `total_regs`, and every dispatch path (scalar, lockstep, strip)
+// against `total_regs`, and every dispatch path (scalar, barrier phase, strip)
 // hands each handler items whose `regs` hold exactly `total_regs` elements.
 // Instruction fetch is unchecked too: every jump target is checked against
 // the code length at lowering time, and a fall-through `ip + 1` successor
@@ -692,27 +747,76 @@ fn exec(code: &[NInstr], mut ip: u32, st: &mut NItem, cx: &mut NCtx) -> u32 {
     }
 }
 
+/// The op count a strip's first lane may spend in it before it leaves
+/// the strip for the scalar path. The lanes of a strip retire the same
+/// instructions, so a loop they share runs `STRIP` times its count per
+/// budget unit; leaving early makes a runaway loop trap after about twice
+/// the scalar path's ops instead of `STRIP` times.
+const STRIP_SHARE: u64 = MAX_ITEM_OPS / STRIP as u64;
+
 /// The strip dispatch loop: one indirect call advances every lane. Ends
-/// with `IP_DONE` (every lane finished together) or `IP_UNZIP` (`cx.unzip`
-/// says where and how).
+/// with `IP_DONE` / `IP_BARRIER` (every lane finished, or reached a
+/// barrier, together) or `IP_UNZIP` (`cx.unzip` says where and how) — also
+/// when the first lane has spent [`STRIP_SHARE`]: it then goes on alone,
+/// and the rest as a strip, from the instruction all of them reached.
 #[inline(always)]
 fn exec_strip(code: &[NInstr], mut ip: u32, lanes: &mut [NItem], cx: &mut NCtx) -> u32 {
+    let share_end = lanes[0].ops.saturating_add(STRIP_SHARE);
     loop {
         let i = instr_at(code, ip);
         let next = (i.sf)(lanes, cx, i, ip);
         if next >= IP_HALT_MIN {
             return next;
         }
+        if lanes[0].ops > share_end {
+            cx.unzip = Unzip {
+                at: next,
+                lane: 0,
+                below_ip: next,
+                lane_next: next,
+            };
+            return IP_UNZIP;
+        }
         ip = next;
     }
 }
 
-/// The one strip wrapper: apply scalar handler `f` to each lane in item
-/// order for as long as the lanes agree on the successor. The first lane
-/// that traps or disagrees stops the strip (see [`Unzip`]); the lanes
-/// above it are left untouched at `ip`. Handlers are `#[inline(always)]`
-/// so that their body, not a call to it, sits in this lane loop (measured:
-/// a called body gives back most of the gain).
+/// The one lane loop: run `f` on each lane in item order for as long as
+/// the lanes agree on the successor. The first lane that traps or
+/// disagrees stops the strip, and the loop says where and how (see
+/// [`Unzip`]); the lanes above it are left untouched at `ip`. Handlers are
+/// `#[inline(always)]` so that their body, not a call to it, sits in this
+/// loop (measured: a called body gives back most of the gain).
+#[inline(always)]
+fn lanes_agree(mut f: impl FnMut(&mut NItem) -> u32, lanes: &mut [NItem], ip: u32) -> Result<u32, Unzip> {
+    let mut below_ip = 0;
+    for (lane, st) in lanes.iter_mut().enumerate() {
+        let next = f(st);
+        if lane == 0 {
+            below_ip = next;
+        }
+        if next != below_ip || next == IP_TRAP {
+            return Err(Unzip {
+                at: ip,
+                lane,
+                below_ip,
+                lane_next: next,
+            });
+        }
+    }
+    Ok(below_ip)
+}
+
+/// The successor the lanes agreed on, or [`IP_UNZIP`] with the record.
+#[inline(always)]
+fn settle(agreed: Result<u32, Unzip>, record: &mut Unzip) -> u32 {
+    agreed.unwrap_or_else(|stop| {
+        *record = stop;
+        IP_UNZIP
+    })
+}
+
+/// The strip twin of scalar handler `f`.
 #[inline(always)]
 fn strip(
     f: impl Fn(&mut NItem, &mut NCtx, &NInstr, u32) -> u32,
@@ -721,23 +825,8 @@ fn strip(
     i: &NInstr,
     ip: u32,
 ) -> u32 {
-    let mut below_ip = 0;
-    for (lane, st) in lanes.iter_mut().enumerate() {
-        let next = f(st, cx, i, ip);
-        if lane == 0 {
-            below_ip = next;
-        }
-        if next != below_ip || next == IP_TRAP {
-            cx.unzip = Unzip {
-                at: ip,
-                lane,
-                below_ip,
-                lane_next: next,
-            };
-            return IP_UNZIP;
-        }
-    }
-    below_ip
+    let agreed = lanes_agree(|st| f(st, cx, i, ip), lanes, ip);
+    settle(agreed, &mut cx.unzip)
 }
 
 /// Pair scalar handler `$h` with its strip twin: [`strip`] monomorphised
@@ -747,6 +836,116 @@ macro_rules! hp {
     ($h:expr) => {{
         let sf: SH = |lanes, cx, i, ip| strip($h, lanes, cx, i, ip);
         ($h as H, sf)
+    }};
+}
+
+/// Where the one site of a memory handler lands. The handler body is
+/// written once over this; [`hp_mem!`] instantiates it twice.
+trait Mem {
+    fn load(&mut self, st: &mut NItem, idx: i64, ty: ElemTy) -> Result<RVal, u32>;
+    fn store(&mut self, st: &mut NItem, idx: i64, ty: ElemTy, v: RVal) -> Result<(), u32>;
+}
+
+/// The scalar path: fetch the site, test its kind and find its bytes at
+/// every access.
+struct AtSite<'c, 'a> {
+    cx: &'c mut NCtx<'a>,
+    site: usize,
+}
+
+impl Mem for AtSite<'_, '_> {
+    #[inline(always)]
+    fn load(&mut self, st: &mut NItem, idx: i64, ty: ElemTy) -> Result<RVal, u32> {
+        load_site(st, self.cx, self.site, idx, ty)
+    }
+
+    #[inline(always)]
+    fn store(&mut self, st: &mut NItem, idx: i64, ty: ElemTy, v: RVal) -> Result<(), u32> {
+        store_site(st, self.cx, self.site, idx, ty, v)
+    }
+}
+
+/// A strip's site in a buffer or a local region, fetched, tested and
+/// resolved to its bytes once for all lanes. Trap order as in
+/// [`load_site`] / [`store_site`] (the unknown-slot case cannot arise).
+struct Shared<'b> {
+    base: u32,
+    ro: bool,
+    bytes: &'b mut [u8],
+}
+
+impl Mem for Shared<'_> {
+    #[inline(always)]
+    fn load(&mut self, st: &mut NItem, idx: i64, ty: ElemTy) -> Result<RVal, u32> {
+        let size = ty.byte_size();
+        let byte = site_offset(st, self.base, idx, size)?;
+        match read_reg(self.bytes, byte, ty) {
+            Some(v) => Ok(v),
+            None => Err(trap_oob(st, byte, size, self.bytes.len())),
+        }
+    }
+
+    #[inline(always)]
+    fn store(&mut self, st: &mut NItem, idx: i64, ty: ElemTy, v: RVal) -> Result<(), u32> {
+        let size = ty.byte_size();
+        let byte = site_offset(st, self.base, idx, size)?;
+        if self.ro {
+            return Err(trap(
+                st,
+                "write through const/__constant pointer".to_string(),
+            ));
+        }
+        let len = self.bytes.len();
+        match write_reg(self.bytes, byte, ty, v) {
+            Some(()) => Ok(()),
+            None => Err(trap_oob(st, byte, size, len)),
+        }
+    }
+}
+
+/// [`hp!`] for a handler that goes through one memory site (`imm`): its
+/// strip twin fetches the [`Site`], tests its kind and resolves the
+/// buffer or local region once per strip instead of once per lane, and
+/// falls back to the per-lane path for private memory and unknown slots.
+macro_rules! hp_mem {
+    ($h:ident $(, $c:expr)?) => {{
+        let f: H = |st, cx, i, ip| {
+            let mut m = AtSite {
+                cx,
+                site: i.imm as usize,
+            };
+            $h::<$($c,)? _>(st, &mut m, i, ip)
+        };
+        let sf: SH = |lanes, cx, i, ip| {
+            let s = *site_at(cx.sites, i.imm as usize);
+            let NCtx {
+                bufs,
+                local_regions,
+                unzip,
+                ..
+            } = cx;
+            let bytes: &mut [u8] = match s.kind {
+                SiteKind::Global => &mut bufs[s.slot as usize],
+                SiteKind::Local => &mut local_regions[s.slot as usize],
+                _ => {
+                    let at_site = |st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip| {
+                        let mut m = AtSite {
+                            cx,
+                            site: i.imm as usize,
+                        };
+                        $h::<$($c,)? _>(st, &mut m, i, ip)
+                    };
+                    return strip(at_site, lanes, cx, i, ip);
+                }
+            };
+            let mut m = Shared {
+                base: s.base,
+                ro: s.ro,
+                bytes,
+            };
+            settle(lanes_agree(|st| $h::<$($c,)? _>(st, &mut m, i, ip), lanes, ip), unzip)
+        };
+        (f, sf)
     }};
 }
 
@@ -860,6 +1059,17 @@ fn h_divi(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
         return trap(st, "integer division by zero".to_string());
     }
     sw!(st, i.a, RVal::from_i(x.wrapping_div(y)));
+    ip + 1
+}
+
+/// Integer division by a constant power of two, `2^g` with `g ≥ 1`: a
+/// shift with the rounding-toward-zero bias, exactly `wrapping_div`.
+#[inline(always)]
+fn h_divi_p2(st: &mut NItem, _cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
+    chgt!(st, i);
+    let x = rg!(st, i.b).i();
+    let bias = ((x >> 63) as u64 >> (64 - i.g as u32)) as i64;
+    sw!(st, i.a, RVal::from_i((x + bias) >> i.g));
     ip + 1
 }
 
@@ -1189,10 +1399,10 @@ fn cmpf_h(c: Cmp) -> HP {
 /// Sited load, element type selected at monomorphisation time
 /// (0=I32 1=I64 2=F32 3=F4). `a`=dst, `b`=idx, `imm`=site.
 #[inline(always)]
-fn h_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
+fn h_ld_c<const T: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let idx = rg!(st, i.b).i();
-    match load_site(st, cx, i.imm as usize, idx, ty_of::<T>()) {
+    match m.load(st, idx, ty_of::<T>()) {
         Ok(v) => {
             sw!(st, i.a, v);
             ip + 1
@@ -1203,10 +1413,10 @@ fn h_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u3
 
 /// Sited store. `b`=idx, `c`=val, `imm`=site.
 #[inline(always)]
-fn h_st_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
+fn h_st_c<const T: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let (idx, v) = (rg!(st, i.b).i(), rg!(st, i.c));
-    match store_site(st, cx, i.imm as usize, idx, ty_of::<T>(), v) {
+    match m.store(st, idx, ty_of::<T>(), v) {
         Ok(()) => ip + 1,
         Err(h) => h,
     }
@@ -1232,19 +1442,19 @@ const fn ty_code(ty: ElemTy) -> u8 {
 
 fn ld_h(ty: ElemTy) -> HP {
     match ty_code(ty) {
-        0 => hp!(h_ld_c::<0>),
-        1 => hp!(h_ld_c::<1>),
-        2 => hp!(h_ld_c::<2>),
-        _ => hp!(h_ld_c::<3>),
+        0 => hp_mem!(h_ld_c, 0),
+        1 => hp_mem!(h_ld_c, 1),
+        2 => hp_mem!(h_ld_c, 2),
+        _ => hp_mem!(h_ld_c, 3),
     }
 }
 
 fn st_h(ty: ElemTy) -> HP {
     match ty_code(ty) {
-        0 => hp!(h_st_c::<0>),
-        1 => hp!(h_st_c::<1>),
-        2 => hp!(h_st_c::<2>),
-        _ => hp!(h_st_c::<3>),
+        0 => hp_mem!(h_st_c, 0),
+        1 => hp_mem!(h_st_c, 1),
+        2 => hp_mem!(h_st_c, 2),
+        _ => hp_mem!(h_st_c, 3),
     }
 }
 
@@ -1433,7 +1643,7 @@ fn h_ld_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) ->
 
 /// Integer add + sited load: `a = b + c; d = [site][e]`.
 #[inline(always)]
-fn h_addi_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
+fn h_addi_ld_c<const T: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(
         st,
@@ -1441,7 +1651,7 @@ fn h_addi_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) 
         RVal::from_i(rg!(st, i.b).i().wrapping_add(rg!(st, i.c).i()))
     );
     let idx = rg!(st, i.e).i();
-    match load_site(st, cx, i.imm as usize, idx, ty_of::<T>()) {
+    match m.load(st, idx, ty_of::<T>()) {
         Ok(v) => {
             sw!(st, i.d, v);
             ip + 1
@@ -1453,7 +1663,7 @@ fn h_addi_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) 
 /// Integer multiply-add + sited load: `a = b * c + d; e = [site][g]`
 /// (the matmul row/column address-compute + fetch pair).
 #[inline(always)]
-fn h_madi_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
+fn h_madi_ld_c<const T: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(
         st,
@@ -1466,7 +1676,7 @@ fn h_madi_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) 
         )
     );
     let idx = rg!(st, i.g).i();
-    match load_site(st, cx, i.imm as usize, idx, ty_of::<T>()) {
+    match m.load(st, idx, ty_of::<T>()) {
         Ok(v) => {
             sw!(st, i.e, v);
             ip + 1
@@ -1478,10 +1688,10 @@ fn h_madi_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) 
 /// Sited store + integer add: `[site][b] = c; a = d + e`
 /// (store result, bump the index).
 #[inline(always)]
-fn h_st_addi_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
+fn h_st_addi_c<const T: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let (idx, v) = (rg!(st, i.b).i(), rg!(st, i.c));
-    if let Err(h) = store_site(st, cx, i.imm as usize, idx, ty_of::<T>(), v) {
+    if let Err(h) = m.store(st, idx, ty_of::<T>(), v) {
         return h;
     }
     sw!(
@@ -1495,10 +1705,10 @@ fn h_st_addi_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) 
 /// Sited float load + multiply-add `c + a * b`:
 /// `a = [site][b]; c = d + e * g` (the inner-product hot pair).
 #[inline(always)]
-fn h_ld_madrf(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
+fn h_ld_madrf<M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let idx = rg!(st, i.b).i();
-    match load_site(st, cx, i.imm as usize, idx, ElemTy::F32) {
+    match m.load(st, idx, ElemTy::F32) {
         Ok(v) => sw!(st, i.a, v),
         Err(h) => return h,
     }
@@ -1512,10 +1722,10 @@ fn h_ld_madrf(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
 
 /// Sited float load + multiply-add `a * b + c`.
 #[inline(always)]
-fn h_ld_mad(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
+fn h_ld_mad<M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let idx = rg!(st, i.b).i();
-    match load_site(st, cx, i.imm as usize, idx, ElemTy::F32) {
+    match m.load(st, idx, ElemTy::F32) {
         Ok(v) => sw!(st, i.a, v),
         Err(h) => return h,
     }
@@ -1530,10 +1740,10 @@ fn h_ld_mad(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
 /// Sited float load + float binary op (selected by `B`: 0=add 1=sub
 /// 2=mul): `a = [site][b]; c = d op e`.
 #[inline(always)]
-fn h_ld_fbin_c<const B: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
+fn h_ld_fbin_c<const B: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let idx = rg!(st, i.b).i();
-    match load_site(st, cx, i.imm as usize, idx, ElemTy::F32) {
+    match m.load(st, idx, ElemTy::F32) {
         Ok(v) => sw!(st, i.a, v),
         Err(h) => return h,
     }
@@ -2118,7 +2328,15 @@ impl Lower<'_> {
                 AddI { dst, a, b } => bin3(hp!(h_addi), dst, a, b),
                 SubI { dst, a, b } => bin3(hp!(h_subi), dst, a, b),
                 MulI { dst, a, b } => bin3(hp!(h_muli), dst, a, b),
-                DivI { dst, a, b } => bin3(hp!(h_divi), dst, a, b),
+                DivI { dst, a, b } => match self.known[b as usize].map(|v| v.i()) {
+                    Some(c) if c > 1 && c.count_ones() == 1 => NInstr {
+                        a: dst,
+                        b: a,
+                        g: c.trailing_zeros() as u16,
+                        ..ni(hp!(h_divi_p2))
+                    },
+                    _ => bin3(hp!(h_divi), dst, a, b),
+                },
                 RemI { dst, a, b } => bin3(hp!(h_remi), dst, a, b),
                 Shl { dst, a, b } => bin3(hp!(h_shl), dst, a, b),
                 Shr { dst, a, b } => bin3(hp!(h_shr), dst, a, b),
@@ -2365,9 +2583,9 @@ impl Lower<'_> {
                 {
                     let site = site_for(*ptr, &mut self.sites, &mut self.specs);
                     let f: HP = if *ty == ElemTy::F32 {
-                        hp!(h_addi_ld_c::<2>)
+                        hp_mem!(h_addi_ld_c, 2)
                     } else {
-                        hp!(h_addi_ld_c::<0>)
+                        hp_mem!(h_addi_ld_c, 0)
                     };
                     return Some(NInstr {
                         a: *dst,
@@ -2399,9 +2617,9 @@ impl Lower<'_> {
             if matches!(ty, ElemTy::F32 | ElemTy::I32) && self.stable(*ptr) {
                 let site = site_for(*ptr, &mut self.sites, &mut self.specs);
                 let f: HP = if *ty == ElemTy::F32 {
-                    hp!(h_madi_ld_c::<2>)
+                    hp_mem!(h_madi_ld_c, 2)
                 } else {
-                    hp!(h_madi_ld_c::<0>)
+                    hp_mem!(h_madi_ld_c, 0)
                 };
                 return Some(NInstr {
                     a: *dst,
@@ -2420,9 +2638,9 @@ impl Lower<'_> {
             if matches!(ty, ElemTy::F32 | ElemTy::I32) && self.stable(*ptr) {
                 let site = site_for(*ptr, &mut self.sites, &mut self.specs);
                 let f: HP = if *ty == ElemTy::F32 {
-                    hp!(h_st_addi_c::<2>)
+                    hp_mem!(h_st_addi_c, 2)
                 } else {
-                    hp!(h_st_addi_c::<0>)
+                    hp_mem!(h_st_addi_c, 0)
                 };
                 return Some(NInstr {
                     a: *dst,
@@ -2479,7 +2697,7 @@ impl Lower<'_> {
                             d: *c,
                             e: *a,
                             g: *b,
-                            ..ni(hp!(h_ld_madrf))
+                            ..ni(hp_mem!(h_ld_madrf))
                         });
                     }
                     FOp::R(Mad { dst: d2, a, b, c }) if *ty == ElemTy::F32 => {
@@ -2492,7 +2710,7 @@ impl Lower<'_> {
                             d: *a,
                             e: *b,
                             g: *c,
-                            ..ni(hp!(h_ld_mad))
+                            ..ni(hp_mem!(h_ld_mad))
                         });
                     }
                     _ => {
@@ -2500,9 +2718,9 @@ impl Lower<'_> {
                             if let Some((o2, d2, a2, b2)) = fbin(y) {
                                 let site = site_for(*ptr, &mut self.sites, &mut self.specs);
                                 let f: HP = match o2 {
-                                    0 => hp!(h_ld_fbin_c::<0>),
-                                    1 => hp!(h_ld_fbin_c::<1>),
-                                    _ => hp!(h_ld_fbin_c::<2>),
+                                    0 => hp_mem!(h_ld_fbin_c, 0),
+                                    1 => hp_mem!(h_ld_fbin_c, 1),
+                                    _ => hp_mem!(h_ld_fbin_c, 2),
                                 };
                                 return Some(NInstr {
                                     imm: site as u64,
@@ -2881,7 +3099,8 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
             code[u].t = map[*t as usize];
         }
     }
-    let entry = map[entry as usize];
+    let flat_entry = entry as usize;
+    let entry = map[flat_entry];
     if std::env::var("OCLSIM_NATIVE_DUMP").is_ok() {
         for (u, &(start, n)) in spans.iter().enumerate() {
             let ops: Vec<String> = out[start..start + n]
@@ -2945,6 +3164,14 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
         };
         strip_reject = strip_reject.or(found);
     }
+    let regions = if kernel.has_barrier {
+        regions::analyse(&out, flat_entry, &sites, &known, &writes)
+            .into_iter()
+            .map(|region| (map[region.entry_flat], region))
+            .collect()
+    } else {
+        Vec::new()
+    };
     Some(NativeProgram {
         code,
         entry,
@@ -2953,6 +3180,7 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
         template_static,
         site_uses,
         strip_reject,
+        regions,
     })
 }
 
@@ -3053,13 +3281,16 @@ fn resolve_site(p: PtrV, nbufs: usize, read_only: &[bool], nregions: usize) -> S
     }
 }
 
-/// Run one item of a barrier-free kernel from `ip` (an instruction index,
-/// or the halt it already reached) to completion.
-fn run_to_end(
+/// Run one item on the scalar path from `ip` (an instruction index, or
+/// the halt it already reached) to its next barrier or to completion, and
+/// record which in `st.halt`. A barrier in a kernel compiled without
+/// barriers (`barriers == false`) is the trap [`stray_barrier`].
+fn run_to_stop(
     prog: &NativeProgram,
     ip: u32,
     st: &mut NItem,
     cx: &mut NCtx<'_>,
+    barriers: bool,
 ) -> Result<(), Trap> {
     let halt = if ip >= IP_HALT_MIN {
         ip
@@ -3067,35 +3298,40 @@ fn run_to_end(
         exec(&prog.code, ip, st, cx)
     };
     match halt {
-        IP_DONE => Ok(()),
-        IP_TRAP => Err(st.trap.take().expect("trap halt sets a trap")),
-        _ => Err(stray_barrier(st.gid)),
+        IP_DONE => st.halt = IP_DONE,
+        IP_BARRIER if barriers => st.halt = IP_BARRIER,
+        IP_TRAP => return Err(st.trap.take().expect("trap halt sets a trap")),
+        _ => return Err(stray_barrier(st.gid)),
     }
+    Ok(())
 }
 
-/// Advance a strip of lanes that all stand at `ip` together; when they
-/// stop agreeing, *unzip* around the stopping lane, in item order: the
-/// lanes below it (they agree on their successor) go on as a strip of
-/// their own, then the stopping lane finishes on the scalar loop from its
-/// own outcome, then the lanes above it go on as a strip from the
-/// instruction they had not executed yet. Nothing re-converges: a strip
-/// only ever splits, down to single lanes on [`exec`]. Each part runs to
-/// completion before the next starts, so the first trap in item order is
-/// the one reported.
+/// Advance a strip of lanes that all stand at `ip` together to their next
+/// barrier or to completion; when they stop agreeing, *unzip* around the
+/// stopping lane, in item order: the lanes below it (they agree on their
+/// successor) go on as a strip of their own, then the stopping lane
+/// finishes on the scalar loop from its own outcome, then the lanes above
+/// it go on as a strip from the instruction they had not executed yet.
+/// Nothing re-converges: a strip only ever splits, down to single lanes
+/// on [`exec`]. Each part runs to its stop before the next starts, so the
+/// first trap in item order is the one reported.
 fn run_strip(
     prog: &NativeProgram,
     ip: u32,
     lanes: &mut [NItem],
     cx: &mut NCtx<'_>,
     tally: &mut StripStats,
+    barriers: bool,
 ) -> Result<(), Trap> {
     if lanes.len() < 2 || ip >= IP_HALT_MIN {
         return lanes
             .iter_mut()
-            .try_for_each(|st| run_to_end(prog, ip, st, cx));
+            .try_for_each(|st| run_to_stop(prog, ip, st, cx, barriers));
     }
-    if exec_strip(&prog.code, ip, lanes, cx) == IP_DONE {
-        return Ok(());
+    let halt = exec_strip(&prog.code, ip, lanes, cx);
+    if halt != IP_UNZIP {
+        // Every lane reached the same barrier, or finished.
+        return run_strip(prog, halt, lanes, cx, tally, barriers);
     }
     tally.unzips += 1;
     let Unzip {
@@ -3106,20 +3342,47 @@ fn run_strip(
     } = cx.unzip;
     let (below, rest) = lanes.split_at_mut(lane);
     let (stop, above) = rest.split_first_mut().expect("the stopping lane exists");
-    run_strip(prog, below_ip, below, cx, tally)?;
-    run_to_end(prog, lane_next, stop, cx)?;
-    run_strip(prog, at, above, cx, tally)
+    run_strip(prog, below_ip, below, cx, tally, barriers)?;
+    run_to_stop(prog, lane_next, stop, cx, barriers)?;
+    run_strip(prog, at, above, cx, tally, barriers)
 }
 
 /// The native engine's side of a dispatch: the program, its dispatch
-/// template, the execution context and the strip tallies.
+/// template, the execution context, the strip width and the strip
+/// tallies.
 struct Groups<'p, 'a> {
     prog: &'p NativeProgram,
     /// The full dispatch template (`len == prog.total_regs`).
     template: &'p [RVal],
     priv_bytes: usize,
     cx: NCtx<'a>,
+    /// Lanes per strip where strips are allowed; 1 is the scalar path.
+    width: usize,
+    /// A barrier kernel's regions that are race-free in this dispatch,
+    /// by entry instruction.
+    wide: Vec<(u32, &'p regions::Region)>,
     tally: &'p mut StripStats,
+}
+
+impl Groups<'_, '_> {
+    /// Count a strip's items.
+    fn start_strip(&mut self, lanes: &[NItem]) {
+        if lanes.len() > 1 {
+            self.tally.items += lanes.len() as u64;
+        }
+    }
+
+    /// May these lanes of a barrier kernel run their phase as one strip?
+    /// Yes when they all resume at the entry `ip` of a region that is
+    /// race-free in this dispatch, and hold the entry values its analysis
+    /// took as uniform.
+    fn strip_holds(&self, ip: u32, lanes: &[NItem]) -> bool {
+        lanes.iter().all(|st| st.ip == ip)
+            && self
+                .wide
+                .iter()
+                .any(|(entry, region)| *entry == ip && region.entry_holds(lanes))
+    }
 }
 
 impl GroupEngine for Groups<'_, '_> {
@@ -3143,6 +3406,7 @@ impl GroupEngine for Groups<'_, '_> {
             gid: [0; 3],
             lid: [0; 3],
             ops: 0,
+            halt: IP_DONE,
             trap: None,
         }
     }
@@ -3162,12 +3426,8 @@ impl GroupEngine for Groups<'_, '_> {
     }
 
     fn step(&mut self, st: &mut NItem) -> Result<Stop, Trap> {
-        match exec(&self.prog.code, st.ip, st, &mut self.cx) {
-            IP_DONE => Ok(Stop::Done),
-            // `h_barrier` left the resume point in `st.ip`.
-            IP_BARRIER => Ok(Stop::Barrier),
-            _ => Err(st.trap.take().expect("trap halt sets a trap")),
-        }
+        run_to_stop(self.prog, st.ip, st, &mut self.cx, true)?;
+        Ok(st.stop())
     }
 
     fn ops(st: &NItem) -> u64 {
@@ -3192,15 +3452,37 @@ impl GroupEngine for Groups<'_, '_> {
                     for (k, st) in live.iter_mut().enumerate() {
                         self.reset(st, [ix + k, iy, iz]);
                     }
-                    if live.len() > 1 {
-                        self.tally.items += live.len() as u64;
-                    }
-                    run_strip(self.prog, self.prog.entry, live, &mut self.cx, self.tally)?;
+                    self.start_strip(live);
+                    run_strip(self.prog, self.prog.entry, live, &mut self.cx, self.tally, false)?;
                     group_ops += live.iter().map(|st| st.ops).sum::<u64>();
                 }
             }
         }
         Ok(group_ops)
+    }
+
+    /// One phase of a row of a barrier kernel's group, pocl's work-group
+    /// function between two barriers: in strips of `width` lanes where
+    /// [`Self::strip_holds`], else each item in turn through [`Self::step`];
+    /// either way the items leave the sweep's bytes, op counts and traps.
+    /// The arenas, one per item, are pocl's context arrays that carry the
+    /// items across barriers.
+    fn run_phase(&mut self, lanes: &mut [NItem], stops: &mut [Stop]) -> Result<(), Trap> {
+        for (lanes, stops) in lanes.chunks_mut(self.width).zip(stops.chunks_mut(self.width)) {
+            let ip = lanes[0].ip;
+            if lanes.len() > 1 && self.strip_holds(ip, lanes) {
+                self.start_strip(lanes);
+                run_strip(self.prog, ip, lanes, &mut self.cx, self.tally, true)?;
+                for (st, stop) in lanes.iter().zip(stops) {
+                    *stop = st.stop();
+                }
+            } else {
+                for (st, stop) in lanes.iter_mut().zip(stops) {
+                    *stop = self.step(st)?;
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -3242,8 +3524,21 @@ pub(super) fn run_window(
 
     // A barrier-free group runs in one strip of arenas, or in a strip of
     // one (the scalar path) when the kernel or this binding is ineligible.
+    // A barrier kernel's phases run in strips where their region is
+    // race-free with this binding and group shape.
     let mut lanes = 1;
-    if !kernel.has_barrier {
+    let full = STRIP.min(geo.local_size[0]).max(1);
+    let wide: Vec<(u32, &regions::Region)> = prog
+        .regions
+        .iter()
+        .filter(|(_, region)| region.race_free(&sites, geo.local_size))
+        .map(|(entry, region)| (*entry, region))
+        .collect();
+    if kernel.has_barrier {
+        if !wide.is_empty() {
+            lanes = full;
+        }
+    } else {
         let verdict = match prog.strip_reject {
             Some(why) => Err(why),
             None => slot_conflict(&prog.site_uses, &sites, kernel.disjoint_items),
@@ -3251,7 +3546,7 @@ pub(super) fn run_window(
         match verdict {
             Ok(by_proof) => {
                 strip.by_proof = by_proof;
-                lanes = STRIP.min(geo.local_size[0]).max(1);
+                lanes = full;
             }
             Err(why) => strip.scalar_why = Some(why),
         }
@@ -3273,14 +3568,18 @@ pub(super) fn run_window(
             template: &template,
             priv_bytes: kernel.priv_bytes,
             cx,
+            width: lanes,
+            wide: wide.clone(),
             tally,
         };
         drive(&mut groups, kernel.has_barrier, window, lanes)
     };
-    // Debug builds hold the attribute to its word: a dispatch that strips
-    // on it alone runs once more, scalar, over a copy of the buffers, and
-    // the two must leave the same outcome (release builds pay nothing).
-    let twin = (cfg!(debug_assertions) && strip.by_proof)
+    // Debug builds re-check what strips lean on: a dispatch that strips on
+    // the attribute alone, or a barrier kernel's phases in strips on the
+    // region analysis, runs once more, scalar, over a copy of the buffers,
+    // and the two must leave the same outcome (release builds pay
+    // nothing).
+    let twin = (cfg!(debug_assertions) && (strip.by_proof || (kernel.has_barrier && lanes > 1)))
         .then(|| (pool.bufs.clone(), local_regions.clone()));
     let group_ops = run(&mut pool.bufs, local_regions, lanes, strip);
     if let Some((mut bufs, local_regions)) = twin {
@@ -3293,10 +3592,21 @@ pub(super) fn run_window(
         };
         debug_assert!(
             same,
-            "kernel `{}` carries ens_disjoint_items, and its strips and the scalar sweep \
-             disagree: work-items that differ in get_global_id(0) touch an element one of \
-             them writes",
-            kernel.name
+            "{}",
+            if kernel.has_barrier {
+                format!(
+                    "kernel `{}`: its barrier regions ran in strips and disagree with the \
+                     scalar sweep: the region analysis admitted a racy region",
+                    kernel.name
+                )
+            } else {
+                format!(
+                    "kernel `{}` carries ens_disjoint_items, and its strips and the scalar \
+                     sweep disagree: work-items that differ in get_global_id(0) touch an \
+                     element one of them writes",
+                    kernel.name
+                )
+            }
         );
     }
     group_ops
@@ -3528,6 +3838,25 @@ mod tests {
             ),
             [4, 1, 1],
             [2, 1, 1],
+        );
+    }
+
+    #[test]
+    fn division_by_a_constant_power_of_two_rounds_toward_zero() {
+        // Negative and positive dividends, odd and even, and the extremes.
+        triangle(
+            "__kernel void d(__global int* a, __global long* b) {
+                int i = get_global_id(0);
+                long x = (long)(i * 37 - 300) * 11;
+                a[i] = (i * 37 - 300) / 2 + (i * 37 - 300) / 8 + (i - 8) / 1 + (i * 5 - 40) / 3;
+                if (i == 0) { x = x * 1000000007 * 1000000007; }
+                b[i] = x / 4 + x / 1024 + x / 1073741824;
+            }",
+            "d",
+            &[RtArg::Buf { pool_slot: 0 }, RtArg::Buf { pool_slot: 1 }],
+            (vec![vec![0u8; 4 * 16], vec![0u8; 8 * 16]], vec![false, false]),
+            [16, 1, 1],
+            [16, 1, 1],
         );
     }
 
@@ -3941,6 +4270,106 @@ mod tests {
         assert_eq!(trap.global_id, [0, 0, 0]);
         assert!(trap.message.contains("op budget"));
     }
+
+    /// Run one group of `src`'s barrier-free kernel `k` on the native
+    /// engine's group path: its outcome, and the ops its lanes retired.
+    fn retired_ops(src: &str, pool: Vec<Vec<u8>>, local: usize) -> (Result<u64, Trap>, u64) {
+        let unit = compile(&parse(src).expect("parse")).expect("compile");
+        let info = unit.kernels.get("k").expect("kernel").clone();
+        let reg = regir::compile_kernel(&unit, &info).expect("register compile");
+        let prog = compile_native(&reg, &info).expect("native compile");
+        let args = bufs(&(0..pool.len()).collect::<Vec<_>>());
+        let template = register_template(&info, &args, prog.main_const_base, &prog.template_static);
+        let mut bufs = pool;
+        let read_only = vec![false; bufs.len()];
+        let sites: Vec<Site> = prog
+            .site_uses
+            .iter()
+            .map(|u| resolve_site(template[u.ptr as usize].ptr(), bufs.len(), &read_only, 0))
+            .collect();
+        let geo = Geometry {
+            group_id: [0; 3],
+            global_size: [local, 1, 1],
+            local_size: [local, 1, 1],
+            num_groups: [1; 3],
+        };
+        let mut tally = StripStats::default();
+        let mut groups = Groups {
+            prog: &prog,
+            template: &template,
+            priv_bytes: info.priv_bytes,
+            cx: NCtx {
+                bufs: &mut bufs,
+                read_only: &read_only,
+                local_regions: vec![],
+                sites: &sites,
+                geo,
+                unzip: Unzip::default(),
+            },
+            width: local.min(STRIP),
+            wide: vec![],
+            tally: &mut tally,
+        };
+        let mut lanes: Vec<NItem> = (0..local.min(STRIP)).map(|_| groups.arena()).collect();
+        let outcome = groups.run_free_group(&mut lanes);
+        (outcome, lanes.iter().map(|st| st.ops).sum())
+    }
+
+    /// Every lane spins: `STRIP` lanes share one loop, and the first one
+    /// leaves the strip once it has spent its share of the budget, so the
+    /// trap comes after about twice the scalar path's ops, not `STRIP`
+    /// times (2e9 ops of interpreted work: release only).
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "4e9 interpreted ops: release only"
+    )]
+    fn a_runaway_loop_in_a_strip_traps_after_about_the_scalar_budget() {
+        let src = "__kernel void k(__global float* a, __global float* out) {
+            int i = get_global_id(0);
+            float v = a[i];
+            while (i >= 0) { v = v / 1.5f / 1.5f / 1.5f / 1.5f; }
+            out[i] = v;
+        }";
+        let (outcome, ops) = retired_ops(src, vec![f32_buf(&[1.0; 16]), vec![0u8; 4 * 16]], 16);
+        let trap = outcome.expect_err("the loop never ends");
+        assert_eq!(trap.global_id, [0, 0, 0]);
+        assert_eq!(trap.message, "work-item exceeded the op budget (infinite loop?)");
+        // Lane 0 alone would retire just over the budget; sixteen lanes in
+        // lockstep retired sixteen times that before the fix.
+        assert!(ops <= 2 * MAX_ITEM_OPS, "{ops} ops retired before the trap");
+        assert!(ops > MAX_ITEM_OPS, "{ops}");
+    }
+
+    /// Two lanes run a loop that ends just under the budget: both leave
+    /// the strip on the way and still finish.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "4e9 interpreted ops: release only"
+    )]
+    fn a_loop_just_under_the_budget_completes_in_a_strip() {
+        let src = |n: i64| {
+            format!(
+                "__kernel void k(__global int* a, __global int* out) {{
+                    int i = get_global_id(0);
+                    int v = a[i];
+                    for (int j = 0; j < {n}; j++) {{ v = v * 3 + j; }}
+                    out[i] = v;
+                }}"
+            )
+        };
+        // Ops per item at two trip counts give the cost of one iteration.
+        let per_item = |n: i64| {
+            let (outcome, _) = retired_ops(&src(n), vec![i32_buf(2), vec![0u8; 8]], 2);
+            outcome.expect("runs") / 2
+        };
+        let (base, step) = (per_item(0), per_item(1000) - per_item(0));
+        let n = (MAX_ITEM_OPS - base - 2 * step) / step * 1000;
+        let (outcome, _) = retired_ops(&src(n as i64), vec![i32_buf(2), vec![0u8; 8]], 2);
+        let ops = outcome.expect("just under the budget: no trap");
+        assert!(ops > 2 * (MAX_ITEM_OPS - 3 * step), "{ops}");
+    }
 }
 
 #[cfg(test)]
@@ -3983,7 +4412,7 @@ mod microbench {
         let local = [16, 16, 1];
         let mut best_r = u128::MAX;
         let mut best_n = u128::MAX;
-        for _ in 0..5 {
+        for _ in 0..15 {
             let mut pool = mk();
             let t = std::time::Instant::now();
             let window = all_groups(global, local);
@@ -4037,7 +4466,7 @@ mod microbench {
         let local = [group, 1, 1];
         let mut best_r = u128::MAX;
         let mut best_n = u128::MAX;
-        for _ in 0..5 {
+        for _ in 0..15 {
             let mut pool = mk();
             let t = std::time::Instant::now();
             let window = all_groups(global, local);

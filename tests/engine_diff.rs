@@ -571,3 +571,208 @@ proptest! {
         assert_engines_agree(&src, "l", GLOBAL, LOCAL);
     }
 }
+
+/// The shipped reduction kernel — a `__local` tree under `lid < stride`,
+/// between barriers — runs its phases in strips on the native engine, and
+/// the span says so with no rule against it.
+#[test]
+fn the_shipped_reduction_runs_its_barrier_regions_in_strips() {
+    let kernels = gated_kernels();
+    let (_, src) = kernels.iter().find(|(n, _)| n == "Reduce").expect("harvested");
+    let (global, local) = ([256, 1, 1], [64, 1, 1]);
+    assert_engines_agree(src, "Reduce", global, local);
+    let sink = TraceSink::new();
+    run_traced(Engine::Native, src, "Reduce", global, local, sink.clone()).expect("runs");
+    let events = sink.events();
+    let span = events
+        .iter()
+        .find(|e| e.kind == SpanKind::Kernel)
+        .expect("a kernel span");
+    let arg = |key: &str| span.args.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
+    let strip_items: u64 = arg("strip_items").map_or(0, |v| v.parse().expect("a count"));
+    assert!(strip_items > 0, "{:?}", span.args);
+    assert_eq!(arg("scalar_why"), None, "{:?}", span.args);
+}
+
+use ensemble_repro::oclsim::minicl::{self, native, regir, Lowered, MemPool, RtArg};
+
+/// Work-group sizes along dimension 0 for the barrier kernels: one item,
+/// a short strip, one full strip, a strip plus one, two strips plus one.
+const BARRIER_LOCALS: [usize; 5] = [1, 5, 16, 17, 33];
+/// Groups per barrier dispatch.
+const BARRIER_GROUPS: usize = 3;
+
+/// Build a barrier kernel over a `__local` array: a tree reduction (min or
+/// sum, optionally in the shipped compare-then-store shape) whose `lid < s`
+/// steps leave items out, rounds of a barrier inside a loop, and an opening
+/// region that is race-free, or — `racy` — stores into a neighbour's slot;
+/// one `guard` shape traps.
+fn barrier_kernel(tree: u8, rounds: u8, racy: bool, guard: u8) -> String {
+    let step = match tree % 3 {
+        0 => "tmp[lid] = fmin(tmp[lid], tmp[lid + s]);",
+        1 => "tmp[lid] = tmp[lid] + tmp[lid + s];",
+        _ => "if (tmp[lid + s] < tmp[lid]) { tmp[lid] = tmp[lid + s]; }",
+    };
+    let open = if racy {
+        "tmp[lid] = v; tmp[(lid + 1) % n] = v * 2.0f;"
+    } else {
+        "tmp[lid] = v; tmp[lid] = tmp[lid] * 2.0f;"
+    };
+    let rounds = rounds % 3;
+    let bound = [1000, 40, 7, 1000][guard as usize % 4];
+    // The last shape reads off the end of `in` in a strip.
+    let load = if guard % 4 == 3 { "in[gid * 7]" } else { "in[gid]" };
+    format!(
+        "__kernel void b(__global float* in, __global float* out, __global float* part) {{
+            __local float tmp[64];
+            int gid = get_global_id(0);
+            int lid = get_local_id(0);
+            int n = get_local_size(0);
+            float v = 3.0e38f;
+            if (gid < {bound}) {{ v = {load}; }}
+            {open}
+            barrier(CLK_LOCAL_MEM_FENCE);
+            for (int r = 0; r < {rounds}; r++) {{
+                tmp[lid] = tmp[lid] * 0.5f + (float)r;
+                barrier(CLK_LOCAL_MEM_FENCE);
+            }}
+            for (int s = n / 2; s > 0; s = s / 2) {{
+                if (lid < s) {{ {step} }}
+                barrier(CLK_LOCAL_MEM_FENCE);
+            }}
+            out[gid] = tmp[lid];
+            if (lid == 0) {{ part[get_group_id(0)] = tmp[0]; }}
+        }}"
+    )
+}
+
+/// One engine's run of `windows` over one pool: each window's group op
+/// counts (or its trap), the strip tallies, and the final buffers.
+type WindowRun = (Vec<Result<Vec<u64>, String>>, u64, Vec<Vec<u8>>);
+
+fn run_windows(
+    prog: Lowered<'_>,
+    info: &minicl::KernelInfo,
+    global: [usize; 3],
+    local: [usize; 3],
+    windows: &[[std::ops::Range<usize>; 3]],
+) -> WindowRun {
+    let elems = global[0];
+    let mut pool = MemPool {
+        bufs: (0..3).map(|arg| arg_fill(arg, elems)).collect(),
+        read_only: vec![false; 3],
+    };
+    let args = [0, 1, 2].map(|pool_slot| RtArg::Buf { pool_slot });
+    let mut strip_items = 0;
+    let outcomes = windows
+        .iter()
+        .map(|w| {
+            minicl::run_ndrange(prog, info, &args, &mut pool, global, local, w.clone())
+                .map(|stats| {
+                    strip_items += stats.strip.items;
+                    stats.group_ops
+                })
+                .map_err(|t| format!("{} @ {:?}", t.message, t.global_id))
+        })
+        .collect();
+    (outcomes, strip_items, pool.bufs)
+}
+
+/// Run `src`'s kernel `b` at every [`BARRIER_LOCALS`] size, whole and over
+/// split windows, on all three engines: bytes, per-group op counts and
+/// traps agree, and through the public path so do op counts, traps and
+/// virtual time. Returns the native engine's strip items per local size.
+fn assert_barrier_kernel_agrees(src: &str) -> Vec<u64> {
+    let unit = minicl::compile(&minicl::parse(src).expect("parse")).expect("compile");
+    let info = unit.kernels["b"].clone();
+    let reg = regir::compile_kernel(&unit, &info).expect("register-lowerable");
+    let nat = native::compile_native(&reg, &info).expect("native-lowerable");
+    let mut strips = Vec::new();
+    for lx in BARRIER_LOCALS {
+        let (global, local) = ([lx * BARRIER_GROUPS, 1, 1], [lx, 1, 1]);
+        let tilings: Vec<Vec<[std::ops::Range<usize>; 3]>> = vec![
+            vec![minicl::all_groups(global, local)],
+            vec![[0..1, 0..1, 0..1], [1..BARRIER_GROUPS, 0..1, 0..1]],
+            (0..BARRIER_GROUPS).map(|g| [g..g + 1, 0..1, 0..1]).collect(),
+        ];
+        for windows in &tilings {
+            let stack = run_windows(Lowered::Stack(&unit), &info, global, local, windows);
+            for prog in [Lowered::Register(&reg), Lowered::Native(&nat)] {
+                let other = run_windows(prog, &info, global, local, windows);
+                let label = format!("{} lx {lx} windows {windows:?}\n{src}", prog.engine().label());
+                assert_eq!(stack.0, other.0, "{label}: group ops or traps differ");
+                assert_eq!(stack.2, other.2, "{label}: bytes differ");
+            }
+            if windows.len() == 1 {
+                strips.push(run_windows(Lowered::Native(&nat), &info, global, local, windows).1);
+            }
+        }
+        let public = |engine| {
+            let device = Platform::default_device(DeviceType::Gpu).expect("device");
+            let ctx = Context::new(std::slice::from_ref(&device)).expect("context");
+            let queue = CommandQueue::new(&ctx, &device).expect("queue");
+            let program = Program::build(&ctx, src).expect("builds");
+            let kernel = program.create_kernel("b").expect("kernel");
+            kernel.set_engine(Some(engine));
+            for i in 0..3 {
+                let buf = ctx.create_buffer(MemFlags::ReadWrite, BUF_ELEMS * 4).expect("buffer");
+                queue.enqueue_write_buffer(&buf, &arg_fill(i, BUF_ELEMS)).expect("write");
+                kernel.set_arg_buffer(i, &buf).expect("a buffer argument");
+            }
+            match queue.enqueue_nd_range(&kernel, &NdRange::d3(global, local)) {
+                Ok(ev) => Ok((ev.ops(), ev.duration_ns().to_bits())),
+                Err(ClError::KernelTrap { message, global_id, .. }) => {
+                    Err(format!("{message} @ {global_id:?}"))
+                }
+                Err(other) => panic!("launch failed: {other}"),
+            }
+        };
+        let reference = public(Engine::Stack);
+        for engine in [Engine::Register, Engine::Native] {
+            assert_eq!(public(engine), reference, "{} lx {lx}: ops, trap or virtual time", engine.label());
+        }
+    }
+    strips
+}
+
+/// Items of a dispatch that start a phase in a strip of two or more lanes,
+/// when `phases` of its phases run in strips.
+fn expected_strip_items(lx: usize, phases: u64) -> u64 {
+    let per_row: usize = (0..lx).step_by(16).map(|x| (lx - x).min(16)).filter(|&w| w > 1).sum();
+    (per_row * BARRIER_GROUPS) as u64 * phases
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Generated barrier kernels agree on every engine, for every strip
+    /// shape and window split, and their race-free regions run in strips.
+    #[test]
+    fn barrier_kernels_agree_in_region_strips(
+        tree in any::<u8>(),
+        rounds in any::<u8>(),
+        guard in any::<u8>(),
+    ) {
+        let strips = assert_barrier_kernel_agrees(&barrier_kernel(tree, rounds, false, guard));
+        for (lx, items) in BARRIER_LOCALS.iter().zip(strips) {
+            prop_assert!(items > 0 || *lx == 1 || guard % 4 == 3, "lx {}: no strips", lx);
+        }
+    }
+}
+
+/// A region whose items store into a neighbour's slot is racy: it runs one
+/// lane wide while the kernel's race-free regions still strip — and all
+/// engines agree.
+#[test]
+fn a_racy_barrier_region_runs_one_lane_wide() {
+    for (racy, tree) in [(true, 0), (false, 0), (true, 2)] {
+        let src = barrier_kernel(tree, 0, racy, 0);
+        let strips = assert_barrier_kernel_agrees(&src);
+        for (&lx, items) in BARRIER_LOCALS.iter().zip(strips) {
+            // Phases: the opening region, one per tree step, the last one.
+            let steps = (1..).take_while(|k| lx >> k > 0).count() as u64;
+            let phases = 2 + steps - racy as u64;
+            assert_eq!(items, expected_strip_items(lx, phases), "racy {racy} lx {lx}\n{src}");
+        }
+    }
+}
