@@ -781,7 +781,6 @@ impl<'r> Hook<'r> {
                 funcs: vec![Func {
                     name: kname.clone(),
                     is_kernel: true,
-                    disjoint_items: false,
                     ret: Type::Void,
                     params,
                     body: kbody,
@@ -989,7 +988,6 @@ impl<'r> Hook<'r> {
                 funcs: vec![Func {
                     name: kname.clone(),
                     is_kernel: true,
-                    disjoint_items: false,
                     ret: Type::Void,
                     params,
                     body: kbody,

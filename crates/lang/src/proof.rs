@@ -60,21 +60,6 @@ pub struct DimProof {
     /// Human-readable witness: which subscript proves the claim, or
     /// which subscript pair blocks it.
     pub evidence: String,
-    /// The verdict holds for *every* ND-range and buffer extent, and
-    /// between any two work-items that differ in `get_global_id(dim)` —
-    /// not only across group-aligned cuts of the dispatches the analysed
-    /// host makes: every write-involving pair has a witness that uses no
-    /// routed host fact (worksize or work-group extent, buffer
-    /// dimension, inactive-dimension exemption) and no `get_group_id`
-    /// identity. Only such a verdict may travel with the kernel source
-    /// (see [`SplitProof::proves_disjoint_items`]).
-    ///
-    /// One assumption stays inside it: the witnesses argue per subscript
-    /// *position*, and `m[i][j]` is lowered to `m[i * dim1 + j]` under a
-    /// whole-buffer bounds check only, so "a different row is a
-    /// different element" holds while every inner subscript stays inside
-    /// its row (`j < dim1`).
-    pub unconditional: bool,
 }
 
 /// Per-dispatch-site splittability proof: one verdict per NDRange
@@ -102,19 +87,6 @@ impl SplitProof {
     /// The classification of dimension `d`, if covered.
     pub fn class_of(&self, d: usize) -> Option<DimClass> {
         self.dims.iter().find(|p| p.dim == d).map(|p| p.class)
-    }
-
-    /// Is dimension 0 [`DimClass::Splittable`] by an
-    /// [unconditional](DimProof::unconditional) verdict? Then two
-    /// work-items of one dispatch that differ in `get_global_id(0)` never
-    /// touch a global element the other writes, whatever the ND-range —
-    /// the claim the kernel generator states in the emitted source as
-    /// `__attribute__((ens_disjoint_items))`, which licenses an engine
-    /// to interleave such items (`oclsim`'s strip mode).
-    pub fn proves_disjoint_items(&self) -> bool {
-        self.dims
-            .iter()
-            .any(|p| p.dim == 0 && p.class == DimClass::Splittable && p.unconditional)
     }
 }
 
@@ -255,10 +227,9 @@ impl ProofSet {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "{{\"dim\":{},\"class\":{},\"unconditional\":{},\"evidence\":{}}}",
+                    "{{\"dim\":{},\"class\":{},\"evidence\":{}}}",
                     d.dim,
                     json_string(d.class.as_str()),
-                    d.unconditional,
                     json_string(&d.evidence)
                 ));
             }
@@ -383,13 +354,11 @@ mod tests {
                         dim: 0,
                         class: DimClass::Splittable,
                         evidence: "write `d.result[y][x]` varies with gid0".into(),
-                        unconditional: true,
                     },
                     DimProof {
                         dim: 1,
                         class: DimClass::Reduction,
                         evidence: "group combine".into(),
-                        unconditional: false,
                     },
                 ],
             }],
@@ -415,8 +384,7 @@ mod tests {
             }],
         };
         let j = set.to_json();
-        assert!(j.contains("\"class\":\"splittable\",\"unconditional\":true"));
-        assert!(set.splits[0].proves_disjoint_items());
+        assert!(j.contains("\"class\":\"splittable\",\"evidence\""));
         assert!(j.contains("\"hazard\":\"RAW\""));
         assert!(j.contains("\"unmutated\":true"));
         assert!(j.contains("\"iterations\":4"));

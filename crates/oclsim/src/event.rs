@@ -126,9 +126,8 @@ impl Event {
     /// virtual timestamps, the bytes or work-items it moved, and for a
     /// kernel the engine, retired ops and — on the native engine — why it
     /// ran the way it did: how many items ran in strips, how many strips
-    /// unzipped, whether it took the source's `ens_disjoint_items`
-    /// attribute to run them (`strip_evidence: "proof"`), and the rule
-    /// that kept a barrier-free dispatch scalar.
+    /// unzipped, and what the strip rule could not discharge where a
+    /// dispatch ran one lane wide throughout (`scalar_why`).
     pub(crate) fn span(&self, device: &str) -> TraceEvent {
         let (kind, name) = match &self.inner.kind {
             CommandKind::WriteBuffer => (SpanKind::ToDevice, "write_buffer"),
@@ -155,9 +154,6 @@ impl Event {
             te = te
                 .with_arg("strip_items", strip.items)
                 .with_arg("strip_unzips", strip.unzips);
-        }
-        if strip.by_proof {
-            te = te.with_arg("strip_evidence", "proof");
         }
         if let Some(why) = strip.scalar_why {
             te = te.with_arg("scalar_why", why);

@@ -278,10 +278,6 @@ pub struct Param {
     pub pos: Pos,
 }
 
-/// The kernel attribute behind [`Func::disjoint_items`], written
-/// `__kernel __attribute__((ens_disjoint_items)) void …`.
-pub const DISJOINT_ITEMS_ATTR: &str = "ens_disjoint_items";
-
 /// A function — either a `__kernel` entry point or a device function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Func {
@@ -289,17 +285,6 @@ pub struct Func {
     pub name: String,
     /// True for `__kernel void ...`.
     pub is_kernel: bool,
-    /// The kernel carries [`DISJOINT_ITEMS_ATTR`]: whoever wrote the
-    /// source asserts that *two work-items of one dispatch that differ in
-    /// `get_global_id(0)` never touch a global element the other writes*,
-    /// given that distinct pointer parameters are bound to distinct
-    /// buffers. Like `restrict` it is trusted, not checked: the Ensemble
-    /// compiler emits it only from an unconditional splittability proof
-    /// (which assumes every inner subscript of a flattened
-    /// multi-dimensional access stays inside its row), the native engine
-    /// takes it as evidence that interleaving such items is safe, and
-    /// the stack and register engines ignore it.
-    pub disjoint_items: bool,
     /// Return type.
     pub ret: Type,
     /// Parameters.

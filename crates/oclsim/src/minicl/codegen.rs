@@ -229,7 +229,6 @@ impl<'a> Compiler<'a> {
             local_decl_bytes: self.local_decl_bytes.clone(),
             has_barrier,
             priv_bytes: self.priv_offset as usize,
-            disjoint_items: f.disjoint_items,
         }
     }
 

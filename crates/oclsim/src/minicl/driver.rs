@@ -426,8 +426,9 @@ mod tests {
     /// `GLOBAL / LOCAL`.
     const GROUPS: [usize; 2] = [4, 4];
 
-    /// A tree reduction over `__local` memory: every group sweeps in
-    /// lockstep between barriers.
+    /// A tree reduction over `__local` memory on 2-D groups: every group
+    /// sweeps in lockstep between barriers, and native runs its rows in
+    /// strips.
     const REDUCE: &str = "__kernel void reduce(__global float* in, __global float* out, __local float* tmp) {
         int lid = get_local_id(1) * get_local_size(0) + get_local_id(0);
         int n = get_local_size(0) * get_local_size(1);
@@ -520,7 +521,7 @@ mod tests {
                     (_, Err(trap)) => panic!("{label}: {trap:?}"),
                     (_, Ok(stats)) => {
                         let stripped = stats.strip.items > 0;
-                        assert_eq!(stripped, matches!(prog, Lowered::Native(_)) && name == "scale");
+                        assert_eq!(stripped, matches!(prog, Lowered::Native(_)), "{label}");
                     }
                 }
 

@@ -47,10 +47,10 @@
 //!   memory. Kernels with barriers keep one `NItem` per item of the group
 //!   — pocl's context arrays — and run the group phase by phase: every
 //!   item from its saved instruction pointer to its next barrier or to
-//!   completion (see *Regions* below).
-//! * **Strip mode.** On an eligible barrier-free dispatch, up to `STRIP`
-//!   (16) consecutive dim-0 work-items of a group — fewer when
-//!   `local_size[0]` is smaller or leaves a remainder — advance together:
+//!   completion (see *The strip rule* below).
+//! * **Strip mode.** Up to `STRIP` (16) consecutive dim-0 work-items of a
+//!   group — fewer when `local_size[0]` is smaller or leaves a remainder —
+//!   advance together where the strip rule (below) admits them:
 //!   one indirect call runs the *scalar* handler body on each lane's own
 //!   `NItem` in item order, for as long as every lane returns the same
 //!   successor. This is pocl's work-item loop inside an interpreter: the
@@ -83,84 +83,54 @@
 //!   about twice the scalar path's ops instead of `STRIP` times; a loop
 //!   that ends under the budget still completes.
 //!
-//!   *Eligibility.* The engine alone decides, with no option to set.
-//!   Barrier-free kernels, statically (`compile_native`): no `__local`
-//!   region, no dynamic-pointer load/store, and no store to non-private
-//!   memory on a control-flow cycle. Per dispatch (one pass over the
-//!   resolved sites):
-//!   no buffer slot is both loaded and stored, and each stored slot is
-//!   reached through exactly one store instruction. Anything else —
-//!   an in-place kernel, aliased arguments — stays on the scalar path,
-//!   and the kernel span's `scalar_why` names the rule.
-//!
-//!   *Evidence from the source.* A kernel declared
-//!   `__kernel __attribute__((ens_disjoint_items)) void …` asserts that
-//!   two work-items of one dispatch that differ in `get_global_id(0)`
-//!   never touch a global element the other writes, provided distinct
-//!   pointer parameters are bound to distinct buffers
-//!   ([`Func::disjoint_items`](super::ast::Func::disjoint_items)). The
-//!   per-dispatch pass then waives a conflict *inside one site* — a site
-//!   is one never-written pointer register, i.e. one parameter — and
-//!   still rejects a slot reached through two sites (aliased arguments
-//!   are what the assertion assumes away). The static rules are not
-//!   waived. The assertion is trusted, like `restrict`: the Ensemble
-//!   compiler emits it only from an unconditional splittability proof
-//!   (`ensemble_lang::SplitProof::proves_disjoint_items`), which is how
-//!   the gated LUD `Col`/`Sub` come to strip; the span then carries
-//!   `strip_evidence: "proof"`.
+//!   *The strip rule.* The engine alone decides, from the code it runs,
+//!   with no option to set and nothing taken from the source's word. A
+//!   *region* is the code reachable from the kernel entry or from the
+//!   instruction after a barrier without passing a barrier; a phase runs
+//!   every item of a group through one region, and a barrier-free kernel
+//!   is one region run in one phase. `regions` asks of each region the one
+//!   question a strip needs answered: can two lanes of one strip — items
+//!   that differ only in `lid0`, by 1 to `w − 1` — touch one local or
+//!   global element, one of the two accesses a store? It answers from
+//!   exact index forms over `lid0` and strip-uniform symbols at build
+//!   time, and discharges the rest once per dispatch against the concrete
+//!   binding (arguments, sizes, the strip width). A barrier-free dispatch
+//!   runs in strips when its one region is race-free, with no per-strip
+//!   check; a barrier kernel's phase runs its rows in strips where its
+//!   region is race-free and the strip's lanes resume together at the
+//!   region's entry holding the entry values its analysis took as
+//!   uniform. Everything else runs one lane wide, item by item in item
+//!   order, and a dispatch that runs one lane wide throughout names on
+//!   the kernel span's `scalar_why` what kept it there: a dynamic pointer,
+//!   or the first store/access pair the rule could not discharge. The
+//!   phase loop and its divergent-barrier trap are the driver's barrier
+//!   sweep; this engine supplies only the per-row phase body (`run_phase`).
+//!   `strip_items` counts the items that started a phase in a strip, once
+//!   per phase.
 //!
 //!   *Why that is sound.* The reference semantics is the sequential sweep:
-//!   item 0 to completion, then item 1, … A strip interleaves items at
-//!   instruction granularity, so it must leave the same bytes, the same
-//!   per-item op counts and the same first trap. (1) No lane can observe
-//!   another's write: registers and private memory are per lane, there is
-//!   no local memory, and no slot that is stored is ever loaded — so every
-//!   lane computes exactly what it would alone, including its op count
-//!   and whether and where it traps. (2) The final bytes agree: a stored
-//!   slot has one store instruction, off every cycle, so each item
-//!   executes it at most once; within a dispatch of that instruction the
-//!   lanes store in item order, a split finishes lower lanes before
-//!   higher ones, and strips run one after another — so all stores to a
-//!   slot land in item order, and the last writer of every byte is the
-//!   one the sequential sweep has. (3) The first trap agrees: a trapping
-//!   lane only *stops* the strip; every lower lane then runs to
-//!   completion, and may report its own trap, before the stopping lane's
-//!   trap is taken. After a trap the buffers hold partial results, as on
-//!   every engine — with strips these may include stores of items above
-//!   the trapping one, which nothing observes (the dispatch failed).
-//!
-//!   Under the attribute, (1) and (2) follow from its contract instead of
-//!   the slot rule. The lanes of a strip share `get_global_id(1)` and
-//!   `(2)` and differ pairwise in `get_global_id(0)`, so no lane loads or
-//!   stores an element another lane of the strip stores: (1) every lane
-//!   reads what it would read alone — the bytes earlier strips left, and
-//!   its own stores; (2) each element has at most one writing lane per
-//!   strip, whose stores keep their program order, and strips run one
-//!   after another, so items that *share* a `get_global_id(0)` meet in
-//!   the sequential order. (3) is untouched. Because the contract is
-//!   asserted, not derived here, debug builds check it: a dispatch that
-//!   strips on the attribute alone runs a second time on the scalar path
-//!   over a copy of the buffers, and bytes, `group_ops` and trap must
-//!   agree (`run_window`; release builds pay nothing).
-//!
-//!   *Regions.* A kernel with barriers runs phase by phase. A *region* is
-//!   the code reachable from the kernel entry or from the instruction
-//!   after a barrier without passing a barrier; a phase runs every item
-//!   of the group through one region. The phase's items run in strips
-//!   along dim-0 rows where `regions` proves the region **race-free** —
-//!   no two items of the group touch one local or global element with a
-//!   store among the accesses — for this binding and group shape, and the
-//!   strip's lanes resume together at that region's entry holding the
-//!   entry values its analysis took as uniform. Then no interleaving of
-//!   the items can be told apart from the sweep (the same three points as
-//!   above, with race-freedom in place of the slot rule). Every other
-//!   phase runs one lane wide, item by item in item order. The phase loop
-//!   and its divergent-barrier trap are the driver's barrier sweep; this
-//!   engine supplies only the per-row phase body (`run_phase`).
-//!   Debug builds re-run every dispatch that stripped a region, scalar,
-//!   over a copy of the buffers, as for the attribute. A barrier kernel
-//!   reports no `scalar_why`; `strip_items` counts the items that started
-//!   a phase in a strip, once per phase.
+//!   item 0 of a phase to its stop, then item 1, … A strip interleaves
+//!   items at instruction granularity, so it must leave the same bytes,
+//!   the same per-item op counts and the same first trap. Strips run one
+//!   after another in item order, so only the lanes of one strip ever
+//!   interleave, and the rule proves that no two of them touch one
+//!   element with a store among the two accesses. (1) No lane can observe
+//!   another's write: registers and private memory are per lane, and every
+//!   local or global element a lane reads is one no other lane of its
+//!   strip writes — so every lane computes exactly what it would alone,
+//!   including its op count and whether and where it traps. (2) The final
+//!   bytes agree: each element has at most one writing lane per strip,
+//!   whose stores keep their program order, and strips run in item
+//!   order, so the last writer of every byte is the one the sequential
+//!   sweep has. (3) The first trap agrees: a trapping lane only *stops*
+//!   the strip; every lower lane then runs to completion, and may report
+//!   its own trap, before the stopping lane's trap is taken. After a trap
+//!   the buffers hold partial results, as on every engine — with strips
+//!   these may include stores of items above the trapping one, which
+//!   nothing observes (the dispatch failed). Debug builds re-check every
+//!   dispatch that ran a strip: it runs a second time, one lane wide, over
+//!   a copy of the buffers, and bytes, `group_ops` and trap must agree
+//!   (`run_window`; release builds pay nothing).
 //!
 //! The engine is observationally identical to the stack and register
 //! engines: byte-identical buffers, identical `group_ops` (the `Ops`
@@ -171,7 +141,7 @@
 //! generated app kernel and the proptest corpus, including kernels built
 //! to conflict across items.
 
-use super::ast::{Space, Type};
+use super::ast::Space;
 use super::bytecode::{Builtin, Cmp, ElemTy, KernelInfo};
 use super::driver::{
     drive, register_template, stray_barrier, Geometry, GroupEngine, Stop,
@@ -343,53 +313,41 @@ pub struct NativeProgram {
     /// constant pool.
     template_static: Vec<RVal>,
     /// One entry per pre-resolved memory [`Site`]: the pointer register it
-    /// is decoded from (per dispatch, from the template) and which
-    /// instructions go through it.
-    site_uses: Vec<SiteUse>,
-    /// Static half of the strip-mode eligibility rule: why a barrier-free
-    /// dispatch of this kernel can never run in strips, if it cannot.
-    strip_reject: Option<StripReject>,
-    /// A barrier kernel's regions, by entry instruction, with what their
-    /// race analysis found (empty for a barrier-free kernel).
+    /// is decoded from (per dispatch, from the template).
+    site_ptrs: Vec<u16>,
+    /// The kernel's regions, by entry instruction, with what their race
+    /// analysis found: the kernel entry's first, then one per barrier.
     regions: Vec<(u32, regions::Region)>,
 }
 
-/// How the code uses one memory site.
-#[derive(Debug, Clone, Copy)]
-struct SiteUse {
-    ptr: u16,
-    loaded: bool,
-    /// Store *instructions* through the site (a fused store counts once).
-    stores: u32,
-}
-
-/// The rule that kept a barrier-free dispatch on the scalar path (see the
-/// module documentation for why each one is needed).
+/// What kept a dispatch one lane wide: the first thing the strip rule
+/// (see the module documentation) could not discharge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StripReject {
-    /// The code contains a barrier instruction.
-    Barrier,
-    /// The kernel has a `__local` parameter or declaration.
-    LocalMemory,
     /// A load or store goes through a pointer register that is written.
     DynamicPointer,
-    /// A store to non-private memory sits on a control-flow cycle.
-    StoreInLoop,
-    /// This binding loads and stores the same buffer slot.
-    LoadStore(u32),
-    /// This binding reaches one buffer slot through two store instructions.
-    TwoStores(u32),
+    /// A store to `slot`, and an access to the same slot — a store too when
+    /// `store` — that two lanes of one strip may make to one element.
+    Race {
+        /// The slot is a `__local` region, not a buffer.
+        local: bool,
+        /// Buffer slot or local region index.
+        slot: u32,
+        /// The second access is a store.
+        store: bool,
+    },
 }
 
 impl std::fmt::Display for StripReject {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StripReject::Barrier => f.write_str("barrier"),
-            StripReject::LocalMemory => f.write_str("local memory"),
             StripReject::DynamicPointer => f.write_str("dynamic pointer"),
-            StripReject::StoreInLoop => f.write_str("store in loop"),
-            StripReject::LoadStore(slot) => write!(f, "load+store slot {slot}"),
-            StripReject::TwoStores(slot) => write!(f, "two store sites slot {slot}"),
+            StripReject::Race { local, slot, store } => write!(
+                f,
+                "store+{} {} slot {slot}",
+                if *store { "store" } else { "load" },
+                if *local { "local" } else { "global" }
+            ),
         }
     }
 }
@@ -402,13 +360,9 @@ pub struct StripStats {
     pub items: u64,
     /// Times the lanes of a strip stopped agreeing and it split.
     pub unzips: u64,
-    /// For a barrier-free dispatch that stayed scalar: the rule that
-    /// rejected it.
+    /// For a dispatch that ran one lane wide throughout although its
+    /// groups are wider: what the strip rule could not discharge.
     pub scalar_why: Option<StripReject>,
-    /// The dispatch ran in strips on the word of the kernel source: the
-    /// per-dispatch rule found a load+store or two-store conflict inside
-    /// one parameter, and the `ens_disjoint_items` attribute waived it.
-    pub by_proof: bool,
 }
 
 impl StripStats {
@@ -417,7 +371,6 @@ impl StripStats {
         self.items += other.items;
         self.unzips += other.unzips;
         self.scalar_why = self.scalar_why.or(other.scalar_why);
-        self.by_proof |= other.by_proof;
     }
 }
 
@@ -2270,13 +2223,9 @@ const fn ni(h: HP) -> NInstr {
 }
 
 /// Dedupe memory sites by pointer register; returns the site index.
-fn site_for(ptr: u16, sites: &mut HashMap<u16, u32>, specs: &mut Vec<SiteUse>) -> u32 {
+fn site_for(ptr: u16, sites: &mut HashMap<u16, u32>, specs: &mut Vec<u16>) -> u32 {
     *sites.entry(ptr).or_insert_with(|| {
-        specs.push(SiteUse {
-            ptr,
-            loaded: false,
-            stores: 0,
-        });
+        specs.push(ptr);
         (specs.len() - 1) as u32
     })
 }
@@ -2286,7 +2235,7 @@ struct Lower<'a> {
     writes: &'a [u32],
     known: &'a [Option<RVal>],
     sites: HashMap<u16, u32>,
-    specs: Vec<SiteUse>,
+    specs: Vec<u16>,
 }
 
 impl Lower<'_> {
@@ -2935,7 +2884,7 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
         return None;
     }
     // The last instruction must never fall through (it is a `Done` or an
-    // unconditional `Jmp` — `validate` proved every range ends in one).
+    // plain `Jmp` — `validate` proved every range ends in one).
     match out.last() {
         Some(FOp::Done) | Some(FOp::R(ROp::Jmp { .. })) => {}
         _ => return None,
@@ -3047,7 +2996,6 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
     // on unit starts, enforced by the `is_target` barriers — are remapped
     // through `map` afterwards.
     let mut code: Vec<NInstr> = Vec::with_capacity(out.len());
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(out.len());
     let mut old_targets: Vec<Option<u32>> = Vec::with_capacity(out.len());
     let mut map = vec![u32::MAX; out.len()];
     let mut i = 0usize;
@@ -3087,7 +3035,6 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
         }
         map[start] = code.len() as u32;
         code.push(instr);
-        spans.push((start, last + 1 - start));
         old_targets.push(old_t);
         i = last + 1;
     }
@@ -3101,15 +3048,6 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
     }
     let flat_entry = entry as usize;
     let entry = map[flat_entry];
-    if std::env::var("OCLSIM_NATIVE_DUMP").is_ok() {
-        for (u, &(start, n)) in spans.iter().enumerate() {
-            let ops: Vec<String> = out[start..start + n]
-                .iter()
-                .map(|o| format!("{o:?}"))
-                .collect();
-            eprintln!("{u:4}: {}", ops.join("  +  "));
-        }
-    }
 
     let mut template_static = prog.consts.clone();
     template_static.extend_from_slice(&tail);
@@ -3117,69 +3055,23 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
         return None;
     }
 
-    // Strip-mode eligibility, static half, and the per-site use counts its
-    // per-dispatch half (`slot_conflict`) works from. An op lies on a CFG
-    // cycle only if some backward jump spans it (follow the cycle from the
-    // op: it must step from an index >= the op's to one below it, or the
-    // op is the cycle's lowest index and the edge entering it comes from
-    // above), so marking every backward jump's span over-approximates.
-    let mut in_loop = vec![false; out.len()];
-    for (k, op) in out.iter().enumerate() {
-        if let Some(t) = target_of(op).filter(|&t| t as usize <= k) {
-            in_loop[t as usize..=k].fill(true);
-        }
-    }
     let Lower {
-        sites,
-        specs: mut site_uses,
-        ..
+        sites, specs, ..
     } = lo;
-    let has_local = !kernel.local_decl_bytes.is_empty()
-        || kernel
-            .params
-            .iter()
-            .any(|p| matches!(p.ty, Type::Ptr(Space::Local, _)));
-    let mut strip_reject = has_local.then_some(StripReject::LocalMemory);
-    for (k, op) in out.iter().enumerate() {
-        let found = match op {
-            FOp::R(ROp::Barrier) => Some(StripReject::Barrier),
-            FOp::R(ROp::Load { ptr, .. }) => match sites.get(ptr) {
-                Some(&site) => {
-                    site_uses[site as usize].loaded = true;
-                    None
-                }
-                None => Some(StripReject::DynamicPointer),
-            },
-            FOp::R(ROp::Store { ptr, .. }) => match sites.get(ptr) {
-                Some(&site) => {
-                    site_uses[site as usize].stores += 1;
-                    // A private array's pointer is a constant-pool entry.
-                    let private =
-                        known[*ptr as usize].is_some_and(|v| v.ptr().space == Space::Private);
-                    (in_loop[k] && !private).then_some(StripReject::StoreInLoop)
-                }
-                None => Some(StripReject::DynamicPointer),
-            },
-            _ => None,
-        };
-        strip_reject = strip_reject.or(found);
-    }
-    let regions = if kernel.has_barrier {
-        regions::analyse(&out, flat_entry, &sites, &known, &writes)
-            .into_iter()
-            .map(|region| (map[region.entry_flat], region))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    // A barrier-free kernel is its entry region (codegen counts every
+    // barrier a kernel reaches, so it has no other).
+    let regions = regions::analyse(&out, flat_entry, &sites, &known, &writes)
+        .into_iter()
+        .take(if kernel.has_barrier { usize::MAX } else { 1 })
+        .map(|region| (map[region.entry_flat], region))
+        .collect();
     Some(NativeProgram {
         code,
         entry,
         total_regs,
         main_const_base: prog.const_base,
         template_static,
-        site_uses,
-        strip_reject,
+        site_ptrs: specs,
         regions,
     })
 }
@@ -3187,49 +3079,6 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
 // ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
-
-/// Strip-mode eligibility, per-dispatch half: with this binding, is some
-/// buffer slot both loaded and stored, or stored through more than one
-/// store instruction? One pass over the (handful of) sites per storing
-/// site; private memory is per lane and never conflicts.
-///
-/// A site is one never-written pointer register, which is one kernel
-/// parameter. When the source asserts `disjoint_items`, a conflict
-/// *inside* one site is the case the assertion covers and is waived
-/// (`Ok(true)`); a conflict *between* two sites means two parameters are
-/// bound to one buffer, which the assertion assumes away, and rejects as
-/// it always did.
-fn slot_conflict(
-    uses: &[SiteUse],
-    sites: &[Site],
-    disjoint_items: bool,
-) -> Result<bool, StripReject> {
-    let global = |k: usize| sites[k].kind == SiteKind::Global;
-    let mut waived = false;
-    for (a, ua) in uses.iter().enumerate() {
-        if ua.stores == 0 || !global(a) {
-            continue;
-        }
-        let slot = sites[a].slot;
-        for (b, ub) in uses.iter().enumerate() {
-            if !global(b) || sites[b].slot != slot {
-                continue;
-            }
-            let conflict = if ub.loaded {
-                StripReject::LoadStore(slot)
-            } else if ub.stores > 1 || (b != a && ub.stores > 0) {
-                StripReject::TwoStores(slot)
-            } else {
-                continue;
-            };
-            if !(disjoint_items && b == a) {
-                return Err(conflict);
-            }
-            waived = true;
-        }
-    }
-    Ok(waived)
-}
 
 /// Decode a pointer register's dispatch-time value into a [`Site`].
 /// Unknown slots become `Bad*` sites that trap on first *execution* —
@@ -3358,8 +3207,8 @@ struct Groups<'p, 'a> {
     cx: NCtx<'a>,
     /// Lanes per strip where strips are allowed; 1 is the scalar path.
     width: usize,
-    /// A barrier kernel's regions that are race-free in this dispatch,
-    /// by entry instruction.
+    /// The regions that are race-free in this dispatch, by entry
+    /// instruction (consulted per strip on a barrier kernel's phases only).
     wide: Vec<(u32, &'p regions::Region)>,
     tally: &'p mut StripStats,
 }
@@ -3510,11 +3359,11 @@ pub(super) fn run_window(
     // Pre-resolve every stable memory site from the same template bits the
     // register engine would decode at run time.
     let sites: Vec<Site> = prog
-        .site_uses
+        .site_ptrs
         .iter()
-        .map(|u| {
+        .map(|&ptr| {
             resolve_site(
-                template[u.ptr as usize].ptr(),
+                template[ptr as usize].ptr(),
                 pool.bufs.len(),
                 read_only,
                 local_regions.len(),
@@ -3522,34 +3371,26 @@ pub(super) fn run_window(
         })
         .collect();
 
-    // A barrier-free group runs in one strip of arenas, or in a strip of
-    // one (the scalar path) when the kernel or this binding is ineligible.
-    // A barrier kernel's phases run in strips where their region is
-    // race-free with this binding and group shape.
-    let mut lanes = 1;
+    // The strip rule, per region, for this binding and strip width: a
+    // barrier-free kernel's one region decides the dispatch; a barrier
+    // kernel's phases run in strips where their region is race-free.
     let full = STRIP.min(geo.local_size[0]).max(1);
+    let mut why = None;
     let wide: Vec<(u32, &regions::Region)> = prog
         .regions
         .iter()
-        .filter(|(_, region)| region.race_free(&sites, geo.local_size))
+        .filter(|(_, region)| match region.race_free(&sites, &template, &geo, full) {
+            Ok(()) => true,
+            Err(reason) => {
+                why = why.or(Some(reason));
+                false
+            }
+        })
         .map(|(entry, region)| (*entry, region))
         .collect();
-    if kernel.has_barrier {
-        if !wide.is_empty() {
-            lanes = full;
-        }
-    } else {
-        let verdict = match prog.strip_reject {
-            Some(why) => Err(why),
-            None => slot_conflict(&prog.site_uses, &sites, kernel.disjoint_items),
-        };
-        match verdict {
-            Ok(by_proof) => {
-                strip.by_proof = by_proof;
-                lanes = full;
-            }
-            Err(why) => strip.scalar_why = Some(why),
-        }
+    let lanes = if wide.is_empty() { 1 } else { full };
+    if lanes == 1 {
+        strip.scalar_why = why;
     }
     let run = |bufs: &mut [Vec<u8>],
                local_regions: Vec<Vec<u8>>,
@@ -3574,12 +3415,10 @@ pub(super) fn run_window(
         };
         drive(&mut groups, kernel.has_barrier, window, lanes)
     };
-    // Debug builds re-check what strips lean on: a dispatch that strips on
-    // the attribute alone, or a barrier kernel's phases in strips on the
-    // region analysis, runs once more, scalar, over a copy of the buffers,
-    // and the two must leave the same outcome (release builds pay
-    // nothing).
-    let twin = (cfg!(debug_assertions) && (strip.by_proof || (kernel.has_barrier && lanes > 1)))
+    // Debug builds re-check the strip rule: a dispatch that ran strips runs
+    // once more, one lane wide, over a copy of the buffers, and the two
+    // must leave the same outcome (release builds pay nothing).
+    let twin = (cfg!(debug_assertions) && lanes > 1)
         .then(|| (pool.bufs.clone(), local_regions.clone()));
     let group_ops = run(&mut pool.bufs, local_regions, lanes, strip);
     if let Some((mut bufs, local_regions)) = twin {
@@ -3592,21 +3431,9 @@ pub(super) fn run_window(
         };
         debug_assert!(
             same,
-            "{}",
-            if kernel.has_barrier {
-                format!(
-                    "kernel `{}`: its barrier regions ran in strips and disagree with the \
-                     scalar sweep: the region analysis admitted a racy region",
-                    kernel.name
-                )
-            } else {
-                format!(
-                    "kernel `{}` carries ens_disjoint_items, and its strips and the scalar \
-                     sweep disagree: work-items that differ in get_global_id(0) touch an \
-                     element one of them writes",
-                    kernel.name
-                )
-            }
+            "kernel `{}`: its strips and the one-lane-wide sweep disagree: the strip rule \
+             admitted a region whose lanes touch one element with a store",
+            kernel.name
         );
     }
     group_ops
@@ -3914,7 +3741,7 @@ mod tests {
     }
 
     // -- strip mode: each of these fails against a strip mode that lacks
-    //    the eligibility rule or the unzip ------------------------------
+    //    the strip rule or the unzip -----------------------------------
 
     fn i32_buf(n: usize) -> Vec<u8> {
         (0..n as i32)
@@ -3954,6 +3781,14 @@ mod tests {
         stats.strip
     }
 
+    /// A store and a load of slot 0 that two lanes of a strip may make to
+    /// one element.
+    const STORE_LOAD: Option<StripReject> = Some(StripReject::Race {
+        local: false,
+        slot: 0,
+        store: false,
+    });
+
     #[test]
     fn in_place_shift_stays_scalar() {
         // Item i+1 must read what item i wrote: lanes may not interleave.
@@ -3963,7 +3798,7 @@ mod tests {
             vec![i32_buf(40)],
             [16, 1, 1],
             [2, 1, 1],
-            Some(StripReject::LoadStore(0)),
+            STORE_LOAD,
         );
     }
 
@@ -3980,14 +3815,18 @@ mod tests {
             vec![i32_buf(40)],
             [16, 1, 1],
             [2, 1, 1],
-            Some(StripReject::TwoStores(0)),
+            Some(StripReject::Race {
+                local: false,
+                slot: 0,
+                store: true,
+            }),
         );
     }
 
     #[test]
     fn global_store_in_a_loop_stays_scalar() {
-        // One store instruction, but each item runs it several times at
-        // addresses its neighbours also write.
+        // Each item runs the store several times, at addresses its
+        // neighbours also write: the loop moves the index.
         strip_case(
             "__kernel void k(__global int* a) {
                 int i = get_global_id(0);
@@ -3997,7 +3836,92 @@ mod tests {
             vec![i32_buf(40)],
             [16, 1, 1],
             [2, 1, 1],
-            Some(StripReject::StoreInLoop),
+            Some(StripReject::Race {
+                local: false,
+                slot: 0,
+                store: true,
+            }),
+        );
+    }
+
+    #[test]
+    fn in_place_updates_of_the_items_own_elements_strip() {
+        // Loads and stores of one buffer, a store in a loop, two store
+        // sites: every element still has one item.
+        strip_case(
+            "__kernel void k(__global int* a) {
+                int i = get_global_id(0);
+                for (int j = 0; j < 3; j++) { a[i] = a[i] * 3 + j; }
+                if (a[i] > 50) { a[i] = 0; }
+            }",
+            &bufs(&[0]),
+            vec![i32_buf(40)],
+            [16, 1, 1],
+            [2, 1, 1],
+            None,
+        );
+    }
+
+    #[test]
+    fn a_store_pinned_to_one_lane_strips_and_a_shared_one_does_not() {
+        let kernel = |guard: &str| {
+            format!(
+                "__kernel void k(__global int* a, __global int* out) {{
+                    int i = get_global_id(0);
+                    int v = a[i] * 2;
+                    if ({guard}) {{ out[get_group_id(0)] = v; }}
+                }}"
+            )
+        };
+        let run = |src: &str, why| {
+            strip_case(src, &bufs(&[0, 1]), vec![i32_buf(40), vec![0u8; 8]], [16, 1, 1], [2, 1, 1], why)
+        };
+        run(&kernel("get_local_id(0) == 3"), None);
+        let shared = Some(StripReject::Race {
+            local: false,
+            slot: 1,
+            store: true,
+        });
+        run(&kernel("get_local_id(0) < 3"), shared);
+    }
+
+    #[test]
+    fn a_barrier_free_kernel_with_local_memory_strips() {
+        strip_case(
+            "__kernel void k(__global int* a, __global int* out) {
+                __local int t[64];
+                int l = get_local_id(0);
+                t[l] = a[get_global_id(0)] + 1;
+                out[get_global_id(0)] = t[l] * t[l];
+            }",
+            &bufs(&[0, 1]),
+            vec![i32_buf(40), vec![0u8; 4 * 40]],
+            [16, 1, 1],
+            [2, 1, 1],
+            None,
+        );
+    }
+
+    #[test]
+    fn a_barrier_kernel_with_no_race_free_region_names_its_first_pair() {
+        strip_case(
+            "__kernel void k(__global int* a, __global int* out) {
+                __local int t[64];
+                int l = get_local_id(0);
+                t[l] = a[get_global_id(0)];
+                t[l + 1] = 7;
+                barrier(CLK_LOCAL_MEM_FENCE);
+                out[0] = t[l];
+            }",
+            &bufs(&[0, 1]),
+            vec![i32_buf(40), vec![0u8; 8]],
+            [16, 1, 1],
+            [2, 1, 1],
+            Some(StripReject::Race {
+                local: true,
+                slot: 0,
+                store: true,
+            }),
         );
     }
 
@@ -4007,7 +3931,7 @@ mod tests {
             int i = get_global_id(0);
             b[i + 1] = a[i] + 1;
         }";
-        // Statically eligible, and with distinct buffers it strips ...
+        // With distinct buffers it strips ...
         strip_case(
             src,
             &bufs(&[0, 1]),
@@ -4016,109 +3940,46 @@ mod tests {
             [2, 1, 1],
             None,
         );
-        // ... but bound to one buffer it is the in-place shift again ...
+        // ... but bound to one buffer it is the in-place shift again.
         strip_case(
             src,
             &bufs(&[0, 0]),
             vec![i32_buf(40)],
             [16, 1, 1],
             [2, 1, 1],
-            Some(StripReject::LoadStore(0)),
-        );
-        // ... and the attribute does not help: it speaks about accesses
-        // through one parameter, and assumes two are two buffers.
-        let attributed = src.replace("__kernel", "__kernel __attribute__((ens_disjoint_items))");
-        let by_proof = strip_case(
-            &attributed,
-            &bufs(&[0, 1]),
-            vec![i32_buf(40), i32_buf(40)],
-            [16, 1, 1],
-            [2, 1, 1],
-            None,
-        )
-        .by_proof;
-        assert!(!by_proof, "the engine's own rule was enough");
-        strip_case(
-            &attributed,
-            &bufs(&[0, 0]),
-            vec![i32_buf(40)],
-            [16, 1, 1],
-            [2, 1, 1],
-            Some(StripReject::LoadStore(0)),
+            STORE_LOAD,
         );
     }
 
     /// LUD `Sub` by hand: in place, reads row and column `step`, writes
-    /// strictly below and right of them.
-    const IN_PLACE: &str = "__kernel __attribute__((ens_disjoint_items))
-        void k(__global int* m, const int n, const int step) {
+    /// strictly below and right of them; `n` is the row width.
+    const IN_PLACE: &str = "__kernel void k(__global int* m, const int n, const int step) {
             int j = get_global_id(0) + step + 1;
             int i = get_global_id(1) + step + 1;
             if (i < n && j < n) { m[i * n + j] = m[i * n + j] - m[i * n + step] * m[step * n + j]; }
         }";
 
-    fn in_place_case(src: &str, lx: usize) -> StripStats {
-        // Two groups of `lx` along dim 0 against `n - 2` columns to update.
-        let n = 2 * lx;
+    fn in_place_case(lx: usize, n: usize, why: Option<StripReject>) -> StripStats {
         let mut args = bufs(&[0]);
         args.extend([n as i64, 1].map(|v| RtArg::Scalar(Val::I(v))));
-        let why = (!src.contains("__attribute__")).then_some(StripReject::LoadStore(0));
-        strip_case(src, &args, vec![i32_buf(n * n)], [lx, 2, 1], [2, 2, 1], why)
+        let rows = 2 * 2 * lx.max(n);
+        strip_case(IN_PLACE, &args, vec![i32_buf(rows * rows)], [lx, 2, 1], [2, 2, 1], why)
     }
 
     #[test]
-    fn the_attribute_waives_the_slot_rule_inside_one_parameter() {
+    fn the_in_place_lud_update_strips_where_rows_are_a_strip_apart() {
         for lx in [1, 5, 16, 17, 33] {
-            let strip = in_place_case(IN_PLACE, lx);
-            assert!(strip.by_proof, "local_size[0] = {lx}");
+            // Two groups of `lx` along dim 0 against `n - 2` columns to update.
+            let strip = in_place_case(lx, 2 * lx, None);
             // The bounds guard turns the last items of each row away.
             assert_eq!(strip.unzips > 0, lx > 1);
-            // Without the attribute the same kernel is what it always was.
-            let plain = IN_PLACE.replace("__attribute__((ens_disjoint_items))", "");
-            assert!(!in_place_case(&plain, lx).by_proof);
         }
-    }
-
-    #[test]
-    fn the_attribute_does_not_waive_the_static_rules() {
-        strip_case(
-            "__kernel __attribute__((ens_disjoint_items)) void k(__global int* a) {
-                int i = get_global_id(0);
-                for (int j = 0; j < 3; j++) { a[i * 3 + j] = a[i * 3 + j] + j; }
-            }",
-            &bufs(&[0]),
-            vec![i32_buf(120)],
-            [16, 1, 1],
-            [2, 1, 1],
-            Some(StripReject::StoreInLoop),
-        );
-    }
-
-    // The attribute is trusted like `restrict`; where tests run, a false
-    // one is loud. (Release builds skip the scalar twin: see
-    // `run_window`.)
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "carries ens_disjoint_items")]
-    fn a_false_attribute_is_caught_by_the_scalar_twin() {
-        let mut pool = MemPool {
-            bufs: vec![i32_buf(40)],
-            read_only: vec![false],
-        };
-        let ast = parse(
-            "__kernel __attribute__((ens_disjoint_items)) void k(__global int* a) {
-                int i = get_global_id(0);
-                a[i + 1] = a[i] + 1;
-            }",
-        )
-        .unwrap();
-        let unit = compile(&ast).unwrap();
-        let info = unit.kernels["k"].clone();
-        let reg = regir::compile_kernel(&unit, &info).unwrap();
-        let nat = compile_native(&reg, &info).unwrap();
-        let (global, local) = ([32, 1, 1], [16, 1, 1]);
-        let window = all_groups(global, local);
-        let _ = run_ndrange(Lowered::Native(&nat), &info, &bufs(&[0]), &mut pool, global, local, window);
+        // Rows narrower than a strip: row i+1's `m[step*n + j]` is a lane
+        // of row i's strip away, and the dispatch runs one lane wide.
+        in_place_case(16, 8, STORE_LOAD);
+        in_place_case(16, 15, STORE_LOAD);
+        in_place_case(16, 16, None);
+        in_place_case(5, 5, None);
     }
 
     #[test]
@@ -4217,16 +4078,29 @@ mod tests {
         );
     }
 
-    /// Compile `src`'s kernel `k`, check that it is statically eligible
-    /// for strips, and run the (trapping) triangle.
+    /// Compile `src`'s kernel `k`, check that the strip rule admits it at
+    /// 16-item groups, and run the (trapping) triangle.
     fn strip_trap_case(src: &str, pool: Vec<Vec<u8>>) -> Trap {
         let unit = compile(&parse(src).expect("parse")).expect("compile");
         let info = unit.kernels.get("k").expect("kernel").clone();
         let reg = regir::compile_kernel(&unit, &info).expect("register compile");
         let nat = compile_native(&reg, &info).expect("native compile");
-        assert_eq!(nat.strip_reject, None, "the trap must happen in strip mode");
         let args = bufs(&(0..pool.len()).collect::<Vec<_>>());
+        let template = register_template(&info, &args, nat.main_const_base, &nat.template_static);
         let ro = vec![false; pool.len()];
+        let sites: Vec<Site> = nat
+            .site_ptrs
+            .iter()
+            .map(|&p| resolve_site(template[p as usize].ptr(), pool.len(), &ro, 0))
+            .collect();
+        let geo = Geometry {
+            group_id: [0; 3],
+            global_size: [32, 1, 1],
+            local_size: [16, 1, 1],
+            num_groups: [2, 1, 1],
+        };
+        let verdict = nat.regions[0].1.race_free(&sites, &template, &geo, STRIP);
+        assert_eq!(verdict, Ok(()), "the trap must happen in strip mode");
         triangle_native(src, "k", &args, (pool, ro), [32, 1, 1], [16, 1, 1])
             .expect_err("the kernel traps")
     }
@@ -4283,9 +4157,9 @@ mod tests {
         let mut bufs = pool;
         let read_only = vec![false; bufs.len()];
         let sites: Vec<Site> = prog
-            .site_uses
+            .site_ptrs
             .iter()
-            .map(|u| resolve_site(template[u.ptr as usize].ptr(), bufs.len(), &read_only, 0))
+            .map(|&p| resolve_site(template[p as usize].ptr(), bufs.len(), &read_only, 0))
             .collect();
         let geo = Geometry {
             group_id: [0; 3],

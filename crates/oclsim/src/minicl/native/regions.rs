@@ -1,75 +1,102 @@
-//! Race analysis of a barrier kernel's *regions*: the stretches of code
-//! between two barriers, which strip mode runs as strips (see the parent
-//! module, "Strip mode").
+//! The strip rule: race analysis of a kernel's *regions*, the stretches of
+//! code between two barriers, which strip mode runs as strips (see the
+//! parent module, "Strip mode").
 //!
 //! A region is named by its entry — the kernel entry or the instruction
 //! after a barrier — and holds every instruction reachable from there
-//! without passing a barrier. One *phase* of a work-group runs each item
-//! from its region entry to its next barrier or to completion. The
-//! reference semantics runs the items of a phase one after another; a
-//! strip interleaves them. The two agree when the phase is **race-free**:
-//! no two distinct work-items of the group touch one element of local or
-//! global memory with at least one of the accesses a store. Then every
-//! item reads only what it wrote itself or what was there before the
-//! phase, and every element has at most one writer in the phase, so no
-//! interleaving of the items can be told apart from the sweep.
+//! without passing a barrier; a barrier-free kernel is one region. One
+//! *phase* runs each item of a group from its region entry to its next
+//! barrier or to completion. The reference semantics runs the items of a
+//! phase one after another, in item order; strip mode cuts each dim-0 row
+//! into strips of up to `STRIP` consecutive items, runs the strips one
+//! after another, and interleaves the items of one strip. So the only
+//! items that ever interleave are the lanes of one strip, and they share
+//! `lid1`, `lid2`, the group id and every argument: they differ in `lid0`
+//! alone, pairwise by 1 to `w − 1` for a strip of `w` lanes.
 //!
-//! The analysis proves race-freedom statically, over the flat op stream
-//! (`FOp`), for each region:
+//! The question asked of a region is therefore per strip: **can two
+//! lanes of one strip touch one element of local or global memory, with
+//! one of the two accesses a store?** When they cannot, every lane reads
+//! only what it wrote itself or what was there before the strip, and each
+//! element has at most one writing lane, so the strip leaves the bytes,
+//! op counts and first trap of the sweep (the parent module's three
+//! points).
+//!
+//! The analysis answers it from the op stream the engine executes
+//! (`FOp`), once per region at build time, and discharges what is left
+//! once per dispatch, against the dispatch template:
 //!
 //! * **Values.** A forward abstract interpretation from the entry gives
-//!   each integer register an affine form `Σ cᵈ·lidᵈ + Σ cₛ·s + k` over
-//!   the local ids and *uniform symbols* — values that are the same for
-//!   every item of the phase: the dispatch-wide builtins, the register
-//!   values at the region entry (checked, see below), and the result of
-//!   any non-affine operation on uniform operands at an instruction that
-//!   runs at most once per item per phase (off every barrier-free cycle).
-//!   A join keeps a form only where all incoming paths agree, so a value
-//!   written under a branch that splits the items never stays uniform.
+//!   each integer register a *form*: a polynomial over `lid0` (at most
+//!   linearly) and *strip-uniform symbols* — values every lane of a strip
+//!   holds alike: `lid1`, `lid2`, the group ids and bases, the size
+//!   builtins, the register values at the region entry (checked, see
+//!   below), and the result of any operation the forms do not model on
+//!   uniform operands at an instruction that runs at most once per item
+//!   per phase (off every barrier-free cycle). Sums and products are
+//!   exact, so `i * m_dim1` with `i = get_global_id(0) + step + 1` is
+//!   `m_dim1·lid0 + (gidbase0 + step + 1)·m_dim1`. A join keeps a form
+//!   only where all incoming paths agree, so a value written under a
+//!   branch that splits the lanes never stays uniform.
 //! * **Facts.** Taken integer compare-branches add `form ≤ 0` or
-//!   `form = 0` facts along their edges; a join keeps the facts common to
-//!   all incoming paths. Facts speak about symbols, which never change
-//!   inside the phase, so no later write invalidates them.
+//!   `form = 0` facts about `lid0` along their edges; a join keeps the
+//!   facts common to all incoming paths. Facts speak about symbols, which
+//!   never change inside the phase, so no later write invalidates them.
 //! * **Accesses.** Every load and store through a pre-resolved site,
 //!   with its index form and the facts in force. A load or store through
 //!   a written pointer register makes the region unanalysable.
 //!
-//! Two parts are left to the dispatch, in [`Region::race_free`]: which
-//! buffer slot each site resolves to, and the group shape. A pair of
-//! accesses to one slot, one of them a store, is race-free when
+//! [`Region::race_free`] binds, per dispatch, every symbol the template
+//! fixes (arguments, entry values of never-written registers, sizes) to
+//! its value, and bounds the rest: ids, group ids and group bases are
+//! `≥ 0` and below their extents; checked entry values and modelled-away
+//! results are unbounded. A store `w` and an access `x` on one slot, with
+//! forms `a·lid0 + A` and `b·lid0 + B` and `a`, `b` concrete, are apart
+//! when, for lanes `p ≠ q` of one strip,
 //!
-//! 1. both index forms are equal and map the group's items one-to-one
-//!    (every dimension of extent > 1 carries a coefficient, and the
-//!    coefficients separate like digits of a mixed radix), or
-//! 2. one access is pinned to a single item by `lidᵈ = v` facts on every
-//!    dimension of extent > 1, and the other is that same pinned access
-//!    or maps items one-to-one and meets it only at the pinned item, or
-//! 3. the symbolic ranges of the two indices — local ids bounded by the
-//!    group shape and by the facts — are separated by a constant.
+//! 1. `a·lidₚ + A = b·lid_q + B` has no solution with `lidₚ − lid_q` in
+//!    `±[1, w − 1]`: for `a = b` the difference `A − B` is not such a
+//!    multiple of `a`; an access pinned to one lane by a `lid0 = v` fact
+//!    turns the other side into the same question; or
+//! 2. the ranges of the two indices — `lid0` bounded by the group shape
+//!    and by the facts, symbolically, so `lid0 ≤ s − 1` against
+//!    `lid0 + s` cancels to a constant — are separated.
 //!
-//! Everything else — two sites on one slot, a non-affine index, an index
-//! two items can share — keeps the region one lane wide.
+//! This is exact index arithmetic over the flat element index, so it needs
+//! no assumption about rows: `Sub`'s `m[i*m_dim1 + j]` against
+//! `m[step*m_dim1 + j]` differ by `(gid1 + 1)·m_dim1 ≥ m_dim1`, apart
+//! whenever `m_dim1 ≥ w`. Everything else — two sites or two element
+//! types on one slot, an index the forms do not model, a pair left
+//! undischarged — keeps the dispatch (or, in a barrier kernel, the
+//! region) one lane wide, and names the pair.
 //!
-//! The register values at a region entry are a property of the previous
-//! phase. A register every write of which is `get_local_id(d)` (or
-//! `get_global_id(d)`) reads as that id when every path to the barrier
-//! wrote it. Any other value the forms lean on, directly or through a
-//! symbol derived from it, is taken as uniform and checked per strip
-//! instead of proven ([`Region::entry_holds`]): only the lanes of one
-//! strip interleave, so that is all race-freedom needs. A strip that fails
-//! the check runs one lane wide. Uniform branches decided opposite ways on
-//! the paths to two accesses keep them apart: such a branch runs at most
-//! once per item per phase and goes one way for every item. The forms are
-//! exact as long as no index computation overflows `i64`.
+//! The register values at a barrier region's entry are a property of the
+//! previous phase. A register every write of which is `get_local_id(d)`
+//! (or `get_global_id(d)`) reads as that id when every path to the
+//! barrier wrote it. Any other written register the forms lean on,
+//! directly or through a symbol derived from it, is taken as uniform and
+//! checked per strip instead ([`Region::entry_holds`]); a strip that fails
+//! the check runs one lane wide. At the kernel entry every register holds
+//! its template value, so a barrier-free kernel's verdict is taken once
+//! per dispatch and checks nothing per strip. Uniform branches decided
+//! opposite ways on the paths to two accesses keep them apart: such a
+//! branch runs at most once per item per phase and goes one way for
+//! every lane. The forms are exact as long as no index computation
+//! overflows `i64`.
 
-use super::{cmp_inv, op_regs, FOp, NItem, Site, SiteKind};
+use super::{cmp_inv, op_regs, target_of, FOp, NItem, Site, SiteKind, StripReject};
 use crate::minicl::bytecode::{Builtin, Cmp, ElemTy};
+use crate::minicl::driver::Geometry;
 use crate::minicl::regir::{ROp, RVal};
 use std::collections::HashMap;
+use std::rc::Rc;
 
-/// A value every item of the group holds alike during one phase.
+/// A factor of a form's monomial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Sym {
+    /// `get_local_id(d)`. `Lid(0)` is the one value the lanes of a strip
+    /// do not share; `Lid(1)` and `Lid(2)` are strip-uniform.
+    Lid(u8),
     /// The register's value at the region entry.
     Entry(u16),
     /// The result of flat op `k` (run at most once per item per phase).
@@ -80,146 +107,136 @@ enum Sym {
     GSize(u8),
     LSize(u8),
     NGroups(u8),
+    /// The padding of a monomial of lower degree; sorts last.
+    One,
 }
 
-/// `Σ lid[d]·lidᵈ + Σ c·s + k`; symbols sorted, no zero coefficient.
+/// The lane index.
+const LANE: Sym = Sym::Lid(0);
+
+/// A product of up to three factors, sorted, padded with [`Sym::One`].
+type Mono = [Sym; 3];
+
+const UNIT: Mono = [Sym::One; 3];
+
+/// More terms than this and a form is dropped as unknown.
+const MAX_TERMS: usize = 24;
+
+/// `Σ c·m` over monomials `m`, sorted, no zero coefficient; `lid0`
+/// appears at most once per monomial.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct Aff {
-    lid: [i64; 3],
-    syms: Vec<(Sym, i64)>,
-    k: i64,
+struct Form(Vec<(Mono, i64)>);
+
+/// An abstract integer: a form, or `None` (unknown).
+type AVal = Option<Form>;
+
+/// A register of the abstract state: forms are shared between the states
+/// of successive instructions, not copied.
+type Reg = Option<Rc<Form>>;
+
+/// The product of two monomials, if it stays of degree ≤ 3 and linear in
+/// `lid0`.
+fn mono_mul(x: &Mono, y: &Mono) -> Option<Mono> {
+    let mut m = UNIT;
+    for (n, &s) in x.iter().chain(y).filter(|&&s| s != Sym::One).enumerate() {
+        *m.get_mut(n)? = s;
+    }
+    m.sort_unstable();
+    (m.iter().filter(|&&s| s == LANE).count() <= 1).then_some(m)
 }
 
-/// An abstract integer: an affine form, or `None` (unknown).
-type AVal = Option<Aff>;
-
-impl Aff {
-    fn konst(k: i64) -> Aff {
-        Aff {
-            k,
-            ..Aff::default()
-        }
+impl Form {
+    fn konst(k: i64) -> Form {
+        Form::norm(vec![(UNIT, k)]).unwrap_or_default()
     }
 
-    fn sym(s: Sym) -> Aff {
-        Aff {
-            syms: vec![(s, 1)],
-            ..Aff::default()
-        }
+    fn sym(s: Sym) -> Form {
+        Form(vec![([s, Sym::One, Sym::One], 1)])
     }
 
-    fn lid(d: usize) -> Aff {
-        let mut a = Aff::default();
-        a.lid[d] = 1;
-        a
+    /// Sort, merge and drop zero terms; `None` on overflow or blow-up.
+    fn norm(mut terms: Vec<(Mono, i64)>) -> AVal {
+        terms.sort_unstable_by_key(|t| t.0);
+        let mut n = 0;
+        for k in 0..terms.len() {
+            if n > 0 && terms[n - 1].0 == terms[k].0 {
+                terms[n - 1].1 = terms[n - 1].1.checked_add(terms[k].1)?;
+            } else {
+                terms[n] = terms[k];
+                n += 1;
+            }
+        }
+        terms.truncate(n);
+        terms.retain(|t| t.1 != 0);
+        (terms.len() <= MAX_TERMS).then_some(Form(terms))
     }
 
     fn is_uniform(&self) -> bool {
-        self.lid == [0; 3]
+        self.0.iter().all(|(m, _)| m[0] != LANE)
     }
 
     fn as_const(&self) -> Option<i64> {
-        (self.is_uniform() && self.syms.is_empty()).then_some(self.k)
+        match self.0.as_slice() {
+            [] => Some(0),
+            [(m, k)] if *m == UNIT => Some(*k),
+            _ => None,
+        }
     }
 
-    /// `self + sign·o`, or `None` on overflow.
-    fn add(&self, o: &Aff, sign: i64) -> AVal {
-        let mut lid = self.lid;
-        for (l, &m) in lid.iter_mut().zip(&o.lid) {
-            *l = l.checked_add(m.checked_mul(sign)?)?;
+    /// `self + sign·o`.
+    fn add(&self, o: &Form, sign: i64) -> AVal {
+        let mut terms = self.0.clone();
+        for &(m, c) in &o.0 {
+            terms.push((m, c.checked_mul(sign)?));
         }
-        let mut syms = self.syms.clone();
-        for &(s, c) in &o.syms {
-            let c = c.checked_mul(sign)?;
-            match syms.binary_search_by_key(&s, |&(t, _)| t) {
-                Ok(at) => {
-                    syms[at].1 = syms[at].1.checked_add(c)?;
-                    if syms[at].1 == 0 {
-                        syms.remove(at);
-                    }
-                }
-                Err(at) => syms.insert(at, (s, c)),
-            }
-        }
-        Some(Aff {
-            lid,
-            syms,
-            k: self.k.checked_add(o.k.checked_mul(sign)?)?,
-        })
+        Form::norm(terms)
     }
 
     fn scale(&self, c: i64) -> AVal {
-        if c == 0 {
-            return Some(Aff::konst(0));
-        }
-        let mut lid = self.lid;
-        for l in &mut lid {
-            *l = l.checked_mul(c)?;
-        }
-        let syms = self
-            .syms
-            .iter()
-            .map(|&(s, v)| Some((s, v.checked_mul(c)?)))
-            .collect::<Option<Vec<_>>>()?;
-        Some(Aff {
-            lid,
-            syms,
-            k: self.k.checked_mul(c)?,
-        })
+        let terms = self.0.iter().map(|&(m, v)| Some((m, v.checked_mul(c)?)));
+        Form::norm(terms.collect::<Option<_>>()?)
     }
 
-    /// The one local-id dimension this form carries, with its coefficient.
-    fn single_lid(&self) -> Option<(usize, i64)> {
-        let mut found = None;
-        for (d, &c) in self.lid.iter().enumerate() {
-            if c != 0 {
-                if found.is_some() {
-                    return None;
-                }
-                found = Some((d, c));
+    fn mul(&self, o: &Form) -> AVal {
+        let mut terms = Vec::with_capacity(self.0.len() * o.0.len());
+        for (mx, cx) in &self.0 {
+            for (my, cy) in &o.0 {
+                terms.push((mono_mul(mx, my)?, cx.checked_mul(*cy)?));
             }
         }
-        found
+        Form::norm(terms)
     }
 
-    /// Replace `lidᵈ` by `pins[d]` wherever a pin is given.
-    fn pin(&self, pins: &[Option<Aff>; 3]) -> AVal {
-        let mut out = Aff {
-            lid: [0; 3],
-            ..self.clone()
-        };
-        for (d, &c) in self.lid.iter().enumerate() {
-            match &pins[d] {
-                Some(v) => out = out.add(&v.scale(c)?, 1)?,
-                None => out.lid[d] = c,
+    /// `(coefficient of lid0, the rest)`, both uniform.
+    fn split(&self) -> (Form, Form) {
+        let (mut lane, mut rest) = (Vec::new(), Vec::new());
+        for &(m, c) in &self.0 {
+            if m[0] == LANE {
+                lane.push(([m[1], m[2], Sym::One], c));
+            } else {
+                rest.push((m, c));
             }
         }
-        Some(out)
+        (Form(lane), Form(rest))
     }
 }
 
-/// `f = 0` when `eq`, else `f ≤ 0`; only facts about one local id are
-/// kept (the rules below use nothing else).
+/// `f = 0` when `eq`, else `f ≤ 0`, with `f = ±lid0 + r`: only such facts
+/// are kept (the rule uses nothing else).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Fact {
-    f: Aff,
+    f: Form,
     eq: bool,
 }
 
-/// What the facts say about `lidᵈ`: upper bounds (`lidᵈ ≤ u`), lower
-/// bounds (`lidᵈ ≥ l`) and a pin (`lidᵈ = v`), each a uniform form.
-fn lid_bounds(facts: &[Fact], d: usize) -> (Vec<Aff>, Vec<Aff>, Option<Aff>) {
+/// What the facts say about `lid0`: upper bounds (`lid0 ≤ u`), lower
+/// bounds (`lid0 ≥ l`) and a pin (`lid0 = v`), each a uniform form.
+fn lane_bounds(facts: &[Fact]) -> (Vec<Form>, Vec<Form>, Option<Form>) {
     let (mut ups, mut lows, mut pin) = (Vec::new(), Vec::new(), None);
     for fact in facts {
-        let Some((fd, c)) = fact.f.single_lid() else {
-            continue;
-        };
-        if fd != d || c.abs() != 1 {
-            continue;
-        }
-        // c·lid + r (≤ | =) 0, with r the uniform rest.
-        let mut r = fact.f.clone();
-        r.lid = [0; 3];
+        // c·lid0 + r (≤ | =) 0.
+        let (lane, r) = fact.f.split();
+        let Some(c) = lane.as_const() else { continue };
         let Some(bound) = r.scale(-c) else { continue };
         if fact.eq {
             pin = Some(bound);
@@ -235,12 +252,12 @@ fn lid_bounds(facts: &[Fact], d: usize) -> (Vec<Aff>, Vec<Aff>, Option<Aff>) {
 /// The abstract machine state at one instruction.
 #[derive(Debug, Clone, PartialEq)]
 struct State {
-    regs: Vec<AVal>,
+    regs: Vec<Reg>,
     facts: Vec<Fact>,
     /// Uniform branches every path here took, and which way: flat op and
     /// `taken`. Such a branch runs at most once per item per phase, and
-    /// goes one way for every item, so two accesses whose paths decide it
-    /// differently never meet in one phase.
+    /// goes one way for every lane, so two accesses whose paths decide it
+    /// differently never meet in one strip.
     decided: Vec<(u32, bool)>,
 }
 
@@ -261,10 +278,10 @@ impl State {
     }
 }
 
-/// How a register's value at a region entry is read.
+/// How a register's value at a barrier region's entry is read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
-    /// One value shared by every item ([`Sym::Entry`]), checked per strip.
+    /// One value shared by every lane ([`Sym::Entry`]), checked per strip.
     Uniform,
     /// Every write to it is `get_local_id(d)`.
     Lid(u8),
@@ -278,21 +295,60 @@ struct Access {
     site: u32,
     store: bool,
     ty: ElemTy,
-    idx: AVal,
+    idx: Reg,
     facts: Vec<Fact>,
     decided: Vec<(u32, bool)>,
 }
 
-/// One region of a barrier kernel and what its accesses are.
+/// One region of a kernel: its store-involving pairs of accesses, with
+/// what is left of the strip question for the dispatch to discharge.
 #[derive(Debug, Clone)]
 pub(super) struct Region {
     /// Entry flat op (a unit start; the parent maps it to an instruction).
     pub(super) entry_flat: usize,
     /// Every access goes through a pre-resolved site.
     analysable: bool,
-    accesses: Vec<Access>,
+    /// Every store against every access (itself included) that no uniform
+    /// branch keeps apart, in op order.
+    pairs: Vec<Pair>,
     /// Entry registers the forms take as uniform: checked per strip.
     checks: Vec<u16>,
+}
+
+/// A store and another access of one region.
+#[derive(Debug, Clone)]
+struct Pair {
+    store_site: u32,
+    other_site: u32,
+    /// The other access is a store too.
+    other_store: bool,
+    /// How two lanes could be kept apart when both accesses reach one
+    /// slot; `None` when nothing can (two sites or element types, an
+    /// index the forms do not model).
+    check: Option<Check>,
+}
+
+/// The strip question for one pair, in forms the dispatch only evaluates.
+/// With the store at `a·lid0 + A` and the other access at `b·lid0 + B`,
+/// two lanes `p ≠ q` meet where `E = a·lidₚ − b·lid_q + d` is 0.
+#[derive(Debug, Clone)]
+struct Check {
+    a: Form,
+    b: Form,
+    /// `d = A − B`.
+    d: Form,
+    /// The two indices are one form with a fixed nonzero `a`: each lane
+    /// its own element, whatever the binding.
+    own: bool,
+    /// Both accesses are pinned to one and the same lane.
+    one_lane: bool,
+    /// `lid0 = p` facts pinning the store, and the other access.
+    pin_store: Option<Form>,
+    pin_other: Option<Form>,
+    /// Upper and lower bounds on `lidₚ` at the store, and on `lid_q` at
+    /// the other access: the facts' and the group's.
+    store_ends: (Vec<Form>, Vec<Form>),
+    other_ends: (Vec<Form>, Vec<Form>),
 }
 
 /// Analyse every region of `out`: the one at `entry` and one after each
@@ -305,47 +361,46 @@ pub(super) fn analyse(
     known: &[Option<RVal>],
     writes: &[u32],
 ) -> Vec<Region> {
-    // Ops on a barrier-free cycle may run more than once per phase.
-    let n = out.len();
-    let on_cycle: Vec<bool> = (0..n)
-        .map(|k| {
-            let mut seen = vec![false; n];
-            let mut stack: Vec<usize> = successors(out, k, false)
-                .into_iter()
-                .map(|(s, _)| s)
-                .collect();
-            while let Some(s) = stack.pop() {
-                if s == k {
-                    return true;
-                }
-                if s < n && !std::mem::replace(&mut seen[s], true) {
-                    stack.extend(successors(out, s, false).into_iter().map(|(t, _)| t));
-                }
-            }
-            false
-        })
-        .collect();
-    let roles = entry_roles(out, known, writes);
-    let assigned = assigned_ids(out, entry, &roles);
     let mut entries = vec![(entry, None)];
     for (k, op) in out.iter().enumerate() {
         if matches!(op, FOp::R(ROp::Barrier)) {
             entries.push((k + 1, Some(k)));
         }
     }
+    // Only a barrier region's entry values depend on the previous phase.
+    let (roles, assigned) = if entries.len() > 1 {
+        let roles = entry_roles(out, known, writes);
+        let assigned = assigned_ids(out, entry, &roles);
+        (roles, assigned)
+    } else {
+        (Vec::new(), Vec::new())
+    };
+    let mut head = vec![false; out.len()];
+    head[entry] = true;
+    for (k, op) in out.iter().enumerate() {
+        let jump = target_of(op);
+        if let Some(t) = jump {
+            head[t as usize] = true;
+        }
+        if jump.is_some() || matches!(op, FOp::R(ROp::Barrier)) {
+            if let Some(next) = head.get_mut(k + 1) {
+                *next = true;
+            }
+        }
+    }
     let cx = Cx {
         out,
-        on_cycle: &on_cycle,
+        on_cycle: &on_cycles(out),
+        head,
         entry_deps: std::cell::RefCell::new(Vec::new()),
     };
     entries
         .into_iter()
         .map(|(e, barrier)| {
-            let kernel_entry = barrier.is_none();
             let regs = (0..writes.len())
-                .map(|r| {
+                .map(|r| -> AVal {
                     if let Some(v) = known[r] {
-                        return Some(Aff::konst(v.i()));
+                        return Some(Form::konst(v.i()));
                     }
                     // An id role holds where every path to the barrier
                     // wrote the register; the kernel entry is the template.
@@ -354,11 +409,14 @@ pub(super) fn analyse(
                         _ => Role::Uniform,
                     };
                     Some(match role {
-                        Role::Uniform => Aff::sym(Sym::Entry(r as u16)),
-                        Role::Lid(d) => Aff::lid(d as usize),
-                        Role::Gid(d) => Aff::lid(d as usize).add(&Aff::sym(Sym::GidBase(d)), 1)?,
+                        Role::Uniform => Form::sym(Sym::Entry(r as u16)),
+                        Role::Lid(d) => Form::sym(Sym::Lid(d)),
+                        Role::Gid(d) => {
+                            Form::sym(Sym::Lid(d)).add(&Form::sym(Sym::GidBase(d)), 1)?
+                        }
                     })
                 })
+                .map(|v| v.map(Rc::new))
                 .collect();
             cx.entry_deps.borrow_mut().clear();
             let init = State {
@@ -366,72 +424,153 @@ pub(super) fn analyse(
                 facts: vec![],
                 decided: vec![],
             };
-            let states = cx.fixpoint(e, init);
-            let mut region = Region {
-                entry_flat: e,
-                analysable: true,
-                accesses: Vec::new(),
-                checks: Vec::new(),
-            };
-            for (k, st) in states.iter().enumerate() {
-                let Some(st) = st else { continue };
+            // Per op, the access it makes, with the last state it was
+            // visited with; `None` inside for a dynamic pointer.
+            let mut at: Vec<Option<Option<Access>>> = vec![None; out.len()];
+            cx.fixpoint(e, init, |k, st| {
                 let (store, ty, ptr, idx) = match out[k] {
                     FOp::R(ROp::Load { ty, ptr, idx, .. }) => (false, ty, ptr, idx),
                     FOp::R(ROp::Store { ty, ptr, idx, .. }) => (true, ty, ptr, idx),
-                    _ => continue,
+                    _ => return,
                 };
-                match sites.get(&ptr) {
-                    Some(&site) => region.accesses.push(Access {
-                        site,
-                        store,
-                        ty,
-                        idx: st.regs[idx as usize].clone(),
-                        facts: st.facts.clone(),
-                        decided: st.decided.clone(),
-                    }),
-                    None => region.analysable = false,
-                }
-            }
-            if !kernel_entry {
+                at[k] = Some(sites.get(&ptr).map(|&site| Access {
+                    site,
+                    store,
+                    ty,
+                    idx: st.regs[idx as usize].clone(),
+                    facts: st.facts.clone(),
+                    decided: st.decided.clone(),
+                }));
+            });
+            let analysable = at.iter().all(|a| !matches!(a, Some(None)));
+            let accesses: Vec<Access> = at.into_iter().flatten().flatten().collect();
+            let mut checks = Vec::new();
+            if barrier.is_some() {
                 // An entry value taken as uniform is checked where a form
                 // leans on it, directly or through a symbol derived from it.
                 let mut used = cx.entry_deps.borrow().clone();
-                for a in &region.accesses {
-                    let forms = a.idx.iter().chain(a.facts.iter().map(|f| &f.f));
-                    used.extend(forms.flat_map(|f| &f.syms).filter_map(|(s, _)| match s {
-                        Sym::Entry(r) => Some(*r),
-                        _ => None,
-                    }));
+                for a in &accesses {
+                    let forms = (a.idx.iter().map(|f| &**f)).chain(a.facts.iter().map(|f| &f.f));
+                    used.extend(forms.flat_map(|f| &f.0).flat_map(|(m, _)| m).filter_map(
+                        |s| match s {
+                            Sym::Entry(r) => Some(*r),
+                            _ => None,
+                        },
+                    ));
                 }
                 used.sort_unstable();
                 used.dedup();
-                region.checks = used
+                checks = used
                     .into_iter()
                     .filter(|&r| writes[r as usize] > 0)
                     .collect();
             }
-            region
+            let mut pairs = Vec::new();
+            for w in accesses.iter().filter(|a| a.store) {
+                for x in &accesses {
+                    if w.decided.iter().any(|&(b, t)| x.decided.contains(&(b, !t))) {
+                        continue;
+                    }
+                    pairs.push(Pair {
+                        store_site: w.site,
+                        other_site: x.site,
+                        other_store: x.store,
+                        check: (w.site == x.site && w.ty == x.ty)
+                            .then(|| Check::of(w, x))
+                            .flatten(),
+                    });
+                }
+            }
+            Region {
+                entry_flat: e,
+                analysable,
+                pairs,
+                checks,
+            }
         })
         .collect()
 }
 
 /// The successors of flat op `k`, each with whether it is the taken edge
 /// of a jump. A barrier ends a region unless `through_barriers`.
-fn successors(out: &[FOp], k: usize, through_barriers: bool) -> Vec<(usize, bool)> {
-    match &out[k] {
-        FOp::Done => vec![],
-        FOp::R(ROp::Barrier) if !through_barriers => vec![],
-        FOp::R(ROp::Jmp { t }) => vec![(*t as usize, true)],
+fn successors(
+    out: &[FOp],
+    k: usize,
+    through_barriers: bool,
+) -> impl Iterator<Item = (usize, bool)> {
+    let (taken, next) = match &out[k] {
+        FOp::Done => (None, None),
+        FOp::R(ROp::Barrier) if !through_barriers => (None, None),
+        FOp::R(ROp::Jmp { t }) => (Some(*t as usize), None),
         FOp::R(
             ROp::Jz { t, .. } | ROp::Jnz { t, .. } | ROp::JcI { t, .. } | ROp::JcF { t, .. },
-        ) => {
-            vec![(*t as usize, true), (k + 1, false)]
-        }
-        _ => vec![(k + 1, false)],
-    }
+        ) => (Some(*t as usize), Some(k + 1)),
+        _ => (None, Some(k + 1)),
+    };
+    let n = out.len();
+    let taken = taken.map(|t| (t, true));
+    let next = next.map(|s| (s, false));
+    taken.into_iter().chain(next).filter(move |&(s, _)| s < n)
 }
 
-/// How each register reads at a region entry (see [`Role`]).
+/// Which ops lie on a barrier-free cycle, and so may run more than once
+/// per item per phase: the members of the non-trivial strongly connected
+/// components of the flow graph with barrier edges cut (Tarjan's
+/// algorithm, one pass, iterative).
+fn on_cycles(out: &[FOp]) -> Vec<bool> {
+    const UNSEEN: u32 = u32::MAX;
+    let n = out.len();
+    let (mut index, mut low) = (vec![UNSEEN; n], vec![0u32; n]);
+    let mut on_stack = vec![false; n];
+    let mut cyclic = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    // The depth-first path: each op with how many successors it has tried.
+    let mut path: Vec<(usize, usize)> = Vec::new();
+    let mut next = 0u32;
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        path.push((root, 0));
+        while let Some(&(v, tried)) = path.last() {
+            if index[v] == UNSEEN {
+                (index[v], low[v]) = (next, next);
+                next += 1;
+                on_stack[v] = true;
+                stack.push(v);
+            }
+            match successors(out, v, false).nth(tried) {
+                Some((s, _)) => {
+                    path.last_mut().expect("on the path").1 += 1;
+                    if s == v {
+                        cyclic[v] = true;
+                    } else if index[s] == UNSEEN {
+                        path.push((s, 0));
+                    } else if on_stack[s] {
+                        low[v] = low[v].min(index[s]);
+                    }
+                }
+                None => {
+                    path.pop();
+                    if let Some(&(u, _)) = path.last() {
+                        low[u] = low[u].min(low[v]);
+                    }
+                    if low[v] == index[v] {
+                        let at = stack.iter().rposition(|&s| s == v).expect("on the stack");
+                        let scc = stack.split_off(at);
+                        for &s in &scc {
+                            on_stack[s] = false;
+                            cyclic[s] |= scc.len() > 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    cyclic
+}
+
+/// How each register reads at a barrier region's entry (see [`Role`]).
 fn entry_roles(out: &[FOp], known: &[Option<RVal>], writes: &[u32]) -> Vec<Role> {
     let mut roles: Vec<Option<Role>> = vec![None; writes.len()];
     let mut uniform = vec![false; writes.len()];
@@ -492,7 +631,7 @@ fn assigned_ids(out: &[FOp], entry: usize, roles: &[Role]) -> Vec<Vec<bool>> {
                 after[*dst as usize] = true;
             }
         }
-        for (s, _) in successors(out, k, true).into_iter().filter(|&(s, _)| s < n) {
+        for (s, _) in successors(out, k, true) {
             match &mut at[s] {
                 slot @ None => {
                     *slot = Some(after.clone());
@@ -521,6 +660,10 @@ fn assigned_ids(out: &[FOp], entry: usize, roles: &[Role]) -> Vec<Vec<bool>> {
 struct Cx<'a> {
     out: &'a [FOp],
     on_cycle: &'a [bool],
+    /// Ops that start a block: the kernel entry, every region entry, every
+    /// jump target and every op after a jump. The fixpoint keeps states
+    /// at these only and walks the straight-line code in between.
+    head: Vec<bool>,
     /// Entry registers a [`Sym::Def`] or a decided branch leans on:
     /// uniform only if they are.
     entry_deps: std::cell::RefCell<Vec<u16>>,
@@ -529,31 +672,43 @@ struct Cx<'a> {
 impl Cx<'_> {
     /// Record that the analysis takes these values as uniform: the entry
     /// registers among their symbols are checked per strip.
-    fn lean_on<'v>(&self, vals: impl Iterator<Item = &'v AVal>) {
+    fn lean_on<'v>(&self, vals: impl Iterator<Item = &'v Reg>) {
         let mut deps = self.entry_deps.borrow_mut();
-        for (s, _) in vals.flatten().flat_map(|a| &a.syms) {
+        for s in vals.flatten().flat_map(|f| &f.0).flat_map(|(m, _)| m) {
             if let Sym::Entry(e) = s {
                 deps.push(*e);
             }
         }
     }
 
-    /// Forward fixpoint over the region from `entry`; the in-state of
-    /// every op the region reaches.
-    fn fixpoint(&self, entry: usize, init: State) -> Vec<Option<State>> {
+    /// Does the block that holds op `k` end with it?
+    fn ends_block(&self, k: usize) -> bool {
+        target_of(&self.out[k]).is_some()
+            || matches!(self.out[k], FOp::Done | FOp::R(ROp::Barrier))
+            || self.head.get(k + 1).is_none_or(|&h| h)
+    }
+
+    /// Forward fixpoint over the region from `entry`, block by block; every
+    /// op the region reaches is visited with its in-state each time its
+    /// block is walked, the last time with the converged one (a head whose
+    /// state changes is walked again).
+    fn fixpoint(&self, entry: usize, init: State, mut visit: impl FnMut(usize, &State)) {
         let mut states: Vec<Option<State>> = vec![None; self.out.len()];
         states[entry] = Some(init);
         let mut work = vec![entry];
-        while let Some(k) = work.pop() {
-            let Some(st) = states[k].clone() else {
+        while let Some(h) = work.pop() {
+            let Some(mut after) = states[h].clone() else {
                 continue;
             };
-            let mut after = st;
+            let mut k = h;
+            visit(k, &after);
             self.step(k, &mut after);
+            while !self.ends_block(k) {
+                k += 1;
+                visit(k, &after);
+                self.step(k, &mut after);
+            }
             for (s, taken) in successors(self.out, k, false) {
-                if s >= self.out.len() {
-                    continue;
-                }
                 let mut next = after.clone();
                 if let FOp::R(ROp::JcI { cmp, a, b, .. }) = &self.out[k] {
                     let cmp = if taken { *cmp } else { cmp_inv(*cmp) };
@@ -567,9 +722,11 @@ impl Cx<'_> {
                     FOp::R(ROp::Jz { c, .. } | ROp::Jnz { c, .. }) => std::slice::from_ref(c),
                     _ => &[],
                 };
-                let uniform = cond
-                    .iter()
-                    .all(|&x| after.regs[x as usize].as_ref().is_some_and(Aff::is_uniform));
+                let uniform = cond.iter().all(|&x| {
+                    after.regs[x as usize]
+                        .as_ref()
+                        .is_some_and(|f| f.is_uniform())
+                });
                 if !cond.is_empty() && uniform && !self.on_cycle[k] {
                     self.lean_on(cond.iter().map(|&x| &after.regs[x as usize]));
                     next.decided.push((k as u32, taken));
@@ -587,7 +744,6 @@ impl Cx<'_> {
                 }
             }
         }
-        states
     }
 
     /// The effect of flat op `k` on the abstract registers.
@@ -602,23 +758,28 @@ impl Cx<'_> {
                 return None;
             }
             self.lean_on(xs.iter().map(|&x| &st.regs[x as usize]));
-            Some(Aff::sym(Sym::Def(k as u32)))
+            Some(Form::sym(Sym::Def(k as u32)))
         };
+        let mul = |st: &State, x: u16, y: u16| r(st, x).zip(r(st, y)).and_then(|(x, y)| x.mul(&y));
         let value: Option<(u16, AVal)> = match op {
             FOp::CopyArgs { dst, src, n } => {
-                let vals: Vec<AVal> = (0..*n).map(|j| r(st, src + j)).collect();
+                let vals: Vec<Reg> = (0..*n).map(|j| r(st, src + j)).collect();
                 for (j, v) in vals.into_iter().enumerate() {
                     st.regs[*dst as usize + j] = v;
                 }
                 return;
             }
             FOp::ZeroLocals { at, n } => {
+                let zero = Rc::new(Form::konst(0));
                 for j in 0..*n {
-                    st.regs[(at + j) as usize] = Some(Aff::konst(0));
+                    st.regs[(at + j) as usize] = Some(zero.clone());
                 }
                 return;
             }
-            FOp::R(Mov { dst, src }) => Some((*dst, r(st, *src))),
+            FOp::R(Mov { dst, src }) => {
+                st.regs[*dst as usize] = r(st, *src);
+                return;
+            }
             FOp::R(Swap { a, b }) => {
                 st.regs.swap(*a as usize, *b as usize);
                 return;
@@ -632,12 +793,11 @@ impl Cx<'_> {
                 r(st, *a).zip(r(st, *b)).and_then(|(x, y)| x.add(&y, -1)),
             )),
             FOp::R(NegI { dst, src }) => Some((*dst, r(st, *src).and_then(|x| x.scale(-1)))),
-            FOp::R(MulI { dst, a, b }) => Some((
-                *dst,
-                mul(&r(st, *a), &r(st, *b)).or_else(|| opaque(st, &[*a, *b])),
-            )),
+            FOp::R(MulI { dst, a, b }) => {
+                Some((*dst, mul(st, *a, *b).or_else(|| opaque(st, &[*a, *b]))))
+            }
             FOp::R(MadI { dst, a, b, c }) => {
-                let v = mul(&r(st, *a), &r(st, *b))
+                let v = mul(st, *a, *b)
                     .zip(r(st, *c))
                     .and_then(|(p, c)| p.add(&c, 1))
                     .or_else(|| opaque(st, &[*a, *b, *c]));
@@ -654,6 +814,20 @@ impl Cx<'_> {
                 | CmpI { dst, a, b, .. },
             ) => Some((*dst, opaque(st, &[*a, *b]))),
             FOp::R(Math2I { dst, a, b2, .. }) => Some((*dst, opaque(st, &[*a, *b2]))),
+            // Loads and float arithmetic: unknown.
+            FOp::R(
+                Load { dst, .. }
+                | AddF { dst, .. }
+                | SubF { dst, .. }
+                | MulF { dst, .. }
+                | DivF { dst, .. }
+                | Mad { dst, .. }
+                | MadRF { dst, .. }
+                | Math1 { dst, .. }
+                | Math2F { dst, .. }
+                | I2F { dst, .. }
+                | F2I { dst, .. },
+            ) => Some((*dst, None)),
             FOp::R(BNot { dst, src } | LNot { dst, src } | AbsI { dst, src }) => {
                 Some((*dst, opaque(st, &[*src])))
             }
@@ -661,21 +835,21 @@ impl Cx<'_> {
                 let dim = r(st, *src).and_then(|a| a.as_const());
                 let v = match dim {
                     Some(d) if (0..3).contains(&d) => {
-                        let d8 = d as u8;
+                        let d = d as u8;
                         match b {
-                            Builtin::GetLocalId => Some(Aff::lid(d as usize)),
+                            Builtin::GetLocalId => Some(Form::sym(Sym::Lid(d))),
                             Builtin::GetGlobalId => {
-                                Aff::lid(d as usize).add(&Aff::sym(Sym::GidBase(d8)), 1)
+                                Form::sym(Sym::Lid(d)).add(&Form::sym(Sym::GidBase(d)), 1)
                             }
-                            Builtin::GetGroupId => Some(Aff::sym(Sym::Grp(d8))),
-                            Builtin::GetGlobalSize => Some(Aff::sym(Sym::GSize(d8))),
-                            Builtin::GetLocalSize => Some(Aff::sym(Sym::LSize(d8))),
-                            Builtin::GetNumGroups => Some(Aff::sym(Sym::NGroups(d8))),
-                            _ => Some(Aff::konst(0)),
+                            Builtin::GetGroupId => Some(Form::sym(Sym::Grp(d))),
+                            Builtin::GetGlobalSize => Some(Form::sym(Sym::GSize(d))),
+                            Builtin::GetLocalSize => Some(Form::sym(Sym::LSize(d))),
+                            Builtin::GetNumGroups => Some(Form::sym(Sym::NGroups(d))),
+                            _ => Some(Form::konst(0)),
                         }
                     }
                     // The lowering's out-of-range reading: ids 0, sizes 1.
-                    Some(_) => Some(Aff::konst(matches!(
+                    Some(_) => Some(Form::konst(matches!(
                         b,
                         Builtin::GetGlobalSize | Builtin::GetLocalSize | Builtin::GetNumGroups
                     ) as i64)),
@@ -689,7 +863,7 @@ impl Cx<'_> {
             _ => None,
         };
         match value {
-            Some((dst, v)) => st.regs[dst as usize] = v,
+            Some((dst, v)) => st.regs[dst as usize] = v.map(Rc::new),
             // Anything else (loads, float and vector ops) is unknown.
             None => {
                 for (at, len) in op_regs(op).1 {
@@ -702,64 +876,179 @@ impl Cx<'_> {
     }
 }
 
-/// `x · y` when one side is a constant.
-fn mul(x: &AVal, y: &AVal) -> AVal {
-    let (x, y) = (x.as_ref()?, y.as_ref()?);
-    match (x.as_const(), y.as_const()) {
-        (Some(c), _) => y.scale(c),
-        (_, Some(c)) => x.scale(c),
-        _ => None,
-    }
-}
-
 /// The fact `x cmp y`, normalised to `f ≤ 0` / `f = 0`, if it is about
-/// one local id.
-fn fact(cmp: Cmp, x: &Aff, y: &Aff) -> Option<Fact> {
+/// `±lid0`.
+fn fact(cmp: Cmp, x: &Form, y: &Form) -> Option<Fact> {
     let d = x.add(y, -1)?;
     let (f, eq) = match cmp {
-        Cmp::Lt => (d.add(&Aff::konst(1), 1)?, false),
+        Cmp::Lt => (d.add(&Form::konst(1), 1)?, false),
         Cmp::Le => (d, false),
-        Cmp::Gt => (d.scale(-1)?.add(&Aff::konst(1), 1)?, false),
+        Cmp::Gt => (d.scale(-1)?.add(&Form::konst(1), 1)?, false),
         Cmp::Ge => (d.scale(-1)?, false),
         Cmp::Eq => (d, true),
         Cmp::Ne => return None,
     };
-    f.single_lid()
-        .filter(|&(_, c)| c.abs() == 1)
-        .map(|_| Fact { f, eq })
+    matches!(f.split().0.as_const(), Some(1 | -1)).then_some(Fact { f, eq })
+}
+
+/// An interval bound this large stands for infinity.
+const INF: i128 = 1 << 100;
+
+/// What one dispatch fixes about the symbols.
+struct Bind<'a> {
+    template: &'a [RVal],
+    /// Entry registers checked per strip: not fixed by the template.
+    checks: &'a [u16],
+    geo: &'a Geometry,
+}
+
+impl Bind<'_> {
+    /// The symbol's value, when the dispatch fixes it.
+    fn value(&self, s: Sym) -> Option<i64> {
+        let g = self.geo;
+        let v = match s {
+            Sym::Entry(r) if !self.checks.contains(&r) => {
+                return Some(self.template[r as usize].i())
+            }
+            Sym::GSize(d) => g.global_size[d as usize],
+            Sym::LSize(d) => g.local_size[d as usize],
+            Sym::NGroups(d) => g.num_groups[d as usize],
+            _ => return None,
+        };
+        i64::try_from(v).ok()
+    }
+
+    /// The symbol's range over the strips of the dispatch.
+    fn range(&self, s: Sym) -> (i128, i128) {
+        let g = self.geo;
+        let top = |v: usize| (v as i128).saturating_sub(1).max(0);
+        match s {
+            Sym::Lid(d) => (0, top(g.local_size[d as usize])),
+            Sym::Grp(d) => (0, top(g.num_groups[d as usize])),
+            Sym::GidBase(d) => (
+                0,
+                top(g.num_groups[d as usize]) * g.local_size[d as usize] as i128,
+            ),
+            _ => (-INF, INF),
+        }
+    }
+
+    /// The range of `Σ kᵢ·fᵢ` over the strips of the dispatch, for uniform
+    /// forms `fᵢ` (at most three), monomial by monomial: like terms of the
+    /// parts merge first, so `s − 1` against `−s` cancels. Bounds at
+    /// `±INF` stand for unbounded.
+    fn interval_of(&self, parts: &[(i128, &Form)]) -> (i128, i128) {
+        let clamp = |v: i128| v.clamp(-INF, INF);
+        let mut at = [0usize; 3];
+        let (mut lo, mut hi) = (0i128, 0i128);
+        loop {
+            let next = parts
+                .iter()
+                .zip(&at)
+                .filter_map(|((_, f), &i)| f.0.get(i).map(|t| t.0))
+                .min();
+            let Some(m) = next else { break };
+            let mut c = 0i128;
+            for ((k, f), i) in parts.iter().zip(at.iter_mut()) {
+                if let Some(&(tm, tc)) = f.0.get(*i) {
+                    if tm == m {
+                        c = clamp(c.saturating_add(k.saturating_mul(tc as i128)));
+                        *i += 1;
+                    }
+                }
+            }
+            let (mut tlo, mut thi) = (c, c);
+            for &s in m.iter().filter(|&&s| s != Sym::One) {
+                let (slo, shi) = match self.value(s) {
+                    Some(v) => (v as i128, v as i128),
+                    None => self.range(s),
+                };
+                let ends = [
+                    tlo.saturating_mul(slo),
+                    tlo.saturating_mul(shi),
+                    thi.saturating_mul(slo),
+                    thi.saturating_mul(shi),
+                ];
+                tlo = clamp(*ends.iter().min().expect("four ends"));
+                thi = clamp(*ends.iter().max().expect("four ends"));
+            }
+            lo = clamp(lo.saturating_add(tlo));
+            hi = clamp(hi.saturating_add(thi));
+        }
+        (lo, hi)
+    }
+
+    /// The value of a uniform form the dispatch fixes.
+    fn exact(&self, f: &Form) -> Option<i64> {
+        match self.interval_of(&[(1, f)]) {
+            (lo, hi) if lo == hi && lo.abs() < INF => i64::try_from(lo).ok(),
+            _ => None,
+        }
+    }
+}
+
+/// Can `c·δ + r = 0` hold for some `δ` in `±[1, w1]` and `r` in `range`?
+fn may_meet(c: i128, (lo, hi): (i128, i128), w1: i128) -> bool {
+    let m = c.abs();
+    if m == 0 {
+        return lo <= 0 && 0 <= hi;
+    }
+    if lo == hi && lo.abs() < INF {
+        return lo != 0 && lo % m == 0 && (lo / m).abs() <= w1;
+    }
+    let hits = |a: i128, b: i128| lo <= b && a <= hi;
+    hits(m, w1 * m) || hits(-w1 * m, -m)
 }
 
 impl Region {
-    /// Is every phase that starts here race-free in this dispatch, with
-    /// these resolved sites and this group shape?
-    pub(super) fn race_free(&self, sites: &[Site], local: [usize; 3]) -> bool {
-        if !self.analysable {
-            return false;
+    /// Can no two lanes of one strip of `width` lanes touch one element in
+    /// this region, one of the two accesses a store, with these resolved
+    /// sites, this template and this group shape? `Err` names the first
+    /// thing that could not be discharged.
+    pub(super) fn race_free(
+        &self,
+        sites: &[Site],
+        template: &[RVal],
+        geo: &Geometry,
+        width: usize,
+    ) -> Result<(), StripReject> {
+        if width <= 1 {
+            return Ok(());
         }
-        let memory = |a: &Access| {
-            let s = &sites[a.site as usize];
+        if !self.analysable {
+            return Err(StripReject::DynamicPointer);
+        }
+        let bind = Bind {
+            template,
+            checks: &self.checks,
+            geo,
+        };
+        let memory = |site: u32| {
+            let s = &sites[site as usize];
             matches!(s.kind, SiteKind::Global | SiteKind::Local)
                 .then_some((s.kind == SiteKind::Local, s.slot))
         };
-        for w in self.accesses.iter().filter(|a| a.store) {
-            let Some(mw) = memory(w) else { continue };
-            for x in &self.accesses {
-                let apart = w.decided.iter().any(|&(b, t)| x.decided.contains(&(b, !t)));
-                if memory(x) != Some(mw) || apart {
-                    continue;
-                }
-                let separate = w.site == x.site && w.ty == x.ty && disjoint(w, x, local);
-                if !separate {
-                    return false;
-                }
+        for pair in &self.pairs {
+            let Some((local, slot)) = memory(pair.store_site) else {
+                continue;
+            };
+            if memory(pair.other_site) != Some((local, slot)) {
+                continue;
+            }
+            let w1 = width as i128 - 1;
+            if !pair.check.as_ref().is_some_and(|c| c.apart(&bind, w1)) {
+                return Err(StripReject::Race {
+                    local,
+                    slot,
+                    store: pair.other_store,
+                });
             }
         }
-        true
+        Ok(())
     }
 
     /// Do the entry registers the forms take as uniform hold one value in
-    /// every lane of a strip? (Strips run one after another, so only the
-    /// items of one strip interleave.)
+    /// every lane of a strip? (Only the lanes of one strip interleave.)
     pub(super) fn entry_holds(&self, lanes: &[NItem]) -> bool {
         let Some(first) = lanes.first() else {
             return true;
@@ -771,110 +1060,82 @@ impl Region {
     }
 }
 
-/// Does the local-id part of a form map the group's items one-to-one?
-fn injective(lid: &[i64; 3], local: [usize; 3]) -> bool {
-    let mut dims: Vec<(i64, i64)> = Vec::new();
-    for d in 0..3 {
-        if local[d] > 1 {
-            if lid[d] == 0 {
-                return false;
+impl Check {
+    /// The strip question for store `w` and access `x` of one site and
+    /// element type, as far as the forms take it; `None` where an index
+    /// is unknown.
+    fn of(w: &Access, x: &Access) -> Option<Check> {
+        let (a, rw) = w.idx.as_ref()?.split();
+        let (b, rx) = x.idx.as_ref()?.split();
+        let d = rw.add(&rx, -1)?;
+        let own = w.idx == x.idx && a.as_const().is_some_and(|c| c != 0);
+        let (ups_w, lows_w, pin_store) = lane_bounds(&w.facts);
+        let (ups_x, lows_x, pin_other) = lane_bounds(&x.facts);
+        // Every item of a group has `0 ≤ lid0 ≤ get_local_size(0) − 1`.
+        let top = Form::sym(Sym::LSize(0)).add(&Form::konst(1), -1)?;
+        let ends = |ups: Vec<Form>, lows: Vec<Form>, pin: &Option<Form>| match pin {
+            Some(p) => (vec![p.clone()], vec![p.clone()]),
+            None => {
+                let mut ups: Vec<Form> = ups.into_iter().take(3).collect();
+                let mut lows: Vec<Form> = lows.into_iter().take(3).collect();
+                ups.push(top.clone());
+                lows.push(Form::konst(0));
+                (ups, lows)
             }
-            dims.push((lid[d].abs(), local[d] as i64 - 1));
-        }
-    }
-    dims.sort();
-    let mut reach = 0i64;
-    for (c, span) in dims {
-        if c <= reach {
-            return false;
-        }
-        match c.checked_mul(span).and_then(|m| m.checked_add(reach)) {
-            Some(r) => reach = r,
-            None => return false,
-        }
-    }
-    true
-}
-
-/// Can no two distinct items of a group of shape `local` reach `w` and `x`
-/// at one element?
-fn disjoint(w: &Access, x: &Access, local: [usize; 3]) -> bool {
-    if local.iter().all(|&l| l <= 1) {
-        return true; // one item
-    }
-    let (Some(iw), Some(ix)) = (&w.idx, &x.idx) else {
-        return false;
-    };
-    // (1) One form, one element per item.
-    if iw == ix && injective(&iw.lid, local) {
-        return true;
-    }
-    // (2) A pinned access is one item's.
-    let pins = |a: &Access| -> Option<[Option<Aff>; 3]> {
-        let mut pins: [Option<Aff>; 3] = [None, None, None];
-        for (d, pin) in pins.iter_mut().enumerate() {
-            *pin = Some(if local[d] > 1 {
-                lid_bounds(&a.facts, d).2?
-            } else {
-                Aff::konst(0)
-            });
-        }
-        Some(pins)
-    };
-    let (pw, px) = (pins(w), pins(x));
-    if pw.is_some() && pw == px {
-        return true;
-    }
-    // The free access meets the pinned one only at the pinned item.
-    for (pins, pinned, free) in [(&px, ix, iw), (&pw, iw, ix)] {
-        let Some(pins) = pins else { continue };
-        if injective(&free.lid, local) {
-            if let (Some(a), Some(b)) = (free.pin(pins), pinned.pin(pins)) {
-                if a == b {
-                    return true;
-                }
-            }
-        }
-    }
-    // (3) Ranges separated by a constant.
-    let below = |lo: &Access, ilo: &Aff, hi: &Access, ihi: &Aff| {
-        extremes(ilo, &lo.facts, local, true).iter().any(|top| {
-            extremes(ihi, &hi.facts, local, false).iter().any(|bot| {
-                top.add(bot, -1)
-                    .and_then(|d| d.as_const())
-                    .is_some_and(|d| d < 0)
-            })
+        };
+        Some(Check {
+            own,
+            one_lane: pin_store.is_some() && pin_store == pin_other,
+            store_ends: ends(ups_w, lows_w, &pin_store),
+            other_ends: ends(ups_x, lows_x, &pin_other),
+            pin_store,
+            pin_other,
+            a,
+            b,
+            d,
         })
-    };
-    below(w, iw, x, ix) || below(x, ix, w, iw)
-}
-
-/// Candidate maxima (`max`) or minima of a form over the items that
-/// satisfy `facts`, as uniform forms.
-fn extremes(f: &Aff, facts: &[Fact], local: [usize; 3], max: bool) -> Vec<Aff> {
-    let mut out = vec![Aff {
-        lid: [0; 3],
-        ..f.clone()
-    }];
-    for (d, (&c, &extent)) in f.lid.iter().zip(&local).enumerate() {
-        if c == 0 || extent <= 1 {
-            continue;
-        }
-        let (ups, lows, pin) = lid_bounds(facts, d);
-        let mut top = ups;
-        top.push(Aff::konst(extent as i64 - 1));
-        let mut bottom = lows;
-        bottom.push(Aff::konst(0));
-        if let Some(p) = pin {
-            top = vec![p.clone()];
-            bottom = vec![p];
-        }
-        let pick = if (c > 0) == max { top } else { bottom };
-        out = out
-            .iter()
-            .flat_map(|acc| pick.iter().filter_map(move |b| acc.add(&b.scale(c)?, 1)))
-            .take(16)
-            .collect();
     }
-    out
+
+    /// Are the two accesses apart between any two lanes `p ≠ q` of one
+    /// strip, `|lidₚ − lid_q| ≤ w1`, in this dispatch?
+    fn apart(&self, bind: &Bind<'_>, w1: i128) -> bool {
+        let (Some(a), Some(b)) = (bind.exact(&self.a), bind.exact(&self.b)) else {
+            return false;
+        };
+        if self.own || self.one_lane {
+            return true;
+        }
+        let (a, b) = (a as i128, b as i128);
+        let d = &self.d;
+        // (1) E as c·δ + r over the lane distance δ: δ = lidₚ − lid_q when
+        // a = b; with the store pinned to p, lid_q = p + δ; with the other
+        // access pinned to p, lidₚ = p + δ. Then r = (a − b)·p + d.
+        let rest = |p: &Form| bind.interval_of(&[(a - b, p), (1, d)]);
+        if (a == b && !may_meet(a, bind.interval_of(&[(1, d)]), w1))
+            || self
+                .pin_store
+                .as_ref()
+                .is_some_and(|p| !may_meet(-b, rest(p), w1))
+            || self
+                .pin_other
+                .as_ref()
+                .is_some_and(|p| !may_meet(a, rest(p), w1))
+        {
+            return true;
+        }
+        // (2) The ranges: E over the lanes' bounds, symbolically, with
+        // lidₚ at an upper bound and lid_q at a lower one for a maximum
+        // (the other way round for a negative a or b), below 0; or a
+        // minimum above 0.
+        let (w_up, w_low) = &self.store_ends;
+        let (x_up, x_low) = &self.other_ends;
+        let e = |u: &Form, v: &Form| bind.interval_of(&[(a, u), (-b, v), (1, d)]);
+        let pick = |up, lo, hi_side: bool| if hi_side { up } else { lo };
+        let max_u = pick(w_up, w_low, a > 0);
+        let max_v = pick(x_low, x_up, b > 0);
+        let min_u = pick(w_low, w_up, a > 0);
+        let min_v = pick(x_up, x_low, b > 0);
+        max_u.iter().any(|u| max_v.iter().any(|v| e(u, v).1 < 0))
+            || min_u.iter().any(|u| min_v.iter().any(|v| e(u, v).0 > 0))
+    }
 }

@@ -157,10 +157,6 @@ impl Parser {
     fn func(&mut self) -> Result<Func, ParseError> {
         let pos = self.pos();
         let is_kernel = self.eat_ident("__kernel") || self.eat_ident("kernel");
-        let mut disjoint_items = false;
-        while is_kernel && self.eat_ident("__attribute__") {
-            disjoint_items |= self.attributes()?.iter().any(|a| a == DISJOINT_ITEMS_ATTR);
-        }
         let ret = self.base_type()?;
         if is_kernel && ret != Type::Void {
             return Err(self.err("__kernel functions must return void".to_string()));
@@ -184,45 +180,11 @@ impl Parser {
         Ok(Func {
             name,
             is_kernel,
-            disjoint_items,
             ret,
             params,
             body,
             pos,
         })
-    }
-
-    /// The names inside one `__attribute__((a, b(args), …))`, its keyword
-    /// already consumed. Arguments are skipped: no attribute the engines
-    /// know takes any, and unknown attributes are ignored by name.
-    fn attributes(&mut self) -> Result<Vec<String>, ParseError> {
-        self.expect(Tok::LParen)?;
-        self.expect(Tok::LParen)?;
-        let mut names = Vec::new();
-        loop {
-            names.push(self.ident()?);
-            if *self.peek() == Tok::LParen {
-                let mut depth = 0usize;
-                loop {
-                    match self.bump() {
-                        Tok::LParen => depth += 1,
-                        Tok::RParen => depth -= 1,
-                        Tok::Eof => return Err(self.err("unclosed attribute argument".into())),
-                        _ => {}
-                    }
-                    if depth == 0 {
-                        break;
-                    }
-                }
-            }
-            if *self.peek() != Tok::Comma {
-                break;
-            }
-            self.bump();
-        }
-        self.expect(Tok::RParen)?;
-        self.expect(Tok::RParen)?;
-        Ok(names)
     }
 
     fn param(&mut self) -> Result<Param, ParseError> {
@@ -798,32 +760,6 @@ mod tests {
     #[test]
     fn rejects_non_void_kernel() {
         assert!(parse("__kernel int k() { return 1; }").is_err());
-    }
-
-    #[test]
-    fn kernel_attributes_are_read_by_name_and_unknown_ones_ignored() {
-        let flagged = |src: &str| parse(src).unwrap().funcs[0].disjoint_items;
-        assert!(!flagged("__kernel void k() { }"));
-        assert!(flagged(
-            "__kernel __attribute__((ens_disjoint_items)) void k() { }"
-        ));
-        assert!(!flagged(
-            "__kernel __attribute__((vec_type_hint(float4))) void k() { }"
-        ));
-        assert!(flagged(
-            "__kernel __attribute__((reqd_work_group_size(16, (1), 1), ens_disjoint_items)) \
-             __attribute__((unused)) void k() { }"
-        ));
-        for bad in [
-            "__kernel __attribute__(ens_disjoint_items) void k() { }",
-            "__kernel __attribute__((ens_disjoint_items) void k() { }",
-            "__kernel __attribute__((hint(1, 2) void k() { }",
-            "__kernel __attribute__(()) void k() { }",
-            // Only kernels take attributes.
-            "__attribute__((ens_disjoint_items)) void f() { }",
-        ] {
-            assert!(parse(bad).is_err(), "{bad}");
-        }
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!
 //! The emitted program is checked by `validate` — every register operand
 //! in range, every jump target inside its function, every function ending
-//! in an unconditional terminator, every call shape consistent — and only a
-//! validated program is returned. That proof lets the inner interpreter
+//! in a terminator that never falls through, every call shape consistent —
+//! and only a validated program is returned. That proof lets the inner interpreter
 //! loop use unchecked register/code accesses (see the SAFETY notes in
 //! `step_until_stop`).
 //!
@@ -216,8 +216,8 @@ pub(super) struct RFunc {
 /// and lowered further by the native engine
 /// ([`super::native::compile_native`]). The program is *validated*: every
 /// register operand is inside its frame, every jump target inside its
-/// function, every function ends in an unconditional terminator — which is
-/// what licenses the unchecked interpreter loop (and the native lowering
+/// function, every function ends in a terminator that never falls
+/// through — which is what licenses the unchecked interpreter loop (and the native lowering
 /// built on top of it).
 #[derive(Debug, Clone)]
 pub struct RegProgram {
@@ -1172,8 +1172,8 @@ fn regs_ok(op: &ROp, nregs: u16) -> bool {
 
 /// Static check that makes the unchecked interpreter loop sound: every
 /// register operand is inside its function's frame, every jump target is
-/// inside its function's instruction range, every function range ends in an
-/// unconditional terminator (sequential execution can never run off the
+/// inside its function's instruction range, every function range ends in a
+/// terminator that never falls through (sequential execution can never run off the
 /// end), and every call site's argument window and callee metadata are
 /// consistent. Returns `None` (→ stack fallback) on any violation.
 fn validate(prog: &RegProgram, main_end: usize, franges: &[Option<(usize, usize)>]) -> Option<()> {
@@ -2264,7 +2264,6 @@ mod tests {
             local_decl_bytes: vec![],
             has_barrier: false,
             priv_bytes: 0,
-            disjoint_items: false,
         };
         assert!(compile_kernel(&unit, &info).is_none());
     }

@@ -415,7 +415,7 @@ pub fn force_host_locked<'m>(
 /// Eviction forces the value back to host memory through the same
 /// read-back path host access uses ([`force_host_locked`]), so it is
 /// transparent to the owning program: the kernel actor's dispatch loop
-/// handles `MovState::Host` unconditionally and re-uploads the (byte
+/// always handles `MovState::Host` and re-uploads the (byte
 /// -identical) flattened data on the next touch. The accountant holds a
 /// strong `Arc` — a `mov` value's memory is only reclaimable through
 /// either teardown of the owning session (dropping the registry) or this

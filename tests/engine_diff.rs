@@ -205,9 +205,8 @@ fn harvested_kernels() -> Vec<(String, String)> {
     harvest(|src| ensemble_lang::compile_source(src).expect("compile .ens"))
 }
 
-/// The same through the analysis gate, whose proofs reach the generated
-/// source (`__attribute__((ens_disjoint_items))`): what the VM, the
-/// serving layer and the benchmark actually build.
+/// The same through the analysis gate: what the VM, the serving layer and
+/// the benchmark actually build.
 fn gated_kernels() -> Vec<(String, String)> {
     harvest(|src| {
         ensemble_analysis::compile_source(src, &Default::default()).expect("passes the gate")
@@ -253,123 +252,95 @@ fn harvested_app_kernels_agree_on_all_engines() {
     }
 }
 
-/// The native engine runs the shipped barrier-free kernels in strips and
-/// says so on the kernel span; LUD's in-place kernels stay scalar and the
-/// span names the rule that kept them there.
-#[test]
-fn shipped_kernels_take_the_strip_path_and_lud_does_not() {
-    let kernels = harvested_kernels();
-    let span_args = |name: &str| -> Vec<(String, String)> {
-        let (_, src) = kernels
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("no harvested kernel `{name}`"));
-        let sink = TraceSink::new();
-        run_traced(Engine::Native, src, name, GLOBAL, LOCAL, sink.clone()).expect("runs");
-        let events = sink.events();
-        let span = events
-            .iter()
-            .find(|e| e.kind == SpanKind::Kernel)
-            .expect("a kernel span");
-        span.args.clone()
-    };
-    let arg = |args: &[(String, String)], key: &str| -> Option<String> {
-        args.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-    };
-    let items = (GLOBAL[0] * GLOBAL[1]).to_string();
-    for name in ["Multiply", "Mandelbrot", "Rank"] {
-        let args = span_args(name);
-        assert_eq!(
-            arg(&args, "strip_items"),
-            Some(items.clone()),
-            "`{name}`: {args:?}"
-        );
-        assert!(arg(&args, "strip_unzips").is_some(), "`{name}`: {args:?}");
-        assert_eq!(arg(&args, "scalar_why"), None, "`{name}`: {args:?}");
-    }
-    for name in ["Col", "Sub"] {
-        let args = span_args(name);
-        assert_eq!(arg(&args, "strip_items"), None, "`{name}`: {args:?}");
-        assert_eq!(
-            arg(&args, "scalar_why").as_deref(),
-            Some("load+store slot 0"),
-            "`{name}`: {args:?}"
-        );
-    }
-    // Barrier kernels run the lockstep sweep: neither tally nor reason.
-    let args = span_args("Reduce");
-    assert_eq!(arg(&args, "strip_items"), None, "{args:?}");
-    assert_eq!(arg(&args, "scalar_why"), None, "{args:?}");
+/// The kernel span's arguments for one traced native run of `name`.
+fn native_span_args(src: &str, name: &str, global: [usize; 3], local: [usize; 3]) -> Vec<(String, String)> {
+    let sink = TraceSink::new();
+    run_traced(Engine::Native, src, name, global, local, sink.clone()).expect("runs");
+    let events = sink.events();
+    let span = events
+        .iter()
+        .find(|e| e.kind == SpanKind::Kernel)
+        .expect("a kernel span");
+    span.args.clone()
 }
 
-const ATTRIBUTE: &str = "__attribute__((ens_disjoint_items))";
+fn span_arg(args: &[(String, String)], key: &str) -> Option<String> {
+    args.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+}
 
-/// The gated front end states its unconditional proofs in the kernel
-/// source, and with them LUD's in-place kernels run in strips too — on
-/// the proof's word, which the span records; the kernels the engine's own
-/// rule already admitted carry the attribute without needing it.
+/// The stripped set of the shipped kernels, from the kernel span: every
+/// barrier-free kernel with more than one item per group runs all its
+/// items in strips — LUD's in-place `Col` and `Sub` included, on the
+/// engine's own proof — and the reduction's regions strip on 2-D groups
+/// too. `Diag`'s every item stores `piv[0]`, so it runs one lane wide and
+/// the span names the pair. Gated and ungated front ends build one source.
 #[test]
-fn gated_lud_kernels_take_the_strip_path_on_the_proofs_word() {
+fn shipped_kernels_take_the_strip_path() {
     let kernels = gated_kernels();
-    let attributed: Vec<&str> = kernels
-        .iter()
-        .filter(|(_, src)| src.contains(ATTRIBUTE))
-        .map(|(name, _)| name.as_str())
-        .collect();
-    // GPU and CPU targets generate the same source, harvested once.
-    assert_eq!(attributed, ["Multiply", "Mandelbrot", "Col", "Sub", "Rank"]);
-    assert!(harvested_kernels()
-        .iter()
-        .all(|(_, src)| !src.contains(ATTRIBUTE)));
-
+    assert_eq!(kernels, harvested_kernels());
     let items = (GLOBAL[0] * GLOBAL[1]).to_string();
-    for (name, src) in &kernels {
-        assert_engines_agree(src, name, GLOBAL, LOCAL);
+    for name in ["Multiply", "Mandelbrot", "Rank", "Col", "Sub"] {
+        let (_, src) = kernels.iter().find(|(n, _)| n == name).expect("harvested");
+        let args = native_span_args(src, name, GLOBAL, LOCAL);
+        assert_eq!(span_arg(&args, "strip_items"), Some(items.clone()), "`{name}`: {args:?}");
+        assert!(span_arg(&args, "strip_unzips").is_some(), "`{name}`: {args:?}");
+        assert_eq!(span_arg(&args, "scalar_why"), None, "`{name}`: {args:?}");
+    }
+    let (_, src) = kernels.iter().find(|(n, _)| n == "Diag").expect("harvested");
+    let args = native_span_args(src, "Diag", GLOBAL, LOCAL);
+    assert_eq!(span_arg(&args, "strip_items"), None, "{args:?}");
+    assert_eq!(span_arg(&args, "scalar_why").as_deref(), Some("store+store global slot 1"));
+    // `Reduce` at [4, 4, 1]: four phases (the opening one, two tree steps,
+    // the last one), every item of every row in a strip in each.
+    let (_, src) = kernels.iter().find(|(n, _)| n == "Reduce").expect("harvested");
+    let args = native_span_args(src, "Reduce", GLOBAL, LOCAL);
+    assert_eq!(span_arg(&args, "strip_items"), Some((4 * GLOBAL[0] * GLOBAL[1]).to_string()), "{args:?}");
+    assert_eq!(span_arg(&args, "scalar_why"), None, "{args:?}");
+}
+
+/// LUD at every size the ledger runs it: each `Col` and `Sub` dispatch of
+/// the whole factorisation, through the VM as the benchmark runs it,
+/// takes every item in a strip on the native engine (16-wide groups, or
+/// 4-wide below n = 16).
+#[test]
+fn lud_kernels_strip_at_every_ledger_size() {
+    for n in [8, 12, 16, 32, 48] {
+        let src = bench::apps_ens::lud(n, "GPU");
+        let module = ensemble_analysis::compile_source(&src, &Default::default()).expect("gated");
         let sink = TraceSink::new();
-        run_traced(Engine::Native, src, name, GLOBAL, LOCAL, sink.clone()).expect("runs");
-        let events = sink.events();
-        let span = events
-            .iter()
-            .find(|e| e.kind == SpanKind::Kernel)
-            .expect("a kernel span");
-        let arg = |key: &str| {
-            span.args
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-        };
-        let in_place = matches!(name.as_str(), "Col" | "Sub");
-        assert_eq!(
-            arg("strip_evidence"),
-            in_place.then_some("proof"),
-            "`{name}`"
+        let vm = ensemble_repro::ensemble_vm::VmRuntime::with_profile(
+            module,
+            ProfileSink::new().with_trace(sink.clone()),
         );
-        if attributed.contains(&name.as_str()) {
-            assert_eq!(
-                arg("strip_items"),
-                Some(items.as_str()),
-                "`{name}`: {:?}",
-                span.args
-            );
-            assert_eq!(arg("scalar_why"), None, "`{name}`: {:?}", span.args);
+        vm.run().expect("LUD runs");
+        let mut seen = 0;
+        for span in sink.events().iter().filter(|e| e.kind == SpanKind::Kernel) {
+            if !matches!(span.name.as_str(), "Col" | "Sub") {
+                continue;
+            }
+            let arg = |key: &str| span_arg(&span.args, key);
+            assert_eq!(arg("engine").as_deref(), Some("native"), "n {n}: {:?}", span.args);
+            assert_eq!(arg("strip_items"), arg("items"), "n {n} `{}`: {:?}", span.name, span.args);
+            assert_eq!(arg("scalar_why"), None, "n {n} `{}`: {:?}", span.name, span.args);
+            seen += 1;
         }
+        assert_eq!(seen, 2 * n, "n {n}: one Col and one Sub per step");
     }
 }
 
-/// LUD's attributed kernels against the stack and register engines on
+/// LUD's in-place kernels against the stack and register engines on
 /// bytes, op counts and traps, over the strip shapes (`local_size[0]`
 /// below, at, and just above the strip width, with remainders) and the
 /// factorisation's first, second and last step — where the guards turn
 /// away no item, some items, and nearly every item.
 #[test]
-fn attributed_lud_kernels_agree_for_every_strip_shape_and_step() {
+fn lud_kernels_agree_for_every_strip_shape_and_step() {
     let kernels = gated_kernels();
     // `m` is N x N and fills the synthesized buffer exactly.
     const N: i32 = 64;
     assert_eq!((N * N) as usize, BUF_ELEMS);
     for name in ["Col", "Sub"] {
         let (_, src) = kernels.iter().find(|(n, _)| n == name).expect("harvested");
-        assert!(src.contains(ATTRIBUTE), "{src}");
         for lx in [1usize, 5, 16, 17, 33] {
             // Up to three groups along dimension 0, inside the rows of `m`.
             let global = [lx * (48 / lx).clamp(1, 3), 6, 1];
@@ -773,6 +744,193 @@ fn a_racy_barrier_region_runs_one_lane_wide() {
             let steps = (1..).take_while(|k| lx >> k > 0).count() as u64;
             let phases = 2 + steps - racy as u64;
             assert_eq!(items, expected_strip_items(lx, phases), "racy {racy} lx {lx}\n{src}");
+        }
+    }
+}
+
+/// Run kernel `name` of `src` on the stack and native engines over one
+/// pool — a [`BUF_ELEMS`]-element [`arg_fill`] buffer per pointer
+/// parameter, `ints` for the scalar ones in order — and assert that
+/// bytes, per-group op counts and traps agree. Returns the native
+/// engine's strip items and `scalar_why`.
+fn stack_and_native_agree(
+    src: &str,
+    name: &str,
+    ints: &[i64],
+    global: [usize; 3],
+    local: [usize; 3],
+) -> (u64, Option<String>) {
+    use minicl::{ClType, Val};
+    let unit = minicl::compile(&minicl::parse(src).expect("parse")).expect("compile");
+    let info = unit.kernels[name].clone();
+    let reg = regir::compile_kernel(&unit, &info).expect("register-lowerable");
+    let nat = native::compile_native(&reg, &info).expect("native-lowerable");
+    let mut next_int = ints.iter();
+    let mut nbufs = 0;
+    let args: Vec<RtArg> = info
+        .params
+        .iter()
+        .map(|p| match p.ty {
+            ClType::Ptr(..) => {
+                nbufs += 1;
+                RtArg::Buf { pool_slot: nbufs - 1 }
+            }
+            _ => RtArg::Scalar(Val::I(*next_int.next().expect("an int argument"))),
+        })
+        .collect();
+    let run = |prog| {
+        let mut pool = MemPool {
+            bufs: (0..nbufs).map(|arg| arg_fill(arg, BUF_ELEMS)).collect(),
+            read_only: vec![false; nbufs],
+        };
+        let window = minicl::all_groups(global, local);
+        let outcome = minicl::run_ndrange(prog, &info, &args, &mut pool, global, local, window)
+            .map_err(|t| format!("{} @ {:?}", t.message, t.global_id));
+        (outcome, pool.bufs)
+    };
+    let (stack, stack_bufs) = run(Lowered::Stack(&unit));
+    let (native, native_bufs) = run(Lowered::Native(&nat));
+    let label = format!("`{name}` ints {ints:?} local {local:?}");
+    assert_eq!(stack_bufs, native_bufs, "{label}: bytes differ\n{src}");
+    match (stack, native) {
+        (Ok(s), Ok(n)) => {
+            assert_eq!(s.group_ops, n.group_ops, "{label}: group ops differ\n{src}");
+            (n.strip.items, n.strip.scalar_why.map(|why| why.to_string()))
+        }
+        (Err(s), Err(n)) => {
+            assert_eq!(s, n, "{label}: traps differ\n{src}");
+            (0, None)
+        }
+        (s, n) => panic!("{label}: stack {s:?} native {n:?}\n{src}"),
+    }
+}
+
+/// The work-group shapes along dimension 0 the strip tests sweep.
+const STRIP_LOCALS: [usize; 5] = [1, 5, 16, 17, 33];
+
+/// Items that start in a strip of two or more lanes when every row of a
+/// dispatch of `rows` rows of `lx`-item groups runs in strips.
+fn all_strip_items(lx: usize, rows: usize) -> u64 {
+    let per_row: usize = (0..lx).step_by(16).map(|x| (lx - x).min(16)).filter(|&w| w > 1).sum();
+    (per_row * rows) as u64
+}
+
+/// The item-granularity fixtures of the analysis crate, through the
+/// Ensemble compiler: `Shift`'s item x + 1 reads what item x wrote, so it
+/// runs one lane wide; `RowOverflow` and `InRow` write row 1 and read row
+/// 0 of `m`, which meet a strip's width apart or not depending on the row
+/// width. Rows of `w` elements, `w` around the strip width.
+#[test]
+fn the_lane_fixtures_strip_exactly_where_their_lanes_are_apart() {
+    let fixture = include_str!("../crates/analysis/tests/fixtures/lanes.ens");
+    let module = ensemble_lang::compile_source(fixture).expect("fixture compiles");
+    let source = |name: &str| {
+        module
+            .actors
+            .iter()
+            .find_map(|a| match &a.code {
+                ActorCode::Kernel(plan) if plan.kernel_name == name => Some(plan.source.clone()),
+                _ => None,
+            })
+            .expect("a kernel actor")
+    };
+    let shift = source("Shift");
+    for lx in STRIP_LOCALS {
+        let global = [lx * 3, 1, 1];
+        // a_dim0, m_dim0, m_dim1, set_w.
+        let (items, why) = stack_and_native_agree(&shift, "Shift", &[4096, 2, 8, 8], global, [lx, 1, 1]);
+        assert_eq!(items, 0, "lx {lx}");
+        assert_eq!(why.as_deref(), (lx > 1).then_some("store+load global slot 0"), "lx {lx}");
+    }
+    for name in ["RowOverflow", "InRow"] {
+        let src = source(name);
+        for w in 0..=40i64 {
+            for lx in STRIP_LOCALS {
+                let global = [lx * 3, 1, 1];
+                let (items, _) = stack_and_native_agree(&src, name, &[4096, 2, w, w], global, [lx, 1, 1]);
+                // Row 1's store `m[w + x]` against the load `m[x + w + 1]`
+                // (RowOverflow) or `m[x + 1]` (InRow): lanes `d` apart meet.
+                let d = if name == "RowOverflow" { 1 } else { w - 1 };
+                let width = lx.min(16) as i64;
+                let apart = d == 0 || d.abs() >= width;
+                let want = if apart { all_strip_items(lx, 3) } else { 0 };
+                assert_eq!(items, want, "`{name}` w {w} lx {lx}");
+            }
+        }
+    }
+}
+
+/// An in-place 2-D kernel over rows of `W` elements: one access at
+/// `m[i*W + j]` and one at `m[(i + dr)*W + j + dc]`, a load and a store
+/// either way round (`kind` 0 and 1) or two stores (2). Offsets keep every
+/// index inside the buffer.
+fn in_place_2d_kernel(kind: u8, dr: i64, dc: i64) -> String {
+    let here = "m[i * W + j]";
+    let there = format!("m[(i + {dr}) * W + j + {dc}]");
+    let body = match kind % 3 {
+        0 => format!("{here} = {there} * 3 + 1;"),
+        1 => format!("{there} = {here} * 3 + 1;"),
+        _ => format!("{here} = i; {there} = j;"),
+    };
+    format!(
+        "__kernel void p(__global int* m, const int W) {{
+            int j = get_global_id(0) + 20;
+            int i = get_global_id(1) + 4;
+            {body}
+        }}"
+    )
+}
+
+/// Run the in-place kernel over 2 x 2 groups of `[lx, 2, 1]` against the
+/// stack engine; the strip items, and the items the rule predicts: all of
+/// them when the two accesses of lanes `δ` apart in one strip
+/// (`0 < |δ| < width`) never meet, that is when `dr·W + dc` is 0 or at
+/// least the strip width in magnitude, else none.
+fn in_place_2d_case(kind: u8, w: i64, dr: i64, dc: i64, lx: usize) -> (u64, u64) {
+    let src = in_place_2d_kernel(kind, dr, dc);
+    let (items, _) = stack_and_native_agree(&src, "p", &[w], [2 * lx, 4, 1], [lx, 2, 1]);
+    let gap = dr * w + dc;
+    let apart = gap == 0 || gap.abs() >= lx.min(16) as i64;
+    (items, if apart { all_strip_items(lx, 4 * 2) } else { 0 })
+}
+
+/// A few in-place 2-D shapes, with the strip items they must take.
+#[test]
+fn in_place_2d_kernels_strip_by_the_row_gap() {
+    for (kind, w, dr, dc, lx, want) in [
+        // Row i+1 is 16 elements away: a 16-lane strip never meets it.
+        (0, 16, 1, 0, 16, 128),
+        // 8-element rows: lane x + 8 of row i reads what lane x writes.
+        (0, 8, 1, 0, 16, 0),
+        (1, 8, 1, 0, 16, 0),
+        // Five lanes, and the other access five elements along.
+        (0, 3, 0, 5, 5, 40),
+        (2, 40, -1, 20, 17, 128),
+        (2, 1, 3, 0, 33, 0),
+        // The same element: each lane's own.
+        (0, 7, 0, 0, 33, 256),
+    ] {
+        let (items, predicted) = in_place_2d_case(kind, w, dr, dc, lx);
+        assert_eq!((items, predicted), (want, want), "kind {kind} W {w} dr {dr} dc {dc} lx {lx}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Generated in-place 2-D kernels, row widths around the strip width
+    /// (narrower ones included), agree with the stack engine for every
+    /// strip shape, and strip exactly where their lanes are apart.
+    #[test]
+    fn in_place_2d_kernels_agree_and_strip_exactly_where_apart(
+        kind in 0u8..3,
+        w in 1i64..41,
+        dr in -3i64..4,
+        dc in -20i64..21,
+    ) {
+        for lx in STRIP_LOCALS {
+            let (items, predicted) = in_place_2d_case(kind, w, dr, dc, lx);
+            prop_assert_eq!(items, predicted, "kind {} W {} dr {} dc {} lx {}", kind, w, dr, dc, lx);
         }
     }
 }
