@@ -80,8 +80,9 @@ pub fn generate(input: &KernelGenInput<'_>) -> Result<String, KernelGenError> {
     let cpos = cl_pos(pos);
     let mut params = Vec::new();
     for f in input.data_fields {
+        // A `boolean []` travels as `int` 0/1, as the VM flattens it.
         let elem = match f.elem {
-            ElemKind::Int => cl::Type::Int,
+            ElemKind::Int | ElemKind::Bool => cl::Type::Int,
             ElemKind::Real => cl::Type::Float,
             other => {
                 return Err(KernelGenError::new(
@@ -251,7 +252,7 @@ impl<'a> Lower<'a> {
             }
             let idx = self.flat_index(&field, &idxs, pos)?;
             let elem = match field.elem {
-                ElemKind::Int => cl::Type::Int,
+                ElemKind::Int | ElemKind::Bool => cl::Type::Int,
                 _ => cl::Type::Float,
             };
             return Ok(Some((field.name.clone(), idx, elem)));
@@ -271,7 +272,7 @@ impl<'a> Lower<'a> {
                 })?;
             let idx = self.flat_index(&field, &idxs, pos)?;
             let elem = match field.elem {
-                ElemKind::Int => cl::Type::Int,
+                ElemKind::Int | ElemKind::Bool => cl::Type::Int,
                 _ => cl::Type::Float,
             };
             return Ok(Some((field.name.clone(), idx, elem)));

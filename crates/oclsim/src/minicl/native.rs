@@ -33,18 +33,22 @@
 //!   multiply-add, store + increment, …) collapse into one handler, and
 //!   the code is compacted — fused slots disappear and jump targets are
 //!   remapped — roughly halving dispatches on the benchmark hot loops.
-//! * **Pointer copy propagation.** A register whose only write is a
-//!   `Mov` from the constant pool on the straight-line path from the entry
-//!   (how the stack compiler binds a private array) is dereferenced
-//!   through the constant instead, so those accesses become sites too.
+//! * **Pointer copy propagation.** A load or store whose pointer register
+//!   was, on every path from the entry, last written by a `Mov` from a
+//!   never-written register (how the stack compiler binds a private array,
+//!   or holds a buffer pointer in a stack slot across a branch) is
+//!   dereferenced through that register instead, so those accesses become
+//!   sites too.
 //! * **Work-group specialisation.** The execution state is split in two:
 //!   `NCtx`, built once per dispatch (buffers, sites, sizes, group id),
 //!   and `NItem`, the per-work-item rest (register file, private memory,
 //!   ids, op counter, resume point). Barrier-free kernels run their items
 //!   through a few reused `NItem` arenas (pocl's work-group function
 //!   transformation, specialised to the no-barrier case): per-item set-up
-//!   is one `memcpy` of the locals/stack region and a `fill(0)` of private
-//!   memory. Kernels with barriers keep one `NItem` per item of the group
+//!   copies from the template only the registers an item could otherwise
+//!   read from its predecessor — those the kernel writes and may read
+//!   before writing, live at its entry — and `fill(0)`s private memory.
+//!   Kernels with barriers keep one `NItem` per item of the group
 //!   — pocl's context arrays — and run the group phase by phase: every
 //!   item from its saved instruction pointer to its next barrier or to
 //!   completion (see *The strip rule* below).
@@ -180,6 +184,10 @@ const IP_HALT_MIN: u32 = IP_UNZIP;
 /// Work-items that advance together under one handler dispatch.
 const STRIP: usize = 16;
 
+/// What debug builds leave in a register that is dead at the kernel entry
+/// when a work-item starts: no item may read it.
+const DEAD: RVal = RVal([0xdead_dead_dead_dead; 2]);
+
 /// One pre-decoded native instruction: a handler pointer plus flat operand
 /// fields. Register fields (`a`..`g`) are *absolute* indices into the
 /// dispatch register file (windows already applied). `t` is the jump
@@ -303,11 +311,18 @@ pub struct NativeProgram {
     entry: u32,
     /// Total absolute registers: the main frame plus every inline window.
     total_regs: u32,
-    /// End of the per-item reset span: the main frame's locals + canonical
-    /// stack slots. Everything at or above this is either a constant
-    /// (never written — enforced by the lowering) or an inline window
-    /// (written before read on every activation by the call sequence).
+    /// End of the main frame's locals + canonical stack slots. Everything
+    /// at or above this is either a constant (never written — enforced by
+    /// the lowering) or an inline window (written before read on every
+    /// activation by the call sequence).
     main_const_base: u16,
+    /// The registers below `main_const_base` a work-item start copies from
+    /// the template, as runs: the written ones live at the entry, and the
+    /// ones a barrier region's strips check.
+    reset_runs: Vec<Range<u16>>,
+    /// The written registers below `main_const_base` that are dead at the
+    /// entry; debug builds fill them with [`DEAD`] at every work-item start.
+    dead: Vec<u16>,
     /// Static template tail covering `[main_const_base, total_regs)`:
     /// the main constant pool followed by every window's zeroed locals and
     /// constant pool.
@@ -318,6 +333,8 @@ pub struct NativeProgram {
     /// The kernel's regions, by entry instruction, with what their race
     /// analysis found: the kernel entry's first, then one per barrier.
     regions: Vec<(u32, regions::Region)>,
+    /// The forms the regions' checks name.
+    forms: regions::Forms,
 }
 
 /// What kept a dispatch one lane wide: the first thing the strip rule
@@ -2135,17 +2152,54 @@ impl Flattener<'_> {
 /// A register range as `(start, len)`.
 type RegRange = (u16, u16);
 
+/// The register ranges one op reads and writes, held inline: no op reads
+/// more than four ranges or writes more than two.
+#[derive(Clone, Copy)]
+struct OpRegs {
+    rd: [RegRange; 4],
+    nrd: u8,
+    wr: [RegRange; 2],
+    nwr: u8,
+}
+
+impl OpRegs {
+    fn new(rd: &[RegRange], wr: &[RegRange]) -> OpRegs {
+        let mut regs = OpRegs {
+            rd: [(0, 0); 4],
+            nrd: rd.len() as u8,
+            wr: [(0, 0); 2],
+            nwr: wr.len() as u8,
+        };
+        regs.rd[..rd.len()].copy_from_slice(rd);
+        regs.wr[..wr.len()].copy_from_slice(wr);
+        regs
+    }
+
+    fn reads(&self) -> &[RegRange] {
+        &self.rd[..self.nrd as usize]
+    }
+
+    fn writes(&self) -> &[RegRange] {
+        &self.wr[..self.nwr as usize]
+    }
+
+    /// Every register the op writes, one by one.
+    fn written(&self) -> impl Iterator<Item = u16> + '_ {
+        self.writes().iter().flat_map(|&(r, n)| r..r + n)
+    }
+}
+
 /// Every register range an op reads and writes; used to bounds-check
-/// operands (licensing the unchecked handler accesses) and to find
-/// never-written registers.
-fn op_regs(op: &FOp) -> (Vec<RegRange>, Vec<RegRange>) {
+/// operands (licensing the unchecked handler accesses), to find
+/// never-written registers and for the lowering's dataflow.
+fn op_regs(op: &FOp) -> OpRegs {
     use ROp::*;
     let one = |r: u16| (r, 1);
-    match op {
+    let (rd, wr): (&[RegRange], &[RegRange]) = match op {
         FOp::R(r) => match *r {
-            Ops(_) | Barrier | Jmp { .. } => (vec![], vec![]),
-            Mov { dst, src } => (vec![one(src)], vec![one(dst)]),
-            Swap { a, b } => (vec![one(a), one(b)], vec![one(a), one(b)]),
+            Ops(_) | Barrier | Jmp { .. } => (&[], &[]),
+            Mov { dst, src } => (&[one(src)], &[one(dst)]),
+            Swap { a, b } => (&[one(a), one(b)], &[one(a), one(b)]),
             AddI { dst, a, b }
             | SubI { dst, a, b }
             | MulI { dst, a, b }
@@ -2164,7 +2218,7 @@ fn op_regs(op: &FOp) -> (Vec<RegRange>, Vec<RegRange>) {
             | SubF4 { dst, a, b }
             | MulF4 { dst, a, b }
             | DivF4 { dst, a, b }
-            | Dot { dst, a, b } => (vec![one(a), one(b)], vec![one(dst)]),
+            | Dot { dst, a, b } => (&[one(a), one(b)], &[one(dst)]),
             NegI { dst, src }
             | BNot { dst, src }
             | LNot { dst, src }
@@ -2172,35 +2226,34 @@ fn op_regs(op: &FOp) -> (Vec<RegRange>, Vec<RegRange>) {
             | I2F { dst, src }
             | F2I { dst, src }
             | SplatF4 { dst, src }
-            | AbsI { dst, src } => (vec![one(src)], vec![one(dst)]),
+            | AbsI { dst, src } => (&[one(src)], &[one(dst)]),
             MakeF4 { dst, src } => (
-                vec![one(src[0]), one(src[1]), one(src[2]), one(src[3])],
-                vec![one(dst)],
+                &[one(src[0]), one(src[1]), one(src[2]), one(src[3])],
+                &[one(dst)],
             ),
-            GetComp { dst, src, .. } => (vec![one(src)], vec![one(dst)]),
-            SetComp { dst, vec, scl, .. } => (vec![one(vec), one(scl)], vec![one(dst)]),
-            CmpI { dst, a, b, .. } | CmpF { dst, a, b, .. } => {
-                (vec![one(a), one(b)], vec![one(dst)])
-            }
-            Jz { c, .. } | Jnz { c, .. } => (vec![one(c)], vec![]),
-            JcI { a, b, .. } | JcF { a, b, .. } => (vec![one(a), one(b)], vec![]),
-            Load { dst, ptr, idx, .. } => (vec![one(ptr), one(idx)], vec![one(dst)]),
-            Store { ptr, idx, val, .. } => (vec![one(ptr), one(idx), one(val)], vec![]),
-            Id { dst, src, .. } | Math1 { dst, src, .. } => (vec![one(src)], vec![one(dst)]),
+            GetComp { dst, src, .. } => (&[one(src)], &[one(dst)]),
+            SetComp { dst, vec, scl, .. } => (&[one(vec), one(scl)], &[one(dst)]),
+            CmpI { dst, a, b, .. } | CmpF { dst, a, b, .. } => (&[one(a), one(b)], &[one(dst)]),
+            Jz { c, .. } | Jnz { c, .. } => (&[one(c)], &[]),
+            JcI { a, b, .. } | JcF { a, b, .. } => (&[one(a), one(b)], &[]),
+            Load { dst, ptr, idx, .. } => (&[one(ptr), one(idx)], &[one(dst)]),
+            Store { ptr, idx, val, .. } => (&[one(ptr), one(idx), one(val)], &[]),
+            Id { dst, src, .. } | Math1 { dst, src, .. } => (&[one(src)], &[one(dst)]),
             Math2F { dst, a, b2, .. } | Math2I { dst, a, b2, .. } => {
-                (vec![one(a), one(b2)], vec![one(dst)])
+                (&[one(a), one(b2)], &[one(dst)])
             }
-            Clamp { dst, v, lo, hi } => (vec![one(v), one(lo), one(hi)], vec![one(dst)]),
+            Clamp { dst, v, lo, hi } => (&[one(v), one(lo), one(hi)], &[one(dst)]),
             Mad { dst, a, b, c } | MadI { dst, a, b, c } => {
-                (vec![one(a), one(b), one(c)], vec![one(dst)])
+                (&[one(a), one(b), one(c)], &[one(dst)])
             }
-            MadRF { dst, c, a, b } => (vec![one(c), one(a), one(b)], vec![one(dst)]),
-            Call { .. } | Ret | RetV { .. } => (vec![], vec![]),
+            MadRF { dst, c, a, b } => (&[one(c), one(a), one(b)], &[one(dst)]),
+            Call { .. } | Ret | RetV { .. } => (&[], &[]),
         },
-        FOp::CopyArgs { dst, src, n } => (vec![(*src, *n)], vec![(*dst, *n)]),
-        FOp::ZeroLocals { at, n } => (vec![], vec![(*at, *n)]),
-        FOp::Done => (vec![], vec![]),
-    }
+        FOp::CopyArgs { dst, src, n } => (&[(*src, *n)], &[(*dst, *n)]),
+        FOp::ZeroLocals { at, n } => (&[], &[(*at, *n)]),
+        FOp::Done => (&[], &[]),
+    };
+    OpRegs::new(rd, wr)
 }
 
 // ---------------------------------------------------------------------------
@@ -2906,16 +2959,14 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
     // per-item reset).
     let mut writes = vec![0u32; total_regs as usize];
     for op in &out {
-        let (rd, wr) = op_regs(op);
-        for &(r, n) in rd.iter().chain(wr.iter()) {
+        let regs = op_regs(op);
+        for &(r, n) in regs.reads().iter().chain(regs.writes()) {
             if r as u32 + n as u32 > total_regs {
                 return None;
             }
         }
-        for (r, n) in wr {
-            for w in &mut writes[r as usize..(r + n) as usize] {
-                *w += 1;
-            }
+        for r in regs.written() {
+            writes[r as usize] += 1;
         }
     }
     // A write into a constant region would break both the known-constant
@@ -2942,41 +2993,7 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
         }
     }
 
-    // Pointer copy propagation. The stack compiler binds a private array
-    // by moving its constant-pool pointer into a local once, in the entry
-    // block; accesses through that local would all count as dynamic. When
-    // a register's only write is such a `Mov` on the straight-line path
-    // from the entry, and nothing dereferences it earlier on that path,
-    // every dereference anywhere sees the constant: redirect them to the
-    // (never-written) constant register, which makes them sited.
-    let mut deref_before = vec![false; total_regs as usize];
-    let mut alias: Vec<(u16, u16)> = Vec::new();
-    for (k, op) in out.iter().enumerate().skip(entry as usize) {
-        if (k != entry as usize && is_target[k]) || target_of(op).is_some() {
-            break;
-        }
-        match op {
-            FOp::R(ROp::Mov { dst, src })
-                if known[*src as usize].is_some()
-                    && writes[*dst as usize] == 1
-                    && !deref_before[*dst as usize] =>
-            {
-                alias.push((*dst, *src));
-            }
-            FOp::R(ROp::Load { ptr, .. }) | FOp::R(ROp::Store { ptr, .. }) => {
-                deref_before[*ptr as usize] = true;
-            }
-            FOp::Done => break,
-            _ => {}
-        }
-    }
-    for op in &mut out {
-        if let FOp::R(ROp::Load { ptr, .. }) | FOp::R(ROp::Store { ptr, .. }) = op {
-            if let Some(&(_, src)) = alias.iter().find(|(dst, _)| dst == ptr) {
-                *ptr = src;
-            }
-        }
-    }
+    propagate_pointer_copies(&mut out, entry as usize, &writes);
 
     let mut lo = Lower {
         writes: &writes,
@@ -3060,20 +3077,178 @@ pub fn compile_native(prog: &RegProgram, kernel: &KernelInfo) -> Option<NativePr
     } = lo;
     // A barrier-free kernel is its entry region (codegen counts every
     // barrier a kernel reaches, so it has no other).
-    let regions = regions::analyse(&out, flat_entry, &sites, &known, &writes)
+    let (regions, forms) = regions::analyse(&out, flat_entry, &sites, &known, &writes);
+    let regions: Vec<(u32, regions::Region)> = regions
         .into_iter()
         .take(if kernel.has_barrier { usize::MAX } else { 1 })
         .map(|region| (map[region.entry_flat], region))
+        .collect();
+    // A work-item start restores the template only where the kernel can
+    // observe the previous item's value: a register it writes and may read
+    // before writing (live at the entry), or one a barrier region's strips
+    // compare across lanes. A never-written register keeps the value its
+    // arena was made with; one written before every read is dead there.
+    let span = prog.const_base as usize;
+    let live = live_at_entry(&out, flat_entry, span);
+    let mut restore: Vec<bool> = (0..span).map(|r| writes[r] > 0 && live[r]).collect();
+    for (_, region) in &regions {
+        for &r in region.checks().iter().filter(|&&r| (r as usize) < span) {
+            restore[r as usize] = true;
+        }
+    }
+    let mut reset_runs: Vec<Range<u16>> = Vec::new();
+    for r in (0..span as u16).filter(|&r| restore[r as usize]) {
+        match reset_runs.last_mut() {
+            Some(run) if run.end == r => run.end += 1,
+            _ => reset_runs.push(r..r + 1),
+        }
+    }
+    let dead = (0..span as u16)
+        .filter(|&r| writes[r as usize] > 0 && !restore[r as usize])
         .collect();
     Some(NativeProgram {
         code,
         entry,
         total_regs,
         main_const_base: prog.const_base,
+        reset_runs,
+        dead,
         template_static,
         site_ptrs: specs,
         regions,
+        forms,
     })
+}
+
+/// Pointer copy propagation. The stack compiler binds a private array by
+/// moving its constant-pool pointer into a local, and holds a buffer
+/// pointer in a stack slot while it evaluates the rest of an expression
+/// (`out[d] = c ? 1 : 0` moves `out` into a slot before the branches);
+/// accesses through such a written register would all count as dynamic.
+/// Where every path from the entry last wrote a load's or store's pointer
+/// register with a `Mov` from one never-written register, the access sees
+/// that register's dispatch value: redirect it there, which makes it
+/// sited. A forward dataflow over the written pointer registers; the
+/// entry holds the template, which is no copy.
+fn propagate_pointer_copies(out: &mut [FOp], entry: usize, writes: &[u32]) {
+    /// A pointer register's value is not a known copy.
+    const OTHER: u32 = u32::MAX;
+    let mut tracked: Vec<u16> = Vec::new();
+    for op in out.iter() {
+        if let FOp::R(ROp::Load { ptr, .. } | ROp::Store { ptr, .. }) = op {
+            if writes[*ptr as usize] > 0 && !tracked.contains(ptr) {
+                tracked.push(*ptr);
+            }
+        }
+    }
+    if tracked.is_empty() {
+        return;
+    }
+    let t = tracked.len();
+    // Per op, each tracked register's copy source on entry to it.
+    let mut at = vec![OTHER; out.len() * t];
+    let mut seen = vec![false; out.len()];
+    seen[entry] = true;
+    let mut work = vec![entry];
+    let mut cur = vec![OTHER; t];
+    while let Some(k) = work.pop() {
+        cur.copy_from_slice(&at[k * t..(k + 1) * t]);
+        for r in op_regs(&out[k]).written() {
+            if let Some(i) = tracked.iter().position(|&p| p == r) {
+                cur[i] = match out[k] {
+                    FOp::R(ROp::Mov { src, .. }) if writes[src as usize] == 0 => src as u32,
+                    _ => OTHER,
+                };
+            }
+        }
+        for (s, _) in regions::successors(out, k, true) {
+            let have = &mut at[s * t..(s + 1) * t];
+            if !seen[s] {
+                seen[s] = true;
+                have.copy_from_slice(&cur);
+                work.push(s);
+            } else if have.iter().zip(&cur).any(|(h, c)| h != c && *h != OTHER) {
+                for (h, c) in have.iter_mut().zip(&cur) {
+                    if h != c {
+                        *h = OTHER;
+                    }
+                }
+                work.push(s);
+            }
+        }
+    }
+    for (k, op) in out.iter_mut().enumerate() {
+        if let FOp::R(ROp::Load { ptr, .. } | ROp::Store { ptr, .. }) = op {
+            if let Some(i) = tracked.iter().position(|p| p == ptr) {
+                if seen[k] && at[k * t + i] != OTHER {
+                    *ptr = at[k * t + i] as u16;
+                }
+            }
+        }
+    }
+}
+
+/// Which of the registers `[0, span)` are live at the kernel entry: read
+/// on some path from `entry` (barriers are ordinary edges) before any
+/// write. Backward liveness over bit sets, on the basic blocks, swept in
+/// reverse order until nothing changes.
+fn live_at_entry(out: &[FOp], entry: usize, span: usize) -> Vec<bool> {
+    let words = span.div_ceil(64).max(1);
+    let n = out.len();
+    let head = regions::block_heads(out, &[entry]);
+    let starts: Vec<usize> = (0..n).filter(|&k| head[k]).collect();
+    let block_of = |k: usize| starts.partition_point(|&s| s <= k) - 1;
+    // Per block: what it reads before writing, and what it writes.
+    let nb = starts.len();
+    let mut reads = vec![0u64; nb * words];
+    let mut kills = vec![0u64; nb * words];
+    for (b, &s) in starts.iter().enumerate() {
+        let end = starts.get(b + 1).copied().unwrap_or(n);
+        let (rd, kl) = (b * words, b * words);
+        for op in &out[s..end] {
+            let regs = op_regs(op);
+            for &(r, len) in regs.reads() {
+                for r in (r..r + len).filter(|&r| (r as usize) < span) {
+                    let (w, bit) = (r as usize / 64, 1u64 << (r % 64));
+                    reads[rd + w] |= bit & !kills[kl + w];
+                }
+            }
+            for r in regs.written().filter(|&r| (r as usize) < span) {
+                kills[kl + r as usize / 64] |= 1u64 << (r % 64);
+            }
+        }
+    }
+    // Each block's successor blocks (at most two).
+    let succ: Vec<[usize; 2]> = (0..nb)
+        .map(|b| {
+            let last = starts.get(b + 1).copied().unwrap_or(n) - 1;
+            let mut to = [usize::MAX; 2];
+            for (slot, (s, _)) in to.iter_mut().zip(regions::successors(out, last, true)) {
+                *slot = block_of(s);
+            }
+            to
+        })
+        .collect();
+    let mut live = vec![0u64; nb * words];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for b in (0..nb).rev() {
+            for w in 0..words {
+                let to = succ[b].iter().filter(|&&s| s != usize::MAX);
+                let after = to.fold(0, |a, &s| a | live[s * words + w]);
+                let v = reads[b * words + w] | (after & !kills[b * words + w]);
+                if live[b * words + w] != v {
+                    live[b * words + w] = v;
+                    changed = true;
+                }
+            }
+        }
+    }
+    let at = block_of(entry) * words;
+    (0..span)
+        .map(|r| live[at + r / 64] & (1u64 << (r % 64)) != 0)
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -3260,11 +3435,20 @@ impl GroupEngine for Groups<'_, '_> {
         }
     }
 
-    /// One copy of the locals/stack span (the template cut to it) and a
-    /// `fill(0)` of private memory.
+    /// The template copied into the registers the item can observe from
+    /// the previous one (`reset_runs`) and a `fill(0)` of private memory;
+    /// debug builds fill the written registers dead at the entry with
+    /// [`DEAD`], so a wrong live set shows up as a disagreement.
     fn reset(&self, st: &mut NItem, lid: [usize; 3]) {
-        let span = self.prog.main_const_base as usize;
-        st.regs[..span].copy_from_slice(&self.template[..span]);
+        for run in &self.prog.reset_runs {
+            let run = run.start as usize..run.end as usize;
+            st.regs[run.clone()].copy_from_slice(&self.template[run]);
+        }
+        if cfg!(debug_assertions) {
+            for &r in &self.prog.dead {
+                st.regs[r as usize] = DEAD;
+            }
+        }
         if !st.priv_mem.is_empty() {
             st.priv_mem.fill(0);
         }
@@ -3379,7 +3563,7 @@ pub(super) fn run_window(
     let wide: Vec<(u32, &regions::Region)> = prog
         .regions
         .iter()
-        .filter(|(_, region)| match region.race_free(&sites, &template, &geo, full) {
+        .filter(|(_, region)| match region.race_free(&prog.forms, &sites, &template, &geo, full) {
             Ok(()) => true,
             Err(reason) => {
                 why = why.or(Some(reason));
@@ -4099,7 +4283,7 @@ mod tests {
             local_size: [16, 1, 1],
             num_groups: [2, 1, 1],
         };
-        let verdict = nat.regions[0].1.race_free(&sites, &template, &geo, STRIP);
+        let verdict = nat.regions[0].1.race_free(&nat.forms, &sites, &template, &geo, STRIP);
         assert_eq!(verdict, Ok(()), "the trap must happen in strip mode");
         triangle_native(src, "k", &args, (pool, ro), [32, 1, 1], [16, 1, 1])
             .expect_err("the kernel traps")

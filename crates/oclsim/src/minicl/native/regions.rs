@@ -88,7 +88,8 @@ use super::{cmp_inv, op_regs, target_of, FOp, NItem, Site, SiteKind, StripReject
 use crate::minicl::bytecode::{Builtin, Cmp, ElemTy};
 use crate::minicl::driver::Geometry;
 use crate::minicl::regir::{ROp, RVal};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
 
 /// A factor of a form's monomial.
@@ -122,17 +123,26 @@ const UNIT: Mono = [Sym::One; 3];
 /// More terms than this and a form is dropped as unknown.
 const MAX_TERMS: usize = 24;
 
-/// `Σ c·m` over monomials `m`, sorted, no zero coefficient; `lid0`
-/// appears at most once per monomial.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct Form(Vec<(Mono, i64)>);
+/// A term `c·m` of a form.
+type Term = (Mono, i64);
 
-/// An abstract integer: a form, or `None` (unknown).
-type AVal = Option<Form>;
+/// A form, by its place in the [`Forms`] table.
+type F = u32;
 
-/// A register of the abstract state: forms are shared between the states
-/// of successive instructions, not copied.
-type Reg = Option<Rc<Form>>;
+/// An abstract integer register: a form, or `None` (unknown).
+type Reg = Option<F>;
+
+/// Every form one lowering builds. A form is `Σ c·m` over monomials `m`,
+/// sorted, no zero coefficient, with `lid0` at most once per monomial.
+/// Forms are appended and never changed, so a register, a fact or a check
+/// holds a `u32`, and building a form allocates nothing of its own. Two
+/// ids may name equal forms: compare them with [`Forms::same`].
+#[derive(Debug, Clone, Default)]
+pub(super) struct Forms {
+    terms: Vec<Term>,
+    /// Each form's `start..end` in `terms`.
+    spans: Vec<(u32, u32)>,
+}
 
 /// The product of two monomials, if it stays of degree ≤ 3 and linear in
 /// `lid0`.
@@ -145,99 +155,191 @@ fn mono_mul(x: &Mono, y: &Mono) -> Option<Mono> {
     (m.iter().filter(|&&s| s == LANE).count() <= 1).then_some(m)
 }
 
-impl Form {
-    fn konst(k: i64) -> Form {
-        Form::norm(vec![(UNIT, k)]).unwrap_or_default()
+impl Forms {
+    fn terms(&self, f: F) -> &[Term] {
+        let (start, end) = self.spans[f as usize];
+        &self.terms[start as usize..end as usize]
     }
 
-    fn sym(s: Sym) -> Form {
-        Form(vec![([s, Sym::One, Sym::One], 1)])
+    /// Do `f` and `g` name one form?
+    fn same(&self, f: F, g: F) -> bool {
+        f == g || self.terms(f) == self.terms(g)
     }
 
-    /// Sort, merge and drop zero terms; `None` on overflow or blow-up.
-    fn norm(mut terms: Vec<(Mono, i64)>) -> AVal {
-        terms.sort_unstable_by_key(|t| t.0);
-        let mut n = 0;
-        for k in 0..terms.len() {
-            if n > 0 && terms[n - 1].0 == terms[k].0 {
-                terms[n - 1].1 = terms[n - 1].1.checked_add(terms[k].1)?;
-            } else {
-                terms[n] = terms[k];
-                n += 1;
+    /// The form of the terms `fill` appends: sorted, merged, zero terms
+    /// dropped; `None` (and nothing kept) on overflow or blow-up.
+    fn build(&mut self, fill: impl FnOnce(&mut Forms) -> Option<()>) -> Option<F> {
+        let start = self.terms.len();
+        let len = fill(self).and_then(|()| {
+            let tail = &mut self.terms[start..];
+            tail.sort_unstable_by_key(|t| t.0);
+            let mut n = 0;
+            for k in 0..tail.len() {
+                if n > 0 && tail[n - 1].0 == tail[k].0 {
+                    tail[n - 1].1 = tail[n - 1].1.checked_add(tail[k].1)?;
+                } else {
+                    tail[n] = tail[k];
+                    n += 1;
+                }
             }
+            let mut kept = 0;
+            for k in 0..n {
+                if tail[k].1 != 0 {
+                    tail[kept] = tail[k];
+                    kept += 1;
+                }
+            }
+            (kept <= MAX_TERMS).then_some(kept)
+        });
+        let Some(len) = len else {
+            self.terms.truncate(start);
+            return None;
+        };
+        self.terms.truncate(start + len);
+        self.spans.push((start as u32, (start + len) as u32));
+        Some(self.spans.len() as F - 1)
+    }
+
+    /// Append `f`'s terms, each through `map`.
+    fn push_from(&mut self, f: F, map: impl Fn(Term) -> Option<Term>) -> Option<()> {
+        let (start, end) = self.spans[f as usize];
+        for k in start..end {
+            let t = map(self.terms[k as usize])?;
+            self.terms.push(t);
         }
-        terms.truncate(n);
-        terms.retain(|t| t.1 != 0);
-        (terms.len() <= MAX_TERMS).then_some(Form(terms))
+        Some(())
     }
 
-    fn is_uniform(&self) -> bool {
-        self.0.iter().all(|(m, _)| m[0] != LANE)
+    fn konst(&mut self, k: i64) -> F {
+        self.build(|fs| {
+            fs.terms.push((UNIT, k));
+            Some(())
+        })
+        .expect("one term")
     }
 
-    fn as_const(&self) -> Option<i64> {
-        match self.0.as_slice() {
+    fn sym(&mut self, s: Sym) -> F {
+        self.build(|fs| {
+            fs.terms.push(([s, Sym::One, Sym::One], 1));
+            Some(())
+        })
+        .expect("one term")
+    }
+
+    fn is_uniform(&self, f: F) -> bool {
+        self.terms(f).iter().all(|(m, _)| m[0] != LANE)
+    }
+
+    fn as_const(&self, f: F) -> Option<i64> {
+        match self.terms(f) {
             [] => Some(0),
             [(m, k)] if *m == UNIT => Some(*k),
             _ => None,
         }
     }
 
-    /// `self + sign·o`.
-    fn add(&self, o: &Form, sign: i64) -> AVal {
-        let mut terms = self.0.clone();
-        for &(m, c) in &o.0 {
-            terms.push((m, c.checked_mul(sign)?));
-        }
-        Form::norm(terms)
+    /// `f + sign·g`.
+    fn add(&mut self, f: F, g: F, sign: i64) -> Option<F> {
+        self.build(|fs| {
+            fs.push_from(f, Some)?;
+            fs.push_from(g, |(m, c)| Some((m, c.checked_mul(sign)?)))
+        })
     }
 
-    fn scale(&self, c: i64) -> AVal {
-        let terms = self.0.iter().map(|&(m, v)| Some((m, v.checked_mul(c)?)));
-        Form::norm(terms.collect::<Option<_>>()?)
+    fn scale(&mut self, f: F, c: i64) -> Option<F> {
+        self.build(|fs| fs.push_from(f, |(m, v)| Some((m, v.checked_mul(c)?))))
     }
 
-    fn mul(&self, o: &Form) -> AVal {
-        let mut terms = Vec::with_capacity(self.0.len() * o.0.len());
-        for (mx, cx) in &self.0 {
-            for (my, cy) in &o.0 {
-                terms.push((mono_mul(mx, my)?, cx.checked_mul(*cy)?));
+    fn mul(&mut self, f: F, g: F) -> Option<F> {
+        let ((f0, f1), (g0, g1)) = (self.spans[f as usize], self.spans[g as usize]);
+        self.build(|fs| {
+            for i in f0..f1 {
+                for j in g0..g1 {
+                    let ((mx, cx), (my, cy)) = (fs.terms[i as usize], fs.terms[j as usize]);
+                    fs.terms.push((mono_mul(&mx, &my)?, cx.checked_mul(cy)?));
+                }
             }
-        }
-        Form::norm(terms)
+            Some(())
+        })
     }
 
     /// `(coefficient of lid0, the rest)`, both uniform.
-    fn split(&self) -> (Form, Form) {
-        let (mut lane, mut rest) = (Vec::new(), Vec::new());
-        for &(m, c) in &self.0 {
-            if m[0] == LANE {
-                lane.push(([m[1], m[2], Sym::One], c));
-            } else {
-                rest.push((m, c));
+    fn split(&mut self, f: F) -> (F, F) {
+        let lane = self.build(|fs| fs.push_part(f, true));
+        let rest = self.build(|fs| fs.push_part(f, false));
+        (
+            lane.expect("a part of a form"),
+            rest.expect("a part of a form"),
+        )
+    }
+
+    /// Append `f`'s terms in `lid0` with `lid0` divided out (`lane`), or
+    /// its terms free of `lid0`.
+    fn push_part(&mut self, f: F, lane: bool) -> Option<()> {
+        let (start, end) = self.spans[f as usize];
+        for k in start..end {
+            let (m, c) = self.terms[k as usize];
+            match (m[0] == LANE, lane) {
+                (true, true) => self.terms.push(([m[1], m[2], Sym::One], c)),
+                (false, false) => self.terms.push((m, c)),
+                _ => {}
             }
         }
-        (Form(lane), Form(rest))
+        Some(())
+    }
+
+    /// The coefficient of `lid0` in `f`, when it is a constant.
+    fn lane_const(&self, f: F) -> Option<i64> {
+        let mut lane = self.terms(f).iter().filter(|(m, _)| m[0] == LANE);
+        match (lane.next(), lane.next()) {
+            (None, _) => Some(0),
+            (Some(([_, Sym::One, Sym::One], c)), None) => Some(*c),
+            _ => None,
+        }
+    }
+
+    /// The entry registers among `f`'s symbols.
+    fn entries(&self, f: F) -> impl Iterator<Item = u16> + '_ {
+        self.terms(f)
+            .iter()
+            .flat_map(|(m, _)| m)
+            .filter_map(|s| match s {
+                Sym::Entry(r) => Some(*r),
+                _ => None,
+            })
     }
 }
 
 /// `f = 0` when `eq`, else `f ≤ 0`, with `f = ±lid0 + r`: only such facts
 /// are kept (the rule uses nothing else).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Fact {
-    f: Form,
+    f: F,
     eq: bool,
+}
+
+/// Does `facts` hold `fact`?
+fn has_fact(forms: &Forms, facts: &[Fact], fact: &Fact) -> bool {
+    facts
+        .iter()
+        .any(|g| g.eq == fact.eq && forms.same(g.f, fact.f))
 }
 
 /// What the facts say about `lid0`: upper bounds (`lid0 ≤ u`), lower
 /// bounds (`lid0 ≥ l`) and a pin (`lid0 = v`), each a uniform form.
-fn lane_bounds(facts: &[Fact]) -> (Vec<Form>, Vec<Form>, Option<Form>) {
+fn lane_bounds(forms: &mut Forms, facts: &[Fact]) -> (Vec<F>, Vec<F>, Option<F>) {
     let (mut ups, mut lows, mut pin) = (Vec::new(), Vec::new(), None);
     for fact in facts {
         // c·lid0 + r (≤ | =) 0.
-        let (lane, r) = fact.f.split();
-        let Some(c) = lane.as_const() else { continue };
-        let Some(bound) = r.scale(-c) else { continue };
+        let Some(c) = forms.lane_const(fact.f) else {
+            continue;
+        };
+        let r = forms
+            .build(|fs| fs.push_part(fact.f, false))
+            .expect("a part of a form");
+        let Some(bound) = forms.scale(r, -c) else {
+            continue;
+        };
         if fact.eq {
             pin = Some(bound);
         } else if c > 0 {
@@ -249,32 +351,40 @@ fn lane_bounds(facts: &[Fact]) -> (Vec<Form>, Vec<Form>, Option<Form>) {
     (ups, lows, pin)
 }
 
-/// The abstract machine state at one instruction.
-#[derive(Debug, Clone, PartialEq)]
+/// The abstract machine state at one instruction. Facts and decided
+/// branches change only on some edges, so states share them.
+#[derive(Debug, Clone)]
 struct State {
     regs: Vec<Reg>,
-    facts: Vec<Fact>,
+    facts: Rc<Vec<Fact>>,
     /// Uniform branches every path here took, and which way: flat op and
     /// `taken`. Such a branch runs at most once per item per phase, and
     /// goes one way for every lane, so two accesses whose paths decide it
     /// differently never meet in one strip.
-    decided: Vec<(u32, bool)>,
+    decided: Rc<Vec<(u32, bool)>>,
 }
 
 impl State {
     /// Keep what `other` agrees with; report whether anything changed.
-    fn join(&mut self, other: &State) -> bool {
+    fn join(&mut self, other: &State, forms: &Forms) -> bool {
         let mut changed = false;
         for (r, o) in self.regs.iter_mut().zip(&other.regs) {
-            if r.is_some() && r != o {
-                *r = None;
-                changed = true;
+            if let Some(f) = *r {
+                if !o.is_some_and(|g| forms.same(f, g)) {
+                    *r = None;
+                    changed = true;
+                }
             }
         }
-        let before = (self.facts.len(), self.decided.len());
-        self.facts.retain(|f| other.facts.contains(f));
-        self.decided.retain(|d| other.decided.contains(d));
-        changed || (self.facts.len(), self.decided.len()) != before
+        if self.facts.iter().any(|f| !has_fact(forms, &other.facts, f)) {
+            Rc::make_mut(&mut self.facts).retain(|f| has_fact(forms, &other.facts, f));
+            changed = true;
+        }
+        if self.decided.iter().any(|d| !other.decided.contains(d)) {
+            Rc::make_mut(&mut self.decided).retain(|d| other.decided.contains(d));
+            changed = true;
+        }
+        changed
     }
 }
 
@@ -296,8 +406,8 @@ struct Access {
     store: bool,
     ty: ElemTy,
     idx: Reg,
-    facts: Vec<Fact>,
-    decided: Vec<(u32, bool)>,
+    facts: Rc<Vec<Fact>>,
+    decided: Rc<Vec<(u32, bool)>>,
 }
 
 /// One region of a kernel: its store-involving pairs of accesses, with
@@ -311,6 +421,9 @@ pub(super) struct Region {
     /// Every store against every access (itself included) that no uniform
     /// branch keeps apart, in op order.
     pairs: Vec<Pair>,
+    /// The lane side of each access with a modelled index, which the
+    /// pairs' checks refer to by position.
+    sides: Vec<Side>,
     /// Entry registers the forms take as uniform: checked per strip.
     checks: Vec<u16>,
 }
@@ -328,39 +441,48 @@ struct Pair {
     check: Option<Check>,
 }
 
+/// One access's index as `a·lid0 + A`, with what its facts and the group
+/// say about its lane.
+#[derive(Debug, Clone)]
+struct Side {
+    a: F,
+    /// `A`.
+    rest: F,
+    /// A `lid0 = p` fact pinning the access.
+    pin: Option<F>,
+    /// Upper and lower bounds on the lane: the facts' and the group's.
+    ends: (Vec<F>, Vec<F>),
+}
+
 /// The strip question for one pair, in forms the dispatch only evaluates.
-/// With the store at `a·lid0 + A` and the other access at `b·lid0 + B`,
-/// two lanes `p ≠ q` meet where `E = a·lidₚ − b·lid_q + d` is 0.
+/// With the store at `a·lid0 + A` and the other access at `b·lid0 + B`
+/// (its two [`Side`]s), two lanes `p ≠ q` meet where
+/// `E = a·lidₚ − b·lid_q + d` is 0.
 #[derive(Debug, Clone)]
 struct Check {
-    a: Form,
-    b: Form,
+    /// The store's side and the other access's, in the region's `sides`.
+    store: u32,
+    other: u32,
     /// `d = A − B`.
-    d: Form,
+    d: F,
     /// The two indices are one form with a fixed nonzero `a`: each lane
     /// its own element, whatever the binding.
     own: bool,
     /// Both accesses are pinned to one and the same lane.
     one_lane: bool,
-    /// `lid0 = p` facts pinning the store, and the other access.
-    pin_store: Option<Form>,
-    pin_other: Option<Form>,
-    /// Upper and lower bounds on `lidₚ` at the store, and on `lid_q` at
-    /// the other access: the facts' and the group's.
-    store_ends: (Vec<Form>, Vec<Form>),
-    other_ends: (Vec<Form>, Vec<Form>),
 }
 
 /// Analyse every region of `out`: the one at `entry` and one after each
-/// barrier. `sites` maps a pointer register to its site index; `known`
-/// and `writes` are the lowering's constant and write-count tables.
+/// barrier, with the forms their checks name. `sites` maps a pointer
+/// register to its site index; `known` and `writes` are the lowering's
+/// constant and write-count tables.
 pub(super) fn analyse(
     out: &[FOp],
     entry: usize,
     sites: &HashMap<u16, u32>,
     known: &[Option<RVal>],
     writes: &[u32],
-) -> Vec<Region> {
+) -> (Vec<Region>, Forms) {
     let mut entries = vec![(entry, None)];
     for (k, op) in out.iter().enumerate() {
         if matches!(op, FOp::R(ROp::Barrier)) {
@@ -370,130 +492,177 @@ pub(super) fn analyse(
     // Only a barrier region's entry values depend on the previous phase.
     let (roles, assigned) = if entries.len() > 1 {
         let roles = entry_roles(out, known, writes);
-        let assigned = assigned_ids(out, entry, &roles);
+        let assigned = Assigned::of(out, entry, &roles);
         (roles, assigned)
     } else {
-        (Vec::new(), Vec::new())
+        (Vec::new(), Assigned::default())
     };
-    let mut head = vec![false; out.len()];
-    head[entry] = true;
-    for (k, op) in out.iter().enumerate() {
-        let jump = target_of(op);
-        if let Some(t) = jump {
-            head[t as usize] = true;
-        }
-        if jump.is_some() || matches!(op, FOp::R(ROp::Barrier)) {
-            if let Some(next) = head.get_mut(k + 1) {
-                *next = true;
-            }
-        }
-    }
+    let head = block_heads(out, &[entry]);
     let cx = Cx {
         out,
         on_cycle: &on_cycles(out),
         head,
         entry_deps: std::cell::RefCell::new(Vec::new()),
     };
-    entries
-        .into_iter()
-        .map(|(e, barrier)| {
-            let regs = (0..writes.len())
-                .map(|r| -> AVal {
-                    if let Some(v) = known[r] {
-                        return Some(Form::konst(v.i()));
-                    }
-                    // An id role holds where every path to the barrier
-                    // wrote the register; the kernel entry is the template.
-                    let role = match barrier {
-                        Some(b) if writes[r] > 0 && assigned[b][r] => roles[r],
-                        _ => Role::Uniform,
-                    };
-                    Some(match role {
-                        Role::Uniform => Form::sym(Sym::Entry(r as u16)),
-                        Role::Lid(d) => Form::sym(Sym::Lid(d)),
-                        Role::Gid(d) => {
-                            Form::sym(Sym::Lid(d)).add(&Form::sym(Sym::GidBase(d)), 1)?
-                        }
-                    })
-                })
-                .map(|v| v.map(Rc::new))
-                .collect();
-            cx.entry_deps.borrow_mut().clear();
-            let init = State {
-                regs,
-                facts: vec![],
-                decided: vec![],
-            };
-            // Per op, the access it makes, with the last state it was
-            // visited with; `None` inside for a dynamic pointer.
-            let mut at: Vec<Option<Option<Access>>> = vec![None; out.len()];
-            cx.fixpoint(e, init, |k, st| {
-                let (store, ty, ptr, idx) = match out[k] {
-                    FOp::R(ROp::Load { ty, ptr, idx, .. }) => (false, ty, ptr, idx),
-                    FOp::R(ROp::Store { ty, ptr, idx, .. }) => (true, ty, ptr, idx),
-                    _ => return,
-                };
-                at[k] = Some(sites.get(&ptr).map(|&site| Access {
-                    site,
-                    store,
-                    ty,
-                    idx: st.regs[idx as usize].clone(),
-                    facts: st.facts.clone(),
-                    decided: st.decided.clone(),
-                }));
-            });
-            let analysable = at.iter().all(|a| !matches!(a, Some(None)));
-            let accesses: Vec<Access> = at.into_iter().flatten().flatten().collect();
-            let mut checks = Vec::new();
-            if barrier.is_some() {
-                // An entry value taken as uniform is checked where a form
-                // leans on it, directly or through a symbol derived from it.
-                let mut used = cx.entry_deps.borrow().clone();
-                for a in &accesses {
-                    let forms = (a.idx.iter().map(|f| &**f)).chain(a.facts.iter().map(|f| &f.f));
-                    used.extend(forms.flat_map(|f| &f.0).flat_map(|(m, _)| m).filter_map(
-                        |s| match s {
-                            Sym::Entry(r) => Some(*r),
-                            _ => None,
-                        },
-                    ));
-                }
-                used.sort_unstable();
-                used.dedup();
-                checks = used
-                    .into_iter()
-                    .filter(|&r| writes[r as usize] > 0)
-                    .collect();
-            }
-            let mut pairs = Vec::new();
-            for w in accesses.iter().filter(|a| a.store) {
-                for x in &accesses {
-                    if w.decided.iter().any(|&(b, t)| x.decided.contains(&(b, !t))) {
-                        continue;
-                    }
-                    pairs.push(Pair {
-                        store_site: w.site,
-                        other_site: x.site,
-                        other_store: x.store,
-                        check: (w.site == x.site && w.ty == x.ty)
-                            .then(|| Check::of(w, x))
-                            .flatten(),
-                    });
-                }
-            }
-            Region {
-                entry_flat: e,
-                analysable,
-                pairs,
-                checks,
-            }
+    let mut site_of = vec![None; writes.len()];
+    for (&ptr, &site) in sites {
+        site_of[ptr as usize] = Some(site);
+    }
+    let mut forms = Forms::default();
+    // Every register at a region entry: a constant, or its entry value.
+    let entry_regs: Vec<Reg> = (0..writes.len())
+        .map(|r| {
+            Some(match known[r] {
+                Some(v) => forms.konst(v.i()),
+                None => forms.sym(Sym::Entry(r as u16)),
+            })
         })
-        .collect()
+        .collect();
+    // Every item of a group has `0 ≤ lid0 ≤ get_local_size(0) − 1`.
+    let (size, one) = (forms.sym(Sym::LSize(0)), forms.konst(1));
+    let top = forms.add(size, one, -1);
+    let zero = forms.konst(0);
+    let mut regions = Vec::with_capacity(entries.len());
+    for (e, barrier) in entries {
+        let mut regs = entry_regs.clone();
+        // An id role holds where every path to the barrier wrote the
+        // register; the kernel entry is the template.
+        if let Some(b) = barrier {
+            for (r, reg) in regs.iter_mut().enumerate() {
+                if known[r].is_some() || writes[r] == 0 || !assigned.holds(b, r) {
+                    continue;
+                }
+                *reg = match roles[r] {
+                    Role::Uniform => continue,
+                    Role::Lid(d) => Some(forms.sym(Sym::Lid(d))),
+                    Role::Gid(d) => {
+                        let (lid, base) = (forms.sym(Sym::Lid(d)), forms.sym(Sym::GidBase(d)));
+                        forms.add(lid, base, 1)
+                    }
+                };
+            }
+        }
+        cx.entry_deps.borrow_mut().clear();
+        let init = State {
+            regs,
+            facts: Rc::default(),
+            decided: Rc::default(),
+        };
+        // Per op, the access it makes, with the last state it was visited
+        // with; `None` inside for a dynamic pointer.
+        let mut at: Vec<Option<Option<Access>>> = vec![None; out.len()];
+        cx.fixpoint(&mut forms, e, init, |k, st| {
+            let (store, ty, ptr, idx) = match out[k] {
+                FOp::R(ROp::Load { ty, ptr, idx, .. }) => (false, ty, ptr, idx),
+                FOp::R(ROp::Store { ty, ptr, idx, .. }) => (true, ty, ptr, idx),
+                _ => return,
+            };
+            at[k] = Some(site_of[ptr as usize].map(|site| Access {
+                site,
+                store,
+                ty,
+                idx: st.regs[idx as usize],
+                facts: st.facts.clone(),
+                decided: st.decided.clone(),
+            }));
+        });
+        let analysable = at.iter().all(|a| !matches!(a, Some(None)));
+        let accesses: Vec<Access> = at.into_iter().flatten().flatten().collect();
+        let mut checks = Vec::new();
+        if barrier.is_some() {
+            // An entry value taken as uniform is checked where a form
+            // leans on it, directly or through a symbol derived from it.
+            let mut used = cx.entry_deps.borrow().clone();
+            for a in &accesses {
+                for f in a.idx.iter().chain(a.facts.iter().map(|f| &f.f)) {
+                    used.extend(forms.entries(*f));
+                }
+            }
+            used.sort_unstable();
+            used.dedup();
+            checks = used
+                .into_iter()
+                .filter(|&r| writes[r as usize] > 0)
+                .collect();
+        }
+        // Every store against every access that no uniform branch keeps
+        // apart; only accesses of one site and element type get a check,
+        // so only theirs need a side.
+        let apart =
+            |w: &Access, x: &Access| w.decided.iter().any(|&(b, t)| x.decided.contains(&(b, !t)));
+        let mut checked = vec![false; accesses.len()];
+        for (i, w) in accesses.iter().enumerate().filter(|(_, a)| a.store) {
+            for (j, x) in accesses.iter().enumerate() {
+                if !apart(w, x) && w.site == x.site && w.ty == x.ty {
+                    (checked[i], checked[j]) = (true, true);
+                }
+            }
+        }
+        let mut sides = Vec::new();
+        let side_of: Vec<Option<u32>> = accesses
+            .iter()
+            .zip(&checked)
+            .map(|(a, &checked)| {
+                let side = Side::of(&mut forms, a, top.filter(|_| checked)?, zero)?;
+                sides.push(side);
+                Some(sides.len() as u32 - 1)
+            })
+            .collect();
+        let mut pairs = Vec::new();
+        for (w, &ws) in accesses.iter().zip(&side_of).filter(|(a, _)| a.store) {
+            for (x, &xs) in accesses.iter().zip(&side_of) {
+                if apart(w, x) {
+                    continue;
+                }
+                let check = match (ws, xs) {
+                    (Some(ws), Some(xs)) if w.site == x.site && w.ty == x.ty => {
+                        Check::of(&mut forms, w, ws, x, xs, &sides)
+                    }
+                    _ => None,
+                };
+                pairs.push(Pair {
+                    store_site: w.site,
+                    other_site: x.site,
+                    other_store: x.store,
+                    check,
+                });
+            }
+        }
+        regions.push(Region {
+            entry_flat: e,
+            analysable,
+            pairs,
+            sides,
+            checks,
+        });
+    }
+    (regions, forms)
+}
+
+/// Which ops start a basic block: each of `entries`, every jump target,
+/// and every op after a jump, a barrier or a `Done`.
+pub(super) fn block_heads(out: &[FOp], entries: &[usize]) -> Vec<bool> {
+    let mut head = vec![false; out.len()];
+    for &e in entries {
+        head[e] = true;
+    }
+    for (k, op) in out.iter().enumerate() {
+        let jump = target_of(op);
+        if let Some(t) = jump {
+            head[t as usize] = true;
+        }
+        if jump.is_some() || matches!(op, FOp::Done | FOp::R(ROp::Barrier)) {
+            if let Some(next) = head.get_mut(k + 1) {
+                *next = true;
+            }
+        }
+    }
+    head
 }
 
 /// The successors of flat op `k`, each with whether it is the taken edge
 /// of a jump. A barrier ends a region unless `through_barriers`.
-fn successors(
+pub(super) fn successors(
     out: &[FOp],
     k: usize,
     through_barriers: bool,
@@ -595,10 +764,8 @@ fn entry_roles(out: &[FOp], known: &[Option<RVal>], writes: &[u32]) -> Vec<Role>
                 roles[r] = Some(role);
             }
             None => {
-                for (r, len) in op_regs(op).1 {
-                    for w in r..r + len {
-                        uniform[w as usize] = true;
-                    }
+                for w in op_regs(op).written() {
+                    uniform[w as usize] = true;
                 }
             }
         }
@@ -617,52 +784,67 @@ fn entry_roles(out: &[FOp], known: &[Option<RVal>], writes: &[u32]) -> Vec<Role>
 }
 
 /// For every op, which id-role registers every path from the kernel entry
-/// to it has written (barriers are ordinary edges here).
-fn assigned_ids(out: &[FOp], entry: usize, roles: &[Role]) -> Vec<Vec<bool>> {
-    let n = out.len();
-    let nregs = roles.len();
-    let mut at: Vec<Option<Vec<bool>>> = vec![None; n];
-    at[entry] = Some(vec![false; nregs]);
-    let mut work = vec![entry];
-    while let Some(k) = work.pop() {
-        let mut after = at[k].clone().expect("queued ops have a state");
-        if let FOp::R(ROp::Id { dst, .. }) = &out[k] {
-            if roles[*dst as usize] != Role::Uniform {
-                after[*dst as usize] = true;
+/// to it has written (barriers are ordinary edges here): one row of flags
+/// per op over the id-role registers alone.
+#[derive(Default)]
+struct Assigned {
+    /// Each register's column, if it has an id role.
+    col: Vec<Option<usize>>,
+    cols: usize,
+    rows: Vec<bool>,
+}
+
+impl Assigned {
+    fn of(out: &[FOp], entry: usize, roles: &[Role]) -> Assigned {
+        let mut col = vec![None; roles.len()];
+        let mut cols = 0;
+        for (r, role) in roles.iter().enumerate() {
+            if *role != Role::Uniform {
+                col[r] = Some(cols);
+                cols += 1;
             }
         }
-        for (s, _) in successors(out, k, true) {
-            match &mut at[s] {
-                slot @ None => {
-                    *slot = Some(after.clone());
+        let n = out.len();
+        let mut rows = vec![false; n * cols];
+        let mut seen = vec![false; n];
+        seen[entry] = true;
+        let mut work = vec![entry];
+        let mut after = vec![false; cols];
+        while let Some(k) = work.pop() {
+            after.copy_from_slice(&rows[k * cols..(k + 1) * cols]);
+            if let FOp::R(ROp::Id { dst, .. }) = &out[k] {
+                if let Some(c) = col[*dst as usize] {
+                    after[c] = true;
+                }
+            }
+            for (s, _) in successors(out, k, true) {
+                let have = &mut rows[s * cols..(s + 1) * cols];
+                if !seen[s] {
+                    seen[s] = true;
+                    have.copy_from_slice(&after);
+                    work.push(s);
+                } else if have.iter().zip(&after).any(|(h, a)| *h && !*a) {
+                    for (h, a) in have.iter_mut().zip(&after) {
+                        *h &= *a;
+                    }
                     work.push(s);
                 }
-                Some(have) => {
-                    let mut changed = false;
-                    for (h, a) in have.iter_mut().zip(&after) {
-                        if *h && !*a {
-                            *h = false;
-                            changed = true;
-                        }
-                    }
-                    if changed {
-                        work.push(s);
-                    }
-                }
             }
         }
+        Assigned { col, cols, rows }
     }
-    at.into_iter()
-        .map(|a| a.unwrap_or_else(|| vec![false; nregs]))
-        .collect()
+
+    /// Has every path from the entry to op `k` written register `r`?
+    fn holds(&self, k: usize, r: usize) -> bool {
+        self.col[r].is_some_and(|c| self.rows[k * self.cols + c])
+    }
 }
 
 struct Cx<'a> {
     out: &'a [FOp],
     on_cycle: &'a [bool],
-    /// Ops that start a block: the kernel entry, every region entry, every
-    /// jump target and every op after a jump. The fixpoint keeps states
-    /// at these only and walks the straight-line code in between.
+    /// Ops that start a block ([`block_heads`]). The fixpoint keeps
+    /// states at these only and walks the straight-line code in between.
     head: Vec<bool>,
     /// Entry registers a [`Sym::Def`] or a decided branch leans on:
     /// uniform only if they are.
@@ -672,12 +854,10 @@ struct Cx<'a> {
 impl Cx<'_> {
     /// Record that the analysis takes these values as uniform: the entry
     /// registers among their symbols are checked per strip.
-    fn lean_on<'v>(&self, vals: impl Iterator<Item = &'v Reg>) {
+    fn lean_on(&self, forms: &Forms, vals: impl Iterator<Item = Reg>) {
         let mut deps = self.entry_deps.borrow_mut();
-        for s in vals.flatten().flat_map(|f| &f.0).flat_map(|(m, _)| m) {
-            if let Sym::Entry(e) = s {
-                deps.push(*e);
-            }
+        for f in vals.flatten() {
+            deps.extend(forms.entries(f));
         }
     }
 
@@ -692,29 +872,46 @@ impl Cx<'_> {
     /// op the region reaches is visited with its in-state each time its
     /// block is walked, the last time with the converged one (a head whose
     /// state changes is walked again).
-    fn fixpoint(&self, entry: usize, init: State, mut visit: impl FnMut(usize, &State)) {
+    fn fixpoint(
+        &self,
+        forms: &mut Forms,
+        entry: usize,
+        init: State,
+        mut visit: impl FnMut(usize, &State),
+    ) {
         let mut states: Vec<Option<State>> = vec![None; self.out.len()];
         states[entry] = Some(init);
-        let mut work = vec![entry];
-        while let Some(h) = work.pop() {
+        // Heads to walk, lowest first, each queued once: forward code
+        // settles before the loops that follow it are walked again.
+        let mut queued = vec![false; self.out.len()];
+        queued[entry] = true;
+        let mut work = BinaryHeap::from([Reverse(entry)]);
+        while let Some(Reverse(h)) = work.pop() {
+            queued[h] = false;
             let Some(mut after) = states[h].clone() else {
                 continue;
             };
             let mut k = h;
             visit(k, &after);
-            self.step(k, &mut after);
+            self.step(forms, k, &mut after);
             while !self.ends_block(k) {
                 k += 1;
                 visit(k, &after);
-                self.step(k, &mut after);
+                self.step(forms, k, &mut after);
             }
-            for (s, taken) in successors(self.out, k, false) {
-                let mut next = after.clone();
+            let mut after = Some(after);
+            let mut succ = successors(self.out, k, false).peekable();
+            while let Some((s, taken)) = succ.next() {
+                let mut next = match succ.peek() {
+                    Some(_) => after.clone(),
+                    None => after.take(),
+                }
+                .expect("the block's out-state");
                 if let FOp::R(ROp::JcI { cmp, a, b, .. }) = &self.out[k] {
                     let cmp = if taken { *cmp } else { cmp_inv(*cmp) };
-                    let (x, y) = (&after.regs[*a as usize], &after.regs[*b as usize]);
-                    if let (Some(x), Some(y)) = (x, y) {
-                        next.facts.extend(fact(cmp, x, y));
+                    let (x, y) = (next.regs[*a as usize], next.regs[*b as usize]);
+                    if let Some(f) = x.zip(y).and_then(|(x, y)| fact(forms, cmp, x, y)) {
+                        Rc::make_mut(&mut next.facts).push(f);
                     }
                 }
                 let cond: &[u16] = match &self.out[k] {
@@ -722,57 +919,58 @@ impl Cx<'_> {
                     FOp::R(ROp::Jz { c, .. } | ROp::Jnz { c, .. }) => std::slice::from_ref(c),
                     _ => &[],
                 };
-                let uniform = cond.iter().all(|&x| {
-                    after.regs[x as usize]
-                        .as_ref()
-                        .is_some_and(|f| f.is_uniform())
-                });
+                let uniform = cond
+                    .iter()
+                    .all(|&x| next.regs[x as usize].is_some_and(|f| forms.is_uniform(f)));
                 if !cond.is_empty() && uniform && !self.on_cycle[k] {
-                    self.lean_on(cond.iter().map(|&x| &after.regs[x as usize]));
-                    next.decided.push((k as u32, taken));
+                    self.lean_on(forms, cond.iter().map(|&x| next.regs[x as usize]));
+                    Rc::make_mut(&mut next.decided).push((k as u32, taken));
                 }
-                match &mut states[s] {
+                let grew = match &mut states[s] {
                     slot @ None => {
                         *slot = Some(next);
-                        work.push(s);
+                        true
                     }
-                    Some(have) => {
-                        if have.join(&next) {
-                            work.push(s);
-                        }
-                    }
+                    Some(have) => have.join(&next, forms),
+                };
+                if grew && !queued[s] {
+                    queued[s] = true;
+                    work.push(Reverse(s));
                 }
             }
         }
     }
 
+    /// Uniform operands, off every barrier-free cycle: a fresh symbol for
+    /// the result of op `k`.
+    fn opaque(&self, forms: &mut Forms, k: usize, st: &State, xs: &[u16]) -> Reg {
+        let reg = |x: &u16| st.regs[*x as usize];
+        if !xs
+            .iter()
+            .all(|x| reg(x).is_some_and(|f| forms.is_uniform(f)))
+            || self.on_cycle[k]
+        {
+            return None;
+        }
+        self.lean_on(forms, xs.iter().map(reg));
+        Some(forms.sym(Sym::Def(k as u32)))
+    }
+
     /// The effect of flat op `k` on the abstract registers.
-    fn step(&self, k: usize, st: &mut State) {
+    fn step(&self, forms: &mut Forms, k: usize, st: &mut State) {
         use ROp::*;
         let op = &self.out[k];
-        let r = |st: &State, x: u16| st.regs[x as usize].clone();
-        // Uniform operands, off every barrier-free cycle: a fresh symbol.
-        let opaque = |st: &State, xs: &[u16]| -> AVal {
-            let uniform = xs.iter().all(|&x| r(st, x).is_some_and(|a| a.is_uniform()));
-            if !uniform || self.on_cycle[k] {
-                return None;
-            }
-            self.lean_on(xs.iter().map(|&x| &st.regs[x as usize]));
-            Some(Form::sym(Sym::Def(k as u32)))
-        };
-        let mul = |st: &State, x: u16, y: u16| r(st, x).zip(r(st, y)).and_then(|(x, y)| x.mul(&y));
-        let value: Option<(u16, AVal)> = match op {
+        let r = |st: &State, x: u16| st.regs[x as usize];
+        let value: Option<(u16, Reg)> = match op {
             FOp::CopyArgs { dst, src, n } => {
-                let vals: Vec<Reg> = (0..*n).map(|j| r(st, src + j)).collect();
-                for (j, v) in vals.into_iter().enumerate() {
-                    st.regs[*dst as usize + j] = v;
-                }
+                let (src, dst, n) = (*src as usize, *dst as usize, *n as usize);
+                st.regs.copy_within(src..src + n, dst);
                 return;
             }
             FOp::ZeroLocals { at, n } => {
-                let zero = Rc::new(Form::konst(0));
+                let zero = forms.konst(0);
                 for j in 0..*n {
-                    st.regs[(at + j) as usize] = Some(zero.clone());
+                    st.regs[(at + j) as usize] = Some(zero);
                 }
                 return;
             }
@@ -786,22 +984,28 @@ impl Cx<'_> {
             }
             FOp::R(AddI { dst, a, b }) => Some((
                 *dst,
-                r(st, *a).zip(r(st, *b)).and_then(|(x, y)| x.add(&y, 1)),
+                r(st, *a)
+                    .zip(r(st, *b))
+                    .and_then(|(x, y)| forms.add(x, y, 1)),
             )),
             FOp::R(SubI { dst, a, b }) => Some((
                 *dst,
-                r(st, *a).zip(r(st, *b)).and_then(|(x, y)| x.add(&y, -1)),
+                r(st, *a)
+                    .zip(r(st, *b))
+                    .and_then(|(x, y)| forms.add(x, y, -1)),
             )),
-            FOp::R(NegI { dst, src }) => Some((*dst, r(st, *src).and_then(|x| x.scale(-1)))),
+            FOp::R(NegI { dst, src }) => Some((*dst, r(st, *src).and_then(|x| forms.scale(x, -1)))),
             FOp::R(MulI { dst, a, b }) => {
-                Some((*dst, mul(st, *a, *b).or_else(|| opaque(st, &[*a, *b]))))
+                let v = r(st, *a).zip(r(st, *b)).and_then(|(x, y)| forms.mul(x, y));
+                Some((*dst, v.or_else(|| self.opaque(forms, k, st, &[*a, *b]))))
             }
             FOp::R(MadI { dst, a, b, c }) => {
-                let v = mul(st, *a, *b)
+                let v = r(st, *a)
+                    .zip(r(st, *b))
+                    .and_then(|(x, y)| forms.mul(x, y))
                     .zip(r(st, *c))
-                    .and_then(|(p, c)| p.add(&c, 1))
-                    .or_else(|| opaque(st, &[*a, *b, *c]));
-                Some((*dst, v))
+                    .and_then(|(p, c)| forms.add(p, c, 1));
+                Some((*dst, v.or_else(|| self.opaque(forms, k, st, &[*a, *b, *c]))))
             }
             FOp::R(
                 DivI { dst, a, b }
@@ -812,8 +1016,10 @@ impl Cx<'_> {
                 | BOr { dst, a, b }
                 | BXor { dst, a, b }
                 | CmpI { dst, a, b, .. },
-            ) => Some((*dst, opaque(st, &[*a, *b]))),
-            FOp::R(Math2I { dst, a, b2, .. }) => Some((*dst, opaque(st, &[*a, *b2]))),
+            ) => Some((*dst, self.opaque(forms, k, st, &[*a, *b]))),
+            FOp::R(Math2I { dst, a, b2, .. }) => {
+                Some((*dst, self.opaque(forms, k, st, &[*a, *b2])))
+            }
             // Loads and float arithmetic: unknown.
             FOp::R(
                 Load { dst, .. }
@@ -829,33 +1035,35 @@ impl Cx<'_> {
                 | F2I { dst, .. },
             ) => Some((*dst, None)),
             FOp::R(BNot { dst, src } | LNot { dst, src } | AbsI { dst, src }) => {
-                Some((*dst, opaque(st, &[*src])))
+                Some((*dst, self.opaque(forms, k, st, &[*src])))
             }
             FOp::R(Id { b, dst, src }) => {
-                let dim = r(st, *src).and_then(|a| a.as_const());
+                let dim = r(st, *src).and_then(|a| forms.as_const(a));
                 let v = match dim {
                     Some(d) if (0..3).contains(&d) => {
                         let d = d as u8;
                         match b {
-                            Builtin::GetLocalId => Some(Form::sym(Sym::Lid(d))),
+                            Builtin::GetLocalId => Some(forms.sym(Sym::Lid(d))),
                             Builtin::GetGlobalId => {
-                                Form::sym(Sym::Lid(d)).add(&Form::sym(Sym::GidBase(d)), 1)
+                                let lid = forms.sym(Sym::Lid(d));
+                                let base = forms.sym(Sym::GidBase(d));
+                                forms.add(lid, base, 1)
                             }
-                            Builtin::GetGroupId => Some(Form::sym(Sym::Grp(d))),
-                            Builtin::GetGlobalSize => Some(Form::sym(Sym::GSize(d))),
-                            Builtin::GetLocalSize => Some(Form::sym(Sym::LSize(d))),
-                            Builtin::GetNumGroups => Some(Form::sym(Sym::NGroups(d))),
-                            _ => Some(Form::konst(0)),
+                            Builtin::GetGroupId => Some(forms.sym(Sym::Grp(d))),
+                            Builtin::GetGlobalSize => Some(forms.sym(Sym::GSize(d))),
+                            Builtin::GetLocalSize => Some(forms.sym(Sym::LSize(d))),
+                            Builtin::GetNumGroups => Some(forms.sym(Sym::NGroups(d))),
+                            _ => Some(forms.konst(0)),
                         }
                     }
                     // The lowering's out-of-range reading: ids 0, sizes 1.
-                    Some(_) => Some(Form::konst(matches!(
+                    Some(_) => Some(forms.konst(matches!(
                         b,
                         Builtin::GetGlobalSize | Builtin::GetLocalSize | Builtin::GetNumGroups
                     ) as i64)),
                     None => match b {
                         Builtin::GetLocalId | Builtin::GetGlobalId => None,
-                        _ => opaque(st, &[*src]),
+                        _ => self.opaque(forms, k, st, &[*src]),
                     },
                 };
                 Some((*dst, v))
@@ -863,13 +1071,11 @@ impl Cx<'_> {
             _ => None,
         };
         match value {
-            Some((dst, v)) => st.regs[dst as usize] = v.map(Rc::new),
+            Some((dst, v)) => st.regs[dst as usize] = v,
             // Anything else (loads, float and vector ops) is unknown.
             None => {
-                for (at, len) in op_regs(op).1 {
-                    for w in at..at + len {
-                        st.regs[w as usize] = None;
-                    }
+                for w in op_regs(op).written() {
+                    st.regs[w as usize] = None;
                 }
             }
         }
@@ -878,17 +1084,23 @@ impl Cx<'_> {
 
 /// The fact `x cmp y`, normalised to `f ≤ 0` / `f = 0`, if it is about
 /// `±lid0`.
-fn fact(cmp: Cmp, x: &Form, y: &Form) -> Option<Fact> {
-    let d = x.add(y, -1)?;
+fn fact(forms: &mut Forms, cmp: Cmp, x: F, y: F) -> Option<Fact> {
+    let d = forms.add(x, y, -1)?;
     let (f, eq) = match cmp {
-        Cmp::Lt => (d.add(&Form::konst(1), 1)?, false),
+        Cmp::Lt => {
+            let one = forms.konst(1);
+            (forms.add(d, one, 1)?, false)
+        }
         Cmp::Le => (d, false),
-        Cmp::Gt => (d.scale(-1)?.add(&Form::konst(1), 1)?, false),
-        Cmp::Ge => (d.scale(-1)?, false),
+        Cmp::Gt => {
+            let (neg, one) = (forms.scale(d, -1)?, forms.konst(1));
+            (forms.add(neg, one, 1)?, false)
+        }
+        Cmp::Ge => (forms.scale(d, -1)?, false),
         Cmp::Eq => (d, true),
         Cmp::Ne => return None,
     };
-    matches!(f.split().0.as_const(), Some(1 | -1)).then_some(Fact { f, eq })
+    matches!(forms.lane_const(f), Some(1 | -1)).then_some(Fact { f, eq })
 }
 
 /// An interval bound this large stands for infinity.
@@ -896,6 +1108,7 @@ const INF: i128 = 1 << 100;
 
 /// What one dispatch fixes about the symbols.
 struct Bind<'a> {
+    forms: &'a Forms,
     template: &'a [RVal],
     /// Entry registers checked per strip: not fixed by the template.
     checks: &'a [u16],
@@ -937,20 +1150,22 @@ impl Bind<'_> {
     /// forms `fᵢ` (at most three), monomial by monomial: like terms of the
     /// parts merge first, so `s − 1` against `−s` cancels. Bounds at
     /// `±INF` stand for unbounded.
-    fn interval_of(&self, parts: &[(i128, &Form)]) -> (i128, i128) {
+    fn interval_of(&self, parts: &[(i128, F)]) -> (i128, i128) {
         let clamp = |v: i128| v.clamp(-INF, INF);
+        let terms: [&[Term]; 3] =
+            std::array::from_fn(|p| parts.get(p).map_or(&[][..], |&(_, f)| self.forms.terms(f)));
         let mut at = [0usize; 3];
         let (mut lo, mut hi) = (0i128, 0i128);
         loop {
-            let next = parts
+            let next = terms
                 .iter()
                 .zip(&at)
-                .filter_map(|((_, f), &i)| f.0.get(i).map(|t| t.0))
+                .filter_map(|(f, &i)| f.get(i).map(|t| t.0))
                 .min();
             let Some(m) = next else { break };
             let mut c = 0i128;
-            for ((k, f), i) in parts.iter().zip(at.iter_mut()) {
-                if let Some(&(tm, tc)) = f.0.get(*i) {
+            for ((&(k, _), f), i) in parts.iter().zip(&terms).zip(at.iter_mut()) {
+                if let Some(&(tm, tc)) = f.get(*i) {
                     if tm == m {
                         c = clamp(c.saturating_add(k.saturating_mul(tc as i128)));
                         *i += 1;
@@ -979,7 +1194,7 @@ impl Bind<'_> {
     }
 
     /// The value of a uniform form the dispatch fixes.
-    fn exact(&self, f: &Form) -> Option<i64> {
+    fn exact(&self, f: F) -> Option<i64> {
         match self.interval_of(&[(1, f)]) {
             (lo, hi) if lo == hi && lo.abs() < INF => i64::try_from(lo).ok(),
             _ => None,
@@ -1003,10 +1218,12 @@ fn may_meet(c: i128, (lo, hi): (i128, i128), w1: i128) -> bool {
 impl Region {
     /// Can no two lanes of one strip of `width` lanes touch one element in
     /// this region, one of the two accesses a store, with these resolved
-    /// sites, this template and this group shape? `Err` names the first
-    /// thing that could not be discharged.
+    /// sites, this template and this group shape? `forms` are the ones the
+    /// analysis returned with the region. `Err` names the first thing that
+    /// could not be discharged.
     pub(super) fn race_free(
         &self,
+        forms: &Forms,
         sites: &[Site],
         template: &[RVal],
         geo: &Geometry,
@@ -1019,6 +1236,7 @@ impl Region {
             return Err(StripReject::DynamicPointer);
         }
         let bind = Bind {
+            forms,
             template,
             checks: &self.checks,
             geo,
@@ -1036,7 +1254,11 @@ impl Region {
                 continue;
             }
             let w1 = width as i128 - 1;
-            if !pair.check.as_ref().is_some_and(|c| c.apart(&bind, w1)) {
+            if !pair
+                .check
+                .as_ref()
+                .is_some_and(|c| c.apart(&self.sides, &bind, w1))
+            {
                 return Err(StripReject::Race {
                     local,
                     slot,
@@ -1045,6 +1267,12 @@ impl Region {
             }
         }
         Ok(())
+    }
+
+    /// The written entry registers this region's strips compare across
+    /// lanes ([`Region::entry_holds`]).
+    pub(super) fn checks(&self) -> &[u16] {
+        &self.checks
     }
 
     /// Do the entry registers the forms take as uniform hold one value in
@@ -1060,66 +1288,74 @@ impl Region {
     }
 }
 
-impl Check {
-    /// The strip question for store `w` and access `x` of one site and
-    /// element type, as far as the forms take it; `None` where an index
-    /// is unknown.
-    fn of(w: &Access, x: &Access) -> Option<Check> {
-        let (a, rw) = w.idx.as_ref()?.split();
-        let (b, rx) = x.idx.as_ref()?.split();
-        let d = rw.add(&rx, -1)?;
-        let own = w.idx == x.idx && a.as_const().is_some_and(|c| c != 0);
-        let (ups_w, lows_w, pin_store) = lane_bounds(&w.facts);
-        let (ups_x, lows_x, pin_other) = lane_bounds(&x.facts);
-        // Every item of a group has `0 ≤ lid0 ≤ get_local_size(0) − 1`.
-        let top = Form::sym(Sym::LSize(0)).add(&Form::konst(1), -1)?;
-        let ends = |ups: Vec<Form>, lows: Vec<Form>, pin: &Option<Form>| match pin {
-            Some(p) => (vec![p.clone()], vec![p.clone()]),
+impl Side {
+    /// `a`'s side, where its index is modelled; `top` is the group's
+    /// last lane, `get_local_size(0) − 1`, and `zero` its first.
+    fn of(forms: &mut Forms, a: &Access, top: F, zero: F) -> Option<Side> {
+        let (lane, rest) = forms.split(a.idx?);
+        let (ups, lows, pin) = lane_bounds(forms, &a.facts);
+        let ends = match pin {
+            Some(p) => (vec![p], vec![p]),
             None => {
-                let mut ups: Vec<Form> = ups.into_iter().take(3).collect();
-                let mut lows: Vec<Form> = lows.into_iter().take(3).collect();
-                ups.push(top.clone());
-                lows.push(Form::konst(0));
+                let mut ups: Vec<F> = ups.into_iter().take(3).collect();
+                let mut lows: Vec<F> = lows.into_iter().take(3).collect();
+                ups.push(top);
+                lows.push(zero);
                 (ups, lows)
             }
         };
+        Some(Side {
+            a: lane,
+            rest,
+            pin,
+            ends,
+        })
+    }
+}
+
+impl Check {
+    /// The strip question for store `w` and access `x` of one site and
+    /// element type, whose sides are `ws` and `xs` in `sides`.
+    fn of(
+        forms: &mut Forms,
+        w: &Access,
+        ws: u32,
+        x: &Access,
+        xs: u32,
+        sides: &[Side],
+    ) -> Option<Check> {
+        let (sw, sx) = (&sides[ws as usize], &sides[xs as usize]);
+        let same = |f: Option<F>, g: Option<F>| f.zip(g).is_some_and(|(f, g)| forms.same(f, g));
+        let own = same(w.idx, x.idx) && forms.as_const(sw.a).is_some_and(|c| c != 0);
+        let one_lane = same(sw.pin, sx.pin);
         Some(Check {
+            store: ws,
+            other: xs,
+            d: forms.add(sw.rest, sx.rest, -1)?,
             own,
-            one_lane: pin_store.is_some() && pin_store == pin_other,
-            store_ends: ends(ups_w, lows_w, &pin_store),
-            other_ends: ends(ups_x, lows_x, &pin_other),
-            pin_store,
-            pin_other,
-            a,
-            b,
-            d,
+            one_lane,
         })
     }
 
     /// Are the two accesses apart between any two lanes `p ≠ q` of one
     /// strip, `|lidₚ − lid_q| ≤ w1`, in this dispatch?
-    fn apart(&self, bind: &Bind<'_>, w1: i128) -> bool {
-        let (Some(a), Some(b)) = (bind.exact(&self.a), bind.exact(&self.b)) else {
+    fn apart(&self, sides: &[Side], bind: &Bind<'_>, w1: i128) -> bool {
+        let (sw, sx) = (&sides[self.store as usize], &sides[self.other as usize]);
+        let (Some(a), Some(b)) = (bind.exact(sw.a), bind.exact(sx.a)) else {
             return false;
         };
         if self.own || self.one_lane {
             return true;
         }
         let (a, b) = (a as i128, b as i128);
-        let d = &self.d;
+        let d = self.d;
         // (1) E as c·δ + r over the lane distance δ: δ = lidₚ − lid_q when
         // a = b; with the store pinned to p, lid_q = p + δ; with the other
         // access pinned to p, lidₚ = p + δ. Then r = (a − b)·p + d.
-        let rest = |p: &Form| bind.interval_of(&[(a - b, p), (1, d)]);
+        let rest = |p: F| bind.interval_of(&[(a - b, p), (1, d)]);
         if (a == b && !may_meet(a, bind.interval_of(&[(1, d)]), w1))
-            || self
-                .pin_store
-                .as_ref()
-                .is_some_and(|p| !may_meet(-b, rest(p), w1))
-            || self
-                .pin_other
-                .as_ref()
-                .is_some_and(|p| !may_meet(a, rest(p), w1))
+            || sw.pin.is_some_and(|p| !may_meet(-b, rest(p), w1))
+            || sx.pin.is_some_and(|p| !may_meet(a, rest(p), w1))
         {
             return true;
         }
@@ -1127,15 +1363,15 @@ impl Check {
         // lidₚ at an upper bound and lid_q at a lower one for a maximum
         // (the other way round for a negative a or b), below 0; or a
         // minimum above 0.
-        let (w_up, w_low) = &self.store_ends;
-        let (x_up, x_low) = &self.other_ends;
-        let e = |u: &Form, v: &Form| bind.interval_of(&[(a, u), (-b, v), (1, d)]);
+        let (w_up, w_low) = &sw.ends;
+        let (x_up, x_low) = &sx.ends;
+        let e = |u: F, v: F| bind.interval_of(&[(a, u), (-b, v), (1, d)]);
         let pick = |up, lo, hi_side: bool| if hi_side { up } else { lo };
-        let max_u = pick(w_up, w_low, a > 0);
-        let max_v = pick(x_low, x_up, b > 0);
-        let min_u = pick(w_low, w_up, a > 0);
-        let min_v = pick(x_up, x_low, b > 0);
-        max_u.iter().any(|u| max_v.iter().any(|v| e(u, v).1 < 0))
-            || min_u.iter().any(|u| min_v.iter().any(|v| e(u, v).0 > 0))
+        let max_u: &Vec<F> = pick(w_up, w_low, a > 0);
+        let max_v: &Vec<F> = pick(x_low, x_up, b > 0);
+        let min_u: &Vec<F> = pick(w_low, w_up, a > 0);
+        let min_v: &Vec<F> = pick(x_up, x_low, b > 0);
+        max_u.iter().any(|&u| max_v.iter().any(|&v| e(u, v).1 < 0))
+            || min_u.iter().any(|&u| min_v.iter().any(|&v| e(u, v).0 > 0))
     }
 }

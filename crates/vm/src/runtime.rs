@@ -25,7 +25,7 @@
 
 use crate::interp::{run_chunk, Exit, RuntimeHooks};
 use crate::value::{
-    flatten_fields, unflatten_fields, DupStats, ErrorClass, EvictableMov, MovState, VmError, VmVal,
+    unflatten_fields, DupStats, ErrorClass, EvictableMov, FlatView, MovState, VmError, VmVal,
 };
 use ensemble_actors::supervisor::panic_message;
 use ensemble_actors::{
@@ -763,16 +763,21 @@ fn kernel_actor(
             };
             if !plan.mov {
                 // Plain channels: copy up, dispatch, copy the output back.
-                let field_vals: Vec<VmVal> = match (&plan.data_shape, &req.data) {
-                    (DataShape::Struct { .. }, VmVal::Struct(_, fields)) => fields.lock().clone(),
-                    (DataShape::Array { .. }, v @ VmVal::Arr(_)) => vec![v.clone()],
+                // The view converts each leaf straight into its device
+                // buffer; a retried upload re-fills from it.
+                let view = match (&plan.data_shape, &req.data) {
+                    (DataShape::Struct { .. }, VmVal::Struct(_, fields)) => {
+                        FlatView::of(&fields.lock(), &plan.data_fields)?
+                    }
+                    (DataShape::Array { .. }, v @ VmVal::Arr(_)) => {
+                        FlatView::of(std::slice::from_ref(v), &plan.data_fields)?
+                    }
                     (shape, got) => {
                         return Err(VmError::new(format!(
                             "kernel data mismatch: expected {shape:?}, got {got:?}"
                         )))
                     }
                 };
-                let flat = flatten_fields(&field_vals, &plan.data_fields)?;
                 let mode = match split.as_ref().filter(|_| !host.migrated()) {
                     Some((kind, dim, secondary)) => DispatchMode::Coexec {
                         secondary,
@@ -783,7 +788,7 @@ fn kernel_actor(
                     None => DispatchMode::Single,
                 };
                 let out = host
-                    .request(&flat, &launch, mode)
+                    .request(&view, &launch, mode)
                     .map_err(|e| VmError::device("kernel request failed", &e))?;
                 let fields = match plan.out {
                     KernelOut::Whole => &plan.data_fields[..],
@@ -831,9 +836,9 @@ fn kernel_actor(
                     crate::value::bring_home(&mut guard, Some(&profile), "device")?;
                 }
                 if let MovState::Host(fields) = &*guard {
-                    let flat = flatten_fields(fields, &plan.data_fields)?;
+                    let view = FlatView::of(fields, &plan.data_fields)?;
                     let bufs = host
-                        .upload(&flat)
+                        .upload(&view)
                         .map_err(|e| VmError::device("upload failed", &e))?;
                     *guard = MovState::Device {
                         bufs,

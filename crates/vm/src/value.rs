@@ -665,10 +665,9 @@ impl FlatSource for FlatView {
 
 /// Flatten a list of field values (each an array) following the fields'
 /// declared shapes into an owned [`FlatData`]: [`FlatView::of`], then
-/// [`FlatView::materialise`]. What the kernel actors upload; the view
-/// itself is a [`FlatSource`] they can switch to (one pass fewer over
-/// the payload) once the ledger's `kernel_share` self-check on
-/// `stream_copy` has room for it.
+/// [`FlatView::materialise`]. The kernel actors upload the view itself,
+/// a [`FlatSource`], one pass fewer over the payload; this owned form is
+/// for callers that keep the flattened bytes.
 pub fn flatten_fields(vals: &[VmVal], fields: &[DataField]) -> Result<FlatData, VmError> {
     Ok(FlatView::of(vals, fields)?.materialise())
 }

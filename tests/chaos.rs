@@ -68,6 +68,104 @@ fn empty_fault_plan_is_byte_identical() {
     assert_eq!(without, with);
 }
 
+/// A copy-channel payload of every leaf kind the VM converts on upload —
+/// `real [][]` rows, an `integer []` and a `boolean []` — to a kernel
+/// that reads all three.
+const MIXED_PAYLOAD: &str = r#"
+type data_t is struct (
+    real [][] grid;
+    integer [] ints;
+    boolean [] flags;
+    real [] out
+)
+type settings_t is opencl struct (
+    integer [] worksize;
+    integer [] groupsize;
+    in data_t input;
+    out real [] output
+)
+type hostI is interface (
+    out settings_t requests;
+    out data_t dout;
+    in real [] din
+)
+type mixI is interface(
+    in settings_t requests
+)
+
+stage home {
+
+    opencl <device_index=0, device_type=GPU>
+    actor Mix presents mixI {
+        constructor() {}
+        behaviour {
+            receive req from requests;
+            receive d from req.input;
+            i = get_global_id(0);
+            k = d.ints[i];
+            if d.flags[i] then {
+                d.out[i] := d.grid[i][1] * 2.0 + k;
+            } else {
+                d.out[i] := d.grid[i][0] - k;
+            }
+            send d.out on req.output;
+        }
+    }
+
+    actor Host presents hostI {
+        constructor() {}
+        behaviour {
+            n = 16;
+            grid = new real[n][3];
+            ints = new integer[n];
+            flags = new boolean[n];
+            for r = 0 .. (n - 1) do {
+                grid[r][0] := r * 0.5;
+                grid[r][1] := 3.25 - r;
+                grid[r][2] := 1.0;
+                ints[r] := r * 7 - 40;
+                flags[r] := r % 3 == 0;
+            }
+            ws = new integer[1] of n;
+            gs = new integer[1] of 4;
+            i = new in data_t;
+            o = new out real[];
+            connect dout to i;
+            connect o to din;
+            d = new data_t(grid, ints, flags, new real[n]);
+            send new settings_t(ws, gs, i, o) on requests;
+            send d on dout;
+            receive back from din;
+            for r = 0 .. (n - 1) do {
+                printReal(back[r]);
+            }
+            stop;
+        }
+    }
+
+    boot {
+        h = new Host();
+        m = new Mix();
+        connect h.requests to m.requests;
+    }
+}
+"#;
+
+/// The kernel actor uploads a copy-channel payload straight from the VM's
+/// view of it. A transient fault on any one of its four segments is
+/// retried, the retry fills the buffer from the view again, and the
+/// printed output is the fault-free run's.
+#[test]
+fn a_mixed_copy_payload_survives_a_transient_upload_fault() {
+    use oclsim::fault::{FaultOp, FaultPlan, InjectedFault};
+    for upload in 0..4 {
+        let plan = FaultPlan::new().fail(FaultOp::Upload, upload, InjectedFault::Transient);
+        let o = chaos::run_app_chaos("mixed", MIXED_PAYLOAD, plan).expect("runs");
+        assert!(o.matches_reference, "upload {upload}: {}", o.render());
+        assert_eq!((o.injected, o.retries), (1, 1), "upload {upload}: {}", o.render());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -328,6 +328,30 @@ fn lud_kernels_strip_at_every_ledger_size() {
     }
 }
 
+/// The C-OpenCL docrank `rank`, as its host runs it at 256 documents,
+/// takes items in strips on every round. Its flag store goes through a
+/// stack slot that holds `out` across the `?:` branches; pointer copy
+/// propagation resolves the slot to the parameter, and the race rule
+/// decides.
+#[test]
+fn the_copencl_rank_kernel_strips() {
+    use ensemble_repro::ensemble_apps::docrank;
+    let sink = TraceSink::new();
+    let (docs, tpl) = docrank::generate(256);
+    let profile = ProfileSink::new().with_trace(sink.clone());
+    docrank::run_copencl(docs, tpl, docrank::threshold(), DeviceType::Gpu, profile);
+    let events = sink.events();
+    let spans: Vec<_> = events.iter().filter(|e| e.kind == SpanKind::Kernel).collect();
+    assert_eq!(spans.len(), docrank::ROUNDS);
+    for span in spans {
+        let arg = |key: &str| span_arg(&span.args, key);
+        assert_eq!(arg("engine").as_deref(), Some("native"), "{:?}", span.args);
+        let strip_items: u64 = arg("strip_items").map_or(0, |v| v.parse().expect("a count"));
+        assert!(strip_items > 0, "{:?}", span.args);
+        assert_eq!(arg("scalar_why"), None, "{:?}", span.args);
+    }
+}
+
 /// LUD's in-place kernels against the stack and register engines on
 /// bytes, op counts and traps, over the strip shapes (`local_size[0]`
 /// below, at, and just above the strip width, with remainders) and the
@@ -624,8 +648,8 @@ type WindowRun = (Vec<Result<Vec<u64>, String>>, u64, Vec<Vec<u8>>);
 fn run_windows(
     prog: Lowered<'_>,
     info: &minicl::KernelInfo,
-    global: [usize; 3],
-    local: [usize; 3],
+    (global, local): ([usize; 3], [usize; 3]),
+    ints: &[i32],
     windows: &[[std::ops::Range<usize>; 3]],
 ) -> WindowRun {
     let elems = global[0];
@@ -633,7 +657,9 @@ fn run_windows(
         bufs: (0..3).map(|arg| arg_fill(arg, elems)).collect(),
         read_only: vec![false; 3],
     };
-    let args = [0, 1, 2].map(|pool_slot| RtArg::Buf { pool_slot });
+    let bufs = (0..3).map(|pool_slot| RtArg::Buf { pool_slot });
+    let scalars = ints.iter().map(|&v| RtArg::Scalar(minicl::Val::I(v as i64)));
+    let args: Vec<RtArg> = bufs.chain(scalars).collect();
     let mut strip_items = 0;
     let outcomes = windows
         .iter()
@@ -654,6 +680,12 @@ fn run_windows(
 /// traps agree, and through the public path so do op counts, traps and
 /// virtual time. Returns the native engine's strip items per local size.
 fn assert_barrier_kernel_agrees(src: &str) -> Vec<u64> {
+    assert_kernel_b_agrees(src, &[])
+}
+
+/// [`assert_barrier_kernel_agrees`] for a kernel `b` whose three buffer
+/// parameters are followed by `int` ones, bound to `ints` in order.
+fn assert_kernel_b_agrees(src: &str, ints: &[i32]) -> Vec<u64> {
     let unit = minicl::compile(&minicl::parse(src).expect("parse")).expect("compile");
     let info = unit.kernels["b"].clone();
     let reg = regir::compile_kernel(&unit, &info).expect("register-lowerable");
@@ -667,15 +699,16 @@ fn assert_barrier_kernel_agrees(src: &str) -> Vec<u64> {
             (0..BARRIER_GROUPS).map(|g| [g..g + 1, 0..1, 0..1]).collect(),
         ];
         for windows in &tilings {
-            let stack = run_windows(Lowered::Stack(&unit), &info, global, local, windows);
+            let shape = (global, local);
+            let stack = run_windows(Lowered::Stack(&unit), &info, shape, ints, windows);
             for prog in [Lowered::Register(&reg), Lowered::Native(&nat)] {
-                let other = run_windows(prog, &info, global, local, windows);
+                let other = run_windows(prog, &info, shape, ints, windows);
                 let label = format!("{} lx {lx} windows {windows:?}\n{src}", prog.engine().label());
                 assert_eq!(stack.0, other.0, "{label}: group ops or traps differ");
                 assert_eq!(stack.2, other.2, "{label}: bytes differ");
             }
             if windows.len() == 1 {
-                strips.push(run_windows(Lowered::Native(&nat), &info, global, local, windows).1);
+                strips.push(run_windows(Lowered::Native(&nat), &info, shape, ints, windows).1);
             }
         }
         let public = |engine| {
@@ -689,6 +722,9 @@ fn assert_barrier_kernel_agrees(src: &str) -> Vec<u64> {
                 let buf = ctx.create_buffer(MemFlags::ReadWrite, BUF_ELEMS * 4).expect("buffer");
                 queue.enqueue_write_buffer(&buf, &arg_fill(i, BUF_ELEMS)).expect("write");
                 kernel.set_arg_buffer(i, &buf).expect("a buffer argument");
+            }
+            for (i, &v) in ints.iter().enumerate() {
+                kernel.set_arg_i32(3 + i, v).expect("an int argument");
             }
             match queue.enqueue_nd_range(&kernel, &NdRange::d3(global, local)) {
                 Ok(ev) => Ok((ev.ops(), ev.duration_ns().to_bits())),
@@ -704,6 +740,59 @@ fn assert_barrier_kernel_agrees(src: &str) -> Vec<u64> {
         }
     }
     strips
+}
+
+/// Kernels whose work-items could read a register the previous item of
+/// their arena left behind, if a work-item start restored less than the
+/// registers live at the kernel entry. The compiler zeroes a declared
+/// private scalar where it is declared, so what stays live at the entry
+/// is a parameter read before it is written. Cases: a private scalar
+/// written on some items' paths only; a parameter assigned before it is
+/// read beside one assigned on some paths only; a loop-carried
+/// accumulator, and a parameter that seeds one; a private value and a
+/// parameter live across a barrier. Each agrees on every engine, strip
+/// shape and window split (a start that restores nothing fails the last
+/// three); debug builds also fill every register dead at the entry with a
+/// sentinel at each start.
+#[test]
+fn work_item_starts_restore_every_register_live_at_the_entry() {
+    let partial = "__kernel void b(__global float* in, __global float* out, __global float* part) {
+        int gid = get_global_id(0);
+        int x;
+        if (gid % 3 == 0) { x = gid; }
+        out[gid] = (float)x;
+    }";
+    let params = "__kernel void b(__global float* in, __global float* out, __global float* part, int p, int q) {
+        int gid = get_global_id(0);
+        p = gid * 3;
+        if (gid % 2 == 0) { q = gid; }
+        out[gid] = (float)(p + q);
+    }";
+    let accumulator = "__kernel void b(__global float* in, __global float* out, __global float* part, int a) {
+        int gid = get_global_id(0);
+        int n = get_global_size(0);
+        float acc;
+        for (int k = 0; k < gid % 4; k++) { acc = acc + in[(gid + k) % n]; a = a + k; }
+        out[gid] = acc + (float)a;
+    }";
+    let across = "__kernel void b(__global float* in, __global float* out, __global float* part, int c) {
+        __local float tmp[64];
+        int gid = get_global_id(0);
+        int lid = get_local_id(0);
+        int n = get_local_size(0);
+        float v;
+        if (gid % 3 == 0) { v = in[gid]; c = lid; }
+        tmp[lid] = v;
+        barrier(CLK_LOCAL_MEM_FENCE);
+        out[gid] = v + tmp[(lid + 1) % n] + (float)c;
+    }";
+    let cases: [(&str, &[i32]); 4] = [(partial, &[]), (params, &[7, 11]), (accumulator, &[5]), (across, &[9])];
+    for (src, ints) in cases {
+        let strips = assert_kernel_b_agrees(src, ints);
+        for (lx, items) in BARRIER_LOCALS.iter().zip(strips) {
+            assert!(items > 0 || *lx == 1, "lx {lx}: no strips\n{src}");
+        }
+    }
 }
 
 /// Items of a dispatch that start a phase in a strip of two or more lanes,
