@@ -139,7 +139,8 @@ fn count(events: &[trace::TraceEvent], kind: SpanKind) -> usize {
 }
 
 /// Run one compiled Ensemble source with `injector` attached to the GPU
-/// matrix entry (queue + context), recording into a fresh trace sink.
+/// matrix entry's context (the lane's one fault attachment), recording
+/// into a fresh trace sink.
 /// Returns the program's print output and the trace events. The injector
 /// is detached before returning, on success and on error alike.
 ///
@@ -157,10 +158,8 @@ fn traced_gpu_run(
     let entry = device_matrix()
         .select(DeviceSel::gpu())
         .map_err(|e| e.to_string())?;
-    entry.queue.attach_faults(injector.clone());
     entry.context.attach_faults(injector.clone());
     let result = VmRuntime::with_profile(module, profile).run();
-    entry.queue.attach_faults(FaultInjector::disabled());
     entry.context.attach_faults(FaultInjector::disabled());
     let report = result.map_err(|e| e.to_string())?;
     Ok((report.output, sink.events()))
@@ -248,9 +247,8 @@ pub fn run_kill_chaos(seed: u64, sizes: &Sizes) -> Result<Vec<ChaosOutcome>, Str
 /// kernel's full command sequence (build, three uploads, dispatch,
 /// read-back) against a **private** context + queue whose virtual clock
 /// starts at zero, and return the run's Chrome trace JSON. With
-/// `with_empty_plan` the queue and context carry a [`FaultInjector`]
-/// built from an empty [`FaultPlan`]; without it they carry the default
-/// disabled injector. The two traces must be byte-identical — an empty
+/// `with_empty_plan` the context carries a [`FaultInjector`] built from
+/// an empty [`FaultPlan`]; without it, the default disabled injector. The two traces must be byte-identical — an empty
 /// plan charges no virtual time and records no events.
 ///
 /// (The figure apps themselves run on the process-global device matrix,
@@ -270,7 +268,6 @@ pub fn empty_plan_trace(with_empty_plan: bool) -> Result<String, String> {
     if with_empty_plan {
         let injector = FaultInjector::new(FaultPlan::new());
         injector.attach_trace(sink.clone());
-        queue.attach_faults(injector.clone());
         context.attach_faults(injector);
     }
     let n = 16usize;
@@ -322,11 +319,11 @@ pub fn run_failover_chaos(n: usize) -> Result<ChaosOutcome, String> {
     let entry = device_matrix()
         .select(DeviceSel::gpu())
         .map_err(|e| e.to_string())?;
-    entry.queue.attach_faults(injector.clone());
+    entry.context.attach_faults(injector.clone());
     let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         matmul::run_ensemble(a, b, DeviceSel::gpu(), profile)
     }));
-    entry.queue.attach_faults(FaultInjector::disabled());
+    entry.context.attach_faults(FaultInjector::disabled());
     let got = got.map_err(|_| "matmul run panicked under DeviceLost".to_string())?;
     let close = got
         .as_slice()
@@ -368,7 +365,6 @@ pub fn session_gpu_run(
         .lanes()
         .select(DeviceSel::gpu())
         .map_err(|e| e.to_string())?;
-    gpu.queue.attach_faults(injector.clone());
     gpu.context.attach_faults(injector.clone());
     let report = session
         .run(src, None, RestartBudget::default())

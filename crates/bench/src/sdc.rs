@@ -58,7 +58,6 @@ fn lanes_run(src: &str, injector: &FaultInjector) -> Result<(Vec<String>, u64, f
         .map_err(|e| e.to_string())?;
     let lanes = Arc::new(DeviceMatrix::private().map_err(|e| format!("sdc lanes: {e}"))?);
     let gpu = lanes.select(DeviceSel::gpu()).map_err(|e| e.to_string())?;
-    gpu.queue.attach_faults(injector.clone());
     gpu.context.attach_faults(injector.clone());
     let vm = VmRuntime::new(module);
     vm.set_env_resolver(Arc::clone(&lanes) as _);

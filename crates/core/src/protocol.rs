@@ -528,7 +528,7 @@ mod tests {
     #[test]
     fn an_exhausted_failover_reports_the_error_that_caused_it() {
         let env = private_gpu_env();
-        env.queue
+        env.context
             .attach_faults(FaultInjector::new(FaultPlan::new().fail(
                 FaultOp::Enqueue,
                 0,
@@ -580,7 +580,7 @@ mod tests {
     #[test]
     fn a_failed_upload_releases_what_it_had_allocated() {
         let env = private_gpu_env();
-        env.queue
+        env.context
             .attach_faults(FaultInjector::new(FaultPlan::new().fail(
                 FaultOp::Upload,
                 1,

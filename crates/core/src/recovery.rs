@@ -67,17 +67,14 @@ impl RecoveryPolicy {
 
 /// Whether `error` should move the work to another device: device-level
 /// conditions (lost device, exhausted device memory, a transient refusal
-/// that outlived its retry budget, a blown watchdog) — not programming
+/// that outlived its retry budget) — not programming
 /// errors, which would fail identically everywhere. Whether a device is
 /// *left* to go to is the resolver's answer
 /// ([`crate::env::ResolveEnv::failover`]), not the policy's.
 pub fn should_fail_over(error: &ClError) -> bool {
     matches!(
         error,
-        ClError::DeviceLost { .. }
-            | ClError::DeviceBusy { .. }
-            | ClError::OutOfDeviceMemory { .. }
-            | ClError::Straggler { .. }
+        ClError::DeviceLost { .. } | ClError::DeviceBusy { .. } | ClError::OutOfDeviceMemory { .. }
     )
 }
 
@@ -320,10 +317,6 @@ mod tests {
         assert!(should_fail_over(&ClError::OutOfDeviceMemory {
             requested: 1,
             available: 0
-        }));
-        assert!(should_fail_over(&ClError::Straggler {
-            device: "g".into(),
-            budget_ns: 1
         }));
         assert!(!should_fail_over(&ClError::BuildFailure {
             log: "x".into()

@@ -42,7 +42,6 @@ const REQUESTS: usize = 3;
 /// restarts the supervisor granted.
 fn run_pipeline(injector: &FaultInjector) -> (Vec<Vec<u32>>, u32) {
     let entry = device_matrix().select(DeviceSel::gpu()).expect("gpu entry");
-    entry.queue.attach_faults(injector.clone());
     entry.context.attach_faults(injector.clone());
     let allocated_before = entry.context.allocated_bytes();
 
@@ -96,7 +95,6 @@ fn run_pipeline(injector: &FaultInjector) -> (Vec<Vec<u32>>, u32) {
     let report = sup.run().expect("supervised pipeline failed");
     let results = driver.join().expect("driver panicked");
 
-    entry.queue.attach_faults(FaultInjector::disabled());
     entry.context.attach_faults(FaultInjector::disabled());
 
     // No incarnation — completed, exited or unwound by a kill-panic

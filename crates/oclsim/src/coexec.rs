@@ -370,8 +370,8 @@ pub fn model_shares(
 /// function:
 ///
 /// 1. runs the primary's command stage list once — one arbiter slot, one
-///    Enqueue fault draw, the same validation, integrity, watchdog and
-///    provenance stages as an unsplit dispatch;
+///    Enqueue fault draw, the same validation, integrity and provenance
+///    stages as an unsplit dispatch;
 /// 2. lets `policy` assign group chunks along `dim` — executing every
 ///    chunk *functionally* on the primary queue via window execution
 ///    (full-range ids ⇒ byte-identical output), while charging chunks
@@ -740,7 +740,7 @@ mod tests {
                 0,
                 InjectedFault::DeviceLost,
             ));
-            sec.attach_faults(inj);
+            sec.context().attach_faults(inj);
         }
         let program = Program::build(&ctx, SRC).unwrap();
         let k = program.create_kernel("scale").unwrap();
@@ -843,7 +843,7 @@ mod tests {
     #[test]
     fn an_unsplittable_range_draws_one_fault_like_a_plain_dispatch() {
         let (ctx, q, sec) = gpu_setup();
-        q.attach_faults(FaultInjector::new(FaultPlan::new().fail(
+        q.context().attach_faults(FaultInjector::new(FaultPlan::new().fail(
             FaultOp::Enqueue,
             1,
             InjectedFault::DeviceLost,

@@ -17,8 +17,9 @@ struct ContextInner {
     devices: Vec<Device>,
     mem_budget: usize,
     allocated: Mutex<usize>,
-    /// Optional fault source consulted by `Program::build` (see
-    /// [`crate::fault`]).
+    /// Optional fault source of the device lane: consulted by
+    /// `Program::build` and by every command of every queue on this
+    /// context (see [`crate::fault`]).
     faults: Mutex<FaultInjector>,
     /// Optional pool-level accountant consulted around every allocation
     /// and release (see [`crate::arbiter::MemObserver`]).
@@ -75,19 +76,28 @@ impl Context {
         self.inner.observer.set(observer);
     }
 
-    /// Attach a fault injector: every subsequent [`crate::Program::build`]
-    /// against this context first consults the injector and may fail with
-    /// a scheduled [`ClError`] (see [`crate::fault`]). All clones of the
-    /// context share the attachment. Pass [`FaultInjector::disabled`] to
-    /// detach.
+    /// Attach a fault injector to the device lane this context serves:
+    /// every subsequent [`crate::Program::build`] against the context, and
+    /// every upload, read-back and kernel dispatch on a
+    /// [`crate::CommandQueue`] over it, first consults the injector and
+    /// may fail with a scheduled [`ClError`] (see [`crate::fault`]). This
+    /// is the lane's only fault attachment. All clones of the context
+    /// share it. Pass [`FaultInjector::disabled`] to detach.
     pub fn attach_faults(&self, injector: FaultInjector) {
         *self.inner.faults.lock() = injector;
+    }
+
+    /// The attached injector, cloned out of the lock (a cheap `Arc`
+    /// handle) so no check runs under it: an injected hang stalls inside
+    /// the check.
+    pub(crate) fn faults(&self) -> FaultInjector {
+        self.inner.faults.lock().clone()
     }
 
     /// Consult the attached injector for a build-time fault (no-op when
     /// none is attached). Called by [`crate::Program::build`].
     pub(crate) fn build_fault_check(&self) -> ClResult<()> {
-        let injector = self.inner.faults.lock().clone();
+        let injector = self.faults();
         let device = self
             .inner
             .devices

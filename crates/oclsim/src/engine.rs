@@ -28,13 +28,10 @@
 //!
 //! All three engines are deterministic and produce byte-identical buffers,
 //! identical `group_ops` and identical traps — the engine choice changes
-//! *host wall-clock* only, never virtual time. The process-wide default can
-//! be overridden per kernel via [`crate::Kernel::set_engine`], process-wide
-//! via [`set_default_engine`], or from outside via the `OCLSIM_ENGINE`
-//! environment variable (`native` / `register` / `stack`), which sets the
-//! initial default before any dispatch runs — handy for A/B-debugging a
-//! binary without recompiling. The wall-clock benchmark harness uses
-//! [`set_default_engine`] to time all three rungs.
+//! *host wall-clock* only, never virtual time. The process-wide default
+//! (native) can be overridden per kernel via [`crate::Kernel::set_engine`]
+//! or process-wide via [`set_default_engine`]; the wall-clock benchmark
+//! harness uses the latter to time all three rungs.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -61,15 +58,12 @@ impl Engine {
 }
 
 /// Encoding for [`DEFAULT_ENGINE`]: 0 = native, 1 = stack, 2 = register.
-/// 255 marks "not initialised yet" — the first read resolves the
-/// `OCLSIM_ENGINE` environment override exactly once.
 const ENC_NATIVE: u8 = 0;
 const ENC_STACK: u8 = 1;
 const ENC_REGISTER: u8 = 2;
-const ENC_UNSET: u8 = 255;
 
 /// Process-wide default engine (see the encoding constants above).
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(ENC_UNSET);
+static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(ENC_NATIVE);
 
 fn encode(engine: Engine) -> u8 {
     match engine {
@@ -79,34 +73,10 @@ fn encode(engine: Engine) -> u8 {
     }
 }
 
-/// Resolve the initial default: the `OCLSIM_ENGINE` environment variable
-/// when set to a known label, the native engine otherwise.
-fn initial_default() -> u8 {
-    match std::env::var("OCLSIM_ENGINE").as_deref() {
-        Ok("stack") => ENC_STACK,
-        Ok("register") => ENC_REGISTER,
-        _ => ENC_NATIVE,
-    }
-}
-
 /// The process-wide default engine for new dispatches (native unless
 /// changed). Kernels without a per-kernel override use this.
 pub fn default_engine() -> Engine {
-    let mut v = DEFAULT_ENGINE.load(Ordering::Relaxed);
-    if v == ENC_UNSET {
-        v = initial_default();
-        // A concurrent set_default_engine wins: only replace UNSET.
-        v = match DEFAULT_ENGINE.compare_exchange(
-            ENC_UNSET,
-            v,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => v,
-            Err(current) => current,
-        };
-    }
-    match v {
+    match DEFAULT_ENGINE.load(Ordering::Relaxed) {
         ENC_STACK => Engine::Stack,
         ENC_REGISTER => Engine::Register,
         _ => Engine::Native,
@@ -116,7 +86,6 @@ pub fn default_engine() -> Engine {
 /// Set the process-wide default engine. Affects subsequent dispatches of
 /// every kernel without a per-kernel override; used by the wall-clock
 /// benchmark harness to time all three engines on identical workloads.
-/// Overrides any `OCLSIM_ENGINE` environment setting.
 pub fn set_default_engine(engine: Engine) {
     DEFAULT_ENGINE.store(encode(engine), Ordering::Relaxed);
 }

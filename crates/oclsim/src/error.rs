@@ -108,18 +108,6 @@ pub enum ClError {
         /// Checksum actually observed.
         actual: u64,
     },
-    /// A dispatch exceeded the queue's per-dispatch watchdog budget on
-    /// the virtual clock (a straggling kernel — e.g. an injected
-    /// [`crate::fault::InjectedFault::Slowdown`]). The command's side
-    /// effects were rolled back from provenance shadows and only the
-    /// budget was charged; the recovery layer treats this as a failover
-    /// condition and re-issues the dispatch on the next device.
-    Straggler {
-        /// Device whose dispatch straggled.
-        device: String,
-        /// Watchdog budget that was exceeded, in virtual nanoseconds.
-        budget_ns: u64,
-    },
     /// Catch-all for violated simulator invariants.
     Internal(String),
 }
@@ -140,8 +128,7 @@ impl ClError {
     /// (not the main virtual clock) so that recovered runs stay
     /// clock-identical to fault-free ones — see
     /// [`ClError::is_integrity`] and the recovery layer's dedicated
-    /// branch. [`ClError::Straggler`] is a failover condition, like
-    /// [`ClError::DeviceLost`].
+    /// branch.
     pub fn is_transient(&self) -> bool {
         matches!(self, ClError::DeviceBusy { .. })
     }
@@ -213,11 +200,6 @@ impl fmt::Display for ClError {
                 "integrity violation on device `{device}`: buffer {buffer} checksum \
                  {actual:#018x} != recorded provenance {expected:#018x} \
                  (restored from shadow; retry recomputes from last checkpoint)"
-            ),
-            ClError::Straggler { device, budget_ns } => write!(
-                f,
-                "dispatch on device `{device}` exceeded the {budget_ns} ns watchdog \
-                 budget and was abandoned (straggler)"
             ),
             ClError::Internal(msg) => write!(f, "internal simulator error: {msg}"),
         }

@@ -5,9 +5,9 @@
 //! This module lets a test (or the bench harness's *chaos mode*) schedule
 //! exactly such events inside the simulator — **deterministically**. A
 //! [`FaultPlan`] names which operations fail and how; a [`FaultInjector`]
-//! built from the plan attaches to a [`crate::CommandQueue`] (and/or a
-//! [`crate::Context`] for build faults) and fires them as the run reaches
-//! the scheduled operation indices. Because the simulator executes on a
+//! built from the plan attaches to a device lane's [`crate::Context`] —
+//! its builds and every command of the [`crate::CommandQueue`] over it —
+//! and fires them as the run reaches the scheduled operation indices. Because the simulator executes on a
 //! virtual clock and queue operations happen in program order, the same
 //! plan against the same workload injects the same faults at the same
 //! virtual instants on every machine.
@@ -26,7 +26,7 @@
 //!   stay available as a rescue path so device-resident data can be
 //!   evacuated before failing over to another device.
 //!
-//! Beyond fail-stop, three *non-fail-stop* classes model failures that
+//! Beyond fail-stop, two *non-fail-stop* classes model failures that
 //! never raise an error at the point of injection:
 //!
 //! * **Silent corruption** ([`InjectedFault::Corrupt`]): a seeded bit
@@ -35,10 +35,6 @@
 //!   record provenance checksums, readbacks and dispatches verify them,
 //!   and a mismatch surfaces as [`ClError::IntegrityViolation`] after
 //!   the buffer has been restored from its host shadow.
-//! * **Slowdown** ([`InjectedFault::Slowdown`]): the command completes
-//!   correctly but its virtual-clock cost is multiplied — a straggling
-//!   kernel. The queue's per-dispatch watchdog converts a blown budget
-//!   into [`ClError::Straggler`] for the failover path.
 //! * **Hang** ([`InjectedFault::Hang`]): the command stalls on the
 //!   *wall* clock (bounded by the plan's hang cap, cancellable via
 //!   [`FaultInjector::cancel_hangs`]) and then completes normally; the
@@ -113,11 +109,6 @@ pub enum InjectedFault {
     /// [`FaultOp::Upload`]/[`FaultOp::Enqueue`]/[`FaultOp::Readback`];
     /// ignored on [`FaultOp::Build`].
     Corrupt,
-    /// Multiply this command's virtual-clock cost by the given factor —
-    /// a straggling kernel that answers correctly but late. Surfaces as
-    /// [`ClError::Straggler`] only if the queue's per-dispatch watchdog
-    /// budget is armed and exceeded.
-    Slowdown(u32),
     /// Stall the issuing thread on the *wall* clock (up to the plan's
     /// hang cap, or until [`FaultInjector::cancel_hangs`]), then let the
     /// operation proceed normally. The virtual clock is untouched.
@@ -231,15 +222,6 @@ struct SeededCorrupt {
     period: u64,
 }
 
-/// Seeded pseudo-random straggling dispatches (see
-/// [`FaultPlan::seeded_stragglers`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SeededStragglers {
-    seed: u64,
-    period: u64,
-    factor: u32,
-}
-
 /// A [`FaultPlan`] constructor was given degenerate parameters (e.g. a
 /// seeded schedule with `period == 0`, which could never pick a 1-in-0
 /// window, or a kill schedule capped at zero kills). Returned instead of
@@ -278,8 +260,8 @@ fn check_period(what: &'static str, period: u64) -> Result<(), FaultConfigError>
 ///
 /// Plans combine explicitly scheduled faults ([`FaultPlan::fail`]) with
 /// optional seeded schedules ([`FaultPlan::seeded_transient`],
-/// [`FaultPlan::seeded_kills`], [`FaultPlan::seeded_corrupt`],
-/// [`FaultPlan::seeded_stragglers`]); explicit entries take precedence
+/// [`FaultPlan::seeded_kills`], [`FaultPlan::seeded_corrupt`]); explicit
+/// entries take precedence
 /// at indices where both would fire. An empty plan injects nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -287,7 +269,6 @@ pub struct FaultPlan {
     seeded: Option<Seeded>,
     kills: Option<SeededKills>,
     corrupt: Option<SeededCorrupt>,
-    stragglers: Option<SeededStragglers>,
     /// Wall-clock cap on one [`InjectedFault::Hang`] stall, in
     /// milliseconds. `None` uses [`FaultPlan::DEFAULT_HANG_CAP_MS`].
     hang_cap_ms: Option<u64>,
@@ -387,33 +368,6 @@ impl FaultPlan {
         Ok(self)
     }
 
-    /// Add a seeded straggler schedule (builder style): roughly one in
-    /// `period` kernel dispatches has its virtual cost multiplied by
-    /// `factor`. Only [`FaultOp::Enqueue`] is eligible (stragglers are
-    /// slow *kernels*; transfers are covered by the corrupt/transient
-    /// schedules). `period < 2` or `factor < 2` are configuration
-    /// errors — a 1x slowdown is not a straggler.
-    pub fn seeded_stragglers(
-        mut self,
-        seed: u64,
-        period: u64,
-        factor: u32,
-    ) -> Result<FaultPlan, FaultConfigError> {
-        check_period("seeded_stragglers", period)?;
-        if factor < 2 {
-            return Err(FaultConfigError {
-                what: "seeded_stragglers",
-                reason: format!("slowdown factor must be >= 2, got {factor}"),
-            });
-        }
-        self.stragglers = Some(SeededStragglers {
-            seed,
-            period,
-            factor,
-        });
-        Ok(self)
-    }
-
     /// Cap each [`InjectedFault::Hang`] stall at `ms` wall-clock
     /// milliseconds (builder style). Defaults to
     /// [`FaultPlan::DEFAULT_HANG_CAP_MS`].
@@ -428,7 +382,6 @@ impl FaultPlan {
             && self.seeded.is_none()
             && self.kills.is_none()
             && self.corrupt.is_none()
-            && self.stragglers.is_none()
     }
 
     /// Whether any scheduled fault can silently corrupt a payload — the
@@ -507,21 +460,6 @@ impl FaultPlan {
         h.is_multiple_of(c.period)
     }
 
-    /// The seeded-straggler schedule's verdict for `(op, index)`.
-    fn lookup_straggler(&self, op: FaultOp, index: u64) -> Option<u32> {
-        let s = self.stragglers?;
-        if op != FaultOp::Enqueue {
-            return None;
-        }
-        let h = splitmix64(
-            s.seed
-                .wrapping_mul(0xaef1_7502_b3a8_87c9)
-                .wrapping_add((op.slot() as u64) << 44)
-                .wrapping_add(index),
-        );
-        h.is_multiple_of(s.period).then_some(s.factor)
-    }
-
     fn max_kills(&self) -> u64 {
         self.kills.map(|k| k.max_kills).unwrap_or(u64::MAX)
     }
@@ -537,12 +475,12 @@ pub struct InjectionRecord {
     /// Device whose operation the fault fired on.
     pub device: String,
     /// Stable lowercase fault-kind label: `"transient"`,
-    /// `"device_lost"`, `"kill"`, `"corrupt"`, `"slowdown"`, `"hang"`.
+    /// `"device_lost"`, `"kill"`, `"corrupt"`, `"hang"`.
     pub kind: &'static str,
     /// Whether the fault was transient (retryable).
     pub transient: bool,
     /// The error the operation returned, if the fault is fail-stop.
-    /// `None` for the silent classes (corrupt/slowdown/hang), whose
+    /// `None` for the silent classes (corrupt/hang), whose
     /// operations succeed at the point of injection.
     pub error: Option<ClError>,
 }
@@ -554,8 +492,6 @@ pub struct InjectionRecord {
 pub struct FaultEffect {
     /// Flip this (pre-modulo) bit of the operation's payload.
     pub corrupt_bit: Option<u64>,
-    /// Multiply the command's virtual-clock cost by this factor.
-    pub slowdown: Option<u32>,
 }
 
 #[derive(Debug)]
@@ -582,11 +518,12 @@ struct InjectorInner {
 
 /// A shared, cloneable fault source built from a [`FaultPlan`].
 ///
-/// Attach it to a queue with [`crate::CommandQueue::attach_faults`]
-/// and/or a context with [`crate::Context::attach_faults`]; all clones
-/// share the same counters, so one injector attached to both sees one
-/// consistent operation sequence. [`FaultInjector::disabled`] (the
-/// default attachment everywhere) is inert and free.
+/// Attach it to a device lane with [`crate::Context::attach_faults`]: the
+/// context's builds and every command of every queue over it draw from
+/// it. All clones share the same counters, so one injector attached to
+/// several lanes sees one consistent operation sequence.
+/// [`FaultInjector::disabled`] (the default attachment everywhere) is
+/// inert and free.
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
     inner: Option<Arc<InjectorInner>>,
@@ -649,8 +586,8 @@ impl FaultInjector {
     }
 
     /// Consume one operation index of class `op`; fail for fail-stop
-    /// faults, and return the *silent* side effects (bit flip, cost
-    /// multiplier) the caller must apply for the non-fail-stop classes.
+    /// faults, and return the *silent* side effect (a bit flip) the
+    /// caller must apply for silent corruption.
     /// [`InjectedFault::Hang`] is applied right here: the calling thread
     /// stalls on the wall clock until [`FaultInjector::cancel_hangs`] or
     /// the plan's hang cap, then proceeds.
@@ -675,10 +612,7 @@ impl FaultInjector {
                 match inner.plan.lookup_kill(op, index).filter(|_| under_cap) {
                     Some(mode) => InjectedFault::Kill(mode),
                     None if inner.plan.lookup_corrupt(op, index) => InjectedFault::Corrupt,
-                    None => match inner.plan.lookup_straggler(op, index) {
-                        Some(factor) => InjectedFault::Slowdown(factor),
-                        None => return Ok(FaultEffect::default()),
-                    },
+                    None => return Ok(FaultEffect::default()),
                 }
             }
         };
@@ -724,10 +658,6 @@ impl FaultInjector {
                 ));
                 ("corrupt", false, None)
             }
-            InjectedFault::Slowdown(factor) => {
-                effect.slowdown = Some(factor);
-                ("slowdown", false, None)
-            }
             InjectedFault::Hang => {
                 hang = true;
                 ("hang", false, None)
@@ -760,9 +690,6 @@ impl FaultInjector {
                 }
                 if let Some(bit) = effect.corrupt_bit {
                     ev = ev.with_arg("bit", bit);
-                }
-                if let Some(f) = effect.slowdown {
-                    ev = ev.with_arg("factor", f);
                 }
                 if let Some(mode) = kill_mode {
                     ev = ev.with_arg("kill", mode.name());
@@ -1002,8 +929,6 @@ mod tests {
         assert!(FaultPlan::new().seeded_kills(1, 0, 3).is_err());
         assert!(FaultPlan::new().seeded_kills(1, 17, 0).is_err());
         assert!(FaultPlan::new().seeded_corrupt(1, 1).is_err());
-        assert!(FaultPlan::new().seeded_stragglers(1, 0, 4).is_err());
-        assert!(FaultPlan::new().seeded_stragglers(1, 5, 1).is_err());
         let err = FaultPlan::seeded_transient(1, 0).unwrap_err();
         assert!(err.to_string().contains("period"), "{err}");
     }
@@ -1048,40 +973,6 @@ mod tests {
         }
         assert!(a.corrupt_count() > 0, "1-in-3 must fire within 200 ops");
         assert_eq!(a.records(), b.records());
-    }
-
-    #[test]
-    fn slowdown_returns_a_cost_multiplier() {
-        let inj = FaultInjector::new(
-            FaultPlan::new().fail(FaultOp::Enqueue, 0, InjectedFault::Slowdown(16)),
-        );
-        let eff = inj.check_effects(FaultOp::Enqueue, "gpu", 0.0).unwrap();
-        assert_eq!(eff.slowdown, Some(16));
-        assert_eq!(inj.records()[0].kind, "slowdown");
-    }
-
-    #[test]
-    fn seeded_stragglers_only_hit_enqueue() {
-        let inj =
-            FaultInjector::new(FaultPlan::new().seeded_stragglers(5, 2, 8).unwrap());
-        for _ in 0..100 {
-            let up = inj.check_effects(FaultOp::Upload, "gpu", 0.0).unwrap();
-            let rb = inj.check_effects(FaultOp::Readback, "gpu", 0.0).unwrap();
-            assert_eq!(up, FaultEffect::default());
-            assert_eq!(rb, FaultEffect::default());
-        }
-        let mut hit = 0;
-        for _ in 0..100 {
-            if inj
-                .check_effects(FaultOp::Enqueue, "gpu", 0.0)
-                .unwrap()
-                .slowdown
-                .is_some()
-            {
-                hit += 1;
-            }
-        }
-        assert!(hit > 0, "1-in-2 enqueue schedule must fire");
     }
 
     #[test]

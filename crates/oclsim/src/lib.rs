@@ -29,11 +29,11 @@
 //!   Beyond fail-stop, plans can silently flip payload bits
 //!   ([`fault::InjectedFault::Corrupt`] — defended by per-buffer
 //!   provenance checksums that surface as
-//!   [`ClError::IntegrityViolation`]) and stretch or stall command
-//!   durations ([`fault::InjectedFault::Slowdown`] /
-//!   [`fault::InjectedFault::Hang`] — defended by the per-dispatch
-//!   watchdog, [`CommandQueue::set_watchdog_ns`], and the serving
-//!   layer's hedged re-dispatch).
+//!   [`ClError::IntegrityViolation`]) and stall commands on the wall
+//!   clock ([`fault::InjectedFault::Hang`] — defended by the serving
+//!   layer's hedged re-dispatch). A device lane's one injector attaches
+//!   to its [`Context`] ([`Context::attach_faults`]) and covers the
+//!   context's builds and every command of its queue.
 //!
 //! ## Why simulate instead of binding real OpenCL?
 //!

@@ -8,7 +8,7 @@ use crate::context::Context;
 use crate::device::Device;
 use crate::error::{ClError, ClResult};
 use crate::event::{CommandKind, Event, Executed};
-use crate::fault::{FaultEffect, FaultInjector, FaultOp};
+use crate::fault::{FaultEffect, FaultOp};
 use crate::minicl::{all_groups, run_ndrange, MemPool};
 use crate::ndrange::NdRange;
 use crate::program::{DispatchPlan, Kernel};
@@ -35,13 +35,10 @@ struct QueueInner {
     device: Device,
     clock_ns: Mutex<f64>,
     /// Optional recorder for the queue's instant markers (co-execution
-    /// splits, fused batches, integrity checks, straggler kills). A
-    /// command's span comes from its [`Event`] instead, recorded by the
-    /// layer that charges it ([`crate::ProfileSink::record_command`]).
+    /// splits, fused batches, integrity checks). A command's span comes
+    /// from its [`Event`] instead, recorded by the layer that charges it
+    /// ([`crate::ProfileSink::record_command`]).
     trace: Mutex<TraceSink>,
-    /// Optional fault source: when attached, every command consults it
-    /// first and may fail with an injected error (see [`crate::fault`]).
-    faults: Mutex<FaultInjector>,
     /// Optional fairness gate: when attached, every command brackets its
     /// device access in an arbiter acquire/release pair under this
     /// queue's tenant tag (see [`crate::arbiter`]).
@@ -52,11 +49,6 @@ struct QueueInner {
     /// `clock_ns`; this is the "recompute overhead" the SDC bench
     /// reports.
     repair_ns: Mutex<f64>,
-    /// Per-dispatch watchdog budget in virtual nanoseconds: a dispatch
-    /// whose (possibly slowdown-stretched) cost exceeds it is rolled
-    /// back from provenance shadows, charged only the budget, and fails
-    /// with [`ClError::Straggler`]. `None` (the default) disables it.
-    watchdog_ns: Mutex<Option<f64>>,
 }
 
 /// Who holds the arbiter slot a kernel command runs under.
@@ -72,7 +64,7 @@ pub(crate) enum Admit {
 /// The price stage's verdict on an executed kernel command.
 #[derive(Debug)]
 pub(crate) struct Priced {
-    /// Virtual cost before the slowdown and watchdog stages.
+    /// Virtual cost charged to the queue's clock.
     pub(crate) cost_ns: f64,
     /// Args of the [`SpanKind::CoexecSplit`] instant recorded once the
     /// command commits; empty for a dispatch that ran on one lane.
@@ -163,10 +155,9 @@ impl Execution<'_> {
     }
 
     /// Draw one Enqueue fault-op on a lane that only prices work — a
-    /// co-execution secondary — as a liveness probe. Non-error effects
-    /// (slowdown, bit corruption) are ignored: the lane never executes
-    /// functionally, so only its availability matters. An injected
-    /// kill-panic still propagates.
+    /// co-execution secondary — as a liveness probe. A bit corruption is
+    /// ignored: the lane never executes functionally, so only its
+    /// availability matters. An injected kill-panic still propagates.
     pub(crate) fn lane_alive(&self, lane: &CommandQueue) -> bool {
         lane.fault_check(FaultOp::Enqueue).is_ok()
     }
@@ -187,10 +178,8 @@ impl CommandQueue {
                 device: device.clone(),
                 clock_ns: Mutex::new(0.0),
                 trace: Mutex::new(TraceSink::disabled()),
-                faults: Mutex::new(FaultInjector::disabled()),
                 arbiter: Mutex::new(ArbiterHandle::detached()),
                 repair_ns: Mutex::new(0.0),
-                watchdog_ns: Mutex::new(None),
             }),
         })
     }
@@ -222,48 +211,19 @@ impl CommandQueue {
         handle.grant(self.inner.device.id())
     }
 
-    /// Attach a fault injector: every subsequent upload, read-back, and
-    /// kernel dispatch on this queue first consults the injector and may
-    /// fail with a scheduled [`ClError`] (see [`crate::fault`]). All
-    /// clones of the queue share the attachment. Pass
-    /// [`FaultInjector::disabled`] to detach.
-    pub fn attach_faults(&self, injector: FaultInjector) {
-        *self.inner.faults.lock() = injector;
-    }
-
+    /// Draw one fault-op of class `op` from the lane's injector, the one
+    /// attached to this queue's context ([`Context::attach_faults`]).
     fn fault_check(&self, op: FaultOp) -> ClResult<FaultEffect> {
-        // Clone the (cheap, Arc-backed) handle so the lock is not held
-        // across the check — check_effects() may lock the injector's own
-        // state (and an injected Hang stalls inside it).
-        let injector = self.inner.faults.lock().clone();
+        let injector = self.inner.ctx.faults();
         injector.check_effects(op, self.inner.device.name(), self.now_ns())
     }
 
-    /// Whether the integrity layer is armed: the attached fault plan can
+    /// Whether the integrity layer is armed: the lane's fault plan can
     /// silently corrupt payloads, so uploads record provenance and
     /// readbacks/dispatches verify it. Corruption-free runs skip all of
     /// it — no checksums, no shadows, no extra trace instants.
     fn integrity_armed(&self) -> bool {
-        self.inner.faults.lock().can_corrupt()
-    }
-
-    /// Whether uploads and dispatches should maintain provenance
-    /// shadows: either the integrity layer is armed, or the watchdog is
-    /// (an abandoned straggler rolls its side effects back from the
-    /// shadows).
-    fn provenance_armed(&self) -> bool {
-        self.inner.watchdog_ns.lock().is_some() || self.integrity_armed()
-    }
-
-    /// Arm (or, with `None`, disarm) the per-dispatch watchdog: any
-    /// kernel dispatch whose virtual cost would exceed `budget_ns` is
-    /// abandoned instead — its buffer mutations are rolled back from
-    /// provenance shadows, only the budget is charged to the clock, a
-    /// [`SpanKind::StragglerAbandoned`] instant is recorded, and the
-    /// dispatch fails with [`ClError::Straggler`] so the recovery layer
-    /// re-issues it on the failover device.
-    pub fn set_watchdog_ns(&self, budget_ns: Option<f64>) {
-        *self.inner.watchdog_ns.lock() = budget_ns;
+        self.inner.ctx.faults().can_corrupt()
     }
 
     /// Virtual time spent repairing detected integrity violations
@@ -282,9 +242,9 @@ impl CommandQueue {
 
     /// Attach a trace sink: from now on every instant marker this queue
     /// records — co-execution splits, fused batches, integrity checks and
-    /// violations, abandoned stragglers — lands on this queue's device
-    /// track. Command spans do not: build those from the returned
-    /// [`Event`]s with [`crate::ProfileSink::record_command`]. All clones
+    /// violations — lands on this queue's device track. Command spans do
+    /// not: build those from the returned [`Event`]s with
+    /// [`crate::ProfileSink::record_command`]. All clones
     /// of the queue share the attachment; attach
     /// [`TraceSink::disabled`] to detach.
     pub fn attach_trace(&self, sink: TraceSink) {
@@ -316,7 +276,7 @@ impl CommandQueue {
     fn integrity_violation(&self, buf: &Buffer, expected: u64, actual: u64) -> ClError {
         let restored = buf.restore_from_provenance().unwrap_or(0);
         self.charge_repair_ns(self.inner.device.cost_model().transfer_ns(restored));
-        self.inner.faults.lock().note_detection();
+        self.inner.ctx.faults().note_detection();
         self.instant(
             SpanKind::IntegrityViolation,
             "checksum_mismatch",
@@ -443,7 +403,7 @@ impl CommandQueue {
         let effect = self.fault_check(FaultOp::Upload)?;
         self.check_buffer(buf)?;
         buf.write_with(len, fill)?;
-        if self.provenance_armed() {
+        if self.integrity_armed() {
             // Record the *intended* bytes as the buffer's last known-good
             // checkpoint, then apply any injected flip to the device copy
             // only — exactly what a bit flip on the bus would look like.
@@ -583,10 +543,8 @@ impl CommandQueue {
     ///    one argument buffer, then armed provenance is checked;
     /// 5. execute and 6. price — `schedule` runs group windows through
     ///    the [`Execution`] and prices what they retired;
-    /// 7. slowdown and watchdog — an injected stretch, and the rollback of
-    ///    a dispatch over budget;
-    /// 8. provenance — the outputs become the new checkpoint;
-    /// 9. clock advance, [`Event`], and the schedule's split instant.
+    /// 7. provenance — the outputs become the new checkpoint;
+    /// 8. clock advance, [`Event`], and the schedule's split instant.
     pub(crate) fn run_kernel(
         &self,
         kernel: &Kernel,
@@ -635,40 +593,10 @@ impl CommandQueue {
             plan: &plan,
             ran: Executed::default(),
         };
-        let Priced { mut cost_ns, split } = schedule(&mut ex)?;
+        let Priced { cost_ns, split } = schedule(&mut ex)?;
         let ran = ex.ran;
 
-        if let Some(factor) = effect.slowdown {
-            // A straggling kernel: correct results, stretched virtual
-            // duration. Only the watchdog below can turn this into an
-            // error.
-            cost_ns *= factor as f64;
-        }
-        if let Some(budget) = *self.inner.watchdog_ns.lock() {
-            if cost_ns > budget {
-                // Abandon the straggler: roll its buffer mutations back
-                // from the provenance shadows (as if the kernel had been
-                // killed before committing), charge only the budget, and
-                // hand the failover decision to the recovery layer.
-                for buf in plan.pooled.iter() {
-                    buf.restore_from_provenance();
-                }
-                self.charge_ns(budget);
-                self.instant(
-                    SpanKind::StragglerAbandoned,
-                    kernel.name(),
-                    &[
-                        ("budget_ns", format!("{budget}")),
-                        ("cost_ns", format!("{cost_ns}")),
-                    ],
-                );
-                return Err(ClError::Straggler {
-                    device: self.inner.device.name().to_string(),
-                    budget_ns: budget as u64,
-                });
-            }
-        }
-        if self.provenance_armed() {
+        if self.integrity_armed() {
             // The kernel legitimately rewrote its buffers: refresh their
             // provenance so this dispatch's output becomes the new last
             // known-good checkpoint.
@@ -813,6 +741,7 @@ mod tests {
     use super::*;
     use crate::buffer::MemFlags;
     use crate::device::DeviceType;
+    use crate::fault::FaultInjector;
     use crate::platform::Platform;
     use crate::profile::ProfileSink;
     use crate::program::Program;
@@ -1059,7 +988,7 @@ mod tests {
     ) -> WriteObservation {
         let (ctx, q) = setup(DeviceType::Gpu);
         let inj = FaultInjector::new(plan);
-        q.attach_faults(inj.clone());
+        q.context().attach_faults(inj.clone());
         let sink = TraceSink::new();
         q.attach_trace(sink.clone());
         let profile = ProfileSink::new().with_trace(sink.clone());
@@ -1203,7 +1132,7 @@ mod tests {
     ) -> ReadObservation {
         let (ctx, q) = setup(DeviceType::Gpu);
         let inj = FaultInjector::new(plan);
-        q.attach_faults(inj.clone());
+        q.context().attach_faults(inj.clone());
         let buf = ctx.create_buffer(MemFlags::ReadWrite, image.len()).unwrap();
         q.enqueue_write_buffer(&buf, image).unwrap();
         let sink = TraceSink::new();
@@ -1381,7 +1310,7 @@ mod tests {
         let inj = FaultInjector::new(
             FaultPlan::new().fail(FaultOp::Upload, 0, InjectedFault::Corrupt),
         );
-        q2.attach_faults(inj.clone());
+        q2.context().attach_faults(inj.clone());
         let buf2 = ctx2.create_buffer(MemFlags::ReadWrite, 16).unwrap();
         q2.write_f32(&buf2, &[1.0, 2.0, 3.0, 4.0]).unwrap();
         let err = q2.read_f32(&buf2).unwrap_err();
@@ -1405,7 +1334,7 @@ mod tests {
         let inj = FaultInjector::new(
             FaultPlan::new().fail(FaultOp::Readback, 0, InjectedFault::Corrupt),
         );
-        q.attach_faults(inj.clone());
+        q.context().attach_faults(inj.clone());
         let buf = ctx.create_buffer(MemFlags::ReadWrite, 8).unwrap();
         q.write_i32(&buf, &[7, 9]).unwrap();
         // The flip lands on the delivered payload; device bytes stay
@@ -1421,7 +1350,7 @@ mod tests {
             FaultPlan::new().fail(FaultOp::Readback, 0, InjectedFault::Corrupt),
         );
         let (ctx3, q3) = setup(DeviceType::Cpu);
-        q3.attach_faults(inj2.clone());
+        q3.context().attach_faults(inj2.clone());
         let buf3 = ctx3.create_buffer(MemFlags::ReadWrite, 8).unwrap();
         q3.enqueue_write_buffer(&buf3, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
         let mut out = vec![0u8; 8];
@@ -1437,7 +1366,7 @@ mod tests {
         let inj = FaultInjector::new(
             FaultPlan::new().fail(FaultOp::Enqueue, 0, InjectedFault::Corrupt),
         );
-        q.attach_faults(inj.clone());
+        q.context().attach_faults(inj.clone());
         let src = "__kernel void sq(__global float* a) {
             int i = get_global_id(0);
             a[i] = a[i] * a[i];
@@ -1457,43 +1386,62 @@ mod tests {
         assert_eq!(inj.detected_count(), 1);
     }
 
+    /// The context's injector is the lane's only fault attachment: a
+    /// build against the context and every upload, dispatch and read-back
+    /// on a queue over it draw from it, while a second lane with its own
+    /// context draws nothing.
     #[test]
-    fn watchdog_abandons_slowed_dispatch_and_failover_input_is_intact() {
-        use crate::fault::{FaultInjector, FaultPlan, InjectedFault};
-        let (ctx, q) = setup(DeviceType::Cpu);
-        let inj = FaultInjector::new(FaultPlan::new().fail(
-            FaultOp::Enqueue,
-            0,
-            InjectedFault::Slowdown(1_000_000),
-        ));
-        q.attach_faults(inj);
-        q.set_watchdog_ns(Some(1e8));
+    fn the_contexts_injector_is_the_lanes_only_fault_surface() {
+        use crate::fault::{FaultPlan, InjectedFault};
+        let ops = [FaultOp::Build, FaultOp::Upload, FaultOp::Enqueue, FaultOp::Readback];
+        let plan = ops
+            .iter()
+            .fold(FaultPlan::new(), |plan, &op| plan.fail(op, 0, InjectedFault::Transient));
+        let inj = FaultInjector::new(plan);
+        let (ctx, q) = setup(DeviceType::Gpu);
+        ctx.attach_faults(inj.clone());
         let src = "__kernel void sq(__global float* a) {
             int i = get_global_id(0);
             a[i] = a[i] * a[i];
         }";
-        let program = Program::build(&ctx, src).unwrap();
-        let k = program.create_kernel("sq").unwrap();
-        let buf = ctx.create_buffer(MemFlags::ReadWrite, 16).unwrap();
-        q.write_f32(&buf, &[1.0, 2.0, 3.0, 4.0]).unwrap();
-        k.set_arg_buffer(0, &buf).unwrap();
-        let before = q.now_ns();
-        let err = q.enqueue_nd_range(&k, &NdRange::d1(4, 2)).unwrap_err();
-        assert!(
-            matches!(err, ClError::Straggler { .. }),
-            "unexpected error: {err}"
-        );
-        assert_eq!(
-            q.now_ns(),
-            before + 1e8,
-            "abandoned dispatch charges exactly the budget"
-        );
-        // The straggler's partial work was rolled back: inputs are the
-        // checkpoint, so the re-issued dispatch (no fault at index 1)
-        // squares the *original* values once.
-        q.enqueue_nd_range(&k, &NdRange::d1(4, 2)).unwrap();
-        let (vals, _) = q.read_f32(&buf).unwrap();
-        assert_eq!(vals, vec![1.0, 4.0, 9.0, 16.0]);
+        let busy = |err: ClError| matches!(err, ClError::DeviceBusy { .. });
+        // Each first attempt is refused; the re-issue draws index 1.
+        let lane = |ctx: &Context, q: &CommandQueue, faulty: bool| {
+            if faulty {
+                assert!(busy(Program::build(ctx, src).unwrap_err()), "build");
+            }
+            let k = Program::build(ctx, src).unwrap().create_kernel("sq").unwrap();
+            let buf = ctx.create_buffer(MemFlags::ReadWrite, 16).unwrap();
+            k.set_arg_buffer(0, &buf).unwrap();
+            if faulty {
+                assert!(busy(q.write_f32(&buf, &[1.0; 4]).unwrap_err()), "upload");
+            }
+            q.write_f32(&buf, &[1.0, 2.0, 3.0, 4.0]).unwrap();
+            if faulty {
+                assert!(busy(q.enqueue_nd_range(&k, &NdRange::d1(4, 2)).unwrap_err()), "enqueue");
+            }
+            q.enqueue_nd_range(&k, &NdRange::d1(4, 2)).unwrap();
+            if faulty {
+                assert!(busy(q.read_f32(&buf).unwrap_err()), "readback");
+            }
+            assert_eq!(q.read_f32(&buf).unwrap().0, vec![1.0, 4.0, 9.0, 16.0]);
+        };
+        lane(&ctx, &q, true);
+        let fired = inj.records();
+        assert_eq!(fired.iter().map(|r| r.op).collect::<Vec<_>>(), ops);
+        for record in &fired {
+            assert_eq!((record.index, record.kind), (0, "transient"), "{record:?}");
+            assert_eq!(record.device, q.device().name());
+            assert!(record.error.clone().is_some_and(busy), "{record:?}");
+        }
+
+        // A second lane: its own context, no attachment, nothing drawn.
+        let (other_ctx, other) = setup(DeviceType::Gpu);
+        lane(&other_ctx, &other, false);
+        assert_eq!(inj.records(), fired);
+        for op in ops {
+            assert_eq!(inj.drawn(op), 2, "{op:?}");
+        }
     }
 
     #[test]
@@ -1550,8 +1498,8 @@ mod tests {
             FaultInjector::new(FaultPlan::new()),
             FaultInjector::new(FaultPlan::new()),
         );
-        q.attach_faults(faults.clone());
-        sec.attach_faults(sec_faults.clone());
+        q.context().attach_faults(faults.clone());
+        sec.context().attach_faults(sec_faults.clone());
         let instants = TraceSink::new();
         q.attach_trace(instants.clone());
 

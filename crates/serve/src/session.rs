@@ -14,7 +14,8 @@
 //!   each physical device, and the [`DevicePool`] accountant across the
 //!   tenant contexts.
 //! * **Fault isolation** — a session's [`FaultInjector`] attaches to its
-//!   own queues and contexts only, so seeded kill-chaos in one tenant
+//!   own contexts only (each lane's one fault attachment), so seeded
+//!   kill-chaos in one tenant
 //!   can only ever fire on that tenant's actor threads, and is absorbed
 //!   by that tenant's own supervision tree (the VM's one-for-one
 //!   supervisor with a per-session [`RestartBudget`]). A lost device
@@ -102,7 +103,6 @@ impl TenantSession {
             lane.queue.attach_arbiter(Arc::clone(&arbiter), tenant);
             lane.context.set_mem_observer(Some(Arc::clone(&pool) as _));
             if let Some(inj) = &injector {
-                lane.queue.attach_faults(inj.clone());
                 lane.context.attach_faults(inj.clone());
             }
         }
@@ -125,8 +125,12 @@ impl TenantSession {
     }
 
     /// Record every later [`TenantSession::run`]'s trace (commands,
-    /// retries, failovers, …) into `sink`.
+    /// retries, failovers, …) into `sink`, and a chaotic session's fired
+    /// faults with them.
     pub fn with_trace(mut self, sink: TraceSink) -> TenantSession {
+        if let Some(inj) = &self.injector {
+            inj.attach_trace(sink.clone());
+        }
         self.trace = sink;
         self
     }
@@ -226,7 +230,6 @@ impl TenantSession {
         // leftover scheduled kills on the teardown thread.
         if self.chaotic {
             for e in self.lanes.entries() {
-                e.queue.attach_faults(FaultInjector::disabled());
                 e.context.attach_faults(FaultInjector::disabled());
             }
         }
@@ -244,5 +247,98 @@ impl TenantSession {
 impl Drop for TenantSession {
     fn drop(&mut self) {
         self.teardown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ArbiterPolicy, FairArbiter};
+    use oclsim::{FaultOp, InjectedFault};
+    use trace::SpanKind;
+
+    /// One GPU dispatch over one uploaded payload: an upload, a kernel
+    /// and a read-back on the session's GPU lane.
+    const SCALE: &str = "
+        type data_t is struct ( real [] v )
+        type settings_t is opencl struct (
+            integer [] worksize;
+            integer [] groupsize;
+            in data_t input;
+            out real [] output
+        )
+        type dispatchI is interface (
+            out settings_t requests;
+            out data_t dout;
+            in real [] din
+        )
+        type kernelI is interface ( in settings_t requests )
+        stage home {
+            opencl <device_index=0, device_type=GPU>
+            actor Scale presents kernelI {
+                constructor() {}
+                behaviour {
+                    receive req from requests;
+                    receive d from req.input;
+                    i = get_global_id(0);
+                    d.v[i] := d.v[i] * 2.0;
+                    send d.v on req.output;
+                }
+            }
+            actor Dispatch presents dispatchI {
+                constructor() {}
+                behaviour {
+                    ws = new integer[1] of 4;
+                    gs = new integer[1] of 2;
+                    i = new in data_t;
+                    o = new out real[];
+                    connect dout to i;
+                    connect o to din;
+                    config = new settings_t(ws, gs, i, o);
+                    v = new real[4] of 3.0;
+                    d = new data_t(v);
+                    send config on requests;
+                    send d on dout;
+                    receive r from din;
+                    printReal(r[0]);
+                    stop;
+                }
+            }
+            boot {
+                d = new Dispatch();
+                k = new Scale();
+                connect d.requests to k.requests;
+            }
+        }";
+
+    #[test]
+    fn a_traced_chaotic_session_traces_every_fault_it_fires() {
+        let plan = FaultPlan::new()
+            .fail(FaultOp::Upload, 0, InjectedFault::Transient)
+            .fail(FaultOp::Enqueue, 0, InjectedFault::Corrupt);
+        let sink = TraceSink::new();
+        let session = TenantSession::new(
+            1,
+            Arc::new(FairArbiter::new(ArbiterPolicy::RoundRobin)),
+            Arc::new(DevicePool::new(usize::MAX)),
+            Some(plan),
+        )
+        .unwrap()
+        .with_trace(sink.clone());
+        let report = session.run(SCALE, None, RestartBudget::default()).unwrap();
+        assert_eq!(report.output, vec!["6"]);
+        let fired = session.injector.as_ref().unwrap().records().len();
+        let traced = sink
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    SpanKind::FaultInjected | SpanKind::CorruptionInjected
+                )
+            })
+            .count();
+        assert!(fired > 0, "the plan fired nothing");
+        assert_eq!(traced, fired);
     }
 }

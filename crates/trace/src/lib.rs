@@ -142,10 +142,8 @@ pub enum SpanKind {
     /// One side of a hedged pair delivered the first checksum-valid
     /// result and was taken as the response. Instant, wall clock.
     HedgeWon,
-    /// A straggling command or hedged loser was abandoned — either a
-    /// dispatch blew its per-dispatch watchdog budget (virtual queue
-    /// clock) or the serving layer cancelled the slower side of a hedge
-    /// (wall clock). Instant.
+    /// The serving layer cancelled the slower side of a hedged pair.
+    /// Instant, wall clock.
     StragglerAbandoned,
     /// The static prover certified this dispatch partition-safe along at
     /// least one NDRange dimension (`SplitProof`, `crates/analysis`): a

@@ -33,7 +33,7 @@ fn observe(plan: FaultPlan, src: &dyn FlatSource) -> Observation {
     let gpu = lanes.select(DeviceSel::gpu()).expect("simulated GPU");
     let (context, queue) = (gpu.context.clone(), gpu.queue.clone());
     let inj = FaultInjector::new(plan);
-    queue.attach_faults(inj.clone());
+    context.attach_faults(inj.clone());
     let sink = TraceSink::new();
     let profile = ProfileSink::new().with_trace(sink.clone());
     let mut spec = KernelSpec::in_place(

@@ -167,9 +167,9 @@ fn lost_secondary_mid_split_rescues_groups_onto_survivor() {
     let injector = FaultInjector::new(
         FaultPlan::new().fail(FaultOp::Enqueue, 0, InjectedFault::DeviceLost),
     );
-    entry.queue.attach_faults(injector.clone());
+    entry.context.attach_faults(injector.clone());
     let result = std::panic::catch_unwind(|| run_with(&src, cfg));
-    entry.queue.attach_faults(FaultInjector::disabled());
+    entry.context.attach_faults(FaultInjector::disabled());
     let (faulted_out, _, faulted_events) = result.expect("faulted run completes");
 
     assert_eq!(

@@ -109,7 +109,6 @@ fn private_lane(ty: DeviceType, faults: Option<&FaultInjector>) -> OpenClEnviron
     let context = Context::new(std::slice::from_ref(&device)).expect("private context");
     let queue = CommandQueue::new(&context, &device).expect("private queue");
     if let Some(inj) = faults {
-        queue.attach_faults(inj.clone());
         context.attach_faults(inj.clone());
     }
     OpenClEnvironment {
@@ -289,9 +288,9 @@ fn a_transient_on_one_upload_segment_retries_that_segment_only() {
 
     let inj = FaultInjector::new(plan);
     let entry = device_matrix().select(DeviceSel::gpu()).expect("gpu entry");
-    entry.queue.attach_faults(inj.clone());
+    entry.context.attach_faults(inj.clone());
     let api = via_kernel_actor(DeviceSel::gpu());
-    entry.queue.attach_faults(FaultInjector::disabled());
+    entry.context.attach_faults(FaultInjector::disabled());
     assert_eq!(inj.injected_count(), 1);
 
     for (front_end, seen) in [("ens", &ens), ("api", &api)] {
@@ -401,7 +400,6 @@ fn a_failover_mid_mov_ring_never_hands_a_kernel_a_foreign_buffer() {
         let lanes = DeviceMatrix::private().unwrap();
         let gpu = lanes.select(DeviceSel::gpu()).unwrap();
         let inj = FaultInjector::new(plan);
-        gpu.queue.attach_faults(inj.clone());
         gpu.context.attach_faults(inj);
         let sink = TraceSink::new();
         let vm = VmRuntime::with_profile(
