@@ -591,6 +591,71 @@ fn the_shipped_reduction_runs_its_barrier_regions_in_strips() {
 
 use ensemble_repro::oclsim::minicl::{self, native, regir, Lowered, MemPool, RtArg};
 
+/// The native length of every kernel the benchmark's traffic lowers, in
+/// order: the gated kernels of the five apps, `stream_copy`'s `Scale`,
+/// then the C-OpenCL kernels (each app's `kernel.cl`, as its host builds
+/// it), by name.
+const TRAFFIC_LENGTHS: &[(&str, usize)] = &[
+    ("Multiply", 13),
+    ("Mandelbrot", 34),
+    ("Diag", 5),
+    ("Col", 9),
+    ("Sub", 18),
+    ("Reduce", 27),
+    ("Rank", 37),
+    ("Scale", 4),
+    ("multiply", 13),
+    ("mandelbrot", 37),
+    ("lud_col", 8),
+    ("lud_diag", 4),
+    ("lud_sub", 16),
+    ("reduce_min", 25),
+    ("rank", 29),
+];
+
+/// The traffic's lowered code is pinned: `compile_native` compacts every
+/// fused pair into one slot, so a change that loses (or adds) a fusion on
+/// a kernel the benchmark runs changes its length here.
+#[test]
+fn the_traffics_lowered_code_is_pinned() {
+    use ensemble_repro::ensemble_apps::{docrank, lud, mandelbrot, matmul, reduction};
+    let mut kernels = gated_kernels();
+    let fixture = include_str!("../benchmark/fixtures/stream_copy.ens");
+    let stream_copy = ensemble_lang::compile_source(fixture).expect("the stream_copy fixture compiles");
+    for actor in &stream_copy.actors {
+        if let ActorCode::Kernel(plan) = &actor.code {
+            kernels.push((plan.kernel_name.clone(), plan.source.clone()));
+        }
+    }
+    let lower = |name: &str, unit: &minicl::CompiledUnit| {
+        let info = &unit.kernels[name];
+        let reg = regir::compile_kernel(unit, info).expect("register-lowerable");
+        native::compile_native(&reg, info).expect("native-lowerable").len()
+    };
+    let mut lengths: Vec<(String, usize)> = kernels
+        .iter()
+        .map(|(name, src)| {
+            let unit = minicl::compile(&minicl::parse(src).expect("parse")).expect("compile");
+            (name.clone(), lower(name, &unit))
+        })
+        .collect();
+    for src in [
+        matmul::KERNEL_SRC,
+        mandelbrot::KERNEL_SRC,
+        lud::KERNEL_SRC,
+        reduction::KERNEL_SRC,
+        docrank::C_KERNEL_SRC,
+    ] {
+        let unit = minicl::compile(&minicl::parse(src).expect("parse")).expect("compile");
+        let mut names: Vec<&String> = unit.kernels.keys().collect();
+        names.sort();
+        lengths.extend(names.into_iter().map(|name| (name.clone(), lower(name, &unit))));
+    }
+    let pinned: Vec<(String, usize)> =
+        TRAFFIC_LENGTHS.iter().map(|&(name, len)| (name.to_string(), len)).collect();
+    assert_eq!(lengths, pinned);
+}
+
 /// Work-group sizes along dimension 0 for the barrier kernels: one item,
 /// a short strip, one full strip, a strip plus one, two strips plus one.
 const BARRIER_LOCALS: [usize; 5] = [1, 5, 16, 17, 33];
