@@ -41,6 +41,7 @@ use ensemble_ocl::{device_matrix, DeviceSel, ProfileSink};
 use ensemble_serve::{ArbiterPolicy, DevicePool, FairArbiter, TenantSession};
 use ensemble_vm::VmRuntime;
 use oclsim::fault::{FaultInjector, FaultOp, FaultPlan, InjectedFault, KillMode};
+use oclsim::CoexecConfig;
 use std::sync::Arc;
 use trace::SpanKind;
 
@@ -138,9 +139,9 @@ fn count(events: &[trace::TraceEvent], kind: SpanKind) -> usize {
     events.iter().filter(|e| e.kind == kind).count()
 }
 
-/// Run one compiled Ensemble source with `injector` attached to the GPU
-/// matrix entry's context (the lane's one fault attachment), recording
-/// into a fresh trace sink.
+/// Run one compiled Ensemble source under `coexec` with `injector`
+/// attached to the GPU matrix entry's context (the lane's one fault
+/// attachment), recording into a fresh trace sink.
 /// Returns the program's print output and the trace events. The injector
 /// is detached before returning, on success and on error alike.
 ///
@@ -149,6 +150,7 @@ fn count(events: &[trace::TraceEvent], kind: SpanKind) -> usize {
 fn traced_gpu_run(
     src: &str,
     injector: &FaultInjector,
+    coexec: &CoexecConfig,
 ) -> Result<(Vec<String>, Vec<trace::TraceEvent>), String> {
     let module = ensemble_analysis::compile_source(src, &ensemble_analysis::Options::default())
         .map_err(|e| e.to_string())?;
@@ -159,20 +161,28 @@ fn traced_gpu_run(
         .select(DeviceSel::gpu())
         .map_err(|e| e.to_string())?;
     entry.context.attach_faults(injector.clone());
-    let result = VmRuntime::with_profile(module, profile).run();
+    let vm = VmRuntime::with_profile(module, profile);
+    vm.set_coexec(coexec.clone());
+    let result = vm.run();
     entry.context.attach_faults(FaultInjector::disabled());
     let report = result.map_err(|e| e.to_string())?;
     Ok((report.output, sink.events()))
 }
 
 /// Run one `.ens` source clean, then under `plan`, and compare outputs.
-pub fn run_app_chaos(app: &str, src: &str, plan: FaultPlan) -> Result<ChaosOutcome, String> {
+/// Both runs co-execute under `coexec`.
+pub fn run_app_chaos(
+    app: &str,
+    src: &str,
+    plan: FaultPlan,
+    coexec: &CoexecConfig,
+) -> Result<ChaosOutcome, String> {
     let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (reference, _) = traced_gpu_run(src, &FaultInjector::disabled())
+    let (reference, _) = traced_gpu_run(src, &FaultInjector::disabled(), coexec)
         .map_err(|e| format!("{app}: reference run failed: {e}"))?;
     let injector = FaultInjector::new(plan);
-    let (output, events) =
-        traced_gpu_run(src, &injector).map_err(|e| format!("{app}: chaos run failed: {e}"))?;
+    let (output, events) = traced_gpu_run(src, &injector, coexec)
+        .map_err(|e| format!("{app}: chaos run failed: {e}"))?;
     Ok(ChaosOutcome {
         app: app.to_string(),
         injected: injector.injected_count(),
@@ -207,7 +217,7 @@ pub fn run_chaos(seed: u64, sizes: &Sizes) -> Result<Vec<ChaosOutcome>, String> 
     let mut outcomes = Vec::with_capacity(apps.len());
     for (i, (app, src)) in apps.iter().enumerate() {
         let plan = chaos_plan(seed.wrapping_add(i as u64), 13);
-        outcomes.push(run_app_chaos(app, src, plan)?);
+        outcomes.push(run_app_chaos(app, src, plan, &CoexecConfig::default())?);
     }
     Ok(outcomes)
 }
@@ -238,7 +248,7 @@ pub fn run_kill_chaos(seed: u64, sizes: &Sizes) -> Result<Vec<ChaosOutcome>, Str
     let mut outcomes = Vec::with_capacity(apps.len());
     for (i, (app, src)) in apps.iter().enumerate() {
         let plan = kill_plan(seed.wrapping_add(i as u64), 17, 3);
-        outcomes.push(run_app_chaos(app, src, plan)?);
+        outcomes.push(run_app_chaos(app, src, plan, &CoexecConfig::default())?);
     }
     Ok(outcomes)
 }
@@ -452,8 +462,10 @@ mod tests {
     fn empty_plan_leaves_the_trace_byte_identical() {
         let src = apps_ens::matmul(16, "GPU");
         let _serial = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let (out_a, ev_a) = traced_gpu_run(&src, &FaultInjector::disabled()).unwrap();
-        let (out_b, ev_b) = traced_gpu_run(&src, &FaultInjector::new(FaultPlan::new())).unwrap();
+        let off = CoexecConfig::default();
+        let (out_a, ev_a) = traced_gpu_run(&src, &FaultInjector::disabled(), &off).unwrap();
+        let empty = FaultInjector::new(FaultPlan::new());
+        let (out_b, ev_b) = traced_gpu_run(&src, &empty, &off).unwrap();
         assert_eq!(out_a, out_b);
         // No fault, retry, or failover instants — and the same events
         // otherwise. (Traces also carry wall-clock channel-wait spans and

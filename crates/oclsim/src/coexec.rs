@@ -20,12 +20,11 @@
 //! rescued onto the primary, mirroring the failover story of the rest
 //! of the stack.
 //!
-//! Policy selection is per-run: the VM reads [`CoexecConfig::from_env`]
-//! (`OCLSIM_COEXEC=static|chunked|guided[,batch][,min=N][,chunk=N]`)
-//! unless a config is set programmatically, and falls back to plain
-//! single-device dispatch whenever the proof says reduction/blocked,
-//! the range is under [`CoexecConfig::min_items`], or no second device
-//! resolves.
+//! Policy selection is per-run: a VM co-executes under the
+//! [`CoexecConfig`] its host sets (`VmRuntime::set_coexec`; off by
+//! default), and falls back to plain single-device dispatch whenever the
+//! proof says reduction/blocked, the range is under
+//! [`CoexecConfig::min_items`], or no second device resolves.
 
 use crate::device::Device;
 use crate::error::ClResult;
@@ -51,22 +50,12 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Stable lowercase name (CLI / env-var / JSON spelling).
+    /// Stable lowercase name (CLI / JSON spelling).
     pub fn label(self) -> &'static str {
         match self {
             PolicyKind::Static => "static",
             PolicyKind::ChunkedDynamic => "chunked",
             PolicyKind::Guided => "guided",
-        }
-    }
-
-    /// Parse the [`PolicyKind::label`] spelling.
-    pub fn parse(s: &str) -> Option<PolicyKind> {
-        match s {
-            "static" => Some(PolicyKind::Static),
-            "chunked" => Some(PolicyKind::ChunkedDynamic),
-            "guided" => Some(PolicyKind::Guided),
-            _ => None,
         }
     }
 
@@ -82,7 +71,8 @@ impl PolicyKind {
     }
 }
 
-/// Per-run co-execution configuration (see [`CoexecConfig::from_env`]).
+/// Per-run co-execution configuration; the default is single-device
+/// dispatch with no batching.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoexecConfig {
     /// Split policy, or `None` for single-device dispatch.
@@ -110,48 +100,6 @@ impl Default for CoexecConfig {
             chunk_groups: 8,
             batch_cap: 64,
         }
-    }
-}
-
-impl CoexecConfig {
-    /// Parse the `OCLSIM_COEXEC` environment variable: a comma- or
-    /// space-separated token list. `static`/`chunked`/`guided` select
-    /// the split policy, `batch` enables dispatch batching, `min=N`,
-    /// `chunk=N` and `cap=N` override the numeric knobs, `off` is the
-    /// default (no co-execution). Unset or empty → default config.
-    pub fn from_env() -> CoexecConfig {
-        match std::env::var("OCLSIM_COEXEC") {
-            Ok(s) => CoexecConfig::parse(&s),
-            Err(_) => CoexecConfig::default(),
-        }
-    }
-
-    /// Parse a token list (the `OCLSIM_COEXEC` grammar — see
-    /// [`CoexecConfig::from_env`]). Unknown tokens are ignored.
-    pub fn parse(s: &str) -> CoexecConfig {
-        let mut cfg = CoexecConfig::default();
-        for tok in s.split([',', ' ']).filter(|t| !t.is_empty()) {
-            if let Some(p) = PolicyKind::parse(tok) {
-                cfg.policy = Some(p);
-            } else if tok == "batch" {
-                cfg.batch = true;
-            } else if tok == "off" {
-                cfg.policy = None;
-            } else if let Some(v) = tok.strip_prefix("min=") {
-                if let Ok(n) = v.parse() {
-                    cfg.min_items = n;
-                }
-            } else if let Some(v) = tok.strip_prefix("chunk=") {
-                if let Ok(n) = v.parse::<usize>() {
-                    cfg.chunk_groups = n.max(1);
-                }
-            } else if let Some(v) = tok.strip_prefix("cap=") {
-                if let Ok(n) = v.parse::<usize>() {
-                    cfg.batch_cap = n.max(1);
-                }
-            }
-        }
-        cfg
     }
 }
 
@@ -861,18 +809,5 @@ mod tests {
         // The next dispatch draws index 1, the scheduled loss.
         let err = q.enqueue_nd_range(&k, &nd).unwrap_err();
         assert!(matches!(err, crate::ClError::DeviceLost { .. }), "{err}");
-    }
-
-    #[test]
-    fn config_parse_grammar() {
-        let cfg = CoexecConfig::parse("guided,batch,min=512,chunk=4,cap=16");
-        assert_eq!(cfg.policy, Some(PolicyKind::Guided));
-        assert!(cfg.batch);
-        assert_eq!(cfg.min_items, 512);
-        assert_eq!(cfg.chunk_groups, 4);
-        assert_eq!(cfg.batch_cap, 16);
-        assert_eq!(CoexecConfig::parse("").policy, None);
-        assert_eq!(CoexecConfig::parse("off").policy, None);
-        assert_eq!(CoexecConfig::parse("static nonsense").policy, Some(PolicyKind::Static));
     }
 }

@@ -140,9 +140,8 @@ struct Shared {
     /// Registered by the serving layer's memory accountant; called for
     /// every `mov` value the moment it becomes device-resident.
     resident_hook: Mutex<Option<ResidentHook>>,
-    /// Co-execution / dispatch-batching configuration. The ambient
-    /// default comes from `OCLSIM_COEXEC` at VM construction;
-    /// [`VmRuntime::set_coexec`] overrides it per VM.
+    /// Co-execution / dispatch-batching configuration: off by default;
+    /// [`VmRuntime::set_coexec`] sets it per VM.
     coexec: Mutex<CoexecConfig>,
     /// Open batched-dispatch sessions, keyed by `chain-host@device-id`
     /// so every kernel actor of one proven chain appends to the same
@@ -206,7 +205,7 @@ impl VmRuntime {
                 env: Mutex::new(DeviceMatrix::shared()),
                 deadline: Mutex::new(None),
                 resident_hook: Mutex::new(None),
-                coexec: Mutex::new(CoexecConfig::from_env()),
+                coexec: Mutex::new(CoexecConfig::default()),
                 batches: Mutex::new(HashMap::new()),
                 traced: Mutex::new(Vec::new()),
             }),
@@ -246,10 +245,8 @@ impl VmRuntime {
     }
 
     /// Set the co-execution / dispatch-batching configuration for this
-    /// VM's kernel actors (see [`oclsim::CoexecConfig`]). The default is
-    /// parsed from `OCLSIM_COEXEC` when the VM is constructed; setting a
-    /// config explicitly makes runs independent of ambient environment
-    /// state, which is what the benches and tests do.
+    /// VM's kernel actors (see [`oclsim::CoexecConfig`]). A VM starts at
+    /// [`CoexecConfig::default`]: single-device dispatch, no batching.
     pub fn set_coexec(&self, cfg: CoexecConfig) {
         *self.shared.coexec.lock() = cfg;
     }

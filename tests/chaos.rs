@@ -160,7 +160,8 @@ fn a_mixed_copy_payload_survives_a_transient_upload_fault() {
     use oclsim::fault::{FaultOp, FaultPlan, InjectedFault};
     for upload in 0..4 {
         let plan = FaultPlan::new().fail(FaultOp::Upload, upload, InjectedFault::Transient);
-        let o = chaos::run_app_chaos("mixed", MIXED_PAYLOAD, plan).expect("runs");
+        let o = chaos::run_app_chaos("mixed", MIXED_PAYLOAD, plan, &Default::default());
+        let o = o.expect("runs");
         assert!(o.matches_reference, "upload {upload}: {}", o.render());
         assert_eq!((o.injected, o.retries), (1, 1), "upload {upload}: {}", o.render());
     }
@@ -178,7 +179,8 @@ proptest! {
             ("matmul", apps_ens::matmul(16, "GPU")),
             ("reduction", apps_ens::reduction(1 << 10, "GPU")),
         ] {
-            let o = chaos::run_app_chaos(app, &src, chaos::chaos_plan(seed, 11)).unwrap();
+            let plan = chaos::chaos_plan(seed, 11);
+            let o = chaos::run_app_chaos(app, &src, plan, &Default::default()).unwrap();
             prop_assert!(o.matches_reference, "{}", o.render());
             prop_assert!(o.injected >= 1, "{}", o.render());
             prop_assert_eq!(o.retries, o.injected, "{}", o.render());

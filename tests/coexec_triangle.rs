@@ -15,9 +15,8 @@ use oclsim::fault::{FaultInjector, FaultOp, FaultPlan, InjectedFault};
 use oclsim::{CoexecConfig, PolicyKind};
 use trace::{SpanKind, TraceEvent, TraceSink};
 
-/// Fault injectors attach to the process-global device matrix, and the
-/// kill-chaos test switches co-execution on via `OCLSIM_COEXEC`; every
-/// test in this binary serialises on one lock so neither leaks into a
+/// Fault injectors attach to the process-global device matrix; every
+/// test in this binary serialises on one lock so none leaks into a
 /// concurrent clean run.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -185,20 +184,24 @@ fn lost_secondary_mid_split_rescues_groups_onto_survivor() {
     );
 }
 
-/// Seeded kill-chaos with co-execution switched on via `OCLSIM_COEXEC`
-/// (the env-var form of the seam): killed actors restart from their
-/// checkpoints and the output still matches the fault-free reference —
-/// supervision and NDRange splitting compose.
+/// Seeded kill-chaos with co-execution switched on (static split, every
+/// dispatch eligible): killed actors restart from their checkpoints and
+/// the output still matches the fault-free reference — supervision and
+/// NDRange splitting compose.
 #[test]
 fn kill_chaos_composes_with_co_execution() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    std::env::set_var("OCLSIM_COEXEC", "static,min=1");
+    let coexec = CoexecConfig {
+        policy: Some(PolicyKind::Static),
+        min_items: 1,
+        ..CoexecConfig::default()
+    };
     let outcome = bench::chaos::run_app_chaos(
         "matmul",
         &apps_ens::matmul(32, "GPU"),
         bench::chaos::kill_plan(5, 17, 3),
+        &coexec,
     );
-    std::env::remove_var("OCLSIM_COEXEC");
     let o = outcome.expect("kill-chaos run completes");
     assert!(o.matches_reference, "{}", o.render());
     assert!(o.kills >= 1, "{}", o.render());
