@@ -48,16 +48,15 @@
 //!
 //! `--coexec` runs the proof-guided co-execution bench instead of the
 //! figures: matmul and mandelbrot problem-size sweeps comparing each
-//! single device against the static/chunked/guided NDRange-splitting
-//! policies (reporting the crossover size where co-execution starts to
-//! win), plus lud and docrank dispatch chains with and without fused
+//! single device against the co-executed NDRange split (reporting the
+//! crossover size where co-execution starts to win), plus lud and docrank dispatch chains with and without fused
 //! dispatch batching (reporting the charged-launch-overhead reduction).
 //! Writes the machine-readable result to `BENCH_9.json` (`--coexec-out
 //! <path>` overrides; `--coexec-quick` runs a reduced two-point sweep
 //! for CI). Exits non-zero when any co-executed or batched run's output
-//! diverges from its single-device reference, the guided policy falls
-//! materially behind static, no crossover is found, or batching saves
-//! less than 2× of lud's charged launch overhead.
+//! diverges from its single-device reference, a co-executed run is
+//! slower than the better single device, no crossover is found, or
+//! batching saves less than 2× of lud's charged launch overhead.
 //!
 //! `--serve` runs the multi-tenant serving bench instead of the figures:
 //! three mixed-application workloads drive an open-loop load at ~2× the
@@ -87,9 +86,9 @@ fn run_coexec_mode(sizes: &Sizes, quick: bool, out_path: &str) -> ! {
             if !report.all_consistent() {
                 eprintln!(
                     "error: a co-executed or batched run diverged from its \
-                     single-device reference, a sweep found no crossover, the \
-                     guided policy fell materially behind static, or batching \
-                     saved less than the required launch overhead"
+                     single-device reference, a sweep found no crossover, a \
+                     co-executed run lost to the better single device, or \
+                     batching saved less than the required launch overhead"
                 );
                 std::process::exit(1);
             }

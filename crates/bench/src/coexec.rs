@@ -7,12 +7,12 @@
 //! 1. **Co-execution has a crossover point.** For the copy-path apps
 //!    whose kernels carry a `Splittable` dimension proof (matmul,
 //!    mandelbrot), each sweep size runs single-GPU, single-CPU, and
-//!    the three [`oclsim::PolicyKind`] split policies. Every
-//!    co-executed run must be **byte-identical** in output to the
-//!    single-GPU reference (window execution keeps global ids and
-//!    range intrinsics full-size), and beyond some problem size the
-//!    best co-executed time must beat the best single device — that
-//!    first winning size, stable through the end of the sweep, is the
+//!    co-executed ([`oclsim::CoexecConfig::split`]). Every co-executed
+//!    run must be **byte-identical** in output to the single-GPU
+//!    reference (window execution keeps global ids and range
+//!    intrinsics full-size), and beyond some problem size the
+//!    co-executed time must beat the best single device — that first
+//!    winning size, stable through the end of the sweep, is the
 //!    reported crossover.
 //! 2. **Batching a proven chain amortises launch overhead.** For the
 //!    resident-buffer apps whose dispatches carry a `ChainRole`
@@ -24,23 +24,20 @@
 //!    launch overhead to drop by at least [`BATCH_GATE`]× versus the
 //!    unbatched run, with output again byte-identical.
 //!
-//! The guided policy must also stay within [`GUIDED_GATE`] of static
-//! on the geometric mean over all split points — adaptive chunking is
-//! allowed to tie the oracle-fed static split, not to regress it.
+//! Co-execution must also never lose: at every sweep point the
+//! co-executed time is at most the better single device's. The cut
+//! minimises a makespan that includes "all on the primary", so a split
+//! that would cost more than it saves is never taken.
 
 use crate::apps_ens::{self, Sizes};
 use crate::chaos::CHAOS_LOCK;
 use crate::TraceSink;
 use ensemble_vm::VmRuntime;
-use oclsim::{CoexecConfig, DeviceType, Platform, PolicyKind, ProfileSink};
+use oclsim::{CoexecConfig, DeviceType, Platform, ProfileSink};
 use trace::{SpanKind, TraceEvent};
 
 /// Batching must cut charged launch overhead by at least this factor.
 pub const BATCH_GATE: f64 = 2.0;
-
-/// Geomean(static/guided) must stay at or above this (guided may be at
-/// most ~0.5% slower than the static oracle split on the geomean).
-pub const GUIDED_GATE: f64 = 0.995;
 
 /// Everything one measured run yields: captured output, the virtual
 /// clock, dispatch count, and the run's trace events.
@@ -68,13 +65,6 @@ fn run_with(src: &str, cfg: CoexecConfig) -> Result<Run, String> {
     })
 }
 
-fn policy_cfg(kind: PolicyKind) -> CoexecConfig {
-    CoexecConfig {
-        policy: Some(kind),
-        ..CoexecConfig::default()
-    }
-}
-
 /// Sum a numeric arg over the run's instants of one kind.
 fn sum_arg(events: &[TraceEvent], kind: SpanKind, key: &str) -> f64 {
     events
@@ -91,7 +81,7 @@ fn sum_arg(events: &[TraceEvent], kind: SpanKind, key: &str) -> f64 {
 }
 
 /// One sweep size for one app: the two single-device baselines and the
-/// three split policies, all on the virtual clock.
+/// co-executed run, all on the virtual clock.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Problem size (matrix dimension / image side).
@@ -100,17 +90,12 @@ pub struct SweepPoint {
     pub gpu_ns: f64,
     /// Single-device CPU time, virtual ns.
     pub cpu_ns: f64,
-    /// Static-split co-execution time, virtual ns.
-    pub static_ns: f64,
-    /// Chunked-dynamic co-execution time, virtual ns.
-    pub chunked_ns: f64,
-    /// Guided co-execution time, virtual ns.
-    pub guided_ns: f64,
-    /// The secondary lane actually took groups in at least one policy
-    /// run (false below the `min_items` floor, where dispatch falls
-    /// back to single-device).
+    /// Co-execution time, virtual ns.
+    pub coexec_ns: f64,
+    /// The secondary lane actually took groups (false below the
+    /// `min_items` floor, where dispatch falls back to single-device).
     pub split_fired: bool,
-    /// Every co-executed run's output was byte-identical to the
+    /// The co-executed run's output was byte-identical to the
     /// single-GPU reference (hard gate).
     pub outputs_identical: bool,
 }
@@ -121,29 +106,26 @@ impl SweepPoint {
         self.gpu_ns.min(self.cpu_ns)
     }
 
-    /// Best co-executed time across the three policies.
-    pub fn best_coexec(&self) -> f64 {
-        self.static_ns.min(self.chunked_ns).min(self.guided_ns)
-    }
-
     /// Co-execution materially beats the best single device here: at
     /// least 0.1% faster, so sub-nanosecond float noise between the
     /// split and plain dispatch paths never reads as a win.
     pub fn wins(&self) -> bool {
-        self.best_coexec() < self.best_single() * 0.999
+        self.coexec_ns < self.best_single() * 0.999
+    }
+
+    /// Co-execution is no slower than the best single device here.
+    pub fn no_loss(&self) -> bool {
+        self.coexec_ns <= self.best_single()
     }
 
     fn to_json(&self) -> String {
         format!(
-            "{{\"size\":{},\"gpu_ns\":{:.1},\"cpu_ns\":{:.1},\"static_ns\":{:.1},\
-             \"chunked_ns\":{:.1},\"guided_ns\":{:.1},\"split_fired\":{},\
-             \"outputs_identical\":{},\"coexec_wins\":{}}}",
+            "{{\"size\":{},\"gpu_ns\":{:.1},\"cpu_ns\":{:.1},\"coexec_ns\":{:.1},\
+             \"split_fired\":{},\"outputs_identical\":{},\"coexec_wins\":{}}}",
             self.size,
             self.gpu_ns,
             self.cpu_ns,
-            self.static_ns,
-            self.chunked_ns,
-            self.guided_ns,
+            self.coexec_ns,
             self.split_fired,
             self.outputs_identical,
             self.wins(),
@@ -164,11 +146,11 @@ pub struct AppSweep {
 }
 
 impl AppSweep {
-    /// The sweep's gate: every point byte-identical and a crossover
-    /// exists.
+    /// The sweep's gate: every point byte-identical and no slower than
+    /// the best single device, and a crossover exists.
     pub fn ok(&self) -> bool {
         !self.points.is_empty()
-            && self.points.iter().all(|p| p.outputs_identical)
+            && self.points.iter().all(|p| p.outputs_identical && p.no_loss())
             && self.crossover.is_some()
     }
 
@@ -188,7 +170,7 @@ impl AppSweep {
     fn render(&self) -> String {
         let mut out = format!(
             "co-execution sweep: {} (crossover: {})\n\
-             {:>6} {:>12} {:>12} {:>12} {:>12} {:>12}  {:>6} {:>7}\n",
+             {:>6} {:>12} {:>12} {:>12}  {:>6} {:>7}\n",
             self.app,
             match self.crossover {
                 Some(s) => format!("n = {s}"),
@@ -197,21 +179,17 @@ impl AppSweep {
             "n",
             "gpu",
             "cpu",
-            "static",
-            "chunked",
-            "guided",
+            "coexec",
             "wins",
             "output",
         );
         for p in &self.points {
             out.push_str(&format!(
-                "{:>6} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>12.0}  {:>6} {:>7}\n",
+                "{:>6} {:>12.0} {:>12.0} {:>12.0}  {:>6} {:>7}\n",
                 p.size,
                 p.gpu_ns,
                 p.cpu_ns,
-                p.static_ns,
-                p.chunked_ns,
-                p.guided_ns,
+                p.coexec_ns,
                 if p.wins() { "yes" } else { "no" },
                 if p.outputs_identical { "ok" } else { "MISMATCH" },
             ));
@@ -315,32 +293,14 @@ pub struct CoexecReport {
 }
 
 impl CoexecReport {
-    /// Geomean of `static_ns / guided_ns` over every point where the
-    /// split actually fired (1.0 when none did).
-    pub fn guided_vs_static(&self) -> f64 {
-        let ratios: Vec<f64> = self
-            .sweeps
-            .iter()
-            .flat_map(|s| &s.points)
-            .filter(|p| p.split_fired && p.guided_ns > 0.0)
-            .map(|p| p.static_ns / p.guided_ns)
-            .collect();
-        if ratios.is_empty() {
-            1.0
-        } else {
-            (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp()
-        }
-    }
-
-    /// The mode's overall gate: every sweep crosses over byte-identical,
-    /// every chain batches ≥[`BATCH_GATE`]×, and guided holds
-    /// [`GUIDED_GATE`] of static on the geomean.
+    /// The mode's overall gate: every sweep crosses over byte-identical
+    /// and never loses to the best single device, and every chain
+    /// batches ≥[`BATCH_GATE`]×.
     pub fn all_consistent(&self) -> bool {
         !self.sweeps.is_empty()
             && self.sweeps.iter().all(AppSweep::ok)
             && !self.chains.is_empty()
             && self.chains.iter().all(BatchChain::ok)
-            && self.guided_vs_static() >= GUIDED_GATE
     }
 
     /// Serialise as the `BENCH_9.json` schema.
@@ -348,10 +308,9 @@ impl CoexecReport {
         let sweeps: Vec<String> = self.sweeps.iter().map(AppSweep::to_json).collect();
         let chains: Vec<String> = self.chains.iter().map(BatchChain::to_json).collect();
         format!(
-            "{{\"schema\":\"bench-coexec-v1\",\"all_consistent\":{},\
-             \"guided_vs_static\":{:.4},\"sweeps\":[{}],\"chains\":[{}]}}",
+            "{{\"schema\":\"bench-coexec-v2\",\"all_consistent\":{},\
+             \"sweeps\":[{}],\"chains\":[{}]}}",
             self.all_consistent(),
-            self.guided_vs_static(),
             sweeps.join(","),
             chains.join(","),
         )
@@ -368,44 +327,28 @@ impl CoexecReport {
         for c in &self.chains {
             out.push_str(&c.render());
         }
-        out.push_str(&format!(
-            "guided vs static geomean {:.4} (gate >= {GUIDED_GATE})\n",
-            self.guided_vs_static(),
-        ));
         out
     }
 }
 
-/// Measure one sweep point: both single devices plus all three policies.
+/// Measure one sweep point: both single devices plus the co-executed
+/// run.
 fn sweep_point(size: usize, source: impl Fn(&str) -> String) -> Result<SweepPoint, String> {
     let gpu_src = source("GPU");
     let reference = run_with(&gpu_src, CoexecConfig::default())?;
     let cpu = run_with(&source("CPU"), CoexecConfig::default())?;
-    let mut times = [0.0f64; 3];
-    let mut split_fired = false;
-    let mut outputs_identical = true;
-    for (i, kind) in [
-        PolicyKind::Static,
-        PolicyKind::ChunkedDynamic,
-        PolicyKind::Guided,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let run = run_with(&gpu_src, policy_cfg(kind))?;
-        times[i] = run.total_ns;
-        outputs_identical &= run.output == reference.output;
-        split_fired |= sum_arg(&run.events, SpanKind::CoexecSplit, "secondary_groups") > 0.0;
-    }
+    let split = CoexecConfig {
+        split: true,
+        ..CoexecConfig::default()
+    };
+    let run = run_with(&gpu_src, split)?;
     Ok(SweepPoint {
         size,
         gpu_ns: reference.total_ns,
         cpu_ns: cpu.total_ns,
-        static_ns: times[0],
-        chunked_ns: times[1],
-        guided_ns: times[2],
-        split_fired,
-        outputs_identical,
+        coexec_ns: run.total_ns,
+        split_fired: sum_arg(&run.events, SpanKind::CoexecSplit, "secondary_groups") > 0.0,
+        outputs_identical: run.output == reference.output,
     })
 }
 
@@ -521,9 +464,7 @@ mod tests {
                         size: 96,
                         gpu_ns: 100.0,
                         cpu_ns: 900.0,
-                        static_ns: 100.0,
-                        chunked_ns: 100.0,
-                        guided_ns: 100.0,
+                        coexec_ns: 100.0,
                         split_fired: true,
                         outputs_identical: true,
                     },
@@ -531,9 +472,7 @@ mod tests {
                         size: 288,
                         gpu_ns: 1000.0,
                         cpu_ns: 9000.0,
-                        static_ns: 900.0,
-                        chunked_ns: 920.0,
-                        guided_ns: 890.0,
+                        coexec_ns: 900.0,
                         split_fired: true,
                         outputs_identical: true,
                     },
@@ -552,9 +491,13 @@ mod tests {
             }],
         };
         assert!(report.all_consistent());
-        assert!(report.guided_vs_static() >= GUIDED_GATE);
         assert!((report.chains[0].reduction_factor() - 9.0).abs() < 1e-9);
         trace::json::validate(&report.to_json()).unwrap();
+        // A point where co-execution loses to the best single device
+        // fails the report.
+        let mut lost = report.clone();
+        lost.sweeps[0].points[0].coexec_ns = 100.5;
+        assert!(!lost.all_consistent());
     }
 
     #[test]
@@ -563,9 +506,7 @@ mod tests {
             size,
             gpu_ns: 100.0,
             cpu_ns: 200.0,
-            static_ns: coexec,
-            chunked_ns: coexec,
-            guided_ns: coexec,
+            coexec_ns: coexec,
             split_fired: true,
             outputs_identical: true,
         };
@@ -587,7 +528,7 @@ mod tests {
         assert!(
             p.wins(),
             "coexec {} must beat best single {}",
-            p.best_coexec(),
+            p.coexec_ns,
             p.best_single()
         );
     }

@@ -35,7 +35,7 @@ use crate::recovery::{record_failover, should_fail_over, with_retry, RecoveryPol
 use crate::settings::nd_from;
 use oclsim::{
     co_enqueue, Buffer, ClError, ClResult, CoexecConfig, CommandQueue, Context, DispatchBatch,
-    Kernel, MemFlags, PolicyKind, Program,
+    Kernel, MemFlags, Program,
 };
 use std::sync::Arc;
 use trace::{SpanKind, TraceEvent};
@@ -248,9 +248,7 @@ pub enum DispatchMode<'a> {
         secondary: &'a OpenClEnvironment,
         /// The dimension to split along.
         dim: usize,
-        /// The partitioning policy.
-        kind: PolicyKind,
-        /// Policy parameters and the minimum profitable size.
+        /// The configuration whose `min_items` floor applies.
         cfg: &'a CoexecConfig,
     },
     /// Append to an open batched-dispatch session of the kernel's proven
@@ -431,22 +429,12 @@ impl KernelHost {
             device,
             &spec.profile,
             &spec.kernel_name,
-            || {
-                match &mut *mode {
-                    DispatchMode::Single => queue.enqueue_nd_range(kernel, &nd),
-                    DispatchMode::Coexec {
-                        secondary,
-                        dim,
-                        kind,
-                        cfg,
-                    } => {
-                        // A fresh policy per attempt: retries must not see a
-                        // half-consumed chunk schedule.
-                        let mut policy = kind.make(cfg);
-                        co_enqueue(queue, &secondary.queue, kernel, &nd, *dim, policy.as_mut())
-                    }
-                    DispatchMode::Batched(batch) => batch.enqueue_nd_range(kernel, &nd),
+            || match &mut *mode {
+                DispatchMode::Single => queue.enqueue_nd_range(kernel, &nd),
+                DispatchMode::Coexec { secondary, dim, .. } => {
+                    co_enqueue(queue, &secondary.queue, kernel, &nd, *dim)
                 }
+                DispatchMode::Batched(batch) => batch.enqueue_nd_range(kernel, &nd),
             },
         )?;
         spec.profile.record_command(&ev, device);

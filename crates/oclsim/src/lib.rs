@@ -105,7 +105,7 @@ pub mod timing;
 
 pub use arbiter::{ArbiterHandle, MemObserver, QueueArbiter};
 pub use buffer::{fnv1a64, Buffer, MemFlags};
-pub use coexec::{co_enqueue, CoexecConfig, CoexecPolicy, LaneView, PolicyKind};
+pub use coexec::{co_enqueue, CoexecConfig};
 pub use context::Context;
 pub use device::{Device, DeviceType};
 pub use engine::{default_engine, set_default_engine, Engine};

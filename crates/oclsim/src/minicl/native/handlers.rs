@@ -1077,18 +1077,18 @@ pub(super) fn h_subi_jci_c<const C: u8>(st: &mut NItem, _cx: &mut NCtx, i: &NIns
     }
 }
 
-/// Two adjacent sited loads of the same element type:
+/// Two adjacent sited float loads:
 /// `a = [site1][b]; c = [site2][d]`, `imm = site1 | site2 << 32`.
 #[inline(always)]
-pub(super) fn h_ld_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
+pub(super) fn h_ld_ld_c(st: &mut NItem, cx: &mut NCtx, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let idx1 = rg!(st, i.b).i();
-    match load_site(st, cx, (i.imm & 0xffff_ffff) as usize, idx1, ty_of::<T>()) {
+    match load_site(st, cx, (i.imm & 0xffff_ffff) as usize, idx1, ElemTy::F32) {
         Ok(v) => sw!(st, i.a, v),
         Err(h) => return h,
     }
     let idx2 = rg!(st, i.d).i();
-    match load_site(st, cx, (i.imm >> 32) as usize, idx2, ty_of::<T>()) {
+    match load_site(st, cx, (i.imm >> 32) as usize, idx2, ElemTy::F32) {
         Ok(v) => {
             sw!(st, i.c, v);
             ip + 1
@@ -1097,9 +1097,9 @@ pub(super) fn h_ld_ld_c<const T: u8>(st: &mut NItem, cx: &mut NCtx, i: &NInstr, 
     }
 }
 
-/// Integer add + sited load: `a = b + c; d = [site][e]`.
+/// Integer add + sited float load: `a = b + c; d = [site][e]`.
 #[inline(always)]
-pub(super) fn h_addi_ld_c<const T: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
+pub(super) fn h_addi_ld_c<M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(
         st,
@@ -1107,7 +1107,7 @@ pub(super) fn h_addi_ld_c<const T: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NI
         RVal::from_i(rg!(st, i.b).i().wrapping_add(rg!(st, i.c).i()))
     );
     let idx = rg!(st, i.e).i();
-    match m.load(st, idx, ty_of::<T>()) {
+    match m.load(st, idx, ElemTy::F32) {
         Ok(v) => {
             sw!(st, i.d, v);
             ip + 1
@@ -1116,10 +1116,10 @@ pub(super) fn h_addi_ld_c<const T: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NI
     }
 }
 
-/// Integer multiply-add + sited load: `a = b * c + d; e = [site][g]`
+/// Integer multiply-add + sited float load: `a = b * c + d; e = [site][g]`
 /// (the matmul row/column address-compute + fetch pair).
 #[inline(always)]
-pub(super) fn h_madi_ld_c<const T: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
+pub(super) fn h_madi_ld_c<M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     sw!(
         st,
@@ -1132,7 +1132,7 @@ pub(super) fn h_madi_ld_c<const T: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NI
         )
     );
     let idx = rg!(st, i.g).i();
-    match m.load(st, idx, ty_of::<T>()) {
+    match m.load(st, idx, ElemTy::F32) {
         Ok(v) => {
             sw!(st, i.e, v);
             ip + 1
@@ -1141,13 +1141,13 @@ pub(super) fn h_madi_ld_c<const T: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NI
     }
 }
 
-/// Sited store + integer add: `[site][b] = c; a = d + e`
+/// Sited float store + integer add: `[site][b] = c; a = d + e`
 /// (store result, bump the index).
 #[inline(always)]
-pub(super) fn h_st_addi_c<const T: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
+pub(super) fn h_st_addi_c<M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
     let (idx, v) = (rg!(st, i.b).i(), rg!(st, i.c));
-    if let Err(h) = m.store(st, idx, ty_of::<T>(), v) {
+    if let Err(h) = m.store(st, idx, ElemTy::F32, v) {
         return h;
     }
     sw!(
@@ -1175,8 +1175,8 @@ pub(super) fn h_ld_mad<M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -
     ip + 1
 }
 
-/// Sited float load + float binary op (selected by `B`: 0=add 1=sub
-/// 2=mul): `a = [site][b]; c = d op e`.
+/// Sited float load + float add (`B` = 0) or multiply (`B` = 2):
+/// `a = [site][b]; c = d op e`.
 #[inline(always)]
 pub(super) fn h_ld_fbin_c<const B: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NInstr, ip: u32) -> u32 {
     chgt!(st, i);
@@ -1186,11 +1186,7 @@ pub(super) fn h_ld_fbin_c<const B: u8, M: Mem>(st: &mut NItem, m: &mut M, i: &NI
         Err(h) => return h,
     }
     let (x, y) = (rg!(st, i.d).f(), rg!(st, i.e).f());
-    let v = match B {
-        0 => x + y,
-        1 => x - y,
-        _ => x * y,
-    };
+    let v = if B == 0 { x + y } else { x * y };
     sw!(st, i.c, RVal::from_f(v));
     ip + 1
 }

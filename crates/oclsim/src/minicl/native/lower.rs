@@ -702,13 +702,8 @@ impl Lower<'_> {
         use ROp::*;
         // Index increment + load.
         if let (FOp::R(AddI { dst, a, b }), FOp::R(Load { ty, dst: d2, ptr, idx })) = (x, y) {
-            if matches!(ty, ElemTy::F32 | ElemTy::I32) && self.stable(*ptr) {
+            if *ty == ElemTy::F32 && self.stable(*ptr) {
                 let site = site_for(*ptr, &mut self.sites, &mut self.specs);
-                let f: HP = if *ty == ElemTy::F32 {
-                    hp_mem!(h_addi_ld_c, 2)
-                } else {
-                    hp_mem!(h_addi_ld_c, 0)
-                };
                 return Some(NInstr {
                     a: *dst,
                     b: *a,
@@ -716,7 +711,7 @@ impl Lower<'_> {
                     d: *d2,
                     e: *idx,
                     imm: site as u64,
-                    ..ni(f)
+                    ..ni(hp_mem!(h_addi_ld_c))
                 });
             }
         }
@@ -734,13 +729,8 @@ impl Lower<'_> {
         }
         // Address compute + fetch (row/column indexing).
         if let (FOp::R(MadI { dst, a, b, c }), FOp::R(Load { ty, dst: d2, ptr, idx })) = (x, y) {
-            if matches!(ty, ElemTy::F32 | ElemTy::I32) && self.stable(*ptr) {
+            if *ty == ElemTy::F32 && self.stable(*ptr) {
                 let site = site_for(*ptr, &mut self.sites, &mut self.specs);
-                let f: HP = if *ty == ElemTy::F32 {
-                    hp_mem!(h_madi_ld_c, 2)
-                } else {
-                    hp_mem!(h_madi_ld_c, 0)
-                };
                 return Some(NInstr {
                     a: *dst,
                     b: *a,
@@ -749,19 +739,14 @@ impl Lower<'_> {
                     e: *d2,
                     g: *idx,
                     imm: site as u64,
-                    ..ni(f)
+                    ..ni(hp_mem!(h_madi_ld_c))
                 });
             }
         }
         // Store + index bump.
         if let (FOp::R(Store { ty, ptr, idx, val }), FOp::R(AddI { dst, a, b })) = (x, y) {
-            if matches!(ty, ElemTy::F32 | ElemTy::I32) && self.stable(*ptr) {
+            if *ty == ElemTy::F32 && self.stable(*ptr) {
                 let site = site_for(*ptr, &mut self.sites, &mut self.specs);
-                let f: HP = if *ty == ElemTy::F32 {
-                    hp_mem!(h_st_addi_c, 2)
-                } else {
-                    hp_mem!(h_st_addi_c, 0)
-                };
                 return Some(NInstr {
                     a: *dst,
                     b: *idx,
@@ -769,7 +754,7 @@ impl Lower<'_> {
                     d: *a,
                     e: *b,
                     imm: site as u64,
-                    ..ni(f)
+                    ..ni(hp_mem!(h_st_addi_c))
                 });
             }
         }
@@ -784,30 +769,25 @@ impl Lower<'_> {
                 ..ni(hp!(h_mov_addi))
             });
         }
-        // Load + load / multiply-add / float binary.
-        if let FOp::R(Load { ty, dst, ptr, idx }) = x {
-            if matches!(ty, ElemTy::F32 | ElemTy::I32) && self.stable(*ptr) {
+        // Float load + load / multiply-add / add / multiply.
+        if let FOp::R(Load { ty: ElemTy::F32, dst, ptr, idx }) = x {
+            if self.stable(*ptr) {
                 match y {
-                    FOp::R(Load { ty: t2, dst: d2, ptr: p2, idx: i2 })
-                        if t2 == ty && self.stable(*p2) =>
+                    FOp::R(Load { ty: ElemTy::F32, dst: d2, ptr: p2, idx: i2 })
+                        if self.stable(*p2) =>
                     {
                         let s1 = site_for(*ptr, &mut self.sites, &mut self.specs);
                         let s2 = site_for(*p2, &mut self.sites, &mut self.specs);
-                        let f: HP = if *ty == ElemTy::F32 {
-                            hp!(h_ld_ld_c::<2>)
-                        } else {
-                            hp!(h_ld_ld_c::<0>)
-                        };
                         return Some(NInstr {
                             imm: s1 as u64 | (s2 as u64) << 32,
                             a: *dst,
                             b: *idx,
                             c: *d2,
                             d: *i2,
-                            ..ni(f)
+                            ..ni(hp!(h_ld_ld_c))
                         });
                     }
-                    FOp::R(Mad { dst: d2, a, b, c }) if *ty == ElemTy::F32 => {
+                    FOp::R(Mad { dst: d2, a, b, c }) => {
                         let site = site_for(*ptr, &mut self.sites, &mut self.specs);
                         return Some(NInstr {
                             imm: site as u64,
@@ -821,24 +801,22 @@ impl Lower<'_> {
                         });
                     }
                     _ => {
-                        if *ty == ElemTy::F32 {
-                            if let Some((o2, d2, a2, b2)) = fbin(y) {
-                                let site = site_for(*ptr, &mut self.sites, &mut self.specs);
-                                let f: HP = match o2 {
-                                    0 => hp_mem!(h_ld_fbin_c, 0),
-                                    1 => hp_mem!(h_ld_fbin_c, 1),
-                                    _ => hp_mem!(h_ld_fbin_c, 2),
-                                };
-                                return Some(NInstr {
-                                    imm: site as u64,
-                                    a: *dst,
-                                    b: *idx,
-                                    c: d2,
-                                    d: a2,
-                                    e: b2,
-                                    ..ni(f)
-                                });
-                            }
+                        if let Some((o2 @ (0 | 2), d2, a2, b2)) = fbin(y) {
+                            let site = site_for(*ptr, &mut self.sites, &mut self.specs);
+                            let f: HP = if o2 == 0 {
+                                hp_mem!(h_ld_fbin_c, 0)
+                            } else {
+                                hp_mem!(h_ld_fbin_c, 2)
+                            };
+                            return Some(NInstr {
+                                imm: site as u64,
+                                a: *dst,
+                                b: *idx,
+                                c: d2,
+                                d: a2,
+                                e: b2,
+                                ..ni(f)
+                            });
                         }
                     }
                 }
@@ -954,7 +932,7 @@ fn fbin(op: &FOp) -> Option<(u8, u16, u16, u16)> {
 /// select them: address compute + load (`MadI`+`Load`), index increment +
 /// load, count-down + compare-branch (`SubI`+`JcI`), store + index bump,
 /// register copy + add, load + load, load + multiply-add, load + float
-/// add/sub/mul, float multiply + multiply-add, multiply-add (`MadRF`) +
+/// add/mul, float multiply + multiply-add, multiply-add (`MadRF`) +
 /// index bump, the float pairs sub+add, mul+sub and mul+mul, and add+add.
 ///
 /// Returns `None` — and the dispatcher falls back to the register engine —

@@ -136,85 +136,6 @@ impl NdRange {
         Ok(out)
     }
 
-    /// Cut this range into group-aligned sub-ranges along `dim`,
-    /// distributing whole work-groups in proportion to `weights` — the
-    /// partition primitive the co-execution scheduler's `Static` and
-    /// `Guided` policies use (a 10:1 device-throughput ratio becomes a
-    /// 10:1 group split, rounded to whole groups by largest remainder).
-    ///
-    /// Zero-weight entries receive zero groups and produce **no** piece:
-    /// every returned [`SubRange`] is non-empty, so callers get back
-    /// `(weight_index, piece)` pairs identifying which weight each piece
-    /// belongs to. Pieces cover the range contiguously in weight order.
-    ///
-    /// Errors mirror [`NdRange::split`]: `dim` must be within `dims`, the
-    /// local size must divide the global size along `dim`, and at least
-    /// one weight must be positive and finite.
-    pub fn split_weighted(&self, dim: usize, weights: &[f64]) -> ClResult<Vec<(usize, SubRange)>> {
-        if dim >= usize::from(self.dims) {
-            return Err(ClError::InvalidWorkGroupSize(format!(
-                "cannot split dimension {dim} of a {}-dimensional range",
-                self.dims
-            )));
-        }
-        let local = self.local[dim].max(1);
-        if !self.global[dim].is_multiple_of(local) {
-            return Err(ClError::InvalidWorkGroupSize(format!(
-                "local size {local} does not divide global size {} in dimension {dim}",
-                self.global[dim]
-            )));
-        }
-        let total: f64 = weights
-            .iter()
-            .filter(|w| w.is_finite() && **w > 0.0)
-            .sum();
-        if total <= 0.0 {
-            return Err(ClError::InvalidWorkGroupSize(
-                "split_weighted needs at least one positive finite weight".to_string(),
-            ));
-        }
-        let groups = self.global[dim] / local;
-        // Largest-remainder apportionment: floor each share, then hand the
-        // leftover groups to the largest fractional remainders (ties break
-        // toward earlier weights, keeping the result deterministic).
-        let mut take = vec![0usize; weights.len()];
-        let mut rem: Vec<(usize, f64)> = Vec::with_capacity(weights.len());
-        let mut assigned = 0usize;
-        for (i, w) in weights.iter().enumerate() {
-            if !w.is_finite() || *w <= 0.0 {
-                continue;
-            }
-            let exact = groups as f64 * w / total;
-            take[i] = exact.floor() as usize;
-            assigned += take[i];
-            rem.push((i, exact - exact.floor()));
-        }
-        rem.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        // Σ floor(exact) ≥ groups − (#positive weights), so one pass over
-        // the remainders always places every leftover group.
-        let mut left = groups - assigned.min(groups);
-        for (i, _) in &rem {
-            if left == 0 {
-                break;
-            }
-            take[*i] += 1;
-            left -= 1;
-        }
-        let mut out = Vec::new();
-        let mut start_group = 0usize;
-        for (i, t) in take.iter().enumerate() {
-            if *t == 0 {
-                continue;
-            }
-            let mut range = *self;
-            range.global[dim] = t * local;
-            let mut offset = [0usize; 3];
-            offset[dim] = start_group * local;
-            out.push((i, SubRange { range, offset }));
-            start_group += t;
-        }
-        Ok(out)
-    }
 }
 
 /// One piece of a split dispatch: a smaller [`NdRange`] plus the
@@ -303,109 +224,5 @@ mod tests {
         assert!(nd.split(1, 2).is_err()); // dim out of range
         assert!(nd.split(0, 0).is_err()); // zero parts
         assert!(NdRange::d1(100, 8).split(0, 2).is_err()); // indivisible
-    }
-
-    #[test]
-    fn split_weighted_follows_ratio() {
-        let nd = NdRange::d1(1024, 64); // 16 groups
-        let pieces = nd.split_weighted(0, &[3.0, 1.0]).unwrap();
-        assert_eq!(pieces.len(), 2);
-        assert_eq!(pieces[0].0, 0);
-        assert_eq!(pieces[0].1.range.global[0], 12 * 64);
-        assert_eq!(pieces[1].0, 1);
-        assert_eq!(pieces[1].1.range.global[0], 4 * 64);
-        assert_eq!(pieces[1].1.offset[0], 12 * 64);
-    }
-
-    #[test]
-    fn split_weighted_drops_zero_weight_lanes() {
-        let nd = NdRange::d1(1024, 64);
-        let pieces = nd.split_weighted(0, &[0.0, 1.0, 0.0]).unwrap();
-        assert_eq!(pieces.len(), 1);
-        assert_eq!(pieces[0].0, 1);
-        assert_eq!(pieces[0].1.range.global[0], 1024);
-    }
-
-    #[test]
-    fn split_weighted_starves_tiny_weights_rather_than_emitting_empties() {
-        let nd = NdRange::d1(128, 64); // 2 groups, 3 weights
-        let pieces = nd.split_weighted(0, &[1.0, 1.0, 1e-9]).unwrap();
-        assert_eq!(pieces.len(), 2);
-        assert!(pieces.iter().all(|(_, p)| p.range.global[0] > 0));
-        let covered: usize = pieces.iter().map(|(_, p)| p.range.global[0]).sum();
-        assert_eq!(covered, 128);
-    }
-
-    #[test]
-    fn split_weighted_rejects_bad_inputs() {
-        let nd = NdRange::d1(1024, 64);
-        assert!(nd.split_weighted(1, &[1.0]).is_err()); // dim out of range
-        assert!(nd.split_weighted(0, &[]).is_err()); // no weights
-        assert!(nd.split_weighted(0, &[0.0, 0.0]).is_err()); // all zero
-        assert!(nd.split_weighted(0, &[f64::NAN]).is_err()); // no finite weight
-        assert!(NdRange::d1(100, 8).split_weighted(0, &[1.0]).is_err()); // indivisible
-    }
-
-    mod weighted_properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Group alignment, contiguous full coverage, no empty parts,
-            /// and weight-index monotonicity — for arbitrary ranges and
-            /// weight vectors.
-            #[test]
-            fn split_weighted_partitions_exactly(
-                groups in 1usize..64,
-                local in 1usize..16,
-                raw in proptest::collection::vec(0u32..1000, 1..6),
-            ) {
-                let mut weights: Vec<f64> = raw.iter().map(|w| f64::from(*w)).collect();
-                if !weights.iter().any(|w| *w > 0.0) {
-                    weights[0] = 1.0;
-                }
-                let nd = NdRange::d1(groups * local, local);
-                let pieces = nd.split_weighted(0, &weights).unwrap();
-                prop_assert!(!pieces.is_empty());
-                let mut cursor = 0usize;
-                let mut last_lane = None;
-                for (lane, p) in &pieces {
-                    // No empty parts, and only positive-weight lanes appear.
-                    prop_assert!(p.range.global[0] > 0);
-                    prop_assert!(weights[*lane] > 0.0);
-                    // Group alignment: size and offset are whole groups.
-                    prop_assert_eq!(p.range.global[0] % local, 0);
-                    prop_assert_eq!(p.offset[0] % local, 0);
-                    prop_assert_eq!(p.range.local, nd.local);
-                    // Contiguous cover in ascending weight order.
-                    prop_assert_eq!(p.offset[0], cursor);
-                    prop_assert!(last_lane < Some(*lane) || last_lane.is_none());
-                    last_lane = Some(*lane);
-                    cursor += p.range.global[0];
-                }
-                prop_assert_eq!(cursor, groups * local);
-            }
-
-            /// A heavier weight never receives fewer groups than a lighter
-            /// one (apportionment monotonicity over the returned pieces).
-            #[test]
-            fn split_weighted_is_monotone_in_weight(
-                groups in 1usize..64,
-                a in 1u32..100,
-                b in 1u32..100,
-            ) {
-                let nd = NdRange::d1(groups * 8, 8);
-                let pieces = nd.split_weighted(0, &[f64::from(a), f64::from(b)]).unwrap();
-                let share = |lane: usize| -> usize {
-                    pieces.iter().filter(|(l, _)| *l == lane)
-                        .map(|(_, p)| p.range.global[0]).sum()
-                };
-                if a > b {
-                    prop_assert!(share(0) >= share(1));
-                } else if b > a {
-                    prop_assert!(share(1) >= share(0));
-                }
-            }
-        }
     }
 }

@@ -1480,11 +1480,11 @@ mod tests {
 
     /// The stage list's invariants on every command path: one arbiter slot
     /// per command, batch or co-execution; exactly one fault draw per
-    /// command on the primary, plus one probe on the secondary per chunk
-    /// it takes; and the clock advanced by exactly the returned events.
+    /// command on the primary, plus one probe on the secondary for the one
+    /// piece it takes; and the clock advanced by exactly the returned events.
     #[test]
     fn every_command_path_admits_once_draws_once_and_charges_its_events() {
-        use crate::coexec::{co_enqueue, CoexecConfig, PolicyKind};
+        use crate::coexec::co_enqueue;
         use crate::fault::FaultPlan;
         use std::sync::atomic::Ordering::SeqCst;
         let (ctx, q) = setup(DeviceType::Gpu);
@@ -1590,20 +1590,12 @@ mod tests {
                 slots: 1,
                 op: FaultOp::Enqueue,
                 draws: 1,
-                run: Box::new(|| {
-                    // One-group chunks: the secondary's probes count its chunks.
-                    let cfg = CoexecConfig {
-                        chunk_groups: 1,
-                        ..CoexecConfig::default()
-                    };
-                    let mut policy = PolicyKind::ChunkedDynamic.make(&cfg);
-                    one(co_enqueue(&q, &sec, &k, &nd, 0, policy.as_mut()))
-                }),
+                run: Box::new(|| one(co_enqueue(&q, &sec, &k, &nd, 0))),
             },
         ];
 
         let ops = [FaultOp::Upload, FaultOp::Readback, FaultOp::Enqueue, FaultOp::Build];
-        let mut secondary_chunks_seen = 0;
+        let mut secondary_pieces_seen = 0;
         for row in &rows {
             let slots = arbiter.acquires.load(SeqCst);
             let drawn = ops.map(|op| faults.drawn(op));
@@ -1620,16 +1612,15 @@ mod tests {
                 let want = if *op == row.op { row.draws } else { 0 };
                 assert_eq!(faults.drawn(*op) - before, want, "{path}: {op:?} draws");
             }
-            // One probe per chunk the secondary took (a chunk is one group).
-            let chunks: u64 = instants.events()[seen..]
+            // One probe per split whose secondary took its piece.
+            let pieces = instants.events()[seen..]
                 .iter()
                 .filter(|e| e.kind == SpanKind::CoexecSplit)
                 .flat_map(|e| &e.args)
-                .filter(|(k, _)| k == "secondary_groups")
-                .map(|(_, v)| v.parse::<u64>().unwrap())
-                .sum();
-            assert_eq!(sec_faults.drawn(FaultOp::Enqueue) - probes, chunks, "{path}: probes");
-            secondary_chunks_seen += chunks;
+                .filter(|(k, v)| k == "secondary_groups" && v != "0")
+                .count() as u64;
+            assert_eq!(sec_faults.drawn(FaultOp::Enqueue) - probes, pieces, "{path}: probes");
+            secondary_pieces_seen += pieces;
             // The events tile the clock's advance exactly.
             let mut at = clock;
             for ev in &events {
@@ -1638,7 +1629,7 @@ mod tests {
             }
             assert_eq!(q.now_ns().to_bits(), at.to_bits(), "{path}: clock");
         }
-        assert!(secondary_chunks_seen > 0, "the secondary took no chunk");
+        assert!(secondary_pieces_seen > 0, "the secondary took no piece");
         assert_eq!(sec.now_ns(), 0.0, "a pricing lane's clock never moves");
     }
 }

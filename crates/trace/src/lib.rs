@@ -158,8 +158,8 @@ pub enum SpanKind {
     ProofFusable,
     /// The co-execution scheduler split this dispatch across two device
     /// lanes under a `SplitProof` (`oclsim::coexec`). The args carry the
-    /// policy, split dimension, per-lane group counts and virtual spans,
-    /// and any groups rescued from a lost device. Instant, virtual clock
+    /// split dimension, per-lane group counts and virtual spans, and any
+    /// groups rescued from a lost device. Instant, virtual clock
     /// of the primary queue, at the dispatch's committed end time. Never
     /// part of a figure segment: the composite kernel span carries the
     /// makespan.

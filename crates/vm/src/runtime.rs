@@ -631,7 +631,7 @@ fn kernel_actor(
     }
 
     // The scheduler seam: decide once per incarnation how this actor's
-    // dispatches reach the device. Co-execution needs a policy, a
+    // dispatches reach the device. Co-execution needs the split flag, a
     // dimension the split proof classifies `Splittable`, the copy path
     // (`mov` chains keep data resident and batch instead), and a second
     // device of the opposite type that actually resolves — anything
@@ -640,21 +640,18 @@ fn kernel_actor(
     // are about the lane the host opened on: once it has failed over
     // (`KernelHost::migrated`) they are void, and it dispatches `Single`.
     let coexec_cfg = shared.coexec.lock().clone();
-    let split = coexec_cfg
-        .policy
-        .filter(|_| !plan.mov)
-        .zip(
-            plan.proofs
-                .as_ref()
-                .and_then(|p| p.split.splittable_dims().into_iter().next()),
-        )
-        .and_then(|(kind, dim)| {
+    let split = plan
+        .proofs
+        .as_ref()
+        .filter(|_| coexec_cfg.split && !plan.mov)
+        .and_then(|p| p.split.splittable_dims().into_iter().next())
+        .and_then(|dim| {
             let other = match host.env().device.device_type() {
                 DeviceType::Gpu => DeviceType::Cpu,
                 _ => DeviceType::Gpu,
             };
             let secondary = resolver.resolve(DeviceSel::new(other, 0)).ok()?;
-            (secondary.device.id() != host.env().device.id()).then_some((kind, dim, secondary))
+            (secondary.device.id() != host.env().device.id()).then_some((dim, secondary))
         });
     // Dispatch batching rides on the fusion proof: membership in a
     // proven chain means no host-side barrier separates this dispatch
@@ -776,10 +773,9 @@ fn kernel_actor(
                     }
                 };
                 let mode = match split.as_ref().filter(|_| !host.migrated()) {
-                    Some((kind, dim, secondary)) => DispatchMode::Coexec {
+                    Some((dim, secondary)) => DispatchMode::Coexec {
                         secondary,
                         dim: *dim,
-                        kind: *kind,
                         cfg: &coexec_cfg,
                     },
                     None => DispatchMode::Single,

@@ -4,15 +4,15 @@
 //! devices, batch proven-fusable dispatch chains, or decline and fall
 //! back to the plain path — but it must never change *what* a program
 //! computes or make the virtual clock non-deterministic. These tests pin
-//! that triangle for every application and every policy, plus the fault
-//! edge: a secondary device lost mid-split rescues its remaining
-//! sub-ranges onto the surviving primary, byte-identically.
+//! that triangle for every application, plus the fault edge: a secondary
+//! device lost mid-split rescues its piece onto the surviving primary,
+//! byte-identically.
 
 use bench::apps_ens;
 use ensemble_ocl::{device_matrix, DeviceSel, ProfileSink};
 use ensemble_vm::VmRuntime;
 use oclsim::fault::{FaultInjector, FaultOp, FaultPlan, InjectedFault};
-use oclsim::{CoexecConfig, PolicyKind};
+use oclsim::CoexecConfig;
 use trace::{SpanKind, TraceEvent, TraceSink};
 
 /// Fault injectors attach to the process-global device matrix; every
@@ -34,12 +34,12 @@ fn run_with(src: &str, cfg: CoexecConfig) -> (Vec<String>, f64, Vec<TraceEvent>)
     (report.output, total_ns, sink.events())
 }
 
-/// The most aggressive co-execution config: split policy on, batching
-/// on, and no minimum-size floor, so even the tiny triangle-sized
-/// dispatches take the co-execution path whenever their proofs allow.
-fn eager(policy: PolicyKind) -> CoexecConfig {
+/// The most aggressive co-execution config: splitting on, batching on,
+/// and no minimum-size floor, so even the tiny triangle-sized dispatches
+/// take the co-execution path whenever their proofs allow.
+fn eager() -> CoexecConfig {
     CoexecConfig {
-        policy: Some(policy),
+        split: true,
         batch: true,
         min_items: 1,
         ..CoexecConfig::default()
@@ -58,14 +58,8 @@ fn apps() -> [(&'static str, String); 5] {
     ]
 }
 
-const POLICIES: [PolicyKind; 3] = [
-    PolicyKind::Static,
-    PolicyKind::ChunkedDynamic,
-    PolicyKind::Guided,
-];
-
 /// All `CoexecSplit` instants' arguments, in order — the scheduler's
-/// complete decision record for a run (policy, split dimension, group
+/// complete decision record for a run (split dimension, group
 /// assignment per lane).
 fn split_decisions(events: &[TraceEvent]) -> Vec<Vec<(String, String)>> {
     events
@@ -75,7 +69,7 @@ fn split_decisions(events: &[TraceEvent]) -> Vec<Vec<(String, String)>> {
         .collect()
 }
 
-/// Every app × every policy (with batching on and no size floor):
+/// Every app co-executed (with batching on and no size floor):
 /// output byte-identical to the plain single-device run, scheduler
 /// decisions bit-identical across repeated runs, and the virtual clock
 /// equal to float-accumulation tolerance. (The device queues are
@@ -84,28 +78,26 @@ fn split_decisions(events: &[TraceEvent]) -> Vec<Vec<(String, String)>> {
 /// differ in the last ULP between otherwise identical runs; whole-ns
 /// divergence would still mean a real scheduling difference.)
 #[test]
-fn every_app_is_byte_identical_and_deterministic_under_every_policy() {
+fn every_app_is_byte_identical_and_deterministic_under_co_execution() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for (app, src) in apps() {
         let (reference, _, _) = run_with(&src, CoexecConfig::default());
-        for policy in POLICIES {
-            let (out_a, ns_a, ev_a) = run_with(&src, eager(policy));
-            let (out_b, ns_b, ev_b) = run_with(&src, eager(policy));
-            assert_eq!(
-                out_a, reference,
-                "{app}/{policy:?}: co-executed output diverged from plain run"
-            );
-            assert_eq!(out_a, out_b, "{app}/{policy:?}: output not deterministic");
-            assert_eq!(
-                split_decisions(&ev_a),
-                split_decisions(&ev_b),
-                "{app}/{policy:?}: split decisions not deterministic"
-            );
-            assert!(
-                (ns_a - ns_b).abs() <= ns_a.abs() * 1e-9,
-                "{app}/{policy:?}: virtual clock diverged ({ns_a} vs {ns_b})"
-            );
-        }
+        let (out_a, ns_a, ev_a) = run_with(&src, eager());
+        let (out_b, ns_b, ev_b) = run_with(&src, eager());
+        assert_eq!(
+            out_a, reference,
+            "{app}: co-executed output diverged from plain run"
+        );
+        assert_eq!(out_a, out_b, "{app}: output not deterministic");
+        assert_eq!(
+            split_decisions(&ev_a),
+            split_decisions(&ev_b),
+            "{app}: split decisions not deterministic"
+        );
+        assert!(
+            (ns_a - ns_b).abs() <= ns_a.abs() * 1e-9,
+            "{app}: virtual clock diverged ({ns_a} vs {ns_b})"
+        );
     }
 }
 
@@ -116,12 +108,12 @@ fn every_app_is_byte_identical_and_deterministic_under_every_policy() {
 #[test]
 fn proof_blocked_kernels_never_split() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (_, _, events) = run_with(&apps_ens::reduction(1 << 12, "GPU"), eager(PolicyKind::Static));
+    let (_, _, events) = run_with(&apps_ens::reduction(1 << 12, "GPU"), eager());
     assert!(
         !events.iter().any(|e| e.kind == SpanKind::CoexecSplit),
         "reduction is proof-blocked; no split instant may appear"
     );
-    let (_, _, events) = run_with(&apps_ens::matmul(32, "GPU"), eager(PolicyKind::Static));
+    let (_, _, events) = run_with(&apps_ens::matmul(32, "GPU"), eager());
     assert!(
         events.iter().any(|e| e.kind == SpanKind::CoexecSplit),
         "matmul is proof-splittable; the scheduler must engage"
@@ -137,16 +129,16 @@ fn split_arg(events: &[TraceEvent], key: &str) -> Option<u64> {
         .and_then(|(_, v)| v.parse().ok())
 }
 
-/// At a size beyond the sweep's crossover the static policy hands the
-/// secondary real groups; losing that device mid-split rescues them
-/// onto the primary with byte-identical output, and the rescue is
-/// visible in the `CoexecSplit` instant.
+/// At a size beyond the sweep's crossover the cut hands the secondary
+/// real groups; losing that device mid-split rescues them onto the
+/// primary with byte-identical output, and the rescue is visible in the
+/// `CoexecSplit` instant.
 #[test]
 fn lost_secondary_mid_split_rescues_groups_onto_survivor() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let src = apps_ens::matmul(224, "GPU");
     let cfg = CoexecConfig {
-        policy: Some(PolicyKind::Static),
+        split: true,
         ..CoexecConfig::default()
     };
     let (reference, _, _) = run_with(&src, CoexecConfig::default());
@@ -159,7 +151,7 @@ fn lost_secondary_mid_split_rescues_groups_onto_survivor() {
     assert_eq!(clean_out, reference, "clean split output diverged");
 
     // Same run with the secondary (CPU) lost on its first liveness
-    // probe: the scheduler reroutes every piece to the primary.
+    // probe: the scheduler reroutes its piece to the primary.
     let entry = device_matrix()
         .select(DeviceSel::cpu())
         .expect("CPU entry in the device matrix");
@@ -176,7 +168,7 @@ fn lost_secondary_mid_split_rescues_groups_onto_survivor() {
         "device lost mid-split must not change the output"
     );
     let rescued = split_arg(&faulted_events, "rescued_groups").unwrap_or(0);
-    assert!(rescued > 0, "lost secondary must rescue its groups");
+    assert_eq!(rescued, clean_taken, "lost secondary must rescue its piece whole");
     assert_eq!(
         split_arg(&faulted_events, "secondary_groups"),
         Some(0),
@@ -184,15 +176,15 @@ fn lost_secondary_mid_split_rescues_groups_onto_survivor() {
     );
 }
 
-/// Seeded kill-chaos with co-execution switched on (static split, every
-/// dispatch eligible): killed actors restart from their checkpoints and
+/// Seeded kill-chaos with co-execution switched on (every dispatch
+/// eligible): killed actors restart from their checkpoints and
 /// the output still matches the fault-free reference — supervision and
 /// NDRange splitting compose.
 #[test]
 fn kill_chaos_composes_with_co_execution() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let coexec = CoexecConfig {
-        policy: Some(PolicyKind::Static),
+        split: true,
         min_items: 1,
         ..CoexecConfig::default()
     };

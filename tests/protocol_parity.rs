@@ -18,7 +18,7 @@ use ensemble_ocl::{
 };
 use ensemble_vm::{ErrorClass, VmError, VmRuntime};
 use oclsim::fault::{FaultInjector, FaultOp, FaultPlan, InjectedFault};
-use oclsim::{ClResult, CoexecConfig, CommandQueue, Context, DeviceType, Platform, PolicyKind};
+use oclsim::{ClResult, CoexecConfig, CommandQueue, Context, DeviceType, Platform};
 use std::sync::Arc;
 use trace::{SpanKind, TraceEvent, TraceSink};
 
@@ -391,7 +391,7 @@ fn a_failover_mid_mov_ring_never_hands_a_kernel_a_foreign_buffer() {
         .unwrap(),
     );
     let batched = CoexecConfig {
-        policy: Some(PolicyKind::Static),
+        split: true,
         batch: true,
         min_items: 1,
         ..CoexecConfig::default()
