@@ -27,16 +27,6 @@
 //! or any kill is not matched by an `ActorExit`/`Restart` pair in the
 //! trace.
 //!
-//! `--wallclock` runs the wall-clock engine comparison instead of the
-//! figures: all five applications on the stack, register and native
-//! execution engines, reporting real host time, interpreted kernel
-//! ops/sec, the register-over-stack and native-over-register speedups,
-//! and which engine actually executed each run (the trace `engine` tag),
-//! writing the machine-readable result to `BENCH_6.json`
-//! (`--wallclock-out <path>` overrides; `--repeats <N>` sets runs per
-//! engine, default 3). Exits non-zero when any app's engines disagree on
-//! output or virtual clock.
-//!
 //! `--sdc-seed <N>` runs SDC mode instead of the figures: the five
 //! applications under a seed-`N` silent-corruption schedule on private
 //! zero-origin device lanes (gating 100% detection, byte-identical
@@ -66,9 +56,30 @@
 //! eviction counts and outcome tallies to `BENCH_7.json`
 //! (`--serve-out <path>` overrides). Exits non-zero when any chaos-free
 //! tenant's output or virtual clock diverges from its solo reference.
+//!
+//! Any other `--` argument is an error (exit 2), as is an unknown figure
+//! name: a misspelt option never silently runs the figures instead.
 
 use bench::figures::{self, ALL};
-use bench::{chaos, coexec, sdc, serve_bench, wallclock, Sizes, TraceSink};
+use bench::{chaos, coexec, sdc, serve_bench, Sizes, TraceSink};
+
+/// Every option `main` accepts, listed when it meets one it does not.
+const OPTIONS: &[&str] = &[
+    "--paper-scale",
+    "--json",
+    "--trace <path>",
+    "--chaos-seed <N>",
+    "--kill-seed <N>",
+    "--sdc-seed <N>",
+    "--sdc-out <path>",
+    "--coexec",
+    "--coexec-quick",
+    "--coexec-out <path>",
+    "--serve",
+    "--tenants <N>",
+    "--serve-seed <N>",
+    "--serve-out <path>",
+];
 
 fn run_coexec_mode(sizes: &Sizes, quick: bool, out_path: &str) -> ! {
     eprintln!(
@@ -90,29 +101,6 @@ fn run_coexec_mode(sizes: &Sizes, quick: bool, out_path: &str) -> ! {
                      co-executed run lost to the better single device, or \
                      batching saved less than the required launch overhead"
                 );
-                std::process::exit(1);
-            }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_wallclock_mode(sizes: &Sizes, sizes_label: &str, repeats: usize, out_path: &str) -> ! {
-    eprintln!("wall-clock mode: {sizes_label} sizes, {repeats} runs per engine");
-    match wallclock::run_wallclock(sizes, sizes_label, repeats) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if let Err(e) = std::fs::write(out_path, report.to_json()) {
-                eprintln!("error: writing {out_path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wallclock: results written to {out_path}");
-            if !report.all_consistent() {
-                eprintln!("error: engines disagreed on output or virtual clock");
                 std::process::exit(1);
             }
             std::process::exit(0);
@@ -234,12 +222,11 @@ fn run_serve_mode(tenants: usize, seed: u64, out_path: &str) -> ! {
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut args: Vec<String> = Vec::new();
+    let mut paper = false;
+    let mut json = false;
     let mut trace_path: Option<String> = None;
     let mut chaos_seed: Option<u64> = None;
     let mut kill_seed: Option<u64> = None;
-    let mut wallclock_mode = false;
-    let mut wallclock_out = "BENCH_6.json".to_string();
-    let mut repeats = 3usize;
     let mut serve_mode = false;
     let mut serve_tenants = 6usize;
     let mut serve_seed = 1u64;
@@ -251,9 +238,7 @@ fn main() {
     let mut coexec_out = "BENCH_9.json".to_string();
     let mut it = raw.into_iter();
     while let Some(a) = it.next() {
-        if a == "--wallclock" {
-            wallclock_mode = true;
-        } else if a == "--coexec" {
+        if a == "--coexec" {
             coexec_mode = true;
         } else if a == "--coexec-quick" {
             coexec_mode = true;
@@ -263,22 +248,6 @@ fn main() {
                 Some(p) => coexec_out = p,
                 None => {
                     eprintln!("error: --coexec-out requires an output file path");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--wallclock-out" {
-            match it.next() {
-                Some(p) => wallclock_out = p,
-                None => {
-                    eprintln!("error: --wallclock-out requires an output file path");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--repeats" {
-            match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => repeats = n,
-                _ => {
-                    eprintln!("error: --repeats requires a positive integer");
                     std::process::exit(2);
                 }
             }
@@ -348,17 +317,21 @@ fn main() {
                     std::process::exit(2);
                 }
             }
+        } else if a == "--paper-scale" {
+            paper = true;
+        } else if a == "--json" {
+            json = true;
+        } else if a.starts_with("--") {
+            eprintln!(
+                "error: unknown option `{a}`; valid options: {}",
+                OPTIONS.join(", ")
+            );
+            std::process::exit(2);
         } else {
             args.push(a);
         }
     }
-    let paper = args.iter().any(|a| a == "--paper-scale");
-    let json = args.iter().any(|a| a == "--json");
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .collect();
+    let wanted: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
     let known: Vec<&str> = ALL.iter().map(|(n, _)| *n).chain(["ablation"]).collect();
     if let Some(bad) = wanted.iter().find(|w| !known.contains(w)) {
         eprintln!(
@@ -383,10 +356,6 @@ fn main() {
     }
     if coexec_mode {
         run_coexec_mode(&sizes, coexec_quick, &coexec_out);
-    }
-    if wallclock_mode {
-        let label = if paper { "paper" } else { "bench" };
-        run_wallclock_mode(&sizes, label, repeats, &wallclock_out);
     }
     if serve_mode {
         run_serve_mode(serve_tenants, serve_seed, &serve_out);

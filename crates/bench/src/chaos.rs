@@ -51,18 +51,15 @@ use trace::SpanKind;
 /// meanwhile (its actors absorb the seeded kills, and the chaos run's
 /// `exits == kills` no longer adds up). Every runner in this crate that
 /// drives the global matrix from a test therefore takes it too: the
-/// co-execution sweep, and the engine wall-clock comparison in
-/// [`crate::wallclock`], which also flips the process default engine.
-/// (The SDC harness in [`crate::sdc`] and the serving bench use private
+/// co-execution sweep. (The SDC harness in [`crate::sdc`] and the serving bench use private
 /// lanes; SDC serialises anyway so chaos-mode wall timings are never
 /// polluted by a concurrent run.)
 pub(crate) static CHAOS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Hold the chaos serialisation lock for as long as the returned guard
 /// lives. For callers that dispatch *fault-free* work on the
-/// process-global matrix queues in a process that also runs chaos: the
-/// engine wall-clock comparison, and integration tests sharing a binary
-/// with chaos tests. Not re-entrant — never call it around a runner that
+/// process-global matrix queues in a process that also runs chaos:
+/// integration tests sharing a binary with chaos tests. Not re-entrant — never call it around a runner that
 /// takes the lock itself (`run_chaos`, `run_app_chaos`, the co-execution
 /// and SDC sweeps).
 pub fn serialise() -> std::sync::MutexGuard<'static, ()> {

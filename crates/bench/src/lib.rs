@@ -39,7 +39,6 @@ pub mod figures;
 pub mod sdc;
 pub mod serve_bench;
 pub mod table1;
-pub mod wallclock;
 
 pub use apps_ens::Sizes;
 

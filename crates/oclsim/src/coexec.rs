@@ -46,11 +46,12 @@ pub struct CoexecConfig {
     /// Dispatches smaller than this many work-items are never split
     /// (the secondary's transfer latency would dominate).
     pub min_items: usize,
-    /// Maximum dispatches per batch session before it is closed and a
-    /// fresh one (with a fresh arbiter grant) is opened — bounds how
-    /// long one tenant's fused chain can hold a fairness slot.
-    pub batch_cap: usize,
 }
+
+/// Maximum dispatches per batch session before it is closed and a fresh
+/// one (with a fresh arbiter grant) is opened — bounds how long one
+/// tenant's fused chain can hold a fairness slot.
+pub const BATCH_CAP: usize = 64;
 
 impl Default for CoexecConfig {
     fn default() -> CoexecConfig {
@@ -58,7 +59,6 @@ impl Default for CoexecConfig {
             split: false,
             batch: false,
             min_items: 2048,
-            batch_cap: 64,
         }
     }
 }

@@ -30,8 +30,10 @@
 //! identical `group_ops` and identical traps — the engine choice changes
 //! *host wall-clock* only, never virtual time. The process-wide default
 //! (native) can be overridden per kernel via [`crate::Kernel::set_engine`]
-//! or process-wide via [`set_default_engine`]; the wall-clock benchmark
-//! harness uses the latter to time all three rungs.
+//! or process-wide via [`set_default_engine`]. The wall-clock ledger
+//! (`benchmark/`) times each rung per kernel, the former way; the
+//! engine-agreement test in `crates/bench/tests` runs whole applications
+//! on each rung the latter way.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -84,8 +86,9 @@ pub fn default_engine() -> Engine {
 }
 
 /// Set the process-wide default engine. Affects subsequent dispatches of
-/// every kernel without a per-kernel override; used by the wall-clock
-/// benchmark harness to time all three engines on identical workloads.
+/// every kernel without a per-kernel override; the wall-clock ledger pins
+/// native with it, and the engine-agreement test runs the same
+/// applications on each rung with it.
 pub fn set_default_engine(engine: Engine) {
     DEFAULT_ENGINE.store(encode(engine), Ordering::Relaxed);
 }

@@ -850,7 +850,7 @@ fn kernel_actor(
                         // loop — a looping chain's site 0 continues
                         // the previous iteration's batch.
                         let stale = batches.get(key).is_some_and(|b| {
-                            b.launches() as usize >= coexec_cfg.batch_cap
+                            b.launches() as usize >= oclsim::coexec::BATCH_CAP
                                 || (role.index == 0 && !role.loops)
                         });
                         if stale {

@@ -42,7 +42,6 @@ fn eager() -> CoexecConfig {
         split: true,
         batch: true,
         min_items: 1,
-        ..CoexecConfig::default()
     }
 }
 

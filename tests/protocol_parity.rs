@@ -394,7 +394,6 @@ fn a_failover_mid_mov_ring_never_hands_a_kernel_a_foreign_buffer() {
         split: true,
         batch: true,
         min_items: 1,
-        ..CoexecConfig::default()
     };
     let run = |cfg: &CoexecConfig, plan: FaultPlan| {
         let lanes = DeviceMatrix::private().unwrap();
