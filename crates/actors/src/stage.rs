@@ -48,11 +48,6 @@ impl Stage {
         &self.name
     }
 
-    /// Number of actors spawned so far.
-    pub fn actor_count(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Spawn an actor: runs `constructor` once, then repeats `behaviour`
     /// until it returns [`Control::Stop`].
     pub fn spawn<A: Actor>(&mut self, name: impl Into<String>, mut actor: A) {

@@ -9,11 +9,8 @@
 //! * A [`Supervisor`] owns a set of child actors. Each child runs on its
 //!   own thread inside a [`std::panic::catch_unwind`] wrapper, so a panic
 //!   becomes a *supervised exit event* instead of a poisoned pipeline.
-//! * A restart [`Strategy`] decides what a failure means for the other
-//!   children: restart just the failed child ([`Strategy::OneForOne`]),
-//!   restart it plus every child started after it
-//!   ([`Strategy::RestForOne`]), or give up immediately
-//!   ([`Strategy::Escalate`]).
+//! * A failed child is restarted on its own ([`Strategy::OneForOne`],
+//!   the one restart strategy); its siblings keep running.
 //! * A [`RestartBudget`] bounds restart *intensity* on a deterministic
 //!   virtual clock ([`IntensityClock`]): each restart charges a backoff to
 //!   the clock, and a restart is granted only while fewer than
@@ -59,18 +56,10 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// What a child failure means for its siblings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
-    /// Restart only the failed child (the default; matches Erlang's
-    /// `one_for_one`). Siblings keep running undisturbed.
+    /// Restart only the failed child (matches Erlang's `one_for_one`).
+    /// Siblings keep running undisturbed.
     #[default]
     OneForOne,
-    /// Restart the failed child **and** every still-running child started
-    /// after it (Erlang's `rest_for_one`): later children are assumed to
-    /// depend on the failed one's output. Already-retired children are
-    /// not resurrected.
-    RestForOne,
-    /// Never restart: any abnormal exit tears the whole tree down and is
-    /// reported upward.
-    Escalate,
 }
 
 /// Restart-intensity limits, on the supervisor's virtual clock.
@@ -194,8 +183,7 @@ impl ExitReason {
 /// The terminal failure a supervisor reports after escalating.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisorError {
-    /// Name of the child whose failure exhausted the budget (or hit the
-    /// escalate-only strategy).
+    /// Name of the child whose failure exhausted the budget.
     pub child: String,
     /// Human-readable description of that final failure.
     pub reason: String,
@@ -254,7 +242,7 @@ impl ChildSpec {
     }
 
     /// Hook invoked when the supervisor *forces* this child to stop
-    /// (rest-for-one sibling stop, or escalation teardown). Typically
+    /// (escalation teardown). Typically
     /// poisons the child's input channels so a blocked `receive` wakes
     /// with [`crate::ChannelError::Poisoned`] instead of deadlocking.
     pub fn on_stop(mut self, hook: impl Fn() + Send + 'static) -> ChildSpec {
@@ -283,8 +271,6 @@ enum ChildState {
     Idle,
     /// Thread running.
     Running,
-    /// Asked to stop by the strategy; will restart when its exit arrives.
-    Doomed,
     /// Asked to stop by escalation; will *not* restart.
     Draining,
     /// Exited for good.
@@ -341,7 +327,6 @@ struct ExitEvent {
 /// ```
 pub struct Supervisor {
     name: String,
-    strategy: Strategy,
     clock: IntensityClock,
     trace: TraceSink,
     children: Vec<Child>,
@@ -350,12 +335,12 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor with no children yet.
-    pub fn new(name: impl Into<String>, strategy: Strategy, budget: RestartBudget) -> Supervisor {
+    /// A supervisor with no children yet. [`Strategy::OneForOne`] is the
+    /// only strategy, so `_strategy` carries no choice.
+    pub fn new(name: impl Into<String>, _strategy: Strategy, budget: RestartBudget) -> Supervisor {
         let (tx, rx) = mpsc::channel();
         Supervisor {
             name: name.into(),
-            strategy,
             clock: IntensityClock::new(budget),
             trace: TraceSink::disabled(),
             children: Vec::new(),
@@ -442,17 +427,6 @@ impl Supervisor {
         child.handle = Some(handle);
     }
 
-    /// Force-stop a running child: raise its stop flag and run its
-    /// `on_stop` hook so a blocked receive wakes up.
-    fn force_stop(&mut self, idx: usize, next: ChildState) {
-        let child = &mut self.children[idx];
-        child.stop.store(true, Ordering::Release);
-        if let Some(hook) = child.spec.as_ref().and_then(|s| s.on_stop.as_ref()) {
-            hook();
-        }
-        child.state = next;
-    }
-
     /// Retire a child for good: drop its spec (and with it the channel
     /// endpoints the factory captured, so downstream receivers observe
     /// closure once the thread's own clones are gone too).
@@ -464,7 +438,7 @@ impl Supervisor {
 
     /// Restart a child that has already exited: run its `on_restart`
     /// hook (clearing any teardown poison), then respawn.
-    fn restart_child(&mut self, idx: usize, charged_ts: Option<f64>) {
+    fn restart_child(&mut self, idx: usize) {
         {
             let child = &mut self.children[idx];
             child.restarts += 1;
@@ -479,28 +453,27 @@ impl Supervisor {
         self.instant(
             SpanKind::Restart,
             &name,
-            &[
-                ("restarts", restarts.to_string()),
-                ("charged", charged_ts.is_some().to_string()),
-            ],
+            &[("restarts", restarts.to_string())],
         );
         self.start_child(idx);
     }
 
-    /// Escalation teardown: stop every child that is still running (or
-    /// doomed-for-restart), demoting them to draining.
+    /// Escalation teardown: stop every child that is still running,
+    /// demoting them to draining. Each gets its stop flag raised and its
+    /// `on_stop` hook run, so a blocked receive wakes up.
     fn escalate(&mut self, failed: &str, reason: &ExitReason) -> SupervisorError {
         self.instant(
             SpanKind::Escalated,
             failed,
             &[("reason", reason.describe())],
         );
-        for idx in 0..self.children.len() {
-            if matches!(
-                self.children[idx].state,
-                ChildState::Running | ChildState::Doomed
-            ) {
-                self.force_stop(idx, ChildState::Draining);
+        for child in &mut self.children {
+            if child.state == ChildState::Running {
+                child.stop.store(true, Ordering::Release);
+                if let Some(hook) = child.spec.as_ref().and_then(|s| s.on_stop.as_ref()) {
+                    hook();
+                }
+                child.state = ChildState::Draining;
             }
         }
         SupervisorError {
@@ -509,9 +482,8 @@ impl Supervisor {
         }
     }
 
-    /// Handle an abnormal exit of `idx` per the strategy. Returns the
-    /// escalation error if the budget ran out (or the strategy never
-    /// restarts).
+    /// Handle an abnormal exit of `idx`: restart it, or return the
+    /// escalation error if the budget ran out.
     fn on_failure(&mut self, idx: usize, reason: &ExitReason) -> Option<SupervisorError> {
         let name = self.children[idx].name.clone();
         self.instant(
@@ -519,29 +491,12 @@ impl Supervisor {
             &name,
             &[("reason", reason.describe())],
         );
-        if self.strategy == Strategy::Escalate {
+        if self.clock.try_restart().is_some() {
+            self.restart_child(idx);
+            None
+        } else {
             self.retire(idx);
-            return Some(self.escalate(&name, reason));
-        }
-        match self.clock.try_restart() {
-            Some(ts) => {
-                if self.strategy == Strategy::RestForOne {
-                    // Later still-running siblings depend on this child's
-                    // output: stop them now; each restarts (uncharged)
-                    // when its exit event arrives.
-                    for later in idx + 1..self.children.len() {
-                        if self.children[later].state == ChildState::Running {
-                            self.force_stop(later, ChildState::Doomed);
-                        }
-                    }
-                }
-                self.restart_child(idx, Some(ts));
-                None
-            }
-            None => {
-                self.retire(idx);
-                Some(self.escalate(&name, reason))
-            }
+            Some(self.escalate(&name, reason))
         }
     }
 
@@ -570,13 +525,6 @@ impl Supervisor {
             }
             match self.children[ev.idx].state {
                 ChildState::Draining => self.retire(ev.idx),
-                ChildState::Doomed => {
-                    // A sibling stopped by rest-for-one: restart it
-                    // regardless of how the stop surfaced (its behaviour
-                    // may have seen a poisoned channel and failed). Not
-                    // charged to the budget — the *failing* child paid.
-                    self.restart_child(ev.idx, None);
-                }
                 ChildState::Running => {
                     if ev.reason.is_abnormal() && failure.is_none() {
                         failure = self.on_failure(ev.idx, &ev.reason);
@@ -606,7 +554,6 @@ impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
             .field("name", &self.name)
-            .field("strategy", &self.strategy)
             .field("children", &self.children.len())
             .finish()
     }
@@ -728,10 +675,16 @@ mod tests {
         let nothing_in = crate::In::<u32>::with_buffer(1);
         let connector = nothing_in.connector();
         let mut slot = Some(nothing_in);
-        let mut sup = Supervisor::new("t", Strategy::Escalate, RestartBudget::default());
+        // A zero budget escalates on the first failure, so `parked` is
+        // built exactly once.
+        let no_restarts = RestartBudget {
+            max_restarts: 0,
+            ..RestartBudget::default()
+        };
+        let mut sup = Supervisor::new("t", Strategy::OneForOne, no_restarts);
         sup.supervise(
             ChildSpec::new("parked", move || {
-                let input = slot.take().expect("escalate never restarts");
+                let input = slot.take().expect("a zero budget never restarts");
                 FnActor(move |_ctx: &mut ActorCtx| match input.receive() {
                     Ok(_) => Control::Continue,
                     Err(ChannelError::Poisoned) => Control::Stop,
@@ -750,42 +703,5 @@ mod tests {
         let err = sup.run().unwrap_err();
         assert_eq!(err.child, "failer");
         assert!(err.reason.contains("down"), "{}", err.reason);
-    }
-
-    #[test]
-    fn rest_for_one_restarts_later_siblings() {
-        let starts_b = Arc::new(AtomicU32::new(0));
-        let fail_a = Arc::new(AtomicU32::new(0));
-        let (b, a) = (Arc::clone(&starts_b), Arc::clone(&fail_a));
-        let mut sup = Supervisor::new("t", Strategy::RestForOne, RestartBudget::default());
-        sup.supervise(ChildSpec::new("a", move || {
-            let a = Arc::clone(&a);
-            FnActor(move |_ctx: &mut ActorCtx| {
-                if a.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("a dies once");
-                }
-                Control::Stop
-            })
-        }));
-        // First incarnation of `b` spins until the supervisor's doom flag
-        // stops it (so it is guaranteed running when `a` fails); the
-        // restarted incarnation stops on its own.
-        sup.supervise(ChildSpec::new("b", move || {
-            let incarnation = b.fetch_add(1, Ordering::SeqCst) + 1;
-            FnActor(move |_ctx: &mut ActorCtx| {
-                if incarnation >= 2 {
-                    Control::Stop
-                } else {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                    Control::Continue
-                }
-            })
-        }));
-        let report = sup.run().unwrap();
-        // `a` restarted once (charged to the budget); `b` was doomed and
-        // restarted as a later sibling (uncharged).
-        assert_eq!(report.children[0], ("a".to_string(), 1));
-        assert_eq!(report.children[1].1, 1);
-        assert_eq!(starts_b.load(Ordering::SeqCst), 2);
     }
 }

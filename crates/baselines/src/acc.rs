@@ -304,11 +304,6 @@ impl AccRunner {
             sequential_fallbacks: hook.sequential_fallbacks,
         })
     }
-
-    /// Virtual time of the engine's queue (for figure normalisation).
-    pub fn queue_now_ns(&self) -> f64 {
-        self.queue.now_ns()
-    }
 }
 
 /// What the engine did during a run.

@@ -1,4 +1,4 @@
-//! Chaos mode: the five applications under seeded fault schedules.
+//! Chaos runners: the five applications under seeded fault schedules.
 //!
 //! The robustness claim the harness checks is *fail-recover-finish*: with
 //! a deterministic [`FaultPlan`] attached to the simulated GPU, every
@@ -7,7 +7,8 @@
 //! backoff, device failover, channel poisoning) absorbs the injected
 //! faults instead of surfacing them.
 //!
-//! Two scenarios are provided:
+//! The workspace's `tests/chaos.rs` asserts these runners at seed 1 on
+//! [`Sizes::bench`] and pins what each one counts:
 //!
 //! * [`run_chaos`] — all five apps through the compiler + VM with a seeded
 //!   transient schedule (plus one guaranteed fault, so every app sees at
@@ -51,8 +52,8 @@ use trace::SpanKind;
 /// meanwhile (its actors absorb the seeded kills, and the chaos run's
 /// `exits == kills` no longer adds up). Every runner in this crate that
 /// drives the global matrix from a test therefore takes it too: the
-/// co-execution sweep. (The SDC harness in [`crate::sdc`] and the serving bench use private
-/// lanes; SDC serialises anyway so chaos-mode wall timings are never
+/// co-execution sweep. (The SDC runner in [`crate::sdc`] and the serving runner use private
+/// lanes; SDC serialises anyway so chaos wall timings are never
 /// polluted by a concurrent run.)
 pub(crate) static CHAOS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -89,24 +90,42 @@ pub struct ChaosOutcome {
 }
 
 impl ChaosOutcome {
-    /// One-line summary for the harness output.
-    pub fn render(&self) -> String {
-        format!(
-            "{:<12} injected {:>3}  retries {:>3}  failovers {:>2}  kills {:>2}  exits {:>2}  restarts {:>2}  output {}",
-            self.app,
-            self.injected,
-            self.retries,
-            self.failovers,
-            self.kills,
-            self.exits,
-            self.restarts,
-            if self.matches_reference {
-                "ok"
-            } else {
-                "MISMATCH"
-            }
-        )
+    /// What `injector` fired and what the recovery layer recorded in
+    /// `events` during one run of `app`.
+    fn new(
+        app: &str,
+        injector: &FaultInjector,
+        events: &[trace::TraceEvent],
+        matches_reference: bool,
+    ) -> ChaosOutcome {
+        ChaosOutcome {
+            app: app.to_string(),
+            injected: injector.injected_count(),
+            retries: count(events, SpanKind::Retry),
+            failovers: count(events, SpanKind::Failover),
+            kills: injector.kill_count(),
+            exits: count(events, SpanKind::ActorExit),
+            restarts: count(events, SpanKind::Restart),
+            matches_reference,
+        }
     }
+}
+
+/// The five applications at `sizes`, each targeting the GPU.
+pub(crate) fn gpu_apps(sizes: &Sizes) -> [(&'static str, String); 5] {
+    [
+        ("matmul", apps_ens::matmul(sizes.matmul_n, "GPU")),
+        (
+            "mandelbrot",
+            apps_ens::mandelbrot(sizes.mandel_n, sizes.mandel_iters, "GPU"),
+        ),
+        ("lud", apps_ens::lud(sizes.lud_n, "GPU")),
+        ("reduction", apps_ens::reduction(sizes.reduction_n, "GPU")),
+        (
+            "docrank",
+            apps_ens::docrank(sizes.docrank_docs, sizes.docrank_rounds, "GPU"),
+        ),
+    ]
 }
 
 /// The transient chaos schedule for one app: roughly one in `period`
@@ -180,16 +199,12 @@ pub fn run_app_chaos(
     let injector = FaultInjector::new(plan);
     let (output, events) = traced_gpu_run(src, &injector, coexec)
         .map_err(|e| format!("{app}: chaos run failed: {e}"))?;
-    Ok(ChaosOutcome {
-        app: app.to_string(),
-        injected: injector.injected_count(),
-        retries: count(&events, SpanKind::Retry),
-        failovers: count(&events, SpanKind::Failover),
-        kills: injector.kill_count(),
-        exits: count(&events, SpanKind::ActorExit),
-        restarts: count(&events, SpanKind::Restart),
-        matches_reference: output == reference,
-    })
+    Ok(ChaosOutcome::new(
+        app,
+        &injector,
+        &events,
+        output == reference,
+    ))
 }
 
 /// All five applications under a seeded transient schedule on the GPU.
@@ -198,25 +213,7 @@ pub fn run_app_chaos(
 /// at, say, upload #7 in one app does not force the same index on all),
 /// with a fault rate of roughly one in 13 operations.
 pub fn run_chaos(seed: u64, sizes: &Sizes) -> Result<Vec<ChaosOutcome>, String> {
-    let apps: [(&str, String); 5] = [
-        ("matmul", apps_ens::matmul(sizes.matmul_n, "GPU")),
-        (
-            "mandelbrot",
-            apps_ens::mandelbrot(sizes.mandel_n, sizes.mandel_iters, "GPU"),
-        ),
-        ("lud", apps_ens::lud(sizes.lud_n, "GPU")),
-        ("reduction", apps_ens::reduction(sizes.reduction_n, "GPU")),
-        (
-            "docrank",
-            apps_ens::docrank(sizes.docrank_docs, sizes.docrank_rounds, "GPU"),
-        ),
-    ];
-    let mut outcomes = Vec::with_capacity(apps.len());
-    for (i, (app, src)) in apps.iter().enumerate() {
-        let plan = chaos_plan(seed.wrapping_add(i as u64), 13);
-        outcomes.push(run_app_chaos(app, src, plan, &CoexecConfig::default())?);
-    }
-    Ok(outcomes)
+    run_gpu_apps(seed, sizes, |s| chaos_plan(s, 13))
 }
 
 /// All five applications under a seeded **kill** schedule on the GPU.
@@ -229,25 +226,24 @@ pub fn run_chaos(seed: u64, sizes: &Sizes) -> Result<Vec<ChaosOutcome>, String> 
 /// fault-free reference and every kill must appear in the trace as an
 /// `ActorExit`/`Restart` pair.
 pub fn run_kill_chaos(seed: u64, sizes: &Sizes) -> Result<Vec<ChaosOutcome>, String> {
-    let apps: [(&str, String); 5] = [
-        ("matmul", apps_ens::matmul(sizes.matmul_n, "GPU")),
-        (
-            "mandelbrot",
-            apps_ens::mandelbrot(sizes.mandel_n, sizes.mandel_iters, "GPU"),
-        ),
-        ("lud", apps_ens::lud(sizes.lud_n, "GPU")),
-        ("reduction", apps_ens::reduction(sizes.reduction_n, "GPU")),
-        (
-            "docrank",
-            apps_ens::docrank(sizes.docrank_docs, sizes.docrank_rounds, "GPU"),
-        ),
-    ];
-    let mut outcomes = Vec::with_capacity(apps.len());
-    for (i, (app, src)) in apps.iter().enumerate() {
-        let plan = kill_plan(seed.wrapping_add(i as u64), 17, 3);
-        outcomes.push(run_app_chaos(app, src, plan, &CoexecConfig::default())?);
-    }
-    Ok(outcomes)
+    run_gpu_apps(seed, sizes, |s| kill_plan(s, 17, 3))
+}
+
+/// Each of the five apps under `plan(seed + its index)`, stopping at the
+/// first run that fails.
+fn run_gpu_apps(
+    seed: u64,
+    sizes: &Sizes,
+    plan: impl Fn(u64) -> FaultPlan,
+) -> Result<Vec<ChaosOutcome>, String> {
+    gpu_apps(sizes)
+        .iter()
+        .enumerate()
+        .map(|(i, (app, src))| {
+            let plan = plan(seed.wrapping_add(i as u64));
+            run_app_chaos(app, src, plan, &CoexecConfig::default())
+        })
+        .collect()
 }
 
 /// Byte-identity probe for the injection layer itself: run the matmul
@@ -337,17 +333,12 @@ pub fn run_failover_chaos(n: usize) -> Result<ChaosOutcome, String> {
         .iter()
         .zip(expected.as_slice())
         .all(|(x, y)| (x - y).abs() <= 1e-3 * x.abs().max(1.0));
-    let events = sink.events();
-    Ok(ChaosOutcome {
-        app: "matmul/failover".to_string(),
-        injected: injector.injected_count(),
-        retries: count(&events, SpanKind::Retry),
-        failovers: count(&events, SpanKind::Failover),
-        kills: injector.kill_count(),
-        exits: count(&events, SpanKind::ActorExit),
-        restarts: count(&events, SpanKind::Restart),
-        matches_reference: close,
-    })
+    Ok(ChaosOutcome::new(
+        "matmul/failover",
+        &injector,
+        &sink.events(),
+        close,
+    ))
 }
 
 /// Run `src` in a fresh standalone [`TenantSession`] with `injector` on
@@ -392,16 +383,12 @@ pub fn run_session_failover_chaos(n: usize) -> Result<ChaosOutcome, String> {
         FaultInjector::new(FaultPlan::new().fail(FaultOp::Enqueue, 0, InjectedFault::DeviceLost));
     let (output, events, _) = session_gpu_run(&src, &injector)
         .map_err(|e| format!("matmul.ens: failover run failed: {e}"))?;
-    Ok(ChaosOutcome {
-        app: "matmul.ens/failover".to_string(),
-        injected: injector.injected_count(),
-        retries: count(&events, SpanKind::Retry),
-        failovers: count(&events, SpanKind::Failover),
-        kills: injector.kill_count(),
-        exits: count(&events, SpanKind::ActorExit),
-        restarts: count(&events, SpanKind::Restart),
-        matches_reference: output == reference,
-    })
+    Ok(ChaosOutcome::new(
+        "matmul.ens/failover",
+        &injector,
+        &events,
+        output == reference,
+    ))
 }
 
 #[cfg(test)]
@@ -423,10 +410,10 @@ mod tests {
     #[test]
     fn seeded_transients_are_absorbed_in_every_app() {
         for o in run_chaos(0xc4a05, &small()).unwrap() {
-            assert!(o.matches_reference, "{}", o.render());
-            assert!(o.injected >= 1, "{}", o.render());
-            assert_eq!(o.retries, o.injected, "{}", o.render());
-            assert_eq!(o.failovers, 0, "{}", o.render());
+            assert!(o.matches_reference, "{o:?}");
+            assert!(o.injected >= 1, "{o:?}");
+            assert_eq!(o.retries, o.injected, "{o:?}");
+            assert_eq!(o.failovers, 0, "{o:?}");
         }
     }
 
@@ -438,11 +425,11 @@ mod tests {
         // ActorExit/Restart pair (no silent kill, no spurious restart).
         for seed in [1u64, 2, 3] {
             for o in run_kill_chaos(seed, &small()).unwrap() {
-                assert!(o.matches_reference, "seed {seed}: {}", o.render());
-                assert!(o.kills >= 1, "seed {seed}: {}", o.render());
-                assert_eq!(o.exits, o.kills, "seed {seed}: {}", o.render());
-                assert_eq!(o.restarts, o.kills, "seed {seed}: {}", o.render());
-                assert_eq!(o.failovers, 0, "seed {seed}: {}", o.render());
+                assert!(o.matches_reference, "seed {seed}: {o:?}");
+                assert!(o.kills >= 1, "seed {seed}: {o:?}");
+                assert_eq!(o.exits, o.kills, "seed {seed}: {o:?}");
+                assert_eq!(o.restarts, o.kills, "seed {seed}: {o:?}");
+                assert_eq!(o.failovers, 0, "seed {seed}: {o:?}");
             }
         }
     }
@@ -450,9 +437,9 @@ mod tests {
     #[test]
     fn device_lost_fails_over_and_completes() {
         let o = run_failover_chaos(16).unwrap();
-        assert!(o.matches_reference, "{}", o.render());
-        assert!(o.failovers >= 1, "{}", o.render());
-        assert!(o.injected >= 1, "{}", o.render());
+        assert!(o.matches_reference, "{o:?}");
+        assert!(o.failovers >= 1, "{o:?}");
+        assert!(o.injected >= 1, "{o:?}");
     }
 
     #[test]

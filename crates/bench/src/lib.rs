@@ -15,16 +15,12 @@
 //! reduced inputs (the kernels are interpreted); `--paper-scale` selects
 //! the paper's original sizes.
 //!
-//! The `figures` binary also has a **chaos mode** (`--chaos-seed N`): all
-//! five applications run under a seeded deterministic fault schedule on
-//! the simulated GPU — plus a permanent device-loss scenario — and the
-//! harness asserts every run still matches its fault-free reference (see
-//! [`chaos`]), a **serving mode** (`--serve`): open-loop multi-tenant
-//! load with kill-chaos in half the tenants, gating cross-tenant
-//! isolation byte-for-byte (see [`serve_bench`]), and an **SDC mode**
-//! (`--sdc-seed N`): seeded silent bit flips on all five apps (gating
-//! 100% detection and byte-identical recovery) plus a straggler-hedging
-//! tail-latency comparison (see [`sdc`]).
+//! The crate also holds the runners the workspace's `tests/chaos.rs`
+//! asserts on: the five applications under seeded transient and kill
+//! schedules plus two device-loss scenarios ([`chaos`]), seeded silent
+//! bit flips and a straggler-hedging wave ([`sdc`]), and open-loop
+//! multi-tenant load with kill-chaos in half the tenants
+//! ([`serve_bench`]). They return counts; the tests hold the gates.
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,4 @@
-//! Serving-mode benchmark: open-loop load over the multi-tenant server.
+//! Serving runner: open-loop load over the multi-tenant server.
 //!
 //! Three mixed-application workloads drive an [`ensemble_serve::Server`]
 //! at roughly 2× its admission watermark, with seeded kill-chaos
@@ -19,8 +19,8 @@
 //! server: output lines always, and in eviction-free workloads also the
 //! `total_ns` bit pattern (an evicted tenant's lazy re-upload is
 //! charged to its own profile, so its modeled time moves while its data
-//! never does). Any divergence is a cross-tenant isolation failure and
-//! fails the bench (and the CI `serve-chaos` job gating `BENCH_7.json`).
+//! never does). Any divergence is a cross-tenant isolation failure;
+//! the workspace's `tests/chaos.rs` asserts there is none.
 
 use crate::apps_ens;
 use crate::chaos::kill_plan;
@@ -35,142 +35,13 @@ use std::time::Duration;
 pub struct WorkloadResult {
     /// Workload name (`mixed-rr`, `weighted`, `overload-deadline`).
     pub name: String,
-    /// Requests offered by the load generator.
-    pub offered: usize,
-    /// Terminal outcomes by class.
+    /// Requests that completed.
     pub completed: usize,
-    /// Requests rejected at the admission gate (queue full).
-    pub rejected: usize,
-    /// Requests rejected over the memory limit.
-    pub overloaded: usize,
-    /// Requests that missed their deadline (queued or running).
-    pub deadline_exceeded: usize,
-    /// Requests that failed for any other reason.
-    pub failed: usize,
-    /// Completed requests per wall-clock second.
-    pub rps: f64,
-    /// Median latency over every terminal outcome, milliseconds.
-    pub p50_ms: f64,
     /// 99th-percentile latency over every terminal outcome, milliseconds.
     pub p99_ms: f64,
-    /// Pool evictions performed during the workload.
-    pub evictions: u64,
-    /// Bytes reclaimed by eviction.
-    pub evicted_bytes: u64,
     /// Chaos-free completions whose output or virtual clock diverged
     /// from their solo reference. Must be zero.
     pub clean_tenant_mismatches: usize,
-}
-
-impl WorkloadResult {
-    /// Serialise as a JSON object (hand-rolled; the workspace has no
-    /// JSON library).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"offered\":{},\"completed\":{},\"rejected\":{},\
-             \"overloaded\":{},\"deadline_exceeded\":{},\"failed\":{},\
-             \"rps\":{:.2},\"p50_ms\":{:.3},\"p99_ms\":{:.3},\
-             \"evictions\":{},\"evicted_bytes\":{},\"clean_tenant_mismatches\":{}}}",
-            trace::escape_json(&self.name),
-            self.offered,
-            self.completed,
-            self.rejected,
-            self.overloaded,
-            self.deadline_exceeded,
-            self.failed,
-            self.rps,
-            self.p50_ms,
-            self.p99_ms,
-            self.evictions,
-            self.evicted_bytes,
-            self.clean_tenant_mismatches,
-        )
-    }
-}
-
-/// The full serving-bench report (`BENCH_7.json`).
-#[derive(Debug, Clone)]
-pub struct ServeBenchReport {
-    /// Tenants per workload.
-    pub tenants: usize,
-    /// Kill-chaos seed.
-    pub seed: u64,
-    /// Per-workload results.
-    pub workloads: Vec<WorkloadResult>,
-}
-
-impl ServeBenchReport {
-    /// True when every chaos-free completion matched its solo reference
-    /// and every workload completed at least one request.
-    pub fn all_consistent(&self) -> bool {
-        self.workloads
-            .iter()
-            .all(|w| w.clean_tenant_mismatches == 0 && w.completed > 0)
-    }
-
-    /// Serialise as the `BENCH_7.json` schema.
-    pub fn to_json(&self) -> String {
-        let ws: Vec<String> = self.workloads.iter().map(WorkloadResult::to_json).collect();
-        format!(
-            "{{\"schema\":\"bench-serve-v1\",\"tenants\":{},\"seed\":{},\
-             \"all_consistent\":{},\"workloads\":[{}]}}",
-            self.tenants,
-            self.seed,
-            self.all_consistent(),
-            ws.join(",")
-        )
-    }
-
-    /// Render as a text table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Serving bench ({} tenants per workload, kill seed {})\n",
-            self.tenants, self.seed
-        ));
-        out.push_str(&format!(
-            "{:<18} {:>7} {:>9} {:>8} {:>9} {:>9} {:>7} {:>8} {:>8} {:>8}  isolation\n",
-            "workload",
-            "offered",
-            "completed",
-            "rejected",
-            "overload",
-            "deadline",
-            "failed",
-            "rps",
-            "p50 ms",
-            "p99 ms"
-        ));
-        for w in &self.workloads {
-            out.push_str(&format!(
-                "{:<18} {:>7} {:>9} {:>8} {:>9} {:>9} {:>7} {:>8.1} {:>8.2} {:>8.2}  {}\n",
-                w.name,
-                w.offered,
-                w.completed,
-                w.rejected,
-                w.overloaded,
-                w.deadline_exceeded,
-                w.failed,
-                w.rps,
-                w.p50_ms,
-                w.p99_ms,
-                if w.clean_tenant_mismatches == 0 {
-                    "ok"
-                } else {
-                    "MISMATCH"
-                }
-            ));
-        }
-        let evictions: u64 = self.workloads.iter().map(|w| w.evictions).sum();
-        out.push_str(&format!(
-            "total evictions: {evictions} ({} bytes reclaimed)\n",
-            self.workloads
-                .iter()
-                .map(|w| w.evicted_bytes)
-                .sum::<u64>()
-        ));
-        out
-    }
 }
 
 /// The serving mix: three applications at smoke sizes, cycled over the
@@ -259,33 +130,19 @@ fn run_workload(
                 req.weight = if i % 2 == 0 { 1.0 } else { 3.0 };
             }
             if is_chaotic(i as u64) {
-                // Same seeding discipline as the kill-chaos bench mode:
+                // Same seeding discipline as `run_kill_chaos`:
                 // per-tenant offset, period 17, at most 3 kills.
                 req.chaos = Some(kill_plan(seed.wrapping_add(i as u64), 17, 3));
             }
             req
         })
         .collect();
-    let offered = requests.len();
-    let t0 = std::time::Instant::now();
     let outcomes = open_loop(&server, requests, interval);
-    let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-    let stats = server.stats();
-    let mismatches = count_mismatches(&outcomes, refs, &is_chaotic, strict_clock);
     WorkloadResult {
         name: name.to_string(),
-        offered,
-        completed: stats.completed as usize,
-        rejected: stats.rejected as usize,
-        overloaded: stats.overloaded as usize,
-        deadline_exceeded: stats.deadline_exceeded as usize,
-        failed: stats.failed as usize,
-        rps: stats.completed as f64 / elapsed,
-        p50_ms: latency_percentile(&outcomes, 50.0).as_secs_f64() * 1e3,
+        completed: server.stats().completed as usize,
         p99_ms: latency_percentile(&outcomes, 99.0).as_secs_f64() * 1e3,
-        evictions: server.pool().evictions(),
-        evicted_bytes: server.pool().evicted_bytes(),
-        clean_tenant_mismatches: mismatches,
+        clean_tenant_mismatches: count_mismatches(&outcomes, refs, &is_chaotic, strict_clock),
     }
 }
 
@@ -293,13 +150,13 @@ fn run_workload(
 /// given kill-chaos seed. The offered load is ≥2× the admission
 /// watermark by construction (`max_active = tenants / 2`, open-loop
 /// arrivals).
-pub fn run_serve(tenants: usize, seed: u64) -> Result<ServeBenchReport, String> {
+pub fn run_serve(tenants: usize, seed: u64) -> Result<Vec<WorkloadResult>, String> {
     let tenants = tenants.max(2);
     let refs: Vec<(Vec<String>, u64)> = (0..3)
         .map(|slot| solo_reference(&mixed_source(slot).1))
         .collect::<Result<_, _>>()?;
     let half = (tenants / 2).max(1);
-    let workloads = vec![
+    Ok(vec![
         run_workload(
             "mixed-rr",
             tenants,
@@ -361,44 +218,12 @@ pub fn run_serve(tenants: usize, seed: u64) -> Result<ServeBenchReport, String> 
             true,
             &refs,
         ),
-    ];
-    Ok(ServeBenchReport {
-        tenants,
-        seed,
-        workloads,
-    })
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn workload_json_has_gate_fields() {
-        let w = WorkloadResult {
-            name: "t".into(),
-            offered: 4,
-            completed: 3,
-            rejected: 1,
-            overloaded: 0,
-            deadline_exceeded: 0,
-            failed: 0,
-            rps: 1.5,
-            p50_ms: 2.0,
-            p99_ms: 9.0,
-            evictions: 2,
-            evicted_bytes: 1024,
-            clean_tenant_mismatches: 0,
-        };
-        let j = w.to_json();
-        assert!(j.contains("\"clean_tenant_mismatches\":0"));
-        assert!(j.contains("\"p99_ms\":9.000"));
-        trace::json::validate(&format!(
-            "{{\"schema\":\"bench-serve-v1\",\"tenants\":4,\"seed\":1,\
-             \"all_consistent\":true,\"workloads\":[{j}]}}"
-        ))
-        .expect("schema is valid JSON");
-    }
 
     #[test]
     fn mixed_sources_cycle_three_apps() {

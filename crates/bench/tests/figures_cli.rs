@@ -23,11 +23,16 @@ fn unknown_options_exit_2_and_list_the_valid_ones() {
         &["fig3a", "--jsno"],
         &["--wallclock"],
         &["--repeats", "1"],
+        &["--chaos-seed", "1"],
+        &["--kill-seed", "1"],
+        &["--sdc-seed", "1"],
+        &["--serve"],
+        &["--tenants", "8"],
     ] {
         let (code, stderr) = figures(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
-        assert!(stderr.contains("--chaos-seed <N>"), "{args:?}: {stderr}");
+        assert!(stderr.contains("--coexec-out <path>"), "{args:?}: {stderr}");
     }
 }
 

@@ -205,11 +205,6 @@ pub struct ProofSet {
 }
 
 impl ProofSet {
-    /// The split proof for a kernel actor, if one was computed.
-    pub fn split_for(&self, kernel: &str) -> Option<&SplitProof> {
-        self.splits.iter().find(|s| s.kernel == kernel)
-    }
-
     /// Hand-rolled JSON rendering (the workspace has no JSON library).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"splits\":[");

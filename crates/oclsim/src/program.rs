@@ -217,11 +217,6 @@ impl Kernel {
         self.set_scalar(index, Val::I(v as i64), true)
     }
 
-    /// Bind a `long` scalar.
-    pub fn set_arg_i64(&self, index: usize, v: i64) -> ClResult<()> {
-        self.set_scalar(index, Val::I(v), true)
-    }
-
     /// Bind a `float` scalar.
     pub fn set_arg_f32(&self, index: usize, v: f32) -> ClResult<()> {
         self.set_scalar(index, Val::F(v as f64), false)

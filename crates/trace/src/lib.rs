@@ -211,15 +211,6 @@ impl SpanKind {
             SpanKind::BatchFused => "batch_fused",
         }
     }
-
-    /// Whether this kind carries virtual-clock time that sums into a
-    /// figure segment.
-    pub fn is_segment(self) -> bool {
-        matches!(
-            self,
-            SpanKind::ToDevice | SpanKind::FromDevice | SpanKind::Kernel | SpanKind::VmChunk
-        )
-    }
 }
 
 /// One recorded span or instant.

@@ -431,19 +431,6 @@ impl EvictableMov {
         EvictableMov { state }
     }
 
-    /// Device bytes currently held by this value, or 0 when host-resident
-    /// **or busy** (the owner holds the lock — counting it as evictable
-    /// would invite the evictor to block on a dispatch in progress).
-    pub fn resident_bytes(&self) -> usize {
-        match self.state.try_lock() {
-            Some(guard) => match &*guard {
-                MovState::Device { bufs, .. } => bufs.device_bytes(),
-                MovState::Host(_) => 0,
-            },
-            None => 0,
-        }
-    }
-
     /// The device currently holding this value's buffers (`None` when
     /// host-resident or busy).
     pub fn device_id(&self) -> Option<usize> {

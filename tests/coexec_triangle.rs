@@ -194,8 +194,8 @@ fn kill_chaos_composes_with_co_execution() {
         &coexec,
     );
     let o = outcome.expect("kill-chaos run completes");
-    assert!(o.matches_reference, "{}", o.render());
-    assert!(o.kills >= 1, "{}", o.render());
-    assert_eq!(o.exits, o.kills, "{}", o.render());
-    assert_eq!(o.restarts, o.kills, "{}", o.render());
+    assert!(o.matches_reference, "{o:?}");
+    assert!(o.kills >= 1, "{o:?}");
+    assert_eq!(o.exits, o.kills, "{o:?}");
+    assert_eq!(o.restarts, o.kills, "{o:?}");
 }
