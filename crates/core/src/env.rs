@@ -12,7 +12,7 @@
 //! zero-origin lanes), and [`ResolveEnv`] is the one rule for picking a
 //! lane and for the lane work fails over to.
 
-use oclsim::{ClError, ClResult, CommandQueue, Context, Device, DeviceType, Platform};
+use oclsim::{BuildCache, ClError, ClResult, CommandQueue, Context, Device, DeviceType, Platform};
 use std::sync::{Arc, OnceLock};
 
 /// Device selection attached to an `opencl` actor declaration:
@@ -61,9 +61,10 @@ pub struct MatrixEntry {
 }
 
 impl MatrixEntry {
-    /// A fresh context and queue over `device`.
-    fn open(platform: &str, device: &Device) -> ClResult<MatrixEntry> {
-        let context = Context::new(std::slice::from_ref(device))?;
+    /// A fresh context over `device`, building through `builds`, and its
+    /// queue.
+    fn open(platform: &str, device: &Device, builds: &Arc<BuildCache>) -> ClResult<MatrixEntry> {
+        let context = Context::with_build_cache(std::slice::from_ref(device), Arc::clone(builds))?;
         let queue = CommandQueue::new(&context, device)?;
         Ok(MatrixEntry {
             platform: platform.to_string(),
@@ -76,23 +77,29 @@ impl MatrixEntry {
 
 /// A platforms × devices table, one context and one queue per device:
 /// the process-wide matrix ([`device_matrix`]) or a private copy of it
-/// ([`DeviceMatrix::private`]).
+/// ([`DeviceMatrix::private`]). Every context of the process-wide matrix
+/// and of all its private copies shares one [`BuildCache`], so a kernel
+/// source is compiled and lowered once per process, not once per run.
 #[derive(Debug)]
 pub struct DeviceMatrix {
     entries: Vec<MatrixEntry>,
+    builds: Arc<BuildCache>,
 }
 
 static MATRIX: OnceLock<Arc<DeviceMatrix>> = OnceLock::new();
 
 fn process_matrix() -> &'static Arc<DeviceMatrix> {
     MATRIX.get_or_init(|| {
+        let builds = Arc::default();
         let mut entries = Vec::new();
         for platform in Platform::all() {
             for device in platform.devices(None) {
-                entries.push(MatrixEntry::open(platform.name(), &device).expect("lane for device"));
+                entries.push(
+                    MatrixEntry::open(platform.name(), &device, &builds).expect("lane for device"),
+                );
             }
         }
-        Arc::new(DeviceMatrix { entries })
+        Arc::new(DeviceMatrix { entries, builds })
     })
 }
 
@@ -110,14 +117,19 @@ impl DeviceMatrix {
 
     /// A fresh context and queue for each device of the process-wide
     /// matrix, in the same order. Its lanes start their virtual clocks at
-    /// zero and see no other table's faults, arbiter or memory observer.
+    /// zero and see no other table's faults, arbiter or memory observer;
+    /// they share only the process matrix's build cache.
     pub fn private() -> ClResult<DeviceMatrix> {
-        let entries = device_matrix()
+        let shared = device_matrix();
+        let entries = shared
             .entries
             .iter()
-            .map(|e| MatrixEntry::open(&e.platform, &e.device))
+            .map(|e| MatrixEntry::open(&e.platform, &e.device, &shared.builds))
             .collect::<ClResult<_>>()?;
-        Ok(DeviceMatrix { entries })
+        Ok(DeviceMatrix {
+            entries,
+            builds: Arc::clone(&shared.builds),
+        })
     }
 
     /// All matrix entries (platform-major, device-minor order).

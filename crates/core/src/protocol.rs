@@ -297,7 +297,7 @@ fn build_from(
             env.device.name(),
             &spec.profile,
             "build",
-            || Program::build(&env.context, &spec.source),
+            || Program::build_on(&env.queue, &spec.source),
         )
         .and_then(|program| program.create_kernel(&spec.kernel_name));
         match built {
@@ -551,6 +551,39 @@ mod tests {
         assert_eq!(failovers, 0);
         assert!(!host.migrated());
         assert_eq!(env.context.allocated_bytes(), 0);
+    }
+
+    #[test]
+    fn a_build_fault_is_stamped_at_the_lanes_clock() {
+        let env = private_gpu_env();
+        let injector =
+            FaultInjector::new(FaultPlan::new().fail(FaultOp::Build, 0, InjectedFault::Transient));
+        let sink = TraceSink::new();
+        injector.attach_trace(sink.clone());
+        env.context.attach_faults(injector);
+        let flat = vec![1.0f32; 8].flatten();
+        let bufs = ResidentBufs::upload(&env, &flat, &RecoveryPolicy::none(), &ProfileSink::new())
+            .unwrap();
+        let clock = env.queue.now_ns();
+        assert!(clock > 0.0);
+        let spec = KernelSpec::in_place(
+            "__kernel void k(__global float* a) {}",
+            "k",
+            DeviceSel::gpu(),
+        );
+        KernelHost::open(spec, Arc::new(OneLane(env.clone()))).unwrap();
+        let stamps: Vec<f64> = sink
+            .events()
+            .iter()
+            .filter(|e| e.kind == SpanKind::FaultInjected)
+            .map(|e| e.ts_ns)
+            .collect();
+        assert_eq!(
+            stamps,
+            [clock],
+            "the retried build fault sits at the lane's clock"
+        );
+        drop(bufs);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::buffer::{Buffer, MemFlags};
 use crate::device::Device;
 use crate::error::{ClError, ClResult};
 use crate::fault::{FaultInjector, FaultOp};
+use crate::program::BuildCache;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,6 +25,8 @@ struct ContextInner {
     /// Optional pool-level accountant consulted around every allocation
     /// and release (see [`crate::arbiter::MemObserver`]).
     observer: ObserverSlot,
+    /// What [`crate::Program::build`] consults before it compiles.
+    builds: Arc<BuildCache>,
 }
 
 /// An umbrella structure holding the devices in use plus the runtime
@@ -39,8 +42,16 @@ impl Context {
     /// Create a context over one or more devices.
     ///
     /// The context's allocation budget is the smallest global memory of its
-    /// devices (a buffer must fit on every device of the context).
+    /// devices (a buffer must fit on every device of the context). Its
+    /// [`BuildCache`] is its own and starts empty.
     pub fn new(devices: &[Device]) -> ClResult<Context> {
+        Context::with_build_cache(devices, Arc::default())
+    }
+
+    /// [`Context::new`] over a shared [`BuildCache`]: a source built on
+    /// any context of the cache is not compiled or lowered again here.
+    /// The device matrix hands its one cache to every context it opens.
+    pub fn with_build_cache(devices: &[Device], builds: Arc<BuildCache>) -> ClResult<Context> {
         if devices.is_empty() {
             return Err(ClError::Internal(
                 "a context requires at least one device".to_string(),
@@ -59,6 +70,7 @@ impl Context {
                 allocated: Mutex::new(0),
                 faults: Mutex::new(FaultInjector::disabled()),
                 observer: ObserverSlot::default(),
+                builds,
             }),
         })
     }
@@ -94,9 +106,15 @@ impl Context {
         self.inner.faults.lock().clone()
     }
 
+    /// The build cache [`crate::Program::build`] consults.
+    pub fn build_cache(&self) -> &Arc<BuildCache> {
+        &self.inner.builds
+    }
+
     /// Consult the attached injector for a build-time fault (no-op when
-    /// none is attached). Called by [`crate::Program::build`].
-    pub(crate) fn build_fault_check(&self) -> ClResult<()> {
+    /// none is attached), stamping it at `now_ns`. Called by
+    /// [`crate::Program::build`] once per build, cache hit or miss.
+    pub(crate) fn build_fault_check(&self, now_ns: f64) -> ClResult<()> {
         let injector = self.faults();
         let device = self
             .inner
@@ -104,7 +122,7 @@ impl Context {
             .first()
             .map(|d| d.name().to_string())
             .unwrap_or_default();
-        injector.check(FaultOp::Build, &device, 0.0)
+        injector.check(FaultOp::Build, &device, now_ns)
     }
 
     /// Process-unique context id.

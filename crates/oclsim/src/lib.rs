@@ -11,7 +11,9 @@
 //!   [`CommandQueue`], the exact object chain §2.1 of the paper describes.
 //! * **Runtime kernel compilation** — [`Program::build`] compiles kernels
 //!   written in a mini OpenCL-C dialect (module [`minicl`]) at runtime,
-//!   returning a build log on failure, just like `clBuildProgram`.
+//!   returning a build log on failure, just like `clBuildProgram`. A
+//!   source is compiled, and each kernel lowered, once per
+//!   [`BuildCache`]; the device matrix's contexts share one.
 //! * **Execution** — [`CommandQueue::enqueue_nd_range`] runs the kernel for
 //!   real (results are bit-checked against references in the test suites)
 //!   using a work-group interpreter with full `barrier()` support.
@@ -87,6 +89,7 @@
 
 pub mod arbiter;
 pub mod buffer;
+pub mod cache;
 pub mod coexec;
 pub mod context;
 pub mod device;
@@ -105,6 +108,7 @@ pub mod timing;
 
 pub use arbiter::{ArbiterHandle, MemObserver, QueueArbiter};
 pub use buffer::{fnv1a64, Buffer, MemFlags};
+pub use cache::SourceCache;
 pub use coexec::{co_enqueue, CoexecConfig};
 pub use context::Context;
 pub use device::{Device, DeviceType};
@@ -118,5 +122,5 @@ pub use fault::{
 pub use ndrange::{NdRange, SubRange};
 pub use platform::Platform;
 pub use profile::{Profile, ProfileSink};
-pub use program::{Kernel, Program};
+pub use program::{BuildCache, Kernel, Program};
 pub use queue::{CommandQueue, DispatchBatch};

@@ -11,76 +11,28 @@
 //! shared module in place.
 
 use ensemble_analysis::{compile_source, CompiledModule, GateError, Options};
-use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use oclsim::SourceCache;
 use std::sync::Arc;
 
-/// Distinct programs one server retains; inserting past it drops the
-/// oldest entry. Sized well above the distinct programs a pool of
-/// tenants cycles through, small enough that the retained modules (tens
-/// of KB each) never matter next to one request's device buffers.
-const MAX_MODULES: usize = 64;
-
-#[derive(Default)]
-struct Entries {
-    by_source: HashMap<Arc<str>, Arc<CompiledModule>>,
-    /// Keys in insertion order, oldest first.
-    order: VecDeque<Arc<str>>,
-}
-
-/// Source text → compiled module, bounded, oldest out (see module docs).
-#[derive(Default)]
-pub(crate) struct ModuleCache {
-    entries: Mutex<Entries>,
-    /// Front-end runs this cache has paid for (test-only).
-    #[cfg(test)]
-    compiles: std::sync::atomic::AtomicU64,
-}
+/// Source text → compiled module, bounded at [`SourceCache::CAPACITY`]
+/// programs, oldest out. The type is the build cache's own
+/// ([`oclsim::BuildCache`]), over a key space of its own.
+pub(crate) type ModuleCache = SourceCache<CompiledModule>;
 
 /// The analysis-gated front end with the options every session uses.
 pub(crate) fn compile(source: &str) -> Result<CompiledModule, GateError> {
     compile_source(source, &Options::default())
 }
 
-impl ModuleCache {
-    /// The module for `source`, compiling it on a miss. Compilation runs
-    /// outside the lock, so a cold program never stalls other tenants'
-    /// hits; when two tenants race the same cold source both compile and
-    /// the first insert wins. Failed compiles are not retained: the
-    /// diagnostics are re-derived (identically) on every attempt.
-    pub(crate) fn get_or_compile(&self, source: &str) -> Result<Arc<CompiledModule>, GateError> {
-        if let Some(hit) = self.entries.lock().by_source.get(source) {
-            return Ok(Arc::clone(hit));
-        }
-        #[cfg(test)]
-        self.compiles
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let module = Arc::new(compile(source)?);
-        let mut entries = self.entries.lock();
-        if let Some(raced) = entries.by_source.get(source) {
-            return Ok(Arc::clone(raced));
-        }
-        if entries.order.len() == MAX_MODULES {
-            if let Some(oldest) = entries.order.pop_front() {
-                entries.by_source.remove(&oldest);
-            }
-        }
-        let key: Arc<str> = Arc::from(source);
-        entries.order.push_back(Arc::clone(&key));
-        entries.by_source.insert(key, Arc::clone(&module));
-        Ok(module)
-    }
-}
-
-#[cfg(test)]
-impl ModuleCache {
-    pub(crate) fn compiles(&self) -> u64 {
-        self.compiles.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.entries.lock().by_source.len()
-    }
+/// The module for `source` from `cache`, compiling it on a miss (see
+/// [`SourceCache::get_or_build`]: compilation runs outside the lock,
+/// racing tenants share the first insert, and failed compiles are not
+/// retained).
+pub(crate) fn get_or_compile(
+    cache: &ModuleCache,
+    source: &str,
+) -> Result<Arc<CompiledModule>, GateError> {
+    cache.get_or_build(source, || compile(source))
 }
 
 #[cfg(test)]
@@ -103,10 +55,10 @@ pub(crate) mod tests {
     #[test]
     fn a_hit_returns_the_same_module_without_compiling() {
         let cache = ModuleCache::default();
-        let first = cache.get_or_compile(&program(1)).unwrap();
-        let again = cache.get_or_compile(&program(1)).unwrap();
+        let first = get_or_compile(&cache, &program(1)).unwrap();
+        let again = get_or_compile(&cache, &program(1)).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(cache.compiles(), 1);
+        assert_eq!(cache.builds(), 1);
         // The cached module is what a direct compile produces.
         assert_eq!(*first, compile(&program(1)).unwrap());
     }
@@ -115,10 +67,10 @@ pub(crate) mod tests {
     fn one_byte_of_difference_misses() {
         let cache = ModuleCache::default();
         let src = program(1);
-        let a = cache.get_or_compile(&src).unwrap();
-        let b = cache.get_or_compile(&format!("{src} ")).unwrap();
+        let a = get_or_compile(&cache, &src).unwrap();
+        let b = get_or_compile(&cache, &format!("{src} ")).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!((cache.compiles(), cache.len()), (2, 2));
+        assert_eq!((cache.builds(), cache.len()), (2, 2));
     }
 
     #[test]
@@ -126,28 +78,28 @@ pub(crate) mod tests {
         let cache = ModuleCache::default();
         // `output` is used but never connected: E005 rejects it.
         let bad = program(1).replace("printInt(1);", "send 1 on output;");
-        let first = cache.get_or_compile(&bad).unwrap_err().to_string();
-        let second = cache.get_or_compile(&bad).unwrap_err().to_string();
+        let first = get_or_compile(&cache, &bad).unwrap_err().to_string();
+        let second = get_or_compile(&cache, &bad).unwrap_err().to_string();
         assert!(first.contains("E005"), "{first}");
         assert_eq!(first, second);
-        assert_eq!((cache.compiles(), cache.len()), (2, 0));
+        assert_eq!((cache.builds(), cache.len()), (2, 0));
     }
 
     #[test]
     fn the_oldest_entry_goes_at_the_cap() {
         let cache = ModuleCache::default();
-        for n in 0..MAX_MODULES {
-            cache.get_or_compile(&program(n)).unwrap();
+        for n in 0..ModuleCache::CAPACITY {
+            get_or_compile(&cache, &program(n)).unwrap();
         }
-        assert_eq!(cache.len(), MAX_MODULES);
+        assert_eq!(cache.len(), ModuleCache::CAPACITY);
         // One more evicts program 0 and nothing else.
-        cache.get_or_compile(&program(MAX_MODULES)).unwrap();
-        assert_eq!(cache.len(), MAX_MODULES);
-        let before = cache.compiles();
-        cache.get_or_compile(&program(1)).unwrap();
-        cache.get_or_compile(&program(MAX_MODULES)).unwrap();
-        assert_eq!(cache.compiles(), before, "survivors still hit");
-        cache.get_or_compile(&program(0)).unwrap();
-        assert_eq!(cache.compiles(), before + 1, "the oldest was evicted");
+        get_or_compile(&cache, &program(ModuleCache::CAPACITY)).unwrap();
+        assert_eq!(cache.len(), ModuleCache::CAPACITY);
+        let before = cache.builds();
+        get_or_compile(&cache, &program(1)).unwrap();
+        get_or_compile(&cache, &program(ModuleCache::CAPACITY)).unwrap();
+        assert_eq!(cache.builds(), before, "survivors still hit");
+        get_or_compile(&cache, &program(0)).unwrap();
+        assert_eq!(cache.builds(), before + 1, "the oldest was evicted");
     }
 }

@@ -39,8 +39,6 @@ struct PoolState {
     candidates: Vec<Candidate>,
     /// Total evictions performed (for the bench and tests).
     evictions: u64,
-    /// Total bytes reclaimed by eviction.
-    evicted_bytes: u64,
 }
 
 /// The cross-tenant device-memory accountant (see module docs).
@@ -104,11 +102,6 @@ impl DevicePool {
     /// Evictions performed so far.
     pub fn evictions(&self) -> u64 {
         self.state.lock().evictions
-    }
-
-    /// Bytes reclaimed by eviction so far.
-    pub fn evicted_bytes(&self) -> u64 {
-        self.state.lock().evicted_bytes
     }
 
     /// Register a device-resident `mov` value of `tenant` as an eviction
@@ -177,10 +170,7 @@ impl DevicePool {
             }
             if let Ok(Some(bytes)) = h.try_evict() {
                 freed += bytes;
-                let mut st = self.state.lock();
-                st.evictions += 1;
-                st.evicted_bytes += bytes as u64;
-                drop(st);
+                self.state.lock().evictions += 1;
                 let t = self.trace.lock().clone();
                 if t.is_enabled() {
                     t.record(

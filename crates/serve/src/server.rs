@@ -399,21 +399,21 @@ mod tests {
         let server = Server::new(ServeConfig::default());
         let first = server.submit(Request::new(1, program(7))).unwrap();
         assert_eq!(first.output, vec!["7"]);
-        assert_eq!(server.modules.compiles(), 1);
+        assert_eq!(server.modules.builds(), 1);
         // Another tenant, same source: the front end does not run again,
         // and the result is the same to the bit.
         let second = server.submit(Request::new(2, program(7))).unwrap();
-        assert_eq!(server.modules.compiles(), 1);
+        assert_eq!(server.modules.builds(), 1);
         assert_eq!(second.output, first.output);
         assert_eq!(second.vm_ops, first.vm_ops);
         assert_eq!(second.total_ns().to_bits(), first.total_ns().to_bits());
         // A different program is a different entry.
         assert_eq!(server.submit(Request::new(1, program(8))).unwrap().output, vec!["8"]);
-        assert_eq!((server.modules.compiles(), server.modules.len()), (2, 2));
+        assert_eq!((server.modules.builds(), server.modules.len()), (2, 2));
         // Another server starts cold: the cache is per server, not global.
         let other = Server::new(ServeConfig::default());
         other.submit(Request::new(1, program(7))).unwrap();
-        assert_eq!(other.modules.compiles(), 1);
+        assert_eq!(other.modules.builds(), 1);
     }
 
     /// A kernel actor that is sent its settings but never its data, and a
@@ -497,12 +497,12 @@ mod tests {
         for tenant in 1..=3 {
             assert_eq!(server.submit(Request::new(tenant, program(3))).unwrap().output, vec!["3"]);
         }
-        assert_eq!(server.modules.compiles(), 1);
+        assert_eq!(server.modules.builds(), 1);
         // And a secondary built the way `run_hedged` builds it hits as well.
         let secondary = server.session(1 | HEDGE_TENANT_BIT, None, true).unwrap();
         let report = secondary.run(&program(3), None, RestartBudget::default()).unwrap();
         assert_eq!(report.output, vec!["3"]);
-        assert_eq!(server.modules.compiles(), 1);
+        assert_eq!(server.modules.builds(), 1);
     }
 
     #[test]
@@ -518,7 +518,7 @@ mod tests {
             outcomes[0]
         );
         assert_eq!(outcomes[0], outcomes[1]);
-        assert_eq!((server.modules.compiles(), server.modules.len()), (2, 0));
+        assert_eq!((server.modules.builds(), server.modules.len()), (2, 0));
         assert_eq!(server.stats().failed, 2);
     }
 
@@ -542,7 +542,7 @@ mod tests {
         assert_eq!(outputs, vec![vec!["5"], vec!["5"]]);
         // Whoever lost the insert race ran the winner's module or its
         // own equal one; either way exactly one entry is retained.
-        assert!((1..=2).contains(&server.modules.compiles()));
+        assert!((1..=2).contains(&server.modules.builds()));
         assert_eq!(server.modules.len(), 1);
     }
 }

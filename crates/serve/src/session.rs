@@ -176,7 +176,7 @@ impl TenantSession {
         // residency proofs) — the same pipeline every other runner uses,
         // run once per distinct source when a server's cache is attached.
         let module = match &self.modules {
-            Some(modules) => modules.get_or_compile(source),
+            Some(modules) => cache::get_or_compile(modules, source),
             None => cache::compile(source).map(Arc::new),
         }
         .map_err(|e| ServeError::Failed {
